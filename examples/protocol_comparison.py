@@ -11,12 +11,8 @@ the exact pathology LRC's multiple-writer protocol removes.
 Run:  python examples/protocol_comparison.py
 """
 
-from repro.bench import (
-    breakdown_table,
-    link_table,
-    make_jacobi,
-    run_experiment,
-)
+from repro.bench import breakdown_table, link_table, make_jacobi
+from repro.bench.harness import run_experiment
 from repro.cluster import NodePool
 from repro.config import SystemConfig
 from repro.dsm import ScRuntime

@@ -30,16 +30,18 @@ from .network import Switch
 from .openmp import OmpProgram, ParallelFor, compile_openmp, strip_mine
 from .simcore import Simulator
 
-__version__ = "1.1.0"
+__version__ = "2.0.0"
 
 
 def __getattr__(name):
     # Lazy: repro.api pulls in the exec engine + obs layer; load it only
     # when asked for so `import repro` stays light.
+    # (``from . import api`` would re-enter this hook through the import
+    # system's fromlist handling and recurse.)
     if name == "api":
-        from . import api
+        import importlib
 
-        return api
+        return importlib.import_module(".api", __name__)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [

@@ -9,10 +9,6 @@ grids, user scripts — builds a :class:`ScenarioSpec` and calls
 the per-phase :class:`~repro.obs.CostBreakdown`, and export handles for
 the Chrome trace / metrics files.
 
-The pre-facade per-module entrypoints (``repro.bench.run_experiment``,
-``repro.exec.run_spec`` re-exported at package level) still work one
-release behind a ``DeprecationWarning``; see ``docs/PROTOCOL.md`` §8.
-
 Typical use::
 
     from repro.api import AdaptEvent, ObsConfig, run, spec_from_preset

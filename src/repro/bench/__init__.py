@@ -58,29 +58,6 @@ from .paper_data import (
 from .reporting import format_table, ratio_note
 
 
-def __getattr__(name):
-    """Deprecated package-level entrypoints (PEP 562).
-
-    ``run_experiment`` predates the :mod:`repro.api` facade; new code
-    should build a :class:`~repro.exec.spec.ScenarioSpec` and call
-    :func:`repro.api.run` (see ``docs/PROTOCOL.md`` §8).  The name keeps
-    working one release behind a :class:`DeprecationWarning`.
-    """
-    if name == "run_experiment":
-        import warnings
-
-        warnings.warn(
-            "repro.bench.run_experiment is deprecated; use repro.api.run "
-            "with a ScenarioSpec (docs/PROTOCOL.md §8)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from .harness import run_experiment
-
-        return run_experiment
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "ADAPTATION_POINT_SPACING",
     "BENCH_CALIBRATED",
@@ -123,7 +100,6 @@ __all__ = [
     "run_scenario_paired",
     "per_adaptation_summary",
     "ratio_note",
-    "run_experiment",
     "speedup",
     "RecoveryPoint",
     "ResumableJacobi",

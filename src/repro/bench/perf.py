@@ -231,9 +231,8 @@ def scenarios(quick: bool = False, paper: bool = False) -> List[PerfScenario]:
                 kernel="gauss", params={"n": 192, "iterations": 95},
                 nprocs=32, calibrated=True, label="gauss-32-quick")),
             # Wider still: 64 nodes double every fork/release wave's leg
-            # count, so the flight-batched transport (PerfParams.
-            # flight_batch) carries most of the wire traffic — the
-            # scenario the PR 10 gate measures the batching win on.
+            # count, so the flight-batched transport (PROTOCOL.md §13)
+            # carries most of the wire traffic.
             PerfScenario("gauss-64-quick", ScenarioSpec(
                 kernel="gauss", params={"n": 192, "iterations": 47},
                 nprocs=64, calibrated=True, label="gauss-64-quick")),
@@ -395,40 +394,6 @@ def run_obs_identity_check(quick: bool = True) -> Dict:
     for scenario in scenarios(quick=quick):
         checked.append(scenario.name)
         if canonical(scenario.spec) != canonical_obs(scenario.spec):
-            mismatches.append(scenario.name)
-    return {"scenarios": checked, "mismatches": mismatches,
-            "identical": not mismatches}
-
-
-# ---------------------------------------------------------------------------
-# flight-identity check: flights on vs off must not change the model
-# ---------------------------------------------------------------------------
-def run_flight_identity_check(quick: bool = True) -> Dict:
-    """Run each scenario with flight batching on and off; compare outputs.
-
-    The flight fast path (``PerfParams.flight_batch``, PROTOCOL.md §13)
-    must leave every simulated output — modelled runtime, traffic,
-    event/message/page/diff counts — bitwise identical to the
-    per-message reference transport.  Any mismatch means a flight
-    changed the model, not just the host wall clock.
-    """
-    from ..exec.pool import execute_spec
-    from ..exec.result import ScenarioResult
-
-    def canonical(spec) -> str:
-        exp, _ = execute_spec(spec)
-        return ScenarioResult.from_experiment(
-            exp, events=exp.runtime.sim.events_executed
-        ).to_json()
-
-    checked = []
-    mismatches = []
-    for scenario in scenarios(quick=quick):
-        checked.append(scenario.name)
-        spec = scenario.spec
-        on = spec.replaced(perf={**dict(spec.perf), "flight_batch": True})
-        off = spec.replaced(perf={**dict(spec.perf), "flight_batch": False})
-        if canonical(on) != canonical(off):
             mismatches.append(scenario.name)
     return {"scenarios": checked, "mismatches": mismatches,
             "identical": not mismatches}

@@ -661,23 +661,9 @@ def cmd_perfbench(args) -> int:
         else:
             print(f"  OBS LEAK: observability changed the simulated outputs "
                   f"of {', '.join(check['mismatches'])}", file=sys.stderr)
-    if args.check_flights:
-        from .bench.perf import run_flight_identity_check
-
-        check = run_flight_identity_check(quick=args.quick)
-        report["flight_identity"] = check
-        if check["identical"]:
-            print(f"  flight identity: {len(check['scenarios'])} scenarios "
-                  "bitwise identical with flight batching on and off")
-        else:
-            print(f"  FLIGHT DRIFT: flight batching changed the simulated "
-                  f"outputs of {', '.join(check['mismatches'])}",
-                  file=sys.stderr)
     write_report(report, args.out)
     print(f"  report written to {args.out}")
     if args.check_obs and not report["obs_identity"]["identical"]:
-        return 1
-    if args.check_flights and not report["flight_identity"]["identical"]:
         return 1
     if baseline_path:
         try:
@@ -1223,11 +1209,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "enabled and exit non-zero unless the simulated "
                            "outputs are bitwise identical to the "
                            "uninstrumented run")
-    perf.add_argument("--check-flights", action="store_true",
-                      help="also rerun every scenario with flight batching "
-                           "forced on and off and exit non-zero unless the "
-                           "simulated outputs are bitwise identical "
-                           "(PROTOCOL.md §13)")
     perf.add_argument("--profile", nargs="?", const=25, type=int, default=None,
                       metavar="N",
                       help="cProfile every scenario run and dump the top N "

@@ -14,14 +14,6 @@ from .traces import (
 )
 
 
-def __getattr__(name):
-    if name == "TraceEvent":  # renamed; the traces module carries the warning
-        from . import traces
-
-        return traces.TraceEvent
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "DaySchedule",
     "EventScript",

@@ -20,12 +20,7 @@ from .adapt_events import EventScript, ScriptedEvent
 
 @dataclass(frozen=True)
 class AvailabilityEvent:
-    """One node-availability change in a trace.
-
-    Renamed from ``TraceEvent`` (which collided with the simulator's
-    :class:`~repro.simcore.trace.TraceRecord`); the old name remains as a
-    deprecated alias.
-    """
+    """One node-availability change in a trace."""
 
     time: float
     action: str  # "join" | "leave" | "crash"
@@ -35,20 +30,6 @@ class AvailabilityEvent:
     def to_line(self) -> str:
         base = f"{self.time:.6f} {self.action} {self.node_id}"
         return base if self.grace is None else f"{base} {self.grace:.6f}"
-
-
-def __getattr__(name):
-    if name == "TraceEvent":
-        import warnings
-
-        warnings.warn(
-            "repro.cluster.traces.TraceEvent was renamed to "
-            "AvailabilityEvent (it collided with simcore.trace.TraceRecord)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return AvailabilityEvent
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def parse_trace(source: Union[str, TextIO]) -> List[AvailabilityEvent]:

@@ -221,74 +221,23 @@ class FaultParams:
 
 @dataclass(frozen=True)
 class PerfParams:
-    """Wall-clock fast-path switches (host performance, not modelled time).
+    """Options that change the model (all off / paper-faithful by default).
 
-    Everything here either leaves the simulation's modelled times, traces,
-    and traffic bitwise unchanged (``plan_cache``) or is an explicitly
-    opt-in protocol extension that *does* change the model (``bulk_fetch``)
-    and therefore defaults to off so the paper-reproduction numbers
-    (Table 1/2) stay exact.  See docs/PROTOCOL.md, "Performance model vs.
-    wall-clock performance".
+    Each field alters modelled message patterns and times, so the
+    defaults are the paper's system — flat all-to-one synchronization on
+    a single switched segment, one exchange per page fault — and keep the
+    Table 1/2 reproduction exact.  Host-side speed-ups (event batching,
+    flight-batched transport, plan cache, diff squash, interval-log
+    pruning) are not options: they are the implementation, bitwise
+    invisible to every modelled output (``tests/golden.py``).
     """
-
-    #: Execute independent events as batched macro-events: the simulator
-    #: drains whole ``(time, priority)`` runs in one call (bucketed queue,
-    #: no per-event heap traffic), dispatches pre-bound ``(callback,
-    #: value)`` actions without closure allocation, schedules one
-    #: macro-event for homogeneous groups (bulk diff application, barrier
-    #: arrival folds) and fast-forwards analytically through quiescent
-    #: compute phases.  Bitwise identical to the event-by-event reference
-    #: path (``macro_events=False``), including ``events_executed`` and
-    #: every ``repro.obs`` span/counter; the off position is the reference
-    #: the identity tests compare against.  See docs/PROTOCOL.md §10.
-    macro_events: bool = True
-
-    #: Memoize the per-(segment, reads, writes) page/range computation of
-    #: ``DsmProcess.access``.  Pure memoization of a deterministic function
-    #: — results are bitwise identical with the cache on or off.
-    plan_cache: bool = True
-
-    #: Entries kept in the shared access-plan cache before it is dropped
-    #: wholesale (plans are tiny; the cap only bounds pathological key
-    #: diversity).
-    plan_cache_capacity: int = 8192
 
     #: Coalesce the full-page fetches of one fault burst into a single
     #: PAGE_BATCH_REQ/REPLY exchange per owner: same payload bytes on the
     #: wire, one round trip (and one header) instead of one per page —
     #: the bulk-transfer idea the paper applies to joins, applied to
-    #: ordinary fault bursts.  Changes modelled time and message counts,
-    #: hence off by default for paper fidelity.
+    #: ordinary fault bursts.
     bulk_fetch: bool = False
-
-    #: Coalesce multiple same-page diffs at fetch time into one pre-merged
-    #: scatter (last-writer-wins in happens-before order) instead of
-    #: applying them sequentially.  Bitwise identical to the sequential
-    #: path — same ranges, wire sizes, and message counts; only the host
-    #: work to apply them changes.  The off position is the reference
-    #: implementation the identity tests compare against.
-    diff_squash: bool = True
-
-    #: Prune interval records from each process's log as soon as every
-    #: peer's applied clock covers them (nobody can ever request their
-    #: diffs again).  Bounds log memory across barrier-free lock-heavy
-    #: phases.  Pure host-side bookkeeping: modelled times, traffic and
-    #: GC timing are bitwise identical with pruning on or off
-    #: (``tests/dsm/test_interval_prune.py``).
-    interval_prune: bool = True
-
-    #: Interval closes between prune sweeps (pruning is O(peers × pages
-    #: written), so it is amortized rather than run per close).
-    interval_prune_period: int = 64
-
-    #: Fold all barrier arrivals' write-notice runs into **one** run-batched
-    #: ingestion per barrier round instead of one ``apply_notices`` call per
-    #: arriving process.  Each arrival carries only its own writer's runs
-    #: (``sync_notices``), so concatenating them in ascending-pid order
-    #: reproduces the flat per-process fold exactly; clock merges are
-    #: elementwise max and hence order-free.  Bitwise identical to the
-    #: one-at-a-time fold (the off position is the identity reference).
-    barrier_fold_batch: bool = True
 
     #: Synchronize through a ``barrier_radix``-ary combining tree over pids
     #: (children of position i are k·i+1 … k·i+k; the master is the root)
@@ -296,45 +245,23 @@ class PerfParams:
     #: processes fold their subtree's write notices (run-batched, deduped)
     #: before forwarding one combined arrival upward, and releases fan back
     #: down the same tree, so the master's link carries O(radix) instead of
-    #: O(N) payloads per barrier.  Changes modelled message patterns and
-    #: times — off by default for paper fidelity (flat runs stay bitwise
-    #: identical to the seed).  See docs/PROTOCOL.md §11.
+    #: O(N) payloads per barrier.  See docs/PROTOCOL.md §11.
     barrier_tree: bool = False
 
     #: Fan-out of the combining tree (tree height is ⌈log_k N⌉).
     barrier_radix: int = 4
 
-    #: Transmit whole communication flights — fan-outs whose legs are all
-    #: issued back-to-back within one scheduler event (FORK/release/GC
-    #: waves, tree-relay hops, page-map and owner-update shipments) —
-    #: through one batched pass over the link-occupancy model instead of
-    #: one ``Nic.send``/``Switch.transmit`` frame stack per message.  The
-    #: batched pass replays each leg's joint cut-through reservation in
-    #: leg order with the reference arithmetic (same float association),
-    #: so per-link ``busy_time``/``bytes_carried``/``messages_carried``,
-    #: traffic stats, arrival timestamps and delivery event order are
-    #: bitwise identical to the event-by-event path; only the host-side
-    #: per-message overhead is skipped.  Flights fall back to the
-    #: per-message reference whenever loss, fault injection, or tracing
-    #: is active.  The off position is the identity reference
-    #: (``tests/exec/test_flight_identity.py``).  See docs/PROTOCOL.md §13.
-    flight_batch: bool = True
-
     #: Network topology: ``"star"`` is the paper's single switched
-    #: full-duplex Ethernet segment (the bitwise-identity reference);
-    #: ``"fattree"`` hangs ``topology_radix``-node leaf switches off a
-    #: root switch, with per-hop link occupation and cut-through
-    #: forwarding through the intermediate switch.  See PROTOCOL.md §11.
+    #: full-duplex Ethernet segment; ``"fattree"`` hangs
+    #: ``topology_radix``-node leaf switches off a root switch, with
+    #: per-hop link occupation and cut-through forwarding through the
+    #: intermediate switch.  See PROTOCOL.md §11.
     topology: str = "star"
 
     #: Nodes per leaf switch in the ``fattree`` topology.
     topology_radix: int = 8
 
     def validate(self) -> None:
-        if self.plan_cache_capacity < 1:
-            raise ConfigurationError("plan_cache_capacity must be >= 1")
-        if self.interval_prune_period < 1:
-            raise ConfigurationError("interval_prune_period must be >= 1")
         if self.barrier_radix < 2:
             raise ConfigurationError("barrier_radix must be >= 2")
         if self.topology not in ("star", "fattree"):
@@ -351,31 +278,6 @@ EXEC_CACHE_DIR = "benchmarks/results/cache"
 
 #: Extra attempts granted to a scenario whose worker process dies.
 EXEC_RETRIES = 1
-
-
-def __getattr__(name: str):
-    """Deprecated host-side config spellings (PEP 562; PROTOCOL.md §12).
-
-    ``ExecParams`` was the host-side (worker count, cache dir, resilience
-    policy) knob bag; it grew a backend/transport axis and moved to
-    :class:`repro.exec.executor.ExecutorConfig`, which is a strict
-    superset — same fields, same defaults, same ``supervisor_policy()`` /
-    ``effective_jobs()`` methods.  The old spelling resolves to the new
-    class with a :class:`DeprecationWarning`.
-    """
-    if name == "ExecParams":
-        import warnings
-
-        warnings.warn(
-            "repro.config.ExecParams is deprecated; use "
-            "repro.exec.ExecutorConfig (docs/PROTOCOL.md §12)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from .exec.executor import ExecutorConfig
-
-        return ExecutorConfig
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)

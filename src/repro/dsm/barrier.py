@@ -69,31 +69,22 @@ class BarrierManager:
         this_round = self.round
         self.round += 1
 
-        # Fold every arrival's notices into the master's knowledge.
-        if master.cfg.perf.barrier_fold_batch:
-            # One run-batched ingestion for the whole round: each arrival
-            # carries only its own writer's strictly-ascending runs
-            # (sync_notices), so concatenating them in ascending-pid order
-            # is the same per-writer run sequence the per-arrival fold
-            # feeds apply_notices — and apply_notices never reads the
-            # master's clock mid-fold, so deferring the (elementwise-max,
-            # order-free) clock merges below changes nothing.  Bitwise
-            # identical to the one-at-a-time path; the off position is the
-            # identity reference.
-            batched: List[WriteNotice] = []
-            for pid in sorted(arrivals):
-                if pid != master.pid:
-                    batched.extend(arrivals[pid]["notices"])
-            if batched:
-                master.apply_notices(batched, master.vc.snapshot())
-            for pid in sorted(arrivals):
-                if pid != master.pid:
-                    master.vc.merge(arrivals[pid]["vc"])
-        else:
-            for pid in sorted(arrivals):
-                if pid == master.pid:
-                    continue
-                master.apply_notices(arrivals[pid]["notices"], arrivals[pid]["vc"])
+        # Fold every arrival's notices into the master's knowledge with
+        # one run-batched ingestion for the whole round: each arrival
+        # carries only its own writer's strictly-ascending runs
+        # (sync_notices), so concatenating them in ascending-pid order
+        # feeds apply_notices one per-writer run after another — and
+        # apply_notices never reads the master's clock mid-fold, so the
+        # (elementwise-max, order-free) clock merges can follow it.
+        batched: List[WriteNotice] = []
+        for pid in sorted(arrivals):
+            if pid != master.pid:
+                batched.extend(arrivals[pid]["notices"])
+        if batched:
+            master.apply_notices(batched, master.vc.snapshot())
+        for pid in sorted(arrivals):
+            if pid != master.pid:
+                master.vc.merge(arrivals[pid]["vc"])
 
         do_gc = (
             self.force_gc

@@ -109,23 +109,24 @@ def make_diff(
 
 
 def apply_diffs_in_order(
-    diffs: List[Diff], page_buffer: Optional[np.ndarray], squash: bool = True
+    diffs: List[Diff], page_buffer: Optional[np.ndarray]
 ) -> List[Diff]:
     """Apply ``diffs`` in happens-before order; returns the sorted list.
 
     ``page_buffer`` may be ``None`` in traced mode (ordering still
     computed, since callers use it to update applied clocks).
 
-    With ``squash`` (the default), multiple materialized diffs are merged
-    into one scatter: positions/values are concatenated in application
-    order and deduplicated last-writer-wins, which is bitwise-identical to
-    applying them sequentially.  ``squash=False`` keeps the sequential
-    per-diff path (used by identity tests as the reference).
+    Multiple materialized diffs are squashed into one scatter:
+    positions/values are concatenated in application order and
+    deduplicated last-writer-wins, which is bitwise-identical to applying
+    them one after another.  A lone diff, or a batch holding a diff with
+    no byte buffer (which :meth:`Diff.apply` rejects), goes through
+    :meth:`Diff.apply` per diff.
     """
     ordered = sorted(diffs, key=Diff.sort_key) if len(diffs) > 1 else list(diffs)
     if page_buffer is None:
         return ordered
-    if squash and len(ordered) > 1 and all(d.buf is not None for d in ordered):
+    if len(ordered) > 1 and all(d.buf is not None for d in ordered):
         positions = np.concatenate([d.positions() for d in ordered])
         values = np.concatenate([d.buf for d in ordered])
         # np.unique keeps the first occurrence; reversing first makes that

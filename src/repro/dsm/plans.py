@@ -17,9 +17,7 @@ bitwise-neutral: a hit returns exactly what the miss path would have
 computed.  Team changes (join / leave / migration) repartition segments
 conceptually, so :class:`PlanCache.invalidate` bumps an epoch that lazily
 discards all cached plans; ``TmkProcess.adapt_reset`` calls it on every
-adaptation.  The cache can be disabled wholesale via
-``PerfParams.plan_cache`` — the e2e identity test runs both ways and
-compares traces bit for bit.
+adaptation.
 """
 
 from __future__ import annotations
@@ -28,6 +26,10 @@ from typing import Dict, List, Tuple
 
 from .memory import SharedSegment
 from .ranges import Range, clip, normalize
+
+#: Plans kept before the cache is dropped wholesale (plans are tiny; the
+#: cap only bounds pathological key diversity).
+PLAN_CACHE_CAPACITY = 8192
 
 #: Cache key: (segment id, read ranges, write ranges, page size).
 PlanKey = Tuple[int, Tuple[Range, ...], Tuple[Range, ...], int]
@@ -67,11 +69,11 @@ def build_plan(
     writes: Tuple[Range, ...],
     page_size: int,
 ) -> AccessPlan:
-    """Compute the plan the uncached ``access`` path would compute.
+    """Compute one access plan (the :class:`PlanCache` miss path).
 
-    Mirrors the original per-access logic exactly: pages are the union of
-    read and write page sets, visited in ascending page order; each
-    written page carries its page-local normalized write ranges.
+    Pages are the union of read and write page sets, visited in ascending
+    page order; each written page carries its page-local normalized write
+    ranges.
     """
     write_pages: Dict[int, List[Range]] = {}
     for lo, hi in writes:
@@ -103,7 +105,7 @@ class PlanCache:
 
     __slots__ = ("capacity", "epoch", "hits", "misses", "_plans", "_plans_epoch")
 
-    def __init__(self, capacity: int = 8192):
+    def __init__(self, capacity: int = PLAN_CACHE_CAPACITY):
         self.capacity = capacity
         self.epoch = 0
         self.hits = 0

@@ -31,7 +31,6 @@ from .diffs import apply_diffs_in_order, make_diff
 from .intervals import PAGE_BITS, Diff, IntervalLog, IntervalRecord, WriteNotice
 from .memory import AddressSpace, LocalStore, SharedSegment
 from .page import AccessMode, PageTable, PageTableEntry, Protocol
-from .plans import build_plan
 from .ranges import Range, merge
 from .statistics import DsmStats
 from .team import TeamView
@@ -46,6 +45,11 @@ from .vectorclock import VectorClock
 #: Notices precompute their own key at construction
 #: (:attr:`~repro.dsm.intervals.WriteNotice.key`).
 _PAGE_BITS = PAGE_BITS
+
+#: Interval closes between prune sweeps of a process's interval log
+#: (pruning is O(peers × pages written), so it is amortized rather than
+#: run per close).
+INTERVAL_PRUNE_PERIOD = 64
 
 #: Message kinds routed to the main coroutine rather than a handler.
 MAIN_KINDS = frozenset(
@@ -101,24 +105,15 @@ class DsmProcess:
         self.stats = DsmStats()
         #: Highest own interval seq already reported to the master.
         self._sent_to_master_seq = 0
-        # Hot-path caches (see PerfParams): plan memoization toggle, the
-        # opt-in bulk-fetch protocol extension, and wire-size constants.
-        self._plan_cache_enabled = cfg.perf.plan_cache
+        # Hot-path caches: the opt-in bulk-fetch protocol extension and
+        # wire-size constants.
         self._bulk_fetch = cfg.perf.bulk_fetch
-        self._diff_squash = cfg.perf.diff_squash
-        self._flight_on = cfg.perf.flight_batch
-        # Incremental interval-log pruning (PerfParams.interval_prune):
-        # drop records every peer's applied clock covers, every
-        # ``interval_prune_period`` closes.  Host-side memory bounding
-        # only — bitwise identical on or off.
-        self._prune_enabled = cfg.perf.interval_prune
-        self._prune_period = cfg.perf.interval_prune_period
-        self._prune_countdown = self._prune_period
+        #: Interval closes left until the next log-prune sweep.
+        self._prune_countdown = INTERVAL_PRUNE_PERIOD
         #: Intervals closed since the last GC; drives ``wants_gc`` (the
         #: §4.1 consistency-memory limit) independently of pruning, so
-        #: GC timing is identical whether or not the log was pruned.
+        #: GC timing never depends on how much of the log was pruned.
         self._intervals_this_epoch = 0
-        space.plan_cache.capacity = cfg.perf.plan_cache_capacity
         self._notice_bytes = cfg.dsm.write_notice_bytes
         self._vc_bytes: Tuple[int, int] = (-1, 0)  # (vc width, cached bytes)
 
@@ -231,12 +226,12 @@ class DsmProcess:
         Only valid for sends issued back-to-back with no yield between
         them (a fan-out wave); then batching the transport is bitwise
         identical to ``[self.send(*leg) for leg in legs]`` — see
-        docs/PROTOCOL.md §13.  With ``PerfParams.flight_batch`` off (or a
-        wire that cannot take the fast path) the legs go through
-        :meth:`send` one at a time, which is the identity reference.
+        docs/PROTOCOL.md §13.  On a wire that cannot take the batched
+        pass (loss, fault injection, tracing) the legs go through
+        :meth:`send` one at a time — the functional fallback.
         """
         nic = self.node.nic
-        if self._flight_on and len(legs) >= 2 and nic.attached:
+        if len(legs) >= 2 and nic.attached:
             switch = nic.switch
             if (
                 switch._faults is None
@@ -623,42 +618,16 @@ class DsmProcess:
             width=self.vc.width,
         )
 
-    def apply_notice(self, notice: WriteNotice) -> None:
-        """Record a remote write notice (invalidate the page).
-
-        This is the single hottest function of the engine (the master
-        re-broadcasts every slave's notices at each barrier), hence the
-        local bindings and inlined covered-by checks.
-        """
-        proc = notice.proc
-        seq = notice.seq
-        page = notice.page
-        if not self._index_notice(notice):
-            return  # duplicate delivery (e.g. a lock grant overlapping a barrier)
-        if proc == self.pid:
-            return
-        pte = self.table.get(page)
-        if pte is None:
-            pte = self._pte(page)
-        if pte.protocol is Protocol.SINGLE_WRITER:
-            # Another process wrote a single-writer page: possibly demote
-            # to the multiple-writer (diff) protocol — as TreadMarks does
-            # when it detects write sharing.
-            self._apply_notice_single_writer(notice, pte, proc, seq, page)
-        else:
-            pte.add_notice(notice)
-
     def apply_notices(self, notices: Iterable[WriteNotice], sender_vc: VectorClock) -> None:
-        """Apply a batch of notices and merge the sender's clock.
+        """Record a batch of remote write notices (invalidating their
+        pages) and merge the sender's clock.
 
-        The fused loop below is :meth:`apply_notice` inlined for the
-        multiple-writer common case — synchronization batches carry
-        hundreds of notices (the master re-broadcasts every slave's
-        notices at each barrier), making this the engine's hottest loop.
-        Behaviour is identical; the inline arm is
-        ``PageTableEntry.add_notice`` minus the covered-check reload (the
-        bucket dedupe already guarantees a (proc, seq, page) triple is
-        applied at most once).
+        Synchronization batches carry hundreds of notices (the master
+        re-broadcasts every slave's notices at each barrier), making this
+        the engine's hottest loop — hence the local bindings and the
+        inlined ``PageTableEntry.add_notice`` (minus its covered-check
+        reload: the bucket dedupe already guarantees a (proc, seq, page)
+        triple is applied at most once).
 
         Dedupe and indexing are one operation: each writer's bucket is
         sorted by the packed ``(seq << _PAGE_BITS) | page`` key, batches
@@ -742,9 +711,10 @@ class DsmProcess:
                         by_writer[proc] = n
                     pte.mode = mode_none
                 else:
-                    # inline _apply_notice_single_writer: the demote check
-                    # plus add_notice, minus the repeated covered reload —
-                    # page-aligned kernels (Gauss/FFT/NBF) funnel every
+                    # Another process wrote a single-writer page: possibly
+                    # demote to the multiple-writer (diff) protocol, as
+                    # TreadMarks does when it detects write sharing.
+                    # Page-aligned kernels (Gauss/FFT/NBF) funnel every
                     # notice of every barrier broadcast through this arm.
                     applied_entries = pte.applied.entries
                     if applied_entries[proc] < seq:
@@ -767,47 +737,6 @@ class DsmProcess:
                         pte.owner = proc
                         owners[page] = proc
         self.vc.merge(sender_vc)
-
-    def _apply_notice_single_writer(
-        self, notice: WriteNotice, pte: PageTableEntry, proc: int, seq: int, page: int
-    ) -> None:
-        """Single-writer arm of :meth:`apply_notice` (shared with the
-        batch loop; the caller has already deduplicated and indexed)."""
-        applied = pte.applied
-        if applied.entries[proc] < seq:  # not covered by our copy
-            own_seq = applied.entries[self.pid]
-            concurrent = (
-                own_seq > 0 and notice.vc.entries[self.pid] < own_seq
-            ) or page in self.current_writes
-            if concurrent:
-                pte.protocol = Protocol.MULTIPLE_WRITER
-                self.sim.tracer.emit(
-                    "dsm", "demote", f"{self.name} pg{page} -> multiple-writer"
-                )
-        pte.add_notice(notice)
-        if pte.protocol is Protocol.SINGLE_WRITER:
-            # The latest writer holds the complete page.
-            pte.owner = proc
-            self.owners[page] = proc
-
-    def _index_notice(self, notice: WriteNotice) -> bool:
-        """Insert into the per-writer bucket; False if already known."""
-        key = notice.key
-        pair = self._seen_by_proc.get(notice.proc)
-        if pair is None:
-            self._seen_by_proc[notice.proc] = ([key], [notice])
-            return True
-        keys, bucket = pair
-        if key > keys[-1]:
-            keys.append(key)
-            bucket.append(notice)
-            return True
-        i = bisect_left(keys, key)
-        if i < len(keys) and keys[i] == key:
-            return False
-        keys.insert(i, key)
-        bucket.insert(i, notice)
-        return True
 
     def _known_notices(self) -> Iterable[WriteNotice]:
         """Every notice known this epoch (any writer, bucket order)."""
@@ -850,10 +779,7 @@ class DsmProcess:
         # The page set and per-page write ranges are a pure function of the
         # segment geometry and the requested ranges, so iterative programs
         # (same ranges every sweep) hit the memo instead of recomputing.
-        if self._plan_cache_enabled:
-            plan = self.space.plan_cache.lookup(seg, reads, writes, page_size)
-        else:
-            plan = build_plan(seg, reads, writes, page_size)
+        plan = self.space.plan_cache.lookup(seg, reads, writes, page_size)
         if self._bulk_fetch:
             yield from self._bulk_fetch_pages(plan)
         current_writes = self.current_writes
@@ -1053,7 +979,7 @@ class DsmProcess:
             collected.extend(reply.payload["diffs"])
             self.stats.diff_requests += 1
         buffer = self.store.page_view(pte.page) if self.materialized else None
-        ordered = apply_diffs_in_order(collected, buffer, squash=self._diff_squash)
+        ordered = apply_diffs_in_order(collected, buffer)
         applied = pte.applied
         dirty = 0
         for diff in ordered:
@@ -1070,7 +996,7 @@ class DsmProcess:
         if obs.enabled:
             obs.count("dsm.diff.fetched", len(collected))
             obs.count("dsm.diff.bytes", dirty)
-            if buffer is not None and len(ordered) > 1 and self._diff_squash:
+            if buffer is not None and len(ordered) > 1:
                 obs.count("dsm.diff.squashes", 1)
             if obs.per_process:
                 obs.span(
@@ -1179,16 +1105,15 @@ class DsmProcess:
         self.current_writes = {}
         self.stats.intervals_closed += 1
         self._intervals_this_epoch += 1
-        if self._prune_enabled:
-            self._prune_countdown -= 1
-            if self._prune_countdown <= 0:
-                self._prune_countdown = self._prune_period
-                if len(self.log) >= self._prune_period:
-                    self._prune_interval_log()
+        self._prune_countdown -= 1
+        if self._prune_countdown <= 0:
+            self._prune_countdown = INTERVAL_PRUNE_PERIOD
+            if len(self.log) >= INTERVAL_PRUNE_PERIOD:
+                self._prune_interval_log()
         notices = rec.notices()
         # Index our own notices directly: ``seq`` is a fresh maximum for
         # our bucket and notices() is page-ascending, so plain appends
-        # keep the packed-key order _index_notice would establish.
+        # keep the bucket sorted by packed key.
         pair = self._seen_by_proc.get(pid)
         if pair is None:
             pair = self._seen_by_proc[pid] = ([], [])
@@ -1217,8 +1142,7 @@ class DsmProcess:
         """True when enough intervals closed this epoch (§4.1).
 
         Counts *closes*, not live log records, so incremental pruning
-        (which shrinks the log) never shifts when GCs happen — the
-        simulated schedule is identical with pruning on or off.
+        (which shrinks the log) never shifts when GCs happen.
         """
         return self._intervals_this_epoch >= self.cfg.dsm.gc_interval_limit
 
@@ -1361,7 +1285,7 @@ class DsmProcess:
         self.vc = VectorClock.zeros(self.team.nprocs)
         self.epoch += 1
         self._intervals_this_epoch = 0
-        self._prune_countdown = self._prune_period
+        self._prune_countdown = INTERVAL_PRUNE_PERIOD
         self._sent_to_master_seq = 0
         self._lock_state.clear()
         if self.lock_mgr is not None:

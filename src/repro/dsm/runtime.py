@@ -15,7 +15,6 @@ behaviour Table 1 compares against.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
@@ -152,17 +151,6 @@ class DetectorCounters:
     false_suspicions: int = 0
 
 
-#: Old flat RunResult attribute -> (group field, attribute) for the
-#: one-release compatibility shim.
-_RESULT_COMPAT = {
-    "dropped": ("network", "dropped"),
-    "retransmissions": ("network", "retransmissions"),
-    "heartbeats_sent": ("detector", "heartbeats_sent"),
-    "heartbeat_misses": ("detector", "heartbeat_misses"),
-    "false_suspicions": ("detector", "false_suspicions"),
-}
-
-
 @dataclass
 class RunResult:
     """Outcome of one program run."""
@@ -190,21 +178,6 @@ class RunResult:
         for s in self.per_process.values():
             acc = acc.add(s)
         return acc
-
-    def __getattr__(self, name: str) -> Any:
-        # Pre-PR-4 flat counter names; kept one release behind a warning.
-        try:
-            group, attr = _RESULT_COMPAT[name]
-        except KeyError:
-            raise AttributeError(
-                f"{type(self).__name__!r} object has no attribute {name!r}"
-            ) from None
-        warnings.warn(
-            f"RunResult.{name} is deprecated; use RunResult.{group}.{attr}",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return getattr(getattr(self, group), attr)
 
 
 class TmkRuntime:

@@ -43,7 +43,6 @@ from ..network.message import Message
 from ..simcore import Resource
 from .memory import SharedSegment
 from .page import AccessMode
-from .plans import build_plan
 from .process import DsmProcess
 from .runtime import TmkRuntime
 
@@ -115,10 +114,7 @@ class ScProcess(DsmProcess):
         for seg, reads, writes in specs:
             reads = tuple(reads)
             writes = tuple(writes)
-            if self._plan_cache_enabled:
-                plan = plan_cache.lookup(seg, reads, writes, page_size)
-            else:
-                plan = build_plan(seg, reads, writes, page_size)
+            plan = plan_cache.lookup(seg, reads, writes, page_size)
             for page, is_write in plan.pages:
                 if is_write:
                     combined[page] = True

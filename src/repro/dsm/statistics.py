@@ -23,8 +23,8 @@ class DsmStats:
     twins_created: int = 0
     intervals_closed: int = 0
     #: Interval-log records dropped by incremental pruning (host-side
-    #: memory bounding — see ``PerfParams.interval_prune``; never affects
-    #: simulated times or traffic).
+    #: memory bounding — see ``DsmProcess._prune_interval_log``; never
+    #: affects simulated times or traffic).
     intervals_pruned: int = 0
     barriers: int = 0
     locks_acquired: int = 0

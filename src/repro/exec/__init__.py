@@ -90,31 +90,6 @@ from .spec import (
     spec_from_preset,
 )
 
-#: Package-level run entrypoints replaced by the :mod:`repro.api` facade.
-_DEPRECATED = {
-    "run_spec": "repro.api.run",
-    "run_specs": "repro.api.sweep",
-}
-
-
-def __getattr__(name):
-    """Deprecated package-level entrypoints (PEP 562); docs/PROTOCOL.md §8."""
-    replacement = _DEPRECATED.get(name)
-    if replacement is not None:
-        import warnings
-
-        warnings.warn(
-            f"repro.exec.{name} is deprecated; use {replacement} "
-            "(docs/PROTOCOL.md §8)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from . import pool
-
-        return getattr(pool, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "AdaptEvent",
     "AttemptRecord",
@@ -159,8 +134,6 @@ __all__ = [
     "make_executor",
     "merge_caches",
     "run_chaos",
-    "run_spec",
-    "run_specs",
     "service_status",
     "spec_from_preset",
     "stop_service",

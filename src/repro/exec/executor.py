@@ -15,11 +15,7 @@ order regardless of *where* the simulations ran:
 
 :class:`ExecutorConfig` is the one knob bag for all of them — worker
 count, cache location, retry/deadline/degradation policy, backend
-selection, coordinator address.  It consolidates what used to be spread
-over ``repro.config.ExecParams``, per-call ``retries=``/``cache=``
-arguments and the supervisor kwargs; the old
-``repro.config.ExecParams`` spelling still resolves through a PEP 562
-deprecation shim (docs/PROTOCOL.md §12).
+selection, coordinator address.
 
 Drivers pick a backend with :func:`make_executor` (the CLI's
 ``--executor local|serial|remote`` flag maps straight onto it) or pass

@@ -237,7 +237,10 @@ class Coordinator:
         self._queue: deque = deque()           # _Task, FIFO (requeues front)
         self._inflight: Dict[str, _Task] = {}  # digest -> queued/running task
         self._workers: Dict[str, _WorkerConn] = {}
-        self._seq = 0
+        # Separate counters: ids must not depend on whether a submission
+        # beat a worker's hello to the lock.
+        self._worker_seq = 0
+        self._task_seq = 0
         self.counters = ServiceCounters()
         self._stopping = threading.Event()
         self._threads: List[threading.Thread] = []
@@ -348,8 +351,8 @@ class Coordinator:
             sock.close()
             return
         with self._mu:
-            self._seq += 1
-            worker = _WorkerConn(f"w{self._seq}", sock, hello)
+            self._worker_seq += 1
+            worker = _WorkerConn(f"w{self._worker_seq}", sock, hello)
             self._workers[worker.worker_id] = worker
             self.counters.workers_joined += 1
         worker.send(message("welcome", schema=WIRE_SCHEMA,
@@ -563,8 +566,8 @@ class Coordinator:
             stats["deduped"] += 1
             task.waiters.append((client, index, True))
             return
-        self._seq += 1
-        task = _Task(f"t{self._seq}", spec, repeat)
+        self._task_seq += 1
+        task = _Task(f"t{self._task_seq}", spec, repeat)
         task.waiters.append((client, index, False))
         stats["executed"] += 1
         self._inflight[digest] = task

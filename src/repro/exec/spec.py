@@ -2,8 +2,8 @@
 
 A :class:`ScenarioSpec` is the unit of work of the execution engine — a
 complete, declarative description of one simulated run (kernel, problem
-size, team size, adaptation/fault script, perf switches, seed).  Unlike
-the callables :func:`repro.bench.run_experiment` takes, a spec crosses
+size, team size, adaptation/fault script, model options, seed).  Unlike
+the callables :func:`repro.bench.harness.run_experiment` takes, a spec crosses
 process boundaries (spawn-based workers pickle it) and serializes to a
 *canonical JSON* form whose SHA-256 is the spec's **config digest**: two
 specs describe the same simulation if and only if their digests match,
@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, Dict, Mapping, Optional, Tuple
 
+from ..config import PerfParams, SystemConfig
 from ..errors import ConfigurationError
 
 #: Canonical-serialization schema; bump when the digest-relevant layout
@@ -36,6 +37,9 @@ KERNEL_PARAMS: Dict[str, Tuple[str, ...]] = {
     "nbf": ("natoms", "npartners", "iterations"),
     "jacobi-resumable": ("n", "iterations"),
 }
+
+#: Keys :attr:`ScenarioSpec.perf` accepts (the model options).
+PERF_OPTIONS = frozenset(f.name for f in fields(PerfParams))
 
 #: Tolerances for the materialized-mode verification (matches the CLI and
 #: the recovery sweep).
@@ -95,7 +99,7 @@ class ScenarioSpec:
     #: Override of :attr:`SystemConfig.seed` (None keeps the default).
     seed: Optional[int] = None
     #: :class:`~repro.config.PerfParams` field overrides (e.g.
-    #: ``{"plan_cache": False}``).
+    #: ``{"bulk_fetch": True}``).
     perf: Mapping[str, Any] = field(default_factory=dict)
     #: Display name for progress/reports; **excluded from the digest**.
     label: Optional[str] = None
@@ -112,6 +116,12 @@ class ScenarioSpec:
         if unknown:
             raise ConfigurationError(
                 f"{self.kernel}: unknown params {sorted(unknown)}; allowed {sorted(allowed)}"
+            )
+        unknown = set(self.perf) - PERF_OPTIONS
+        if unknown:
+            raise ConfigurationError(
+                f"unknown perf options {sorted(unknown)}; "
+                f"allowed {sorted(PERF_OPTIONS)}"
             )
         # Freeze the mutable collections so specs hash/pickle predictably.
         object.__setattr__(self, "params", dict(self.params))
@@ -221,8 +231,6 @@ class ScenarioSpec:
 
     def build_config(self):
         """The :class:`~repro.config.SystemConfig` this spec runs under."""
-        from ..config import PerfParams, SystemConfig
-
         cfg = SystemConfig()
         if self.perf:
             cfg = cfg.with_(perf=PerfParams(**dict(self.perf)))

@@ -69,7 +69,12 @@ class Event:
 
 
 class EventQueue:
-    """Deterministic min-heap of ``(time, priority, seq, event)`` tuples."""
+    """Deterministic min-heap of ``(time, priority, seq, event)`` tuples.
+
+    The queue under a bare ``Simulator()`` and the *order oracle* of the
+    batched engine: :class:`BatchedEventQueue` must pop the exact
+    sequence this heap does (``tests/simcore/test_batched_order.py``).
+    """
 
     def __init__(self) -> None:
         self._heap: list[tuple] = []

@@ -22,12 +22,16 @@ from .trace import Tracer
 class Simulator:
     """Deterministic discrete-event simulation engine.
 
-    ``batch=True`` selects the macro-event engine: a bucketed queue whose
-    ``(time, priority)`` runs drain in one call (see
-    :class:`~repro.simcore.events.BatchedEventQueue`).  The event order,
-    ``events_executed`` count, and every simulated output are bitwise
-    identical to the default event-by-event engine, which is retained as
-    the identity-test reference (``PerfParams.macro_events=False``).
+    ``batch=True`` selects the macro-event engine every experiment runs
+    on (:func:`repro.bench.harness.run_experiment`): a bucketed queue
+    whose ``(time, priority)`` runs drain in one call (see
+    :class:`~repro.simcore.events.BatchedEventQueue`).  The default
+    event-by-event engine over :class:`~repro.simcore.events.EventQueue`
+    is not a second experiment path but the *order oracle*: the
+    hypothesis suite ``tests/simcore/test_batched_order.py`` checks the
+    batched drain against it event for event, and it is what a bare
+    ``Simulator()`` gives unit tests, the micro-benchmarks and
+    ``calibrate_spin``.
     """
 
     def __init__(

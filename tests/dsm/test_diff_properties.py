@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.dsm.diffs import apply_diffs_in_order, changed_ranges, make_diff
+from repro.dsm.intervals import Diff
 from repro.dsm.ranges import RUN_HEADER_BYTES, normalize, total_bytes
 from repro.dsm.vectorclock import VectorClock
 
@@ -143,6 +144,12 @@ class TestEncodingInvariants:
         assert traced.buf is None
 
 
+def apply_sequentially(diffs, page):
+    """The oracle: one plain ``Diff.apply`` per diff, happens-before order."""
+    for diff in sorted(diffs, key=Diff.sort_key):
+        diff.apply(page)
+
+
 class TestSquash:
     @given(
         patterns=st.lists(writes_strategy(), min_size=2, max_size=5),
@@ -167,9 +174,9 @@ class TestSquash:
             if d is not None:
                 diffs.append(d)
         sequential = base.copy()
-        apply_diffs_in_order(list(diffs), sequential, squash=False)
+        apply_sequentially(diffs, sequential)
         squashed = base.copy()
-        apply_diffs_in_order(list(diffs), squashed, squash=True)
+        apply_diffs_in_order(list(diffs), squashed)
         assert np.array_equal(sequential, squashed)
         # Both equal the final page state: diffs chain without gaps.
         assert np.array_equal(squashed, state)
@@ -189,8 +196,8 @@ class TestSquash:
         s2[15:25] = 9
         d2 = make_diff(proc=0, seq=2, page=0, vc=vc2, declared_ranges=[], twin=s1, current=s2)
         out_seq = base.copy()
-        apply_diffs_in_order([d2, d1], out_seq, squash=False)  # order-insensitive input
+        apply_sequentially([d2, d1], out_seq)  # order-insensitive input
         out_sq = base.copy()
-        apply_diffs_in_order([d2, d1], out_sq, squash=True)
+        apply_diffs_in_order([d2, d1], out_sq)
         assert np.array_equal(out_seq, out_sq)
         assert np.array_equal(out_sq, s2)

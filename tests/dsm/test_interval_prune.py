@@ -1,54 +1,40 @@
-"""Incremental interval-log pruning: bounded memory, bitwise-identical runs.
+"""Incremental interval-log pruning: bounded memory, unchanged model.
 
-Pruning drops interval records that every peer's applied clock already
-covers — pure host-side bookkeeping read through ``peers_hook``, no
-messages, no simulated time.  The acceptance bar is therefore twofold:
-lock-heavy runs must end with a strictly smaller live log (and a nonzero
-``intervals_pruned``), and *every* simulated quantity — results, final
-time, protocol counters, GC schedule — must be bitwise identical with
-pruning on or off.
+Every ``INTERVAL_PRUNE_PERIOD`` closes a process drops the interval
+records that every peer's applied clock already covers — pure host-side
+bookkeeping read through ``peers_hook``, no messages, no simulated time.
+The acceptance bar is twofold: a lock-heavy run (``LockProgram``: a
+contended counter whose every tenure closes an interval) ends with a
+bounded live log and a nonzero ``intervals_pruned``, and every simulated
+quantity equals both its pinned ``locks`` row (``tests/golden.py``) and
+a run whose sweeps are inert because the peers oracle is unplugged.
 """
 
 import dataclasses
+import functools
 
-import pytest
-
-from repro.config import PerfParams, SystemConfig
-from repro.dsm import SharedArray
+from repro.bench.harness import run_experiment
 from repro.dsm.intervals import IntervalLog, IntervalRecord
+from repro.dsm.process import INTERVAL_PRUNE_PERIOD
 from repro.dsm.vectorclock import VectorClock
 
-from ..helpers import build_system, run_phases
+from ..golden import LockProgram, golden_row
 
 
-def prune_cfg(enabled, period=8):
-    return dataclasses.replace(
-        SystemConfig(),
-        perf=PerfParams(interval_prune=enabled, interval_prune_period=period),
-    )
+def _procs(row):
+    return row.experiment.runtime.procs.values()
 
 
-def lock_heavy_run(cfg, nprocs=3, rounds=30):
-    """A contended lock counter: every tenure closes an interval, and the
-    round-robin handoff keeps every peer's applied clock advancing (the
-    precondition for records to become prunable)."""
-    sim, rt, pool = build_system(nprocs=nprocs, cfg=cfg)
-    arr = SharedArray(rt.malloc("c", shape=(8,), dtype="float64"))
-    got = {}
+@functools.lru_cache(maxsize=None)
+def _unpruned_run():
+    """The ``locks`` program with the peers oracle unplugged: without
+    ``peers_hook`` a sweep cannot establish coverage and drops nothing."""
+    def unplug(rt):
+        for proc in rt.procs.values():
+            proc.peers_hook = None
 
-    def inc(ctx, pid, np_, args):
-        for _ in range(rounds):
-            yield from ctx.lock(1)
-            yield from ctx.access(arr.seg, reads=arr.full(), writes=arr.full())
-            arr.view(ctx)[0] += 1.0
-            ctx.unlock(1)
-
-    def check(ctx, pid, np_, args):
-        yield from ctx.access(arr.seg, reads=arr.full())
-        got[pid] = float(arr.view(ctx)[0])
-
-    run_phases(rt, {"inc": inc, "check": check}, ["inc", "check"])
-    return sim, rt, got
+    return run_experiment(LockProgram, nprocs=LockProgram.NPROCS,
+                          materialized=True, trace=True, events=unplug)
 
 
 class TestUnitPruneCovered:
@@ -80,53 +66,47 @@ class TestUnitPruneCovered:
 
 class TestBitwiseIdentity:
     def test_pruned_run_matches_unpruned_exactly(self):
-        sim_on, rt_on, got_on = lock_heavy_run(prune_cfg(True))
-        sim_off, rt_off, got_off = lock_heavy_run(prune_cfg(False))
-
-        assert got_on == got_off
-        assert sim_on.now == sim_off.now
-        for pid in rt_on.procs:
-            on = dataclasses.asdict(rt_on.procs[pid].stats)
-            off = dataclasses.asdict(rt_off.procs[pid].stats)
+        pruned = golden_row("locks/flat/obs-off").experiment
+        unpruned = _unpruned_run()
+        assert pruned.app.verify() and unpruned.app.verify()
+        assert pruned.runtime_seconds == unpruned.runtime_seconds
+        assert pruned.traffic == unpruned.traffic
+        assert (pruned.runtime.sim.tracer.records
+                == unpruned.runtime.sim.tracer.records)
+        for pid, proc in pruned.runtime.procs.items():
+            on = dataclasses.asdict(proc.stats)
+            off = dataclasses.asdict(unpruned.runtime.procs[pid].stats)
             # the only permitted difference is the prune counter itself
-            on.pop("intervals_pruned"), off.pop("intervals_pruned")
+            assert on.pop("intervals_pruned") > 0 == off.pop("intervals_pruned")
             assert on == off
 
     def test_pruning_actually_fires_and_bounds_the_log(self):
-        sim, rt, got = lock_heavy_run(prune_cfg(True))
-        pruned = sum(p.stats.intervals_pruned for p in rt.procs.values())
-        assert pruned > 0
-        for proc in rt.procs.values():
+        for proc in _procs(golden_row("locks/flat/obs-off")):
+            assert proc.stats.intervals_pruned > 0
             # no GC ran, so live records + pruned records == closed
             assert proc.stats.gcs == 0
             assert len(proc.log) \
                 == proc.stats.intervals_closed - proc.stats.intervals_pruned
+            # the live log stays within a sweep period of records however
+            # many intervals the run closes
+            assert len(proc.log) < INTERVAL_PRUNE_PERIOD \
+                < proc.stats.intervals_closed
+
 
     def test_disabled_pruning_drops_nothing(self):
-        sim, rt, got = lock_heavy_run(prune_cfg(False))
-        assert all(p.stats.intervals_pruned == 0 for p in rt.procs.values())
-        for proc in rt.procs.values():
+        for proc in _unpruned_run().runtime.procs.values():
+            assert proc.stats.intervals_pruned == 0
             assert len(proc.log) == proc.stats.intervals_closed
 
 
 class TestGcInteraction:
     def test_gc_timing_is_independent_of_pruning(self):
         """``wants_gc`` counts closes-this-epoch, not live records, so a
-        pruned log must not delay the §4.1 consistency-memory GC."""
-        small_limit = dataclasses.replace(
-            SystemConfig(),
-            dsm=dataclasses.replace(SystemConfig().dsm, gc_interval_limit=10),
-        )
-        runs = {}
-        for enabled in (True, False):
-            cfg = dataclasses.replace(
-                small_limit,
-                perf=PerfParams(interval_prune=enabled,
-                                interval_prune_period=4),
-            )
-            sim, rt, got = lock_heavy_run(cfg, nprocs=2, rounds=8)
-            runs[enabled] = (
-                got, sim.now,
-                {pid: p.stats.gcs for pid, p in rt.procs.items()},
-            )
-        assert runs[True] == runs[False]
+        pruned log must not delay the §4.1 consistency-memory GC: the
+        ``locks-gc`` rows close 150 intervals against a limit of 100
+        while pruning keeps fewer than 100 records live — the GC at the
+        next fork still happens."""
+        for proc in _procs(golden_row("locks-gc/flat/obs-off")):
+            assert proc.stats.intervals_pruned > 0
+            assert proc.stats.intervals_closed - proc.stats.intervals_pruned < 100
+            assert proc.stats.gcs == 1

@@ -28,6 +28,7 @@ from repro.dsm.treebarrier import (
 )
 from repro.dsm.vectorclock import VectorClock
 
+from ..golden import golden_row
 from ..helpers import build_system, run_phases
 
 
@@ -199,43 +200,18 @@ def _final_grid(cfg, nprocs=5, rounds=3):
 
 
 class TestBatchedFoldIdentity:
-    """S1: the master's one-ingestion barrier fold is gated and bitwise
-    identical to the per-arrival reference fold."""
-
-    def _barrier_run(self, fold_batch, gc_limit=None):
-        dsm = (DsmParams() if gc_limit is None
-               else DsmParams(gc_interval_limit=gc_limit))
-        cfg = SystemConfig().with_(
-            perf=PerfParams(barrier_fold_batch=fold_batch), dsm=dsm
-        )
-        sim, rt, pool = build_system(nprocs=5, cfg=cfg)
-        seg = rt.malloc("grid", shape=(20, 32), dtype="float64")
-        arr = SharedArray(seg)
-
-        def phase(ctx, pid, nprocs, args):
-            lo, hi = arr.block(pid, nprocs)
-            yield from ctx.access(seg, writes=arr.rows(lo, hi))
-            if ctx.materialized:
-                arr.view(ctx)[lo:hi] += pid + 1
-            yield from ctx.barrier()
-            yield from ctx.access(seg, reads=arr.full())
-            yield from ctx.compute(1e-5)
-
-        result = run_phases(rt, {"phase": phase}, ["phase"] * 4)
-        grid = np.array(rt.procs[0].array(seg))
-        return grid, result
+    """The master folds a barrier round's arrivals in one run-batched
+    ingestion; the ``barrier`` rows of ``tests/golden.py``, captured
+    from a per-arrival fold, pin its outputs."""
 
     @pytest.mark.parametrize("gc_limit", [None, 4])
     def test_bitwise_identical(self, gc_limit):
-        g_on, r_on = self._barrier_run(True, gc_limit)
-        g_off, r_off = self._barrier_run(False, gc_limit)
-        np.testing.assert_array_equal(g_on, g_off)
-        assert r_on.runtime_seconds == r_off.runtime_seconds
-        assert r_on.traffic.messages == r_off.traffic.messages
-        assert r_on.traffic.bytes == r_off.traffic.bytes
-        total_on = sum(s.barriers for s in r_on.per_process.values())
-        assert total_on == sum(s.barriers for s in r_off.per_process.values())
-        assert total_on > 0
+        row = golden_row("barrier/flat/obs-off" if gc_limit is None
+                         else "barrier-gc/flat/obs-off")
+        stats = row.experiment.run_result.per_process.values()
+        assert sum(s.barriers for s in stats) > 0
+        assert (sum(s.gcs for s in stats) > 0) == (gc_limit is not None)
+        assert row.experiment.app.verify()
 
 
 class TestTreeEndToEnd:

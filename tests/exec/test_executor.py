@@ -1,4 +1,4 @@
-"""The transport-agnostic Executor API and the ExecParams deprecation shim.
+"""The transport-agnostic Executor API.
 
 The contract under test: ``local``, ``serial`` and ``remote`` are
 *interchangeable* — same specs in, bitwise-identical ``SweepOutcome``
@@ -154,23 +154,12 @@ class TestSweepFacade:
 
 
 class TestExecParamsShim:
-    def test_import_warns_and_aliases_executor_config(self):
-        import repro.config as config
-
-        with pytest.warns(DeprecationWarning, match="ExecParams"):
-            params = config.ExecParams
-        assert params is ExecutorConfig
+    """(Name pinned; the ``ExecParams`` alias itself is gone.)"""
 
     def test_unknown_config_attribute_still_raises(self):
         import repro.config as config
 
         with pytest.raises(AttributeError):
             config.NoSuchKnob
-
-    def test_exec_entrypoint_shims_still_warn(self):
-        import repro.exec as exec_pkg
-        from repro.exec import pool
-
-        with pytest.warns(DeprecationWarning, match="repro.api.sweep"):
-            fn = exec_pkg.run_specs
-        assert fn is pool.run_specs
+        with pytest.raises(AttributeError):
+            config.ExecParams  # the pre-2.0 spelling of ExecutorConfig

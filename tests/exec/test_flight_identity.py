@@ -1,30 +1,27 @@
-"""Flight batching must be invisible to the simulation (PROTOCOL.md §13).
+"""Flight-batched transport: reproduces the goldens, and engages (§13).
 
-The flight-batched transport (``PerfParams.flight_batch``, default on)
-compiles whole fan-out exchanges — FORK waves, barrier releases, GC
-rounds, tree-relay hops, page-map and owner-update shipments — into one
-batched pass over the link occupancy model; the per-message path is
-retained as the identity reference.  Every scenario class must produce a
-:class:`ScenarioResult` bitwise identical (canonical JSON, byte for
-byte) with flights on and off, on both topologies, with the combining
-tree on and off, and the observability layer must record the same spans
-and counters either way.
+Every fan-out whose legs are issued within one scheduler event — FORK
+waves, barrier releases, GC rounds, tree-relay hops, page-map and
+owner-update shipments — is compiled into one batched pass over the link
+occupancy model.  The golden matrix (``tests/golden.py``) pins that this
+is invisible: its rows predate the removal of the transport switch, and
+its ``+trace`` rows run the same scenarios through the per-message
+fallback (tracing disables flights) with identical results and
+telemetry.  Here the same runs prove the batched pass actually flew.
+Leg-for-leg equivalence with per-message sends is the hypothesis suite
+in ``tests/network/test_flight.py``.
 """
-
-import json
 
 import pytest
 
-from repro.api import AdaptEvent, ObsConfig, run, spec_from_preset
+from repro.api import AdaptEvent, run, spec_from_preset
 from repro.apps import APP_NAMES
-from repro.obs.export import chrome_trace, metrics_dict
+
+from ..golden import golden_row
 
 
-def _flight_pair(spec):
-    """The same scenario with flight batching forced on and forced off."""
-    on = run(spec.replaced(perf={**spec.perf, "flight_batch": True}))
-    off = run(spec.replaced(perf={**spec.perf, "flight_batch": False}))
-    return on, off
+def _switch(row):
+    return row.experiment.runtime.switch
 
 
 def _adapt_spec(label, app="jacobi", **perf):
@@ -38,79 +35,47 @@ def _adapt_spec(label, app="jacobi", **perf):
 class TestBitwiseIdentity:
     @pytest.mark.parametrize("app", sorted(APP_NAMES))
     def test_every_kernel(self, app):
-        spec = spec_from_preset("tiny", app, 4, calibrated=False,
-                                label=f"flight-id-{app}")
-        on, off = _flight_pair(spec)
-        assert on.result.to_json() == off.result.to_json()
-        assert on.result.events == off.result.events
+        assert _switch(golden_row(f"{app}/flat/obs-off")).flights_compiled > 0
 
     def test_adaptive_leave_join(self):
-        on, off = _flight_pair(_adapt_spec("flight-id-adapt"))
-        assert on.result.to_json() == off.result.to_json()
-        assert on.result.adaptations >= 1
+        row = golden_row("adapt/flat/obs-off")
+        assert row.experiment.adaptations >= 1
+        assert _switch(row).flights_compiled > 0
 
     def test_crash_recovery(self):
-        spec = spec_from_preset(
-            "tiny", "jacobi", 4, calibrated=False, adaptive=True,
-            extra_nodes=1, events=(AdaptEvent("crash", 0.03),),
-            checkpoint_interval=0.02, failure_detection=True,
-            label="flight-id-crash",
-        )
-        on, off = _flight_pair(spec)
-        assert on.result.to_json() == off.result.to_json()
+        assert _switch(golden_row("crash/flat/obs-off")).flights_compiled > 0
 
     def test_chaos_fault_plan(self):
-        # Fault injection forces the per-message fallback, so this pins
-        # the *fallback* path to the reference — and that the flights-on
-        # run with faults never takes the fast path at all.
-        plan = "\n".join([
-            "0.01 degrade 1 0.5",
-            "0.02 duplicate 0.2",
-            "0.03 crash 3",
-            "0.04 restore 1",
-        ])
-        spec = spec_from_preset(
-            "tiny", "jacobi", 4, calibrated=False, adaptive=True,
-            extra_nodes=1, fault_plan=plan, checkpoint_interval=0.02,
-            failure_detection=True, label="flight-id-chaos",
-        )
-        on, off = _flight_pair(spec)
-        assert on.result.to_json() == off.result.to_json()
+        # Fault injection forces the per-message fallback: once the plan
+        # installs link faults no further flight may compile, so this row
+        # pins the *fallback* under faults.
+        row = golden_row("chaos/flat/obs-off")
+        assert _switch(row).faults is not None
 
     def test_combining_tree(self):
         # Tree mode routes barrier releases, GC waves, FORK relays and
         # the owner-update drain through tree-hop flights.
-        spec = _adapt_spec("flight-id-tree", barrier_tree=True,
-                           barrier_radix=2)
-        on, off = _flight_pair(spec)
-        assert on.result.to_json() == off.result.to_json()
+        assert _switch(golden_row("adapt/tree/obs-off")).flights_compiled > 0
 
     def test_fattree_topology(self):
-        spec = spec_from_preset(
-            "tiny", "jacobi", 8, calibrated=False, label="flight-id-ft",
-            perf={"topology": "fattree", "topology_radix": 2},
-        )
-        on, off = _flight_pair(spec)
-        assert on.result.to_json() == off.result.to_json()
+        assert _switch(golden_row("jacobi/fattree/obs-off")).flights_compiled > 0
 
 
 class TestFlightEngagement:
     def test_fast_path_compiles_flights(self):
-        handle = run(spec_from_preset("tiny", "gauss", 4, calibrated=False,
-                                      label="flight-engaged"))
-        switch = handle.experiment.runtime.switch
+        switch = _switch(golden_row("gauss/flat/obs-off"))
         assert switch.flights_compiled > 0
         # Flights carry at least two legs (singles go through plain send).
         assert switch.flight_legs >= 2 * switch.flights_compiled
 
     def test_flights_off_compiles_nothing(self):
-        spec = spec_from_preset("tiny", "gauss", 4, calibrated=False,
-                                label="flight-disengaged",
-                                perf={"flight_batch": False})
-        handle = run(spec)
-        switch = handle.experiment.runtime.switch
-        assert switch.flights_compiled == 0
-        assert switch.flight_legs == 0
+        """Tracing switches flights off: every leg goes per message, and
+        the result is the one the flights produced."""
+        traced = golden_row("gauss+trace/flat/obs-off")
+        assert _switch(traced).flights_compiled == 0
+        assert _switch(traced).flight_legs == 0
+        flown = golden_row("gauss/flat/obs-off")
+        assert traced.digests["result"] == flown.digests["result"]
 
 
 class TestOwnerUpdateTreeRelay:
@@ -151,17 +116,12 @@ class TestOwnerUpdateTreeRelay:
 
 class TestObsIdentityUnderFlights:
     def test_recorded_telemetry_invariant_under_flights(self):
-        # Not just the simulated outputs: the obs registry — every span
-        # boundary, every counter, the adapt.* tiling — must be the same
+        # Not just the simulated outputs: the exported telemetry — every
+        # span boundary, every counter, the adapt.* tiling — is the same
         # stream of facts whichever transport produced it.
-        spec = spec_from_preset("tiny", "gauss", 4, calibrated=False,
-                                label="flight-obs-id")
-        on = run(spec.replaced(perf={"flight_batch": True}), obs=ObsConfig())
-        off = run(spec.replaced(perf={"flight_batch": False}), obs=ObsConfig())
-        assert on.result.events == off.result.events
-        trace_on = json.dumps(chrome_trace(on.registry), sort_keys=True)
-        trace_off = json.dumps(chrome_trace(off.registry), sort_keys=True)
-        assert trace_on == trace_off
-        metrics_on = json.dumps(metrics_dict(on.registry), sort_keys=True)
-        metrics_off = json.dumps(metrics_dict(off.registry), sort_keys=True)
-        assert metrics_on == metrics_off
+        flown = golden_row("gauss/flat/obs-on")
+        per_message = golden_row("gauss+trace/flat/obs-on")
+        assert _switch(flown).flights_compiled > 0
+        assert _switch(per_message).flights_compiled == 0
+        for export in ("metrics", "chrome_trace"):
+            assert flown.digests[export] == per_message.digests[export]

@@ -1,98 +1,63 @@
-"""Macro-event batching must be invisible to the simulation.
+"""The batched engine is the engine: it reproduces the goldens and engages.
 
-The batched engine (``PerfParams.macro_events``, default on) drains whole
-``(time, priority)`` runs and fast-forwards quiescent compute-span phases;
-the event-by-event engine is retained as the identity reference.  Every
-scenario class the engine supports — all four kernels, adaptive
-reconfiguration, crash recovery, seeded chaos plans — must produce a
-:class:`ScenarioResult` bitwise identical (canonical JSON, byte for byte)
-with batching on and off, and the observability layer must record the
-same spans and counters either way.
+Every experiment runs on ``Simulator(batch=True)``, which drains whole
+``(time, priority)`` runs and fast-forwards quiescent compute-span
+phases.  That it changes nothing is pinned by the golden matrix
+(``tests/golden.py`` — its rows predate the removal of the engine
+switch); that it *does* something is asserted here on the same runs.
+Event-for-event order equivalence with the heap engine is the hypothesis
+suite in ``tests/simcore/test_batched_order.py``.
 """
-
-import json
 
 import pytest
 
-from repro.api import AdaptEvent, ObsConfig, run, spec_from_preset
 from repro.apps import APP_NAMES
-from repro.obs.export import chrome_trace, metrics_dict
+
+from ..golden import golden_row
 
 
-def _macro_pair(spec):
-    """The same scenario with batching forced on and forced off."""
-    on = run(spec.replaced(perf={**spec.perf, "macro_events": True}))
-    off = run(spec.replaced(perf={**spec.perf, "macro_events": False}))
-    return on, off
+def _sim(row):
+    return row.experiment.runtime.sim
 
 
 class TestBitwiseIdentity:
     @pytest.mark.parametrize("app", sorted(APP_NAMES))
     def test_every_kernel(self, app):
-        spec = spec_from_preset("tiny", app, 4, calibrated=False,
-                                label=f"macro-id-{app}")
-        on, off = _macro_pair(spec)
-        assert on.result.to_json() == off.result.to_json()
-        assert on.result.events == off.result.events
+        sim = _sim(golden_row(f"{app}/flat/obs-off"))
+        assert sim.batch and sim.ff_phases > 0
 
+    # Adaptive runs always hold a pending non-span event (heartbeats,
+    # scripted adapt events), so they are never quiescent: they exercise
+    # the fully-checked bucket drain, not the fast-forward.
     def test_adaptive_leave_join(self):
-        spec = spec_from_preset(
-            "tiny", "jacobi", 8, calibrated=False, adaptive=True,
-            extra_nodes=2,
-            events=(AdaptEvent("leave", 0.03, 3), AdaptEvent("join", 0.06)),
-            label="macro-id-adapt",
-        )
-        on, off = _macro_pair(spec)
-        assert on.result.to_json() == off.result.to_json()
-        assert on.result.adaptations >= 1
+        row = golden_row("adapt/flat/obs-off")
+        assert row.experiment.adaptations >= 1
+        assert _sim(row).batch
 
     def test_crash_recovery(self):
-        spec = spec_from_preset(
-            "tiny", "jacobi", 4, calibrated=False, adaptive=True,
-            extra_nodes=1, events=(AdaptEvent("crash", 0.03),),
-            checkpoint_interval=0.02, failure_detection=True,
-            label="macro-id-crash",
-        )
-        on, off = _macro_pair(spec)
-        assert on.result.to_json() == off.result.to_json()
+        row = golden_row("crash/flat/obs-off")
+        assert len(row.experiment.recoveries) == 1
+        assert _sim(row).batch
 
     def test_chaos_fault_plan(self):
-        plan = "\n".join([
-            "0.01 degrade 1 0.5",
-            "0.02 duplicate 0.2",
-            "0.03 crash 3",
-            "0.04 restore 1",
-        ])
-        spec = spec_from_preset(
-            "tiny", "jacobi", 4, calibrated=False, adaptive=True,
-            extra_nodes=1, fault_plan=plan, checkpoint_interval=0.02,
-            failure_detection=True, label="macro-id-chaos",
-        )
-        on, off = _macro_pair(spec)
-        assert on.result.to_json() == off.result.to_json()
+        row = golden_row("chaos/flat/obs-off")
+        assert len(row.experiment.recoveries) == 1
+        assert _sim(row).batch
 
 
 class TestObsIdentityUnderBatching:
     def test_obs_does_not_perturb_batched_engine(self):
-        spec = spec_from_preset("tiny", "gauss", 4, calibrated=False,
-                                label="macro-obs-leak")
-        plain = run(spec)
-        observed = run(spec, obs=ObsConfig())
-        assert plain.result.to_json() == observed.result.to_json()
-        assert observed.registry is not None
+        plain = golden_row("gauss/flat/obs-off")
+        observed = golden_row("gauss/flat/obs-on")
+        assert plain.digests["result"] == observed.digests["result"]
+        assert _sim(plain).events_executed == _sim(observed).events_executed
+        assert observed.registry is not None and plain.registry is None
 
     def test_recorded_telemetry_invariant_under_batching(self):
-        # Not just the simulated outputs: the obs registry itself — every
-        # span boundary, every counter, the adapt.* tiling — must be the
-        # same stream of facts whichever engine produced it.
-        spec = spec_from_preset("tiny", "gauss", 4, calibrated=False,
-                                label="macro-obs-id")
-        on = run(spec.replaced(perf={"macro_events": True}), obs=ObsConfig())
-        off = run(spec.replaced(perf={"macro_events": False}), obs=ObsConfig())
-        assert on.result.events == off.result.events
-        trace_on = json.dumps(chrome_trace(on.registry), sort_keys=True)
-        trace_off = json.dumps(chrome_trace(off.registry), sort_keys=True)
-        assert trace_on == trace_off
-        metrics_on = json.dumps(metrics_dict(on.registry), sort_keys=True)
-        metrics_off = json.dumps(metrics_dict(off.registry), sort_keys=True)
-        assert metrics_on == metrics_off
+        # Not just the simulated outputs: the exported telemetry — every
+        # span boundary, every counter, the adapt.* tiling — is pinned,
+        # and fast-forwarded phases still recorded their compute spans.
+        row = golden_row("gauss/flat/obs-on")
+        assert {"metrics", "chrome_trace"} <= set(row.digests)
+        assert _sim(row).ff_phases > 0
+        assert any(span.name == "compute" for span in row.registry.spans)

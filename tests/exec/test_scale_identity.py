@@ -1,20 +1,21 @@
 """Flat-star runs must stay bitwise identical to the seed (PROTOCOL.md §11).
 
-The hierarchical-synchronization PR routes fork/join, GC, and page-map
-traffic through a combining tree and adds a fat-tree interconnect — all
-behind ``PerfParams`` knobs that default off.  These tests pin the off
-position to SHA-256 digests of the canonical result JSON captured on the
-seed revision (before any of this PR's changes): any drift in the default
-configuration is a protocol change, not noise.  Tree and fat-tree runs
-are *not* expected to match the seed (different message patterns and
-modelled times are the point) — they must be internally deterministic.
+The combining tree and the fat-tree interconnect are ``PerfParams``
+options that default off.  These tests pin the default configuration to
+SHA-256 digests of the canonical result JSON captured on the seed
+revision: any drift is a protocol change, not noise.  Tree and fat-tree
+runs are *not* expected to match the seed (different message patterns
+and modelled times are the point) — they are pinned by their own rows of
+the golden matrix (``tests/golden.py``).
 """
 
 import hashlib
 
 import pytest
 
-from repro.api import AdaptEvent, run, spec_from_preset
+from repro.api import run
+
+from ..golden import SCENARIOS, golden_row
 
 #: sha256(result.to_json()) on the seed revision, default (flat/star) config.
 SEED_DIGESTS = {
@@ -26,85 +27,56 @@ SEED_DIGESTS = {
     "crash": "00fce6afae5a873a6c2410dea5f8d7dd376a5511b67bbc098d84c2880c1c44c2",
 }
 
-TREE_PERF = {"barrier_tree": True, "barrier_radix": 2}
-
-
 def _digest(spec) -> str:
     return hashlib.sha256(run(spec).result.to_json().encode()).hexdigest()
 
 
-def _kernel_spec(app, label):
-    return spec_from_preset("tiny", app, 4, calibrated=False, label=label)
-
-
-def _adapt_spec(label, perf=None):
-    return spec_from_preset(
-        "tiny", "jacobi", 8, calibrated=False, adaptive=True, extra_nodes=2,
-        events=(AdaptEvent("leave", 0.03, 3), AdaptEvent("join", 0.06)),
-        label=label, perf=perf or {},
-    )
-
-
-def _crash_spec(label, perf=None):
-    return spec_from_preset(
-        "tiny", "jacobi", 4, calibrated=False, adaptive=True, extra_nodes=1,
-        events=(AdaptEvent("crash", 0.03),), checkpoint_interval=0.02,
-        failure_detection=True, label=label, perf=perf or {},
-    )
-
-
 class TestFlatMatchesSeed:
+    """Run independently of the golden machinery: a plain ``run(spec)``."""
+
     @pytest.mark.parametrize("app", ["fft3d", "gauss", "jacobi", "nbf"])
     def test_kernel(self, app):
-        assert _digest(_kernel_spec(app, f"seed-{app}")) == SEED_DIGESTS[app]
+        assert _digest(SCENARIOS[app].spec) == SEED_DIGESTS[app]
 
     @pytest.mark.parametrize("app", ["gauss", "jacobi"])
     def test_kernel_with_explicit_flat_knobs(self, app):
         """Spelling the defaults out changes the digest-relevant spec but
         must not change the simulation."""
-        spec = _kernel_spec(app, f"seed-{app}").replaced(
+        spec = SCENARIOS[app].spec.replaced(
             perf={"barrier_tree": False, "topology": "star"}
         )
-        run_json = run(spec).result.to_json()
-        assert hashlib.sha256(run_json.encode()).hexdigest() == SEED_DIGESTS[app]
+        assert _digest(spec) == SEED_DIGESTS[app]
 
     def test_adaptive(self):
-        assert _digest(_adapt_spec("seed-adapt")) == SEED_DIGESTS["adapt"]
+        assert _digest(SCENARIOS["adapt"].spec) == SEED_DIGESTS["adapt"]
 
     def test_crash_recovery(self):
-        assert _digest(_crash_spec("seed-crash")) == SEED_DIGESTS["crash"]
+        assert _digest(SCENARIOS["crash"].spec) == SEED_DIGESTS["crash"]
 
 
 class TestTreeDeterminism:
+    """Tree runs are pinned rows of the golden matrix (radix 2)."""
+
     @pytest.mark.parametrize("app", ["fft3d", "gauss", "jacobi", "nbf"])
     def test_kernel(self, app):
-        spec = _kernel_spec(app, f"tree-{app}").replaced(perf=TREE_PERF)
-        assert _digest(spec) == _digest(spec)
+        golden_row(f"{app}/tree/obs-off")
 
     def test_kernel_differs_from_flat(self):
         """The tree must actually engage: message routing changes, so the
         modelled outputs change."""
-        spec = _kernel_spec("gauss", "tree-gauss").replaced(perf=TREE_PERF)
-        assert _digest(spec) != SEED_DIGESTS["gauss"]
+        row = golden_row("gauss/tree/obs-off")
+        assert row.digests["result"] != SEED_DIGESTS["gauss"]
 
     def test_adaptive(self):
-        spec = _adapt_spec("tree-adapt", perf=TREE_PERF)
-        assert _digest(spec) == _digest(spec)
+        golden_row("adapt/tree/obs-off")
 
     def test_crash_recovery(self):
-        spec = _crash_spec("tree-crash", perf=TREE_PERF)
-        assert _digest(spec) == _digest(spec)
+        golden_row("crash/tree/obs-off")
 
 
 class TestFatTreeDeterminism:
     def test_kernel(self):
-        spec = _kernel_spec("jacobi", "ft-jacobi").replaced(
-            perf={"topology": "fattree", "topology_radix": 2}
-        )
-        assert _digest(spec) == _digest(spec)
+        golden_row("jacobi/fattree/obs-off")
 
     def test_tree_on_fattree(self):
-        spec = _kernel_spec("jacobi", "tft-jacobi").replaced(
-            perf={**TREE_PERF, "topology": "fattree", "topology_radix": 2}
-        )
-        assert _digest(spec) == _digest(spec)
+        golden_row("jacobi/tree+fattree/obs-off")

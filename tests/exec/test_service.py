@@ -252,6 +252,7 @@ class TestServiceCLI:
 
         with Coordinator(cache=ResultCache(root=tmp_path / "c")) as co, \
                 Worker(co.address):
+            assert wait_until(lambda: service_status(co.address)["workers"])
             rc = main(["submit", "--coordinator", co.address,
                        "--apps", "jacobi", "--nodes", "1,2",
                        "--preset", "tiny", "--uncalibrated"])

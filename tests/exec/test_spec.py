@@ -50,7 +50,7 @@ class TestCanonicalForm:
         ("checkpoint_interval", 0.1),
         ("failure_detection", True),
         ("seed", 7),
-        ("perf", {"plan_cache": False}),
+        ("perf", {"bulk_fetch": True}),
     ])
     def test_every_digest_relevant_field_changes_the_digest(self, field, value):
         changed = (base_spec(kernel="gauss", params={"n": 48, "iterations": 3})
@@ -59,7 +59,7 @@ class TestCanonicalForm:
 
     def test_specs_pickle_roundtrip(self):
         spec = base_spec(events=(AdaptEvent("crash", 1.0, node=2),),
-                         perf={"plan_cache": False}, seed=3)
+                         perf={"bulk_fetch": True}, seed=3)
         clone = pickle.loads(pickle.dumps(spec))
         assert clone == spec
         assert clone.config_digest() == spec.config_digest()
@@ -73,6 +73,17 @@ class TestValidation:
     def test_unknown_param_rejected(self):
         with pytest.raises(ConfigurationError):
             base_spec(params={"n": 48, "rows": 8})
+
+    @pytest.mark.parametrize("perf", [
+        {"macro_events": False},  # a host-side switch removed in 2.0.0
+        {"bulk_fetsh": True},
+    ])
+    def test_unknown_perf_option_rejected(self, perf):
+        with pytest.raises(ConfigurationError, match="bulk_fetch.*topology"):
+            base_spec(perf=perf)
+        wire = dict(base_spec().to_wire(), perf=perf)
+        with pytest.raises(ConfigurationError, match=next(iter(perf))):
+            ScenarioSpec.from_wire(wire)
 
     def test_bad_nprocs_rejected(self):
         with pytest.raises(ConfigurationError):

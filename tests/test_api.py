@@ -1,6 +1,4 @@
-"""The repro.api facade, RunResult compat shim, and deprecation paths."""
-
-import warnings
+"""The repro.api facade and the RunResult counter groups."""
 
 import pytest
 
@@ -74,6 +72,9 @@ class TestSweepFacade:
 
 
 class TestRunResultCompatShim:
+    """The counter groups (the flat pre-2.0 names are gone; the class
+    keeps its name because the test ids are pinned)."""
+
     def _result(self):
         return RunResult(
             runtime_seconds=1.0, traffic=None, per_process={}, forks=0,
@@ -87,23 +88,11 @@ class TestRunResultCompatShim:
         assert res.network.dropped == 3
         assert res.detector.heartbeats_sent == 7
 
-    def test_old_flat_names_still_work_with_warning(self):
-        res = self._result()
-        expected = {
-            "dropped": 3, "retransmissions": 2, "heartbeats_sent": 7,
-            "heartbeat_misses": 1, "false_suspicions": 4,
-        }
-        for name, value in expected.items():
-            with warnings.catch_warnings(record=True) as w:
-                warnings.simplefilter("always")
-                assert getattr(res, name) == value
-            assert len(w) == 1
-            assert issubclass(w[0].category, DeprecationWarning)
-            assert name in str(w[0].message)
-
     def test_unknown_attribute_still_raises(self):
         with pytest.raises(AttributeError):
             self._result().no_such_field
+        with pytest.raises(AttributeError):
+            self._result().dropped  # the pre-2.0 flat spelling is gone
 
     def test_end_to_end_run_populates_nested(self):
         spec = tiny_spec(label="api-shim-e2e", adaptive=True, extra_nodes=1,
@@ -111,34 +100,10 @@ class TestRunResultCompatShim:
                          checkpoint_interval=0.02, failure_detection=True)
         res = run(spec).experiment.run_result
         assert res.detector.heartbeats_sent > 0
-        with warnings.catch_warnings(record=True) as w:
-            warnings.simplefilter("always")
-            assert res.heartbeats_sent == res.detector.heartbeats_sent
-        assert any(issubclass(x.category, DeprecationWarning) for x in w)
 
 
 class TestDeprecatedEntrypoints:
-    def test_bench_run_experiment_warns_and_works(self):
-        import repro.bench
-
-        with warnings.catch_warnings(record=True) as w:
-            warnings.simplefilter("always")
-            fn = repro.bench.run_experiment
-        assert any(issubclass(x.category, DeprecationWarning) for x in w)
-        from repro.bench.harness import run_experiment
-
-        assert fn is run_experiment
-
-    def test_exec_pool_entrypoints_warn_and_work(self):
-        import repro.exec
-        from repro.exec import pool
-
-        for name, target in (("run_spec", pool.run_spec),
-                             ("run_specs", pool.run_specs)):
-            with warnings.catch_warnings(record=True) as w:
-                warnings.simplefilter("always")
-                assert getattr(repro.exec, name) is target
-            assert any(issubclass(x.category, DeprecationWarning) for x in w)
+    """(Name pinned; the deprecated entrypoints themselves are gone.)"""
 
     def test_lazy_repro_api_attribute(self):
         import repro

@@ -1,10 +1,28 @@
 """The advertised top-level API exists and is coherent."""
 
+import os
+import subprocess
+import sys
+
 import repro
 
 
 def test_version():
-    assert repro.__version__ == "1.1.0"
+    assert repro.__version__ == "2.0.0"
+
+
+def test_lazy_api_loads_in_a_fresh_interpreter():
+    """``from repro import api`` used to recurse through the PEP 562 hook
+    unless ``repro.api`` had been imported first; only a fresh interpreter
+    (nothing pre-imported by other tests) can tell."""
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", "from repro import api; print(api.run.__name__)"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "run"
 
 
 def test_all_exports_resolve():
