@@ -263,12 +263,14 @@ def serve(
     binds an ephemeral port — read it back from ``.address``).  Results
     land in the shared content-addressed cache named by ``cache_dir``
     (or an explicit :class:`~repro.exec.cache.ResultCache`); ``None``
-    uses the default cache location.  Use as a context manager or call
-    ``.stop()``; ``.serve_forever()`` is the ``repro serve`` foreground.
+    uses the default cache location.  ``max_attempts`` is the service's
+    spelling of the one attempt budget (``policy.retry.max_attempts``,
+    default 3).  Use as a context manager or call ``.stop()``;
+    ``.serve_forever()`` is the ``repro serve`` foreground.
     """
     from .config import EXEC_CACHE_DIR
     from .exec.cache import ResultCache
-    from .exec.service import DEFAULT_MAX_ATTEMPTS, Coordinator
+    from .exec.service import Coordinator, service_policy
 
     if no_cache:
         if cache is not None or cache_dir is not None:
@@ -282,8 +284,7 @@ def serve(
         host=host,
         port=port,
         cache=cache,
-        max_attempts=(DEFAULT_MAX_ATTEMPTS if max_attempts is None
-                      else max_attempts),
+        policy=service_policy(max_attempts),
     ).start()
 
 
@@ -309,8 +310,9 @@ def submit(
     from .exec.service import Submission
 
     specs = list(specs)
-    for served in Submission(specs, coordinator, repeat=repeat,
-                             no_cache=no_cache, refresh=refresh):
+    sub = Submission(specs, coordinator, repeat=repeat,
+                     no_cache=no_cache, refresh=refresh)
+    for served in sub:
         yield RunReport(
             spec=served.spec,
             result=served.result,
@@ -318,5 +320,9 @@ def submit(
             index=served.index,
             cached=served.cached,
             deduped=served.deduped,
-            worker_id=served.worker,
+            worker_id=served.worker_id,
         )
+    if sub.handed_back:
+        raise ExecError(
+            f"the coordinator degraded and handed {len(sub.handed_back)} "
+            f"scenario(s) back unexecuted")

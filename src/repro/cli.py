@@ -980,15 +980,18 @@ def cmd_workers(args) -> int:
         return 0
     from .exec.worker import worker_main
 
-    jobs = args.jobs if args.jobs is not None else 1
+    if args.jobs is not None:
+        print("repro workers runs one simulation per worker process; "
+              "use --count N for N of them (--jobs has no meaning here)",
+              file=sys.stderr)
+        return 2
     cache_dir = None if args.no_cache else args.cache_dir
     count = max(1, args.count)
     print(f"starting {count} worker(s) against {address} "
-          f"(leaf jobs={jobs}, cache: {cache_dir or 'off'})", file=sys.stderr)
+          f"(cache: {cache_dir or 'off'})", file=sys.stderr)
     if count == 1:
         try:
-            worker_main(address, cache_dir=cache_dir, jobs=jobs,
-                        slots=args.slots)
+            worker_main(address, cache_dir=cache_dir, slots=args.slots)
         except ExecError as err:
             print(f"worker failed: {err}", file=sys.stderr)
             return 1
@@ -1000,8 +1003,7 @@ def cmd_workers(args) -> int:
     ctx = mp.get_context("spawn")
     procs = [
         ctx.Process(target=worker_main, args=(address,),
-                    kwargs=dict(cache_dir=cache_dir, jobs=jobs,
-                                slots=args.slots))
+                    kwargs=dict(cache_dir=cache_dir, slots=args.slots))
         for _ in range(count)
     ]
     for proc in procs:
@@ -1304,8 +1306,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="TCP port (default: %(default)s; 0 binds an "
                               "ephemeral port)")
     serve_p.add_argument("--max-attempts", type=int, default=None,
-                         help="worker-death attempts per task before its "
-                              "submitters see a failure (default: 3)")
+                         help="attempts per task (crashes and timeouts "
+                              "alike) before its submitters see a failure "
+                              "(default: 3)")
     serve_p.add_argument("--stop", action="store_true",
                          help="stop the coordinator at --coordinator (or "
                               "--host:--port) instead of starting one")

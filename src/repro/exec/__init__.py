@@ -2,7 +2,9 @@
 
 The paper's evaluation is a grid of *independent* simulated runs —
 kernel × node count × adaptation schedule.  This package turns each cell
-into a schedulable task:
+into a schedulable task, and has exactly one scheduler for them: the
+:class:`Coordinator`, whether its workers are processes spawned for one
+``--jobs N`` sweep or hosts attached to a standing service.
 
 * :mod:`~repro.exec.spec` — :class:`ScenarioSpec`, a picklable,
   declarative run description with a canonical JSON form and a SHA-256
@@ -10,25 +12,24 @@ into a schedulable task:
 * :mod:`~repro.exec.result` — :class:`ScenarioResult`, the deterministic
   per-scenario output (canonical JSON, bitwise-stable);
 * :mod:`~repro.exec.cache` — :class:`ResultCache`, one file per digest
-  under ``benchmarks/results/cache/`` salted with ``repro.__version__``;
-* :mod:`~repro.exec.pool` — :func:`run_specs`, the spawn-based worker
-  pool with per-task progress, supervised retries, and spec-order merge;
+  under ``benchmarks/results/cache/`` salted with a content hash of the
+  model sources;
+* :mod:`~repro.exec.pool` — :func:`run_specs`: cache pre-pass, the
+  ``jobs=1`` in-process path, spec-order merge, and for ``jobs>=2`` the
+  launcher that keeps N spawned workers on an ephemeral coordinator;
+* :mod:`~repro.exec.service` — the :class:`Coordinator` (queue,
+  in-flight dedupe, deadlines, backoff, attempt budget, degradation,
+  shared cache) and the submit client that reassembles a sweep;
+* :mod:`~repro.exec.worker` — the :class:`Worker`: leases a task, runs
+  the simulation, reports;
+* :mod:`~repro.exec.wire` — the length-prefixed JSON socket protocol
+  between them;
 * :mod:`~repro.exec.supervisor` — deadlines, the failure taxonomy, and
-  the deterministic backoff/degradation policy the pool enforces;
-* :mod:`~repro.exec.chaos` — the seeded fault-injection harness behind
-  ``repro chaos`` (worker kills/hangs, cache corruption).
-
-Since PR 9 the engine also has a *distributed* face — the same
-spec/result/cache/supervisor layers behind a transport-agnostic
-:class:`Executor` API:
-
+  the deterministic backoff/degradation policy the coordinator enforces;
 * :mod:`~repro.exec.executor` — :class:`ExecutorConfig` (the one knob
   bag) and the ``local`` / ``serial`` / ``remote`` backends;
-* :mod:`~repro.exec.wire` — the length-prefixed JSON socket protocol;
-* :mod:`~repro.exec.service` — the :class:`Coordinator` (in-flight
-  dedupe, requeue-on-death, shared cache) and the submit client;
-* :mod:`~repro.exec.worker` — the :class:`Worker` leaf wrapping the
-  local engine;
+* :mod:`~repro.exec.chaos` — the seeded fault-injection harness behind
+  ``repro chaos`` (worker kills/hangs, cache corruption);
 * :mod:`~repro.exec.merge` — ``repro cache merge``, lossless union of
   cache directories.
 
@@ -62,7 +63,6 @@ from .pool import (
 )
 from .service import (
     Coordinator,
-    ServedReport,
     ServiceCounters,
     Submission,
     service_status,
@@ -116,7 +116,6 @@ __all__ = [
     "ScenarioResult",
     "ScenarioSpec",
     "SerialExecutor",
-    "ServedReport",
     "ServiceCounters",
     "Submission",
     "SupervisorPolicy",

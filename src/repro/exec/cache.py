@@ -3,7 +3,8 @@
 One JSON file per scenario under ``benchmarks/results/cache/``, named by
 the spec's :meth:`~repro.exec.spec.ScenarioSpec.config_digest`.  Each
 entry embeds the digest, the canonical spec (for human inspection), the
-code-version salt (``repro.__version__``), the serialized
+code-version salt (a content hash of the model sources,
+:func:`code_version_salt`), the serialized
 :class:`~repro.exec.result.ScenarioResult` and a SHA-256 **checksum** of
 the result's canonical JSON, verified on every read.
 
@@ -29,6 +30,8 @@ safe because any two writers of one digest computed the same result.
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import json
 import os
 import tempfile
@@ -51,11 +54,43 @@ DEFAULT_CACHE_DIR = EXEC_CACHE_DIR
 QUARANTINE_DIR = "quarantine"
 
 
-def code_version_salt() -> str:
-    """The code-version component of the cache key."""
+#: What decides a simulation's outputs, relative to the ``repro``
+#: package: everything below the execution tier.  ``exec``, ``bench``,
+#: ``obs``, ``cli`` and ``api`` only run, time and report the model.
+MODEL_SOURCES = ("simcore", "network", "dsm", "core", "openmp", "apps",
+                 "cluster", "faults", "config.py")
+
+
+def source_salt(package_root: Union[str, Path]) -> str:
+    """``<version>+<hash>`` over every model source file under
+    ``package_root`` (relative path and bytes, in sorted order)."""
     from .. import __version__
 
-    return __version__
+    root = Path(package_root)
+    h = hashlib.sha256()
+    for name in MODEL_SOURCES:
+        top = root / name
+        for path in sorted(top.rglob("*.py")) if top.is_dir() else [top]:
+            h.update(path.relative_to(root).as_posix().encode())
+            h.update(b"\0")
+            h.update(path.read_bytes())
+            h.update(b"\0")
+    return f"{__version__}+{h.hexdigest()[:16]}"
+
+
+@functools.lru_cache(maxsize=None)
+def code_version_salt() -> str:
+    """The code-version component of the cache key: a content hash of the
+    model sources, so an edit to the model can never be answered from an
+    entry the old code computed.  Hashed once per process; the bare
+    ``__version__`` only when the sources cannot be read (a zipped or
+    compiled-only install)."""
+    try:
+        return source_salt(Path(__file__).resolve().parent.parent)
+    except OSError:
+        from .. import __version__
+
+        return __version__
 
 
 #: The integrity checksum is the canonical one defined next to the

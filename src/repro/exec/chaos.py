@@ -128,7 +128,8 @@ def active_plan() -> Optional[ChaosPlan]:
 
 
 def worker_fault(digest: str, attempt: int) -> None:
-    """Called by pool workers before executing a spec.
+    """Called by a :class:`~repro.exec.worker.Worker` before executing a
+    spec (``attempt`` is the one the coordinator stamped on the task).
 
     Applies the active plan's decision for this (digest, attempt):
     ``kill`` hard-exits the process (a crash, not an exception), ``hang``

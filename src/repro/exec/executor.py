@@ -5,13 +5,19 @@ Three interchangeable backends execute a batch of
 :class:`~repro.exec.pool.SweepOutcome`, bitwise-identical results in spec
 order regardless of *where* the simulations ran:
 
-* :class:`LocalExecutor` — the spawn-based worker pool of
-  :mod:`repro.exec.pool` (the PR-3 engine, supervised since PR 6);
+* :class:`LocalExecutor` — :func:`repro.exec.pool.run_specs`: cache
+  pre-pass here, then an ephemeral coordinator with ``jobs`` spawned
+  workers on this host;
 * :class:`SerialExecutor` — in-process, one at a time: the degraded mode
   and the identity reference everything else is tested against;
-* :class:`RemoteExecutor` — a client of the coordinator/worker service
+* :class:`RemoteExecutor` — a client of a standing coordinator
   (:mod:`repro.exec.service`): specs go out over the length-prefixed
   JSON socket protocol, results stream back from worker hosts.
+
+``local`` and ``remote`` end in the same scheduler — the
+:class:`~repro.exec.service.Coordinator` — and the same reassembly
+(:func:`~repro.exec.service.submit_outcome`); they differ only in who
+started the coordinator and where its workers run.
 
 :class:`ExecutorConfig` is the one knob bag for all of them — worker
 count, cache location, retry/deadline/degradation policy, backend
@@ -61,11 +67,11 @@ class ExecutorConfig:
     #: Re-execute and re-store even on a warm cache (``--refresh``).
     refresh: bool = False
 
-    #: Times a task is re-queued after its worker process crashes.
+    #: Times a task is re-queued after a failed attempt (crash, timeout).
     retries: int = EXEC_RETRIES
 
-    #: Wall-clock floor of a task's deadline (seconds); the supervisor
-    #: never reaps a worker younger than this.
+    #: Wall-clock floor of a task's deadline (seconds); the coordinator
+    #: never drops a worker for a lease younger than this.
     deadline_floor: float = 30.0
 
     #: First retry backoff (seconds); doubles each further attempt.
@@ -74,7 +80,7 @@ class ExecutorConfig:
     #: Backoff ceiling (seconds).
     backoff_max: float = 2.0
 
-    #: Consecutive pool-level failures before the sweep degrades to
+    #: Consecutive failed attempts before the sweep degrades to
     #: in-process serial execution (0 disables degradation).
     degrade_after: int = 3
 
@@ -165,7 +171,8 @@ class Executor(Protocol):
 
 
 class LocalExecutor:
-    """The spawn-based local pool behind a config (the default backend)."""
+    """A local coordinator with spawned workers, behind a config (the
+    default backend)."""
 
     name = "local"
 
@@ -192,7 +199,7 @@ class LocalExecutor:
 
 
 class SerialExecutor(LocalExecutor):
-    """In-process, one spec at a time — no pool, no spawn, no surprises.
+    """In-process, one spec at a time — no spawn, no socket, no surprises.
 
     This *is* the legacy serial path (``jobs=1``), promoted to a named
     backend: the degraded mode of the supervisor, and the identity
@@ -213,9 +220,9 @@ class RemoteExecutor:
     and the streamed reports are reassembled into the same
     :class:`SweepOutcome` shape the local backends produce — callers
     cannot tell where a sweep ran (``TaskOutcome.worker_id`` says, for
-    the curious).  Caching, in-flight dedupe and requeue-on-death are
-    coordinator-side; ``use_cache=False``/``refresh`` travel with the
-    submission.
+    the curious).  Caching, in-flight dedupe and supervision are
+    coordinator-side (its policy, not this config's);
+    ``use_cache=False``/``refresh`` travel with the submission.
     """
 
     name = "remote"
@@ -228,7 +235,7 @@ class RemoteExecutor:
     def execute(self, specs, *, repeat=1, progress=None, obs=None):
         from .service import submit_outcome
 
-        return submit_outcome(
+        outcome = submit_outcome(
             list(specs),
             self.config.coordinator,
             repeat=repeat,
@@ -237,6 +244,11 @@ class RemoteExecutor:
             progress=progress,
             obs=obs,
         )
+        if outcome.degraded:
+            raise ExecError(
+                f"the coordinator at {self.config.coordinator} degraded and "
+                f"handed scenarios back unexecuted")
+        return outcome
 
 
 def make_executor(config: Optional[ExecutorConfig] = None,

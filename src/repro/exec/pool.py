@@ -1,24 +1,28 @@
-"""Spawn-based multiprocess scenario execution with deterministic merge.
+"""Scenario execution with deterministic merge: the sweep's front half.
 
 :func:`run_specs` is the engine's entry point: it takes an ordered list
 of :class:`~repro.exec.spec.ScenarioSpec`, answers what it can from the
-result cache, shards the misses across a spawn-based worker pool
-(``--jobs N``), streams per-task progress, supervises every attempt
-(deadlines, seeded-backoff retries, failure attribution — see
-:mod:`repro.exec.supervisor`), and merges everything back **in spec
-order** — so the output is bitwise-identical to running the same list
-serially (simulations are deterministic; see
-``tests/exec/test_engine_e2e.py`` and ``tests/exec/test_chaos.py``).
+result cache (a warm sweep starts no process), executes the misses,
+streams per-task progress, and merges everything back **in spec order** —
+so the output is bitwise-identical to running the same list serially
+(simulations are deterministic; see ``tests/exec/test_engine_e2e.py``
+and ``tests/exec/test_chaos.py``).
 
-``jobs=1`` executes in the calling process with no pool at all: that path
-*is* the legacy serial execution, and is what the parallel path is tested
-against.  Workers are spawned (never forked) so each scenario runs in a
-pristine interpreter — no inherited simulator state, and identical
-behaviour on platforms where fork is unavailable or unsafe.
+``jobs=1`` executes in the calling process: that path *is* serial
+execution, and is what everything else is tested against.  ``jobs>=2``
+does no scheduling here either: the misses are submitted to an
+ephemeral :class:`~repro.exec.service.Coordinator` on ``127.0.0.1:0`` —
+the one scheduler, which owns the queue, in-flight dedupe, deadlines,
+seeded-backoff retries and the attempt budget
+(:mod:`repro.exec.supervisor`) — fed by a small launcher that keeps
+``jobs`` spawned :func:`~repro.exec.worker.worker_main` processes alive.
+Workers are spawned (never forked) so every simulation runs in an
+interpreter with no inherited simulator state, and a ``--jobs N`` sweep
+costs N spawns, not one per task.
 
-When the pool itself looks sick — ``degrade_after`` *consecutive*
-task-level failures anywhere in the sweep — the engine stops spawning
-workers and finishes the remaining tasks serially in process.  Serial
+When the workers themselves look sick — ``degrade_after`` *consecutive*
+failed attempts anywhere in the sweep — the coordinator hands the
+unfinished tasks back and they are finished serially in process.  Serial
 execution cannot crash-loop, and because the simulations are
 deterministic the degraded sweep still returns bitwise-identical
 results; it is just slower.
@@ -26,10 +30,10 @@ results; it is just slower.
 
 from __future__ import annotations
 
-import heapq
 import os
+import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..config import EXEC_RETRIES
@@ -37,22 +41,13 @@ from ..errors import ExecError
 from .cache import CacheStats, ResultCache
 from .result import ScenarioResult
 from .spec import ScenarioSpec
-from .supervisor import (
-    AttemptRecord,
-    ResourceExhausted,
-    SupervisorPolicy,
-    TaskTimeout,
-    WorkerCrash,
-)
-
-#: Test-only fault injection: when set to a writable directory, a worker
-#: hard-exits the first time it sees each spec digest (a flag file marks
-#: "already crashed once"), exercising the crash-retry path end to end.
-#: Richer, seeded fault injection lives in :mod:`repro.exec.chaos`.
-CRASH_ONCE_ENV = "REPRO_EXEC_CRASH_ONCE"
+from .supervisor import AttemptRecord, SupervisorPolicy
 
 #: Grace period between SIGTERM and SIGKILL when reaping a worker.
 REAP_GRACE_SECONDS = 2.0
+
+#: How often the launcher looks for dead or dropped workers (seconds).
+LAUNCHER_POLL_SECONDS = 0.05
 
 
 def default_jobs() -> int:
@@ -118,24 +113,6 @@ def run_spec(spec: ScenarioSpec, repeat: int = 1) -> Tuple[ScenarioResult, float
     )
 
 
-def _worker(payload: Tuple[int, ScenarioSpec, int, int]) -> Tuple[int, dict, float]:
-    """Pool worker: run one spec, return its index + serialized result."""
-    index, spec, repeat, attempt = payload
-    digest = spec.config_digest()
-    crash_dir = os.environ.get(CRASH_ONCE_ENV)
-    if crash_dir:
-        flag = os.path.join(crash_dir, f"{digest}.crashed")
-        if not os.path.exists(flag):
-            with open(flag, "w") as fh:
-                fh.write("crashed once\n")
-            os._exit(3)  # simulate a worker death, not a Python exception
-    from .chaos import worker_fault
-
-    worker_fault(digest, attempt)
-    result, wall = run_spec(spec, repeat=repeat)
-    return index, result.to_dict(), wall
-
-
 # ---------------------------------------------------------------------------
 # the engine
 # ---------------------------------------------------------------------------
@@ -145,29 +122,34 @@ class TaskOutcome:
 
     index: int
     spec: ScenarioSpec
-    result: ScenarioResult
+    #: None only in what :func:`~repro.exec.service.submit_outcome`
+    #: returns for a degraded coordinator (a task handed back unexecuted).
+    result: Optional[ScenarioResult]
     #: Wall seconds of the execution (0.0 for cache hits); machine
     #: dependent, deliberately *not* part of :class:`ScenarioResult`.
     wall_seconds: float
     cached: bool
-    #: Executions attempted (0 for hits, >1 after a worker-crash retry).
+    #: Executions attempted (0 for hits, >1 after a requeue).
     attempts: int
-    #: Pool slot that executed this task (0 on the serial path, -1 for
-    #: cache hits — they take no pool time, -2 for the serial-degradation
-    #: fallback).
+    #: Local worker that executed this task, numbered in launch order (0
+    #: on the serial path, -1 for cache hits — they take no worker time,
+    #: -2 for the serial-degradation fallback, -3 for remote execution).
     worker: int = -1
     #: Wall-clock start/end of the successful execution, in seconds since
     #: the sweep began (both 0.0 for cache hits).  ``repro sweep
-    #: --timeline`` renders these as the pool utilization timeline.
+    #: --timeline`` renders these as the worker utilization timeline.
     started_at: float = 0.0
     ended_at: float = 0.0
     #: Per-attempt supervision history (failures first, then the final
     #: ``"ok"``); empty for cache hits and the plain serial path.
     attempt_log: Tuple[AttemptRecord, ...] = ()
     #: Remote worker that executed this task (coordinator-assigned id,
-    #: e.g. ``"w2"``); empty for local execution, where ``worker`` — the
-    #: pool slot — is the whole story.
+    #: e.g. ``"w2"``); empty for local execution, where ``worker`` is the
+    #: whole story.
     worker_id: str = ""
+    #: Coalesced onto another task of the same digest in the same sweep
+    #: (its result was computed once, for the other one).
+    deduped: bool = False
 
 
 @dataclass
@@ -177,13 +159,14 @@ class SweepOutcome:
     outcomes: List[TaskOutcome]
     cache_stats: CacheStats
     jobs: int
+    #: Simulations this sweep ran (duplicates of one digest count once).
     executed: int
     retried: int
     wall_seconds: float = 0.0
     #: Failure-kind → count across all attempts this sweep (retried
     #: *and* terminal); empty when nothing went wrong.
     failure_counts: Dict[str, int] = field(default_factory=dict)
-    #: True when the pool fell back to in-process serial execution.
+    #: True when the sweep fell back to in-process serial execution.
     degraded: bool = False
     #: Coordinator counter snapshot for remote sweeps (the
     #: ``exec.service.*`` family as a dict); None for local execution.
@@ -199,18 +182,6 @@ class SweepOutcome:
 
 
 ProgressFn = Callable[[TaskOutcome, int, int], None]
-
-
-class _PoolDegraded(Exception):
-    """Internal: the pool hit the degradation threshold mid-sweep."""
-
-    def __init__(self, completed, retried, failure_counts, remaining):
-        super().__init__("pool degraded to serial execution")
-        self.completed = completed
-        self.retried = retried
-        self.failure_counts = failure_counts
-        #: [(index, spec, next_attempt, attempt_log)] still to run.
-        self.remaining = remaining
 
 
 def run_specs(
@@ -255,6 +226,16 @@ def run_specs(
         if progress is not None:
             progress(outcome, done, total)
 
+    def _run_here(i: int, spec: ScenarioSpec, **outcome_fields) -> None:
+        started = time.perf_counter() - t_start
+        result, wall = run_spec(spec, repeat=repeat)
+        ended = time.perf_counter() - t_start
+        if cache is not None:
+            cache.put(spec, result, wall_seconds=wall)
+        _finish(TaskOutcome(i, spec, result, wall, cached=False,
+                            started_at=started, ended_at=ended,
+                            **outcome_fields))
+
     pending: List[Tuple[int, ScenarioSpec]] = []
     for i, spec in enumerate(specs):
         hit = cache.get(spec) if (cache is not None and not refresh) else None
@@ -264,49 +245,45 @@ def run_specs(
         else:
             pending.append((i, spec))
 
+    executed = len(pending)
     retried = 0
     degraded = False
     failure_counts: Dict[str, int] = {}
-    if pending:
-        if jobs == 1:
-            for i, spec in pending:
-                started = time.perf_counter() - t_start
-                result, wall = run_spec(spec, repeat=repeat)
-                ended = time.perf_counter() - t_start
-                if cache is not None:
-                    cache.put(spec, result, wall_seconds=wall)
-                _finish(TaskOutcome(i, spec, result, wall, cached=False,
-                                    attempts=1, worker=0,
-                                    started_at=started, ended_at=ended))
-        else:
+    if pending and jobs == 1:
+        for i, spec in pending:
+            _run_here(i, spec, attempts=1, worker=0)
+    elif pending:
+        from .service import Coordinator, submit_outcome
+
+        def _merge(o: TaskOutcome, _done: int, _total: int) -> None:
+            i, spec = pending[o.index]
+            if cache is not None and not o.deduped:
+                cache.put(spec, o.result, wall_seconds=o.wall_seconds)
+            _finish(replace(o, index=i, worker=o.attempt_log[-1].worker,
+                            worker_id="", started_at=o.started_at + lead,
+                            ended_at=o.ended_at + lead))
+
+        with Coordinator(cache=None, policy=policy) as coordinator:
+            launcher = _Launcher(coordinator, min(jobs, len(pending)))
             try:
-                completed, retried, failure_counts = _run_parallel(
-                    pending, jobs=jobs, repeat=repeat, policy=policy,
-                    t_start=t_start,
-                )
-            except _PoolDegraded as deg:
-                degraded = True
-                completed = deg.completed
-                retried = deg.retried
-                failure_counts = deg.failure_counts
-                for i, spec, attempt, log in deg.remaining:
-                    started = time.perf_counter() - t_start
-                    result, wall = run_spec(spec, repeat=repeat)
-                    ended = time.perf_counter() - t_start
-                    completed[i] = (
-                        result, wall, attempt, -2, started, ended,
-                        log + (AttemptRecord(attempt, "ok", wall, worker=-2,
-                                             detail="serial degradation"),),
-                    )
-            for i, spec in pending:
-                result, wall, attempts, worker, started, ended, log = \
-                    completed[i]
-                if cache is not None:
-                    cache.put(spec, result, wall_seconds=wall)
-                _finish(TaskOutcome(i, spec, result, wall, cached=False,
-                                    attempts=attempts, worker=worker,
-                                    started_at=started, ended_at=ended,
-                                    attempt_log=log))
+                launcher.start()
+                lead = time.perf_counter() - t_start
+                sweep = submit_outcome(
+                    [spec for _, spec in pending], coordinator.address,
+                    repeat=repeat, no_cache=True, progress=_merge)
+            finally:
+                launcher.stop()
+        executed = sweep.executed
+        retried = sweep.retried
+        failure_counts = sweep.failure_counts
+        degraded = sweep.degraded
+        for o in sweep.outcomes:
+            if o.result is None:  # handed back: finish it here, serially
+                attempt = o.attempts + 1
+                _run_here(*pending[o.index], attempts=attempt, worker=-2,
+                          attempt_log=o.attempt_log + (AttemptRecord(
+                              attempt, "ok", worker=-2,
+                              detail="serial degradation"),))
 
     corrupt_seen = (cache.stats.corrupt - corrupt_before
                     if cache is not None else 0)
@@ -328,26 +305,12 @@ def run_specs(
         outcomes=outcomes,  # type: ignore[arg-type]  (all filled above)
         cache_stats=cache.stats if cache is not None else CacheStats(),
         jobs=jobs,
-        executed=len(pending),
+        executed=executed,
         retried=retried,
         wall_seconds=time.perf_counter() - t_start,
         failure_counts=failure_counts,
         degraded=degraded,
     )
-
-
-def _child_main(conn, payload: Tuple[int, ScenarioSpec, int, int]) -> None:
-    """Entry point of one worker process (spawned, never forked)."""
-    import traceback
-
-    try:
-        out = _worker(payload)
-    except BaseException:
-        conn.send(("err", traceback.format_exc()))
-        conn.close()
-        return
-    conn.send(("ok", out))
-    conn.close()
 
 
 def _reap(proc, grace: float = REAP_GRACE_SECONDS) -> None:
@@ -364,178 +327,69 @@ def _reap(proc, grace: float = REAP_GRACE_SECONDS) -> None:
         proc.join()
 
 
-def _run_parallel(
-    tasks: Sequence[Tuple[int, ScenarioSpec]],
-    jobs: int,
-    repeat: int,
-    policy: SupervisorPolicy,
-    t_start: Optional[float] = None,
-) -> Tuple[Dict[int, tuple], int, Dict[str, int]]:
-    """Execute tasks with one spawned process per task, ``jobs`` at a time.
+class _Launcher:
+    """Keeps ``count`` spawned workers attached to a local coordinator.
 
-    A dedicated process per task makes failure attribution exact: a
-    worker that dies without reporting (killed, segfault, ``os._exit``)
-    or overruns its deadline fails only *its own* task, which is requeued
-    (after a seeded backoff) until its attempt budget runs out; the other
-    in-flight tasks are untouched.  A worker that raises an ordinary
-    Python exception is not a crash — the exception is re-raised here,
-    wrapped in :class:`ExecError`, because it is deterministic and a
-    retry would fail identically.
-
-    Raises :class:`_PoolDegraded` when ``policy.degrade_after``
-    consecutive failures suggest the *pool* (not one task) is sick.
+    The process half of a ``jobs >= 2`` sweep, and the only place sweep
+    processes are created.  It decides nothing about tasks: it replaces
+    a worker that died, reaps and replaces one the coordinator dropped
+    (a deadline overrun leaves the process wedged but alive), and tells
+    the coordinator when a worker could not be had at all
+    (:meth:`~repro.exec.service.Coordinator.no_worker` —
+    ``resource_exhausted``).  :meth:`stop` reaps every process it ever
+    started that is still alive.
     """
-    import multiprocessing as mp
-    from collections import deque
-    from multiprocessing.connection import wait as conn_wait
 
-    ctx = mp.get_context("spawn")
-    if t_start is None:
-        t_start = time.perf_counter()
-    completed: Dict[int, tuple] = {}
-    retried = 0
-    failure_counts: Dict[str, int] = {}
-    consecutive = 0
-    #: ready-to-run: (index, spec, attempt, attempt_log)
-    queue = deque((i, spec, 1, ()) for i, spec in tasks)
-    #: backoff heap: (ready_at, seq, index, spec, attempt, attempt_log)
-    delayed: list = []
-    delay_seq = 0
-    running: Dict[object, tuple] = {}
-    free_slots = list(range(jobs - 1, -1, -1))  # pop() hands out slot 0 first
+    def __init__(self, coordinator, count: int):
+        import multiprocessing
 
-    def _count(kind: str) -> None:
-        failure_counts[kind] = failure_counts.get(kind, 0) + 1
+        self.coordinator = coordinator
+        self.count = count
+        self._ctx = multiprocessing.get_context("spawn")
+        self._procs: list = []
+        self._stop = threading.Event()
+        self._thread = threading.Thread(
+            target=self._run, name="sweep-launcher", daemon=True)
 
-    def _requeue(i, spec, attempt, log, failure_cls, detail):
-        """Account one failed attempt; retry with backoff or give up."""
-        nonlocal retried, delay_seq, consecutive
-        _count(failure_cls.kind)
-        consecutive += 1
-        log = log + (AttemptRecord(attempt, failure_cls.kind, detail=detail),)
-        if attempt >= policy.retry.max_attempts:
-            raise failure_cls(detail, spec=spec, attempts=attempt)
-        retried += 1
-        backoff = policy.retry.backoff(spec.config_digest(), attempt + 1)
-        heapq.heappush(delayed, (time.perf_counter() + backoff, delay_seq,
-                                 i, spec, attempt + 1, log))
-        delay_seq += 1
-        if policy.degrade_after and consecutive >= policy.degrade_after:
-            _degrade()
+    def start(self) -> None:
+        self._tend()
+        self._thread.start()
 
-    def _degrade():
-        """Reap everything and hand the sweep back for serial finishing."""
-        remaining = [(i, spec, attempt, log)
-                     for (_, _, i, spec, attempt, log) in delayed]
-        remaining += [(i, spec, attempt, log)
-                      for (i, spec, attempt, log) in queue]
-        for proc, conn, i, spec, attempt, slot, started, dl, log in \
-                running.values():
-            _reap(proc)
-            conn.close()
-            # the in-flight attempt was aborted by the supervisor, not
-            # failed by the worker — rerun it at the same attempt number
-            remaining.append((i, spec, attempt, log))
-        running.clear()
-        remaining.sort(key=lambda t: t[0])
-        raise _PoolDegraded(completed, retried, failure_counts, remaining)
+    def _run(self) -> None:
+        while not self._stop.wait(LAUNCHER_POLL_SECONDS):
+            self._tend()
 
-    try:
-        while queue or delayed or running:
-            now = time.perf_counter()
-            while delayed and delayed[0][0] <= now:
-                _, _, i, spec, attempt, log = heapq.heappop(delayed)
-                queue.append((i, spec, attempt, log))
-            while queue and len(running) < jobs:
-                i, spec, attempt, log = queue.popleft()
-                slot = free_slots.pop()
-                try:
-                    parent_conn, child_conn = ctx.Pipe(duplex=False)
-                    proc = ctx.Process(
-                        target=_child_main,
-                        args=(child_conn, (i, spec, repeat, attempt)),
-                    )
-                    started = time.perf_counter() - t_start
-                    proc.start()
-                except OSError as err:
-                    free_slots.append(slot)
-                    _requeue(i, spec, attempt, log, ResourceExhausted,
-                             f"scenario {spec.display_name} could not get a "
-                             f"worker (attempt {attempt}): {err}")
-                    continue
-                child_conn.close()
-                deadline = (time.perf_counter()
-                            + policy.deadline.deadline_for(spec, repeat))
-                running[proc.sentinel] = (
-                    proc, parent_conn, i, spec, attempt, slot, started,
-                    deadline, log,
-                )
-            if not running:
-                if delayed:
-                    time.sleep(max(0.0, delayed[0][0] - time.perf_counter()))
+    def _tend(self) -> None:
+        """One pass: reap the dead and the dropped, top the pool back up."""
+        from .worker import worker_main
+
+        # Snapshot before the table: a pid in ``seen`` but not ``listed``
+        # was dropped; one in neither is still starting.
+        seen = set(self.coordinator.pids_seen)
+        listed = {w["pid"] for w in self.coordinator.status()["workers"]}
+        for proc in list(self._procs):
+            if proc.pid in listed or (proc.is_alive()
+                                      and proc.pid not in seen):
                 continue
-            now = time.perf_counter()
-            wait_timeout = max(
-                0.0,
-                min(dl for (*_, dl, _log) in running.values()) - now,
-            )
-            if delayed:
-                wait_timeout = min(wait_timeout,
-                                   max(0.0, delayed[0][0] - now))
-            for sentinel in conn_wait(list(running), timeout=wait_timeout):
-                (proc, conn, i, spec, attempt, slot, started, deadline,
-                 log) = running.pop(sentinel)
-                free_slots.append(slot)
-                ended = time.perf_counter() - t_start
-                message = None
-                try:
-                    if conn.poll():
-                        message = conn.recv()
-                except (EOFError, OSError):
-                    message = None
-                proc.join()
-                conn.close()
-                if message is not None and message[0] == "ok":
-                    index, result_dict, wall = message[1]
-                    consecutive = 0
-                    completed[index] = (
-                        ScenarioResult.from_dict(result_dict), wall, attempt,
-                        slot, started, ended,
-                        log + (AttemptRecord(attempt, "ok", wall,
-                                             worker=slot),),
-                    )
-                elif message is not None and message[0] == "err":
-                    raise ExecError(
-                        f"scenario {spec.display_name} failed in its worker:\n"
-                        f"{message[1]}"
-                    )
-                else:  # died without reporting: a genuine worker crash
-                    _requeue(
-                        i, spec, attempt, log, WorkerCrash,
-                        f"scenario {spec.display_name} "
-                        f"(digest {spec.config_digest()[:12]}) crashed its "
-                        f"worker {attempt} time(s) "
-                        f"(last exit code {proc.exitcode}); giving up",
-                    )
-            # hung-worker monitor: reap anything past its deadline
-            now = time.perf_counter()
-            for sentinel in [s for s, entry in running.items()
-                             if entry[7] <= now]:
-                (proc, conn, i, spec, attempt, slot, started, deadline,
-                 log) = running.pop(sentinel)
-                free_slots.append(slot)
-                _reap(proc)
-                conn.close()
-                budget = deadline - (t_start + started)
-                _requeue(
-                    i, spec, attempt, log, TaskTimeout,
-                    f"scenario {spec.display_name} "
-                    f"(digest {spec.config_digest()[:12]}) exceeded its "
-                    f"{budget:.1f}s deadline on attempt {attempt}; "
-                    f"worker reaped (terminate/kill); giving up",
-                )
-    finally:
-        for proc, conn, *_ in running.values():
             _reap(proc)
-            conn.close()
-    return completed, retried, failure_counts
+            self._procs.remove(proc)
+            if proc.pid not in self.coordinator.pids_seen:
+                self.coordinator.no_worker(
+                    f"worker process exited with code {proc.exitcode} "
+                    f"before registering")
+        while len(self._procs) < self.count:
+            proc = self._ctx.Process(
+                target=worker_main, args=(self.coordinator.address,))
+            try:
+                proc.start()
+            except OSError as err:
+                self.coordinator.no_worker(str(err))
+                return
+            self._procs.append(proc)
+
+    def stop(self) -> None:
+        self._stop.set()
+        if self._thread.is_alive():
+            self._thread.join()
+        for proc in self._procs:
+            _reap(proc)

@@ -1,13 +1,14 @@
-"""Coordinator of the distributed sweep service.
+"""The one scheduler: coordinator of every multi-process sweep.
 
-The multi-host face of the execution engine (ROADMAP item 1, the
-"millions of users" backend): a :class:`Coordinator` listens on a TCP
-socket, workers (:mod:`repro.exec.worker`) register over the
-length-prefixed JSON protocol (:mod:`repro.exec.wire`) and lease tasks,
-clients submit :class:`~repro.exec.spec.ScenarioSpec` batches and get
-results streamed back as they complete.  The same coordinator/worker
-split the task-offloading cluster-OpenMP papers use, applied to the
-scenario grid.
+A :class:`Coordinator` listens on a TCP socket, workers
+(:mod:`repro.exec.worker`) register over the length-prefixed JSON
+protocol (:mod:`repro.exec.wire`) and lease tasks, clients submit
+:class:`~repro.exec.spec.ScenarioSpec` batches and get results streamed
+back as they complete.  It is the paper's single master handing work to
+a pool of processes that may join, leave or die — and it is the *only*
+such master here: ``repro serve`` runs one for many hosts, and a local
+``--jobs N`` sweep (:func:`repro.exec.pool.run_specs`) runs an ephemeral
+one on ``127.0.0.1:0`` with N spawned workers.
 
 What the coordinator guarantees (docs/SERVICE.md has the full failure
 semantics):
@@ -22,20 +23,25 @@ semantics):
   or running *attach* to the existing task instead of re-executing: a
   thundering herd of N identical submissions costs one execution and
   streams N identical reports (``exec.service.deduped == N-1``).
-* **Requeue on death.**  A worker that disconnects or stops heartbeating
-  gets its in-flight tasks requeued (attempt-counted against
-  ``max_attempts``, :class:`~repro.exec.supervisor.WorkerCrash`
-  semantics) and handed to surviving workers; waiters never observe the
-  death unless the attempt budget runs out.
+* **One supervision policy, enforced here and nowhere else.**  Every
+  assignment carries a deadline
+  (:class:`~repro.exec.supervisor.DeadlinePolicy`); a worker that
+  overruns it — even one that keeps heartbeating — is dropped and its
+  task requeued as ``task_timeout``.  A worker that disconnects or stops
+  heartbeating has its tasks requeued as ``worker_crash``.  Requeues wait
+  out the seeded backoff, every attempt counts against the one budget
+  ``policy.retry.max_attempts``, and ``degrade_after`` consecutive
+  failures hand every unfinished task back to its submitter
+  (``error`` frames of kind ``degraded``).
 * **Determinism.**  Simulations are deterministic, so whichever worker
   runs a spec — after any number of requeues — the streamed result is
-  bitwise-identical to a single-host ``repro sweep``.
+  bitwise-identical to in-process serial execution.
 
 Everything is plain threads + sockets: one handler thread per
-connection, one lock around the scheduling state.  Simulations dominate
-(seconds each, in worker *processes*); coordination traffic is a few KB
-of JSON per task, far below where the GIL or a fancier event loop would
-matter.
+connection, one clock thread for deadlines and backoff expiry, one lock
+around the scheduling state.  Simulations dominate (seconds each, in
+worker *processes*); coordination traffic is a few KB of JSON per task,
+far below where the GIL or a fancier event loop would matter.
 """
 
 from __future__ import annotations
@@ -49,11 +55,19 @@ from queue import Empty, Queue
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ExecError
-from .cache import CacheStats, ResultCache
+from .cache import CacheStats, ResultCache, code_version_salt
 from .pool import ProgressFn, SweepOutcome, TaskOutcome
 from .result import ScenarioResult
 from .spec import ScenarioSpec
-from .supervisor import WorkerCrash
+from .supervisor import (
+    FAILURES,
+    AttemptRecord,
+    ResourceExhausted,
+    RetryPolicy,
+    SupervisorPolicy,
+    TaskTimeout,
+    WorkerCrash,
+)
 from .wire import (
     WIRE_SCHEMA,
     ConnectionClosed,
@@ -67,16 +81,29 @@ from .wire import (
 #: Default coordinator TCP port (``repro serve`` / ``--coordinator``).
 DEFAULT_PORT = 7070
 
-#: Attempts a task gets across worker deaths before its waiters see a
-#: structured failure (matches the local engine's default of 1 retry +
-#: one extra chance: coordinators supervise whole hosts, not processes).
-DEFAULT_MAX_ATTEMPTS = 3
+#: ``kind`` of the ``error`` frames that hand a task back unexecuted
+#: when the coordinator stops trusting its workers (``degrade_after``).
+DEGRADED = "degraded"
 
 #: Seconds between worker heartbeats (the coordinator's liveness probe
 #: allows :data:`HEARTBEAT_GRACE` multiples of this before declaring
 #: death).
 DEFAULT_HEARTBEAT_INTERVAL = 1.0
 HEARTBEAT_GRACE = 8.0
+
+
+def service_policy(max_attempts: Optional[int] = None) -> SupervisorPolicy:
+    """The policy of a standing service (``repro serve --max-attempts``).
+
+    Three attempts per task by default — coordinators supervise whole
+    hosts, not processes — and no degradation: a service has no
+    in-process path to fall back to, so its tasks fail with attribution
+    instead of being handed back.
+    """
+    return SupervisorPolicy(
+        retry=RetryPolicy(max_attempts=3 if max_attempts is None
+                          else max_attempts),
+        degrade_after=0)
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +119,8 @@ class ServiceCounters:
     deduped: int = 0
     requeued: int = 0
     failed: int = 0
+    #: Times ``degrade_after`` tripped and unfinished tasks were handed back.
+    degraded: int = 0
     workers_joined: int = 0
     workers_lost: int = 0
     inflight_peak: int = 0
@@ -119,6 +148,7 @@ class ServiceCounters:
             "deduped": self.deduped,
             "requeued": self.requeued,
             "failed": self.failed,
+            "degraded": self.degraded,
             "workers_joined": self.workers_joined,
             "workers_lost": self.workers_lost,
             "inflight": inflight,
@@ -175,25 +205,34 @@ class _Client:
 class _Task:
     """One distinct digest moving through the service."""
 
-    __slots__ = ("task_id", "spec", "digest", "repeat", "attempts",
-                 "waiters", "assigned_to")
+    __slots__ = ("task_id", "spec", "digest", "repeat", "attempts", "log",
+                 "waiters", "ready_at", "backoff", "assigned_at", "deadline")
 
     def __init__(self, task_id: str, spec: ScenarioSpec, repeat: int):
         self.task_id = task_id
         self.spec = spec
         self.digest = spec.config_digest()
         self.repeat = repeat
+        #: Failed attempts so far; the next one is ``attempts + 1``.
         self.attempts = 0
+        #: :meth:`AttemptRecord.as_dict` per attempt, as ``report`` carries it.
+        self.log: List[Dict] = []
         #: [(client, index, deduped)] — every submission waiting on this.
         self.waiters: List[Tuple[_Client, int, bool]] = []
-        self.assigned_to: Optional[str] = None
+        #: Not assignable before this instant (backoff after a failure).
+        self.ready_at = 0.0
+        self.backoff = 0.0
+        self.assigned_at = 0.0
+        self.deadline = 0.0
 
 
 class _WorkerConn:
     """Coordinator-side view of one registered worker."""
 
-    def __init__(self, worker_id: str, sock: socket.socket, hello: Dict):
-        self.worker_id = worker_id
+    def __init__(self, index: int, sock: socket.socket, hello: Dict):
+        #: 0-based registration order: the worker's timeline track.
+        self.index = index
+        self.worker_id = f"w{index + 1}"
         self.sock = sock
         self.send_lock = threading.Lock()
         self.host = hello.get("host", "?")
@@ -206,26 +245,35 @@ class _WorkerConn:
         with self.send_lock:
             send_message(self.sock, msg)
 
+    def close(self) -> None:
+        """Shut the socket down first: a plain ``close`` does not wake a
+        handler thread blocked in ``recv`` on it."""
+        try:
+            self.sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass  # the peer is already gone
+        self.sock.close()
+
 
 class Coordinator:
-    """The service: accept loop, scheduler, dedupe and requeue logic.
+    """The scheduler: accept loop, queue, dedupe, supervision.
 
-    Embeddable (tests run it in-process on port 0) and daemonizable
-    (``repro serve``).  ``cache`` is the shared content-addressed store
-    every result lands in; ``None`` disables coordinator-side caching
-    entirely (every submission executes, dedupe still applies).
+    Embeddable (``run_specs`` and the tests run it in-process on port 0)
+    and daemonizable (``repro serve``).  ``cache`` is the shared
+    content-addressed store every result lands in; ``None`` disables
+    coordinator-side caching entirely (every submission executes, dedupe
+    still applies).  ``policy`` is the supervision policy enforced on
+    every task (default: :func:`service_policy`).
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
                  cache: Optional[ResultCache] = None,
-                 max_attempts: int = DEFAULT_MAX_ATTEMPTS,
+                 policy: Optional[SupervisorPolicy] = None,
                  heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
                  heartbeat_timeout: Optional[float] = None):
-        if max_attempts < 1:
-            raise ExecError("max_attempts must be >= 1")
         self.host = host
         self.cache = cache
-        self.max_attempts = max_attempts
+        self.policy = (policy or service_policy()).validate()
         self.heartbeat_interval = heartbeat_interval
         self.heartbeat_timeout = (
             heartbeat_timeout if heartbeat_timeout is not None
@@ -234,17 +282,24 @@ class Coordinator:
         self._listener = socket.create_server((host, port))
         self.port = self._listener.getsockname()[1]
         self._mu = threading.RLock()
+        #: Signalled when a deadline or a backoff expiry is added, so the
+        #: clock thread sleeps exactly until the next one.
+        self._wake = threading.Condition(self._mu)
         self._queue: deque = deque()           # _Task, FIFO (requeues front)
         self._inflight: Dict[str, _Task] = {}  # digest -> queued/running task
         self._workers: Dict[str, _WorkerConn] = {}
+        #: Pid of every worker that ever registered: lets a launcher tell
+        #: a process that died before registering from one dropped after.
+        self.pids_seen: set = set()
         # Separate counters: ids must not depend on whether a submission
         # beat a worker's hello to the lock.
         self._worker_seq = 0
         self._task_seq = 0
+        #: Failed attempts since the last success (``degrade_after``).
+        self._consecutive = 0
         self.counters = ServiceCounters()
         self._stopping = threading.Event()
         self._threads: List[threading.Thread] = []
-        self._accept_thread: Optional[threading.Thread] = None
 
     # -- lifecycle ---------------------------------------------------------
     @property
@@ -252,14 +307,16 @@ class Coordinator:
         return f"{self.host}:{self.port}"
 
     def start(self) -> "Coordinator":
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="coordinator-accept", daemon=True)
-        self._accept_thread.start()
+        for target, name in ((self._accept_loop, "coordinator-accept"),
+                             (self._clock_loop, "coordinator-clock")):
+            thread = threading.Thread(target=target, name=name, daemon=True)
+            thread.start()
+            self._threads.append(thread)
         return self
 
     def serve_forever(self) -> None:
         """Block until :meth:`stop` (the ``repro serve`` foreground)."""
-        if self._accept_thread is None:
+        if not self._threads:
             self.start()
         while not self._stopping.wait(0.2):
             pass
@@ -276,22 +333,16 @@ class Coordinator:
         with self._mu:
             workers = list(self._workers.values())
             self._workers.clear()
-            for task in self._inflight.values():
-                for client, index, _ in task.waiters:
-                    client.put(message(
-                        "error", message="coordinator shut down",
-                        index=index, digest=task.digest, kind="shutdown"))
+            for task in list(self._inflight.values()):
+                self._answer_error(task, "shutdown", "coordinator shut down")
             self._queue.clear()
-            self._inflight.clear()
+            self._wake.notify_all()
         for worker in workers:
             try:
                 worker.send(message("shutdown", reason="coordinator stopping"))
             except (WireError, OSError):
                 pass
-            try:
-                worker.sock.close()
-            except OSError:
-                pass
+            worker.close()
 
     def __enter__(self) -> "Coordinator":
         return self.start()
@@ -325,7 +376,7 @@ class Coordinator:
             elif t == "submit":
                 self._serve_client(sock, first)
             elif t == "status":
-                send_message(sock, self._status_reply())
+                send_message(sock, self.status())
                 sock.close()
             elif t == "stop":
                 send_message(sock, message("ok"))
@@ -343,17 +394,25 @@ class Coordinator:
 
     # -- workers -----------------------------------------------------------
     def _serve_worker(self, sock: socket.socket, hello: Dict) -> None:
+        refusal = None
+        salt = code_version_salt()
         if hello.get("schema") != WIRE_SCHEMA:
-            send_message(sock, message(
-                "error",
-                message=f"wire schema mismatch: {hello.get('schema')!r} "
-                        f"!= {WIRE_SCHEMA!r}"))
+            refusal = (f"wire schema mismatch: {hello.get('schema')!r} "
+                       f"!= {WIRE_SCHEMA!r}")
+        elif hello.get("salt", salt) != salt:
+            # Different model sources compute different results for the
+            # same digest: such a worker must never feed the shared cache.
+            refusal = (f"code salt mismatch: worker runs {hello['salt']!r}, "
+                       f"coordinator {salt!r}")
+        if refusal:
+            send_message(sock, message("error", message=refusal))
             sock.close()
             return
         with self._mu:
+            worker = _WorkerConn(self._worker_seq, sock, hello)
             self._worker_seq += 1
-            worker = _WorkerConn(f"w{self._worker_seq}", sock, hello)
             self._workers[worker.worker_id] = worker
+            self.pids_seen.add(worker.pid)
             self.counters.workers_joined += 1
         worker.send(message("welcome", schema=WIRE_SCHEMA,
                             worker_id=worker.worker_id,
@@ -387,109 +446,195 @@ class Coordinator:
             task = worker.busy.pop(msg["task_id"], None)
             if task is None:
                 return  # already requeued elsewhere (stale completion)
-            self._inflight.pop(task.digest, None)
             try:
                 result = ScenarioResult.from_dict(msg["result"])
             except (TypeError, KeyError, ValueError) as err:
                 # Undeserializable payload: treat like a crashed attempt.
                 self._attempt_failed(
-                    task, f"undecodable result from {worker.worker_id}: {err}")
+                    task, WorkerCrash,
+                    f"got an undecodable result from {worker.worker_id}: "
+                    f"{err}", worker)
                 self._pump()
                 return
             wall = float(msg.get("wall_seconds", 0.0))
+            self._consecutive = 0
             self.counters.executed += 1
             self.counters.worker_done(worker.worker_id, wall)
             worker.tasks_done += 1
-            for kind, n in (msg.get("failure_counts") or {}).items():
-                self.counters.count_failure(kind, int(n))
             if self.cache is not None:
                 self.cache.put(task.spec, result, wall_seconds=wall)
+            self._record(task, "ok", worker)
+            if self._inflight.get(task.digest) is task:
+                del self._inflight[task.digest]
             report = dict(result=msg["result"], wall_seconds=wall,
-                          worker=worker.worker_id,
-                          attempts=task.attempts + 1, digest=task.digest)
+                          worker=worker.worker_id, attempts=task.attempts + 1,
+                          attempt_log=task.log, digest=task.digest)
             for client, index, deduped in task.waiters:
                 client.put(message("report", index=index, cached=False,
                                    deduped=deduped, **report))
             self._pump()
 
     def _fail_task(self, worker: _WorkerConn, msg: Dict) -> None:
-        """A *deterministic* worker-side failure: no requeue, it would
-        fail identically anywhere (mirrors the local pool's treatment of
-        ordinary exceptions vs. crashes)."""
+        """A *deterministic* worker-side failure (the simulation raised):
+        no requeue, it would fail identically anywhere."""
         with self._mu:
             task = worker.busy.pop(msg["task_id"], None)
             if task is None:
                 return
-            self._inflight.pop(task.digest, None)
             self.counters.failed += 1
-            self.counters.count_failure(msg.get("kind", "error"))
-            for client, index, _ in task.waiters:
-                client.put(message("error", message=msg["detail"],
-                                   index=index, digest=task.digest,
-                                   kind=msg.get("kind", "error")))
+            self.counters.count_failure(msg["kind"])
+            self._answer_error(task, msg["kind"], msg["detail"])
             self._pump()
 
-    def _attempt_failed(self, task: _Task, detail: str) -> None:
-        """One attempt died (worker loss / bad payload): requeue or give
-        up, :class:`WorkerCrash` taxonomy.  Caller holds the lock."""
-        task.attempts += 1
-        task.assigned_to = None
-        self.counters.count_failure(WorkerCrash.kind)
-        if task.attempts >= self.max_attempts:
-            self._inflight.pop(task.digest, None)
-            self.counters.failed += 1
-            for client, index, _ in task.waiters:
-                client.put(message(
-                    "error",
-                    message=f"scenario {task.spec.display_name} "
-                            f"(digest {task.digest[:12]}) lost its worker "
-                            f"{task.attempts} time(s): {detail}",
-                    index=index, digest=task.digest, kind=WorkerCrash.kind))
-        else:
-            self.counters.requeued += 1
-            self._inflight[task.digest] = task
-            self._queue.appendleft(task)
+    def _record(self, task: _Task, outcome: str,
+                worker: Optional[_WorkerConn], detail: str = "") -> None:
+        """Append this attempt to the task's log, as the supervisor saw
+        it: ``wall_seconds`` is the lease (assignment to outcome)."""
+        now = time.monotonic()
+        task.log.append(AttemptRecord(
+            task.attempts + 1, outcome,
+            wall_seconds=now - task.assigned_at if worker else 0.0,
+            worker=worker.index if worker else -1, detail=detail,
+            backoff_seconds=task.backoff).as_dict())
 
-    def _lose_worker(self, worker: _WorkerConn, reason: str) -> None:
+    def _answer_error(self, task: _Task, kind: str, text: str) -> None:
+        """Retire ``task`` with an ``error`` frame to every waiter.
+        Caller holds the lock."""
+        if self._inflight.get(task.digest) is task:
+            del self._inflight[task.digest]
+        for client, index, _ in task.waiters:
+            client.put(message(
+                "error", message=text, index=index, digest=task.digest,
+                kind=kind, attempts=task.attempts, attempt_log=task.log))
+        task.waiters = []
+
+    def _attempt_failed(self, task: _Task, failure, detail: str,
+                        worker: Optional[_WorkerConn] = None) -> None:
+        """One attempt failed for a reason a rerun can cure (``failure``
+        is the :class:`TaskFailure` class): requeue after the backoff,
+        give up when the budget is spent, degrade when failures pile up.
+        The single place the retry half of the policy is enforced.
+        Caller holds the lock."""
+        if self._inflight.get(task.digest) is not task:
+            return  # handed back at a degrade: nobody is waiting for it
+        self.counters.count_failure(failure.kind)
+        self._consecutive += 1
+        self._record(task, failure.kind, worker, detail)
+        task.attempts += 1
+        if task.attempts >= self.policy.retry.max_attempts:
+            self.counters.failed += 1
+            self._answer_error(
+                task, failure.kind,
+                f"scenario {task.spec.display_name} "
+                f"(digest {task.digest[:12]}) {detail}; giving up after "
+                f"{task.attempts} attempt(s)")
+            return
+        self.counters.requeued += 1
+        task.backoff = self.policy.retry.backoff(task.digest,
+                                                 task.attempts + 1)
+        task.ready_at = time.monotonic() + task.backoff
+        self._queue.appendleft(task)
+        self._wake.notify()
+        if (self.policy.degrade_after
+                and self._consecutive >= self.policy.degrade_after):
+            # The workers, not one task, look sick: hand everything
+            # unfinished back.  Attempts still running are abandoned where
+            # they are (a late result is cached, a late failure ignored).
+            self.counters.degraded += 1
+            self._consecutive = 0
+            for unfinished in list(self._inflight.values()):
+                self._answer_error(
+                    unfinished, DEGRADED,
+                    f"handed back after {self.policy.degrade_after} "
+                    f"consecutive failed attempts")
+            self._queue.clear()
+
+    def no_worker(self, detail: str) -> None:
+        """A worker could not be started (the launcher of a local sweep
+        calls this): charge the task that is waiting for it, exactly as
+        if its attempt had failed — ``resource_exhausted``."""
+        with self._mu:
+            now = time.monotonic()
+            task = next((t for t in self._queue if t.ready_at <= now), None)
+            if task is not None:
+                self._queue.remove(task)
+                self._attempt_failed(task, ResourceExhausted,
+                                     f"could not get a worker: {detail}")
+
+    def _lose_worker(self, worker: _WorkerConn, reason: str,
+                     overdue: Sequence[_Task] = ()) -> None:
+        """Drop ``worker`` and requeue what it held: the ``overdue`` tasks
+        as timeouts, the rest as crashes."""
         with self._mu:
             if self._workers.pop(worker.worker_id, None) is None:
-                return  # already reaped (shutdown)
+                return  # already dropped (deadline, shutdown)
             self.counters.workers_lost += 1
             for task in list(worker.busy.values()):
-                self._attempt_failed(
-                    task, f"worker {worker.worker_id} died ({reason})")
+                if task in overdue:
+                    failure, detail = TaskTimeout, (
+                        f"exceeded its {task.deadline - task.assigned_at:.1f}s "
+                        f"deadline on {worker.worker_id}; worker dropped")
+                else:
+                    failure, detail = WorkerCrash, (
+                        f"crashed its worker {worker.worker_id} ({reason})")
+                self._attempt_failed(task, failure, detail, worker)
             worker.busy.clear()
             self._pump()
-        try:
-            worker.sock.close()
-        except OSError:
-            pass
+        worker.close()
 
     # -- scheduling --------------------------------------------------------
     def _pump(self) -> None:
-        """Assign queued tasks to free worker slots.  Caller holds the
-        lock; sends ride the per-worker send locks."""
-        while self._queue:
-            target = None
-            for worker in sorted(self._workers.values(),
-                                 key=lambda w: (len(w.busy), w.worker_id)):
-                if len(worker.busy) < worker.slots:
-                    target = worker
-                    break
-            if target is None:
+        """Assign ready queued tasks to free worker slots, each with its
+        deadline — the single place the deadline half of the policy is
+        stamped.  Caller holds the lock; sends ride the per-worker send
+        locks."""
+        while True:
+            now = time.monotonic()
+            task = next((t for t in self._queue if t.ready_at <= now), None)
+            target = min(
+                (w for w in self._workers.values() if len(w.busy) < w.slots),
+                key=lambda w: (len(w.busy), w.index), default=None)
+            if task is None or target is None:
                 return
-            task = self._queue.popleft()
-            task.assigned_to = target.worker_id
+            self._queue.remove(task)
+            # A worker runs its slots one after the other: a task queued
+            # behind others starts no later than their deadlines.
+            task.assigned_at = now
+            task.deadline = (
+                max([now] + [t.deadline for t in target.busy.values()])
+                + self.policy.deadline.deadline_for(task.spec, task.repeat))
             target.busy[task.task_id] = task
+            self._wake.notify()
             try:
                 target.send(message("task", task_id=task.task_id,
                                     spec=task.spec.to_wire(),
-                                    repeat=task.repeat))
+                                    repeat=task.repeat,
+                                    attempt=task.attempts + 1))
             except (WireError, OSError):
                 # The send itself found the corpse; its reader thread will
                 # run the full _lose_worker path.  Requeue just this task.
                 target.busy.pop(task.task_id, None)
-                self._attempt_failed(task, "send to worker failed")
+                self._attempt_failed(
+                    task, WorkerCrash,
+                    f"crashed its worker {target.worker_id} (send failed)",
+                    target)
+
+    def _clock_loop(self) -> None:
+        """What only time can trigger: drop workers holding a task past
+        its deadline, release tasks whose backoff has run out."""
+        with self._mu:
+            while not self._stopping.is_set():
+                now = time.monotonic()
+                for worker in list(self._workers.values()):
+                    overdue = [t for t in worker.busy.values()
+                               if t.deadline <= now]
+                    if overdue:
+                        self._lose_worker(worker, "deadline overrun", overdue)
+                self._pump()
+                due = [t.ready_at for t in self._queue if t.ready_at > now]
+                due += [t.deadline for w in self._workers.values()
+                        for t in w.busy.values()]
+                self._wake.wait(min(due) - now if due else None)
 
     # -- clients -----------------------------------------------------------
     def _serve_client(self, sock: socket.socket, submit: Dict) -> None:
@@ -574,7 +719,8 @@ class Coordinator:
         self._queue.append(task)
 
     # -- status ------------------------------------------------------------
-    def _status_reply(self) -> Dict:
+    def status(self) -> Dict:
+        """The ``status_reply`` frame: worker table and counters."""
         with self._mu:
             workers = [
                 {"id": w.worker_id, "host": w.host, "pid": w.pid,
@@ -594,39 +740,36 @@ class Coordinator:
 # ---------------------------------------------------------------------------
 # client side
 # ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class ServedReport:
-    """One streamed per-scenario report, as the coordinator served it."""
-
-    index: int
-    spec: ScenarioSpec
-    result: ScenarioResult
-    cached: bool
-    deduped: bool
-    wall_seconds: float
-    worker: str
-    attempts: int
+def _attempt_log(frame: Dict) -> Tuple[AttemptRecord, ...]:
+    return tuple(AttemptRecord(**a) for a in frame.get("attempt_log") or ())
 
 
 class Submission:
-    """One ``submit`` conversation: iterate to stream the reports.
+    """One ``submit`` conversation: iterate to stream the outcomes.
 
-    Reports arrive in *completion* order; :attr:`done` (the coordinator's
+    :class:`~repro.exec.pool.TaskOutcome` objects arrive in *completion* order
+    (``started_at``/``ended_at`` in seconds since the submission: arrival
+    of the report, minus the lease); :attr:`done` (the coordinator's
     closing stats frame, including the ``exec.service.*`` snapshot) is
     populated once iteration finishes.  Per-index failures are collected
-    and raised as one :class:`ExecError` after the surviving reports have
-    been yielded, so a partial sweep is still observable.
+    and raised as one typed error (:data:`~repro.exec.supervisor.FAILURES`,
+    else plain :class:`ExecError`) after the surviving outcomes have been
+    yielded, so a partial sweep is still observable.  Tasks a degrading
+    coordinator handed back unexecuted are not failures: they collect in
+    :attr:`handed_back` as outcomes with ``result=None`` and
+    ``worker=-2``, carrying their failed attempts, for the caller to
+    finish (:func:`~repro.exec.pool.run_specs` does, in process).
     """
 
     def __init__(self, specs: Sequence[ScenarioSpec], address: str, *,
                  repeat: int = 1, no_cache: bool = False,
-                 refresh: bool = False, timeout: Optional[float] = None,
-                 connect_retry_seconds: float = 0.0):
+                 refresh: bool = False):
         self.specs = list(specs)
         self.done: Optional[Dict] = None
         self.failures: List[Dict] = []
-        self._sock = connect(address, timeout=timeout,
-                             retry_seconds=connect_retry_seconds)
+        self.handed_back: List[TaskOutcome] = []
+        self.t_start = time.perf_counter()
+        self._sock = connect(address)
         send_message(self._sock, message(
             "submit", specs=[s.to_wire() for s in self.specs],
             repeat=repeat, no_cache=no_cache, refresh=refresh))
@@ -637,25 +780,35 @@ class Submission:
             while remaining > 0:
                 msg = recv_message(self._sock)
                 t = msg["t"]
+                if t not in ("report", "error"):
+                    raise WireError(f"unexpected frame {t!r} mid-stream")
+                remaining -= 1
+                index = msg.get("index")
+                log = _attempt_log(msg)
                 if t == "report":
-                    remaining -= 1
-                    index = msg["index"]
-                    yield ServedReport(
+                    ended = time.perf_counter() - self.t_start if log else 0.0
+                    lease = log[-1].wall_seconds if log else 0.0
+                    yield TaskOutcome(
                         index=index, spec=self.specs[index],
                         result=ScenarioResult.from_dict(msg["result"]),
-                        cached=bool(msg["cached"]),
-                        deduped=bool(msg["deduped"]),
                         wall_seconds=float(msg.get("wall_seconds", 0.0)),
-                        worker=str(msg.get("worker", "")),
-                        attempts=int(msg.get("attempts", 0)))
-                elif t == "error":
-                    remaining -= 1
-                    self.failures.append(msg)
-                    if "index" not in msg:
-                        break  # submission-level error: nothing follows
+                        cached=bool(msg["cached"]),
+                        attempts=int(msg.get("attempts", 0)), worker=-3,
+                        started_at=max(0.0, ended - lease), ended_at=ended,
+                        attempt_log=log,
+                        worker_id=str(msg.get("worker", "")),
+                        deduped=bool(msg["deduped"]))
+                elif msg.get("kind") == DEGRADED:
+                    self.handed_back.append(TaskOutcome(
+                        index=index, spec=self.specs[index], result=None,
+                        wall_seconds=0.0, cached=False,
+                        attempts=int(msg.get("attempts", 0)), worker=-2,
+                        attempt_log=log))
                 else:
-                    raise WireError(f"unexpected frame {t!r} mid-stream")
-            if self.done is None and len(self.specs) >= 0:
+                    self.failures.append(msg)
+                    if index is None:
+                        break  # submission-level error: nothing follows
+            else:
                 msg = recv_message(self._sock)
                 if msg["t"] == "done":
                     self.done = msg
@@ -663,10 +816,13 @@ class Submission:
             self.close()
         if self.failures:
             first = self.failures[0]
-            raise ExecError(
-                f"{len(self.failures)} scenario(s) failed at the "
-                f"coordinator; first [{first.get('kind', 'error')}]: "
-                f"{first['message']}")
+            kind = first.get("kind", "error")
+            text = (f"{len(self.failures)} scenario(s) failed at the "
+                    f"coordinator; first [{kind}]: {first['message']}")
+            if kind in FAILURES and "index" in first:
+                raise FAILURES[kind](text, spec=self.specs[first["index"]],
+                                     attempts=int(first.get("attempts", 0)))
+            raise ExecError(text)
 
     def close(self) -> None:
         try:
@@ -679,33 +835,28 @@ def submit_outcome(specs: Sequence[ScenarioSpec], address: str, *,
                    repeat: int = 1, no_cache: bool = False,
                    refresh: bool = False,
                    progress: Optional[ProgressFn] = None,
-                   obs=None,
-                   connect_retry_seconds: float = 0.0) -> SweepOutcome:
+                   obs=None) -> SweepOutcome:
     """Submit a batch and reassemble the stream into a :class:`SweepOutcome`.
 
-    The remote leg of :class:`~repro.exec.executor.RemoteExecutor`:
-    outcomes land in spec order, results bitwise-identical to a local
-    run; the coordinator's service counters become ``cache_stats``,
-    ``failure_counts`` and the outcome's ``service`` snapshot, and are
-    mirrored into ``obs`` as ``exec.service.*``.
+    The one reassembly function, behind
+    :class:`~repro.exec.executor.RemoteExecutor` and behind every local
+    ``jobs >= 2`` sweep: outcomes land in spec order, results
+    bitwise-identical to serial execution; the coordinator's service
+    counters become ``cache_stats``, ``retried``, ``failure_counts`` and
+    the outcome's ``service`` snapshot, and are mirrored into ``obs`` as
+    ``exec.service.*``.  ``degraded`` is set when tasks were handed back
+    (see :class:`Submission`); they fill their slots unfinished.
     """
-    specs = list(specs)
-    t0 = time.perf_counter()
-    total = len(specs)
-    outcomes: List[Optional[TaskOutcome]] = [None] * total
-    done_ct = 0
     sub = Submission(specs, address, repeat=repeat, no_cache=no_cache,
-                     refresh=refresh,
-                     connect_retry_seconds=connect_retry_seconds)
-    for rep in sub:
-        outcome = TaskOutcome(
-            index=rep.index, spec=rep.spec, result=rep.result,
-            wall_seconds=rep.wall_seconds, cached=rep.cached,
-            attempts=rep.attempts, worker=-3, worker_id=rep.worker)
-        outcomes[rep.index] = outcome
-        done_ct += 1
+                     refresh=refresh)
+    total = len(sub.specs)
+    outcomes: List[Optional[TaskOutcome]] = [None] * total
+    for done_ct, outcome in enumerate(sub, 1):
+        outcomes[outcome.index] = outcome
         if progress is not None:
             progress(outcome, done_ct, total)
+    for outcome in sub.handed_back:
+        outcomes[outcome.index] = outcome
     done = sub.done or {}
     service = done.get("service", {})
     count_service_obs(obs, service)
@@ -718,9 +869,9 @@ def submit_outcome(specs: Sequence[ScenarioSpec], address: str, *,
         jobs=max(1, int(service.get("workers", 0))),
         executed=done.get("executed", 0),
         retried=service.get("requeued", 0),
-        wall_seconds=time.perf_counter() - t0,
+        wall_seconds=time.perf_counter() - sub.t_start,
         failure_counts=dict(service.get("failure_counts", {})),
-        degraded=False,
+        degraded=bool(sub.handed_back),
         service=service or None,
     )
 

@@ -7,16 +7,17 @@ task may run (:class:`DeadlinePolicy`), how failures are classified (the
 jitter), and when a sweep should stop trusting the pool entirely and
 degrade to in-process serial execution (:class:`SupervisorPolicy`).
 
-The *mechanism* half — spawning, monitoring and reaping workers — lives
-in :mod:`repro.exec.pool`, which consumes these policies.  Keeping the
-policy pure (no processes, no clocks beyond arithmetic) makes every
-decision unit-testable and, critically, **deterministic**: two sweeps
-over the same specs with the same supervisor seed compute identical
-backoff schedules, so chaos runs are reproducible.
-
-Everything here is exactly what a multi-host sweep coordinator needs
-unchanged: deadlines, attempt accounting and the error taxonomy are
-task-level concepts, not process-level ones.
+The *mechanism* half lives in exactly one place: the
+:class:`~repro.exec.service.Coordinator` stamps every assignment with a
+deadline, paces requeues with the backoff, counts attempts against the
+one budget and consecutive failures against ``degrade_after`` — for a
+local ``--jobs N`` sweep and for a multi-host service alike, because a
+local sweep *is* a coordinator with spawned workers
+(:func:`repro.exec.pool.run_specs`).  Keeping the policy pure (no
+processes, no clocks beyond arithmetic) makes every decision
+unit-testable and, critically, **deterministic**: two sweeps over the
+same specs with the same supervisor seed compute identical backoff
+schedules, so chaos runs are reproducible.
 """
 
 from __future__ import annotations
@@ -88,9 +89,12 @@ class ResourceExhausted(TaskFailure):
     kind = "resource_exhausted"
 
 
-#: Failure kinds in reporting order (stable across runs).
-FAILURE_KINDS = ("worker_crash", "task_timeout", "cache_corrupt",
-                 "resource_exhausted")
+#: Kind -> class, in reporting order (stable across runs): how a failure
+#: that crossed the wire as an ``error`` frame becomes a typed exception
+#: again on the submitting side.
+FAILURES = {cls.kind: cls for cls in
+            (WorkerCrash, TaskTimeout, CacheCorrupt, ResourceExhausted)}
+FAILURE_KINDS = tuple(FAILURES)
 
 
 # ---------------------------------------------------------------------------
@@ -237,14 +241,16 @@ class DeadlinePolicy:
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class SupervisorPolicy:
-    """Everything the pool needs to supervise a sweep.
+    """Everything the coordinator needs to supervise a sweep.
 
     ``degrade_after`` is the graceful-degradation ladder's trigger: after
-    that many *consecutive* pool-level failures (crashes, timeouts,
-    resource exhaustion — anywhere in the sweep) the engine stops
-    spawning workers and finishes the remaining tasks serially in
-    process, which cannot crash-loop and produces bitwise-identical
-    results.  Set it to 0 to disable degradation.
+    that many *consecutive* failed attempts (crashes, timeouts, resource
+    exhaustion — anywhere in the sweep) the coordinator stops trusting
+    its workers and hands every unfinished task back; a local sweep then
+    finishes them serially in process, which cannot crash-loop and
+    produces bitwise-identical results.  Set it to 0 to disable
+    degradation (what a standing service does: it has no in-process path
+    to fall back to).
     """
 
     retry: RetryPolicy = field(default_factory=RetryPolicy)

@@ -69,7 +69,7 @@ MESSAGE_FIELDS: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {
     "heartbeat": ((), ()),
     # coordinator -> worker
     "welcome": (("schema", "worker_id"), ("heartbeat_interval",)),
-    "task": (("task_id", "spec"), ("repeat",)),
+    "task": (("task_id", "spec"), ("repeat", "attempt")),
     "shutdown": ((), ("reason",)),
     # client -> coordinator
     "submit": (("specs",), ("repeat", "no_cache", "refresh")),
@@ -77,11 +77,12 @@ MESSAGE_FIELDS: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {
     "stop": ((), ()),
     # coordinator -> client
     "report": (("index", "digest", "result", "cached", "deduped"),
-               ("wall_seconds", "worker", "attempts")),
+               ("wall_seconds", "worker", "attempts", "attempt_log")),
     "done": (("total", "executed", "cache_hits", "deduped"),
              ("requeued", "wall_seconds", "service")),
     "status_reply": (("workers", "counters"), ("queued", "inflight")),
-    "error": (("message",), ("index", "digest", "kind")),
+    "error": (("message",),
+              ("index", "digest", "kind", "attempts", "attempt_log")),
     "ok": ((), ()),
 }
 

@@ -1,25 +1,24 @@
-"""Worker leaf of the distributed sweep service.
+"""Worker of the sweep scheduler.
 
 A :class:`Worker` connects to a coordinator (:mod:`repro.exec.service`),
-registers with ``hello``, and then executes the tasks it is handed one
-at a time — each through :func:`repro.exec.pool.run_specs`, i.e. the
-**existing** engine with its spawn pool, supervisor and (optional) local
-cache wrapped as this host's local leaf:
+registers with ``hello`` (wire schema and code-version salt, both
+checked), and then executes the tasks it is handed one at a time, each
+by calling :func:`repro.exec.pool.run_spec` directly.  It schedules
+nothing and retries nothing: deadlines, backoff and the attempt budget
+are the coordinator's.  The same class serves a multi-host service
+(``repro workers``, one process per ``--count``) and a local ``--jobs N``
+sweep, whose launcher spawns N :func:`worker_main` processes.
 
-* ``jobs=1`` (the default) runs the simulation in-process — cheapest,
-  and what the CI/service tests use;
-* ``jobs>=2`` spawns the scenario into a supervised worker *process*,
-  buying crash isolation and the retry/deadline machinery of PR 6 for
-  each leased task (``repro workers --isolate``).
-
-Failure split, mirroring the local pool's attribution logic:
+Failure split:
 
 * a **deterministic** failure (the simulation raised) is reported as a
-  ``task_error`` frame — rerunning it elsewhere would fail identically,
-  so the coordinator fails the task's waiters instead of requeueing;
+  ``task_error`` frame with the traceback — rerunning it elsewhere would
+  fail identically, so the coordinator fails the task's waiters instead
+  of requeueing;
 * the worker *process dying* (crash, kill, OOM) is detected by the
-  coordinator as a connection/heartbeat loss and the task is requeued on
-  a surviving worker — the worker does not get a vote.
+  coordinator as a connection/heartbeat loss, a *wedged* simulation as a
+  deadline overrun; either way the task is requeued on another worker —
+  the worker does not get a vote.
 
 A dedicated heartbeat thread keeps frames flowing while a long
 simulation runs, which is what lets the coordinator use a plain receive
@@ -34,13 +33,14 @@ from __future__ import annotations
 import os
 import socket
 import threading
+import traceback
 from typing import Optional
 
 from ..errors import ExecError
-from .cache import ResultCache
-from .pool import run_specs
+from .cache import ResultCache, code_version_salt
+from .chaos import worker_fault
+from .pool import run_spec
 from .spec import ScenarioSpec
-from .supervisor import SupervisorPolicy
 from .wire import (
     WIRE_SCHEMA,
     ConnectionClosed,
@@ -57,7 +57,7 @@ DEFAULT_CONNECT_RETRY_SECONDS = 10.0
 
 
 class Worker:
-    """One service worker: a connection, a heartbeat, and the local engine.
+    """One worker: a connection, a heartbeat, one simulation at a time.
 
     ``run()`` blocks until the coordinator says ``shutdown`` or the
     connection drops; ``start()``/``stop()`` wrap it in a thread for
@@ -66,19 +66,13 @@ class Worker:
 
     def __init__(self, address: str, *,
                  cache: Optional[ResultCache] = None,
-                 jobs: int = 1,
                  slots: int = 1,
-                 supervisor: Optional[SupervisorPolicy] = None,
                  connect_retry_seconds: float = DEFAULT_CONNECT_RETRY_SECONDS):
-        if jobs < 1:
-            raise ExecError("jobs must be >= 1")
         if slots < 1:
             raise ExecError("slots must be >= 1")
         self.address = address
         self.cache = cache
-        self.jobs = jobs
         self.slots = slots
-        self.supervisor = supervisor
         self.connect_retry_seconds = connect_retry_seconds
         self.worker_id: Optional[str] = None
         self.tasks_done = 0
@@ -100,8 +94,11 @@ class Worker:
                              retry_seconds=self.connect_retry_seconds)
         self._send(message("hello", schema=WIRE_SCHEMA, role="worker",
                            host=socket.gethostname(), pid=os.getpid(),
-                           slots=self.slots))
+                           slots=self.slots, salt=code_version_salt()))
         welcome = recv_message(self._sock)
+        if welcome["t"] == "error":
+            raise WireError(f"coordinator refused this worker: "
+                            f"{welcome['message']}")
         if welcome["t"] != "welcome":
             raise WireError(f"expected welcome, got {welcome['t']!r}")
         if welcome["schema"] != WIRE_SCHEMA:
@@ -119,30 +116,31 @@ class Worker:
                 return  # connection is gone; the main loop notices too
 
     def _execute(self, task) -> None:
-        """Run one leased task through the local engine and report."""
+        """Run one leased task and report."""
         spec = ScenarioSpec.from_wire(task["spec"])
         digest = spec.config_digest()
-        try:
-            outcome = run_specs(
-                [spec],
-                jobs=self.jobs,
-                cache=self.cache,
-                repeat=int(task.get("repeat", 1)),
-                supervisor=self.supervisor,
-            )
-        except ExecError as err:
-            self._send(message(
-                "task_error", task_id=task["task_id"], digest=digest,
-                kind=getattr(err, "kind", None) or "error",
-                detail=str(err)))
-            return
-        o = outcome.outcomes[0]
+        hit = self.cache.get(spec) if self.cache is not None else None
+        if hit is not None:
+            result, wall = hit.result, hit.wall_seconds
+        else:
+            try:
+                worker_fault(digest, int(task.get("attempt", 1)))
+                result, wall = run_spec(spec, repeat=int(task.get("repeat", 1)))
+            except Exception as err:
+                # Whatever the simulation raised is a property of the spec,
+                # not of this worker: report it and keep serving.
+                self._send(message(
+                    "task_error", task_id=task["task_id"], digest=digest,
+                    kind=getattr(err, "kind", None) or "error",
+                    detail=f"scenario {spec.display_name} failed in its "
+                           f"worker:\n{traceback.format_exc()}"))
+                return
+            if self.cache is not None:
+                self.cache.put(spec, result, wall_seconds=wall)
         self.tasks_done += 1
         self._send(message(
             "result", task_id=task["task_id"], digest=digest,
-            result=o.result.to_dict(), wall_seconds=o.wall_seconds,
-            attempts=max(1, o.attempts),
-            failure_counts=outcome.failure_counts or {}))
+            result=result.to_dict(), wall_seconds=wall))
 
     # -- lifecycle ---------------------------------------------------------
     def run(self) -> None:
@@ -200,11 +198,12 @@ class Worker:
 
 
 def worker_main(address: str, cache_dir: Optional[str] = None,
-                jobs: int = 1, slots: int = 1,
+                slots: int = 1,
                 connect_retry_seconds: float = DEFAULT_CONNECT_RETRY_SECONDS,
                 ) -> None:
-    """Process entry point for ``repro workers`` (spawn-friendly: module
-    level, only picklable arguments)."""
+    """Process entry point for ``repro workers`` and for the launcher of
+    a local sweep (spawn-friendly: module level, only picklable
+    arguments)."""
     cache = ResultCache(root=cache_dir) if cache_dir else None
-    Worker(address, cache=cache, jobs=jobs, slots=slots,
+    Worker(address, cache=cache, slots=slots,
            connect_retry_seconds=connect_retry_seconds).run()

@@ -64,6 +64,41 @@ class TestInvalidation:
         assert new.stats.invalidations == 1
         assert new.stats.misses == 1
 
+    def test_default_salt_is_a_content_hash_of_the_model_sources(
+            self, tmp_path):
+        import shutil
+        from pathlib import Path
+
+        import repro
+        from repro.exec.cache import (
+            MODEL_SOURCES,
+            code_version_salt,
+            source_salt,
+        )
+
+        package = Path(repro.__file__).parent
+        copy = tmp_path / "repro"
+        copy.mkdir()
+        for name in MODEL_SOURCES:
+            src = package / name
+            (shutil.copytree if src.is_dir() else shutil.copy)(
+                src, copy / name)
+        assert ResultCache(root=tmp_path / "c").salt == code_version_salt()
+        assert code_version_salt() == source_salt(package) == source_salt(copy)
+        assert code_version_salt().startswith(repro.__version__ + "+")
+        # a one-byte model edit is a different salt ...
+        with open(copy / "dsm" / "diffs.py", "a") as fh:
+            fh.write("#\n")
+        assert source_salt(copy) != source_salt(package)
+        # ... an edit to the execution tier (not a model source) is not,
+        (copy / "exec").mkdir()
+        (copy / "exec" / "pool.py").write_text("# scheduling only\n")
+        edited = source_salt(copy)
+        (copy / "exec" / "pool.py").write_text("# still scheduling only\n")
+        assert source_salt(copy) == edited
+        # ... and an explicit salt still overrides the computed one.
+        assert ResultCache(root=tmp_path / "c", salt="pinned").salt == "pinned"
+
     def test_corrupt_json_invalidates(self, tmp_path):
         cache = ResultCache(root=tmp_path)
         path = cache.put(spec(), result())

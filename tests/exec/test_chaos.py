@@ -18,6 +18,7 @@ from repro.exec.chaos import CHAOS_ENV, ChaosPlan, run_chaos
 from repro.exec.pool import run_specs
 from repro.exec.supervisor import (
     DeadlinePolicy,
+    ResourceExhausted,
     RetryPolicy,
     SupervisorPolicy,
     WorkerCrash,
@@ -97,6 +98,30 @@ class TestKillRecovery:
         assert obs.counter_value("exec.retry") == 2
         assert obs.counter_value("exec.failure.worker_crash") == 2
 
+    def test_backoff_schedule_replays_with_the_seed(
+            self, tmp_path, monkeypatch):
+        """RESILIENCE.md §3: the delay before (digest, attempt) is a pure
+        function of the retry seed — read from the coordinator's attempt
+        log, identical across two runs, different under another seed."""
+        specs = tiny_specs(2)
+        arm(monkeypatch, tmp_path,
+            ChaosPlan(seed=1, kill_rate=1.0, max_kills_per_task=1))
+
+        def delays(seed):
+            retry = RetryPolicy(max_attempts=2, base_delay=0.02, seed=seed)
+            outcome = run_specs(specs, jobs=2,
+                                supervisor=SupervisorPolicy(retry=retry))
+            return retry, {(o.spec.config_digest(), a.attempt):
+                           a.backoff_seconds
+                           for o in outcome.outcomes for a in o.attempt_log}
+
+        retry, first = delays(seed=11)
+        assert first == delays(seed=11)[1]
+        assert first != delays(seed=12)[1]
+        for (digest, attempt), slept in first.items():
+            assert slept == retry.backoff(digest, attempt)
+            assert (slept > 0) == (attempt == 2)
+
     def test_unsurvivable_plan_fails_with_attribution(
             self, tmp_path, monkeypatch):
         spec = tiny_specs(1)[0]
@@ -160,6 +185,43 @@ class TestDegradation:
         assert all(o.attempt_log[-1].detail == "serial degradation"
                    for o in outcome.outcomes)
         assert obs.counter_value("exec.degraded") == 1
+
+
+class TestResourceExhaustion:
+    """The host refuses to start workers (``OSError`` on spawn)."""
+
+    @pytest.fixture
+    def no_processes(self, monkeypatch):
+        import multiprocessing.process
+
+        def refuse(self):
+            raise OSError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                            refuse)
+
+    def test_attributed_when_the_budget_runs_out(self, no_processes):
+        spec = tiny_specs(1)[0]
+        policy = SupervisorPolicy(
+            retry=RetryPolicy(max_attempts=2, base_delay=0.01),
+            degrade_after=0)
+        with pytest.raises(ResourceExhausted,
+                           match="could not get a worker") as ei:
+            run_specs([spec], jobs=2, supervisor=policy)
+        assert ei.value.attempts == 2
+        assert ei.value.digest == spec.config_digest()
+
+    def test_degrades_to_serial_by_default(self, no_processes):
+        specs = tiny_specs(2)
+        policy = SupervisorPolicy(
+            retry=RetryPolicy(max_attempts=10, base_delay=0.01),
+            degrade_after=2)
+        outcome = run_specs(specs, jobs=2, supervisor=policy)
+        assert outcome.degraded
+        assert outcome.failure_counts == {"resource_exhausted": 2}
+        assert all(o.worker == -2 for o in outcome.outcomes)
+        assert ([r.to_json() for r in outcome.results]
+                == [r.to_json() for r in run_specs(specs, jobs=1).results])
 
 
 class TestRunChaos:

@@ -10,8 +10,8 @@ import pytest
 
 from repro.errors import ExecError
 from repro.exec import ResultCache, ScenarioSpec
+from repro.exec.chaos import CHAOS_ENV, ChaosPlan
 from repro.exec.pool import run_spec, run_specs
-from repro.exec.pool import CRASH_ONCE_ENV
 
 
 def small_specs(count=3, n=48, iterations=3):
@@ -57,6 +57,23 @@ class TestParallelIdentity:
         assert parallel.jobs == 2
         assert parallel.executed == 3
 
+    def test_duplicate_specs_in_one_sweep_run_once(self, tmp_path):
+        """The coordinator's in-flight dedupe applies inside a local
+        sweep: [s, s, t] is two simulations, three outcomes."""
+        s = small_specs(1)[0]
+        t = s.replaced(nprocs=2)
+        cache = ResultCache(root=tmp_path)
+        outcome = run_specs([s, s, t], jobs=2, cache=cache)
+        assert [o.index for o in outcome.outcomes] == [0, 1, 2]
+        assert [o.spec for o in outcome.outcomes] == [s, s, t]
+        first, twin, other = (r.to_json() for r in outcome.results)
+        assert first == twin != other
+        assert sorted(o.deduped for o in outcome.outcomes[:2]) == [False, True]
+        assert outcome.executed == 2
+        assert outcome.cache_stats.stores == 2
+        assert [first, other] == [r.to_json()
+                                  for r in run_specs([s, t], jobs=1).results]
+
 
 class TestCaching:
     def test_warm_cache_executes_nothing(self, tmp_path):
@@ -100,12 +117,18 @@ class TestCaching:
         assert stale.stats.invalidations == 1
 
 
+def crash_once(monkeypatch, tmp_path) -> None:
+    """Every worker hard-exits the first time it is handed each task."""
+    plan = ChaosPlan(kill_rate=1.0, max_kills_per_task=1)
+    monkeypatch.setenv(CHAOS_ENV, str(plan.write(tmp_path / "plan.json")))
+
+
 class TestCrashRetry:
     def test_worker_crash_is_retried_and_results_identical(self, tmp_path, monkeypatch):
         specs = small_specs(2)
         baseline = run_specs(specs, jobs=1)
 
-        monkeypatch.setenv(CRASH_ONCE_ENV, str(tmp_path))
+        crash_once(monkeypatch, tmp_path)
         outcome = run_specs(specs, jobs=2)
         assert outcome.retried == 2  # each worker died once, then succeeded
         assert all(o.attempts == 2 for o in outcome.outcomes)
@@ -114,7 +137,7 @@ class TestCrashRetry:
 
     def test_persistent_crash_exhausts_retries(self, tmp_path, monkeypatch):
         spec = small_specs(1)[0]
-        monkeypatch.setenv(CRASH_ONCE_ENV, str(tmp_path))
+        crash_once(monkeypatch, tmp_path)
         with pytest.raises(ExecError, match="crashed its worker"):
             run_specs([spec], jobs=2, retries=0)
 

@@ -6,7 +6,8 @@ These are the PR's acceptance tests (docs/SERVICE.md):
   stream 8 identical reports (``exec.service.deduped == 7``);
 * a sweep through the coordinator + socket workers is bitwise-identical
   to the single-host engine — including when the worker holding a task
-  dies mid-sweep and the task is requeued on a survivor.
+  dies mid-sweep, or keeps heartbeating but never answers, and the task
+  is requeued on a survivor.
 
 Everything runs in-process on ephemeral ports; the "dying worker" is a
 raw socket that speaks just enough protocol to lease a task and vanish.
@@ -23,10 +24,12 @@ from repro.exec.pool import run_specs
 from repro.exec.service import (
     Coordinator,
     count_service_obs,
+    service_policy,
     service_status,
     stop_service,
     submit_outcome,
 )
+from repro.exec.supervisor import DeadlinePolicy, SupervisorPolicy
 from repro.exec.wire import (
     WIRE_SCHEMA,
     connect,
@@ -60,6 +63,23 @@ def lease_and_die(address, leased):
     assert msg["t"] == "task"
     leased.append(msg)
     sock.close()
+
+
+def lease_and_wedge(address, leased, release):
+    """A fake worker: register, lease one task, then heartbeat forever
+    without ever answering — a simulation wedged under a live process."""
+    sock = connect(address)
+    send_message(sock, message("hello", schema=WIRE_SCHEMA, role="worker",
+                               host="wedged", pid=2, slots=1))
+    assert recv_message(sock)["t"] == "welcome"
+    leased.append(recv_message(sock))
+    try:
+        while not release.wait(0.05):
+            send_message(sock, message("heartbeat"))
+    except ExecError:
+        pass  # the coordinator dropped us: exactly what the test wants
+    finally:
+        sock.close()
 
 
 class TestInflightDedupe:
@@ -150,10 +170,39 @@ class TestRequeueOnDeath:
         assert outcome.outcomes[0].worker_id  # the survivor, on record
         assert outcome.outcomes[0].attempts >= 2
 
+    def test_heartbeating_but_wedged_worker_is_timed_out(self):
+        """Heartbeats prove the process lives, not that the task moves:
+        the deadline drops the wedged worker and requeues its task."""
+        spec = tiny_spec(2)
+        leased, release = [], threading.Event()
+        policy = SupervisorPolicy(deadline=DeadlinePolicy(
+            floor_seconds=0.0, overhead_seconds=0.5, per_cost_seconds=0.0))
+        with Coordinator(cache=None, policy=policy) as co:
+            fake = threading.Thread(target=lease_and_wedge,
+                                    args=(co.address, leased, release))
+            fake.start()
+            try:
+                assert wait_until(lambda: service_status(co.address)
+                                  ["counters"]["workers_joined"] == 1)
+                with Worker(co.address):  # w2: idle until the requeue
+                    outcome = submit_outcome([spec], co.address)
+                    table = service_status(co.address)["workers"]
+            finally:
+                release.set()
+                fake.join(timeout=30)
+        assert leased and leased[0]["attempt"] == 1
+        local = run_specs([spec], jobs=1)
+        assert outcome.results[0].to_json() == local.results[0].to_json()
+        assert outcome.failure_counts == {"task_timeout": 1}
+        assert outcome.service["requeued"] == 1
+        assert [w["id"] for w in table] == ["w2"]  # the wedged one is gone
+        assert [a.outcome for a in outcome.outcomes[0].attempt_log] \
+            == ["task_timeout", "ok"]
+
     def test_attempt_budget_exhausted_surfaces_worker_crash(self):
         spec = tiny_spec()
         leased = []
-        with Coordinator(cache=None, max_attempts=1) as co:
+        with Coordinator(cache=None, policy=service_policy(1)) as co:
             fake = threading.Thread(target=lease_and_die,
                                     args=(co.address, leased))
             fake.start()
@@ -214,6 +263,53 @@ class TestIdentityAcrossWorkers:
             assert not by_index[i].cached and not by_index[i].deduped
 
 
+class TestConcurrency:
+    def test_more_workers_than_cores_lose_no_update(self, tmp_path):
+        """Six workers and three submitters race on one coordinator with
+        the interpreter switching threads 50x more often than usual: every
+        distinct digest still executes exactly once, every submission is
+        answered, and the counters add up."""
+        import sys
+
+        specs = [spec_from_preset("tiny", "jacobi", n, calibrated=False,
+                                  seed=s) for n in (1, 2, 4) for s in range(4)]
+        local = [r.to_json() for r in run_specs(specs, jobs=1).results]
+        outcomes, errors = [None] * 3, []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            with Coordinator(cache=ResultCache(root=tmp_path / "c")) as co:
+                workers = [Worker(co.address).start() for _ in range(6)]
+
+                def client(i):
+                    try:
+                        outcomes[i] = submit_outcome(specs, co.address)
+                    except Exception as err:  # pragma: no cover
+                        errors.append(err)
+
+                threads = [threading.Thread(target=client, args=(i,))
+                           for i in range(3)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=120)
+                assert not any(t.is_alive() for t in threads)
+                counters = service_status(co.address)["counters"]
+                for worker in workers:
+                    worker.stop()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors
+        for outcome in outcomes:
+            assert [r.to_json() for r in outcome.results] == local
+        assert counters["executed"] == len(specs)
+        assert counters["submitted"] == 3 * len(specs)
+        assert (counters["executed"] + counters["deduped"]
+                + counters["cache_hits"]) == counters["submitted"]
+        assert counters["requeued"] == counters["failed"] == 0
+        assert counters["inflight"] == counters["queued"] == 0
+
+
 class TestLifecycle:
     def test_stop_service_acknowledges_and_goes_dark(self):
         co = Coordinator(cache=None).start()
@@ -238,6 +334,29 @@ class TestLifecycle:
             finally:
                 sock.close()
         assert reply["t"] == "error" and "schema mismatch" in reply["message"]
+
+    def test_undecodable_submission_reports_its_reason(self):
+        class NotASpec:
+            def to_wire(self):
+                return {"schema": "bogus/9"}
+
+        with Coordinator(cache=None) as co:
+            with pytest.raises(ExecError, match="undecodable submission"):
+                submit_outcome([NotASpec()], co.address)
+
+    def test_code_salt_mismatch_rejected(self):
+        """A worker running different model sources may not feed the
+        shared cache: refused exactly like a wire-schema mismatch."""
+        with Coordinator(cache=None) as co:
+            sock = connect(co.address)
+            try:
+                send_message(sock, message("hello", schema=WIRE_SCHEMA,
+                                           role="worker", salt="other-code"))
+                reply = recv_message(sock)
+            finally:
+                sock.close()
+            assert service_status(co.address)["workers"] == []
+        assert reply["t"] == "error" and "salt mismatch" in reply["message"]
 
     def test_status_lists_registered_workers(self):
         with Coordinator(cache=None) as co, Worker(co.address, slots=2):

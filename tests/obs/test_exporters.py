@@ -101,7 +101,7 @@ class TestMetrics:
 
 
 class TestPoolTrace:
-    def _outcome(self, tmp_path, jobs=2):
+    def _outcome(self, tmp_path, jobs=2, **kwargs):
         from repro.api import sweep
         from repro.exec import ResultCache
 
@@ -111,7 +111,7 @@ class TestPoolTrace:
             for n in (2, 4)
         ]
         cache = ResultCache(root=tmp_path / "cache")
-        return sweep(specs, jobs=jobs, cache=cache)
+        return sweep(specs, jobs=jobs, cache=cache, **kwargs)
 
     def test_worker_spans_and_meta(self, tmp_path):
         outcome = self._outcome(tmp_path)
@@ -126,6 +126,15 @@ class TestPoolTrace:
         assert doc["otherData"]["executed"] == 2
         assert 0.0 < doc["otherData"]["utilization"] <= 1.0
         validate_trace(doc)
+        # one track per launched worker, clocked from the sweep's start
+        # (so the spans sit after the spawns, inside the sweep's wall)
+        for task in outcome.outcomes:
+            assert task.worker in (0, 1) and task.worker_id == ""
+            assert task.worker == task.attempt_log[-1].worker
+            assert 0.0 < task.started_at < task.ended_at \
+                <= outcome.wall_seconds
+        assert len({e["tid"] for e in spans}) \
+            == len({t.worker for t in outcome.outcomes})
 
     def test_cache_hits_take_no_pool_time(self, tmp_path):
         self._outcome(tmp_path)
@@ -134,6 +143,40 @@ class TestPoolTrace:
         doc = pool_trace(warm)
         assert [e for e in doc["traceEvents"] if e["ph"] == "X"] == []
         assert pool_utilization(warm) == 0.0
+        assert all(t.worker == -1 for t in warm.outcomes)
+
+    def test_degraded_and_remote_tasks_take_no_worker_track(
+            self, tmp_path, monkeypatch):
+        import multiprocessing.process
+
+        from repro.exec import (
+            Coordinator,
+            SupervisorPolicy,
+            Worker,
+            submit_outcome,
+        )
+
+        def refuse(self):
+            raise OSError(11, "Resource temporarily unavailable")
+
+        with monkeypatch.context() as patched:  # no worker can be had
+            patched.setattr(multiprocessing.process.BaseProcess, "start",
+                            refuse)
+            degraded = self._outcome(
+                tmp_path, supervisor=SupervisorPolicy(degrade_after=1))
+        assert degraded.degraded
+        for task in degraded.outcomes:
+            assert task.worker == -2
+            assert task.attempt_log[-1].detail == "serial degradation"
+            assert task.ended_at > task.started_at
+        with Coordinator(cache=None) as co, Worker(co.address):
+            remote = submit_outcome([t.spec for t in degraded.outcomes],
+                                    co.address)
+        assert all(t.worker == -3 and t.worker_id == "w1"
+                   for t in remote.outcomes)
+        for outcome in (degraded, remote):
+            doc = pool_trace(outcome)
+            assert [e for e in doc["traceEvents"] if e["ph"] == "X"] == []
 
     def test_serial_path_records_timeline_too(self, tmp_path):
         outcome = self._outcome(tmp_path, jobs=1)

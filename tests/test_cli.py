@@ -248,6 +248,13 @@ class TestSharedEngineFlags:
         for command in ("sweep", "table1", "perfbench", "recovery"):
             assert parser.parse_args([command]).jobs is None
 
+    def test_workers_jobs_points_at_count(self, capsys):
+        # A worker runs one simulation at a time; the flag parses (shared
+        # parent) but starting workers with it is refused, not ignored.
+        assert main(["workers", "--jobs", "2",
+                     "--coordinator", "127.0.0.1:1"]) == 2
+        assert "--count" in capsys.readouterr().err
+
     def test_remote_without_coordinator_fails_cleanly(self, tmp_path, capsys):
         rc = main(["sweep", "--apps", "jacobi", "--nodes", "1",
                    "--preset", "tiny", "--executor", "remote",
