@@ -87,30 +87,25 @@ def _build_micro_runtime():
 
 def micro_notice_apply(n_notices: int = 50_000) -> float:
     """Notices/second through ``apply_notices`` (the engine's hottest loop)."""
-    from ..dsm.intervals import WriteNotice
+    from ..dsm.intervals import IntervalNotice, NoticeBatch
     from ..dsm.page import Protocol
     from ..dsm.vectorclock import VectorClock
 
     rt = _build_micro_runtime()
     proc = rt.procs[0]
     seg = rt.space.alloc("micro", n_notices * 8, protocol=Protocol.MULTIPLE_WRITER, home=1)
-    pages = list(seg.pages)
-    notices = []
+    pages = tuple(seg.pages)
+    intervals = []
     vc = VectorClock.zeros(2)
-    for seq in range(1, n_notices // len(pages) + 2):
+    for seq in range(1, n_notices // len(pages) + 1):
         vc = vc.copy()
         vc.advance(1, seq)
-        for page in pages:
-            notices.append(WriteNotice(proc=1, seq=seq, page=page, vc=vc))
-            if len(notices) >= n_notices:
-                break
-        if len(notices) >= n_notices:
-            break
-    sender_vc = notices[-1].vc
+        intervals.append(IntervalNotice(1, seq, vc, pages))
+    batch = NoticeBatch(intervals)
     t0 = time.perf_counter()
-    proc.apply_notices(notices, sender_vc)
+    proc.apply_notices(batch, vc)
     wall = time.perf_counter() - t0
-    return len(notices) / wall if wall > 0 else float("inf")
+    return len(batch) / wall if wall > 0 else float("inf")
 
 
 def micro_plan_lookup(n_lookups: int = 200_000) -> float:

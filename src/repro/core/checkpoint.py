@@ -64,11 +64,11 @@ class CheckpointManager:
         npages = runtime.space.total_pages
 
         # 1. collect every page the master has no valid copy of
-        missing = []
-        for page in range(npages):
-            pte = master._pte(page)
-            if not pte.readable:
-                missing.append((page, master.owner_of(page)))
+        missing = [
+            (page, master.owner_of(page))
+            for page in range(npages)
+            if not master._pte(page).readable
+        ]
         idx = 0
         active = 0
         done = Signal(sim, "ckpt.collect")
@@ -79,13 +79,7 @@ class CheckpointManager:
                 mk.CKPT_PAGE_REQ, owner, {"page": page}, size=8
             )
             yield sim.timeout(runtime.cfg.network.page_service_client)
-            pte = master._pte(page)
-            if master.materialized:
-                master.store.page_view(page)[:] = reply.payload["data"]
-            pte.valid = True
-            pte.applied.merge(reply.payload["applied"])
-            pte.prune_pending()
-            master.stats.page_fetches += 1
+            master.install_page(page, reply.payload["data"], reply.payload["applied"])
             active -= 1
             launch()
             if active == 0 and idx >= len(missing):
@@ -150,9 +144,10 @@ def _install_segments(runtime, ckpt: Checkpoint) -> None:
                 raise CheckpointError(f"checkpoint size mismatch for {seg.name!r}")
             master.store.buffer(seg)[: seg.nbytes] = data
         for page in seg.pages:
-            pte = master._pte(page)
-            pte.valid = True
-            pte.owner = master.pid
+            if page not in master.table:
+                master._map(page)  # restored pages count in the image
+            master.table.valid[page] = 1
+            master.table.owner[page] = master.pid
             master.owners[page] = master.pid
     for proc in runtime.procs.values():
         if proc is not master:

@@ -27,11 +27,7 @@ def absorb_leaver_pages(runtime, leaver) -> Generator:
     npages = runtime.space.total_pages
     owned = [p for p in range(npages) if master.owner_of(p) == leaver.pid]
 
-    to_fetch: List[int] = []
-    for page in owned:
-        pte = master._pte(page)
-        if not pte.readable:
-            to_fetch.append(page)
+    to_fetch: List[int] = [p for p in owned if not master._pte(p).readable]
 
     # Pipelined fetches: the leaver's service CPU and the master's downlink
     # serialize the stream, which is exactly the measured bottleneck.
@@ -45,13 +41,7 @@ def absorb_leaver_pages(runtime, leaver) -> Generator:
             mk.PAGE_REQ, leaver.pid, {"page": page}, size=8
         )
         yield sim.timeout(runtime.cfg.network.page_service_client)
-        pte = master._pte(page)
-        if master.materialized:
-            master.store.page_view(page)[:] = reply.payload["data"]
-        pte.valid = True
-        pte.applied.merge(reply.payload["applied"])
-        pte.prune_pending()
-        master.stats.page_fetches += 1
+        master.install_page(page, reply.payload["data"], reply.payload["applied"])
         active -= 1
         launch()
         if active == 0 and idx >= len(to_fetch):
@@ -78,7 +68,7 @@ def absorb_leaver_pages(runtime, leaver) -> Generator:
     for page in owned:
         master.owners[page] = master.pid
         if page in master.table:
-            master.table.entry(page).owner = master.pid
+            master.table.owner[page] = master.pid
     targets = sorted(
         pid for pid in runtime.team.pids if pid not in (master.pid, leaver.pid)
     )

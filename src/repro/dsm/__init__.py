@@ -8,7 +8,14 @@ garbage collection, and shared-array handles.
 from .barrier import BarrierManager
 from .diffs import apply_diffs_in_order, changed_ranges, make_diff
 from .gc import gc_new_owners
-from .intervals import Diff, IntervalLog, IntervalRecord, WriteNotice
+from .intervals import (
+    Diff,
+    IntervalLog,
+    IntervalNotice,
+    IntervalRecord,
+    NoticeBatch,
+    WriteNotice,
+)
 from .locks import LockManager
 from .memory import AddressSpace, LocalStore, SharedSegment
 from .page import AccessMode, PageTable, PageTableEntry, Protocol
@@ -30,10 +37,12 @@ __all__ = [
     "DsmProcess",
     "DsmStats",
     "IntervalLog",
+    "IntervalNotice",
     "IntervalRecord",
     "LocalStore",
     "LockManager",
     "MasterApi",
+    "NoticeBatch",
     "PageTable",
     "PageTableEntry",
     "Protocol",

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Dict, Generator, List
 from ..errors import ProtocolError
 from ..network import message as mk
 from ..network.message import Message
-from .intervals import WriteNotice
+from .intervals import IntervalNotice, NoticeBatch
 from .team import TeamView
 from .vectorclock import VectorClock
 
@@ -39,7 +39,7 @@ class BarrierManager:
         return self.master.team.pids
 
     # -- arrivals -----------------------------------------------------------
-    def arrive_local(self, proc: "DsmProcess", notices: List[WriteNotice], want_gc: bool):
+    def arrive_local(self, proc: "DsmProcess", notices: NoticeBatch, want_gc: bool):
         """The master's own arrival; returns a waitable for its release."""
         if proc is not self.master:
             raise ProtocolError("arrive_local must be called by the master")
@@ -52,7 +52,7 @@ class BarrierManager:
         p = msg.payload
         self._record(p["pid"], p["notices"], p["vc"], p["want_gc"])
 
-    def _record(self, pid: int, notices: List[WriteNotice], vc: VectorClock, want_gc: bool) -> None:
+    def _record(self, pid: int, notices: NoticeBatch, vc: VectorClock, want_gc: bool) -> None:
         if pid in self._arrivals:
             raise ProtocolError(f"pid {pid} arrived twice at barrier {self.round}")
         self._arrivals[pid] = {"notices": notices, "vc": vc, "want_gc": want_gc}
@@ -70,18 +70,18 @@ class BarrierManager:
         self.round += 1
 
         # Fold every arrival's notices into the master's knowledge with
-        # one run-batched ingestion for the whole round: each arrival
-        # carries only its own writer's strictly-ascending runs
+        # one batched ingestion for the whole round: each arrival
+        # carries only its own writer's strictly-ascending intervals
         # (sync_notices), so concatenating them in ascending-pid order
         # feeds apply_notices one per-writer run after another — and
         # apply_notices never reads the master's clock mid-fold, so the
         # (elementwise-max, order-free) clock merges can follow it.
-        batched: List[WriteNotice] = []
+        intervals: List[IntervalNotice] = []
         for pid in sorted(arrivals):
             if pid != master.pid:
-                batched.extend(arrivals[pid]["notices"])
-        if batched:
-            master.apply_notices(batched, master.vc.snapshot())
+                intervals.extend(arrivals[pid]["notices"].intervals)
+        if intervals:
+            master.apply_notices(NoticeBatch(intervals), master.vc.snapshot())
         for pid in sorted(arrivals):
             if pid != master.pid:
                 master.vc.merge(arrivals[pid]["vc"])
@@ -95,25 +95,15 @@ class BarrierManager:
 
         # One release wave: every leg is issued back-to-back in this event,
         # so the whole fan-out flies as one batched flight (PROTOCOL.md §13).
-        legs = []
-        for pid in sorted(arrivals):
-            if pid == master.pid:
-                continue
-            notices = master.notices_unknown_to(arrivals[pid]["vc"])
-            size = (
-                master.notice_wire_bytes(len(notices)) + master.vc_wire_bytes + 8
+        legs = [
+            master.notice_leg(
+                mk.BARRIER_RELEASE, pid,
+                master.notices_unknown_to(arrivals[pid]["vc"]),
+                {"round": this_round, "gc": do_gc},
             )
-            legs.append((
-                mk.BARRIER_RELEASE,
-                pid,
-                {
-                    "round": this_round,
-                    "notices": notices,
-                    "vc": master.vc.snapshot(),
-                    "gc": do_gc,
-                },
-                size,
-            ))
+            for pid in sorted(arrivals)
+            if pid != master.pid
+        ]
         master.send_fanout(legs)
 
         if do_gc:

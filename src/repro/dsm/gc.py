@@ -16,26 +16,28 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Mapping
 
-from .intervals import WriteNotice
+from .intervals import IntervalNotice
 
 
 def gc_new_owners(
-    notices: Iterable[WriteNotice],
+    intervals: Iterable[IntervalNotice],
     current_owner: Mapping[int, int] | None = None,
 ) -> Dict[int, int]:
     """Owner map changes implied by this epoch's write notices.
 
     For every written page the new owner is the writer of the *latest*
-    interval in happens-before order (vector-clock sort key; concurrent
-    multi-writer intervals tie-break deterministically toward the lower
-    pid).  Unwritten pages keep their current owner and do not appear in
-    the result.
+    interval in happens-before order (vector-clock sort key, computed
+    once per interval; concurrent multi-writer intervals tie-break
+    deterministically toward the lower pid).  Unwritten pages keep their
+    current owner and do not appear in the result.
     """
     best: Dict[int, tuple] = {}
-    for n in notices:
-        key = (*n.vc.sort_key(), -n.proc)
-        if n.page not in best or key > best[n.page]:
-            best[n.page] = key
+    for iv in intervals:
+        key = (*iv.vc.sort_key(), -iv.proc)
+        for page in iv.pages:
+            prev = best.get(page)
+            if prev is None or key > prev:
+                best[page] = key
     owners = {page: -key[-1] for page, key in best.items()}
     if current_owner is not None:
         # Drop no-op entries to keep owner-update payloads minimal.

@@ -23,9 +23,9 @@ concatenating their position/value arrays (see
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -147,33 +147,20 @@ class Diff:
         return key
 
 
-#: Bits reserved for the page id in packed ``(seq << PAGE_BITS) | page``
-#: notice keys (see :attr:`WriteNotice.key`).  Page ids are checked against
-#: this bound at map time (:meth:`repro.dsm.page.PageTable.map_page`).
-PAGE_BITS = 21
-
-
 class WriteNotice:
     """Advertisement that ``proc``'s interval ``seq`` wrote ``page``.
 
-    A hand-rolled slots class rather than a dataclass: one notice is
-    created per (interval, page) at the writer — tens of thousands per
-    run — and the generated ``__init__``/``__post_init__`` pair is
-    measurable at that volume.
+    A per-page *view* of an :class:`IntervalNotice` for tests, traces and
+    inspection; the protocol stores, ships and dedupes whole intervals.
     """
 
-    __slots__ = ("proc", "seq", "page", "vc", "key")
+    __slots__ = ("proc", "seq", "page", "vc")
 
-    def __init__(self, proc: int, seq: int, page: int, vc: VectorClock):
+    def __init__(self, proc: int, seq: int, page: int, vc: Optional[VectorClock]):
         self.proc = proc
         self.seq = seq
         self.page = page
         self.vc = vc
-        #: Packed ``(seq << PAGE_BITS) | page`` — the per-writer bucket
-        #: sort / dedupe key of the consistency engine.  Computed at
-        #: construction: the notice is built once at the writer but
-        #: indexed at every receiver.
-        self.key = (seq << PAGE_BITS) | page
 
     def covered_by(self, applied: VectorClock) -> bool:
         """True if the advertised writes are already in a copy with ``applied``."""
@@ -182,6 +169,58 @@ class WriteNotice:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"WriteNotice(proc={self.proc}, seq={self.seq}, "
                 f"page={self.page})")
+
+
+class IntervalNotice:
+    """The write notices of one closed interval, as one object.
+
+    ``(proc, seq)`` names the interval, ``vc`` is its interned clock
+    snapshot (shared with the interval's diffs) and ``pages`` the sorted
+    page ids it wrote.  Created once at the writer's ``close_interval``;
+    every receiver indexes, dedupes and forwards this same object, so the
+    per-notice work of a synchronization is per *interval* except for the
+    page-state stores of the pages it names.
+    """
+
+    __slots__ = ("proc", "seq", "vc", "pages")
+
+    def __init__(self, proc: int, seq: int, vc: VectorClock, pages: Tuple[int, ...]):
+        self.proc = proc
+        self.seq = seq
+        self.vc = vc
+        self.pages = pages
+
+    def notices(self) -> List[WriteNotice]:
+        """Per-page views, ascending page."""
+        return [WriteNotice(self.proc, self.seq, p, self.vc) for p in self.pages]
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return (f"IntervalNotice(proc={self.proc}, seq={self.seq}, "
+                f"pages={len(self.pages)})")
+
+
+class NoticeBatch:
+    """The notice payload of one synchronization message.
+
+    ``intervals`` are grouped by writer, each writer's run normally in
+    ascending seq.  ``len(batch)`` is the number of (interval, page)
+    write notices — what the wire is charged for
+    (``DsmProcess.notice_wire_bytes``) — and iteration yields them as
+    :class:`WriteNotice` views.
+    """
+
+    __slots__ = ("intervals", "count")
+
+    def __init__(self, intervals: Iterable[IntervalNotice] = ()):
+        self.intervals = list(intervals)
+        self.count = sum([len(iv.pages) for iv in self.intervals])
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __iter__(self):
+        for iv in self.intervals:
+            yield from iv.notices()
 
 
 @dataclass(slots=True)
@@ -193,8 +232,11 @@ class IntervalRecord:
     vc: VectorClock
     #: page id -> dirty byte ranges within the page.
     write_ranges: Dict[int, List[Range]] = field(default_factory=dict)
-    #: page id -> encoded diff (multiple-writer pages only).
-    diffs: Dict[int, Diff] = field(default_factory=dict)
+    #: page id -> encoded diff (multiple-writer pages only).  In traced
+    #: mode the declared ranges ARE the diff, so the value starts as the
+    #: page's range list and :meth:`IntervalLog.diffs_for` wraps it in a
+    #: :class:`Diff` only if a reader ever asks (most are never asked for).
+    diffs: Dict[int, Union[Diff, List[Range]]] = field(default_factory=dict)
 
     def notices(self) -> List[WriteNotice]:
         """The write notices advertising this interval."""
@@ -208,34 +250,39 @@ class IntervalLog:
     """Per-process store of closed intervals for the current GC epoch.
 
     Besides the primary seq -> record map, the log keeps a per-page index
-    of the (seq-ascending) intervals that wrote each page, so diff lookups
-    for a seq window bisect a short page-local list instead of probing
-    every seq in the window.
+    of the (seq-ascending) intervals that wrote each page — parallel
+    ``(seqs, records)`` lists — so diff lookups for a seq window bisect a
+    short page-local int list instead of probing every seq in the window.
     """
 
     def __init__(self, proc: int):
         self.proc = proc
         self._by_seq: Dict[int, IntervalRecord] = {}
-        #: page id -> ascending [(seq, record), ...] of intervals writing it.
-        self._by_page: Dict[int, List[Tuple[int, IntervalRecord]]] = {}
+        #: page id -> ascending (seqs, records) of the intervals writing it.
+        self._by_page: Dict[int, Tuple[List[int], List[IntervalRecord]]] = {}
 
     def __len__(self) -> int:
         return len(self._by_seq)
 
     def add(self, record: IntervalRecord) -> None:
-        if record.seq in self._by_seq:
-            raise ValueError(f"duplicate interval seq {record.seq} for proc {self.proc}")
-        self._by_seq[record.seq] = record
+        seq = record.seq
+        if seq in self._by_seq:
+            raise ValueError(f"duplicate interval seq {seq} for proc {self.proc}")
+        self._by_seq[seq] = record
         by_page = self._by_page
-        entry = (record.seq, record)
         for page in record.write_ranges:
             bucket = by_page.get(page)
             if bucket is None:
-                by_page[page] = [entry]
-            elif bucket[-1][0] < record.seq:
-                bucket.append(entry)
+                by_page[page] = ([seq], [record])
+                continue
+            seqs, records = bucket
+            if seqs[-1] < seq:
+                seqs.append(seq)
+                records.append(record)
             else:
-                insort(bucket, entry, key=lambda item: item[0])
+                k = bisect_left(seqs, seq)
+                seqs.insert(k, seq)
+                records.insert(k, record)
 
     def get(self, seq: int) -> IntervalRecord:
         return self._by_seq[seq]
@@ -249,11 +296,11 @@ class IntervalLog:
     ) -> List[IntervalRecord]:
         """Intervals that wrote ``page`` with seq in ``(from, to]`` (ascending)."""
         bucket = self._by_page.get(page)
-        if not bucket:
+        if bucket is None:
             return []
-        lo = bisect_right(bucket, from_seq_exclusive, key=lambda item: item[0])
-        hi = bisect_left(bucket, to_seq_inclusive + 1, key=lambda item: item[0])
-        return [rec for _, rec in bucket[lo:hi]]
+        seqs, records = bucket
+        lo = bisect_right(seqs, from_seq_exclusive)
+        return records[lo:bisect_right(seqs, to_seq_inclusive, lo)]
 
     def diffs_for(self, page: int, from_seq_exclusive: int, to_seq_inclusive: int) -> List[Diff]:
         """All diffs of ``page`` in intervals ``(from, to]`` (ascending seq)."""
@@ -261,6 +308,8 @@ class IntervalLog:
         for rec in self.records_for(page, from_seq_exclusive, to_seq_inclusive):
             diff = rec.diffs.get(page)
             if diff is not None:
+                if type(diff) is list:
+                    diff = rec.diffs[page] = Diff(rec.proc, rec.seq, page, rec.vc, diff)
                 out.append(diff)
         return out
 
@@ -293,10 +342,11 @@ class IntervalLog:
                 bucket = by_page.get(page)
                 if bucket is None:
                     continue
-                lo = bisect_left(bucket, seq, key=lambda item: item[0])
-                if lo < len(bucket) and bucket[lo][0] == seq:
-                    del bucket[lo]
-                if not bucket:
+                seqs, records = bucket
+                lo = bisect_left(seqs, seq)
+                if lo < len(seqs) and seqs[lo] == seq:
+                    del seqs[lo], records[lo]
+                if not seqs:
                     del by_page[page]
         return len(dead)
 

@@ -10,13 +10,19 @@ page it maps, exactly like nodes of a real DSM.
 from __future__ import annotations
 
 import bisect
+import weakref
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..errors import AllocationError
-from .page import Protocol
+from .page import PROTOCOL_CODE, Protocol
+
+#: Page ids stay below this bound (8 GB of shared segments at the default
+#: page size — far beyond any simulated NOW): every process keeps dense
+#: per-page columns over the whole space (:class:`repro.dsm.page.PageTable`).
+MAX_PAGES = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -73,6 +79,11 @@ class AddressSpace:
         self._start_ids: List[int] = []
         self._next_page = 0
         self._next_seg = 0
+        #: Protocol code of every allocated page (the per-process page
+        #: tables' ``protocol`` column starts as, and resets to, a copy).
+        self.protocols = bytearray()
+        #: Live page tables over this space; grown on every allocation.
+        self.tables = weakref.WeakSet()
         # Access-plan memo shared by every process of this address space
         # (imported lazily to avoid a cycle with plans -> memory).
         from .plans import PlanCache
@@ -102,6 +113,10 @@ class AddressSpace:
         if name in self._by_name:
             raise AllocationError(f"segment name {name!r} already allocated")
         npages = -(-nbytes // self.page_size)
+        if self._next_page + npages > MAX_PAGES:
+            raise AllocationError(
+                f"segment {name!r}: page ids would exceed {MAX_PAGES} - 1"
+            )
         seg = SharedSegment(
             seg_id=self._next_seg,
             name=name,
@@ -120,6 +135,9 @@ class AddressSpace:
         self._start_ids.append(seg.seg_id)
         self._next_page += npages
         self._next_seg += 1
+        self.protocols.extend(bytes([PROTOCOL_CODE[protocol]]) * npages)
+        for table in self.tables:
+            table.grow()
         return seg
 
     def by_name(self, name: str) -> SharedSegment:

@@ -17,8 +17,8 @@ The main computation drives the engine through:
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from typing import Any, Dict, Generator, Iterable, List, Optional, Tuple
+from bisect import bisect_left, bisect_right
+from typing import Any, Dict, Generator, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -28,23 +28,14 @@ from ..network import message as mk
 from ..network.message import Message
 from ..simcore import Channel, Simulator, Store
 from .diffs import apply_diffs_in_order, make_diff
-from .intervals import PAGE_BITS, Diff, IntervalLog, IntervalRecord, WriteNotice
+from .gc import gc_new_owners
+from .intervals import Diff, IntervalLog, IntervalNotice, IntervalRecord, NoticeBatch
 from .memory import AddressSpace, LocalStore, SharedSegment
-from .page import AccessMode, PageTable, PageTableEntry, Protocol
+from .page import MODE_NONE, MODE_READ, MODE_WRITE, MW, PageTable, PageTableEntry
 from .ranges import Range, merge
 from .statistics import DsmStats
 from .team import TeamView
 from .vectorclock import VectorClock
-
-#: Bits reserved for the page id in the packed (seq, page) bucket keys:
-#: ``key = (seq << _PAGE_BITS) | page``.  One int compare then orders
-#: notices by (seq, page) with no per-notice tuple construction — the
-#: dominant cost of the old triple-keyed ``seen`` dict.  Page ids are
-#: bounded at map time (:meth:`PageTable.map_page`); seqs above 2**21 pack
-#: into larger ints with ordering intact, so only the page bound matters.
-#: Notices precompute their own key at construction
-#: (:attr:`~repro.dsm.intervals.WriteNotice.key`).
-_PAGE_BITS = PAGE_BITS
 
 #: Interval closes between prune sweeps of a process's interval log
 #: (pruning is O(peers × pages written), so it is amortized rather than
@@ -87,19 +78,23 @@ class DsmProcess:
         self.materialized = materialized
         self.store: Optional[LocalStore] = LocalStore(space) if materialized else None
 
-        self.table = PageTable(proc_name=self.name)
+        self.table = PageTable(self.name, space)
         self.vc = VectorClock.zeros(team.nprocs)
         self.log = IntervalLog(pid)
         self.epoch = 0
-        #: Per-writer index of every notice known this epoch, as parallel
-        #: lists ``(keys, notices)`` sorted by the packed
-        #: ``(seq << _PAGE_BITS) | page`` key.  This is both the dedupe
-        #: structure (membership is one int compare against the tail, or a
-        #: key-free C-level bisect on out-of-order arrival) and the
+        #: Per-writer index of every interval known this epoch, as
+        #: parallel lists ``(seqs, intervals)`` ascending by seq.  This
+        #: is both the dedupe structure (membership is one int compare
+        #: against the tail, or a bisect on out-of-order arrival) and the
         #: "everything newer than vc[w]" index (a bisect + slice).
-        self._seen_by_proc: Dict[int, Tuple[List[int], List[WriteNotice]]] = {}
+        self._known: Dict[int, Tuple[List[int], List[IntervalNotice]]] = {}
         #: page -> dirty ranges of the *open* interval.
         self.current_writes: Dict[int, List[Range]] = {}
+        #: page -> twin (pristine pre-write copy) of the open interval's
+        #: multiple-writer pages, materialized mode only.
+        self._twins: Dict[int, np.ndarray] = {}
+        #: Owner changes computed by gc_flush, installed by gc_reset.
+        self._gc_pending_owners: Dict[int, int] = {}
         #: page -> owner pid overrides (default: segment home).
         self.owners: Dict[int, int] = {}
         self.stats = DsmStats()
@@ -184,6 +179,20 @@ class DsmProcess:
 
     def notice_wire_bytes(self, n_notices: int) -> int:
         return n_notices * self._notice_bytes
+
+    def notice_leg(
+        self, kind: str, dst_pid: int, notices: NoticeBatch,
+        fields: Optional[Dict[str, Any]] = None, extra_bytes: int = 8,
+    ) -> Tuple[str, int, Dict[str, Any], int]:
+        """A ``(kind, dst_pid, payload, size)`` synchronization leg — the
+        argument tuple of :meth:`send`, an element of :meth:`send_fanout` —
+        carrying ``notices``, our clock and ``fields``; the wire is charged
+        per notice plus the clock plus ``extra_bytes``."""
+        payload = {"notices": notices, "vc": self.vc.snapshot()}
+        if fields:
+            payload.update(fields)
+        size = self.notice_wire_bytes(len(notices)) + self.vc_wire_bytes + extra_bytes
+        return kind, dst_pid, payload, size
 
     def send(
         self,
@@ -452,10 +461,11 @@ class DsmProcess:
         elif msg.kind == mk.OWNER_UPDATE:
             # The master took over a leaver's pages (§4.2).
             payload = msg.payload
+            mapped, owner = self.table.mapped, self.table.owner
             for page in payload["pages"]:
                 self.owners[page] = TeamView.MASTER_PID
-                if page in self.table:
-                    self.table.entry(page).owner = TeamView.MASTER_PID
+                if mapped[page]:
+                    owner[page] = TeamView.MASTER_PID
             targets = payload.get("targets") if isinstance(payload, dict) else None
             if targets:
                 # Tree-relayed drain broadcast (PROTOCOL.md §13): forward
@@ -486,26 +496,26 @@ class DsmProcess:
 
     def _serve_page(self, msg: Message, reply_kind: str = mk.PAGE_REPLY) -> Generator:
         page = msg.payload["page"]
-        # Lazily map: the home/owner of a page holds a valid (zero-filled)
-        # copy even before ever touching it.
-        pte = self._pte(page)
-        if not pte.valid:
-            raise ProtocolError(
-                f"{self.name}: asked for page {page} but holds no valid copy"
-            )
+        self._check_servable(page)
         yield from self.node.service(self.cfg.network.page_service_server)
         data = None
         if self.materialized:
             data = self.store.page_view(page).copy()
-        payload = {
-            "page": page,
-            # Frozen snapshot: retransmissions of this reply must carry the
-            # clock value at send time, and COW mutators guarantee it.
-            "applied": pte.applied.snapshot(),
-            "data": data,
-        }
+        # "applied" is a fresh dict: retransmissions of this reply carry
+        # the applied cells as of send time.
+        payload = {"page": page, "applied": self.table.applied_of(page), "data": data}
         size = self.cfg.dsm.page_size + self.vc_wire_bytes
         self.node.nic.send(msg.reply(reply_kind, size_bytes=size, payload=payload))
+
+    def _check_servable(self, page: int) -> None:
+        # Lazily map: the home/owner of a page holds a valid (zero-filled)
+        # copy even before ever touching it.
+        if not self.table.mapped[page]:
+            self._map(page)
+        if not self.table.valid[page]:
+            raise ProtocolError(
+                f"{self.name}: asked for page {page} but holds no valid copy"
+            )
 
     def _serve_page_batch(self, msg: Message) -> Generator:
         """Serve several full pages in one reply (``PerfParams.bulk_fetch``).
@@ -518,12 +528,8 @@ class DsmProcess:
         applied = []
         data = []
         for page in pages:
-            pte = self._pte(page)
-            if not pte.valid:
-                raise ProtocolError(
-                    f"{self.name}: asked for page {page} but holds no valid copy"
-                )
-            applied.append(pte.applied.snapshot())
+            self._check_servable(page)
+            applied.append(self.table.applied_of(page))
             data.append(self.store.page_view(page).copy() if self.materialized else None)
         n = len(pages)
         yield from self.node.service(n * self.cfg.network.page_service_server)
@@ -603,159 +609,116 @@ class DsmProcess:
             return own
         return self.space.segment_of_page(page).home
 
-    def _pte(self, page: int) -> PageTableEntry:
-        """Get or lazily map the entry for ``page``."""
-        pte = self.table.get(page)
-        if pte is not None:
-            return pte
-        seg = self.space.segment_of_page(page)
+    def _map(self, page: int) -> None:
+        """First touch of ``page``: its copy is valid iff we own it now."""
         owner = self.owner_of(page)
-        return self.table.map_page(
-            page,
-            protocol=seg.protocol,
-            owner=owner,
-            valid=(owner == self.pid),
-            width=self.vc.width,
-        )
+        self.table.map(page, owner, owner == self.pid)
 
-    def apply_notices(self, notices: Iterable[WriteNotice], sender_vc: VectorClock) -> None:
+    def _pte(self, page: int) -> PageTableEntry:
+        """Cold-path view of ``page``'s state, mapping it if needed."""
+        if not self.table.mapped[page]:
+            self._map(page)
+        return PageTableEntry(self.table, page)
+
+    def apply_notices(self, notices: NoticeBatch, sender_vc: VectorClock) -> None:
         """Record a batch of remote write notices (invalidating their
         pages) and merge the sender's clock.
 
         Synchronization batches carry hundreds of notices (the master
         re-broadcasts every slave's notices at each barrier), making this
-        the engine's hottest loop — hence the local bindings and the
-        inlined ``PageTableEntry.add_notice`` (minus its covered-check
-        reload: the bucket dedupe already guarantees a (proc, seq, page)
-        triple is applied at most once).
-
-        Dedupe and indexing are one operation: each writer's bucket is
-        sorted by the packed ``(seq << _PAGE_BITS) | page`` key, batches
-        arrive per-writer in that order, so freshness is a single int
-        compare against the bucket tail (bisect on the rare out-of-order
-        delivery).
+        the engine's hottest loop.  Dedupe and indexing happen once per
+        *interval*: each writer's bucket is ascending by seq and batches
+        arrive per-writer in that order, so freshness is one int compare
+        against the bucket tail (bisect on the rare out-of-order or
+        duplicate delivery — a lock grant overlapping a barrier
+        broadcast).  A fresh interval then costs a few column loads and
+        stores per page it names (``PageTable.add_pending``, inlined).
         """
-        if type(notices) is not list:
-            notices = list(notices)
-        seen_by_proc = self._seen_by_proc
-        table_entries = self.table._entries
+        known = self._known
         my_pid = self.pid
-        mw = Protocol.MULTIPLE_WRITER
-        sw = Protocol.SINGLE_WRITER
-        mode_none = AccessMode.NONE
+        table = self.table
+        mapped = table.mapped
+        protocol = table.protocol
+        mode = table.mode
+        npending = table.npending
+        owner = table.owner
+        own_applied = table.applied.get(my_pid)
         current_writes = self.current_writes
         owners = self.owners
-        n_total = len(notices)
-        i = 0
-        while i < n_total:
-            # One per-writer run of the batch (senders emit bucket slices,
-            # so runs are long: every notice of one writer in one go).
-            proc = notices[i].proc
-            j = i + 1
-            while j < n_total and notices[j].proc == proc:
-                j += 1
-            run = notices[i:j]
-            i = j
-            run_keys = [n.key for n in run]
-            pair = seen_by_proc.get(proc)
+        for iv in notices.intervals:
+            proc = iv.proc
+            seq = iv.seq
+            pair = known.get(proc)
             if pair is None:
-                pair = seen_by_proc[proc] = ([], [])
-            keys, bucket = pair
-            prev_key = keys[-1] if keys else -1
-            ordered = run_keys[0] > prev_key
-            if ordered:
-                for key in run_keys:
-                    if key <= prev_key:
-                        ordered = False
-                        break
-                    prev_key = key
-            if ordered:
-                # Strictly ascending past the bucket tail (the normal
-                # delivery): index the whole run with two C-level extends
-                # and apply every notice — nothing can be a duplicate.
-                keys.extend(run_keys)
-                bucket.extend(run)
-                fresh = run
+                pair = known[proc] = ([], [])
+            seqs, bucket = pair
+            if not seqs or seq > seqs[-1]:
+                seqs.append(seq)
+                bucket.append(iv)
             else:
-                # Out-of-order or duplicate delivery (lock grants can
-                # overlap barrier broadcasts): per-notice bisect dedupe.
-                fresh = []
-                last_key = keys[-1] if keys else -1
-                for n, key in zip(run, run_keys):
-                    if key > last_key:
-                        keys.append(key)
-                        bucket.append(n)
-                        last_key = key
-                    else:
-                        k = bisect_left(keys, key)
-                        if k < len(keys) and keys[k] == key:
-                            continue
-                        keys.insert(k, key)
-                        bucket.insert(k, n)
-                    fresh.append(n)
+                k = bisect_left(seqs, seq)
+                if k < len(seqs) and seqs[k] == seq:
+                    continue
+                seqs.insert(k, seq)
+                bucket.insert(k, iv)
             if proc == my_pid:
                 continue
-            for n in fresh:
-                seq = n.seq
-                page = n.page
-                pte = table_entries.get(page)
-                if pte is None:
-                    pte = self._pte(page)
-                if pte.protocol is mw:
-                    # inline pte.add_notice for the multiple-writer case
-                    if pte.applied.entries[proc] >= seq:
+            applied = table.applied.get(proc)
+            pend = table.column(table.pending, proc)
+            for page in iv.pages:
+                if not mapped[page]:
+                    self._map(page)
+                if protocol[page] == MW:
+                    if applied is not None and applied[page] >= seq:
                         continue
-                    by_writer = pte.pending_by_writer
-                    prev = by_writer.get(proc)
-                    if prev is None or seq > prev.seq:
-                        by_writer[proc] = n
-                    pte.mode = mode_none
-                else:
+                elif applied is None or applied[page] < seq:
                     # Another process wrote a single-writer page: possibly
                     # demote to the multiple-writer (diff) protocol, as
                     # TreadMarks does when it detects write sharing.
                     # Page-aligned kernels (Gauss/FFT/NBF) funnel every
                     # notice of every barrier broadcast through this arm.
-                    applied_entries = pte.applied.entries
-                    if applied_entries[proc] < seq:
-                        own_seq = applied_entries[my_pid]
-                        if (
-                            own_seq > 0 and n.vc.entries[my_pid] < own_seq
-                        ) or page in current_writes:
-                            pte.protocol = mw
-                            self.sim.tracer.emit(
-                                "dsm", "demote",
-                                f"{self.name} pg{page} -> multiple-writer",
-                            )
-                        by_writer = pte.pending_by_writer
-                        prev = by_writer.get(proc)
-                        if prev is None or seq > prev.seq:
-                            by_writer[proc] = n
-                        pte.mode = mode_none
-                    if pte.protocol is sw:
+                    own_seq = own_applied[page] if own_applied is not None else 0
+                    if (
+                        own_seq > 0 and iv.vc.entries[my_pid] < own_seq
+                    ) or page in current_writes:
+                        protocol[page] = MW
+                        self.sim.tracer.emit(
+                            "dsm", "demote",
+                            f"{self.name} pg{page} -> multiple-writer",
+                        )
+                    else:
                         # The latest writer holds the complete page.
-                        pte.owner = proc
+                        owner[page] = proc
                         owners[page] = proc
+                else:
+                    owner[page] = proc
+                    owners[page] = proc
+                    continue
+                prev = pend[page]
+                if prev < seq:
+                    if not prev:
+                        npending[page] += 1
+                    pend[page] = seq
+                mode[page] = MODE_NONE
         self.vc.merge(sender_vc)
 
-    def _known_notices(self) -> Iterable[WriteNotice]:
-        """Every notice known this epoch (any writer, bucket order)."""
-        for _, bucket in self._seen_by_proc.values():
+    def _known_intervals(self) -> Iterator[IntervalNotice]:
+        """Every interval known this epoch (any writer, bucket order)."""
+        for _, bucket in self._known.values():
             yield from bucket
 
-    def notices_unknown_to(self, other_vc: VectorClock) -> List[WriteNotice]:
+    def notices_unknown_to(self, other_vc: VectorClock) -> NoticeBatch:
         """All epoch notices this process knows that ``other_vc`` does not cover."""
-        out: List[WriteNotice] = []
+        out: List[IntervalNotice] = []
+        known = self._known
         entries = other_vc.entries
         width = other_vc.width
-        for proc in sorted(self._seen_by_proc):
-            keys, bucket = self._seen_by_proc[proc]
-            floor_key = (entries[proc] + 1) << _PAGE_BITS if proc < width else 1 << _PAGE_BITS
-            if keys[-1] < floor_key:
-                continue  # whole bucket already covered (last seq <= floor)
-            # first entry with seq > floor (page bits zero sort lowest)
-            out.extend(bucket[bisect_left(keys, floor_key) :])
-        return out
+        for proc in sorted(known):
+            seqs, bucket = known[proc]
+            floor = entries[proc] if proc < width else 0
+            if seqs[-1] > floor:
+                out.extend(bucket[bisect_right(seqs, floor):])
+        return NoticeBatch(out)
 
     # ------------------------------------------------------------------
     # fault handling
@@ -783,18 +746,20 @@ class DsmProcess:
         if self._bulk_fetch:
             yield from self._bulk_fetch_pages(plan)
         current_writes = self.current_writes
-        table_get = self.table._entries.get
+        table = self.table
+        valid = table.valid
+        npending = table.npending
+        mode = table.mode
+        last_access = table.last_access
         epoch = self.epoch
-        mode_none = AccessMode.NONE
-        mode_write = AccessMode.WRITE
         stall = self.stall_hook
         for page, is_write, wr in plan.steps:
             if stall is not None:
                 yield from stall()
             # Fast path: a valid, up-to-date copy needs no fault — skip
-            # the _ensure_access generator machinery entirely.
-            pte = table_get(page)
-            if pte is None or not pte.valid or pte.pending_by_writer:
+            # the _ensure_access generator machinery entirely.  (An
+            # unmapped page reads as not valid.)
+            if not valid[page] or npending[page]:
                 yield from self._ensure_access(page, write=is_write)
                 if is_write:
                     prev = current_writes.get(page)
@@ -803,24 +768,24 @@ class DsmProcess:
                     else:
                         current_writes[page] = list(wr)
                 continue
-            pte.last_access_epoch = epoch
+            last_access[page] = epoch
             if is_write:
                 prev = current_writes.get(page)
                 if prev:
                     # Repeat write in the same interval: the twin/owner
                     # work of _prepare_write already happened (mode WRITE
                     # implies it ran and nothing reset it since).
-                    if pte.mode is not mode_write:
-                        self._prepare_write(pte)
+                    if mode[page] != MODE_WRITE:
+                        self._prepare_write(page)
                     if prev != wr:
                         current_writes[page] = merge(prev, wr)
                 else:
                     # First write of the interval to this page: the plan's
                     # normalized ranges are exactly merge([], ranges).
-                    self._prepare_write(pte)
+                    self._prepare_write(page)
                     current_writes[page] = list(wr)
-            elif pte.mode is mode_none:
-                pte.mode = AccessMode.READ
+            elif mode[page] == MODE_NONE:
+                mode[page] = MODE_READ
 
     def access_batch(self, specs) -> Generator:
         """Access several segments in one region step.
@@ -842,9 +807,11 @@ class DsmProcess:
         per-page path afterwards.
         """
         by_owner: Dict[int, List[int]] = {}
+        table = self.table
         for page, _ in plan.pages:
-            pte = self._pte(page)
-            if pte.valid:
+            if not table.mapped[page]:
+                self._map(page)
+            if table.valid[page]:
                 continue
             owner = self.owner_of(page)
             if owner == self.pid:
@@ -868,13 +835,7 @@ class DsmProcess:
             for page, applied, data in zip(
                 payload["pages"], payload["applied"], payload["data"]
             ):
-                pte = self._pte(page)
-                if self.materialized:
-                    self.store.page_view(page)[:] = data
-                pte.valid = True
-                pte.applied.merge(applied)
-                pte.prune_pending()
-                self.stats.page_fetches += 1
+                self.install_page(page, data, applied)
                 if tracer.enabled:
                     tracer.emit(
                         "dsm", "page_fetch", f"{self.name}<-P{owner} pg{page} (bulk)"
@@ -894,17 +855,18 @@ class DsmProcess:
 
     def _ensure_access(self, page: int, write: bool) -> Generator:
         """Fault in one page for read or write access."""
-        pte = self._pte(page)
-        pte.last_access_epoch = self.epoch
-        needs_fetch = (not pte.valid) or bool(pte.pending_by_writer)
-        if needs_fetch:
+        table = self.table
+        if not table.mapped[page]:
+            self._map(page)
+        table.last_access[page] = self.epoch
+        if not table.valid[page] or table.npending[page]:
             t0 = self.sim.now
             self.stats.read_faults += 0 if write else 1
             self.stats.write_faults += 1 if write else 0
-            if not pte.valid:
-                yield from self._fetch_page(pte, self.owner_of(page))
-            if pte.pending_by_writer:
-                yield from self._fetch_pending(pte)
+            if not table.valid[page]:
+                yield from self._fetch_page(page, self.owner_of(page))
+            if table.npending[page]:
+                yield from self._fetch_pending(page)
             self.stats.fault_wait_time += self.sim.now - t0
             obs = self.sim.obs
             if obs.enabled and obs.per_process:
@@ -918,79 +880,93 @@ class DsmProcess:
                     write=write,
                 )
         if write:
-            self._prepare_write(pte)
-        elif pte.mode is AccessMode.NONE:
-            pte.mode = AccessMode.READ
+            self._prepare_write(page)
+        elif table.mode[page] == MODE_NONE:
+            table.mode[page] = MODE_READ
 
-    def _fetch_page(self, pte: PageTableEntry, from_pid: int) -> Generator:
+    def install_page(self, page: int, data, applied: Dict[int, int]) -> None:
+        """Install a fetched full copy of ``page`` (a PAGE_REPLY's content)."""
+        if self.materialized:
+            self.store.page_view(page)[:] = data
+        table = self.table
+        table.valid[page] = 1
+        for writer, seq in applied.items():
+            table.advance(page, writer, seq)
+        table.prune_pending(page)
+        self.stats.page_fetches += 1
+
+    def _fetch_page(self, page: int, from_pid: int) -> Generator:
         """Fetch a full page copy from ``from_pid``."""
         if from_pid == self.pid:
             # First touch at the home/owner: the zero-filled copy is valid.
-            pte.valid = True
+            self.table.valid[page] = 1
             return
         reply = yield from self.request_reply(
-            mk.PAGE_REQ, from_pid, {"page": pte.page}, size=8
+            mk.PAGE_REQ, from_pid, {"page": page}, size=8
         )
         yield self.sim.timeout(self.cfg.network.page_service_client)
-        if self.materialized:
-            self.store.page_view(pte.page)[:] = reply.payload["data"]
-        pte.valid = True
-        pte.applied.merge(reply.payload["applied"])
-        pte.prune_pending()
-        self.stats.page_fetches += 1
+        self.install_page(page, reply.payload["data"], reply.payload["applied"])
         tracer = self.sim.tracer
         if tracer.enabled:
-            tracer.emit("dsm", "page_fetch", f"{self.name}<-P{from_pid} pg{pte.page}")
+            tracer.emit("dsm", "page_fetch", f"{self.name}<-P{from_pid} pg{page}")
 
-    def _fetch_pending(self, pte: PageTableEntry) -> Generator:
+    def _known_interval(self, writer: int, seq: int) -> IntervalNotice:
+        seqs, bucket = self._known[writer]
+        return bucket[bisect_left(seqs, seq)]
+
+    def _fetch_pending(self, page: int) -> Generator:
         """Bring a stale copy up to date (diffs, or full page re-fetch)."""
-        if pte.protocol is Protocol.SINGLE_WRITER:
-            # One notice per writer suffices here: a writer's later interval
-            # clock dominates its earlier ones, so the per-writer latest
-            # notice attains the maximum.
+        table = self.table
+        by_writer = table.pending_of(page)
+        if table.protocol[page] != MW:
+            # One interval per writer suffices here: a writer's later
+            # interval clock dominates its earlier ones, so the per-writer
+            # latest pending interval attains the maximum.
             latest = max(
-                pte.pending_by_writer.values(),
-                key=lambda n: (*n.vc.sort_key(), -n.proc),
+                by_writer,
+                key=lambda w: (
+                    *self._known_interval(w, by_writer[w]).vc.sort_key(), -w
+                ),
             )
-            yield from self._fetch_page_refresh(pte, latest.proc)
-            pte.prune_pending()
-            if not pte.pending_by_writer:
+            yield from self._fetch_page_refresh(page, latest)
+            if not table.npending[page]:
                 return
             # Concurrent writers after all: demote and fall through to the
             # diff path for the remaining intervals.
-            pte.protocol = Protocol.MULTIPLE_WRITER
+            table.protocol[page] = MW
             self.sim.tracer.emit(
-                "dsm", "demote", f"{self.name} pg{pte.page} -> multiple-writer"
+                "dsm", "demote", f"{self.name} pg{page} -> multiple-writer"
             )
-        by_writer = pte.pending_by_writer
+            by_writer = table.pending_of(page)
         t_fetch = self.sim.now
         collected: List[Diff] = []
-        for writer in sorted(by_writer):
+        applied = table.applied
+        for writer, to_seq in by_writer.items():
             if writer == self.pid:
                 raise ProtocolError(f"{self.name}: pending notice from self")
-            from_seq = pte.applied.entries[writer]
-            to_seq = by_writer[writer].seq
+            col = applied.get(writer)
             reply = yield from self.request_reply(
                 mk.DIFF_REQ,
                 writer,
-                {"page": pte.page, "from_seq": from_seq, "to_seq": to_seq},
+                {
+                    "page": page,
+                    "from_seq": col[page] if col is not None else 0,
+                    "to_seq": to_seq,
+                },
                 size=16,
             )
             collected.extend(reply.payload["diffs"])
             self.stats.diff_requests += 1
-        buffer = self.store.page_view(pte.page) if self.materialized else None
+        buffer = self.store.page_view(page) if self.materialized else None
         ordered = apply_diffs_in_order(collected, buffer)
-        applied = pte.applied
         dirty = 0
         for diff in ordered:
-            # COW-aware: ``applied`` may be shared with an in-flight
-            # PAGE_REPLY snapshot, so never poke its entries directly.
-            applied.advance(diff.proc, diff.seq)
+            table.advance(page, diff.proc, diff.seq)
             dirty += diff.dirty_bytes
         # Notices may name intervals that produced no diff for this page
         # (e.g. a write of identical bytes); cover them explicitly.
-        for writer, notice in by_writer.items():
-            applied.advance(writer, notice.seq)
+        for writer, seq in by_writer.items():
+            table.advance(page, writer, seq)
         self.stats.diffs_fetched += len(collected)
         obs = self.sim.obs
         if obs.enabled:
@@ -1005,100 +981,97 @@ class DsmProcess:
                     t_fetch,
                     self.sim.now,
                     category="dsm",
-                    page=pte.page,
+                    page=page,
                     n_diffs=len(collected),
                 )
-        pte.clear_pending()
+        table.clear_pending(page)
 
-    def _fetch_page_refresh(self, pte: PageTableEntry, from_pid: int) -> Generator:
+    def _fetch_page_refresh(self, page: int, from_pid: int) -> Generator:
         """Re-fetch a full page (single-writer protocol update path)."""
         reply = yield from self.request_reply(
-            mk.PAGE_REQ, from_pid, {"page": pte.page}, size=8
+            mk.PAGE_REQ, from_pid, {"page": page}, size=8
         )
         yield self.sim.timeout(self.cfg.network.page_service_client)
-        if self.materialized:
-            self.store.page_view(pte.page)[:] = reply.payload["data"]
-        pte.valid = True
-        pte.applied.merge(reply.payload["applied"])
-        pte.owner = from_pid
-        self.owners[pte.page] = from_pid
-        self.stats.page_fetches += 1
+        self.install_page(page, reply.payload["data"], reply.payload["applied"])
+        self.table.owner[page] = from_pid
+        self.owners[page] = from_pid
 
-    def _prepare_write(self, pte: PageTableEntry) -> None:
+    def _prepare_write(self, page: int) -> None:
         """First write to a page in the open interval: twin it."""
-        if pte.page not in self.current_writes:
-            if self.materialized and pte.protocol is Protocol.MULTIPLE_WRITER:
-                pte.twin = self.store.page_view(pte.page).copy()
+        table = self.table
+        multiple_writer = table.protocol[page] == MW
+        if page not in self.current_writes:
+            if self.materialized and multiple_writer:
+                self._twins[page] = self.store.page_view(page).copy()
             self.stats.twins_created += 1
             self.node.busy_time += self.cfg.dsm.twin_time
-            self.current_writes[pte.page] = []
-        if pte.protocol is Protocol.SINGLE_WRITER and pte.owner != self.pid:
-            pte.owner = self.pid
-            self.owners[pte.page] = self.pid
-        pte.valid = True
-        pte.mode = AccessMode.WRITE
+            self.current_writes[page] = []
+        if not multiple_writer and table.owner[page] != self.pid:
+            table.owner[page] = self.pid
+            self.owners[page] = self.pid
+        table.valid[page] = 1
+        table.mode[page] = MODE_WRITE
 
     # ------------------------------------------------------------------
     # intervals & releases
     # ------------------------------------------------------------------
-    def close_interval(self) -> List[WriteNotice]:
+    def close_interval(self) -> NoticeBatch:
         """Close the open interval (at a release); returns its notices."""
-        if not self.current_writes:
-            return []
+        writes = self.current_writes
+        if not writes:
+            return NoticeBatch()
         self.vc.tick(self.pid)
         pid = self.pid
         seq = self.vc.entries[pid]
-        # One frozen snapshot per interval: its notices AND its diffs all
+        # One frozen snapshot per interval: its notice AND its diffs all
         # share this clock object (make_diff with vc_is_snapshot=True).
-        rec = IntervalRecord(proc=pid, seq=seq, vc=self.vc.snapshot())
-        rec_vc = rec.vc
-        table_entries = self.table._entries
-        write_ranges = rec.write_ranges
-        diffs = rec.diffs
-        mode_read = AccessMode.READ
-        mw = Protocol.MULTIPLE_WRITER
-        materialized = self.materialized
-        stats = self.stats
-        for page, ranges in sorted(self.current_writes.items()):
-            pte = table_entries[page]
-            write_ranges[page] = ranges
-            # Multiple-writer pages encode their diff now, from the twin.
-            # Single-writer pages serve full-page refreshes instead; should
-            # one be demoted later (write sharing after an adaptation), its
-            # diff is encoded lazily at the first DIFF_REQ from the
-            # recorded ranges (see _serve_diff).
-            if pte.protocol is mw:
-                if materialized:
+        rec_vc = self.vc.snapshot()
+        pages = sorted(writes)
+        table = self.table
+        protocol = table.protocol
+        # Multiple-writer pages encode their diff now: from the twin, or
+        # (traced mode) as the declared, already-normalized ranges, which
+        # ARE the diff.  Single-writer pages serve full-page refreshes
+        # instead; should one be demoted later (write sharing after an
+        # adaptation), its diff is encoded lazily at the first DIFF_REQ
+        # from the recorded ranges (see _serve_diff).
+        if self.materialized:
+            diffs = {}
+            for page in pages:
+                if protocol[page] == MW:
                     diff = make_diff(
                         proc=pid,
                         seq=seq,
                         page=page,
                         vc=rec_vc,
-                        declared_ranges=ranges,
-                        twin=pte.twin,
+                        declared_ranges=writes[page],
+                        twin=self._twins.get(page),
                         current=self.store.page_view(page),
                         declared_normalized=True,
                         vc_is_snapshot=True,
                     )
-                else:
-                    # Traced mode: the declared (already-normalized)
-                    # ranges ARE the diff — make_diff would only wrap
-                    # them, so skip its dispatch on this per-page path.
-                    diff = (
-                        Diff(proc=pid, seq=seq, page=page, vc=rec_vc, ranges=ranges)
-                        if ranges
-                        else None
-                    )
-                if diff is not None:
-                    diffs[page] = diff
-                    stats.diffs_created += 1
-            pte.twin = None
-            pte.mode = mode_read
-            # seq is a fresh tick, so this is a pure advance; COW-aware
-            # because ``applied`` may be shared with a reply snapshot.
-            pte.applied.advance(pid, seq)
+                    if diff is not None:
+                        diffs[page] = diff
+            self._twins.clear()
+        else:
+            diffs = {
+                page: writes[page]
+                for page in pages
+                if protocol[page] == MW and writes[page]
+            }
+        rec = IntervalRecord(
+            proc=pid, seq=seq, vc=rec_vc,
+            write_ranges={page: writes[page] for page in pages}, diffs=diffs,
+        )
+        mode = table.mode
+        # seq is a fresh tick, so the applied stores below are pure advances.
+        own_applied = table.column(table.applied, pid)
+        for page in pages:
+            mode[page] = MODE_READ
+            own_applied[page] = seq
         self.log.add(rec)
         if diffs:
+            self.stats.diffs_created += len(diffs)
             obs = self.sim.obs
             if obs.enabled:
                 obs.count("dsm.diff.created", len(diffs))
@@ -1110,31 +1083,24 @@ class DsmProcess:
             self._prune_countdown = INTERVAL_PRUNE_PERIOD
             if len(self.log) >= INTERVAL_PRUNE_PERIOD:
                 self._prune_interval_log()
-        notices = rec.notices()
-        # Index our own notices directly: ``seq`` is a fresh maximum for
-        # our bucket and notices() is page-ascending, so plain appends
-        # keep the bucket sorted by packed key.
-        pair = self._seen_by_proc.get(pid)
+        # Index our own interval directly: ``seq`` is a fresh maximum for
+        # our bucket, so a plain append keeps it ascending.
+        notice = IntervalNotice(pid, seq, rec_vc, tuple(pages))
+        pair = self._known.get(pid)
         if pair is None:
-            pair = self._seen_by_proc[pid] = ([], [])
-        keys, bucket = pair
-        for n in notices:
-            keys.append(n.key)
-            bucket.append(n)
-        return notices
+            pair = self._known[pid] = ([], [])
+        pair[0].append(seq)
+        pair[1].append(notice)
+        return NoticeBatch((notice,))
 
-    def sync_notices(self) -> List[WriteNotice]:
+    def sync_notices(self) -> NoticeBatch:
         """Close the open interval and return all own notices the master
         has not yet been told about (lock releases create intervals the
         master never sees otherwise)."""
         self.close_interval()
-        last_sent = self._sent_to_master_seq
-        my_seq = self.vc.entries[self.pid]
-        keys, bucket = self._seen_by_proc.get(self.pid, ((), ()))
-        start = bisect_left(keys, (last_sent + 1) << _PAGE_BITS)
-        below = (my_seq + 1) << _PAGE_BITS  # keys with seq <= my_seq
-        out = [n for k, n in zip(keys[start:], bucket[start:]) if k < below]
-        self._sent_to_master_seq = my_seq
+        seqs, bucket = self._known.get(self.pid, ((), ()))
+        out = NoticeBatch(bucket[bisect_right(seqs, self._sent_to_master_seq):])
+        self._sent_to_master_seq = self.vc.entries[self.pid]
         return out
 
     @property
@@ -1153,8 +1119,8 @@ class DsmProcess:
         ``(applied[p][us], seq]`` (see :meth:`_fetch_pending`), and its
         per-page applied clock only advances within an epoch.  So the
         *cover frontier* — the minimum over all peers of their applied
-        clock for us on ``p``, with 0 for peers that never mapped ``p``
-        (a later notice lazily maps it with a zero applied clock) — is a
+        cell for us on ``p``, with 0 for peers that never mapped ``p``
+        (a later notice lazily maps it with nothing applied) — is a
         safe lower bound: records whose every written page is covered at
         or beyond their seq are unreachable and can be dropped.
 
@@ -1175,21 +1141,14 @@ class DsmProcess:
         for q in peers:
             if q.epoch != epoch:
                 return 0
+        # Each peer's applied column for us (cells of unmapped pages are
+        # 0); a peer that never applied anything of ours covers nothing.
+        columns = [q.table.applied.get(pid) for q in peers]
+        if None in columns:
+            return 0
         cover: Dict[int, int] = {}
         for page in self.log.pages():
-            frontier: Optional[int] = None
-            for q in peers:
-                pte = q.table.get(page)
-                if pte is None:
-                    frontier = 0
-                    break
-                applied = pte.applied.entries
-                seq = applied[pid] if pid < len(applied) else 0
-                if seq == 0:
-                    frontier = 0
-                    break
-                if frontier is None or seq < frontier:
-                    frontier = seq
+            frontier = min([applied[page] for applied in columns])
             if frontier:
                 cover[page] = frontier
         if not cover:
@@ -1222,18 +1181,10 @@ class DsmProcess:
             done = self.barrier_mgr.arrive_local(self, notices, self.wants_gc)
             yield done
         else:
-            size = self.notice_wire_bytes(len(notices)) + self.vc_wire_bytes + 8
-            self.send(
-                mk.BARRIER_ARRIVE,
-                TeamView.MASTER_PID,
-                {
-                    "pid": self.pid,
-                    "notices": notices,
-                    "vc": self.vc.snapshot(),
-                    "want_gc": self.wants_gc,
-                },
-                size=size,
-            )
+            self.send(*self.notice_leg(
+                mk.BARRIER_ARRIVE, TeamView.MASTER_PID, notices,
+                {"pid": self.pid, "want_gc": self.wants_gc},
+            ))
             msg = yield self.main_inbox.recv(match=lambda m: m.kind == mk.BARRIER_RELEASE)
             self.apply_notices(msg.payload["notices"], msg.payload["vc"])
             if msg.payload["gc"]:
@@ -1248,40 +1199,35 @@ class DsmProcess:
     # ------------------------------------------------------------------
     def gc_flush(self) -> Generator:
         """Make our copies of pages we will own complete (flush phase)."""
-        from .gc import gc_new_owners
-
-        new_owners = gc_new_owners(self._known_notices())
+        new_owners = gc_new_owners(self._known_intervals())
+        table = self.table
         for page, owner in sorted(new_owners.items()):
             if owner != self.pid:
                 continue
-            pte = self._pte(page)
-            if not pte.valid:
+            if not table.mapped[page]:
+                self._map(page)
+            if not table.valid[page]:
                 raise ProtocolError(
                     f"{self.name}: GC made us owner of page {page} we never wrote"
                 )
-            if pte.pending_by_writer:
-                yield from self._fetch_pending(pte)
+            if table.npending[page]:
+                yield from self._fetch_pending(page)
         self._gc_pending_owners = new_owners
 
     def gc_reset(self) -> None:
         """Drop all consistency bookkeeping and start a new epoch."""
-        new_owners = getattr(self, "_gc_pending_owners", {})
-        self.owners.update(new_owners)
-        for pte in self.table:
-            pte.owner = self.owners.get(pte.page, pte.owner)
-            if not pte.readable:
-                pte.valid = False
-            pte.clear_pending()
-            pte.applied = VectorClock.zeros(self.team.nprocs)
-            pte.twin = None
-            pte.mode = AccessMode.NONE
-            # A fresh epoch restores the segment's protocol hint (pages
-            # demoted by transient write sharing become single-writer again).
-            pte.protocol = self.space.segment_of_page(pte.page).protocol
         if self.current_writes:
             raise ProtocolError(f"{self.name}: GC with an open write set")
+        table = self.table
+        mapped, owner = table.mapped, table.owner
+        for page, new_owner in self._gc_pending_owners.items():
+            if mapped[page]:
+                owner[page] = new_owner
+        self.owners.update(self._gc_pending_owners)
+        self._gc_pending_owners = {}
+        table.reset_epoch()
         self.log.clear()
-        self._seen_by_proc.clear()
+        self._known.clear()
         self.vc = VectorClock.zeros(self.team.nprocs)
         self.epoch += 1
         self._intervals_this_epoch = 0
@@ -1290,7 +1236,6 @@ class DsmProcess:
         self._lock_state.clear()
         if self.lock_mgr is not None:
             self.lock_mgr.reset()
-        self._gc_pending_owners = {}
         if self.tree_barrier is not None:
             # Subtree knowledge floors are per-epoch (clocks reset).
             self.tree_barrier.reset()
@@ -1375,14 +1320,10 @@ class DsmProcess:
             state["tokens"] += 1
 
     def _grant_lock(self, lock_id: int, requester: int, requester_vc: VectorClock) -> None:
-        notices = self.notices_unknown_to(requester_vc)
-        size = 8 + self.notice_wire_bytes(len(notices)) + self.vc_wire_bytes
-        self.send(
-            mk.LOCK_GRANT,
-            requester,
-            {"lock": lock_id, "notices": notices, "vc": self.vc.snapshot()},
-            size=size,
-        )
+        self.send(*self.notice_leg(
+            mk.LOCK_GRANT, requester, self.notices_unknown_to(requester_vc),
+            {"lock": lock_id},
+        ))
 
     def _on_lock_forward(self, msg: Message) -> Generator:
         """The manager forwarded a lock request to us (last in the chain)."""
@@ -1438,9 +1379,8 @@ class DsmProcess:
         the paper's per-application migration costs, which correspond to
         roughly the whole shared segment at 8.1 MB/s.
         """
-        mapped_pages = len(self.table)
         return (
-            mapped_pages * self.cfg.dsm.page_size
+            len(self.table) * self.cfg.dsm.page_size
             + self.cfg.migration.image_overhead_bytes
         )
 
@@ -1451,7 +1391,7 @@ class DsmProcess:
         is the reassigned process id; ``owner_remap`` maps old owner pids to
         new ones for every page-owner reference we hold.
         """
-        if self._seen_by_proc or self.current_writes or len(self.log):
+        if self._known or self.current_writes or len(self.log):
             raise ProtocolError(f"{self.name}: adapt_reset without a preceding GC")
         # Team membership changed: conceptually a repartition, so drop all
         # memoized access plans (they are rebuilt lazily on first use).
@@ -1464,9 +1404,8 @@ class DsmProcess:
             page: owner_remap.get(owner, TeamView.MASTER_PID)
             for page, owner in self.owners.items()
         }
-        for pte in self.table:
-            pte.owner = owner_remap.get(pte.owner, TeamView.MASTER_PID)
-            pte.applied = VectorClock.zeros(width)
+        self.table.remap_owners(owner_remap, TeamView.MASTER_PID)
+        self.table.applied.clear()  # keyed by the old pids
         self.table.proc_name = self.name
         if self.tree_barrier is not None:
             # Pids were renumbered; the tree is rebuilt from the new team.

@@ -33,7 +33,7 @@ from .page import Protocol
 from .process import DsmProcess
 from .statistics import DsmStats
 from .team import TeamView
-from .treebarrier import tree_children, tree_parent, vc_min, writer_sorted
+from .treebarrier import fold_batches, tree_children, tree_parent, vc_min
 from .vectorclock import VectorClock
 
 #: A parallel-region body: ``region(ctx, pid, nprocs, args) -> generator``.
@@ -363,31 +363,9 @@ class TmkRuntime:
                 # missing — a superset of what the flat master would have
                 # sent each member; receivers dedupe.
                 pids = self.team.pids
-                pos = pids.index(proc.pid)
-                children = tree_children(pids, pos, tb.radix)
-                legs = []
-                for cpid in children:
-                    fork_notices = proc.notices_unknown_to(tb.child_vc(cpid))
-                    size = (
-                        proc.notice_wire_bytes(len(fork_notices))
-                        + proc.vc_wire_bytes
-                        + 8 * payload["nprocs"]
-                        + 16
-                    )
-                    legs.append((
-                        mk.FORK,
-                        cpid,
-                        {
-                            "phase": payload["phase"],
-                            "args": payload["args"],
-                            "fork_seq": payload["fork_seq"],
-                            "notices": fork_notices,
-                            "vc": proc.vc.snapshot(),
-                            "nprocs": payload["nprocs"],
-                        },
-                        size,
-                    ))
-                proc.send_fanout(legs)
+                children = tree_children(pids, pids.index(proc.pid), tb.radix)
+                fork = {k: payload[k] for k in ("phase", "args", "fork_seq", "nprocs")}
+                proc.send_fanout(self._fork_legs(proc, children, tb.child_vc, fork))
             region = self.program.phase(payload["phase"])
             yield from region(ctx, proc.pid, payload["nprocs"], payload["args"])
             notices = proc.sync_notices()
@@ -401,7 +379,7 @@ class TmkRuntime:
                 for _ in children:
                     m2 = yield proc.join_store.get()
                     arrivals[m2.payload["pid"]] = m2.payload
-                batched = writer_sorted(
+                batched = fold_batches(
                     arrivals[cpid]["notices"] for cpid in sorted(arrivals)
                 )
                 if batched:
@@ -417,45 +395,43 @@ class TmkRuntime:
                     tb.child_join_vcs[cpid] = p["min_vc"]
                     min_vc = vc_min(min_vc, p["min_vc"])
                     want_gc = want_gc or p["want_gc"]
-                upward = writer_sorted(
+                upward = fold_batches(
                     [notices]
                     + [arrivals[cpid]["notices"] for cpid in sorted(arrivals)]
                 )
-                parent = tree_parent(
-                    self.team.pids,
-                    self.team.pids.index(proc.pid),
-                    tb.radix,
-                )
-                size = (
-                    proc.notice_wire_bytes(len(upward))
-                    + 2 * proc.vc_wire_bytes
-                    + 8
-                )
-                proc.send(
+                pids = self.team.pids
+                proc.send(*proc.notice_leg(
                     mk.JOIN_DONE,
-                    parent,
-                    {
-                        "pid": proc.pid,
-                        "notices": upward,
-                        "vc": proc.vc.snapshot(),
-                        "min_vc": min_vc,
-                        "want_gc": want_gc,
-                    },
-                    size=size,
-                )
+                    tree_parent(pids, pids.index(proc.pid), tb.radix),
+                    upward,
+                    {"pid": proc.pid, "min_vc": min_vc, "want_gc": want_gc},
+                    extra_bytes=proc.vc_wire_bytes + 8,
+                ))
                 continue
-            size = proc.notice_wire_bytes(len(notices)) + proc.vc_wire_bytes + 8
-            proc.send(
-                mk.JOIN_DONE,
-                TeamView.MASTER_PID,
-                {
-                    "pid": proc.pid,
-                    "notices": notices,
-                    "vc": proc.vc.snapshot(),
-                    "want_gc": proc.wants_gc,
-                },
-                size=size,
+            proc.send(*proc.notice_leg(
+                mk.JOIN_DONE, TeamView.MASTER_PID, notices,
+                {"pid": proc.pid, "want_gc": proc.wants_gc},
+            ))
+
+    def _sync_targets(self):
+        """Whom the master synchronizes with directly, and the clock each
+        target is known to cover: its tree children and their subtrees'
+        knowledge floors, or (flat) every slave and its last join clock."""
+        tb = self.master.tree_barrier
+        if tb is not None:
+            return tree_children(self.team.pids, 0, tb.radix), tb.child_vc
+        return self.team.slave_pids, self.slave_vcs.__getitem__
+
+    @staticmethod
+    def _fork_legs(proc: DsmProcess, targets, known_vc, fork: dict) -> list:
+        """One FORK leg per target, carrying what its clock does not cover."""
+        return [
+            proc.notice_leg(
+                mk.FORK, pid, proc.notices_unknown_to(known_vc(pid)), fork,
+                extra_bytes=8 * fork["nprocs"] + 16,
             )
+            for pid in targets
+        ]
 
     def _fork_join(self, phase_name: str, args: Any) -> Generator:
         """One parallel construct: adaptation point, fork, region, join."""
@@ -470,59 +446,17 @@ class TmkRuntime:
         fork_t0 = self.sim.now
         self.sim.tracer.emit("tmk", "fork", f"#{self.fork_seq} {phase_name}")
         tb = master.tree_barrier
-        if tb is not None:
-            # Tree fork: the master only talks to its tree children; each
-            # child re-forks its own subtree (see _slave_main).  A child's
-            # payload carries what its subtree's knowledge floor is
-            # missing — a superset of each member's need; receivers dedupe.
-            tree_kids = tree_children(self.team.pids, 0, tb.radix)
-            legs = []
-            for cpid in tree_kids:
-                notices = master.notices_unknown_to(tb.child_vc(cpid))
-                size = (
-                    master.notice_wire_bytes(len(notices))
-                    + master.vc_wire_bytes
-                    + 8 * self.team.nprocs
-                    + 16
-                )
-                legs.append((
-                    mk.FORK,
-                    cpid,
-                    {
-                        "phase": phase_name,
-                        "args": args,
-                        "fork_seq": self.fork_seq,
-                        "notices": notices,
-                        "vc": master.vc.snapshot(),
-                        "nprocs": self.team.nprocs,
-                    },
-                    size,
-                ))
-            master.send_fanout(legs)
-        else:
-            legs = []
-            for pid in self.team.slave_pids:
-                notices = master.notices_unknown_to(self.slave_vcs[pid])
-                size = (
-                    master.notice_wire_bytes(len(notices))
-                    + master.vc_wire_bytes
-                    + 8 * self.team.nprocs
-                    + 16
-                )
-                legs.append((
-                    mk.FORK,
-                    pid,
-                    {
-                        "phase": phase_name,
-                        "args": args,
-                        "fork_seq": self.fork_seq,
-                        "notices": notices,
-                        "vc": master.vc.snapshot(),
-                        "nprocs": self.team.nprocs,
-                    },
-                    size,
-                ))
-            master.send_fanout(legs)
+        # With the tree the master only talks to its tree children; each
+        # child re-forks its own subtree (see _slave_main).  A child's
+        # payload carries what its subtree's knowledge floor is missing —
+        # a superset of each member's need; receivers dedupe.
+        targets, known_vc = self._sync_targets()
+        master.send_fanout(self._fork_legs(master, targets, known_vc, {
+            "phase": phase_name,
+            "args": args,
+            "fork_seq": self.fork_seq,
+            "nprocs": self.team.nprocs,
+        }))
         region = self.program.phase(phase_name)
         yield from region(self.master_ctx, master.pid, self.team.nprocs, args)
         master.close_interval()
@@ -532,10 +466,10 @@ class TmkRuntime:
             # a single run-batched ingestion (the flat fold's run sequence;
             # see treebarrier.writer_sorted).
             arrivals: Dict[int, dict] = {}
-            for _ in tree_kids:
+            for _ in targets:
                 msg = yield master.join_store.get()
                 arrivals[msg.payload["pid"]] = msg.payload
-            batched = writer_sorted(
+            batched = fold_batches(
                 arrivals[cpid]["notices"] for cpid in sorted(arrivals)
             )
             if batched:
@@ -545,12 +479,12 @@ class TmkRuntime:
                 master.vc.merge(p["vc"])
                 tb.child_join_vcs[cpid] = p["min_vc"]
                 want_gc = want_gc or p["want_gc"]
-            if obs.enabled and tree_kids:
+            if obs.enabled and targets:
                 obs.count("barrier.tree.rounds")
                 obs.count("barrier.tree.folds")
                 obs.count("barrier.tree.notices_folded", len(batched))
         else:
-            for _ in self.team.slave_pids:
+            for _ in targets:
                 msg = yield master.join_store.get()
                 p = msg.payload
                 master.apply_notices(p["notices"], p["vc"])
@@ -576,59 +510,26 @@ class TmkRuntime:
         obs = self.sim.obs
         gc_t0 = self.sim.now
         self.sim.tracer.emit("dsm", "gc_start", f"fork#{self.fork_seq}")
-        tb = master.tree_barrier
-        if tb is not None:
-            # Tree GC: relay the request down the tree; both done rounds
-            # (flush, reset) aggregate one hop at a time, so the master
-            # link carries radix control messages instead of N.
-            gc_kids = tree_children(self.team.pids, 0, tb.radix)
-            legs = []
-            for cpid in gc_kids:
-                notices = master.notices_unknown_to(tb.child_vc(cpid))
-                size = (
-                    master.notice_wire_bytes(len(notices))
-                    + master.vc_wire_bytes
-                    + 8
-                )
-                legs.append((
-                    mk.GC_REQ,
-                    cpid,
-                    {"notices": notices, "vc": master.vc.snapshot()},
-                    size,
-                ))
-            master.send_fanout(legs)
-            yield from master.gc_flush()
-            for _ in gc_kids:
-                yield master.gc_done_store.get()
-            master.send_fanout([(mk.GC_GO, cpid, {}, 4) for cpid in gc_kids])
-            master.gc_reset()
-            # every subtree confirms its reset before the caller may touch
-            # team-wide state (adaptation rebuilds the pid space next)
-            for _ in gc_kids:
-                yield master.gc_done_store.get()
-        else:
-            legs = []
-            for pid in self.team.slave_pids:
-                notices = master.notices_unknown_to(self.slave_vcs[pid])
-                size = master.notice_wire_bytes(len(notices)) + master.vc_wire_bytes + 8
-                legs.append((
-                    mk.GC_REQ,
-                    pid,
-                    {"notices": notices, "vc": master.vc.snapshot()},
-                    size,
-                ))
-            master.send_fanout(legs)
-            yield from master.gc_flush()
-            for _ in self.team.slave_pids:
-                yield master.gc_done_store.get()
-            master.send_fanout(
-                [(mk.GC_GO, pid, {}, 4) for pid in self.team.slave_pids]
+        # With the tree, the request relays down it and both done rounds
+        # (flush, reset) aggregate one hop at a time, so the master link
+        # carries radix control messages instead of N.
+        targets, known_vc = self._sync_targets()
+        master.send_fanout([
+            master.notice_leg(
+                mk.GC_REQ, pid, master.notices_unknown_to(known_vc(pid))
             )
-            master.gc_reset()
-            # wait for every slave to confirm its reset before the caller may
-            # touch team-wide state (adaptation rebuilds the pid space next)
-            for _ in self.team.slave_pids:
-                yield master.gc_done_store.get()
+            for pid in targets
+        ])
+        yield from master.gc_flush()
+        for _ in targets:
+            yield master.gc_done_store.get()
+        master.send_fanout([(mk.GC_GO, pid, {}, 4) for pid in targets])
+        master.gc_reset()
+        # wait for every target (subtree) to confirm its reset before the
+        # caller may touch team-wide state (adaptation rebuilds the pid
+        # space next)
+        for _ in targets:
+            yield master.gc_done_store.get()
         self.slave_vcs = {
             pid: VectorClock.zeros(self.team.nprocs) for pid in self.team.slave_pids
         }

@@ -41,8 +41,9 @@ from ..errors import ProtocolError
 from ..network import message as mk
 from ..network.message import Message
 from ..simcore import Resource
+from .intervals import NoticeBatch
 from .memory import SharedSegment
-from .page import AccessMode
+from .page import MODE_NONE, MODE_READ, MODE_WRITE
 from .process import DsmProcess
 from .runtime import TmkRuntime
 
@@ -122,7 +123,8 @@ class ScProcess(DsmProcess):
                     combined[page] = False
         stall = self.stall_hook
         exclusive = self._sc_exclusive
-        table_get = self.table._entries.get
+        valid = self.table.valid
+        last_access = self.table.last_access
         epoch = self.epoch
         write_pages = sorted(p for p, w in combined.items() if w)
         for page in sorted(combined):
@@ -130,16 +132,11 @@ class ScProcess(DsmProcess):
             if stall is not None:
                 yield from stall()
             # Fast path: already exclusive (write) or valid (read) — the
-            # fault generator would return without yielding.
-            pte = table_get(page)
-            if pte is not None:
-                if write:
-                    if page in exclusive:
-                        pte.last_access_epoch = epoch
-                        continue
-                elif pte.valid:
-                    pte.last_access_epoch = epoch
-                    continue
+            # fault generator would return without yielding.  (Both imply
+            # the page is mapped.)
+            if page in exclusive if write else valid[page]:
+                last_access[page] = epoch
+                continue
             yield from self._sc_ensure(page, write=write)
         for attempt in range(200):
             missing = [p for p in write_pages if p not in self._sc_exclusive]
@@ -159,48 +156,41 @@ class ScProcess(DsmProcess):
             )
 
     def _sc_ensure(self, page: int, write: bool) -> Generator:
-        pte = self._pte(page)
-        pte.last_access_epoch = self.epoch
+        table = self.table
+        if not table.mapped[page]:
+            self._map(page)
+        table.last_access[page] = self.epoch
+        if page in self._sc_exclusive if write else table.valid[page]:
+            return
+        t0 = self.sim.now
         if write:
-            if page in self._sc_exclusive:
-                return
-            t0 = self.sim.now
             self.stats.write_faults += 1
-            # the requester-side fault overhead is charged up front so that
-            # grant receipt, state change, and return to the program are one
-            # atomic instant — otherwise contending writers steal the page
-            # inside the handling window and nobody ever converges
-            yield self.sim.timeout(self.cfg.network.page_service_client)
-            reply = yield self.request(SC_WRITE_REQ, 0, {"page": page}, size=8)
-            if self.materialized and reply.payload.get("data") is not None:
-                self.store.page_view(page)[:] = reply.payload["data"]
-            if reply.payload.get("data") is not None:
-                self.stats.page_fetches += 1
-            pte.valid = True
-            pte.mode = AccessMode.WRITE
-            self._sc_exclusive.add(page)
-            self.stats.fault_wait_time += self.sim.now - t0
         else:
-            if pte.valid:
-                return
-            t0 = self.sim.now
             self.stats.read_faults += 1
-            yield self.sim.timeout(self.cfg.network.page_service_client)
-            reply = yield self.request(SC_READ_REQ, 0, {"page": page}, size=8)
-            if self.materialized and reply.payload.get("data") is not None:
-                self.store.page_view(page)[:] = reply.payload["data"]
-            if reply.payload.get("data") is not None:
-                self.stats.page_fetches += 1
-            pte.valid = True
-            pte.mode = AccessMode.READ
-            self.stats.fault_wait_time += self.sim.now - t0
+        # the requester-side fault overhead is charged up front so that
+        # grant receipt, state change, and return to the program are one
+        # atomic instant — otherwise contending writers steal the page
+        # inside the handling window and nobody ever converges
+        yield self.sim.timeout(self.cfg.network.page_service_client)
+        kind = SC_WRITE_REQ if write else SC_READ_REQ
+        reply = yield self.request(kind, 0, {"page": page}, size=8)
+        data = reply.payload.get("data")
+        if data is not None:
+            if self.materialized:
+                self.store.page_view(page)[:] = data
+            self.stats.page_fetches += 1
+        table.valid[page] = 1
+        table.mode[page] = MODE_WRITE if write else MODE_READ
+        if write:
+            self._sc_exclusive.add(page)
+        self.stats.fault_wait_time += self.sim.now - t0
 
     # Under SC there are no intervals/notices; releases are pure syncs.
     def close_interval(self):
-        return []
+        return NoticeBatch()
 
     def sync_notices(self):
-        return []
+        return NoticeBatch()
 
     # ------------------------------------------------------------------
     # server side
@@ -271,42 +261,36 @@ class ScProcess(DsmProcess):
         overtake an earlier grant.
         """
         if owner == self.pid:
-            pte = self._pte(page)
-            while not pte.valid:
-                # our own grant may still be inbound (we are owner-designate)
-                yield self.sim.timeout(50e-6)
-            yield from self.node.service(self.cfg.network.page_service_server)
-            data = self.store.page_view(page).copy() if self.materialized else None
-            if exclusive:
-                pte.valid = False
-                pte.mode = AccessMode.NONE
-            else:
-                # shipping a shared copy demotes our exclusive hold: the next
-                # local write must fault so the new copy gets invalidated
-                pte.mode = AccessMode.READ
-            self._sc_exclusive.discard(page)
-            return data
+            return (yield from self._sc_ship(page, exclusive))
         kind = SC_FETCH_EX if exclusive else SC_FETCH
         reply = yield self.request(kind, owner, {"page": page}, size=8)
         return reply.payload["data"]
 
-    def _sc_serve_fetch(self, msg: Message) -> Generator:
-        """Owner: ship the page back to the manager."""
-        page = msg.payload["page"]
-        pte = self._pte(page)
-        while not pte.valid:
+    def _sc_ship(self, page: int, exclusive: bool) -> Generator:
+        """Owner side: copy the page out, giving up or demoting our hold."""
+        table = self.table
+        if not table.mapped[page]:
+            self._map(page)
+        while not table.valid[page]:
             # our own grant may still be inbound (owner-designate window)
             yield self.sim.timeout(50e-6)
         yield from self.node.service(self.cfg.network.page_service_server)
         data = self.store.page_view(page).copy() if self.materialized else None
-        if msg.kind == SC_FETCH_EX:
-            pte.valid = False
-            pte.mode = AccessMode.NONE
-            self._sc_exclusive.discard(page)
+        if exclusive:
+            table.valid[page] = 0
+            table.mode[page] = MODE_NONE
         else:
-            # shipping a shared copy demotes any exclusive hold
-            self._sc_exclusive.discard(page)
-            pte.mode = AccessMode.READ
+            # shipping a shared copy demotes our exclusive hold: the next
+            # local write must fault so the new copy gets invalidated
+            table.mode[page] = MODE_READ
+        self._sc_exclusive.discard(page)
+        return data
+
+    def _sc_serve_fetch(self, msg: Message) -> Generator:
+        """Owner: ship the page back to the manager."""
+        data = yield from self._sc_ship(
+            msg.payload["page"], exclusive=msg.kind == SC_FETCH_EX
+        )
         self.node.nic.send(
             msg.reply(SC_DATA, size_bytes=self.cfg.dsm.page_size,
                       payload={"data": data})
@@ -314,9 +298,11 @@ class ScProcess(DsmProcess):
 
     def _sc_invalidate(self, msg: Message) -> Generator:
         page = msg.payload["page"]
-        pte = self._pte(page)
-        pte.valid = False
-        pte.mode = AccessMode.NONE
+        table = self.table
+        if not table.mapped[page]:
+            self._map(page)
+        table.valid[page] = 0
+        table.mode[page] = MODE_NONE
         self._sc_exclusive.discard(page)
         yield from self.node.service(25e-6)
         self.node.nic.send(msg.reply(SC_INVALIDATE_ACK, size_bytes=4))

@@ -44,7 +44,7 @@ from typing import TYPE_CHECKING, Dict, Generator, List
 
 from ..network import message as mk
 from ..simcore.resources import Store
-from .intervals import WriteNotice
+from .intervals import IntervalNotice, NoticeBatch
 
 if TYPE_CHECKING:  # pragma: no cover
     from .process import DsmProcess
@@ -84,8 +84,8 @@ def vc_min(a: "VectorClock", b: "VectorClock") -> "VectorClock":
     )
 
 
-def writer_sorted(chunks) -> List[WriteNotice]:
-    """Concatenate notice chunks into ascending-writer per-writer runs.
+def writer_sorted(chunks) -> List[IntervalNotice]:
+    """Concatenate interval chunks into ascending-writer per-writer runs.
 
     Each chunk is already grouped by writer with every writer's run
     strictly ascending (a ``sync_notices`` output or a combined subtree
@@ -93,14 +93,19 @@ def writer_sorted(chunks) -> List[WriteNotice]:
     by writer preserves run order and yields the canonical form the flat
     fold consumes.
     """
-    groups: Dict[int, List[WriteNotice]] = {}
+    groups: Dict[int, List[IntervalNotice]] = {}
     for chunk in chunks:
-        for n in chunk:
-            group = groups.get(n.proc)
+        for iv in chunk:
+            group = groups.get(iv.proc)
             if group is None:
-                group = groups[n.proc] = []
-            group.append(n)
-    return [n for w in sorted(groups) for n in groups[w]]
+                group = groups[iv.proc] = []
+            group.append(iv)
+    return [iv for w in sorted(groups) for iv in groups[w]]
+
+
+def fold_batches(batches) -> NoticeBatch:
+    """:func:`writer_sorted` over the intervals of several batches."""
+    return NoticeBatch(writer_sorted(b.intervals for b in batches))
 
 
 class TreeBarrier:
@@ -155,12 +160,12 @@ class TreeBarrier:
             p = msg.payload
             arrivals[p["pid"]] = p
 
-        batched = writer_sorted(
+        batched = fold_batches(
             arrivals[cpid]["notices"] for cpid in sorted(arrivals)
         )
         if batched:
-            # One run-batched ingestion per round (the PR-5 path); the
-            # clock merges below are elementwise max, hence order-free.
+            # One batched ingestion per round; the clock merges below are
+            # elementwise max, hence order-free.
             proc.apply_notices(batched, proc.vc.snapshot())
         for cpid in sorted(arrivals):
             proc.vc.merge(arrivals[cpid]["vc"])
@@ -183,24 +188,14 @@ class TreeBarrier:
                 obs.count("barrier.tree.rounds")
         else:
             # -- forward one combined arrival for our whole subtree.
-            upward = writer_sorted(
+            upward = fold_batches(
                 [own_notices]
                 + [arrivals[cpid]["notices"] for cpid in sorted(arrivals)]
             )
-            parent = tree_parent(pids, pos, radix)
-            size = proc.notice_wire_bytes(len(upward)) + proc.vc_wire_bytes + 8
-            proc.send(
-                mk.BARRIER_TREE_ARRIVE,
-                parent,
-                {
-                    "pid": proc.pid,
-                    "round": this_round,
-                    "notices": upward,
-                    "vc": proc.vc.snapshot(),
-                    "want_gc": subtree_gc,
-                },
-                size=size,
-            )
+            proc.send(*proc.notice_leg(
+                mk.BARRIER_TREE_ARRIVE, tree_parent(pids, pos, radix), upward,
+                {"pid": proc.pid, "round": this_round, "want_gc": subtree_gc},
+            ))
             msg = yield proc.main_inbox.recv(
                 match=lambda m: m.kind == mk.BARRIER_TREE_RELEASE
             )
@@ -211,22 +206,14 @@ class TreeBarrier:
         # -- down-sweep: release our children with what each is missing.
         # The legs are issued back-to-back, so the wave flies as one
         # batched flight (PROTOCOL.md §13).
-        legs = []
-        for cpid in sorted(arrivals):
-            notices = proc.notices_unknown_to(arrivals[cpid]["vc"])
-            size = proc.notice_wire_bytes(len(notices)) + proc.vc_wire_bytes + 8
-            legs.append((
-                mk.BARRIER_TREE_RELEASE,
-                cpid,
-                {
-                    "round": this_round,
-                    "notices": notices,
-                    "vc": proc.vc.snapshot(),
-                    "gc": do_gc,
-                },
-                size,
-            ))
-        proc.send_fanout(legs)
+        proc.send_fanout([
+            proc.notice_leg(
+                mk.BARRIER_TREE_RELEASE, cpid,
+                proc.notices_unknown_to(arrivals[cpid]["vc"]),
+                {"round": this_round, "gc": do_gc},
+            )
+            for cpid in sorted(arrivals)
+        ])
 
         if do_gc:
             yield from self._gc_round(pids, pos, children)
@@ -268,17 +255,12 @@ class TreeBarrier:
         pids = proc.team.pids
         pos = pids.index(proc.pid)
         children = tree_children(pids, pos, self.radix)
-        legs = []
-        for cpid in children:
-            notices = proc.notices_unknown_to(self.child_vc(cpid))
-            size = proc.notice_wire_bytes(len(notices)) + proc.vc_wire_bytes + 8
-            legs.append((
-                mk.GC_REQ,
-                cpid,
-                {"notices": notices, "vc": proc.vc.snapshot()},
-                size,
-            ))
-        proc.send_fanout(legs)
+        proc.send_fanout([
+            proc.notice_leg(
+                mk.GC_REQ, cpid, proc.notices_unknown_to(self.child_vc(cpid))
+            )
+            for cpid in children
+        ])
         parent = tree_parent(pids, pos, self.radix)
         yield from proc.gc_flush()
         for _ in children:

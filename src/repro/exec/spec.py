@@ -270,7 +270,20 @@ class ScenarioSpec:
 
     def install_events(self, rt) -> None:
         """Schedule the declarative events/fault plan on a fresh runtime."""
-        for ev in self.events:
+        # A default join takes the next node id that is neither in the
+        # team nor claimed by another join (earlier default or explicit).
+        claimed = {rt.team.node_of(pid) for pid in rt.team.pids}
+        claimed.update(ev.node for ev in self.events
+                       if ev.action == "join" and ev.node is not None)
+        join_nodes = {}
+        for i, ev in sorted(enumerate(self.events), key=lambda p: p[1].time):
+            if ev.action == "join" and ev.node is None:
+                node = rt.team.nprocs
+                while node in claimed:
+                    node += 1
+                claimed.add(node)
+                join_nodes[i] = node
+        for i, ev in enumerate(self.events):
             if ev.action == "leave":
                 node = ev.node if ev.node is not None else rt.team.node_of(rt.team.nprocs - 1)
                 rt.sim.at(ev.time,
@@ -279,7 +292,7 @@ class ScenarioSpec:
                 node = ev.node if ev.node is not None else rt.team.node_of(rt.team.nprocs - 1)
                 rt.sim.at(ev.time, lambda n=node: rt.inject_crash(n))
             else:  # join
-                node = ev.node if ev.node is not None else rt.team.nprocs
+                node = ev.node if ev.node is not None else join_nodes[i]
                 rt.sim.at(ev.time, lambda n=node: rt.submit_join(n))
         if self.fault_plan:
             from ..faults import FaultInjector, parse_plan

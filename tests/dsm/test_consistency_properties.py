@@ -47,6 +47,41 @@ def block(lo, hi, pid, nprocs):
     return s, e
 
 
+def assert_dense_invariants(rt, after_gc=False):
+    """The column layout's own invariants, for every process and page."""
+    npages = rt.space.total_pages
+    for proc in rt.procs.values():
+        t = proc.table
+        columns = [t.mapped, t.valid, t.mode, t.protocol, t.owner,
+                   t.last_access, t.npending, *t.applied.values(),
+                   *t.pending.values()]
+        assert {len(col) for col in columns} == {npages}
+        assert len(t) == sum(t.mapped)
+        for page in range(npages):
+            cells = {w: col[page] for w, col in t.pending.items() if col[page]}
+            # pending count per page == its non-zero pending cells
+            assert t.npending[page] == len(cells)
+            assert cells == t.pending_of(page)
+            for writer, seq in cells.items():
+                # a pending cell is never one the copy already reflects
+                assert t.applied.get(writer, [0] * npages)[page] < seq
+                assert writer != proc.pid
+            if not t.mapped[page]:
+                assert not t.valid[page] and not cells
+                assert all(col[page] == 0 for col in t.applied.values())
+        if after_gc:
+            assert t.applied == {} and t.pending == {}
+            assert not any(t.npending) and not any(t.mode)
+            assert t.protocol == rt.space.protocols
+    if after_gc:
+        # every page valid somewhere, with an owner everyone agrees on
+        for page in range(npages):
+            owners = {p.owner_of(page) for p in rt.procs.values()}
+            assert len(owners) == 1, f"owner disagreement on page {page}"
+            assert rt.procs[owners.pop()]._pte(page).valid, \
+                f"owner of page {page} holds no valid copy"
+
+
 def sequential_model(phases):
     grid = np.zeros((ROWS, COLS))
     for phase in phases:
@@ -101,6 +136,7 @@ def test_random_programs_match_sequential(case):
                 yield from api._runtime.gc_at_fork_point()
             else:
                 yield from api.fork_join(name)
+            assert_dense_invariants(rt, after_gc=(kind == "gc"))
         yield from api.ctx.access(arr.seg, reads=arr.full())
         final["grid"] = arr.view(api.ctx).copy()
 
@@ -152,6 +188,7 @@ def test_random_programs_with_adaptation(case, leave_after):
     def driver(api):
         for name in order:
             yield from api.fork_join(name)
+            assert_dense_invariants(rt)
         yield from api.ctx.access(arr.seg, reads=arr.full())
         final["grid"] = arr.view(api.ctx).copy()
 
@@ -179,12 +216,8 @@ class TestGcInvariant:
             yield from api.fork_join("w")
             yield from api._runtime.gc_at_fork_point()
             # invariant check runs post-GC with everyone quiesced
+            assert_dense_invariants(rt, after_gc=True)
             for page in range(rt.space.total_pages):
-                owners = {p.owner_of(page) for p in rt.procs.values()}
-                assert len(owners) == 1, f"owner disagreement on page {page}"
-                owner = owners.pop()
-                owner_pte = rt.procs[owner]._pte(page)
-                assert owner_pte.valid, f"owner of page {page} holds no valid copy"
                 for p in rt.procs.values():
                     assert not p._pte(page).pending
             yield from api.fork_join("w")

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.dsm import AddressSpace, LocalStore, PageTable, Protocol, TeamView, VectorClock
+from repro.dsm import AddressSpace, LocalStore, PageTable, Protocol, TeamView
 from repro.dsm.intervals import WriteNotice
+from repro.dsm.memory import MAX_PAGES
+from repro.dsm.page import AccessMode
 from repro.errors import AdaptationError, AllocationError, DsmError
 
 
@@ -22,6 +24,16 @@ class TestAddressSpace:
         space = AddressSpace(4096)
         with pytest.raises(AllocationError):
             space.alloc("a", 0)
+
+    def test_page_ids_are_bounded_at_allocation(self):
+        """Every process keeps dense columns over the whole space, so the
+        2**21 page-id bound is enforced where page ids are handed out."""
+        space = AddressSpace(4096)
+        space.alloc("a", 4096 * (MAX_PAGES - 1))
+        with pytest.raises(AllocationError):
+            space.alloc("b", 4096 * 2)
+        assert space.total_pages == MAX_PAGES - 1
+        assert space.alloc("c", 4096).page0 == MAX_PAGES - 1
 
     def test_duplicate_name_rejected(self):
         space = AddressSpace(4096)
@@ -86,60 +98,114 @@ class TestLocalStore:
 
 
 class TestPageTable:
-    def _notice(self, proc, seq, page, width=4):
-        vc = VectorClock.zeros(width)
-        vc.entries[proc] = seq
-        return WriteNotice(proc=proc, seq=seq, page=page, vc=vc)
+    """The dense column store, through its per-page view."""
+
+    def _table(self, npages=8, protocol=Protocol.MULTIPLE_WRITER):
+        space = AddressSpace(4096)
+        space.alloc("seg", 4096 * npages, protocol=protocol)
+        return PageTable("P0", space)
+
+    def _mapped(self, table, page, owner=0, valid=True):
+        table.map(page, owner=owner, valid=valid)
+        return table.entry(page)
+
+    def _notice(self, proc, seq, page):
+        return WriteNotice(proc=proc, seq=seq, page=page, vc=None)
 
     def test_unmapped_page_raises(self):
-        table = PageTable("P0")
+        table = self._table()
         with pytest.raises(DsmError):
             table.entry(3)
+        with pytest.raises(DsmError):
+            table.entry(99)  # outside the address space
 
     def test_map_and_lookup(self):
-        table = PageTable("P0")
-        pte = table.map_page(3, Protocol.MULTIPLE_WRITER, owner=1, valid=False, width=4)
-        assert table.entry(3) is pte
+        table = self._table()
+        pte = self._mapped(table, 3, owner=1, valid=False)
+        assert (pte.page, pte.owner, pte.valid) == (3, 1, False)
+        assert pte.protocol is Protocol.MULTIPLE_WRITER
+        assert pte.mode is AccessMode.NONE and pte.last_access_epoch == -1
         assert 3 in table and 4 not in table
         assert len(table) == 1
 
     def test_add_notice_invalidates(self):
-        table = PageTable("P0")
-        pte = table.map_page(0, Protocol.MULTIPLE_WRITER, owner=0, valid=True, width=4)
+        pte = self._mapped(self._table(), 0)
         assert pte.readable
         pte.add_notice(self._notice(1, 1, 0))
         assert not pte.readable
         assert len(pte.pending) == 1
 
     def test_add_notice_deduplicates(self):
-        table = PageTable("P0")
-        pte = table.map_page(0, Protocol.MULTIPLE_WRITER, owner=0, valid=True, width=4)
-        n = self._notice(1, 1, 0)
-        pte.add_notice(n)
+        table = self._table()
+        pte = self._mapped(table, 0)
+        pte.add_notice(self._notice(1, 1, 0))
         pte.add_notice(self._notice(1, 1, 0))
         assert len(pte.pending) == 1
+        assert table.npending[0] == 1
+        # a later interval of the same writer replaces, not adds
+        pte.add_notice(self._notice(1, 3, 0))
+        pte.add_notice(self._notice(1, 2, 0))  # out of order: older loses
+        assert [(n.proc, n.seq) for n in pte.pending] == [(1, 3)]
+        assert table.npending[0] == 1
 
     def test_covered_notice_ignored(self):
-        table = PageTable("P0")
-        pte = table.map_page(0, Protocol.MULTIPLE_WRITER, owner=0, valid=True, width=4)
-        pte.applied.entries[1] = 5
+        table = self._table()
+        pte = self._mapped(table, 0)
+        table.advance(0, 1, 5)
         pte.add_notice(self._notice(1, 3, 0))
         assert pte.readable
+        assert pte.applied == {1: 5}
 
     def test_prune_pending(self):
-        table = PageTable("P0")
-        pte = table.map_page(0, Protocol.MULTIPLE_WRITER, owner=0, valid=True, width=4)
+        table = self._table()
+        pte = self._mapped(table, 0)
         pte.add_notice(self._notice(1, 1, 0))
         pte.add_notice(self._notice(2, 4, 0))
-        pte.applied.entries[1] = 1
+        table.advance(0, 1, 1)
         pte.prune_pending()
         assert [n.proc for n in pte.pending] == [2]
+        assert table.npending[0] == 1
+        table.clear_pending(0)
+        assert pte.readable and table.pending_of(0) == {}
 
     def test_entries_snapshot_sorted(self):
-        table = PageTable("P0")
+        table = self._table(protocol=Protocol.SINGLE_WRITER)
         for page in (5, 1, 3):
-            table.map_page(page, Protocol.SINGLE_WRITER, owner=0, valid=False, width=2)
-        assert [p.page for p in table.entries_snapshot()] == [1, 3, 5]
+            table.map(page, owner=0, valid=False)
+        assert [p.page for p in table] == [1, 3, 5]
+        assert all(p.protocol is Protocol.SINGLE_WRITER for p in table)
+
+    def test_columns_grow_with_the_address_space(self):
+        """Segments allocated after a process exists extend its columns,
+        including per-writer columns already in use."""
+        space = AddressSpace(4096)
+        space.alloc("a", 4096 * 2)
+        table = PageTable("P0", space)
+        table.map(1, owner=0, valid=True)
+        table.add_pending(1, 2, 7)
+        space.alloc("b", 4096 * 3, protocol=Protocol.SINGLE_WRITER)
+        assert len(table.valid) == len(table.pending[2]) == 5
+        table.map(4, owner=1, valid=False)
+        assert table.entry(4).protocol is Protocol.SINGLE_WRITER
+        assert table.add_pending(4, 2, 1) and table.npending[4] == 1
+        assert table.pending_of(1) == {2: 7}
+
+    def test_reset_epoch_and_owner_remap(self):
+        """GC: copies with anything pending go invalid, every per-writer
+        cell and demotion is dropped; adaptation renumbers owner cells."""
+        table = self._table(protocol=Protocol.SINGLE_WRITER)
+        for page, owner in ((0, 0), (1, 2), (2, 3)):
+            table.map(page, owner=owner, valid=True)
+        table.add_pending(1, 2, 4)
+        table.advance(2, 3, 9)
+        table.protocol[2] = 1  # demoted to multiple-writer
+        table.reset_epoch()
+        assert [p.valid for p in table] == [True, False, True]
+        assert table.npending == [0] * 8
+        assert table.applied == {} and table.pending == {}
+        assert table.entry(2).protocol is Protocol.SINGLE_WRITER
+        table.remap_owners({0: 0, 3: 1}, default=0)  # pid 2 left
+        assert [p.owner for p in table] == [0, 0, 1]
 
 
 class TestTeamView:

@@ -128,3 +128,23 @@ class TestPresets:
     def test_gauss_iterations_resolved_not_none(self):
         spec = spec_from_preset("bench", "gauss", 8)
         assert spec.params["iterations"] is not None
+
+
+class TestDefaultNodes:
+    def test_two_default_joins_take_distinct_free_nodes(self):
+        """The second ``join`` with ``node=None`` must not resolve to the
+        node the first one is still pending on (it used to raise
+        ``AdaptationError: node 2 already has a pending join``), nor to
+        one an explicit join names."""
+        from repro.exec.pool import execute_spec
+
+        spec = ScenarioSpec(
+            kernel="jacobi", params={"n": 200, "iterations": 30}, nprocs=2,
+            extra_nodes=3,
+            events=(AdaptEvent("join", 0.004), AdaptEvent("join", 0.002),
+                    AdaptEvent("join", 0.003, node=3)),
+        )
+        res, _ = execute_spec(spec)
+        # resolved in time order: 0.002 -> node 2, 0.003 -> node 3
+        # (explicit), 0.004 -> node 4
+        assert [j.node_id for j in res.runtime.queue.joins] == [2, 3, 4]
