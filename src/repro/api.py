@@ -125,19 +125,16 @@ def run(
     spec: ScenarioSpec,
     *,
     obs: Optional[ObsConfig] = None,
-    repeat: int = 1,
 ) -> RunReport:
     """Execute one scenario; the single public run entry point.
 
     ``obs=None`` (and ``ObsConfig(enabled=False)``) runs uninstrumented —
-    bitwise-identical to the pre-observability engine.  With observability
-    on, ``repeat`` must stay 1 (repeats would pile spans from every rerun
-    into one registry).
+    bitwise-identical to the pre-observability engine.
     """
     registry: Optional[Registry] = None
     if obs is not None and obs.enabled:
         registry = obs.make_registry()
-    experiment, wall = execute_spec(spec, repeat=repeat, obs=registry)
+    experiment, wall = execute_spec(spec, obs=registry)
     result = ScenarioResult.from_experiment(
         experiment, events=experiment.runtime.sim.events_executed
     )
@@ -179,7 +176,6 @@ def sweep(
     jobs: Optional[int] = None,
     cache: Any = None,
     refresh: bool = False,
-    repeat: int = 1,
     retries: Optional[int] = None,
     progress: Any = None,
     supervisor: Any = None,
@@ -224,14 +220,13 @@ def sweep(
                 f"(put them in ExecutorConfig instead)"
             )
         return _resolve_executor(executor).execute(
-            specs, repeat=repeat, progress=progress, obs=obs
+            specs, progress=progress, obs=obs
         )
     return run_specs(
         specs,
         jobs=jobs,
         cache=cache,
         refresh=refresh,
-        repeat=repeat,
         retries=EXEC_RETRIES if retries is None else retries,
         progress=progress,
         supervisor=supervisor,
@@ -292,7 +287,6 @@ def submit(
     specs: Sequence[ScenarioSpec],
     coordinator: str,
     *,
-    repeat: int = 1,
     no_cache: bool = False,
     refresh: bool = False,
 ) -> Iterator[RunReport]:
@@ -310,8 +304,7 @@ def submit(
     from .exec.service import Submission
 
     specs = list(specs)
-    sub = Submission(specs, coordinator, repeat=repeat,
-                     no_cache=no_cache, refresh=refresh)
+    sub = Submission(specs, coordinator, no_cache=no_cache, refresh=refresh)
     for served in sub:
         yield RunReport(
             spec=served.spec,

@@ -30,15 +30,7 @@ from .calibrate import (
     make_nbf,
 )
 from .harness import ExperimentResult, nonadaptive_times
-from .perf import (
-    PerfScenario,
-    calibrate_spin,
-    compare_to_baseline,
-    ratio_confidence_interval,
-    run_parallel_check,
-    run_perfbench,
-    run_scenario_paired,
-)
+from .perf import calibrate_spin
 from .recovery import (
     RecoveryPoint,
     ResumableJacobi,
@@ -91,13 +83,7 @@ __all__ = [
     "make_jacobi",
     "make_nbf",
     "nonadaptive_times",
-    "PerfScenario",
     "calibrate_spin",
-    "compare_to_baseline",
-    "run_parallel_check",
-    "ratio_confidence_interval",
-    "run_perfbench",
-    "run_scenario_paired",
     "per_adaptation_summary",
     "ratio_note",
     "speedup",

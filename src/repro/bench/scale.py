@@ -14,11 +14,8 @@ switch hierarchy), and reports
   quantity the tree is built to shrink from O(N) toward O(log N),
 * engine throughput (executed events per wall second).
 
-``python -m repro scale`` writes the report (``BENCH_scale_pr8.json`` is
-the committed curve); ``python -m repro report --scale`` renders it.  The
-report also carries a perfbench-format ``results`` entry for the 32-node
-quick scenario, so the CI perf gate can compare against this file with
-the ordinary ``repro perfbench --compare`` machinery.
+``python -m repro scale`` writes the report; ``python -m repro report
+--scale`` renders it.
 """
 
 from __future__ import annotations
@@ -27,7 +24,7 @@ import hashlib
 import json
 import platform
 import time
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Sequence
 
 SCALE_SCHEMA = "repro-scale/1"
 
@@ -124,57 +121,22 @@ def run_scale(
     quick: bool = False,
     sync_modes: Iterable[str] = SYNC_MODES,
     topologies: Iterable[str] = TOPOLOGIES,
-    gate_scenario: bool = True,
 ) -> Dict:
-    """The full sweep: every (nodes, sync, topology) combination.
-
-    ``gate_scenario`` additionally measures the perfbench ``gauss-32-quick``
-    scenario (flat/default config, spin-paired samples) and stores it in
-    perfbench ``results`` format, making the report usable as a
-    ``repro perfbench --compare`` baseline.
-    """
-    from .perf import (
-        PAIR_SPIN_EVENTS,
-        SPIN_EVENTS,
-        _entry_from_result,
-        calibrate_spin,
-        run_scenario_paired,
-        scenarios,
-    )
-
-    spin = calibrate_spin()
+    """The full sweep: every (nodes, sync, topology) combination."""
     scale: Dict[str, Dict] = {}
     for n in nodes:
         for sync in sync_modes:
             for topology in topologies:
                 key = f"jacobi-{n}-{sync}-{topology}"
                 scale[key] = run_scale_point(n, sync, topology, quick=quick)
-    report = {
+    return {
         "schema": SCALE_SCHEMA,
         "created": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "python": platform.python_version(),
         "platform": platform.platform(),
         "quick": quick,
-        "calibration": {
-            "spin_events_per_sec": spin,
-            "spin_events": SPIN_EVENTS,
-            "pair_spin_events": PAIR_SPIN_EVENTS,
-        },
         "scale": scale,
-        "results": {},
     }
-    if gate_scenario:
-        gate = next(
-            s for s in scenarios(quick=True) if s.name == "gauss-32-quick"
-        )
-        result, wall, samples = run_scenario_paired(gate.spec, repeats=3)
-        entry = _entry_from_result(result, wall)
-        entry["normalized_score"] = (
-            entry["events_per_sec"] / spin if spin > 0 else 0.0
-        )
-        entry["samples"] = samples
-        report["results"][gate.name] = entry
-    return report
 
 
 def format_scale_table(report: Dict) -> str:

@@ -574,115 +574,6 @@ def cmd_migration(args) -> int:
     return 0
 
 
-def cmd_perfbench(args) -> int:
-    from .bench.perf import (
-        compare_to_baseline,
-        load_report,
-        run_perfbench,
-        write_report,
-    )
-
-    if args.executor == "remote":
-        print("perfbench measures this host's wall clock; "
-              "--executor remote is not supported", file=sys.stderr)
-        return 2
-    cache = None
-    if args.cache and not args.no_cache:
-        from .exec import ResultCache
-
-        cache = ResultCache(root=args.cache_dir)
-    baseline_path = args.baseline
-    max_regression = args.max_regression
-    if args.compare:
-        if baseline_path and baseline_path != args.compare:
-            print("--compare and --baseline name different files",
-                  file=sys.stderr)
-            return 2
-        baseline_path = args.compare
-        if max_regression is None:
-            max_regression = 0.10
-    if max_regression is None:
-        max_regression = 0.30
-    repeat = args.repeat
-    if repeat is None:
-        repeat = 3 if args.quick else 1
-    jobs = args.jobs if args.jobs is not None else 1
-    report = run_perfbench(
-        quick=args.quick, paper=args.paper, repeat=repeat,
-        jobs=1 if args.executor == "serial" else jobs,
-        cache=cache, refresh=args.refresh,
-        parallel_check=args.parallel,
-    )
-    rows = []
-    for name, e in sorted(report["results"].items()):
-        rows.append([
-            name,
-            f"{e['wall_seconds']:.3f}",
-            f"{e['sim_seconds']:.3f}",
-            f"{e['events_per_sec'] / 1e3:.1f}k",
-            f"{e['sim_per_wall']:.2f}",
-            f"{e['normalized_score']:.4f}",
-        ])
-    print(format_table(
-        ["scenario", "wall (s)", "sim (s)", "events/s", "sim/wall", "norm. score"],
-        rows,
-        title=f"Engine wall-clock benchmarks "
-              f"(spin {report['calibration']['spin_events_per_sec'] / 1e6:.2f}M events/s)",
-    ))
-    micro = report["micro"]
-    print(f"  micro: notice apply {micro['notice_apply_per_sec'] / 1e3:.0f}k/s, "
-          f"plan lookup {micro['plan_lookup_per_sec'] / 1e3:.0f}k/s, "
-          f"diff apply {micro['diff_apply_per_sec'] / 1e3:.0f}k/s, "
-          f"vc tick {micro['vc_tick_per_sec'] / 1e3:.0f}k/s")
-    if report.get("cache"):
-        c = report["cache"]
-        print(f"  cache: {c['hits']} hits, {c['misses']} misses, "
-              f"{c['invalidations']} invalidations, {c['stores']} stores")
-    if "parallel" in report:
-        p = report["parallel"]
-        print(f"  parallel: {p['scenarios']} scenarios, jobs={p['jobs']}, "
-              f"serial {p['serial_wall_seconds']:.2f}s vs parallel "
-              f"{p['parallel_wall_seconds']:.2f}s -> {p['speedup']:.2f}x "
-              f"(results identical: {p['identical']})")
-    if args.profile is not None:
-        from .bench.perf import profile_scenarios
-
-        print(profile_scenarios(
-            quick=args.quick, paper=args.paper, top=args.profile
-        ), end="")
-    if args.check_obs:
-        from .bench.perf import run_obs_identity_check
-
-        check = run_obs_identity_check(quick=args.quick)
-        report["obs_identity"] = check
-        if check["identical"]:
-            print(f"  obs identity: {len(check['scenarios'])} scenarios "
-                  "bitwise identical with observability on and off")
-        else:
-            print(f"  OBS LEAK: observability changed the simulated outputs "
-                  f"of {', '.join(check['mismatches'])}", file=sys.stderr)
-    write_report(report, args.out)
-    print(f"  report written to {args.out}")
-    if args.check_obs and not report["obs_identity"]["identical"]:
-        return 1
-    if baseline_path:
-        try:
-            baseline = load_report(baseline_path)
-        except OSError as err:
-            print(f"cannot read baseline {baseline_path!r}: {err}", file=sys.stderr)
-            return 2
-        regressions = compare_to_baseline(report, baseline, max_regression)
-        if regressions:
-            for name, old, new, drop in regressions:
-                print(f"  REGRESSION {name}: normalized score {old:.4f} -> {new:.4f} "
-                      f"({drop:.0%} drop > {max_regression:.0%} allowed)",
-                      file=sys.stderr)
-            return 1
-        print(f"  no regression vs {baseline_path} "
-              f"(threshold {max_regression:.0%})")
-    return 0
-
-
 def cmd_scale(args) -> int:
     """Scaling sweep: flat vs tree sync, star vs fat-tree, several sizes."""
     from .bench.scale import (
@@ -701,8 +592,7 @@ def cmd_scale(args) -> int:
             return 2
     else:
         nodes = list(DEFAULT_NODES) if not args.quick else [8, 32]
-    report = run_scale(nodes=nodes, quick=args.quick,
-                       gate_scenario=not args.no_gate_scenario)
+    report = run_scale(nodes=nodes, quick=args.quick)
     print(format_scale_table(report))
     if args.out:
         write_scale_report(report, args.out)
@@ -1044,12 +934,12 @@ def cmd_cache_merge(args) -> int:
 def _engine_parent() -> argparse.ArgumentParser:
     """The shared argparse parent carrying the execution-engine flags.
 
-    Every engine-driven command (``sweep``/``table1``/``perfbench``/
-    ``recovery``/``serve``/``submit``/``workers``) accepts the same
+    Every engine-driven command (``sweep``/``table1``/``recovery``/
+    ``serve``/``submit``/``workers``) accepts the same
     ``--jobs``/``--no-cache``/``--refresh``/``--cache-dir``/
     ``--executor``/``--coordinator`` set.  ``--jobs`` always parses as
-    None; commands that are serial by default (``table1``/``perfbench``/
-    ``recovery``) resolve None -> 1 in their command functions, because a
+    None; commands that are serial by default (``table1``/``recovery``)
+    resolve None -> 1 in their command functions, because a
     per-subparser ``set_defaults(jobs=...)`` would mutate the shared
     parent action and leak into every other command.
     """
@@ -1171,55 +1061,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "JSON report instead of running")
     rep.set_defaults(fn=cmd_report)
 
-    perf = sub.add_parser(
-        "perfbench",
-        help="wall-clock engine benchmarks (events/s, sim-s per wall-s)",
-        parents=[engine],
-    )
-    perf.add_argument("--quick", action="store_true",
-                      help="small scenarios for CI smoke runs")
-    perf.add_argument("--paper", action="store_true",
-                      help="also run the full Table-1 Jacobi configuration")
-    perf.add_argument("--repeat", type=int, default=None,
-                      help="measurement pairs per scenario; single-job runs "
-                           "interleave a spin calibration with every repeat "
-                           "and record the paired normalized scores the "
-                           "confidence-interval gate consumes (default 1, "
-                           "or 3 with --quick)")
-    perf.add_argument("--out", default="BENCH_perf.json",
-                      help="where to write the JSON report")
-    perf.add_argument("--baseline", default=None,
-                      help="baseline BENCH_perf.json to gate against")
-    perf.add_argument("--compare", metavar="FILE", default=None,
-                      help="regression gate against FILE: fails only when "
-                           "the 95%% confidence interval of the paired "
-                           "spin-normalized score ratio resolves a drop "
-                           "beyond the allowance (shorthand for "
-                           "--baseline FILE --max-regression 0.10; point "
-                           "comparison when either report lacks samples)")
-    perf.add_argument("--max-regression", type=float, default=None,
-                      help="allowed normalized-score drop vs the baseline "
-                           "(default 0.30, or 0.10 with --compare)")
-    perf.add_argument("--cache", action="store_true",
-                      help="replay scenario entries from the result cache "
-                           "(off by default: perfbench measures wall clock)")
-    perf.add_argument("--parallel", action="store_true",
-                      help="also measure the engine's --jobs speedup "
-                           "(serial vs worker pool, bitwise-compared)")
-    perf.add_argument("--check-obs", action="store_true",
-                      help="also rerun every scenario with observability "
-                           "enabled and exit non-zero unless the simulated "
-                           "outputs are bitwise identical to the "
-                           "uninstrumented run")
-    perf.add_argument("--profile", nargs="?", const=25, type=int, default=None,
-                      metavar="N",
-                      help="cProfile every scenario run and dump the top N "
-                           "functions by cumulative time (default 25) — the "
-                           "floor-hunting view that previously needed ad-hoc "
-                           "instrumentation; wall numbers are reported "
-                           "unprofiled runs, the profile is an extra pass")
-    perf.set_defaults(fn=cmd_perfbench)
-
     scale = sub.add_parser(
         "scale",
         help="scaling sweep: flat vs tree synchronization and star vs "
@@ -1231,12 +1072,7 @@ def build_parser() -> argparse.ArgumentParser:
     scale.add_argument("--quick", action="store_true",
                        help="smaller kernels and sizes for CI smoke runs")
     scale.add_argument("--out", default=None, metavar="FILE",
-                       help="write the JSON report (the committed curve is "
-                            "benchmarks/BENCH_scale_pr8.json)")
-    scale.add_argument("--no-gate-scenario", action="store_true",
-                       help="skip the perfbench-format gauss-32-quick entry "
-                            "(the hook that lets the report serve as a "
-                            "`repro perfbench --compare` baseline)")
+                       help="write the JSON report")
     scale.set_defaults(fn=cmd_scale)
 
     chaos = sub.add_parser(

@@ -33,9 +33,9 @@ into a schedulable task, and has exactly one scheduler for them: the
 * :mod:`~repro.exec.merge` — ``repro cache merge``, lossless union of
   cache directories.
 
-``repro sweep --jobs N`` is the CLI face; ``repro table1``, ``repro
-perfbench`` and ``repro recovery`` run on the same engine, and ``repro
-serve`` / ``repro submit`` / ``repro workers`` are the service face.
+``repro sweep --jobs N`` is the CLI face; ``repro table1`` and ``repro
+recovery`` run on the same engine, and ``repro serve`` / ``repro
+submit`` / ``repro workers`` are the service face.
 """
 
 from .cache import (

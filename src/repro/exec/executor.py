@@ -36,7 +36,7 @@ from typing import Optional, Protocol, Sequence, runtime_checkable
 from ..config import EXEC_CACHE_DIR, EXEC_RETRIES
 from ..errors import ConfigurationError, ExecError
 from .cache import ResultCache
-from .pool import ProgressFn, SweepOutcome, run_specs
+from .pool import ProgressFn, SweepOutcome, default_jobs, run_specs
 from .spec import ScenarioSpec
 
 #: Executor backend names, in CLI ``--executor`` order.
@@ -131,9 +131,7 @@ class ExecutorConfig:
 
     def effective_jobs(self) -> int:
         """The actual worker count (resolves None to the core count)."""
-        import os
-
-        return self.jobs if self.jobs is not None else (os.cpu_count() or 1)
+        return self.jobs if self.jobs is not None else default_jobs()
 
     def make_cache(self) -> Optional[ResultCache]:
         """The :class:`ResultCache` this config names (None when off)."""
@@ -162,7 +160,6 @@ class Executor(Protocol):
         self,
         specs: Sequence[ScenarioSpec],
         *,
-        repeat: int = 1,
         progress: Optional[ProgressFn] = None,
         obs=None,
     ) -> SweepOutcome:
@@ -185,13 +182,12 @@ class LocalExecutor:
     def _jobs(self) -> int:
         return self.config.effective_jobs()
 
-    def execute(self, specs, *, repeat=1, progress=None, obs=None):
+    def execute(self, specs, *, progress=None, obs=None):
         return run_specs(
             specs,
             jobs=self._jobs(),
             cache=self.cache,
             refresh=self.config.refresh,
-            repeat=repeat,
             progress=progress,
             supervisor=self.config.supervisor_policy(),
             obs=obs,
@@ -232,13 +228,12 @@ class RemoteExecutor:
             config = config.replaced(backend="remote")
         self.config = config.validate()
 
-    def execute(self, specs, *, repeat=1, progress=None, obs=None):
+    def execute(self, specs, *, progress=None, obs=None):
         from .service import submit_outcome
 
         outcome = submit_outcome(
             list(specs),
             self.config.coordinator,
-            repeat=repeat,
             no_cache=not self.config.use_cache,
             refresh=self.config.refresh,
             progress=progress,

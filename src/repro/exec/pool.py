@@ -58,22 +58,16 @@ def default_jobs() -> int:
 # ---------------------------------------------------------------------------
 # single-spec execution (runs in workers and on the jobs=1 path alike)
 # ---------------------------------------------------------------------------
-def execute_spec(spec: ScenarioSpec, repeat: int = 1, obs=None):
-    """Run one spec live; returns (ExperimentResult, best wall seconds).
+def execute_spec(spec: ScenarioSpec, obs=None):
+    """Run one spec live; returns (ExperimentResult, wall seconds).
 
     This is the single place a :class:`ScenarioSpec` turns into a
     simulation — :func:`run_spec` (and through it the whole engine) and
     :func:`repro.api.run` both come through here.  ``obs`` is a
-    :class:`~repro.obs.Registry` recorded into by the run; pass it only
-    with ``repeat=1`` (repeats would record every rerun into it).
-
-    ``repeat`` reruns the simulation and keeps the best wall time (the
-    simulated outputs are identical across repeats by construction).
+    :class:`~repro.obs.Registry` recorded into by the run.
     """
     from ..bench.harness import run_experiment
 
-    if obs is not None and repeat > 1:
-        raise ExecError("obs recording requires repeat=1")
     cfg = spec.build_config()
     runtime_kwargs = {}
     if spec.checkpoint_interval is not None:
@@ -83,33 +77,27 @@ def execute_spec(spec: ScenarioSpec, repeat: int = 1, obs=None):
     install = (
         spec.install_events if (spec.events or spec.fault_plan) else None
     )
-    best_wall = float("inf")
-    best = None
-    for _ in range(max(1, repeat)):
-        t0 = time.perf_counter()
-        res = run_experiment(
-            spec.build_app,
-            nprocs=spec.nprocs,
-            adaptive=spec.effective_adaptive,
-            extra_nodes=spec.extra_nodes,
-            cfg=cfg,
-            materialized=spec.materialized,
-            events=install,
-            runtime_kwargs=runtime_kwargs if spec.effective_adaptive else None,
-            obs=obs,
-        )
-        wall = time.perf_counter() - t0
-        if wall < best_wall:
-            best_wall, best = wall, res
-    return best, best_wall
+    t0 = time.perf_counter()
+    res = run_experiment(
+        spec.build_app,
+        nprocs=spec.nprocs,
+        adaptive=spec.effective_adaptive,
+        extra_nodes=spec.extra_nodes,
+        cfg=cfg,
+        materialized=spec.materialized,
+        events=install,
+        runtime_kwargs=runtime_kwargs if spec.effective_adaptive else None,
+        obs=obs,
+    )
+    return res, time.perf_counter() - t0
 
 
-def run_spec(spec: ScenarioSpec, repeat: int = 1) -> Tuple[ScenarioResult, float]:
-    """Execute one spec to completion; returns (result, best wall seconds)."""
-    best, best_wall = execute_spec(spec, repeat=repeat)
+def run_spec(spec: ScenarioSpec) -> Tuple[ScenarioResult, float]:
+    """Execute one spec to completion; returns (result, wall seconds)."""
+    res, wall = execute_spec(spec)
     return (
-        ScenarioResult.from_experiment(best, events=best.runtime.sim.events_executed),
-        best_wall,
+        ScenarioResult.from_experiment(res, events=res.runtime.sim.events_executed),
+        wall,
     )
 
 
@@ -189,7 +177,6 @@ def run_specs(
     jobs: Optional[int] = None,
     cache: Optional[ResultCache] = None,
     refresh: bool = False,
-    repeat: int = 1,
     retries: int = EXEC_RETRIES,
     progress: Optional[ProgressFn] = None,
     supervisor: Optional[SupervisorPolicy] = None,
@@ -228,7 +215,7 @@ def run_specs(
 
     def _run_here(i: int, spec: ScenarioSpec, **outcome_fields) -> None:
         started = time.perf_counter() - t_start
-        result, wall = run_spec(spec, repeat=repeat)
+        result, wall = run_spec(spec)
         ended = time.perf_counter() - t_start
         if cache is not None:
             cache.put(spec, result, wall_seconds=wall)
@@ -270,7 +257,7 @@ def run_specs(
                 lead = time.perf_counter() - t_start
                 sweep = submit_outcome(
                     [spec for _, spec in pending], coordinator.address,
-                    repeat=repeat, no_cache=True, progress=_merge)
+                    no_cache=True, progress=_merge)
             finally:
                 launcher.stop()
         executed = sweep.executed

@@ -40,7 +40,7 @@ class ScenarioResult:
     nprocs: int
     adaptive: bool
     runtime_seconds: float
-    #: Simulator events executed (the perfbench throughput numerator).
+    #: Simulator events executed (the events/second numerator).
     events: int
     forks: int
     adaptations: int

@@ -205,14 +205,13 @@ class _Client:
 class _Task:
     """One distinct digest moving through the service."""
 
-    __slots__ = ("task_id", "spec", "digest", "repeat", "attempts", "log",
+    __slots__ = ("task_id", "spec", "digest", "attempts", "log",
                  "waiters", "ready_at", "backoff", "assigned_at", "deadline")
 
-    def __init__(self, task_id: str, spec: ScenarioSpec, repeat: int):
+    def __init__(self, task_id: str, spec: ScenarioSpec):
         self.task_id = task_id
         self.spec = spec
         self.digest = spec.config_digest()
-        self.repeat = repeat
         #: Failed attempts so far; the next one is ``attempts + 1``.
         self.attempts = 0
         #: :meth:`AttemptRecord.as_dict` per attempt, as ``report`` carries it.
@@ -602,13 +601,12 @@ class Coordinator:
             task.assigned_at = now
             task.deadline = (
                 max([now] + [t.deadline for t in target.busy.values()])
-                + self.policy.deadline.deadline_for(task.spec, task.repeat))
+                + self.policy.deadline.deadline_for(task.spec))
             target.busy[task.task_id] = task
             self._wake.notify()
             try:
                 target.send(message("task", task_id=task.task_id,
                                     spec=task.spec.to_wire(),
-                                    repeat=task.repeat,
                                     attempt=task.attempts + 1))
             except (WireError, OSError):
                 # The send itself found the corpse; its reader thread will
@@ -639,7 +637,6 @@ class Coordinator:
     # -- clients -----------------------------------------------------------
     def _serve_client(self, sock: socket.socket, submit: Dict) -> None:
         t_start = time.perf_counter()
-        repeat = int(submit.get("repeat", 1))
         no_cache = bool(submit.get("no_cache", False))
         refresh = bool(submit.get("refresh", False))
         try:
@@ -654,9 +651,8 @@ class Coordinator:
         with self._mu:
             for index, spec in enumerate(specs):
                 self.counters.submitted += 1
-                self._enqueue(client, index, spec, repeat,
-                              no_cache=no_cache, refresh=refresh,
-                              stats=stats)
+                self._enqueue(client, index, spec, no_cache=no_cache,
+                              refresh=refresh, stats=stats)
             self.counters.inflight_peak = max(self.counters.inflight_peak,
                                               len(self._inflight))
             self._pump()
@@ -690,8 +686,7 @@ class Coordinator:
                 pass
 
     def _enqueue(self, client: _Client, index: int, spec: ScenarioSpec,
-                 repeat: int, no_cache: bool, refresh: bool,
-                 stats: Dict) -> None:
+                 no_cache: bool, refresh: bool, stats: Dict) -> None:
         """Serve from cache, attach to an in-flight digest, or queue a
         new task.  Caller holds the lock."""
         digest = spec.config_digest()
@@ -706,13 +701,13 @@ class Coordinator:
                     wall_seconds=hit.wall_seconds, worker="", attempts=0))
                 return
         task = self._inflight.get(digest)
-        if task is not None and task.repeat == repeat:
+        if task is not None:
             self.counters.deduped += 1
             stats["deduped"] += 1
             task.waiters.append((client, index, True))
             return
         self._task_seq += 1
-        task = _Task(f"t{self._task_seq}", spec, repeat)
+        task = _Task(f"t{self._task_seq}", spec)
         task.waiters.append((client, index, False))
         stats["executed"] += 1
         self._inflight[digest] = task
@@ -762,8 +757,7 @@ class Submission:
     """
 
     def __init__(self, specs: Sequence[ScenarioSpec], address: str, *,
-                 repeat: int = 1, no_cache: bool = False,
-                 refresh: bool = False):
+                 no_cache: bool = False, refresh: bool = False):
         self.specs = list(specs)
         self.done: Optional[Dict] = None
         self.failures: List[Dict] = []
@@ -772,7 +766,7 @@ class Submission:
         self._sock = connect(address)
         send_message(self._sock, message(
             "submit", specs=[s.to_wire() for s in self.specs],
-            repeat=repeat, no_cache=no_cache, refresh=refresh))
+            no_cache=no_cache, refresh=refresh))
 
     def __iter__(self):
         try:
@@ -832,8 +826,7 @@ class Submission:
 
 
 def submit_outcome(specs: Sequence[ScenarioSpec], address: str, *,
-                   repeat: int = 1, no_cache: bool = False,
-                   refresh: bool = False,
+                   no_cache: bool = False, refresh: bool = False,
                    progress: Optional[ProgressFn] = None,
                    obs=None) -> SweepOutcome:
     """Submit a batch and reassemble the stream into a :class:`SweepOutcome`.
@@ -847,8 +840,7 @@ def submit_outcome(specs: Sequence[ScenarioSpec], address: str, *,
     ``exec.service.*``.  ``degraded`` is set when tasks were handed back
     (see :class:`Submission`); they fill their slots unfinished.
     """
-    sub = Submission(specs, address, repeat=repeat, no_cache=no_cache,
-                     refresh=refresh)
+    sub = Submission(specs, address, no_cache=no_cache, refresh=refresh)
     total = len(sub.specs)
     outcomes: List[Optional[TaskOutcome]] = [None] * total
     for done_ct, outcome in enumerate(sub, 1):

@@ -221,18 +221,18 @@ class DeadlinePolicy:
         return self
 
     @staticmethod
-    def cost_proxy(spec: ScenarioSpec, repeat: int = 1) -> float:
+    def cost_proxy(spec: ScenarioSpec) -> float:
         """A unitless work estimate: nprocs x product(numeric params)."""
         cost = float(max(1, spec.nprocs))
         for value in spec.params.values():
             if isinstance(value, (int, float)) and value > 0:
                 cost *= float(value)
-        return cost * max(1, repeat)
+        return cost
 
-    def deadline_for(self, spec: ScenarioSpec, repeat: int = 1) -> float:
+    def deadline_for(self, spec: ScenarioSpec) -> float:
         """Wall-clock budget in seconds for one attempt of ``spec``."""
         scaled = (self.overhead_seconds
-                  + self.cost_proxy(spec, repeat) * self.per_cost_seconds)
+                  + self.cost_proxy(spec) * self.per_cost_seconds)
         return max(self.floor_seconds, scaled)
 
 

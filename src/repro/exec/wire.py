@@ -36,7 +36,7 @@ from ..errors import ExecError
 
 #: Protocol identifier; sent in ``hello``/``welcome`` and checked by both
 #: ends.  Bump on any incompatible frame-layout or message change.
-WIRE_SCHEMA = "repro-service-wire/1"
+WIRE_SCHEMA = "repro-service-wire/2"
 
 #: Hard cap on one frame's payload (a result is a few KB; 64 MiB means a
 #: corrupt or malicious length prefix cannot make a peer allocate blindly).
@@ -69,10 +69,10 @@ MESSAGE_FIELDS: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {
     "heartbeat": ((), ()),
     # coordinator -> worker
     "welcome": (("schema", "worker_id"), ("heartbeat_interval",)),
-    "task": (("task_id", "spec"), ("repeat", "attempt")),
+    "task": (("task_id", "spec"), ("attempt",)),
     "shutdown": ((), ("reason",)),
     # client -> coordinator
-    "submit": (("specs",), ("repeat", "no_cache", "refresh")),
+    "submit": (("specs",), ("no_cache", "refresh")),
     "status": ((), ()),
     "stop": ((), ()),
     # coordinator -> client

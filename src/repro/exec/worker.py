@@ -125,7 +125,7 @@ class Worker:
         else:
             try:
                 worker_fault(digest, int(task.get("attempt", 1)))
-                result, wall = run_spec(spec, repeat=int(task.get("repeat", 1)))
+                result, wall = run_spec(spec)
             except Exception as err:
                 # Whatever the simulation raised is a property of the spec,
                 # not of this worker: report it and keep serving.

@@ -50,8 +50,8 @@ class Simulator:
         #: counters into it; :data:`~repro.obs.core.NULL_OBS` (the default)
         #: is a no-op, so an un-instrumented run pays nothing.
         self.obs: Registry = obs if obs is not None else NULL_OBS
-        #: Events executed so far (cancelled events are not counted).  The
-        #: perfbench harness reports events/second from this.
+        #: Events executed so far (cancelled events are not counted);
+        #: ``ScenarioResult.events`` and the scale bench's events/second.
         self.events_executed: int = 0
         #: Quiescent phases the batched engine fast-forwarded through
         #: (incremented once per engagement, not per event — it exists so

@@ -24,6 +24,7 @@ from repro.bench import (
 )
 from repro.bench.harness import run_experiment
 from repro.bench.calibrate import fft_ops, gauss_ops, jacobi_ops, nbf_ops
+from repro.bench.perf import calibrate_spin
 
 
 class TestPaperData:
@@ -64,6 +65,9 @@ class TestPaperData:
 
 
 class TestCalibration:
+    def test_calibrate_spin_positive(self):
+        assert calibrate_spin(2_000) > 0
+
     def test_rates_positive_and_plausible(self):
         rates = calibrated_rates()
         assert set(rates) == {"gauss", "jacobi", "fft3d", "nbf"}

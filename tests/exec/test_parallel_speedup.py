@@ -11,8 +11,8 @@ import time
 
 import pytest
 
-from repro.bench.perf import run_parallel_check
-from repro.exec import ResultCache
+from repro import api
+from repro.exec import ResultCache, ScenarioSpec
 from repro.exec.pool import run_specs
 
 from .test_engine_e2e import small_specs
@@ -24,12 +24,23 @@ CORES = os.cpu_count() or 1
 def test_jobs4_speedup_on_8_scenarios():
     """Acceptance: 8 scenarios with --jobs 4 run >= 2.5x faster than serial
     on a 4-core runner, with bitwise-identical merged results."""
-    check = run_parallel_check(n_scenarios=8, jobs=4)
-    assert check["identical"], "parallel results diverged from serial"
-    assert check["speedup"] >= 2.5, (
-        f"8 scenarios / 4 jobs: {check['speedup']:.2f}x "
-        f"(serial {check['serial_wall_seconds']:.2f}s, "
-        f"parallel {check['parallel_wall_seconds']:.2f}s)"
+    # Equal-cost, distinct-digest scenarios (the seed varies).
+    specs = [
+        ScenarioSpec(kernel="jacobi", params={"n": 280, "iterations": 16},
+                     nprocs=8, calibrated=True, seed=0x5EED + k,
+                     label=f"par-{k}")
+        for k in range(8)
+    ]
+    serial = api.sweep(specs, jobs=1)
+    parallel = api.sweep(specs, jobs=4)
+    assert ([r.to_json() for r in serial.results]
+            == [r.to_json() for r in parallel.results]), (
+        "parallel results diverged from serial")
+    speedup = serial.wall_seconds / parallel.wall_seconds
+    assert speedup >= 2.5, (
+        f"8 scenarios / 4 jobs: {speedup:.2f}x "
+        f"(serial {serial.wall_seconds:.2f}s, "
+        f"parallel {parallel.wall_seconds:.2f}s)"
     )
 
 

@@ -136,11 +136,10 @@ class TestDeadlinePolicy:
         large = pol.deadline_for(spec_of(n=256))
         assert large > small > 1.0
 
-    def test_cost_proxy_counts_nprocs_params_and_repeat(self):
+    def test_cost_proxy_counts_nprocs_and_params(self):
         spec = spec_of(n=10, nprocs=2)
         base = DeadlinePolicy.cost_proxy(spec)
         assert base == 2 * 10 * 3  # nprocs * n * iterations
-        assert DeadlinePolicy.cost_proxy(spec, repeat=4) == 4 * base
         assert DeadlinePolicy.cost_proxy(spec_of(n=10, nprocs=4)) == 2 * base
 
     def test_validate_rejects_negative_budgets(self):

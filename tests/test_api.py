@@ -46,12 +46,6 @@ class TestRun:
             obs=ObsConfig(trace_path=str(trace), metrics_path=str(metrics)))
         assert trace.exists() and metrics.exists()
 
-    def test_obs_with_repeat_rejected(self):
-        from repro.errors import ExecError
-
-        with pytest.raises(ExecError, match="repeat=1"):
-            run(tiny_spec(), obs=ObsConfig(), repeat=2)
-
     def test_same_result_as_engine(self):
         from repro.exec.pool import run_spec
 

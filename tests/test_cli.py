@@ -199,7 +199,7 @@ class TestScale:
     def test_scale_writes_report_and_report_renders_it(self, tmp_path, capsys):
         out = tmp_path / "scale.json"
         assert main(["scale", "--quick", "--nodes", "8",
-                     "--no-gate-scenario", "--out", str(out)]) == 0
+                     "--out", str(out)]) == 0
         capsys.readouterr()
         assert main(["report", "--scale", str(out)]) == 0
         rendered = capsys.readouterr().out
@@ -220,8 +220,7 @@ class TestSharedEngineFlags:
     (the shared argparse parent behind --jobs/--cache-dir/--no-cache/
     --refresh/--executor/--coordinator, docs/PROTOCOL.md §12)."""
 
-    COMMANDS = ["sweep", "table1", "perfbench", "recovery", "serve",
-                "submit", "workers"]
+    COMMANDS = ["sweep", "table1", "recovery", "serve", "submit", "workers"]
 
     def test_engine_flags_parse_everywhere(self):
         parser = build_parser()
@@ -242,10 +241,10 @@ class TestSharedEngineFlags:
         # argparse parents share action objects, so a per-subparser
         # set_defaults(jobs=...) would leak into every other command.
         # All commands therefore parse --jobs as None; the serial-by-
-        # default benches (table1/perfbench/recovery) resolve None -> 1
+        # default benches (table1/recovery) resolve None -> 1
         # inside their command functions instead.
         parser = build_parser()
-        for command in ("sweep", "table1", "perfbench", "recovery"):
+        for command in ("sweep", "table1", "recovery"):
             assert parser.parse_args([command]).jobs is None
 
     def test_workers_jobs_points_at_count(self, capsys):
