@@ -55,6 +55,11 @@ class NBF(AppKernel):
         self.cutoff_locality = cutoff_locality
         self.seed = seed
         self._partners: np.ndarray | None = None
+        #: (lo, hi) -> byte ranges of ``pos`` the block's gather reads.  The
+        #: partner table never changes, so each block pays the sort once;
+        #: an adaptation re-partitions and simply adds keys.  Tuples, so
+        #: no access can alter what the next iteration reuses.
+        self._gather_reads: dict[tuple[int, int], tuple] = {}
 
     # -- data ---------------------------------------------------------------
     def partner_table(self) -> np.ndarray:
@@ -106,10 +111,12 @@ class NBF(AppKernel):
         partners = self.arrays["partners"]
         table = self.partner_table()
         # the irregular gather: which position elements does this block read?
-        needed = np.unique(table[lo:hi])
+        gather = self._gather_reads.get((lo, hi))
+        if gather is None:
+            gather = self._gather_reads[lo, hi] = tuple(pos.element_set(table[lo:hi]))
         yield from ctx.access(partners.seg, reads=partners.rows(lo, hi))
         yield from ctx.access(pos.seg, reads=pos.elements(lo, hi))
-        yield from ctx.access(pos.seg, reads=pos.element_set(needed.tolist()))
+        yield from ctx.access(pos.seg, reads=gather)
         yield from ctx.access(force.seg, writes=force.elements(lo, hi))
         if ctx.materialized:
             x = pos.view(ctx)

@@ -323,7 +323,7 @@ def cmd_report(args) -> int:
         "dsm.diff.created": "diffs encoded",
         "dsm.diff.fetched": "diffs fetched and applied",
         "dsm.diff.bytes": "dirty bytes applied from diffs",
-        "dsm.diff.squashes": "multi-diff fetches squashed",
+        "dsm.diff.squashes": "fetches that applied several diffs of a page",
     }
     for key, desc in interesting.items():
         if bd.counters.get(key):

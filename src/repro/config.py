@@ -227,7 +227,7 @@ class PerfParams:
     defaults are the paper's system — flat all-to-one synchronization on
     a single switched segment, one exchange per page fault — and keep the
     Table 1/2 reproduction exact.  Host-side speed-ups (event batching,
-    flight-batched transport, plan cache, diff squash, interval-log
+    flight-batched transport, plan cache, run-encoded diffs, interval-log
     pruning) are not options: they are the implementation, bitwise
     invisible to every modelled output (``tests/golden.py``).
     """

@@ -6,13 +6,12 @@ vectorized with numpy.  In traced mode the diff carries only the declared
 dirty ranges; its wire size is identical because the declared ranges are
 exact.
 
-The encode path works directly from the boolean change mask: the changed
-bytes are gathered into the diff's contiguous ``buf`` with one masked
-read, and the flat dirty positions (``np.flatnonzero``) are kept on the
-diff so application is a single scatter.  Fetching several diffs of the
-same page *squashes* them: positions/values of all diffs are concatenated
-in happens-before order and deduplicated last-writer-wins, so the page is
-written once regardless of how many intervals touched it.
+Encoding keeps what the comparison yields and nothing derived from it:
+the offsets of the changed bytes (narrowed to the page's offset dtype),
+the bytes gathered at those offsets, and the run count the wire size
+needs (see :class:`~repro.dsm.intervals.Diff`).  Fetching several diffs
+of one page applies them one after another in happens-before order, so a
+byte written by several intervals ends up with the last writer's value.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from typing import List, Optional
 import numpy as np
 
 from .intervals import Diff
-from .ranges import Range, normalize
+from .ranges import Range, coalesce, normalize
 from .vectorclock import VectorClock
 
 
@@ -30,24 +29,7 @@ def changed_ranges(twin: np.ndarray, current: np.ndarray) -> List[Range]:
     """Byte ranges where ``current`` differs from ``twin`` (coalesced runs)."""
     if twin.shape != current.shape:
         raise ValueError("twin/page shape mismatch")
-    neq = twin != current
-    if not neq.any():
-        return []
-    # Run-length encode the boolean mask: starts where 0->1, ends where 1->0.
-    padded = np.empty(neq.size + 2, dtype=np.int8)
-    padded[0] = padded[-1] = 0
-    padded[1:-1] = neq
-    edges = np.flatnonzero(np.diff(padded))
-    starts, ends = edges[0::2], edges[1::2]
-    return list(zip(starts.tolist(), ends.tolist()))
-
-
-def _ranges_from_positions(positions: np.ndarray) -> List[Range]:
-    """Coalesce sorted flat positions into (start, end) runs."""
-    gaps = np.flatnonzero(positions[1:] != positions[:-1] + 1)
-    starts = np.concatenate(([positions[0]], positions[gaps + 1]))
-    ends = np.concatenate((positions[gaps], [positions[-1]])) + 1
-    return list(zip(starts.tolist(), ends.tolist()))
+    return coalesce(np.flatnonzero(twin != current))
 
 
 def make_diff(
@@ -82,30 +64,26 @@ def make_diff(
     if not vc_is_snapshot:
         vc = vc.snapshot()
     if twin is not None and current is not None:
-        mask = twin != current
-        positions = np.flatnonzero(mask)
+        # flatnonzero without its ravel: pages are 1-D.
+        positions = (twin != current).nonzero()[0]
         if not positions.size:
             return None
-        diff = Diff(
-            proc=proc,
-            seq=seq,
-            page=page,
-            vc=vc,
-            ranges=_ranges_from_positions(positions),
-            buf=current[mask],
-        )
-        diff._positions = positions
-        return diff
-    ranges = declared_ranges if declared_normalized else normalize(declared_ranges)
-    if not ranges:
-        return None
-    # No twin (single-writer page later demoted to multiple-writer): the
-    # declared write ranges stand in; with real bytes available, ship them.
-    buf = None
-    if current is not None:
-        chunks = [current[s:e] for s, e in ranges]
-        buf = np.concatenate(chunks) if len(chunks) > 1 else chunks[0].copy()
-    return Diff(proc=proc, seq=seq, page=page, vc=vc, ranges=ranges, buf=buf)
+    else:
+        ranges = declared_ranges if declared_normalized else normalize(declared_ranges)
+        if not ranges:
+            return None
+        if current is None:
+            return Diff(proc, seq, page, vc, ranges)
+        # No twin (single-writer page later demoted to multiple-writer): the
+        # declared write ranges stand in for the comparison and the current
+        # bytes are shipped.  Normalized ranges are non-adjacent, so their
+        # offsets form exactly ``len(ranges)`` runs.
+        positions = np.concatenate([np.arange(s, e) for s, e in ranges])
+    return Diff(
+        proc, seq, page, vc,
+        buf=current[positions],
+        offsets=positions.astype(np.min_scalar_type(current.size - 1)),
+    )
 
 
 def apply_diffs_in_order(
@@ -115,26 +93,9 @@ def apply_diffs_in_order(
 
     ``page_buffer`` may be ``None`` in traced mode (ordering still
     computed, since callers use it to update applied clocks).
-
-    Multiple materialized diffs are squashed into one scatter:
-    positions/values are concatenated in application order and
-    deduplicated last-writer-wins, which is bitwise-identical to applying
-    them one after another.  A lone diff, or a batch holding a diff with
-    no byte buffer (which :meth:`Diff.apply` rejects), goes through
-    :meth:`Diff.apply` per diff.
     """
     ordered = sorted(diffs, key=Diff.sort_key) if len(diffs) > 1 else list(diffs)
-    if page_buffer is None:
-        return ordered
-    if len(ordered) > 1 and all(d.buf is not None for d in ordered):
-        positions = np.concatenate([d.positions() for d in ordered])
-        values = np.concatenate([d.buf for d in ordered])
-        # np.unique keeps the first occurrence; reversing first makes that
-        # the *last* write in application order (last-writer-wins).
-        rev_positions = positions[::-1]
-        uniq, first_in_rev = np.unique(rev_positions, return_index=True)
-        page_buffer[uniq] = values[::-1][first_in_rev]
-        return ordered
-    for diff in ordered:
-        diff.apply(page_buffer)
+    if page_buffer is not None:
+        for diff in ordered:
+            diff.apply(page_buffer)
     return ordered

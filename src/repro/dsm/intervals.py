@@ -12,13 +12,13 @@ All of this bookkeeping is exactly what garbage collection (§4.1) wipes:
 after a GC every page is valid somewhere with a known owner and no
 interval/notice/diff state survives, which is what makes adaptation cheap.
 
-Diff payloads are stored *contiguously*: one uint8 buffer holding every
-changed byte, plus an int64 ``(starts, ends, offsets)`` index derived from
-``ranges``.  Application is a single scatter (or a short run of slice
-assignments for few-range diffs) instead of a Python loop over chunk
-objects, and several same-page diffs can be squashed into one scatter by
-concatenating their position/value arrays (see
-:func:`repro.dsm.diffs.apply_diffs_in_order`).
+A materialized diff is three things: ``buf``, every changed byte in page
+order; ``offsets``, the page offset of each of those bytes in a narrow
+unsigned dtype (uint16 for pages up to 64 KiB); and the number of runs
+the offsets form, which is all the wire size needs.  No ``(start, end)``
+tuple exists per run — a Jacobi page is ~440 runs — until somebody reads
+``Diff.ranges``.  Application is one scatter, ``page[offsets] = buf``.
+A traced diff is its declared range list and nothing else.
 """
 
 from __future__ import annotations
@@ -29,115 +29,77 @@ from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .ranges import RUN_HEADER_BYTES, Range, total_bytes
+from .ranges import RUN_HEADER_BYTES, Range, coalesce, count_runs, total_bytes
 from .vectorclock import VectorClock
 
 
-@dataclass(slots=True)
 class Diff:
     """The encoded writes of one interval to one page.
 
-    ``ranges`` always holds the dirty byte ranges (exact in both modes);
-    ``buf`` additionally holds the real bytes in materialized mode — all
-    changed bytes concatenated in range order into one contiguous uint8
-    array.  ``dirty_bytes``/``wire_size`` are computed once at
-    construction (they sit on the DIFF_REQ/REPLY accounting hot path).
+    Two shapes share the ``(proc, seq, page, vc)`` header:
+
+    * *traced*: the declared dirty ``ranges`` are the diff; ``buf`` and
+      ``offsets`` are ``None``.
+    * *materialized*: ``buf`` holds the changed bytes in page order and
+      ``offsets`` their page offsets, parallel to ``buf`` in the smallest
+      unsigned dtype that holds ``page_size - 1``.  Only the run *count*
+      is kept; ``ranges`` run-length encodes ``offsets`` on demand.
+
+    ``dirty_bytes`` and ``wire_size = dirty_bytes + RUN_HEADER_BYTES *
+    runs`` are computed once at construction (they sit on the
+    DIFF_REQ/REPLY accounting hot path) and are the same numbers in both
+    shapes.  Equality is identity: ``(proc, seq, page)`` names a diff.
     """
 
-    proc: int
-    seq: int
-    page: int
-    vc: VectorClock
-    ranges: List[Range]
-    buf: Optional[np.ndarray] = None
-    dirty_bytes: int = field(default=-1, compare=False)
-    wire_size: int = field(default=-1, compare=False)
-    _index: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _positions: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
-    _key: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("proc", "seq", "page", "vc", "buf", "offsets", "runs",
+                 "dirty_bytes", "wire_size", "_ranges", "_key")
 
-    def __post_init__(self) -> None:
-        if self.dirty_bytes < 0:
-            buf = self.buf
-            if buf is not None:
-                self.dirty_bytes = int(buf.size)
-            elif len(self.ranges) == 1:
+    def __init__(
+        self,
+        proc: int,
+        seq: int,
+        page: int,
+        vc: VectorClock,
+        ranges: Optional[List[Range]] = None,
+        buf: Optional[np.ndarray] = None,
+        offsets: Optional[np.ndarray] = None,
+    ):
+        self.proc = proc
+        self.seq = seq
+        self.page = page
+        self.vc = vc
+        self.buf = buf
+        self.offsets = offsets
+        self._ranges = ranges
+        self._key = None
+        if offsets is not None:
+            runs, dirty = count_runs(offsets), buf.size
+        else:
+            runs = len(ranges)
+            if runs == 1:
                 # Traced single-run diffs dominate interval closes; skip
                 # the generator expression inside total_bytes for them.
-                s, e = self.ranges[0]
-                self.dirty_bytes = e - s
+                start, end = ranges[0]
+                dirty = end - start
             else:
-                self.dirty_bytes = total_bytes(self.ranges)
-        if self.wire_size < 0:
-            self.wire_size = self.dirty_bytes + RUN_HEADER_BYTES * len(self.ranges)
+                dirty = total_bytes(ranges)
+        self.runs = runs
+        self.dirty_bytes = dirty
+        self.wire_size = dirty + RUN_HEADER_BYTES * runs
 
     @property
-    def data(self) -> Optional[List[np.ndarray]]:
-        """Per-range views of the payload (compatibility accessor).
-
-        The storage is the contiguous ``buf``; this slices it back into
-        the historical list-of-chunks shape.  ``None`` for traced diffs.
-        """
-        if self.buf is None:
-            return None
-        out = []
-        off = 0
-        for start, end in self.ranges:
-            ln = end - start
-            out.append(self.buf[off : off + ln])
-            off += ln
-        return out
-
-    def index(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(starts, ends, offsets)`` int64 arrays; ``offsets[i]`` is the
-        position of range ``i``'s first byte within ``buf``.  Cached."""
-        idx = self._index
-        if idx is None:
-            n = len(self.ranges)
-            starts = np.empty(n, dtype=np.int64)
-            ends = np.empty(n, dtype=np.int64)
-            for i, (s, e) in enumerate(self.ranges):
-                starts[i] = s
-                ends[i] = e
-            offsets = np.empty(n, dtype=np.int64)
-            if n:
-                offsets[0] = 0
-                np.cumsum(ends[:-1] - starts[:-1], out=offsets[1:])
-            idx = self._index = (starts, ends, offsets)
-        return idx
-
-    def positions(self) -> np.ndarray:
-        """Flat page offsets of every dirty byte, in range order.  Cached;
-        parallel to ``buf`` so ``page[positions()] = buf`` applies the diff."""
-        pos = self._positions
-        if pos is None:
-            starts, ends, offsets = self.index()
-            lens = ends - starts
-            total = self.dirty_bytes
-            # positions = for each range, start + [0..len): one vectorized
-            # arange shifted per-range by (start - offset_into_buf).
-            pos = np.arange(total, dtype=np.int64)
-            if len(self.ranges) > 1 or (len(self.ranges) == 1 and starts[0] != 0):
-                pos += np.repeat(starts - offsets, lens)
-            self._positions = pos
-        return pos
+    def ranges(self) -> List[Range]:
+        """The dirty byte ranges (exact in both shapes)."""
+        ranges = self._ranges
+        return ranges if ranges is not None else coalesce(self.offsets)
 
     def apply(self, page_buffer: np.ndarray) -> None:
         """Write the diff's bytes into a page-sized uint8 buffer."""
-        buf = self.buf
-        if buf is None:
+        if self.buf is None:
             raise ValueError("cannot apply a traced-mode diff to real data")
-        ranges = self.ranges
-        if len(ranges) <= 8:
-            off = 0
-            for start, end in ranges:
-                ln = end - start
-                page_buffer[start:end] = buf[off : off + ln]
-                off += ln
-        else:
-            page_buffer[self.positions()] = buf
+        # Widened explicitly: numpy's own cast of a narrow index array
+        # inside the scatter is slower than this copy plus the scatter.
+        page_buffer[self.offsets.astype(np.intp)] = self.buf
 
     def sort_key(self):
         """Happens-before-consistent application order (cached)."""
@@ -145,6 +107,10 @@ class Diff:
         if key is None:
             key = self._key = (*self.vc.sort_key(), self.proc, self.seq)
         return key
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return (f"Diff(proc={self.proc}, seq={self.seq}, page={self.page}, "
+                f"runs={self.runs}, dirty_bytes={self.dirty_bytes})")
 
 
 class WriteNotice:

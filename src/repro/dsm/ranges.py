@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from typing import Iterable, List, Tuple
 
+import numpy as np
+
 Range = Tuple[int, int]
 
 #: Bytes charged per (offset, length) run header in a diff's wire encoding.
@@ -46,6 +48,32 @@ def merge(a: Iterable[Range], b: Iterable[Range]) -> List[Range]:
     if not b:
         return normalize(a)
     return normalize(a + b)
+
+
+def _gaps(offsets: np.ndarray) -> np.ndarray:
+    """True at ``i`` where ``offsets[i + 1]`` opens a new run.  Strictly
+    ascending input keeps ``offsets[:-1] + 1`` inside any unsigned dtype."""
+    return offsets[1:] != offsets[:-1] + 1
+
+
+def count_runs(offsets: np.ndarray) -> int:
+    """Number of maximal runs of consecutive values in ascending ``offsets``."""
+    if not offsets.size:
+        return 0
+    return int(np.count_nonzero(_gaps(offsets))) + 1
+
+
+def coalesce(offsets: np.ndarray) -> List[Range]:
+    """Run-length encode strictly ascending ``offsets`` into ``(start, end)``
+    ranges — the one coalescing helper behind ``changed_ranges``,
+    ``Diff.ranges`` and ``SharedArray.element_set``."""
+    if not offsets.size:
+        return []
+    wide = offsets.astype(np.int64)  # ``last + 1`` may not fit a narrow dtype
+    breaks = np.flatnonzero(_gaps(wide))
+    starts = np.concatenate((wide[:1], wide[breaks + 1]))
+    ends = np.concatenate((wide[breaks], wide[-1:])) + 1
+    return list(zip(starts.tolist(), ends.tolist()))
 
 
 def total_bytes(ranges: Iterable[Range]) -> int:

@@ -15,7 +15,7 @@ import numpy as np
 
 from ..errors import DsmError
 from .memory import SharedSegment
-from .ranges import Range, normalize
+from .ranges import Range, coalesce
 
 
 class SharedArray:
@@ -70,18 +70,14 @@ class SharedArray:
         Vectorized: sort + dedupe the indices and coalesce consecutive
         runs in numpy, instead of materializing one per-element range and
         normalizing — NBF's partner lists hit this with thousands of
-        indices per access.  Output ranges are identical to
+        indices per access.  An ndarray of any shape is taken as is.
+        Output ranges are identical to
         ``normalize([(i*s, (i+1)*s) for i in indices])``.
         """
-        idx = np.unique(np.fromiter(indices, dtype=np.int64))
-        if idx.size == 0:
-            return []
-        # Run boundaries: positions where the next index is not prev+1.
-        breaks = np.flatnonzero(np.diff(idx) > 1)
-        starts = idx[np.concatenate(([0], breaks + 1))]
-        ends = idx[np.concatenate((breaks, [idx.size - 1]))] + 1
+        if not isinstance(indices, np.ndarray):
+            indices = np.fromiter(indices, dtype=np.int64)
         s = self.itemsize
-        return [(int(a) * s, int(b) * s) for a, b in zip(starts, ends)]
+        return [(a * s, b * s) for a, b in coalesce(np.unique(indices))]
 
     def block(self, pid: int, nprocs: int) -> Tuple[int, int]:
         """The block row partition ``[lo, hi)`` of process ``pid``.

@@ -166,6 +166,22 @@ class TestNBF:
         np.testing.assert_array_equal(a1.partner_table(), a2.partner_table())
         assert a1.partner_table() is a1.partner_table()
 
+    def test_gather_reads_computed_once_per_block(self):
+        """The partner table is immutable, so a block's irregular read set
+        is sorted out once, not every iteration; a leave + join only adds
+        the blocks of the new partitions."""
+        sim, rt, pool = build_adaptive(nprocs=4, extra_nodes=0)
+        app = NBF(natoms=512, npartners=4, iterations=6)
+        sim.schedule(0.001, lambda: rt.submit_leave(2, grace=30.0))
+        sim.schedule(0.02, lambda: rt.submit_join(2))
+        res = rt.run(app.program(rt))
+        assert res.adaptations >= 1 and app.verify(rtol=1e-7, atol=1e-9)
+        pos, table = app.arrays["pos"], app.partner_table()
+        blocks = {pos.block(pid, n) for n in (3, 4) for pid in range(n)}
+        assert set(app._gather_reads) == blocks
+        for (lo, hi), reads in app._gather_reads.items():
+            assert list(reads) == pos.element_set(np.unique(table[lo:hi]).tolist())
+
     def test_pair_force_antisymmetric_and_bounded(self):
         x = np.linspace(-3, 3, 101)
         f = NBF.pair_force(x, np.zeros_like(x))

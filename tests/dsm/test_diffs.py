@@ -85,7 +85,7 @@ class TestMakeDiff:
     def test_traced_mode_uses_declared_ranges(self):
         diff = make_diff(0, 1, 3, VectorClock([1]), [(0, 10), (5, 20)])
         assert diff.ranges == [(0, 20)]
-        assert diff.data is None
+        assert diff.buf is None and diff.offsets is None
         assert diff.dirty_bytes == 20
 
     def test_traced_empty_ranges_none(self):

@@ -1,9 +1,13 @@
 """Tests for byte-range arithmetic (incl. hypothesis properties)."""
 
+import numpy as np
 from hypothesis import given, strategies as st
 
+from repro.dsm import AddressSpace, SharedArray
 from repro.dsm.ranges import (
     clip,
+    coalesce,
+    count_runs,
     diff_wire_size,
     intersects,
     merge,
@@ -99,3 +103,30 @@ class TestSizes:
 
     def test_diff_wire_size_empty(self):
         assert diff_wire_size([]) == 0
+
+
+class TestRunLengthEncoding:
+    """``coalesce``/``count_runs``: the one positions-to-runs encoder."""
+
+    @given(st.sets(st.integers(0, 300), max_size=60), st.sampled_from(["uint16", "int64"]))
+    def test_matches_normalize_of_unit_ranges(self, members, dtype):
+        offsets = np.array(sorted(members), dtype=dtype)
+        expected = normalize([(i, i + 1) for i in members])
+        assert coalesce(offsets) == expected
+        assert count_runs(offsets) == len(expected)
+
+    def test_top_of_a_narrow_dtype(self):
+        """End offsets are one past the last byte: 65 536 is not a uint16."""
+        offsets = np.array([0, 65534, 65535], dtype=np.uint16)
+        assert coalesce(offsets) == [(0, 1), (65534, 65536)]
+        assert count_runs(offsets) == 2
+
+    @given(st.lists(st.integers(0, 99), max_size=40))
+    def test_element_set_takes_any_iterable_or_array(self, indices):
+        seg = AddressSpace(4096).alloc("A", 800, dtype="float64", shape=(100,))
+        arr = SharedArray(seg)
+        expected = normalize([(i * 8, (i + 1) * 8) for i in indices])
+        assert arr.element_set(indices) == expected
+        assert arr.element_set(i for i in indices) == expected
+        table = np.array(indices + indices, dtype=np.int32).reshape(2, -1)
+        assert arr.element_set(table) == expected
