@@ -19,13 +19,9 @@ Typical use::
     report = run(spec, obs=ObsConfig(trace_path="trace.json"))
     print(report.cost_breakdown.adaptation_seconds)
 
-Since PR 9 the facade also fronts the distributed sweep service
-(docs/SERVICE.md): :func:`serve` starts a coordinator, :func:`submit`
-streams :class:`RunReport`\ s back from one, and :func:`sweep` accepts
-an ``executor`` — a backend name, an
-:class:`~repro.exec.executor.ExecutorConfig`, or any object satisfying
-the :class:`~repro.exec.executor.Executor` protocol — making local,
-serial and remote execution interchangeable::
+The facade also fronts the distributed sweep service (docs/SERVICE.md):
+:func:`serve` starts a coordinator and :func:`submit` streams
+:class:`RunReport`\ s back from one::
 
     with serve(cache_dir="cache") as coordinator:
         for report in submit(specs, coordinator.address):
@@ -35,11 +31,12 @@ serial and remote execution interchangeable::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Union
+from typing import Any, Dict, Iterator, Optional, Sequence
 
 from .errors import ExecError
-from .exec.executor import Executor, ExecutorConfig, make_executor
-from .exec.pool import SweepOutcome, execute_spec, run_specs
+# ``sweep`` *is* the engine: run many scenarios, parallel + cached, results
+# in spec order and bitwise-identical to serial execution.
+from .exec.pool import SweepOutcome, execute_spec, run_specs as sweep
 from .exec.result import ScenarioResult
 from .exec.spec import AdaptEvent, ScenarioSpec, spec_from_preset
 from .obs import CostBreakdown, ObsConfig, Registry
@@ -47,15 +44,11 @@ from .obs.export import write_chrome_trace, write_metrics
 
 __all__ = [
     "AdaptEvent",
-    "Executor",
-    "ExecutorConfig",
     "ObsConfig",
     "RunReport",
     "ScenarioSpec",
     "SweepOutcome",
-    "make_executor",
     "run",
-    "run_many",
     "serve",
     "spec_from_preset",
     "submit",
@@ -152,91 +145,6 @@ def run(
         if obs.metrics_path:
             report.write_metrics(obs.metrics_path)
     return report
-
-
-def _resolve_executor(
-    executor: Union[str, ExecutorConfig, Executor],
-) -> Executor:
-    """Backend name / config / instance -> a ready :class:`Executor`."""
-    if isinstance(executor, str):
-        executor = ExecutorConfig(backend=executor)
-    if isinstance(executor, ExecutorConfig):
-        return make_executor(executor)
-    if isinstance(executor, Executor):
-        return executor
-    raise ExecError(
-        f"executor must be a backend name, an ExecutorConfig, or an "
-        f"Executor instance, not {type(executor).__name__}"
-    )
-
-
-def sweep(
-    specs: Sequence[ScenarioSpec],
-    *,
-    jobs: Optional[int] = None,
-    cache: Any = None,
-    refresh: bool = False,
-    retries: Optional[int] = None,
-    progress: Any = None,
-    supervisor: Any = None,
-    obs: Optional[Registry] = None,
-    executor: Optional[Union[str, ExecutorConfig, Executor]] = None,
-) -> SweepOutcome:
-    """Run many scenarios through the parallel, cached engine.
-
-    The facade name for :func:`repro.exec.pool.run_specs` — results come
-    back in spec order, bitwise-identical to serial execution.
-
-    ``executor`` picks the backend: a name (``"local"``/``"serial"``/
-    ``"remote"``), an :class:`~repro.exec.executor.ExecutorConfig`, or
-    any :class:`~repro.exec.executor.Executor` instance — all three
-    backends honor the same contract, so callers cannot tell *where* a
-    sweep ran.  With an executor, the per-call engine knobs (``jobs``,
-    ``cache``, ``refresh``, ``retries``, ``supervisor``) must stay at
-    their defaults — the executor's config carries them instead.
-
-    ``supervisor`` (a :class:`repro.exec.supervisor.SupervisorPolicy`)
-    carries the resilience policy — deadlines, seeded backoff retries,
-    serial degradation; ``retries`` is the simple knob when the default
-    policy is fine.  ``obs`` is a :class:`~repro.obs.Registry` the engine
-    counts retries, attributed failures, quarantined cache entries and
-    degradations into (see docs/RESILIENCE.md).
-    """
-    from .config import EXEC_RETRIES
-
-    if executor is not None:
-        overlapping = [
-            name
-            for name, value in (
-                ("jobs", jobs), ("cache", cache), ("refresh", refresh or None),
-                ("retries", retries), ("supervisor", supervisor),
-            )
-            if value is not None
-        ]
-        if overlapping:
-            raise ExecError(
-                f"sweep(executor=...) carries its own engine configuration; "
-                f"drop the conflicting argument(s) {overlapping} "
-                f"(put them in ExecutorConfig instead)"
-            )
-        return _resolve_executor(executor).execute(
-            specs, progress=progress, obs=obs
-        )
-    return run_specs(
-        specs,
-        jobs=jobs,
-        cache=cache,
-        refresh=refresh,
-        retries=EXEC_RETRIES if retries is None else retries,
-        progress=progress,
-        supervisor=supervisor,
-        obs=obs,
-    )
-
-
-def run_many(specs: Sequence[ScenarioSpec], **kwargs: Any) -> List[ScenarioResult]:
-    """Convenience: :func:`sweep`, returning just the results in order."""
-    return sweep(specs, **kwargs).results
 
 
 # ---------------------------------------------------------------------------

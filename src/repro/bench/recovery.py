@@ -15,12 +15,11 @@ convention the checkpoint/restore machinery documents.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, List, Optional, Sequence
+from functools import partial
+from typing import Callable, Generator, List, Optional, Sequence
 
 from ..apps import Jacobi
-from ..config import SystemConfig
 from ..dsm import Protocol
-from .harness import ExperimentResult, run_experiment
 
 
 class ResumableJacobi(Jacobi):
@@ -84,14 +83,10 @@ def recovery_sweep(
     intervals: Sequence[Optional[float]] = (None, 0.05, 0.1, 0.2, 0.4),
     nprocs: int = 4,
     crash_fraction: float = 0.55,
-    cfg: Optional[SystemConfig] = None,
     n: int = 96,
     iterations: int = 30,
     verify: bool = True,
-    jobs: int = 1,
-    cache=None,
-    refresh: bool = False,
-    executor=None,
+    sweep: Optional[Callable] = None,
 ) -> List[RecoveryPoint]:
     """Run the sweep; ``None`` in ``intervals`` means no checkpointing.
 
@@ -99,35 +94,25 @@ def recovery_sweep(
     on the node hosting the last pid — the same instant for every
     interval, so the points are directly comparable.
 
-    The per-interval runs go through the :mod:`repro.exec` engine —
-    ``jobs`` shards them across worker processes and ``cache`` (a
-    :class:`~repro.exec.ResultCache`) skips re-simulating unchanged
-    points.  ``executor`` (anything :func:`repro.api.sweep` accepts for
-    its ``executor`` argument) replaces the ``jobs``/``cache``/
-    ``refresh`` trio wholesale — e.g. a remote backend runs the interval
-    grid on a coordinator's workers.  A custom ``cfg`` is not
-    expressible as a scenario spec, so it forces the legacy serial
-    in-process path.
+    ``sweep`` is the engine the runs go through, ``specs ->``
+    :class:`~repro.exec.SweepOutcome`: :func:`repro.api.sweep` with the
+    worker count and cache bound (``functools.partial``), or
+    :func:`repro.exec.submit_outcome` with a coordinator's address.
+    Default: :func:`repro.api.sweep` at ``jobs=1``, uncached.
     """
-    if cfg is not None:
-        return _recovery_sweep_legacy(
-            intervals, nprocs, crash_fraction, cfg, n, iterations, verify,
-        )
-
-    from ..api import sweep
     from ..exec.spec import AdaptEvent, ScenarioSpec
+
+    if sweep is None:
+        from ..api import sweep as api_sweep
+
+        sweep = partial(api_sweep, jobs=1)
 
     base_spec = ScenarioSpec(
         kernel="jacobi-resumable", params={"n": n, "iterations": iterations},
         nprocs=nprocs, calibrated=False, adaptive=True, materialized=True,
         extra_nodes=1, label="recovery-baseline",
     )
-    if executor is not None:
-        baseline = sweep([base_spec], executor=executor).results[0]
-    else:
-        baseline = sweep(
-            [base_spec], jobs=1, cache=cache, refresh=refresh,
-        ).results[0]
+    baseline = sweep([base_spec]).results[0]
     crash_at = baseline.runtime_seconds * crash_fraction
 
     specs = [
@@ -139,10 +124,7 @@ def recovery_sweep(
         )
         for interval in intervals
     ]
-    if executor is not None:
-        outcome = sweep(specs, executor=executor)
-    else:
-        outcome = sweep(specs, jobs=jobs, cache=cache, refresh=refresh)
+    outcome = sweep(specs)
 
     points: List[RecoveryPoint] = []
     for interval, res in zip(intervals, outcome.results):
@@ -156,52 +138,6 @@ def recovery_sweep(
             restore_seconds=rec["restore_seconds"] if rec else 0.0,
             lost_work_seconds=rec["lost_work_seconds"] if rec else 0.0,
             verified=res.verified if verify else None,
-        ))
-    return points
-
-
-def _recovery_sweep_legacy(
-    intervals: Sequence[Optional[float]],
-    nprocs: int,
-    crash_fraction: float,
-    cfg: Optional[SystemConfig],
-    n: int,
-    iterations: int,
-    verify: bool,
-) -> List[RecoveryPoint]:
-    """In-process sweep for callers passing a custom :class:`SystemConfig`."""
-    factory = lambda: make_recovery_jacobi(n=n, iterations=iterations)
-
-    baseline = run_experiment(
-        factory, nprocs=nprocs, adaptive=True, extra_nodes=1, cfg=cfg,
-        materialized=True,
-    )
-    crash_at = baseline.runtime_seconds * crash_fraction
-
-    points: List[RecoveryPoint] = []
-    for interval in intervals:
-        def install(rt):
-            victim = rt.team.node_of(rt.team.nprocs - 1)
-            rt.sim.at(crash_at, lambda: rt.inject_crash(victim))
-
-        res = run_experiment(
-            factory, nprocs=nprocs, adaptive=True, extra_nodes=1, cfg=cfg,
-            materialized=True, events=install,
-            runtime_kwargs={
-                "checkpoint_interval": interval,
-                "failure_detection": True,
-            },
-        )
-        rec = res.recoveries[0] if res.recoveries else None
-        points.append(RecoveryPoint(
-            checkpoint_interval=interval,
-            runtime_seconds=res.runtime_seconds,
-            fault_free_seconds=baseline.runtime_seconds,
-            checkpoints_taken=len(res.runtime.ckpt_mgr.checkpoints),
-            detection_latency=rec.detection_latency if rec else 0.0,
-            restore_seconds=rec.restore_seconds if rec else 0.0,
-            lost_work_seconds=rec.lost_work_seconds if rec else 0.0,
-            verified=res.app.verify(rtol=1e-7, atol=1e-9) if verify else None,
         ))
     return points
 

@@ -30,7 +30,7 @@ from .bench.calibrate import calibrated_rates
 from .bench.paper_data import FIGURE3_MOVED, MICRO, MIGRATION_COST, TABLE1
 from .bench.reporting import format_table
 from .core import CompactShift, SwapLast, moved_fraction
-from .errors import ReproError
+from .errors import ExecError, ReproError
 
 PRESETS = {"paper": PAPER, "bench": BENCH, "tiny": TINY}
 
@@ -336,37 +336,50 @@ def cmd_report(args) -> int:
     return 0 if consistent else 1
 
 
-def _executor_from_args(args, jobs_default=None):
-    """Build the :class:`~repro.exec.executor.Executor` the shared engine
-    flags describe, or print the problem and return None."""
-    from .api import make_executor
-    from .exec.executor import ExecutorConfig
+def _sweep_from_args(args, specs, jobs_default=None, progress=None):
+    """Run ``specs`` where the shared engine flags say: on the workers of
+    ``--coordinator HOST:PORT`` when given (its cache, its policy), else
+    on this host through :func:`repro.api.sweep`."""
+    if args.coordinator:
+        from .exec.service import submit_outcome
 
-    jobs = args.jobs if args.jobs is not None else jobs_default
-    try:
-        return make_executor(ExecutorConfig(
-            jobs=jobs,
-            cache_dir=args.cache_dir,
-            use_cache=not args.no_cache,
-            refresh=args.refresh,
-            backend=args.executor,
-            coordinator=args.coordinator,
-        ))
-    except ReproError as err:
-        print(f"bad executor configuration: {err}", file=sys.stderr)
-        return None
+        outcome = submit_outcome(
+            specs, args.coordinator, no_cache=args.no_cache,
+            refresh=args.refresh, progress=progress)
+        if outcome.degraded:
+            raise ExecError(
+                f"the coordinator at {args.coordinator} degraded and "
+                f"handed scenarios back unexecuted")
+        return outcome
+    from .api import sweep
+    from .exec.cache import ResultCache
+
+    return sweep(
+        specs,
+        jobs=args.jobs if args.jobs is not None else jobs_default,
+        cache=None if args.no_cache else ResultCache(root=args.cache_dir),
+        refresh=args.refresh,
+        progress=progress,
+    )
 
 
-def _progress_printer(total_specs):
-    """A run_specs progress callback streaming one line per task to stderr."""
-    def progress(outcome, done, total):
-        how = "cache" if outcome.cached else (
-            f"ran in {outcome.wall_seconds:.2f}s"
-            + (f" after {outcome.attempts} attempts" if outcome.attempts > 1 else "")
-        )
-        print(f"  [{done}/{total}] {outcome.spec.display_name}: {how}",
-              file=sys.stderr)
-    return progress
+def _via(task) -> str:
+    """How a task was satisfied: ``cache``, ``deduped``, or the wall
+    seconds of its run (after the worker id, for a remote one)."""
+    if task.cached:
+        return "cache"
+    if task.deduped:
+        return "deduped"
+    return f"{task.worker_id} {task.wall_seconds:.2f}s".lstrip()
+
+
+def _progress(outcome, done, total):
+    """The engine progress callback: one line per task on stderr."""
+    how = _via(outcome)
+    if outcome.attempts > 1:
+        how += f" after {outcome.attempts} attempts"
+    print(f"  [{done}/{total}] {outcome.spec.display_name}: {how}",
+          file=sys.stderr)
 
 
 def _sweep_summary(outcome) -> str:
@@ -393,7 +406,7 @@ def _sweep_summary(outcome) -> str:
 
 
 def cmd_table1(args) -> int:
-    from .api import spec_from_preset, sweep as api_sweep
+    from .api import spec_from_preset
 
     grid = [(app, nprocs) for app in APP_NAMES for nprocs in (8, 4, 1)]
     specs = [
@@ -401,12 +414,8 @@ def cmd_table1(args) -> int:
                          label=f"{app}-{nprocs}")
         for app, nprocs in grid
     ]
-    executor = _executor_from_args(args, jobs_default=1)
-    if executor is None:
-        return 2
-    outcome = api_sweep(
-        specs, executor=executor, progress=_progress_printer(len(specs)),
-    )
+    outcome = _sweep_from_args(args, specs, jobs_default=1,
+                               progress=_progress)
     rows = []
     for (app, nprocs), res in zip(grid, outcome.results):
         paper = TABLE1[(app, nprocs)]
@@ -427,8 +436,7 @@ def cmd_table1(args) -> int:
 
 def _grid_specs(args):
     """The app x nodes spec grid ``--apps``/``--nodes``/``--preset``
-    describe (shared by ``sweep`` and ``submit``), or None on bad input
-    (problem printed)."""
+    describe, or None on bad input (problem printed)."""
     from .api import spec_from_preset
 
     apps = [a.strip() for a in args.apps.split(",") if a.strip()]
@@ -445,7 +453,7 @@ def _grid_specs(args):
     grid = [(app, nprocs) for app in apps for nprocs in nodes]
     specs = [
         spec_from_preset(args.preset, app, nprocs,
-                         calibrated=not getattr(args, "uncalibrated", False),
+                         calibrated=not args.uncalibrated,
                          label=f"{app}-{nprocs}")
         for app, nprocs in grid
     ]
@@ -453,22 +461,16 @@ def _grid_specs(args):
 
 
 def cmd_sweep(args) -> int:
-    from .api import sweep as api_sweep
-
+    """``repro sweep``, and ``repro submit`` (the same command with
+    ``--coordinator`` defaulting to the local service port)."""
     built = _grid_specs(args)
     if built is None:
         return 2
     grid, specs = built
-    executor = _executor_from_args(args)
-    if executor is None:
-        return 2
-    outcome = api_sweep(
-        specs, executor=executor, progress=_progress_printer(len(specs)),
-    )
+    outcome = _sweep_from_args(args, specs, progress=_progress)
     rows = [
         [app, nprocs, f"{res.runtime_seconds:.2f}", res.pages,
-         f"{res.megabytes:.1f}", res.messages, res.diffs,
-         "cache" if task.cached else f"{task.wall_seconds:.2f}s"]
+         f"{res.megabytes:.1f}", res.messages, res.diffs, _via(task)]
         for (app, nprocs), task, res in zip(
             grid, outcome.outcomes, outcome.results)
     ]
@@ -505,6 +507,8 @@ def cmd_sweep(args) -> int:
                     "digest": task.spec.config_digest(),
                     "label": task.spec.display_name,
                     "cached": task.cached,
+                    "deduped": task.deduped,
+                    "worker": task.worker_id,
                     "result": task.result.to_dict(),
                 }
                 for task in outcome.outcomes
@@ -653,7 +657,7 @@ def cmd_chaos(args) -> int:
     try:
         report = run_chaos(
             specs, plan, cache_root, jobs=args.jobs, corrupt=args.corrupt,
-            supervisor=supervisor, progress=_progress_printer(len(specs)),
+            supervisor=supervisor, progress=_progress,
         )
     except ReproError as err:
         kind = getattr(err, "kind", "error")
@@ -699,17 +703,16 @@ def cmd_chaos(args) -> int:
 
 
 def cmd_recovery(args) -> int:
+    from functools import partial
+
     from .bench import recovery_sweep, sweep_rows
 
     intervals = [None] + [float(v) for v in (args.intervals or "0.1,0.2,0.4").split(",")]
-    executor = _executor_from_args(args, jobs_default=1)
-    if executor is None:
-        return 2
     points = recovery_sweep(
         intervals=intervals,
         nprocs=args.nprocs,
         crash_fraction=args.crash_fraction,
-        executor=executor,
+        sweep=partial(_sweep_from_args, args, jobs_default=1),
     )
     print(format_table(
         ["interval (s)", "t (s)", "overhead (s)", "ckpts", "detect (ms)",
@@ -724,16 +727,8 @@ def cmd_recovery(args) -> int:
 # ---------------------------------------------------------------------------
 # the distributed sweep service (docs/SERVICE.md)
 # ---------------------------------------------------------------------------
-def _coordinator_address(args) -> str:
-    from .exec.service import DEFAULT_PORT
-
-    return args.coordinator or f"127.0.0.1:{DEFAULT_PORT}"
-
-
 def cmd_serve(args) -> int:
     """Run a sweep-service coordinator in the foreground."""
-    from .errors import ExecError
-
     if args.stop:
         from .exec.service import stop_service
 
@@ -772,78 +767,9 @@ def cmd_serve(args) -> int:
     return 0
 
 
-def cmd_submit(args) -> int:
-    """Submit a scenario grid to a running coordinator, stream reports."""
-    from .api import submit
-    from .errors import ExecError
-
-    built = _grid_specs(args)
-    if built is None:
-        return 2
-    grid, specs = built
-    address = _coordinator_address(args)
-    reports = []
-    try:
-        for rep in submit(specs, address, no_cache=args.no_cache,
-                          refresh=args.refresh):
-            via = ("cache" if rep.cached
-                   else "deduped" if rep.deduped
-                   else f"{rep.worker_id or '?'} in {rep.wall_seconds:.2f}s")
-            print(f"  [{len(reports) + 1}/{len(specs)}] "
-                  f"{rep.spec.display_name}: {via}", file=sys.stderr)
-            reports.append(rep)
-    except ExecError as err:
-        print(f"submission to {address} failed: {err}", file=sys.stderr)
-        return 1
-    reports.sort(key=lambda r: r.index)
-    rows = [
-        [app, nprocs, f"{rep.result.runtime_seconds:.2f}", rep.result.pages,
-         f"{rep.result.megabytes:.1f}", rep.result.messages, rep.result.diffs,
-         "cache" if rep.cached else "deduped" if rep.deduped
-         else rep.worker_id or "?"]
-        for (app, nprocs), rep in zip(grid, reports)
-    ]
-    print(format_table(
-        ["app", "nodes", "t(s)", "pages", "MB", "messages", "diffs", "via"],
-        rows,
-        title=f"Remote sweep via {address} ({args.preset} preset)",
-    ))
-    hits = sum(1 for r in reports if r.cached)
-    deduped = sum(1 for r in reports if r.deduped)
-    print(f"  {len(reports)} scenario(s): {hits} from the coordinator "
-          f"cache, {deduped} deduped onto in-flight executions",
-          file=sys.stderr)
-    if args.json:
-        import json as _json
-
-        payload = {
-            "schema": "repro-sweep/1",
-            "preset": args.preset,
-            "coordinator": address,
-            "scenarios": [
-                {
-                    "spec": rep.spec.canonical_dict(),
-                    "digest": rep.spec.config_digest(),
-                    "label": rep.spec.display_name,
-                    "cached": rep.cached,
-                    "deduped": rep.deduped,
-                    "worker": rep.worker_id,
-                    "result": rep.result.to_dict(),
-                }
-                for rep in reports
-            ],
-        }
-        with open(args.json, "w") as fh:
-            _json.dump(payload, fh, indent=2, sort_keys=True)
-        print(f"  wrote {args.json}", file=sys.stderr)
-    return 0
-
-
 def cmd_workers(args) -> int:
     """Run service workers against a coordinator (or show its table)."""
-    from .errors import ExecError
-
-    address = _coordinator_address(args)
+    address = args.coordinator
     if args.status:
         from .exec.service import service_status
 
@@ -931,39 +857,38 @@ def cmd_cache_merge(args) -> int:
     return 0
 
 
-def _engine_parent() -> argparse.ArgumentParser:
-    """The shared argparse parent carrying the execution-engine flags.
+def _engine_parent(coordinator: Optional[str] = None) -> argparse.ArgumentParser:
+    """An argparse parent carrying the execution-engine flags.
 
     Every engine-driven command (``sweep``/``table1``/``recovery``/
     ``serve``/``submit``/``workers``) accepts the same
     ``--jobs``/``--no-cache``/``--refresh``/``--cache-dir``/
-    ``--executor``/``--coordinator`` set.  ``--jobs`` always parses as
+    ``--coordinator`` set; ``coordinator`` is the default address of the
+    commands that always talk to a service.  ``--jobs`` always parses as
     None; commands that are serial by default (``table1``/``recovery``)
     resolve None -> 1 in their command functions, because a
     per-subparser ``set_defaults(jobs=...)`` would mutate the shared
     parent action and leak into every other command.
     """
     from .config import EXEC_CACHE_DIR
-    from .exec.executor import BACKENDS
 
     parent = argparse.ArgumentParser(add_help=False)
     g = parent.add_argument_group("execution engine")
     g.add_argument("--jobs", type=int, default=None,
                    help="worker processes for the scenario engine "
                         "(default: command-specific; unset means one "
-                        "per core)")
+                        "per core; 1 runs serially in this process)")
     g.add_argument("--no-cache", action="store_true",
                    help="bypass the content-addressed result cache")
     g.add_argument("--refresh", action="store_true",
                    help="re-execute and re-store even on a warm cache")
     g.add_argument("--cache-dir", default=EXEC_CACHE_DIR,
                    help="result-cache directory (default: %(default)s)")
-    g.add_argument("--executor", choices=BACKENDS, default="local",
-                   help="execution backend (default: %(default)s); "
-                        "'remote' submits to a coordinator")
-    g.add_argument("--coordinator", default=None, metavar="HOST:PORT",
-                   help="sweep-service coordinator address (for "
-                        "--executor remote and the service commands)")
+    g.add_argument("--coordinator", default=coordinator, metavar="HOST:PORT",
+                   help="sweep-service coordinator: sweep/table1/recovery "
+                        "run on its workers instead of this host, the "
+                        "service commands talk to it"
+                        + (f" (default: {coordinator})" if coordinator else ""))
     return parent
 
 
@@ -973,7 +898,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Adaptive OpenMP-on-NOW (PPoPP 1999) reproduction toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    from .exec.service import DEFAULT_PORT
+
     engine = _engine_parent()
+    service = _engine_parent(coordinator=f"127.0.0.1:{DEFAULT_PORT}")
 
     sub.add_parser("list", help="list workload presets").set_defaults(fn=cmd_list)
     sub.add_parser("calibrate", help="show calibrated compute rates").set_defaults(fn=cmd_calibrate)
@@ -983,26 +911,31 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("fig3", help="Figure 3 analytic fractions").set_defaults(fn=cmd_fig3)
     sub.add_parser("migration", help="§5.3 migration cost model").set_defaults(fn=cmd_migration)
 
-    sweep = sub.add_parser(
-        "sweep",
-        help="run an app x nodes scenario grid through the parallel engine",
-        parents=[engine],
-    )
-    sweep.add_argument("--apps", default=",".join(APP_NAMES),
-                       help="comma-separated kernels (default: all)")
-    sweep.add_argument("--nodes", default="1,4,8",
-                       help="comma-separated team sizes (default: %(default)s)")
-    sweep.add_argument("--preset", choices=sorted(PRESETS), default="bench")
-    sweep.add_argument("--uncalibrated", action="store_true",
-                       help="use the kernels' stock compute rates instead of "
-                            "the Table-1-calibrated ones")
-    sweep.add_argument("--json", default=None, metavar="FILE",
-                       help="also write the full sweep (specs, digests, "
-                            "results) as JSON")
-    sweep.add_argument("--timeline", default=None, metavar="FILE",
-                       help="write the worker-pool timeline as a Chrome "
-                            "trace (one track per worker)")
-    sweep.set_defaults(fn=cmd_sweep)
+    for name, parent, text in (
+        ("sweep", engine,
+         "run an app x nodes scenario grid through the parallel engine"),
+        ("submit", service,
+         "the same grid on a running coordinator's workers (sweep with "
+         "--coordinator defaulting to the local service port)"),
+    ):
+        grid = sub.add_parser(name, help=text, parents=[parent])
+        grid.add_argument("--apps", default=",".join(APP_NAMES),
+                          help="comma-separated kernels (default: all)")
+        grid.add_argument("--nodes", default="1,4,8",
+                          help="comma-separated team sizes "
+                               "(default: %(default)s)")
+        grid.add_argument("--preset", choices=sorted(PRESETS),
+                          default="bench")
+        grid.add_argument("--uncalibrated", action="store_true",
+                          help="use the kernels' stock compute rates instead "
+                               "of the Table-1-calibrated ones")
+        grid.add_argument("--json", default=None, metavar="FILE",
+                          help="also write the full sweep (specs, digests, "
+                               "results) as JSON")
+        grid.add_argument("--timeline", default=None, metavar="FILE",
+                          help="write the worker-pool timeline as a Chrome "
+                               "trace (one track per worker)")
+        grid.set_defaults(fn=cmd_sweep)
 
     def _add_scenario_args(p, app_required=True):
         """The scenario-description flags run and report share."""
@@ -1128,8 +1061,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="crash instant as a fraction of the fault-free run")
     rec.set_defaults(fn=cmd_recovery)
 
-    from .exec.service import DEFAULT_PORT
-
     serve_p = sub.add_parser(
         "serve",
         help="run a sweep-service coordinator (workers register, clients "
@@ -1150,31 +1081,11 @@ def build_parser() -> argparse.ArgumentParser:
                               "--host:--port) instead of starting one")
     serve_p.set_defaults(fn=cmd_serve)
 
-    submit_p = sub.add_parser(
-        "submit",
-        help="submit an app x nodes grid to a running coordinator and "
-             "stream the reports back",
-        parents=[engine],
-    )
-    submit_p.add_argument("--apps", default=",".join(APP_NAMES),
-                          help="comma-separated kernels (default: all)")
-    submit_p.add_argument("--nodes", default="1,4,8",
-                          help="comma-separated team sizes "
-                               "(default: %(default)s)")
-    submit_p.add_argument("--preset", choices=sorted(PRESETS),
-                          default="bench")
-    submit_p.add_argument("--uncalibrated", action="store_true",
-                          help="use the kernels' stock compute rates")
-    submit_p.add_argument("--json", default=None, metavar="FILE",
-                          help="write the streamed reports as JSON "
-                               "(sweep-payload shape)")
-    submit_p.set_defaults(fn=cmd_submit)
-
     workers_p = sub.add_parser(
         "workers",
         help="run service workers against a coordinator (--status shows "
              "the registered-worker table)",
-        parents=[engine],
+        parents=[service],
     )
     workers_p.add_argument("--count", type=int, default=1,
                            help="worker processes to start "
@@ -1204,7 +1115,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ExecError as err:  # unreachable coordinator, exhausted budget...
+        print(f"repro {args.command} failed: {err}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

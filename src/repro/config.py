@@ -276,9 +276,6 @@ class PerfParams:
 #: (relative to the working directory; gitignored).
 EXEC_CACHE_DIR = "benchmarks/results/cache"
 
-#: Extra attempts granted to a scenario whose worker process dies.
-EXEC_RETRIES = 1
-
 
 @dataclass(frozen=True)
 class SystemConfig:

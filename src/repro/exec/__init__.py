@@ -26,16 +26,18 @@ into a schedulable task, and has exactly one scheduler for them: the
   between them;
 * :mod:`~repro.exec.supervisor` — deadlines, the failure taxonomy, and
   the deterministic backoff/degradation policy the coordinator enforces;
-* :mod:`~repro.exec.executor` — :class:`ExecutorConfig` (the one knob
-  bag) and the ``local`` / ``serial`` / ``remote`` backends;
 * :mod:`~repro.exec.chaos` — the seeded fault-injection harness behind
   ``repro chaos`` (worker kills/hangs, cache corruption);
 * :mod:`~repro.exec.merge` — ``repro cache merge``, lossless union of
   cache directories.
 
-``repro sweep --jobs N`` is the CLI face; ``repro table1`` and ``repro
-recovery`` run on the same engine, and ``repro serve`` / ``repro
-submit`` / ``repro workers`` are the service face.
+An engine is a function ``specs -> SweepOutcome``, and there are two:
+:func:`~repro.exec.pool.run_specs` (this host; :func:`repro.api.sweep`
+is its facade name) and :func:`submit_outcome` (a standing coordinator,
+named by its address).  ``repro sweep --jobs N`` is the CLI face of the
+first and ``--coordinator HOST:PORT`` of the second; ``repro table1``
+and ``repro recovery`` take the same flags, and ``repro serve`` /
+``repro workers`` run the service.
 """
 
 from .cache import (
@@ -46,15 +48,6 @@ from .cache import (
     code_version_salt,
 )
 from .chaos import CHAOS_ENV, ChaosPlan, corrupt_cache_entries, run_chaos
-from .executor import (
-    BACKENDS,
-    Executor,
-    ExecutorConfig,
-    LocalExecutor,
-    RemoteExecutor,
-    SerialExecutor,
-    make_executor,
-)
 from .merge import MergeStats, merge_caches
 from .pool import (
     SweepOutcome,
@@ -93,7 +86,6 @@ from .spec import (
 __all__ = [
     "AdaptEvent",
     "AttemptRecord",
-    "BACKENDS",
     "CACHE_SCHEMA",
     "CHAOS_ENV",
     "CacheCorrupt",
@@ -103,19 +95,14 @@ __all__ = [
     "ConnectionClosed",
     "Coordinator",
     "DeadlinePolicy",
-    "Executor",
-    "ExecutorConfig",
-    "LocalExecutor",
     "MergeStats",
     "RESULT_SCHEMA",
-    "RemoteExecutor",
     "ResourceExhausted",
     "ResultCache",
     "RetryPolicy",
     "SPEC_SCHEMA",
     "ScenarioResult",
     "ScenarioSpec",
-    "SerialExecutor",
     "ServiceCounters",
     "Submission",
     "SupervisorPolicy",
@@ -130,7 +117,6 @@ __all__ = [
     "code_version_salt",
     "corrupt_cache_entries",
     "default_jobs",
-    "make_executor",
     "merge_caches",
     "run_chaos",
     "service_status",

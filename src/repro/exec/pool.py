@@ -2,8 +2,9 @@
 
 :func:`run_specs` is the engine's entry point: it takes an ordered list
 of :class:`~repro.exec.spec.ScenarioSpec`, answers what it can from the
-result cache (a warm sweep starts no process), executes the misses,
-streams per-task progress, and merges everything back **in spec order** —
+result cache (a warm sweep starts no process), executes the misses (one
+run per digest, however often the list repeats it), streams per-task
+progress, and merges everything back **in spec order** —
 so the output is bitwise-identical to running the same list serially
 (simulations are deterministic; see ``tests/exec/test_engine_e2e.py``
 and ``tests/exec/test_chaos.py``).
@@ -36,7 +37,6 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..config import EXEC_RETRIES
 from ..errors import ExecError
 from .cache import CacheStats, ResultCache
 from .result import ScenarioResult
@@ -174,10 +174,10 @@ ProgressFn = Callable[[TaskOutcome, int, int], None]
 
 def run_specs(
     specs: Sequence[ScenarioSpec],
+    *,
     jobs: Optional[int] = None,
     cache: Optional[ResultCache] = None,
     refresh: bool = False,
-    retries: int = EXEC_RETRIES,
     progress: Optional[ProgressFn] = None,
     supervisor: Optional[SupervisorPolicy] = None,
     obs=None,
@@ -186,11 +186,13 @@ def run_specs(
 
     Results come back in spec order regardless of completion order, and
     are bitwise-identical to ``jobs=1`` serial execution.  ``refresh``
-    forces re-execution (and re-stores) even on a warm cache.
+    forces re-execution (and re-stores) even on a warm cache.  Specs
+    that share a digest are one simulation whatever ``jobs`` is: the
+    first runs, the rest are copies marked ``deduped``.
 
-    ``supervisor`` carries the full resilience policy (deadlines, backoff
-    retries, degradation); when omitted one is built from the legacy
-    ``retries`` knob.  ``obs`` is an optional
+    ``supervisor`` carries the resilience policy (deadlines, backoff
+    retries, the attempt budget, degradation; default
+    :class:`SupervisorPolicy`).  ``obs`` is an optional
     :class:`~repro.obs.Registry`; the engine counts retries, failures by
     kind, quarantined cache entries and degradations into it.
     """
@@ -198,13 +200,16 @@ def run_specs(
     jobs = jobs if jobs is not None else default_jobs()
     if jobs < 1:
         raise ExecError("jobs must be >= 1")
-    policy = (supervisor if supervisor is not None
-              else SupervisorPolicy.from_retries(retries)).validate()
+    policy = (supervisor or SupervisorPolicy()).validate()
     t_start = time.perf_counter()
     total = len(specs)
     outcomes: List[Optional[TaskOutcome]] = [None] * total
     done = 0
     corrupt_before = cache.stats.corrupt if cache is not None else 0
+    #: digest -> index of the first spec that missed the cache with it,
+    #: and that index -> the later specs of the same digest.
+    leader: Dict[str, int] = {}
+    twins: Dict[int, List[int]] = {}
 
     def _finish(outcome: TaskOutcome) -> None:
         nonlocal done
@@ -212,6 +217,8 @@ def run_specs(
         done += 1
         if progress is not None:
             progress(outcome, done, total)
+        for j in twins.get(outcome.index, ()):
+            _finish(replace(outcome, index=j, spec=specs[j], deduped=True))
 
     def _run_here(i: int, spec: ScenarioSpec, **outcome_fields) -> None:
         started = time.perf_counter() - t_start
@@ -225,14 +232,18 @@ def run_specs(
 
     pending: List[Tuple[int, ScenarioSpec]] = []
     for i, spec in enumerate(specs):
+        digest = spec.config_digest()
+        if digest in leader:
+            twins.setdefault(leader[digest], []).append(i)
+            continue
         hit = cache.get(spec) if (cache is not None and not refresh) else None
         if hit is not None:
             _finish(TaskOutcome(i, spec, hit.result, hit.wall_seconds,
                                 cached=True, attempts=0))
         else:
+            leader[digest] = i
             pending.append((i, spec))
 
-    executed = len(pending)
     retried = 0
     degraded = False
     failure_counts: Dict[str, int] = {}
@@ -244,7 +255,7 @@ def run_specs(
 
         def _merge(o: TaskOutcome, _done: int, _total: int) -> None:
             i, spec = pending[o.index]
-            if cache is not None and not o.deduped:
+            if cache is not None:
                 cache.put(spec, o.result, wall_seconds=o.wall_seconds)
             _finish(replace(o, index=i, worker=o.attempt_log[-1].worker,
                             worker_id="", started_at=o.started_at + lead,
@@ -260,7 +271,6 @@ def run_specs(
                     no_cache=True, progress=_merge)
             finally:
                 launcher.stop()
-        executed = sweep.executed
         retried = sweep.retried
         failure_counts = sweep.failure_counts
         degraded = sweep.degraded
@@ -292,7 +302,7 @@ def run_specs(
         outcomes=outcomes,  # type: ignore[arg-type]  (all filled above)
         cache_stats=cache.stats if cache is not None else CacheStats(),
         jobs=jobs,
-        executed=executed,
+        executed=len(pending),
         retried=retried,
         wall_seconds=time.perf_counter() - t_start,
         failure_counts=failure_counts,

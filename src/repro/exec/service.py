@@ -164,7 +164,7 @@ class ServiceCounters:
 def count_service_obs(obs, service: Dict) -> None:
     """Mirror a service-counter snapshot into ``exec.service.*`` counters.
 
-    The remote executor calls this after a submission so ``repro report
+    :func:`submit_outcome` calls this after a submission so ``repro report
     --sweep`` and the metrics exporters see the coordinator's dedupe/
     requeue/throughput accounting exactly like the local engine's
     ``exec.*`` family.
@@ -831,12 +831,12 @@ def submit_outcome(specs: Sequence[ScenarioSpec], address: str, *,
                    obs=None) -> SweepOutcome:
     """Submit a batch and reassemble the stream into a :class:`SweepOutcome`.
 
-    The one reassembly function, behind
-    :class:`~repro.exec.executor.RemoteExecutor` and behind every local
-    ``jobs >= 2`` sweep: outcomes land in spec order, results
-    bitwise-identical to serial execution; the coordinator's service
-    counters become ``cache_stats``, ``retried``, ``failure_counts`` and
-    the outcome's ``service`` snapshot, and are mirrored into ``obs`` as
+    The remote engine (``--coordinator`` on the CLI) and the one
+    reassembly function, also behind every local ``jobs >= 2`` sweep:
+    outcomes land in spec order, results bitwise-identical to serial
+    execution; the coordinator's service counters become
+    ``cache_stats``, ``retried``, ``failure_counts`` and the outcome's
+    ``service`` snapshot, and are mirrored into ``obs`` as
     ``exec.service.*``.  ``degraded`` is set when tasks were handed back
     (see :class:`Submission`); they fill their slots unfinished.
     """

@@ -26,7 +26,6 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..config import EXEC_RETRIES
 from ..errors import ExecError
 from .spec import ScenarioSpec
 
@@ -147,9 +146,9 @@ def seeded_unit(*parts) -> float:
 class RetryPolicy:
     """Seeded exponential backoff with deterministic jitter.
 
-    ``max_attempts`` counts *executions*, not retries: the engine's
-    legacy ``retries=1`` default maps to ``max_attempts=2``.  The delay
-    before attempt ``a`` (a >= 2) is::
+    ``max_attempts`` counts *executions*, not retries — the one spelling
+    of the attempt budget (the default 2 is one run plus one retry).
+    The delay before attempt ``a`` (a >= 2) is::
 
         d = min(max_delay, base_delay * multiplier ** (a - 2))
         sleep in [d * (1 - jitter), d]     # jittered deterministically
@@ -159,7 +158,7 @@ class RetryPolicy:
     de-synchronize instead of thundering back in lockstep.
     """
 
-    max_attempts: int = EXEC_RETRIES + 1
+    max_attempts: int = 2
     base_delay: float = 0.05
     multiplier: float = 2.0
     max_delay: float = 2.0
@@ -185,11 +184,6 @@ class RetryPolicy:
                     self.base_delay * self.multiplier ** (attempt - 2))
         unit = seeded_unit(self.seed, key, attempt)
         return delay * (1.0 - self.jitter * unit)
-
-    @classmethod
-    def from_retries(cls, retries: int, **kw) -> "RetryPolicy":
-        """Adapt the legacy ``retries=N`` knob (N re-executions)."""
-        return cls(max_attempts=max(1, retries + 1), **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +257,3 @@ class SupervisorPolicy:
         if self.degrade_after < 0:
             raise ExecError("degrade_after must be >= 0")
         return self
-
-    @classmethod
-    def from_retries(cls, retries: int, **kw) -> "SupervisorPolicy":
-        return cls(retry=RetryPolicy.from_retries(retries), **kw)

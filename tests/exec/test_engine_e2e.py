@@ -12,6 +12,7 @@ from repro.errors import ExecError
 from repro.exec import ResultCache, ScenarioSpec
 from repro.exec.chaos import CHAOS_ENV, ChaosPlan
 from repro.exec.pool import run_spec, run_specs
+from repro.exec.supervisor import RetryPolicy, SupervisorPolicy
 
 
 def small_specs(count=3, n=48, iterations=3):
@@ -57,20 +58,25 @@ class TestParallelIdentity:
         assert parallel.jobs == 2
         assert parallel.executed == 3
 
-    def test_duplicate_specs_in_one_sweep_run_once(self, tmp_path):
-        """The coordinator's in-flight dedupe applies inside a local
-        sweep: [s, s, t] is two simulations, three outcomes."""
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_duplicate_specs_in_one_sweep_run_once(self, tmp_path, jobs):
+        """Specs that share a digest are coalesced before the ``jobs``
+        branch: [s, s, t] is two simulations, three outcomes, whatever
+        ``jobs`` is."""
         s = small_specs(1)[0]
         t = s.replaced(nprocs=2)
         cache = ResultCache(root=tmp_path)
-        outcome = run_specs([s, s, t], jobs=2, cache=cache)
+        seen = []
+        outcome = run_specs([s, s, t], jobs=jobs, cache=cache,
+                            progress=lambda o, done, total: seen.append(done))
         assert [o.index for o in outcome.outcomes] == [0, 1, 2]
         assert [o.spec for o in outcome.outcomes] == [s, s, t]
         first, twin, other = (r.to_json() for r in outcome.results)
         assert first == twin != other
-        assert sorted(o.deduped for o in outcome.outcomes[:2]) == [False, True]
+        assert [o.deduped for o in outcome.outcomes] == [False, True, False]
         assert outcome.executed == 2
         assert outcome.cache_stats.stores == 2
+        assert seen == [1, 2, 3]
         assert [first, other] == [r.to_json()
                                   for r in run_specs([s, t], jobs=1).results]
 
@@ -139,7 +145,8 @@ class TestCrashRetry:
         spec = small_specs(1)[0]
         crash_once(monkeypatch, tmp_path)
         with pytest.raises(ExecError, match="crashed its worker"):
-            run_specs([spec], jobs=2, retries=0)
+            run_specs([spec], jobs=2, supervisor=SupervisorPolicy(
+                retry=RetryPolicy(max_attempts=1)))
 
     def test_worker_exception_propagates_with_traceback(self):
         bad = ScenarioSpec(kernel="jacobi", params={"n": 2, "iterations": 1},

@@ -13,6 +13,7 @@ Everything runs in-process on ephemeral ports; the "dying worker" is a
 raw socket that speaks just enough protocol to lease a task and vanish.
 """
 
+import re
 import threading
 import time
 
@@ -367,19 +368,38 @@ class TestLifecycle:
 
 class TestServiceCLI:
     def test_submit_and_workers_status_commands(self, tmp_path, capsys):
+        """``submit`` is ``sweep --coordinator``: one table, one summary,
+        one JSON writer — so ``report --sweep`` reads what really ran."""
+        import json
+
         from repro.cli import main
 
+        grid = ["--apps", "jacobi", "--nodes", "1,2", "--preset", "tiny",
+                "--uncalibrated"]
+        cold, warm = tmp_path / "cold.json", tmp_path / "warm.json"
         with Coordinator(cache=ResultCache(root=tmp_path / "c")) as co, \
                 Worker(co.address):
             assert wait_until(lambda: service_status(co.address)["workers"])
-            rc = main(["submit", "--coordinator", co.address,
-                       "--apps", "jacobi", "--nodes", "1,2",
-                       "--preset", "tiny", "--uncalibrated"])
+            rc = main(["submit", "--coordinator", co.address, *grid,
+                       "--json", str(cold)])
             out = capsys.readouterr()
             assert rc == 0
-            assert "jacobi" in out.out
-            assert "deduped" in out.out + out.err
+            assert "jacobi" in out.out and "w1 " in out.out  # the via column
+            assert "0 from cache, 2 executed" in out.err
+            assert "deduped=0" in out.err
+            rc = main(["sweep", "--coordinator", co.address, *grid,
+                       "--json", str(warm)])
+            assert rc == 0
+            assert "2 from cache, 0 executed" in capsys.readouterr().err
             rc = main(["workers", "--status", "--coordinator", co.address])
             out = capsys.readouterr()
             assert rc == 0
             assert "w1" in out.out and "executed" in out.out
+        first, again = json.loads(cold.read_text()), json.loads(warm.read_text())
+        assert first["executed"] == 2 and again["executed"] == 0
+        assert first["service"]["workers"] == 1
+        assert ([s["result"] for s in first["scenarios"]]
+                == [s["result"] for s in again["scenarios"]])
+        assert [s["worker"] for s in first["scenarios"]] == ["w1", "w1"]
+        assert main(["report", "--sweep", str(cold)]) == 0
+        assert re.search(r"^ *executed +2$", capsys.readouterr().out, re.M)

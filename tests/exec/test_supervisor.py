@@ -107,10 +107,6 @@ class TestRetryPolicy:
         pol = RetryPolicy(jitter=1.0)
         assert pol.backoff("task-a", 2) != pol.backoff("task-b", 2)
 
-    def test_from_retries_maps_executions(self):
-        assert RetryPolicy.from_retries(0).max_attempts == 1
-        assert RetryPolicy.from_retries(2).max_attempts == 3
-
     @pytest.mark.parametrize("bad", [
         dict(max_attempts=0),
         dict(base_delay=-1.0),
@@ -153,9 +149,7 @@ class TestSupervisorPolicy:
     def test_defaults_validate(self):
         pol = SupervisorPolicy().validate()
         assert pol.degrade_after == 3
-
-    def test_from_retries_threads_the_legacy_knob(self):
-        assert SupervisorPolicy.from_retries(2).retry.max_attempts == 3
+        assert pol.retry.max_attempts == 2  # one run plus one retry
 
     def test_validate_is_deep(self):
         with pytest.raises(ExecError):

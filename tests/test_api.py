@@ -7,7 +7,6 @@ from repro.api import (
     ObsConfig,
     RunReport,
     run,
-    run_many,
     spec_from_preset,
     sweep,
 )
@@ -54,7 +53,7 @@ class TestRun:
 
 
 class TestSweepFacade:
-    def test_sweep_and_run_many(self, tmp_path):
+    def test_sweep_returns_outcomes_in_spec_order(self, tmp_path):
         from repro.exec import ResultCache
 
         specs = [tiny_spec(label=f"api-sweep-{n}") for n in (1, 2)]
@@ -62,7 +61,49 @@ class TestSweepFacade:
         outcome = sweep(specs, jobs=1, cache=cache)
         assert [o.spec.label for o in outcome.outcomes] == [
             "api-sweep-1", "api-sweep-2"]
-        assert run_many(specs, jobs=1, cache=cache) == outcome.results
+        assert sweep(specs, jobs=1, cache=cache).results == outcome.results
+
+    def test_one_way_to_run_a_batch(self):
+        """An engine is a function ``specs -> SweepOutcome``: the facade's
+        signature is the whole configuration surface, and the executor
+        layer stays deleted."""
+        import inspect
+
+        import repro.api
+        import repro.exec
+
+        assert list(inspect.signature(sweep).parameters) == [
+            "specs", "jobs", "cache", "refresh", "progress", "supervisor",
+            "obs"]
+        for name in ("ExecutorConfig", "Executor", "LocalExecutor",
+                     "SerialExecutor", "RemoteExecutor", "make_executor",
+                     "BACKENDS"):
+            assert not hasattr(repro.exec, name), name
+            assert not hasattr(repro.api, name), name
+        assert not hasattr(repro.api, "run_many")
+
+    def test_cli_remote_route_refuses_a_degraded_outcome(
+            self, monkeypatch, capsys):
+        """``--coordinator`` goes through ``submit_outcome``; a coordinator
+        that handed tasks back is an error, not a table with holes."""
+        from repro.cli import main
+        from repro.exec import CacheStats, SweepOutcome, TaskOutcome, service
+
+        def handed_back(specs, address, **kwargs):
+            return SweepOutcome(
+                outcomes=[TaskOutcome(i, spec, None, 0.0, cached=False,
+                                      attempts=1, worker=-2)
+                          for i, spec in enumerate(specs)],
+                cache_stats=CacheStats(), jobs=1, executed=len(specs),
+                retried=0, degraded=True)
+
+        monkeypatch.setattr(service, "submit_outcome", handed_back)
+        rc = main(["sweep", "--apps", "jacobi", "--nodes", "1",
+                   "--preset", "tiny", "--coordinator", "coord.example:7070"])
+        err = capsys.readouterr().err
+        assert rc != 0
+        assert "coord.example:7070" in err
+        assert "handed scenarios back" in err
 
 
 class TestRunResultCompatShim:

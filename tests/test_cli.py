@@ -216,9 +216,9 @@ class TestScale:
 
 
 class TestSharedEngineFlags:
-    """Every engine-driven command accepts the same execution flags
+    """Every engine-driven command accepts the same five execution flags
     (the shared argparse parent behind --jobs/--cache-dir/--no-cache/
-    --refresh/--executor/--coordinator, docs/PROTOCOL.md §12)."""
+    --refresh/--coordinator, docs/PROTOCOL.md §12)."""
 
     COMMANDS = ["sweep", "table1", "recovery", "serve", "submit", "workers"]
 
@@ -227,15 +227,22 @@ class TestSharedEngineFlags:
         for command in self.COMMANDS:
             args = parser.parse_args(
                 [command, "--jobs", "3", "--no-cache", "--refresh",
-                 "--cache-dir", "/tmp/c", "--executor", "serial",
-                 "--coordinator", "host:7070"])
+                 "--cache-dir", "/tmp/c", "--coordinator", "host:7070"])
             assert args.jobs == 3 and args.no_cache and args.refresh
-            assert args.executor == "serial"
+            assert args.cache_dir == "/tmp/c"
             assert args.coordinator == "host:7070"
 
-    def test_unknown_backend_rejected_at_parse_time(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["sweep", "--executor", "telepathy"])
+    def test_coordinator_defaults_to_the_service_port_only_for_its_clients(self):
+        # sweep/table1/recovery run here unless told otherwise; submit and
+        # workers always talk to a service (separate parents, so the
+        # default cannot leak from one command to another).
+        parser = build_parser()
+        for command in ("sweep", "table1", "recovery", "serve"):
+            assert parser.parse_args([command]).coordinator is None
+        for command in ("submit", "workers"):
+            assert (parser.parse_args([command]).coordinator
+                    == "127.0.0.1:7070")
+        assert parser.parse_args(["submit"]).fn is parser.parse_args(["sweep"]).fn
 
     def test_jobs_defaults_are_preserved(self):
         # argparse parents share action objects, so a per-subparser
@@ -254,19 +261,21 @@ class TestSharedEngineFlags:
                      "--coordinator", "127.0.0.1:1"]) == 2
         assert "--count" in capsys.readouterr().err
 
-    def test_remote_without_coordinator_fails_cleanly(self, tmp_path, capsys):
+    def test_remote_without_coordinator_fails_cleanly(self, capsys):
+        # --coordinator with nothing listening there
         rc = main(["sweep", "--apps", "jacobi", "--nodes", "1",
-                   "--preset", "tiny", "--executor", "remote",
-                   "--cache-dir", str(tmp_path)])
-        assert rc == 2
-        assert "coordinator" in capsys.readouterr().err
+                   "--preset", "tiny", "--coordinator", "127.0.0.1:1"])
+        assert rc != 0
+        assert "127.0.0.1:1" in capsys.readouterr().err
 
-    def test_sweep_through_serial_executor_backend(self, tmp_path, capsys):
+    def test_sweep_jobs_1_runs_serially_in_process(self, tmp_path, capsys):
         rc = main(["sweep", "--apps", "jacobi", "--nodes", "1",
                    "--preset", "tiny", "--uncalibrated",
-                   "--executor", "serial", "--cache-dir", str(tmp_path)])
+                   "--jobs", "1", "--cache-dir", str(tmp_path)])
+        out = capsys.readouterr()
         assert rc == 0
-        assert "jacobi" in capsys.readouterr().out
+        assert "jacobi" in out.out
+        assert "1 executed (0 retried) on 1 job(s)" in out.err
 
     def test_cache_merge_requires_src_and_dst(self):
         with pytest.raises(SystemExit):
