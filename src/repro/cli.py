@@ -801,13 +801,11 @@ def cmd_workers(args) -> int:
               "use --count N for N of them (--jobs has no meaning here)",
               file=sys.stderr)
         return 2
-    cache_dir = None if args.no_cache else args.cache_dir
     count = max(1, args.count)
-    print(f"starting {count} worker(s) against {address} "
-          f"(cache: {cache_dir or 'off'})", file=sys.stderr)
+    print(f"starting {count} worker(s) against {address}", file=sys.stderr)
     if count == 1:
         try:
-            worker_main(address, cache_dir=cache_dir, slots=args.slots)
+            worker_main(address, slots=args.slots)
         except ExecError as err:
             print(f"worker failed: {err}", file=sys.stderr)
             return 1
@@ -819,7 +817,7 @@ def cmd_workers(args) -> int:
     ctx = mp.get_context("spawn")
     procs = [
         ctx.Process(target=worker_main, args=(address,),
-                    kwargs=dict(cache_dir=cache_dir, slots=args.slots))
+                    kwargs=dict(slots=args.slots))
         for _ in range(count)
     ]
     for proc in procs:
@@ -864,7 +862,10 @@ def _engine_parent(coordinator: Optional[str] = None) -> argparse.ArgumentParser
     ``serve``/``submit``/``workers``) accepts the same
     ``--jobs``/``--no-cache``/``--refresh``/``--cache-dir``/
     ``--coordinator`` set; ``coordinator`` is the default address of the
-    commands that always talk to a service.  ``--jobs`` always parses as
+    commands that always talk to a service.  ``workers`` reads only
+    ``--coordinator`` of them: a worker keeps no cache (every task it is
+    handed is a coordinator-side miss or a forced re-run) and refuses
+    ``--jobs``.  ``--jobs`` always parses as
     None; commands that are serial by default (``table1``/``recovery``)
     resolve None -> 1 in their command functions, because a
     per-subparser ``set_defaults(jobs=...)`` would mutate the shared

@@ -227,9 +227,9 @@ class PerfParams:
     defaults are the paper's system — flat all-to-one synchronization on
     a single switched segment, one exchange per page fault — and keep the
     Table 1/2 reproduction exact.  Host-side speed-ups (event batching,
-    flight-batched transport, plan cache, run-encoded diffs, interval-log
-    pruning) are not options: they are the implementation, bitwise
-    invisible to every modelled output (``tests/golden.py``).
+    plan cache, run-encoded diffs, interval-log pruning) are not
+    options: they are the implementation, bitwise invisible to every
+    modelled output (``tests/golden.py``).
     """
 
     #: Coalesce the full-page fetches of one fault burst into a single

@@ -93,8 +93,7 @@ class BarrierManager:
         )
         self.force_gc = False
 
-        # One release wave: every leg is issued back-to-back in this event,
-        # so the whole fan-out flies as one batched flight (PROTOCOL.md §13).
+        # One release wave, issued back-to-back in this event (PROTOCOL.md §13).
         legs = [
             master.notice_leg(
                 mk.BARRIER_RELEASE, pid,

@@ -230,50 +230,36 @@ class DsmProcess:
     def send_fanout(
         self, legs: List[Tuple[str, int, Any, int]]
     ) -> List[Message]:
-        """Transmit ``(kind, dst_pid, payload, size)`` legs as one flight.
+        """Transmit ``(kind, dst_pid, payload, size)`` legs as one wave.
 
-        Only valid for sends issued back-to-back with no yield between
-        them (a fan-out wave); then batching the transport is bitwise
-        identical to ``[self.send(*leg) for leg in legs]`` — see
-        docs/PROTOCOL.md §13.  On a wire that cannot take the batched
-        pass (loss, fault injection, tracing) the legs go through
-        :meth:`send` one at a time — the functional fallback.
+        Leaves links, traffic counters and the event queue exactly as
+        ``[self.send(*leg) for leg in legs]`` does, dark peers and the
+        crash hook included (docs/PROTOCOL.md §13); it exists so a wave
+        is one call the switch can count.
         """
-        nic = self.node.nic
-        if len(legs) >= 2 and nic.attached:
-            switch = nic.switch
-            if (
-                switch._faults is None
-                and switch.loss is None
-                and not self.sim.tracer.enabled
-            ):
-                node_of = self.team.node_of
-                src = self.node.node_id
-                pid = self.pid
-                msgs = [
-                    Message(
-                        kind=kind,
-                        src=src,
-                        dst=node_of(dst_pid),
-                        size_bytes=size,
-                        payload=payload,
-                        src_pid=pid,
-                        dst_pid=dst_pid,
-                    )
-                    for kind, dst_pid, payload, size in legs
-                ]
-                crash_hook = self.crash_hook
-                on_error = (
-                    None
-                    if crash_hook is None
-                    else lambda m, e: crash_hook(m.dst, e)
-                )
-                nic.send_flight(msgs, on_error)
-                return msgs
-        return [
-            self.send(kind, dst_pid, payload, size)
+        node_of = self.team.node_of
+        src = self.node.node_id
+        pid = self.pid
+        msgs = [
+            Message(
+                kind=kind,
+                src=src,
+                dst=node_of(dst_pid),
+                size_bytes=size,
+                payload=payload,
+                src_pid=pid,
+                dst_pid=dst_pid,
+            )
             for kind, dst_pid, payload, size in legs
         ]
+        crash_hook = self.crash_hook
+        on_error = (
+            None
+            if crash_hook is None
+            else lambda m, e: crash_hook(m.dst, e)
+        )
+        self.node.nic.send_flight(msgs, on_error)
+        return msgs
 
     def request(self, kind: str, dst_pid: int, payload: Any, size: int):
         """Waitable request/reply to another process's server."""

@@ -203,9 +203,8 @@ class TreeBarrier:
             proc.apply_notices(payload["notices"], payload["vc"])
             do_gc = payload["gc"]
 
-        # -- down-sweep: release our children with what each is missing.
-        # The legs are issued back-to-back, so the wave flies as one
-        # batched flight (PROTOCOL.md §13).
+        # -- down-sweep: release our children with what each is missing,
+        # one wave issued back-to-back (PROTOCOL.md §13).
         proc.send_fanout([
             proc.notice_leg(
                 mk.BARRIER_TREE_RELEASE, cpid,

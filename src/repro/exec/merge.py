@@ -1,10 +1,10 @@
 """Lossless union of two result-cache directories.
 
-``repro cache merge SRC DST`` ships a worker-local cache home into the
-coordinator's shared one (and is useful standalone for consolidating
-sweep caches).  Digests are location-independent — the same spec hashes
-to the same file name on every host — so a merge is mostly "copy the
-entries the destination lacks", with integrity enforced the same way
+``repro cache merge SRC DST`` consolidates sweep caches, e.g. one
+host's into a coordinator's shared one.  Digests are
+location-independent — the same spec hashes to the same file name on
+every host — so a merge is mostly "copy the entries the destination
+lacks", with integrity enforced the same way
 :class:`~repro.exec.cache.ResultCache` enforces it on read:
 
 * every source entry is **checksum-verified** before it is copied

@@ -17,8 +17,8 @@ semantics):
   config digest; every completed result lands in the coordinator's
   shared content-addressed :class:`~repro.exec.cache.ResultCache`, so a
   scenario computed by any worker is served from cache forever after —
-  digests are location-independent, worker caches merge losslessly
-  (:func:`repro.exec.merge.merge_caches`).
+  digests are location-independent, so cache directories merge
+  losslessly (:func:`repro.exec.merge.merge_caches`).
 * **In-flight dedupe.**  Submissions of a digest that is already queued
   or running *attach* to the existing task instead of re-executing: a
   thundering herd of N identical submissions costs one execution and

@@ -22,10 +22,9 @@ Failure split:
 
 A dedicated heartbeat thread keeps frames flowing while a long
 simulation runs, which is what lets the coordinator use a plain receive
-timeout as its liveness probe.  Results optionally land in a
-worker-local :class:`~repro.exec.cache.ResultCache` too; digests are
-location-independent, so that cache can later be shipped home with
-``repro cache merge`` (:mod:`repro.exec.merge`).
+timeout as its liveness probe.  A worker keeps no result cache: every
+task that reaches it is a coordinator-side miss or a forced re-run
+(``refresh``), so it always executes.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ import traceback
 from typing import Optional
 
 from ..errors import ExecError
-from .cache import ResultCache, code_version_salt
+from .cache import code_version_salt
 from .chaos import worker_fault
 from .pool import run_spec
 from .spec import ScenarioSpec
@@ -65,13 +64,11 @@ class Worker:
     """
 
     def __init__(self, address: str, *,
-                 cache: Optional[ResultCache] = None,
                  slots: int = 1,
                  connect_retry_seconds: float = DEFAULT_CONNECT_RETRY_SECONDS):
         if slots < 1:
             raise ExecError("slots must be >= 1")
         self.address = address
-        self.cache = cache
         self.slots = slots
         self.connect_retry_seconds = connect_retry_seconds
         self.worker_id: Optional[str] = None
@@ -119,24 +116,18 @@ class Worker:
         """Run one leased task and report."""
         spec = ScenarioSpec.from_wire(task["spec"])
         digest = spec.config_digest()
-        hit = self.cache.get(spec) if self.cache is not None else None
-        if hit is not None:
-            result, wall = hit.result, hit.wall_seconds
-        else:
-            try:
-                worker_fault(digest, int(task.get("attempt", 1)))
-                result, wall = run_spec(spec)
-            except Exception as err:
-                # Whatever the simulation raised is a property of the spec,
-                # not of this worker: report it and keep serving.
-                self._send(message(
-                    "task_error", task_id=task["task_id"], digest=digest,
-                    kind=getattr(err, "kind", None) or "error",
-                    detail=f"scenario {spec.display_name} failed in its "
-                           f"worker:\n{traceback.format_exc()}"))
-                return
-            if self.cache is not None:
-                self.cache.put(spec, result, wall_seconds=wall)
+        try:
+            worker_fault(digest, int(task.get("attempt", 1)))
+            result, wall = run_spec(spec)
+        except Exception as err:
+            # Whatever the simulation raised is a property of the spec,
+            # not of this worker: report it and keep serving.
+            self._send(message(
+                "task_error", task_id=task["task_id"], digest=digest,
+                kind=getattr(err, "kind", None) or "error",
+                detail=f"scenario {spec.display_name} failed in its "
+                       f"worker:\n{traceback.format_exc()}"))
+            return
         self.tasks_done += 1
         self._send(message(
             "result", task_id=task["task_id"], digest=digest,
@@ -197,13 +188,11 @@ class Worker:
         self.stop()
 
 
-def worker_main(address: str, cache_dir: Optional[str] = None,
-                slots: int = 1,
+def worker_main(address: str, slots: int = 1,
                 connect_retry_seconds: float = DEFAULT_CONNECT_RETRY_SECONDS,
                 ) -> None:
     """Process entry point for ``repro workers`` and for the launcher of
     a local sweep (spawn-friendly: module level, only picklable
     arguments)."""
-    cache = ResultCache(root=cache_dir) if cache_dir else None
-    Worker(address, cache=cache, slots=slots,
+    Worker(address, slots=slots,
            connect_retry_seconds=connect_retry_seconds).run()

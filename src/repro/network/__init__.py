@@ -6,7 +6,7 @@ taxonomy used by the DSM and adaptive layers, and per-link traffic
 accounting (:class:`TrafficStats`).
 """
 
-from . import flight, message
+from . import message
 from .link import Link
 from .message import Message, next_req_id
 from .nic import Nic
@@ -27,7 +27,6 @@ __all__ = [
     "build_topology",
     "TrafficSnapshot",
     "TrafficStats",
-    "flight",
     "message",
     "next_req_id",
 ]

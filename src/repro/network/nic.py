@@ -69,12 +69,10 @@ class Nic:
         return self.replies.recv(match=lambda m, rid=rid: m.req_id == rid)
 
     def send_flight(self, msgs, on_error=None) -> None:
-        """Transmit messages issued back-to-back in one event as a flight.
-
-        Identical to sending each message through :meth:`send` in order
-        (see :meth:`Switch.transmit_flight <repro.network.switch.Switch.transmit_flight>`);
-        the per-leg attachment check moves into the flight loop so error
-        reporting keeps the per-message sequence points.
+        """Transmit a fan-out wave: each message as :meth:`send` would, in
+        order.  Our attachment is checked per leg inside
+        :meth:`Switch.transmit_flight <repro.network.switch.Switch.transmit_flight>`,
+        so ``on_error`` sees a detached sender once per leg.
         """
         self.switch.transmit_flight(msgs, on_error, src_nic=self)
 

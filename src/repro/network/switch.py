@@ -50,9 +50,10 @@ class Switch:
         #: :attr:`faults` property, which drops the NICs' cached wire
         #: reliability).
         self._faults = None
-        #: Flights the batched transport compiled / legs they carried —
-        #: host-side instrumentation only (never part of simulated state),
-        #: so tests can assert the fast path engaged.
+        #: Calls of :meth:`transmit_flight` (fan-out waves, a tree leaf's
+        #: empty one included) / legs they carried — host-side counters
+        #: only (never part of simulated state); the benchmark reads them
+        #: as ``network.flight_*``.
         self.flights_compiled = 0
         self.flight_legs = 0
 
@@ -177,46 +178,32 @@ class Switch:
         return arrival
 
     def transmit_flight(self, msgs, on_error=None, src_nic=None) -> None:
-        """Deliver a whole flight of messages issued within one event.
+        """Transmit a fan-out wave: ``for m in msgs: self.transmit(m)``.
 
-        Semantically identical to ``for m in msgs: self.transmit(m)`` —
-        same link reservations, traffic counters, arrival times and
-        delivery event order — but compiled as one batched pass over the
-        occupancy model (see :mod:`repro.network.flight`).  Loss, fault
-        injection and tracing are per-message concerns, so any of them
-        active routes the flight through the per-message reference loop.
+        One sender issues the legs back-to-back within one event (a FORK
+        wave, a barrier release, a GC round — PROTOCOL.md §13); each leg
+        is an ordinary :meth:`transmit`, so whatever the wire and the
+        topology do to one message they do to a leg.
 
         ``on_error`` is called as ``on_error(msg, err)`` for a leg whose
         destination is unknown or detached (the remaining legs still
-        fly); without it the error propagates from that leg, exactly as
-        the per-message loop would.  ``src_nic``, when given, is checked
-        per leg like :meth:`Nic.send` checks its attachment.
+        fly); without it the error propagates from that leg.  ``src_nic``,
+        when given, is checked per leg like :meth:`Nic.send` checks its
+        attachment.
         """
-        if (
-            self._faults is not None
-            or self.loss is not None
-            or self.sim.tracer.enabled
-        ):
-            for msg in msgs:
-                try:
-                    if src_nic is not None and not src_nic.attached:
-                        raise NetworkError(
-                            f"node {src_nic.node_id} NIC is detached"
-                        )
-                    self.transmit(msg)
-                except NetworkError as err:
-                    if on_error is None:
-                        raise
-                    on_error(msg, err)
-            return
-        self._transmit_flight_fast(msgs, on_error, src_nic)
+        for msg in msgs:
+            try:
+                if src_nic is not None and not src_nic.attached:
+                    raise NetworkError(
+                        f"node {src_nic.node_id} NIC is detached"
+                    )
+                self.transmit(msg)
+            except NetworkError as err:
+                if on_error is None:
+                    raise
+                on_error(msg, err)
         self.flights_compiled += 1
         self.flight_legs += len(msgs)
-
-    def _transmit_flight_fast(self, msgs, on_error, src_nic) -> None:
-        from .flight import transmit_flight_star
-
-        transmit_flight_star(self, msgs, on_error, src_nic)
 
     # -- convenience ----------------------------------------------------------
     def message_time(self, payload_bytes: int) -> float:

@@ -163,11 +163,6 @@ class FatTreeSwitch(Switch):
             )
         return arrival
 
-    def _transmit_flight_fast(self, msgs, on_error, src_nic) -> None:
-        from .flight import transmit_flight_fattree
-
-        transmit_flight_fattree(self, msgs, on_error, src_nic)
-
 
 def build_topology(sim: Simulator, params: NetworkParams | None = None,
                    perf: PerfParams | None = None) -> Switch:

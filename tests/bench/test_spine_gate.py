@@ -1,4 +1,5 @@
-"""The perf gate (benchmarks/gate.py) on synthetic spine reports."""
+"""The perf gate (benchmarks/gate.py) on synthetic spine reports, and the
+``src/`` names the traced spine patches and reads."""
 
 import json
 
@@ -119,3 +120,29 @@ def test_missing_workload_is_not_comparable(gate, side):
     pair = (short, full) if side == "report" else (full, short)
     code, err = gate(*pair)
     assert code == 2 and "sweep-grid" in err
+
+
+def test_src_has_every_name_the_traced_benchmark_reads():
+    """``benchmarks/spine`` patches ``src/`` by attribute name and reads
+    live runtimes; a rename there must fail here, not minutes into the
+    CI-only spine smoke."""
+    from benchmarks.spine.measure import _counts_from_reports
+    from benchmarks.spine.tracer import Tracer
+    from benchmarks.spine.workloads import OpOutcome
+    from repro import api
+
+    tracer = Tracer()
+    try:
+        tracer.install()
+        report = api.run(
+            api.spec_from_preset("tiny", "jacobi", 4, calibrated=False))
+    finally:
+        tracer.uninstall()
+    values = {}
+    _counts_from_reports(values, [OpOutcome("scenario", 0.0, 1,
+                                            reports=[report])])
+    # Fan-out waves are counted whatever carries them, and the tracer
+    # wraps the method that counts them.
+    assert values["network.flight_legs"] > 0
+    assert (tracer.table()["network.flight"]["calls"]
+            == values["network.flight_calls"])

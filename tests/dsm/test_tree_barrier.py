@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.api import AdaptEvent, run, spec_from_preset
 from repro.config import DsmParams, PerfParams, SystemConfig
 from repro.dsm import Protocol, SharedArray
 from repro.dsm.treebarrier import (
@@ -263,3 +264,46 @@ class TestTreeEndToEnd:
             p.tree_barrier is not None and p.tree_barrier.round > 0
             for p in rt.procs.values()
         )
+
+
+def _gauss_leave_join(label, **perf):
+    # Gauss keeps pages under single-writer ownership, so the leaver owns
+    # pages and the leave drain actually broadcasts OWNER_UPDATE.
+    return spec_from_preset(
+        "tiny", "gauss", 8, calibrated=False, adaptive=True, extra_nodes=2,
+        events=(AdaptEvent("leave", 0.03, 3), AdaptEvent("join", 0.06)),
+        label=label, perf=perf,
+    )
+
+
+class TestOwnerUpdateTreeRelay:
+    """The leave drain's OWNER_UPDATE broadcast relays through the tree."""
+
+    def test_every_survivor_learns_the_new_owner(self):
+        handle = run(_gauss_leave_join("owner-relay", barrier_tree=True,
+                                       barrier_radix=2))
+        runtime = handle.experiment.runtime
+        master = runtime.master
+        for proc in runtime.procs.values():
+            for page in range(runtime.space.total_pages):
+                # Ownership agrees with the master everywhere: a page the
+                # relay failed to announce would still name the leaver.
+                assert proc.owner_of(page) == master.owner_of(page)
+
+    def test_message_conservation_flat_vs_tree(self):
+        # The relay retargets hops, it does not add copies: at most one
+        # OWNER_UPDATE per survivor either way.  Tree mode can carry
+        # *fewer* — a relay hop runs one latency after the drain, so the
+        # rebuild may have renumbered pids away, and the relay drops
+        # those instead of forwarding into the new pid space (flat mode
+        # loses the same messages later, at the server loop's dst_pid
+        # mismatch check).
+        flat = run(_gauss_leave_join("owner-relay-flat"))
+        tree = run(_gauss_leave_join("owner-relay-tree", barrier_tree=True,
+                                     barrier_radix=2))
+        flat_count = (flat.experiment.runtime.switch.stats.snapshot()
+                      .by_kind_messages["owner_update"])
+        tree_count = (tree.experiment.runtime.switch.stats.snapshot()
+                      .by_kind_messages["owner_update"])
+        assert flat_count > 0
+        assert 0 < tree_count <= flat_count

@@ -235,6 +235,25 @@ class TestSharedCache:
             again = submit_outcome([spec], co.address, refresh=True)
         assert again.executed == 1 and not again.outcomes[0].cached
 
+    def test_a_worker_executes_every_task_it_is_handed(self, tmp_path):
+        """A worker has no cache of its own to answer a forced re-run
+        from: what the coordinator reports as executed, ran."""
+        import inspect
+
+        from repro.exec import worker_main
+
+        assert "cache_dir" not in inspect.signature(worker_main).parameters
+        assert "cache" not in inspect.signature(Worker).parameters
+        spec = tiny_spec()
+        with Coordinator(cache=ResultCache(root=tmp_path / "c")) as co, \
+                Worker(co.address) as worker:
+            submit_outcome([spec], co.address)
+            assert worker.tasks_done == 1
+            again = submit_outcome([spec], co.address, refresh=True)
+            assert worker.tasks_done == 2
+            assert service_status(co.address)["counters"]["executed"] == 2
+        assert again.executed == 1 and not again.outcomes[0].cached
+
 
 class TestIdentityAcrossWorkers:
     def test_two_worker_sweep_bitwise_identical_to_single_host(self, tmp_path):

@@ -9,8 +9,7 @@ digests of everything it produced against ``golden_matrix.json``:
   JSON (every row);
 * ``memory`` — the bytes of the final shared arrays (materialized rows);
 * ``metrics`` / ``chrome_trace`` — the exported telemetry (obs-on rows);
-* ``records`` — the tracer's record stream (``trace=True`` rows, which
-  also take the per-message transport fallback instead of flights).
+* ``records`` — the tracer's record stream (``trace=True`` rows).
 
 The data file was captured on the last revision that still carried
 on/off switches for the host-side fast paths (all at their defaults); its

@@ -1,65 +1,20 @@
-"""Flight-batched transport vs the per-message reference (PROTOCOL.md §13).
+"""Fan-out waves: ``transmit_flight`` / ``send_fanout`` (PROTOCOL.md §13).
 
-``Switch.transmit_flight`` must be *bitwise* identical to transmitting
-the same legs one at a time: the same joint link reservations (every
-``busy_until``/``busy_time``/``bytes_carried``/``messages_carried``),
-the same traffic counters in the same Counter key order, the same
-arrival floats, and the same ``(time, priority, seq)`` event pushes.
-Hypothesis drives mixed fan-in/fan-out leg lists over both topologies,
-including pre-loaded link backlogs large enough that any re-association
-of the float chain would show up in the last ulp.
+A wave is a loop over ``Switch.transmit``: the error contract of that
+loop (a dark or unknown destination, a detached sender — per leg) and
+the dsm-level sentence ``send_fanout(legs)`` ==
+``[proc.send(*leg) for leg in legs]`` are pinned here.  Bitwise identity
+of whole runs is the golden matrix's job.
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.config import NetworkParams
 from repro.errors import NetworkError
 from repro.network import Message, Switch
-from repro.network.message import DIFF_REPLY, PAGE_BATCH_REPLY, PAGE_REPLY
-from repro.network.topology import FatTreeSwitch
 from repro.simcore import Simulator
 
-
-# -- harness ---------------------------------------------------------------
-
-KINDS = ("d", "fork", PAGE_REPLY, DIFF_REPLY, PAGE_BATCH_REPLY, "sc_data")
-
-
-def _payload_for(kind, k):
-    if kind == DIFF_REPLY:
-        return {"n_diffs": k}
-    if kind == PAGE_BATCH_REPLY:
-        return {"n_pages": k}
-    return None
-
-
-def _build_msgs(legs):
-    """Fresh Message objects per switch — transmit mutates ``arrived_at``."""
-    return [
-        Message(kind, src=src, dst=dst, size_bytes=size,
-                payload=_payload_for(kind, 1 + size % 5))
-        for src, dst, size, kind in legs
-    ]
-
-
-def _make_pair(n_nodes, backlogs, fattree=False, radix=0):
-    """Two identically pre-loaded switches: reference and flight."""
-    pair = []
-    for _ in range(2):
-        sim = Simulator()
-        if fattree:
-            switch = FatTreeSwitch(sim, NetworkParams(), radix=radix)
-        else:
-            switch = Switch(sim, NetworkParams())
-        for i in range(n_nodes):
-            switch.attach(i)
-        for link, busy in zip(switch.iter_links(), backlogs):
-            # Pre-existing backlog: exercises the max() chain and gives
-            # the float additions a large mantissa to drift against.
-            link.busy_until = busy
-        pair.append((sim, switch))
-    return pair
+from ..helpers import build_system
 
 
 def _link_state(switch):
@@ -83,72 +38,6 @@ def _stats_state(switch):
 def _queue_state(sim):
     return [(t, prio, seq) for t, prio, seq, _ev in sim._queue._heap]
 
-
-def _assert_flight_equals_reference(legs, backlogs, fattree=False, radix=0):
-    n_nodes = max(max(s for s, *_ in legs), max(d for _, d, *_ in legs)) + 1
-    (sim_ref, sw_ref), (sim_fly, sw_fly) = _make_pair(
-        n_nodes, backlogs, fattree=fattree, radix=radix
-    )
-    ref_msgs = _build_msgs(legs)
-    fly_msgs = _build_msgs(legs)
-
-    for msg in ref_msgs:
-        sw_ref.transmit(msg)
-    sw_fly.transmit_flight(fly_msgs)
-
-    assert sw_fly.flights_compiled == 1
-    assert sw_fly.flight_legs == len(legs)
-    for ref, fly in zip(ref_msgs, fly_msgs):
-        assert fly.arrived_at == ref.arrived_at  # exact, not approx
-    assert _link_state(sw_fly) == _link_state(sw_ref)
-    assert _stats_state(sw_fly) == _stats_state(sw_ref)
-    assert _queue_state(sim_fly) == _queue_state(sim_ref)
-
-
-# -- hypothesis properties -------------------------------------------------
-
-legs_strategy = st.lists(
-    st.tuples(
-        st.integers(0, 7),                      # src
-        st.integers(0, 7),                      # dst (src == dst: loopback)
-        st.integers(0, 200_000),                # payload bytes
-        st.sampled_from(KINDS),
-    ),
-    min_size=1,
-    max_size=16,
-)
-
-# Backlogs far from zero make the reservation chain accumulate against a
-# large mantissa, where any re-association of the additions would flip
-# the last ulp; tiny per-byte slots on top of seconds of backlog is the
-# worst case for float drift.
-backlog_strategy = st.lists(
-    st.floats(min_value=0.0, max_value=1e4, allow_nan=False,
-              allow_infinity=False),
-    min_size=40,
-    max_size=40,
-)
-
-
-class TestStarFlightProperty:
-    @settings(max_examples=60, deadline=None)
-    @given(legs=legs_strategy, backlogs=backlog_strategy)
-    def test_flight_matches_sequential_reference(self, legs, backlogs):
-        _assert_flight_equals_reference(legs, backlogs)
-
-
-class TestFatTreeFlightProperty:
-    @settings(max_examples=60, deadline=None)
-    @given(legs=legs_strategy, backlogs=backlog_strategy,
-           radix=st.integers(2, 4))
-    def test_flight_matches_sequential_reference(self, legs, backlogs, radix):
-        # radix < n_nodes forces cross-leaf legs through the trunks,
-        # where the 4-link joint slot and the extra hop latency live.
-        _assert_flight_equals_reference(legs, backlogs, fattree=True,
-                                        radix=radix)
-
-
-# -- error and fallback semantics ------------------------------------------
 
 def _star(n=4):
     sim = Simulator()
@@ -190,42 +79,6 @@ class TestFlightErrors:
         assert switch.stats.snapshot().messages == 0
 
 
-class TestFlightFallback:
-    """Loss / faults / tracing are per-message: flights must not compile."""
-
-    def test_loss_model_routes_through_reference(self):
-        sim = Simulator()
-        switch = Switch(sim, NetworkParams(loss_rate=0.5, loss_seed=7))
-        for i in range(3):
-            switch.attach(i)
-        switch.transmit_flight([Message("d", src=0, dst=1, size_bytes=8),
-                                Message("d", src=0, dst=2, size_bytes=8)])
-        assert switch.flights_compiled == 0
-        assert switch.stats.snapshot().messages == 2
-
-    def test_tracer_routes_through_reference(self):
-        sim, switch, nics = _star(3)
-        sim.tracer.enabled = True
-        switch.transmit_flight([Message("d", src=0, dst=1, size_bytes=8)])
-        assert switch.flights_compiled == 0
-        assert switch.stats.snapshot().messages == 1
-
-    def test_installed_faults_route_through_reference(self):
-        from repro.faults.links import LinkFaults
-
-        sim, switch, nics = _star(3)
-        switch.faults = LinkFaults()
-        switch.transmit_flight([Message("d", src=0, dst=1, size_bytes=8)])
-        assert switch.flights_compiled == 0
-        assert switch.stats.snapshot().messages == 1
-
-    def test_fallback_raises_like_reference(self):
-        sim, switch, nics = _star(2)
-        sim.tracer.enabled = True
-        with pytest.raises(NetworkError):
-            switch.transmit_flight([Message("d", src=0, dst=9, size_bytes=8)])
-
-
 class TestWireReliabilityCache:
     """Nic._unreliable_wire is cached when the answer is static."""
 
@@ -263,3 +116,41 @@ class TestWireReliabilityCache:
         faults.mark_unreliable()
         assert nics[0]._unreliable_wire() is True
         assert nics[0]._wire_unreliable is True
+
+
+def _state_after(fanout, legs, dark, hooked):
+    """Send ``legs`` from the master of a fresh 4-process system, as one
+    ``send_fanout`` or as one ``send`` per leg; pid 2 is dark if asked."""
+    sim, runtime, _pool = build_system(nprocs=4, materialized=False)
+    master, switch = runtime.master, runtime.switch
+    reported = []
+    if dark:
+        switch.detach(runtime.team.node_of(2))
+    if hooked:
+        master.crash_hook = lambda node, err: reported.append(node)
+    try:
+        if fanout:
+            master.send_fanout(legs)
+        else:
+            for leg in legs:
+                master.send(*leg)
+    except NetworkError:
+        reported.append("raised")
+    return (reported, _link_state(switch), _stats_state(switch),
+            _queue_state(sim))
+
+
+class TestFanoutIsALoopOfSends:
+    def test_send_fanout_equals_per_leg_sends(self):
+        wave = [("fork", pid, None, 100 * pid) for pid in (1, 2, 3)]
+        for legs, dark, hooked, messages in [
+            (wave[:1], False, False, 1),
+            (wave, False, False, 3),
+            (wave, True, True, 2),    # the hook hears of pid 2, pid 3 still flies
+            (wave, True, False, 1),   # no hook: pid 2 raises, pid 3 never flies
+        ]:
+            as_wave = _state_after(True, legs, dark, hooked)
+            assert as_wave == _state_after(False, legs, dark, hooked)
+            reported, _links, stats, _queue = as_wave
+            assert stats[0] == messages
+            assert len(reported) == (1 if dark else 0)
