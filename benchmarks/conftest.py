@@ -4,7 +4,7 @@ Every bench regenerates one table or figure of the paper at harness scale
 (shape-preserving scaled workloads; see DESIGN.md §4) and writes its
 rendered report under ``benchmarks/results/``.  Run with::
 
-    pytest benchmarks/ --benchmark-only
+    REPRO_BENCH_NO_CACHE=1 pytest benchmarks --ignore=benchmarks/spine
 
 Shape assertions live in the tests; the absolute numbers land in the
 report files and in EXPERIMENTS.md.
@@ -71,10 +71,3 @@ def table1_grid():
     outcome = sweep(specs, jobs=jobs, cache=cache)
     return dict(zip(cells, outcome.results))
 
-
-@pytest.fixture(autouse=True)
-def _benchmark_marker(benchmark):
-    """Make every bench test count as a benchmark so the documented
-    ``pytest benchmarks/ --benchmark-only`` invocation runs all of them
-    (shape assertions included), not only the fixture-using reports."""
-    yield

@@ -38,7 +38,7 @@ def _rows(table1_grid):
     return rows
 
 
-def test_table1_report(table1_grid, report, benchmark):
+def test_table1_report(table1_grid, report):
     headers = ["app", "nodes", "t_std(s)", "t_adpt(s)", "pages", "MB", "messages", "diffs"]
     rows = _rows(table1_grid)
     report(
@@ -49,7 +49,6 @@ def test_table1_report(table1_grid, report, benchmark):
             title="Table 1 (scaled workloads): runtimes and traffic, no adapt events",
         ),
     )
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     assert len(rows) == 12
 
 

@@ -74,7 +74,7 @@ def _avg_cost(result, refs, nprocs):
     return per_adapt
 
 
-def test_table2_report(table2_grid, report, benchmark):
+def test_table2_report(table2_grid, report):
     grid, refs = table2_grid
     rows = []
     for leaver in ("end", "middle"):
@@ -103,7 +103,6 @@ def test_table2_report(table2_grid, report, benchmark):
             title="Table 2 (scaled workloads): average cost per adaptation",
         ),
     )
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     assert rows
 
 

@@ -833,28 +833,6 @@ def cmd_workers(args) -> int:
     return 0
 
 
-def cmd_cache_merge(args) -> int:
-    """Lossless union of two result-cache directories."""
-    from .exec.merge import merge_caches
-
-    try:
-        stats = merge_caches(args.src, args.dst)
-    except ReproError as err:
-        print(f"cache merge failed: {err}", file=sys.stderr)
-        return 2
-    rows = [[key, value] for key, value in stats.as_dict().items()]
-    print(format_table(
-        ["metric", "value"], rows,
-        title=f"Cache merge {args.src} -> {args.dst}",
-    ))
-    if stats.conflicts or stats.damaged:
-        print(f"  {stats.conflicts} conflict(s), {stats.damaged} damaged "
-              f"entr(ies) quarantined under {args.dst}/quarantine/",
-              file=sys.stderr)
-        return 1
-    return 0
-
-
 def _engine_parent(coordinator: Optional[str] = None) -> argparse.ArgumentParser:
     """An argparse parent carrying the execution-engine flags.
 
@@ -876,9 +854,11 @@ def _engine_parent(coordinator: Optional[str] = None) -> argparse.ArgumentParser
     parent = argparse.ArgumentParser(add_help=False)
     g = parent.add_argument_group("execution engine")
     g.add_argument("--jobs", type=int, default=None,
-                   help="worker processes for the scenario engine "
-                        "(default: command-specific; unset means one "
-                        "per core; 1 runs serially in this process)")
+                   help="executors of the scenario engine: this process "
+                        "and N-1 spawned workers (default: command-"
+                        "specific; unset means one per core; 1, or a "
+                        "single cache miss, runs serially in this "
+                        "process, unsupervised)")
     g.add_argument("--no-cache", action="store_true",
                    help="bypass the content-addressed result cache")
     g.add_argument("--refresh", action="store_true",
@@ -1098,19 +1078,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="query the coordinator's worker table "
                                 "instead of starting workers")
     workers_p.set_defaults(fn=cmd_workers)
-
-    cache_p = sub.add_parser(
-        "cache", help="result-cache maintenance (merge)",
-    )
-    cache_sub = cache_p.add_subparsers(dest="cache_command", required=True)
-    merge_p = cache_sub.add_parser(
-        "merge",
-        help="lossless union of two cache directories (checksum-verified; "
-             "conflicts quarantined)",
-    )
-    merge_p.add_argument("src", help="source cache directory (read-only)")
-    merge_p.add_argument("dst", help="destination cache directory")
-    merge_p.set_defaults(fn=cmd_cache_merge)
     return parser
 
 

@@ -15,8 +15,9 @@ into a schedulable task, and has exactly one scheduler for them: the
   under ``benchmarks/results/cache/`` salted with a content hash of the
   model sources;
 * :mod:`~repro.exec.pool` — :func:`run_specs`: cache pre-pass, the
-  ``jobs=1`` in-process path, spec-order merge, and for ``jobs>=2`` the
-  launcher that keeps N spawned workers on an ephemeral coordinator;
+  ``jobs=1`` in-process path, spec-order merge, and for ``jobs>=2`` an
+  ephemeral coordinator whose N workers are the calling thread and the
+  N - 1 processes a launcher keeps spawned;
 * :mod:`~repro.exec.service` — the :class:`Coordinator` (queue,
   in-flight dedupe, deadlines, backoff, attempt budget, degradation,
   shared cache) and the submit client that reassembles a sweep;
@@ -27,9 +28,7 @@ into a schedulable task, and has exactly one scheduler for them: the
 * :mod:`~repro.exec.supervisor` — deadlines, the failure taxonomy, and
   the deterministic backoff/degradation policy the coordinator enforces;
 * :mod:`~repro.exec.chaos` — the seeded fault-injection harness behind
-  ``repro chaos`` (worker kills/hangs, cache corruption);
-* :mod:`~repro.exec.merge` — ``repro cache merge``, lossless union of
-  cache directories.
+  ``repro chaos`` (worker kills/hangs, cache corruption).
 
 An engine is a function ``specs -> SweepOutcome``, and there are two:
 :func:`~repro.exec.pool.run_specs` (this host; :func:`repro.api.sweep`
@@ -48,7 +47,6 @@ from .cache import (
     code_version_salt,
 )
 from .chaos import CHAOS_ENV, ChaosPlan, corrupt_cache_entries, run_chaos
-from .merge import MergeStats, merge_caches
 from .pool import (
     SweepOutcome,
     TaskOutcome,
@@ -95,7 +93,6 @@ __all__ = [
     "ConnectionClosed",
     "Coordinator",
     "DeadlinePolicy",
-    "MergeStats",
     "RESULT_SCHEMA",
     "ResourceExhausted",
     "ResultCache",
@@ -117,7 +114,6 @@ __all__ = [
     "code_version_salt",
     "corrupt_cache_entries",
     "default_jobs",
-    "merge_caches",
     "run_chaos",
     "service_status",
     "spec_from_preset",

@@ -15,11 +15,24 @@ does no scheduling here either: the misses are submitted to an
 ephemeral :class:`~repro.exec.service.Coordinator` on ``127.0.0.1:0`` —
 the one scheduler, which owns the queue, in-flight dedupe, deadlines,
 seeded-backoff retries and the attempt budget
-(:mod:`repro.exec.supervisor`) — fed by a small launcher that keeps
-``jobs`` spawned :func:`~repro.exec.worker.worker_main` processes alive.
-Workers are spawned (never forked) so every simulation runs in an
-interpreter with no inherited simulator state, and a ``--jobs N`` sweep
-costs N spawns, not one per task.
+(:mod:`repro.exec.supervisor`) — and executed by ``N = min(jobs,
+misses)`` workers of it.  The caller is the first of the N: the calling
+thread registers as a :class:`~repro.exec.worker.Worker` (always track
+0) and leases tasks from t = 0, while a small launcher keeps ``N - 1``
+spawned :func:`~repro.exec.worker.worker_main` processes alive — as the
+paper's master computes its share of every loop and hides process
+creation behind the running computation (§4.1).  Workers are spawned
+(never forked) so their simulations run in an interpreter with no
+inherited simulator state; a ``--jobs N`` sweep costs N - 1 spawns, not
+one per task, nobody waits for them, and ``N == 1`` is the ``jobs=1``
+path outright (no coordinator, no socket, no process).  A task the
+caller runs is supervised as on the ``jobs=1`` path: it cannot be
+reaped, it runs to its end.
+
+The one exception: under an active ``REPRO_EXEC_CHAOS`` plan
+(:mod:`repro.exec.chaos`) the caller only supervises and all N workers
+are spawned, because the plan's kills and hangs target worker
+*processes* — an in-process executor would silently dodge them.
 
 When the workers themselves look sick — ``degrade_after`` *consecutive*
 failed attempts anywhere in the sweep — the coordinator hands the
@@ -39,6 +52,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ExecError
 from .cache import CacheStats, ResultCache
+from .chaos import active_plan
 from .result import ScenarioResult
 from .spec import ScenarioSpec
 from .supervisor import AttemptRecord, SupervisorPolicy
@@ -119,8 +133,10 @@ class TaskOutcome:
     cached: bool
     #: Executions attempted (0 for hits, >1 after a requeue).
     attempts: int
-    #: Local worker that executed this task, numbered in launch order (0
-    #: on the serial path, -1 for cache hits — they take no worker time,
+    #: Local worker that executed this task, numbered in registration
+    #: order (0 is the calling thread — on the serial path and as the
+    #: first worker of a ``jobs >= 2`` sweep alike — unless a chaos plan
+    #: keeps the caller out; -1 for cache hits — they take no worker time,
     #: -2 for the serial-degradation fallback, -3 for remote execution).
     worker: int = -1
     #: Wall-clock start/end of the successful execution, in seconds since
@@ -247,11 +263,17 @@ def run_specs(
     retried = 0
     degraded = False
     failure_counts: Dict[str, int] = {}
-    if pending and jobs == 1:
+    executors = min(jobs, len(pending))
+    # The caller is the first executor — unless a chaos plan is active:
+    # its kills and hangs target worker *processes*, so then all are
+    # spawned and the caller only supervises.
+    caller_runs = jobs == 1 or active_plan() is None
+    if pending and executors == 1 and caller_runs:
         for i, spec in pending:
             _run_here(i, spec, attempts=1, worker=0)
     elif pending:
         from .service import Coordinator, submit_outcome
+        from .worker import Worker
 
         def _merge(o: TaskOutcome, _done: int, _total: int) -> None:
             i, spec = pending[o.index]
@@ -261,16 +283,47 @@ def run_specs(
                             worker_id="", started_at=o.started_at + lead,
                             ended_at=o.ended_at + lead))
 
-        with Coordinator(cache=None, policy=policy) as coordinator:
-            launcher = _Launcher(coordinator, min(jobs, len(pending)))
+        sweep = failure = None
+
+        def _feed() -> None:
+            """Stream the reports in (every ``progress`` / ``cache.put``
+            of the sweep happens on this thread, one at a time) and send
+            the caller home when the last one has arrived."""
+            nonlocal sweep, failure
             try:
-                launcher.start()
-                lead = time.perf_counter() - t_start
                 sweep = submit_outcome(
                     [spec for _, spec in pending], coordinator.address,
                     no_cache=True, progress=_merge)
+            except BaseException as err:  # re-raised on the calling thread
+                failure = err
+            finally:
+                if me is not None:
+                    me.stop()
+
+        with Coordinator(cache=None, policy=policy) as coordinator:
+            launcher = _Launcher(
+                coordinator, executors - 1 if caller_runs else executors)
+            me = Worker(coordinator.address) if caller_runs else None
+            feeder = threading.Thread(target=_feed, name="sweep-submit",
+                                      daemon=True)
+            try:
+                if me is not None:
+                    me.register()  # before any process can: track 0
+                launcher.start()
+                lead = time.perf_counter() - t_start
+                feeder.start()
+                if me is not None:
+                    me.run()
+                feeder.join()
             finally:
                 launcher.stop()
+                if feeder.is_alive():
+                    # An exception got here first: cut the stream, so no
+                    # ``progress`` / ``cache.put`` runs once this has raised.
+                    coordinator.stop()
+                    feeder.join()
+        if failure is not None:
+            raise failure
         retried = sweep.retried
         failure_counts = sweep.failure_counts
         degraded = sweep.degraded

@@ -8,7 +8,8 @@ back as they complete.  It is the paper's single master handing work to
 a pool of processes that may join, leave or die — and it is the *only*
 such master here: ``repro serve`` runs one for many hosts, and a local
 ``--jobs N`` sweep (:func:`repro.exec.pool.run_specs`) runs an ephemeral
-one on ``127.0.0.1:0`` with N spawned workers.
+one on ``127.0.0.1:0`` whose N workers are the calling thread and N - 1
+spawned processes.
 
 What the coordinator guarantees (docs/SERVICE.md has the full failure
 semantics):
@@ -16,9 +17,7 @@ semantics):
 * **Content addressing end to end.**  Tasks are keyed by the spec's
   config digest; every completed result lands in the coordinator's
   shared content-addressed :class:`~repro.exec.cache.ResultCache`, so a
-  scenario computed by any worker is served from cache forever after —
-  digests are location-independent, so cache directories merge
-  losslessly (:func:`repro.exec.merge.merge_caches`).
+  scenario computed by any worker is served from cache forever after.
 * **In-flight dedupe.**  Submissions of a digest that is already queued
   or running *attach* to the existing task instead of re-executing: a
   thundering herd of N identical submissions costs one execution and
@@ -550,9 +549,16 @@ class Coordinator:
 
     def no_worker(self, detail: str) -> None:
         """A worker could not be started (the launcher of a local sweep
-        calls this): charge the task that is waiting for it, exactly as
-        if its attempt had failed — ``resource_exhausted``."""
+        calls this).  While any worker is registered the sweep carries on
+        with the executors there are and the refusal is only recorded —
+        once: the launcher retries every pass, and this is an event; with
+        none, the task that is waiting is charged exactly as if its
+        attempt had failed — ``resource_exhausted``."""
         with self._mu:
+            if self._workers:
+                self.counters.failure_counts.setdefault(
+                    ResourceExhausted.kind, 1)
+                return
             now = time.monotonic()
             task = next((t for t in self._queue if t.ready_at <= now), None)
             if task is not None:

@@ -12,7 +12,8 @@ The *mechanism* half lives in exactly one place: the
 deadline, paces requeues with the backoff, counts attempts against the
 one budget and consecutive failures against ``degrade_after`` — for a
 local ``--jobs N`` sweep and for a multi-host service alike, because a
-local sweep *is* a coordinator with spawned workers
+local sweep *is* a coordinator whose workers are the caller and spawned
+processes
 (:func:`repro.exec.pool.run_specs`).  Keeping the policy pure (no
 processes, no clocks beyond arithmetic) makes every decision
 unit-testable and, critically, **deterministic**: two sweeps over the

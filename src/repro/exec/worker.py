@@ -7,7 +7,9 @@ by calling :func:`repro.exec.pool.run_spec` directly.  It schedules
 nothing and retries nothing: deadlines, backoff and the attempt budget
 are the coordinator's.  The same class serves a multi-host service
 (``repro workers``, one process per ``--count``) and a local ``--jobs N``
-sweep, whose launcher spawns N :func:`worker_main` processes.
+sweep: its launcher spawns :func:`worker_main` processes, and the calling
+thread is one more worker (:meth:`Worker.register`, then
+:meth:`Worker.run`, in process).
 
 Failure split:
 
@@ -42,7 +44,6 @@ from .pool import run_spec
 from .spec import ScenarioSpec
 from .wire import (
     WIRE_SCHEMA,
-    ConnectionClosed,
     WireError,
     connect,
     message,
@@ -60,7 +61,9 @@ class Worker:
 
     ``run()`` blocks until the coordinator says ``shutdown`` or the
     connection drops; ``start()``/``stop()`` wrap it in a thread for
-    in-process embedding (tests, ``repro workers --count N``).
+    in-process embedding (tests, and the calling thread of a local
+    sweep — which :func:`repro.exec.pool.run_specs` only makes a worker
+    when no chaos plan is active: the plan's kills are ``os._exit``).
     """
 
     def __init__(self, address: str, *,
@@ -84,9 +87,10 @@ class Worker:
         with self._send_lock:
             send_message(self._sock, msg)
 
-    def _register(self) -> float:
-        """Connect, say hello, read the welcome; returns the heartbeat
-        interval the coordinator wants."""
+    def register(self) -> None:
+        """Connect, say hello, read the welcome.  :meth:`run` does this
+        itself; calling it first fixes this worker's place in the
+        coordinator's registration order (its timeline track)."""
         self._sock = connect(self.address,
                              retry_seconds=self.connect_retry_seconds)
         self._send(message("hello", schema=WIRE_SCHEMA, role="worker",
@@ -103,7 +107,8 @@ class Worker:
                 f"coordinator speaks {welcome['schema']!r}, "
                 f"this worker {WIRE_SCHEMA!r}")
         self.worker_id = welcome["worker_id"]
-        return float(welcome.get("heartbeat_interval", 1.0))
+        self._heartbeat_interval = float(
+            welcome.get("heartbeat_interval", 1.0))
 
     def _heartbeat_loop(self, interval: float) -> None:
         while not self._stop.wait(interval):
@@ -136,21 +141,23 @@ class Worker:
     # -- lifecycle ---------------------------------------------------------
     def run(self) -> None:
         """Serve until ``shutdown`` / connection loss / :meth:`stop`."""
-        interval = self._register()
+        if self.worker_id is None:
+            self.register()
         self._heartbeat_thread = threading.Thread(
-            target=self._heartbeat_loop, args=(interval,),
+            target=self._heartbeat_loop, args=(self._heartbeat_interval,),
             name=f"worker-{self.worker_id}-heartbeat", daemon=True)
         self._heartbeat_thread.start()
         try:
             while not self._stop.is_set():
                 try:
                     msg = recv_message(self._sock)
-                except (ConnectionClosed, OSError):
-                    return  # coordinator gone (or stop() closed the socket)
-                t = msg["t"]
-                if t == "task":
-                    self._execute(msg)
-                elif t == "shutdown":
+                    if msg["t"] == "task":
+                        self._execute(msg)
+                    elif msg["t"] == "shutdown":
+                        return
+                except (WireError, OSError):
+                    # Coordinator gone, stop() closed the socket, or this
+                    # worker was dropped (deadline) while it computed.
                     return
         finally:
             self._stop.set()

@@ -7,7 +7,8 @@ is the master), plus ``adapt``, ``network`` and ``master`` tracks for the
 runtime-level spans.  Timestamps are *simulated* microseconds.
 
 :func:`pool_trace` renders the execution engine's worker timeline the
-same way (one track per worker process, wall-clock microseconds), so a
+same way (one track per worker — the calling thread is ``worker0`` —
+in wall-clock microseconds), so a
 ``repro sweep --jobs N --timeline pool.json`` session can be inspected
 with the identical tooling.
 """
@@ -124,7 +125,10 @@ def write_metrics(
 def pool_trace(outcome) -> Dict[str, Any]:
     """A :class:`~repro.exec.pool.SweepOutcome` as a Chrome trace.
 
-    Cache hits (``worker == -1``) are skipped — they take no pool time.
+    One track per worker in registration order; ``worker0`` is the
+    calling thread (the whole sweep under ``jobs=1``, the first executor
+    of a ``jobs >= 2`` one).  Cache hits (``worker == -1``) are skipped —
+    they take no pool time.
     """
     reg = Registry(per_process=False)
     for task in outcome.outcomes:

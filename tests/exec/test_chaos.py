@@ -187,20 +187,38 @@ class TestDegradation:
         assert obs.counter_value("exec.degraded") == 1
 
 
-class TestResourceExhaustion:
+@pytest.fixture
+def no_processes(monkeypatch):
     """The host refuses to start workers (``OSError`` on spawn)."""
+    import multiprocessing.process
 
-    @pytest.fixture
-    def no_processes(self, monkeypatch):
-        import multiprocessing.process
+    def refuse(self):
+        raise OSError(11, "Resource temporarily unavailable")
 
-        def refuse(self):
-            raise OSError(11, "Resource temporarily unavailable")
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
 
-        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
-                            refuse)
 
-    def test_attributed_when_the_budget_runs_out(self, no_processes):
+class TestResourceExhaustion:
+    """``resource_exhausted`` is charged only when the sweep has *no*
+    executor at all — which takes an active plan (any plan: it keeps the
+    caller from executing) on top of a host that refuses to spawn."""
+
+    def test_caller_carries_the_sweep_when_spawn_is_refused(
+            self, no_processes):
+        specs = tiny_specs(3)
+        outcome = run_specs(specs, jobs=2)
+        assert not outcome.degraded and outcome.retried == 0
+        # the refusal is recorded once (an event, however often the
+        # launcher retried), and costs no task an attempt
+        assert outcome.failure_counts == {"resource_exhausted": 1}
+        assert all(o.worker == 0 and o.attempts == 1
+                   for o in outcome.outcomes)
+        assert ([r.to_json() for r in outcome.results]
+                == [r.to_json() for r in run_specs(specs, jobs=1).results])
+
+    def test_attributed_when_the_budget_runs_out(
+            self, no_processes, tmp_path, monkeypatch):
+        arm(monkeypatch, tmp_path, ChaosPlan())
         spec = tiny_specs(1)[0]
         policy = SupervisorPolicy(
             retry=RetryPolicy(max_attempts=2, base_delay=0.01),
@@ -211,7 +229,9 @@ class TestResourceExhaustion:
         assert ei.value.attempts == 2
         assert ei.value.digest == spec.config_digest()
 
-    def test_degrades_to_serial_by_default(self, no_processes):
+    def test_degrades_to_serial_by_default(
+            self, no_processes, tmp_path, monkeypatch):
+        arm(monkeypatch, tmp_path, ChaosPlan())
         specs = tiny_specs(2)
         policy = SupervisorPolicy(
             retry=RetryPolicy(max_attempts=10, base_delay=0.01),
@@ -222,6 +242,22 @@ class TestResourceExhaustion:
         assert all(o.worker == -2 for o in outcome.outcomes)
         assert ([r.to_json() for r in outcome.results]
                 == [r.to_json() for r in run_specs(specs, jobs=1).results])
+
+    def test_refusal_with_a_worker_registered_charges_no_task(self):
+        """The coordinator's half of the rule, on its own."""
+        from repro.exec import Coordinator, Worker, submit_outcome
+
+        with Coordinator(cache=None) as co:
+            worker = Worker(co.address)
+            worker.register()
+            with worker:
+                co.no_worker("refused while w1 is there")
+                co.no_worker("and again on the launcher's next pass")
+                outcome = submit_outcome(tiny_specs(1), co.address)
+            assert worker.tasks_done == 1
+        assert outcome.failure_counts == {"resource_exhausted": 1}
+        assert outcome.retried == 0
+        assert [a.outcome for a in outcome.outcomes[0].attempt_log] == ["ok"]
 
 
 class TestRunChaos:

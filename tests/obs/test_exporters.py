@@ -147,23 +147,23 @@ class TestPoolTrace:
 
     def test_degraded_and_remote_tasks_take_no_worker_track(
             self, tmp_path, monkeypatch):
-        import multiprocessing.process
-
         from repro.exec import (
             Coordinator,
+            RetryPolicy,
             SupervisorPolicy,
             Worker,
             submit_outcome,
         )
+        from repro.exec.chaos import CHAOS_ENV, ChaosPlan
 
-        def refuse(self):
-            raise OSError(11, "Resource temporarily unavailable")
-
-        with monkeypatch.context() as patched:  # no worker can be had
-            patched.setattr(multiprocessing.process.BaseProcess, "start",
-                            refuse)
-            degraded = self._outcome(
-                tmp_path, supervisor=SupervisorPolicy(degrade_after=1))
+        # Every attempt of every worker process dies (and, a plan being
+        # active, the caller only supervises): the sweep degrades.
+        plan = ChaosPlan(seed=3, kill_rate=1.0, max_kills_per_task=10)
+        with monkeypatch.context() as patched:
+            patched.setenv(CHAOS_ENV, str(plan.write(tmp_path / "plan.json")))
+            degraded = self._outcome(tmp_path, supervisor=SupervisorPolicy(
+                retry=RetryPolicy(max_attempts=10, base_delay=0.01),
+                degrade_after=1))
         assert degraded.degraded
         for task in degraded.outcomes:
             assert task.worker == -2

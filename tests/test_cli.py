@@ -277,6 +277,7 @@ class TestSharedEngineFlags:
         assert "jacobi" in out.out
         assert "1 executed (0 retried) on 1 job(s)" in out.err
 
-    def test_cache_merge_requires_src_and_dst(self):
+    def test_cache_merge_command_is_gone(self):
+        """Nothing produces a cache to merge since workers keep none."""
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["cache", "merge"])
+            build_parser().parse_args(["cache", "merge", "src", "dst"])
