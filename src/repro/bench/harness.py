@@ -85,7 +85,7 @@ def run_experiment(
     into (None runs uninstrumented — the pre-observability behaviour).
     """
     cfg = cfg or SystemConfig()
-    sim = Simulator(trace=trace, obs=obs, batch=True)
+    sim = Simulator(trace=trace, obs=obs)
     # cfg.perf.topology == "star" constructs the plain Switch exactly as
     # before; "fattree" swaps in the hierarchical interconnect (§11).
     switch = build_topology(sim, cfg.network, cfg.perf)

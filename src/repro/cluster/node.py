@@ -65,11 +65,7 @@ class Node:
             raise ValueError("negative compute time")
         stretched = seconds * self.multiplex_factor / self.speed
         self.busy_time += stretched
-        # A compute span is a macro-event: its completion time is fixed
-        # here, so the engine may fast-forward through pure-compute phases
-        # (see Simulator.compute_span).  Identical to a plain timeout
-        # otherwise.
-        yield self.sim.compute_span(stretched)
+        yield self.sim.timeout(stretched)
 
     def service(self, seconds: float) -> Generator:
         """Charge request-service time, serialized with other handlers."""

@@ -6,17 +6,15 @@ random streams.
 """
 
 from .channel import Channel
-from .events import BatchedEventQueue, Event, EventQueue, LATE, NORMAL, URGENT
-from .process import ComputeSpan, Signal, SimProcess, Timeout, Waitable
+from .events import Event, EventQueue, LATE, NORMAL, URGENT
+from .process import Signal, SimProcess, Timeout, Waitable
 from .rand import RandomStreams, substream_seed
 from .resources import Resource, Store
 from .simulator import Simulator
 from .trace import TraceRecord, Tracer
 
 __all__ = [
-    "BatchedEventQueue",
     "Channel",
-    "ComputeSpan",
     "Event",
     "EventQueue",
     "LATE",

@@ -56,27 +56,6 @@ class Timeout(Waitable):
             self._event = None
 
 
-class ComputeSpan(Timeout):
-    """A :class:`Timeout` declared to the engine as a *compute span*.
-
-    Semantically identical to a plain timeout — same ordering, same
-    resumption, same ``events_executed`` accounting.  The only difference
-    is that its completion event is pushed with ``push_span``, marking it
-    quiescence-exempt: when every outstanding event in the batched engine
-    is a span completion, the engine fast-forwards the clock through them
-    arithmetically instead of running the heap (see
-    ``Simulator._run_batched``).  Model layers use this for pre-computed
-    work charges whose completion cannot be influenced by other events —
-    per-process compute spans in particular.
-    """
-
-    def subscribe(self, callback: Callback) -> None:
-        sim = self._sim
-        self._event = sim._queue.push_span(
-            sim.now + self.delay, (callback, self.value)
-        )
-
-
 class Signal(Waitable):
     """A one-shot broadcast event.
 

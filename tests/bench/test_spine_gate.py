@@ -126,10 +126,13 @@ def test_src_has_every_name_the_traced_benchmark_reads():
     """``benchmarks/spine`` patches ``src/`` by attribute name and reads
     live runtimes; a rename there must fail here, not minutes into the
     CI-only spine smoke."""
+    import pathlib
+
+    import repro
     from benchmarks.spine.measure import _counts_from_reports
     from benchmarks.spine.tracer import Tracer
     from benchmarks.spine.workloads import OpOutcome
-    from repro import api
+    from repro import api, simcore
 
     tracer = Tracer()
     try:
@@ -146,3 +149,14 @@ def test_src_has_every_name_the_traced_benchmark_reads():
     assert values["network.flight_legs"] > 0
     assert (tracer.table()["network.flight"]["calls"]
             == values["network.flight_calls"])
+    # The macro-event engine's names survive only as what the tracer
+    # patches: one queue class runs, nothing fast-forwards, and no other
+    # module mentions them.
+    assert type(report.experiment.runtime.sim._queue) is simcore.EventQueue
+    assert values["simcore.ff_phases"] == 0
+    residue = ("BatchedEventQueue", "push_span", "ff_phases")
+    src = pathlib.Path(repro.__file__).parent
+    assert sorted(
+        str(path.relative_to(src)) for path in src.rglob("*.py")
+        if any(name in path.read_text() for name in residue)
+    ) == ["simcore/events.py", "simcore/simulator.py"]

@@ -1,9 +1,12 @@
 """Tests for the discrete-event engine: scheduling, ordering, clock."""
 
+import itertools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import DeadlockError, SimulationError
-from repro.simcore import Simulator
+from repro.simcore import LATE, NORMAL, URGENT, Simulator
 
 
 def test_clock_starts_at_zero():
@@ -102,6 +105,62 @@ def test_step_executes_one_event():
     assert seen == [1]
     assert sim.step()
     assert not sim.step()
+
+
+PRIORITIES = st.sampled_from([URGENT, NORMAL, LATE])
+#: An instruction run inside a parent action: ("push", delay slot,
+#: priority), or ("cancel", _, _), which cancels the most recent push.
+CHILD = st.tuples(st.sampled_from(["push", "cancel"]), st.integers(0, 2),
+                  PRIORITIES)
+#: A root event: (time slot, priority, children).
+ROOT = st.tuples(st.integers(0, 3), PRIORITIES, st.lists(CHILD, max_size=2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ops=st.lists(ROOT, max_size=25),
+       until=st.none() | st.sampled_from([0.0, 0.5, 0.75, 1.5]))
+def test_event_order_contract_on_generated_programs(ops, until):
+    """The engine against a model of its contract, over random programs
+    (same-time cascades, URGENT pushes at ``now``, in-place cancellation,
+    ``until`` horizons): each executed event is the least ``(time,
+    priority, push order)`` among the live pending ones."""
+    sim = Simulator()
+    pushes = itertools.count()
+    pending = {}  # label -> (time, priority, push number); live events only
+    pushed = []  # (label, event), most recent last
+    ran = []  # the time of each executed event
+
+    def push(label, time, priority, children):
+        def action():
+            assert label in pending, "a cancelled event ran"
+            assert pending[label] == min(pending.values())
+            assert sim.now == pending.pop(label)[0]
+            ran.append(sim.now)
+            for j, (kind, delay_slot, prio) in enumerate(children):
+                if kind == "push":
+                    push(f"{label}.{j}", sim.now + delay_slot * 0.25, prio, [])
+                elif pushed:
+                    victim, ev = pushed.pop()
+                    ev.cancel()
+                    pending.pop(victim, None)
+
+        pending[label] = (time, priority, next(pushes))
+        pushed.append((label, sim.at(time, action, priority)))
+
+    for i, (slot, prio, children) in enumerate(ops):
+        push(f"r{i}", slot * 0.5, prio, children)
+    final = sim.run(until=until, check_deadlock=False)
+    assert final == sim.now
+    if until is None:
+        # a cancelled event, however late, has not moved the clock
+        assert final == max([0.0] + ran)
+    else:
+        assert final == until
+        assert all(time <= until for time in ran)
+        assert all(time > until for time, _, _ in pending.values())
+        sim.run(check_deadlock=False)
+    assert not pending
+    assert sim.events_executed == len(ran)
 
 
 class TestProcesses:
