@@ -15,23 +15,13 @@ Table 1's 1-node column (see ``repro.bench.calibrate``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, Generator, List, Optional
+from typing import Dict, Generator, List, Optional
 
 import numpy as np
 
 from ..dsm import SharedArray, TmkProgram
 from ..errors import ConfigurationError
 from ..openmp import OmpProgram, ParallelFor, compile_openmp
-
-
-@dataclass
-class AppStats:
-    """What a kernel reports after a run."""
-
-    name: str
-    verified: Optional[bool] = None
-    details: Dict[str, Any] = None
 
 
 class AppKernel:

@@ -16,7 +16,6 @@ from .adaptation_cost import (
     adaptation_delay,
     average_nprocs,
     interpolated_reference,
-    per_adaptation_summary,
 )
 from .model import LeaveCostModel, MigrationCostModel, predicted_max_link_bytes
 from .calibrate import (
@@ -34,7 +33,6 @@ from .perf import calibrate_spin
 from .recovery import (
     RecoveryPoint,
     ResumableJacobi,
-    make_recovery_jacobi,
     recovery_sweep,
     sweep_rows,
 )
@@ -84,12 +82,10 @@ __all__ = [
     "make_nbf",
     "nonadaptive_times",
     "calibrate_spin",
-    "per_adaptation_summary",
     "ratio_note",
     "speedup",
     "RecoveryPoint",
     "ResumableJacobi",
-    "make_recovery_jacobi",
     "recovery_sweep",
     "sweep_rows",
 ]

@@ -66,20 +66,3 @@ def adaptation_delay(
     reference = interpolated_reference(reference_times, avg_n)
     total_delay = adaptive.runtime_seconds - reference
     return total_delay / adaptive.adaptations, total_delay
-
-
-def per_adaptation_summary(adaptive: ExperimentResult) -> List[dict]:
-    """Direct per-adaptation costs from the runtime's own records."""
-    return [
-        {
-            "time": r.time,
-            "joins": r.joins,
-            "leaves": r.leaves,
-            "urgent": r.urgent_leaves,
-            "duration": r.duration,
-            "traffic_bytes": r.traffic_bytes,
-            "max_link_bytes": r.max_link_bytes,
-            "nprocs": (r.nprocs_before, r.nprocs_after),
-        }
-        for r in adaptive.adapt_records
-    ]

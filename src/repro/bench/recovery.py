@@ -74,11 +74,6 @@ class RecoveryPoint:
         return self.runtime_seconds - self.fault_free_seconds
 
 
-def make_recovery_jacobi(n: int = 96, iterations: int = 30) -> ResumableJacobi:
-    """A small materializable Jacobi for the sweep (seconds, not hours)."""
-    return ResumableJacobi(n=n, iterations=iterations)
-
-
 def recovery_sweep(
     intervals: Sequence[Optional[float]] = (None, 0.05, 0.1, 0.2, 0.4),
     nprocs: int = 4,

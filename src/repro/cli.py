@@ -780,12 +780,11 @@ def cmd_workers(args) -> int:
                   file=sys.stderr)
             return 2
         rows = [
-            [w["id"], w["host"], w["pid"], w["slots"], w["busy"],
-             w["tasks_done"]]
+            [w["id"], w["host"], w["pid"], w["busy"], w["tasks_done"]]
             for w in status["workers"]
-        ] or [["(none)", "", "", "", "", ""]]
+        ] or [["(none)", "", "", "", ""]]
         print(format_table(
-            ["worker", "host", "pid", "slots", "busy", "tasks done"],
+            ["worker", "host", "pid", "busy", "tasks done"],
             rows, title=f"Workers registered at {address}",
         ))
         counters = status["counters"]
@@ -805,7 +804,7 @@ def cmd_workers(args) -> int:
     print(f"starting {count} worker(s) against {address}", file=sys.stderr)
     if count == 1:
         try:
-            worker_main(address, slots=args.slots)
+            worker_main(address)
         except ExecError as err:
             print(f"worker failed: {err}", file=sys.stderr)
             return 1
@@ -816,8 +815,7 @@ def cmd_workers(args) -> int:
 
     ctx = mp.get_context("spawn")
     procs = [
-        ctx.Process(target=worker_main, args=(address,),
-                    kwargs=dict(slots=args.slots))
+        ctx.Process(target=worker_main, args=(address,))
         for _ in range(count)
     ]
     for proc in procs:
@@ -1070,9 +1068,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     workers_p.add_argument("--count", type=int, default=1,
                            help="worker processes to start "
-                                "(default: %(default)s)")
-    workers_p.add_argument("--slots", type=int, default=1,
-                           help="concurrent tasks each worker leases "
                                 "(default: %(default)s)")
     workers_p.add_argument("--status", action="store_true",
                            help="query the coordinator's worker table "

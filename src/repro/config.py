@@ -225,19 +225,13 @@ class PerfParams:
 
     Each field alters modelled message patterns and times, so the
     defaults are the paper's system — flat all-to-one synchronization on
-    a single switched segment, one exchange per page fault — and keep the
-    Table 1/2 reproduction exact.  Host-side speed-ups (event batching,
-    plan cache, run-encoded diffs, interval-log pruning) are not
-    options: they are the implementation, bitwise invisible to every
-    modelled output (``tests/golden.py``).
+    a single switched segment — and keep the Table 1/2 reproduction
+    exact.  How a page moves is not among them: a fault, a leave drain
+    and a checkpoint all pull it with one request/reply exchange.
+    Host-side speed-ups (plan cache, run-encoded diffs, interval-log
+    pruning) are not options either: they are the implementation,
+    bitwise invisible to every modelled output (``tests/golden.py``).
     """
-
-    #: Coalesce the full-page fetches of one fault burst into a single
-    #: PAGE_BATCH_REQ/REPLY exchange per owner: same payload bytes on the
-    #: wire, one round trip (and one header) instead of one per page —
-    #: the bulk-transfer idea the paper applies to joins, applied to
-    #: ordinary fault bursts.
-    bulk_fetch: bool = False
 
     #: Synchronize through a ``barrier_radix``-ary combining tree over pids
     #: (children of position i are k·i+1 … k·i+k; the master is the root)

@@ -22,8 +22,6 @@ import numpy as np
 
 from ..errors import CheckpointError
 from ..network import message as mk
-from ..simcore import Signal
-from .leave import PIPELINE_DEPTH
 
 
 @dataclass
@@ -69,33 +67,7 @@ class CheckpointManager:
             for page in range(npages)
             if not master._pte(page).readable
         ]
-        idx = 0
-        active = 0
-        done = Signal(sim, "ckpt.collect")
-
-        def fetch_one(page: int, owner: int) -> Generator:
-            nonlocal active
-            reply = yield from master.request_reply(
-                mk.CKPT_PAGE_REQ, owner, {"page": page}, size=8
-            )
-            yield sim.timeout(runtime.cfg.network.page_service_client)
-            master.install_page(page, reply.payload["data"], reply.payload["applied"])
-            active -= 1
-            launch()
-            if active == 0 and idx >= len(missing):
-                done.fire()
-
-        def launch() -> None:
-            nonlocal active, idx
-            while active < PIPELINE_DEPTH and idx < len(missing):
-                page, owner = missing[idx]
-                idx += 1
-                active += 1
-                sim.process(fetch_one(page, owner), name=f"ckpt.{page}", daemon=True)
-
-        if missing:
-            launch()
-            yield done
+        yield from master.pull_pages(missing, mk.CKPT_PAGE_REQ)
 
         # 2. write the master image (its process image + all shared pages)
         cp = runtime.cfg.checkpoint

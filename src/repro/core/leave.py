@@ -14,10 +14,6 @@ from typing import Generator, List
 
 from ..dsm.treebarrier import tree_children
 from ..network import message as mk
-from ..simcore import Signal
-
-#: Outstanding page fetches kept in flight while draining a leaver.
-PIPELINE_DEPTH = 32
 
 
 def absorb_leaver_pages(runtime, leaver) -> Generator:
@@ -29,35 +25,7 @@ def absorb_leaver_pages(runtime, leaver) -> Generator:
 
     to_fetch: List[int] = [p for p in owned if not master._pte(p).readable]
 
-    # Pipelined fetches: the leaver's service CPU and the master's downlink
-    # serialize the stream, which is exactly the measured bottleneck.
-    idx = 0
-    active = 0
-    done = Signal(sim, "leave.drain")
-
-    def fetch_one(page: int) -> Generator:
-        nonlocal active, idx
-        reply = yield from master.request_reply(
-            mk.PAGE_REQ, leaver.pid, {"page": page}, size=8
-        )
-        yield sim.timeout(runtime.cfg.network.page_service_client)
-        master.install_page(page, reply.payload["data"], reply.payload["applied"])
-        active -= 1
-        launch()
-        if active == 0 and idx >= len(to_fetch):
-            done.fire()
-
-    def launch() -> None:
-        nonlocal active, idx
-        while active < PIPELINE_DEPTH and idx < len(to_fetch):
-            page = to_fetch[idx]
-            idx += 1
-            active += 1
-            sim.process(fetch_one(page), name=f"leave.fetch.{page}", daemon=True)
-
-    if to_fetch:
-        launch()
-        yield done
+    yield from master.pull_pages([(p, leaver.pid) for p in to_fetch], mk.PAGE_REQ)
     sim.tracer.emit(
         "adapt",
         "leave_drain",

@@ -22,7 +22,7 @@ from .page import AccessMode, PageTable, PageTableEntry, Protocol
 from .process import DsmProcess
 from .runtime import MasterApi, RegionCtx, RunResult, TmkProgram, TmkRuntime
 from .sc import ScProcess, ScRuntime
-from .sharedarray import SharedArray, partition_ranges
+from .sharedarray import SharedArray
 from .statistics import DsmStats, TeamStats
 from .team import TeamView
 from .treebarrier import TreeBarrier
@@ -62,5 +62,4 @@ __all__ = [
     "changed_ranges",
     "gc_new_owners",
     "make_diff",
-    "partition_ranges",
 ]

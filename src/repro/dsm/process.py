@@ -26,7 +26,7 @@ from ..config import SystemConfig
 from ..errors import DsmError, NetworkError, ProtocolError
 from ..network import message as mk
 from ..network.message import Message
-from ..simcore import Channel, Simulator, Store
+from ..simcore import Channel, Signal, Simulator, Store
 from .diffs import apply_diffs_in_order, make_diff
 from .gc import gc_new_owners
 from .intervals import Diff, IntervalLog, IntervalNotice, IntervalRecord, NoticeBatch
@@ -41,6 +41,10 @@ from .vectorclock import VectorClock
 #: (pruning is O(peers × pages written), so it is amortized rather than
 #: run per close).
 INTERVAL_PRUNE_PERIOD = 64
+
+#: Page pulls the master keeps in flight while it drains a leaver (§4.2)
+#: or collects a checkpoint (§4.3).
+PIPELINE_DEPTH = 32
 
 #: Message kinds routed to the main coroutine rather than a handler.
 MAIN_KINDS = frozenset(
@@ -100,9 +104,6 @@ class DsmProcess:
         self.stats = DsmStats()
         #: Highest own interval seq already reported to the master.
         self._sent_to_master_seq = 0
-        # Hot-path caches: the opt-in bulk-fetch protocol extension and
-        # wire-size constants.
-        self._bulk_fetch = cfg.perf.bulk_fetch
         #: Interval closes left until the next log-prune sweep.
         self._prune_countdown = INTERVAL_PRUNE_PERIOD
         #: Intervals closed since the last GC; drives ``wants_gc`` (the
@@ -295,8 +296,6 @@ class DsmProcess:
             self.crash_hook(dst_node, err)
             # Park until recovery kills this coroutine: there is no answer
             # coming, and the caller cannot make progress without one.
-            from ..simcore import Signal
-
             yield Signal(self.sim, name=f"{self.name}.parked")
             raise ProtocolError(f"{self.name}: parked coroutine resumed")
         return reply
@@ -377,8 +376,6 @@ class DsmProcess:
     def _handle_request(self, msg: Message) -> Generator:
         if msg.kind == mk.PAGE_REQ:
             yield from self._serve_page(msg)
-        elif msg.kind == mk.PAGE_BATCH_REQ:
-            yield from self._serve_page_batch(msg)
         elif msg.kind == mk.DIFF_REQ:
             yield from self._serve_diff(msg)
         elif msg.kind == mk.LOCK_FORWARD:
@@ -502,36 +499,6 @@ class DsmProcess:
             raise ProtocolError(
                 f"{self.name}: asked for page {page} but holds no valid copy"
             )
-
-    def _serve_page_batch(self, msg: Message) -> Generator:
-        """Serve several full pages in one reply (``PerfParams.bulk_fetch``).
-
-        The reply carries exactly the payload bytes of the per-page replies
-        it replaces (n × (page + applied clock)); only the per-message
-        header and the extra round trips are saved.
-        """
-        pages = msg.payload["pages"]
-        applied = []
-        data = []
-        for page in pages:
-            self._check_servable(page)
-            applied.append(self.table.applied_of(page))
-            data.append(self.store.page_view(page).copy() if self.materialized else None)
-        n = len(pages)
-        yield from self.node.service(n * self.cfg.network.page_service_server)
-        size = n * (self.cfg.dsm.page_size + self.vc_wire_bytes)
-        self.node.nic.send(
-            msg.reply(
-                mk.PAGE_BATCH_REPLY,
-                size_bytes=size,
-                payload={
-                    "pages": list(pages),
-                    "applied": applied,
-                    "data": data,
-                    "n_pages": n,
-                },
-            )
-        )
 
     def _serve_diff(self, msg: Message) -> Generator:
         page = msg.payload["page"]
@@ -729,8 +696,6 @@ class DsmProcess:
         # segment geometry and the requested ranges, so iterative programs
         # (same ranges every sweep) hit the memo instead of recomputing.
         plan = self.space.plan_cache.lookup(seg, reads, writes, page_size)
-        if self._bulk_fetch:
-            yield from self._bulk_fetch_pages(plan)
         current_writes = self.current_writes
         table = self.table
         valid = table.valid
@@ -782,63 +747,6 @@ class DsmProcess:
         for seg, reads, writes in specs:
             yield from self.access(seg, reads, writes)
 
-    def _bulk_fetch_pages(self, plan) -> Generator:
-        """Coalesce the plan's invalid-page fetches by owner (opt-in).
-
-        With ``PerfParams.bulk_fetch`` on, a fault burst that would issue N
-        per-page PAGE_REQ/PAGE_REPLY exchanges to the same owner issues one
-        PAGE_BATCH_REQ instead: identical payload bytes on the wire, but
-        N-1 fewer message headers and a single round trip of latency.
-        Pages needing diffs (pending notices) still go through the normal
-        per-page path afterwards.
-        """
-        by_owner: Dict[int, List[int]] = {}
-        table = self.table
-        for page, _ in plan.pages:
-            if not table.mapped[page]:
-                self._map(page)
-            if table.valid[page]:
-                continue
-            owner = self.owner_of(page)
-            if owner == self.pid:
-                continue  # first touch at home: no network involved
-            by_owner.setdefault(owner, []).append(page)
-        for owner in sorted(by_owner):
-            pages = by_owner[owner]
-            if len(pages) < 2:
-                continue  # a single page takes the standard PAGE_REQ path
-            if self.stall_hook is not None:
-                yield from self.stall_hook()
-            t0 = self.sim.now
-            reply = yield from self.request_reply(
-                mk.PAGE_BATCH_REQ, owner, {"pages": pages}, size=8 * len(pages)
-            )
-            yield self.sim.timeout(
-                len(pages) * self.cfg.network.page_service_client
-            )
-            payload = reply.payload
-            tracer = self.sim.tracer
-            for page, applied, data in zip(
-                payload["pages"], payload["applied"], payload["data"]
-            ):
-                self.install_page(page, data, applied)
-                if tracer.enabled:
-                    tracer.emit(
-                        "dsm", "page_fetch", f"{self.name}<-P{owner} pg{page} (bulk)"
-                    )
-            self.stats.fault_wait_time += self.sim.now - t0
-            obs = self.sim.obs
-            if obs.enabled and obs.per_process:
-                obs.span(
-                    f"P{self.pid}",
-                    "fault.wait",
-                    t0,
-                    self.sim.now,
-                    category="dsm",
-                    pages=len(pages),
-                    bulk=True,
-                )
-
     def _ensure_access(self, page: int, write: bool) -> Generator:
         """Fault in one page for read or write access."""
         table = self.table
@@ -881,17 +789,53 @@ class DsmProcess:
         table.prune_pending(page)
         self.stats.page_fetches += 1
 
+    def _pull_page(
+        self, page: int, from_pid: int, kind: str = mk.PAGE_REQ
+    ) -> Generator:
+        """The one way a page moves: request, client-side service, install."""
+        reply = yield from self.request_reply(kind, from_pid, {"page": page}, size=8)
+        yield self.sim.timeout(self.cfg.network.page_service_client)
+        self.install_page(page, reply.payload["data"], reply.payload["applied"])
+
+    def pull_pages(self, pairs: List[Tuple[int, int]], kind: str) -> Generator:
+        """Pull every ``(page, from_pid)`` pair, ``PIPELINE_DEPTH`` at a time.
+
+        The serving CPUs and this node's downlink serialize the stream,
+        which is exactly the bottleneck §5.4 measures.
+        """
+        idx = 0
+        active = 0
+        done = Signal(self.sim, f"{self.name}.pull")
+
+        def pull_one(page: int, from_pid: int) -> Generator:
+            nonlocal active
+            yield from self._pull_page(page, from_pid, kind)
+            active -= 1
+            launch()
+            if active == 0 and idx >= len(pairs):
+                done.fire()
+
+        def launch() -> None:
+            nonlocal active, idx
+            while active < PIPELINE_DEPTH and idx < len(pairs):
+                page, from_pid = pairs[idx]
+                idx += 1
+                active += 1
+                self.sim.process(
+                    pull_one(page, from_pid), name=f"{kind}.{page}", daemon=True
+                )
+
+        if pairs:
+            launch()
+            yield done
+
     def _fetch_page(self, page: int, from_pid: int) -> Generator:
         """Fetch a full page copy from ``from_pid``."""
         if from_pid == self.pid:
             # First touch at the home/owner: the zero-filled copy is valid.
             self.table.valid[page] = 1
             return
-        reply = yield from self.request_reply(
-            mk.PAGE_REQ, from_pid, {"page": page}, size=8
-        )
-        yield self.sim.timeout(self.cfg.network.page_service_client)
-        self.install_page(page, reply.payload["data"], reply.payload["applied"])
+        yield from self._pull_page(page, from_pid)
         tracer = self.sim.tracer
         if tracer.enabled:
             tracer.emit("dsm", "page_fetch", f"{self.name}<-P{from_pid} pg{page}")
@@ -974,11 +918,7 @@ class DsmProcess:
 
     def _fetch_page_refresh(self, page: int, from_pid: int) -> Generator:
         """Re-fetch a full page (single-writer protocol update path)."""
-        reply = yield from self.request_reply(
-            mk.PAGE_REQ, from_pid, {"page": page}, size=8
-        )
-        yield self.sim.timeout(self.cfg.network.page_service_client)
-        self.install_page(page, reply.payload["data"], reply.payload["applied"])
+        yield from self._pull_page(page, from_pid)
         self.table.owner[page] = from_pid
         self.owners[page] = from_pid
 

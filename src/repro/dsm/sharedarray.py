@@ -99,16 +99,3 @@ class SharedArray:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<SharedArray {self.name} {self.shape} {self.dtype}>"
-
-
-def partition_ranges(total: int, nprocs: int) -> List[Tuple[int, int]]:
-    """Block partition of ``total`` items over ``nprocs`` (the OpenMP static
-    schedule); returns one ``(lo, hi)`` per pid."""
-    base, extra = divmod(total, nprocs)
-    out = []
-    lo = 0
-    for pid in range(nprocs):
-        hi = lo + base + (1 if pid < extra else 0)
-        out.append((lo, hi))
-        lo = hi
-    return out

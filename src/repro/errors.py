@@ -48,10 +48,6 @@ class ProtocolError(DsmError):
     """A message arrived that the LRC protocol state machine cannot accept."""
 
 
-class PageFaultError(DsmError):
-    """A page access could not be satisfied (e.g. no owner for the page)."""
-
-
 class AllocationError(DsmError):
     """Shared-memory allocation failed (out of configured address space)."""
 

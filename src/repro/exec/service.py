@@ -235,7 +235,6 @@ class _WorkerConn:
         self.send_lock = threading.Lock()
         self.host = hello.get("host", "?")
         self.pid = hello.get("pid", 0)
-        self.slots = max(1, int(hello.get("slots", 1)))
         self.busy: Dict[str, _Task] = {}
         self.tasks_done = 0
 
@@ -589,7 +588,7 @@ class Coordinator:
 
     # -- scheduling --------------------------------------------------------
     def _pump(self) -> None:
-        """Assign ready queued tasks to free worker slots, each with its
+        """Assign ready queued tasks to idle workers, each with its
         deadline — the single place the deadline half of the policy is
         stamped.  Caller holds the lock; sends ride the per-worker send
         locks."""
@@ -597,17 +596,13 @@ class Coordinator:
             now = time.monotonic()
             task = next((t for t in self._queue if t.ready_at <= now), None)
             target = min(
-                (w for w in self._workers.values() if len(w.busy) < w.slots),
-                key=lambda w: (len(w.busy), w.index), default=None)
+                (w for w in self._workers.values() if not w.busy),
+                key=lambda w: w.index, default=None)
             if task is None or target is None:
                 return
             self._queue.remove(task)
-            # A worker runs its slots one after the other: a task queued
-            # behind others starts no later than their deadlines.
             task.assigned_at = now
-            task.deadline = (
-                max([now] + [t.deadline for t in target.busy.values()])
-                + self.policy.deadline.deadline_for(task.spec))
+            task.deadline = now + self.policy.deadline.deadline_for(task.spec)
             target.busy[task.task_id] = task
             self._wake.notify()
             try:
@@ -725,7 +720,7 @@ class Coordinator:
         with self._mu:
             workers = [
                 {"id": w.worker_id, "host": w.host, "pid": w.pid,
-                 "slots": w.slots, "busy": len(w.busy),
+                 "busy": len(w.busy),
                  "tasks_done": w.tasks_done}
                 for w in sorted(self._workers.values(),
                                 key=lambda w: w.worker_id)
@@ -844,7 +839,7 @@ def submit_outcome(specs: Sequence[ScenarioSpec], address: str, *,
     ``cache_stats``, ``retried``, ``failure_counts`` and the outcome's
     ``service`` snapshot, and are mirrored into ``obs`` as
     ``exec.service.*``.  ``degraded`` is set when tasks were handed back
-    (see :class:`Submission`); they fill their slots unfinished.
+    (see :class:`Submission`); they fill their places unfinished.
     """
     sub = Submission(specs, address, no_cache=no_cache, refresh=refresh)
     total = len(sub.specs)

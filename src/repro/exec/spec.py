@@ -99,7 +99,7 @@ class ScenarioSpec:
     #: Override of :attr:`SystemConfig.seed` (None keeps the default).
     seed: Optional[int] = None
     #: :class:`~repro.config.PerfParams` field overrides (e.g.
-    #: ``{"bulk_fetch": True}``).
+    #: ``{"barrier_tree": True}``).
     perf: Mapping[str, Any] = field(default_factory=dict)
     #: Display name for progress/reports; **excluded from the digest**.
     label: Optional[str] = None

@@ -36,7 +36,7 @@ from ..errors import ExecError
 
 #: Protocol identifier; sent in ``hello``/``welcome`` and checked by both
 #: ends.  Bump on any incompatible frame-layout or message change.
-WIRE_SCHEMA = "repro-service-wire/2"
+WIRE_SCHEMA = "repro-service-wire/3"
 
 #: Hard cap on one frame's payload (a result is a few KB; 64 MiB means a
 #: corrupt or malicious length prefix cannot make a peer allocate blindly).
@@ -62,7 +62,7 @@ class ConnectionClosed(WireError):
 #: docs/SERVICE.md renders it verbatim.
 MESSAGE_FIELDS: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {
     # worker -> coordinator
-    "hello": (("schema", "role"), ("host", "pid", "slots", "salt")),
+    "hello": (("schema", "role"), ("host", "pid", "salt")),
     "result": (("task_id", "digest", "result", "wall_seconds"),
                ("attempts", "failure_counts")),
     "task_error": (("task_id", "digest", "kind", "detail"), ()),

@@ -37,7 +37,6 @@ import threading
 import traceback
 from typing import Optional
 
-from ..errors import ExecError
 from .cache import code_version_salt
 from .chaos import worker_fault
 from .pool import run_spec
@@ -67,12 +66,8 @@ class Worker:
     """
 
     def __init__(self, address: str, *,
-                 slots: int = 1,
                  connect_retry_seconds: float = DEFAULT_CONNECT_RETRY_SECONDS):
-        if slots < 1:
-            raise ExecError("slots must be >= 1")
         self.address = address
-        self.slots = slots
         self.connect_retry_seconds = connect_retry_seconds
         self.worker_id: Optional[str] = None
         self.tasks_done = 0
@@ -95,7 +90,7 @@ class Worker:
                              retry_seconds=self.connect_retry_seconds)
         self._send(message("hello", schema=WIRE_SCHEMA, role="worker",
                            host=socket.gethostname(), pid=os.getpid(),
-                           slots=self.slots, salt=code_version_salt()))
+                           salt=code_version_salt()))
         welcome = recv_message(self._sock)
         if welcome["t"] == "error":
             raise WireError(f"coordinator refused this worker: "
@@ -195,11 +190,10 @@ class Worker:
         self.stop()
 
 
-def worker_main(address: str, slots: int = 1,
+def worker_main(address: str,
                 connect_retry_seconds: float = DEFAULT_CONNECT_RETRY_SECONDS,
                 ) -> None:
     """Process entry point for ``repro workers`` and for the launcher of
     a local sweep (spawn-friendly: module level, only picklable
     arguments)."""
-    Worker(address, slots=slots,
-           connect_retry_seconds=connect_retry_seconds).run()
+    Worker(address, connect_retry_seconds=connect_retry_seconds).run()

@@ -27,11 +27,6 @@ DATA = "data"
 # DSM protocol
 PAGE_REQ = "page_req"
 PAGE_REPLY = "page_reply"
-#: Bulk fetch of several pages from one owner in one round trip (the
-#: opt-in ``PerfParams.bulk_fetch`` fast path; payload bytes equal the
-#: per-page exchanges it replaces).
-PAGE_BATCH_REQ = "page_batch_req"
-PAGE_BATCH_REPLY = "page_batch_reply"
 DIFF_REQ = "diff_req"
 DIFF_REPLY = "diff_reply"
 LOCK_REQ = "lock_req"

@@ -113,10 +113,6 @@ class Nic:
         self.retransmissions += 1
         self.switch.stats.count_retransmission()
 
-    def wait_reply(self, req_id: int) -> Waitable:
-        """Waitable for the reply to an already-sent request."""
-        return self.replies.recv(match=lambda m: m.req_id == req_id)
-
     # -- delivery (called by the switch) -----------------------------------
     def _complete_request(self, req_id: int) -> None:
         self._pending_reqs.discard(req_id)

@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .message import DIFF_REPLY, PAGE_BATCH_REPLY, PAGE_REPLY, Message
+from .message import DIFF_REPLY, PAGE_REPLY, Message
 
 #: Kinds whose delivery counts one page (hoisted: record() runs per message).
 _PAGE_KINDS = (PAGE_REPLY, "sc_data")
@@ -104,9 +104,9 @@ class TrafficStats:
                via: tuple = ()) -> None:
         """Account one delivered message.
 
-        ``via`` names any intermediate (trunk) links the message crossed in
+        ``via`` holds the intermediate (trunk) links the message crossed in
         a hierarchical topology; each carries the same wire bytes as the
-        endpoint links.  The star topology never passes it.
+        endpoint links.  The star topology has none.
         """
         wire = msg.size_bytes + self.header_bytes
         s = self._snap
@@ -116,12 +116,10 @@ class TrafficStats:
         s.by_kind_bytes[msg.kind] += wire
         s.per_link_bytes[uplink] += wire
         s.per_link_bytes[downlink] += wire
-        for name in via:
-            s.per_link_bytes[name] += wire
+        for link in via:
+            s.per_link_bytes[link.name] += wire
         if msg.kind in _PAGE_KINDS:
             s.pages += 1
-        elif msg.kind == PAGE_BATCH_REPLY:
-            s.pages += int(msg.payload.get("n_pages", 1)) if isinstance(msg.payload, dict) else 1
         elif msg.kind == DIFF_REPLY:
             s.diffs += int(msg.payload.get("n_diffs", 1)) if isinstance(msg.payload, dict) else 1
 

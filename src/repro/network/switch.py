@@ -92,8 +92,21 @@ class Switch:
         self.nics[node_id].detach()
 
     # -- transmission ---------------------------------------------------------
+    def route(self, src: int, dst: int) -> tuple:
+        """``(trunk links, trace suffix)`` of the path from ``src`` to ``dst``.
+
+        The trunks are the links a message crosses *between* its source
+        uplink and its destination downlink; one switch has none.
+        """
+        return (), ""
+
     def transmit(self, msg: Message) -> float:
-        """Deliver ``msg``; returns the simulated arrival time."""
+        """Deliver ``msg``; returns the simulated arrival time.
+
+        The one wire model: whatever the topology (:meth:`route`), this is
+        the only place that validates the destination, reserves links,
+        prices latency, accounts traffic and applies loss and faults.
+        """
         if msg.dst not in self.nics:
             raise NetworkError(f"message to unknown node {msg.dst}: {msg!r}")
         dst_nic = self.nics[msg.dst]
@@ -111,16 +124,22 @@ class Switch:
         wire_bytes = size_bytes + params.header_bytes
         up = self.uplinks[msg.src]
         down = self.downlinks[msg.dst]
+        trunks, route_note = self.route(msg.src, msg.dst)
+        # Joint cut-through reservation: every link of the path gets the
+        # same slot, so a message waits for the *most* backlogged one.
         now = self.sim.now
         up_busy = up.busy_until
         down_busy = down.busy_until
         start = now if now >= up_busy else up_busy
         if down_busy > start:
             start = down_busy
-        # Joint cut-through reservation of both links, inlined from
-        # Link.occupy (two method calls per message add up on this path;
-        # ``start`` >= both links' busy_until by construction, so the
-        # stale-start guard inside occupy is vacuous here).
+        for link in trunks:
+            if link.busy_until > start:
+                start = link.busy_until
+        # The two port links are inlined from Link.occupy (two method
+        # calls per message add up on this path; ``start`` >= every
+        # link's busy_until by construction, so the stale-start guard
+        # inside occupy is vacuous here).
         end = start + wire_bytes * up.per_byte
         busy = end - start
         up.busy_until = end
@@ -131,17 +150,22 @@ class Switch:
         down.busy_time += busy
         down.bytes_carried += wire_bytes
         down.messages_carried += 1
+        for link in trunks:
+            link.occupy(start, wire_bytes)
         # Latency is calibrated against the paper's 1-byte RTT of 126 µs,
         # which already includes header transmission — so only the payload
         # adds wire time here, while occupancy and traffic accounting above
-        # include the header bytes.
-        arrival = start + params.one_way_latency + size_bytes * params.per_byte
+        # include the header bytes.  Each trunk leads into one more switch.
+        arrival = start + params.one_way_latency
+        if trunks:
+            arrival += len(trunks) * params.switch_hop_latency
+        arrival += size_bytes * params.per_byte
         faults = self._faults
         if faults is not None:
             # Degraded ports add fixed latency on either endpoint's path.
             arrival += faults.extra_latency(msg.src, msg.dst)
         msg.arrived_at = arrival
-        self.stats.record(msg, uplink=up.name, downlink=down.name)
+        self.stats.record(msg, uplink=up.name, downlink=down.name, via=trunks)
         if faults is not None and faults.blocked(msg.src, msg.dst):
             # the packet burned wire time but dies at the partition
             self.stats.count_cut()
@@ -174,7 +198,9 @@ class Switch:
         self.sim.at(arrival, (dst_nic.deliver, msg))
         tracer = self.sim.tracer
         if tracer.enabled:
-            tracer.emit("net", msg.kind, f"{msg.src}->{msg.dst} {wire_bytes}B")
+            tracer.emit(
+                "net", msg.kind, f"{msg.src}->{msg.dst} {wire_bytes}B{route_note}"
+            )
         return arrival
 
     def transmit_flight(self, msgs, on_error=None, src_nic=None) -> None:

@@ -133,6 +133,7 @@ def test_src_has_every_name_the_traced_benchmark_reads():
     from benchmarks.spine.tracer import Tracer
     from benchmarks.spine.workloads import OpOutcome
     from repro import api, simcore
+    from repro.network import FatTreeSwitch, Switch
 
     tracer = Tracer()
     try:
@@ -160,3 +161,6 @@ def test_src_has_every_name_the_traced_benchmark_reads():
         str(path.relative_to(src)) for path in src.rglob("*.py")
         if any(name in path.read_text() for name in residue)
     ) == ["simcore/events.py", "simcore/simulator.py"]
+    # The fat-tree has no wire model of its own: the class attribute the
+    # tracer patched (and uninstall() put back) is the one transmit.
+    assert vars(FatTreeSwitch)["transmit"] is vars(Switch)["transmit"]

@@ -5,7 +5,9 @@ import pytest
 
 from repro.core import restore_checkpoint
 from repro.dsm import SharedArray, TmkProgram
+from repro.dsm.process import PIPELINE_DEPTH
 from repro.errors import CheckpointError
+from repro.network import message as mk
 
 from ..helpers import build_adaptive
 
@@ -89,6 +91,42 @@ class TestCheckpointTaking:
         rt.run(prog)
         # slave partitions must have been pulled to the master at checkpoints
         assert rt.master.stats.page_fetches > before.page_fetches
+
+
+@pytest.mark.parametrize("caller, req_kind, reply_kind", [
+    ("leave", mk.PAGE_REQ, mk.PAGE_REPLY),
+    ("checkpoint", mk.CKPT_PAGE_REQ, mk.CKPT_PAGE_REPLY),
+])
+def test_collector_keeps_pipeline_depth_pulls_outstanding(caller, req_kind, reply_kind):
+    """A leave drain and a checkpoint collection of more than
+    ``PIPELINE_DEPTH`` pages fill the pipeline and never overfill it."""
+    kw = {"checkpoint_interval": 0.05} if caller == "checkpoint" else {}
+    sim, rt, pool = build_adaptive(nprocs=4, **kw)
+    prog, arr, ctr = counter_program(rt, n_iter=10, shape=(256, 512))
+    assert arr.seg.npages // 4 > PIPELINE_DEPTH  # pages per process
+    if caller == "leave":
+        sim.schedule(0.05, lambda: rt.submit_leave(3))
+    master_node = rt.master.node.node_id
+    transmit = rt.switch.transmit
+    outstanding = peak = 0
+
+    def counting_transmit(msg):
+        nonlocal outstanding, peak
+        if msg.kind == req_kind and msg.src == master_node:
+            outstanding += 1
+            peak = max(peak, outstanding)
+        elif msg.kind == reply_kind and msg.dst == master_node:
+            outstanding -= 1
+        return transmit(msg)
+
+    rt.switch.transmit = counting_transmit
+    res = rt.run(prog)
+    if caller == "leave":
+        assert res.adapt_log[0].drained_pages > PIPELINE_DEPTH
+    else:
+        assert rt.ckpt_mgr.checkpoints
+    assert peak == PIPELINE_DEPTH
+    assert outstanding == 0
 
 
 class TestRecovery:

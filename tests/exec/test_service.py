@@ -58,7 +58,7 @@ def lease_and_die(address, leased):
     """A fake worker: register, lease one task, die without a word."""
     sock = connect(address)
     send_message(sock, message("hello", schema=WIRE_SCHEMA, role="worker",
-                               host="fake", pid=1, slots=1))
+                               host="fake", pid=1))
     assert recv_message(sock)["t"] == "welcome"
     msg = recv_message(sock)
     assert msg["t"] == "task"
@@ -71,7 +71,7 @@ def lease_and_wedge(address, leased, release):
     without ever answering — a simulation wedged under a live process."""
     sock = connect(address)
     send_message(sock, message("hello", schema=WIRE_SCHEMA, role="worker",
-                               host="wedged", pid=2, slots=1))
+                               host="wedged", pid=2))
     assert recv_message(sock)["t"] == "welcome"
     leased.append(recv_message(sock))
     try:
@@ -379,10 +379,10 @@ class TestLifecycle:
         assert reply["t"] == "error" and "salt mismatch" in reply["message"]
 
     def test_status_lists_registered_workers(self):
-        with Coordinator(cache=None) as co, Worker(co.address, slots=2):
+        with Coordinator(cache=None) as co, Worker(co.address):
             assert wait_until(lambda: service_status(co.address)["workers"])
             table = service_status(co.address)["workers"]
-        assert table[0]["id"] == "w1" and table[0]["slots"] == 2
+        assert table[0]["id"] == "w1"
 
 
 class TestServiceCLI:

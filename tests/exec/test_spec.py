@@ -50,7 +50,7 @@ class TestCanonicalForm:
         ("checkpoint_interval", 0.1),
         ("failure_detection", True),
         ("seed", 7),
-        ("perf", {"bulk_fetch": True}),
+        ("perf", {"barrier_tree": True}),
     ])
     def test_every_digest_relevant_field_changes_the_digest(self, field, value):
         changed = (base_spec(kernel="gauss", params={"n": 48, "iterations": 3})
@@ -59,7 +59,7 @@ class TestCanonicalForm:
 
     def test_specs_pickle_roundtrip(self):
         spec = base_spec(events=(AdaptEvent("crash", 1.0, node=2),),
-                         perf={"bulk_fetch": True}, seed=3)
+                         perf={"barrier_tree": True}, seed=3)
         clone = pickle.loads(pickle.dumps(spec))
         assert clone == spec
         assert clone.config_digest() == spec.config_digest()
@@ -76,11 +76,14 @@ class TestValidation:
 
     @pytest.mark.parametrize("perf", [
         {"macro_events": False},  # a host-side switch removed in 2.0.0
-        {"bulk_fetsh": True},
+        {"bulk_fetch": True},  # the second fetch protocol, removed with its option
+        {"barrier_tre": True},
     ])
     def test_unknown_perf_option_rejected(self, perf):
-        with pytest.raises(ConfigurationError, match="bulk_fetch.*topology"):
+        with pytest.raises(ConfigurationError) as err:
             base_spec(perf=perf)
+        assert ("allowed ['barrier_radix', 'barrier_tree', 'topology', "
+                "'topology_radix']") in str(err.value)
         wire = dict(base_spec().to_wire(), perf=perf)
         with pytest.raises(ConfigurationError, match=next(iter(perf))):
             ScenarioSpec.from_wire(wire)

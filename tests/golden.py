@@ -49,7 +49,6 @@ MODELS: Dict[str, Dict[str, object]] = {
     "fattree": {"topology": "fattree", "topology_radix": 2},
     "tree+fattree": {"barrier_tree": True, "barrier_radix": 2,
                      "topology": "fattree", "topology_radix": 2},
-    "bulk": {"bulk_fetch": True},
 }
 
 CHAOS_PLAN = "\n".join([

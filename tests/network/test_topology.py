@@ -1,7 +1,11 @@
 """Pluggable topologies: the fat-tree hierarchy and the topology factory."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
+import repro.network
 from repro.config import NetworkParams, PerfParams
 from repro.errors import ConfigurationError
 from repro.network import FatTreeSwitch, Message, Switch, build_topology
@@ -61,7 +65,7 @@ class TestFatTreeRouting:
         arrival = ft.transmit(Message("d", src=0, dst=2, size_bytes=1000))
         expected = (
             p.one_way_latency
-            + FatTreeSwitch.EXTRA_HOPS * p.switch_hop_latency
+            + 2 * p.switch_hop_latency  # one more switch per trunk crossed
             + 1000 * p.per_byte
         )
         assert arrival == pytest.approx(expected, rel=1e-12)
@@ -110,6 +114,43 @@ class TestFatTreeRouting:
         report = ft.link_report()
         assert report["trunk.up0"] > 0
         assert set(ft.link_report()) == {l.name for l in ft.iter_links()}
+
+
+class TestOneWireModel:
+    @pytest.mark.parametrize("call", [
+        "faults.blocked", "loss.should_drop", "faults.delay_for",
+        "faults.duplicate",
+    ])
+    def test_fault_and_loss_sequence_lives_in_one_function(self, call):
+        """Partition, loss, delay and duplication are applied by
+        ``Switch.transmit`` and by nothing else under ``network/``."""
+        callers = []
+        for path in sorted(Path(repro.network.__file__).parent.glob("*.py")):
+            for fn in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(fn, ast.FunctionDef):
+                    continue
+                for node in ast.walk(fn):
+                    if (isinstance(node, ast.Call)
+                            and ast.unparse(node.func).endswith(call)):
+                        callers.append(f"{path.name}:{fn.name}")
+        assert callers == ["switch.py:transmit"]
+
+    def test_fattree_transmit_is_the_switch_transmit(self):
+        """The class attribute the spine's tracer patches is an alias,
+        not a second wire model."""
+        fn = vars(FatTreeSwitch)["transmit"]
+        assert fn is vars(Switch)["transmit"]
+        assert fn.__code__.co_filename.endswith("switch.py")
+        assert fn.__qualname__ == "Switch.transmit"
+
+    def test_star_route_has_no_trunks_and_no_trace_suffix(self):
+        star = Switch(Simulator(), NetworkParams())
+        assert star.route(0, 1) == ((), "")
+
+    def test_fattree_route_names_the_trunks_between_leaves(self):
+        sim, ft, nics = make_fattree(n=4, radix=2)
+        assert ft.route(0, 1) == ((), " hops=2")
+        assert ft.route(0, 3) == ((ft.trunk_up[0], ft.trunk_down[1]), " hops=4")
 
 
 class TestMultiHopOccupy:

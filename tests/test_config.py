@@ -1,6 +1,12 @@
 """Tests for configuration validation and derived quantities."""
 
+import re
+from dataclasses import fields
+from pathlib import Path
+
 import pytest
+
+import repro.bench.scale
 
 from repro.config import (
     CheckpointParams,
@@ -8,6 +14,7 @@ from repro.config import (
     MigrationParams,
     NetworkParams,
     PAPER_CONFIG,
+    PerfParams,
     SystemConfig,
 )
 from repro.errors import ConfigurationError
@@ -91,3 +98,14 @@ class TestSystemConfig:
     def test_checkpoint_params(self):
         with pytest.raises(ConfigurationError):
             CheckpointParams(disk_rate=0).validate()
+
+
+def test_every_model_option_is_set_outside_tests():
+    """A ``PerfParams`` field that neither a spine workload nor the scale
+    bench sets has one value in use: make it a constant or delete it."""
+    root = Path(__file__).resolve().parents[1]
+    users = (root / "benchmarks" / "spine" / "workloads.py").read_text()
+    users += Path(repro.bench.scale.__file__).read_text()
+    unused = [f.name for f in fields(PerfParams)
+              if not re.search(rf"\b{f.name}\b", users)]
+    assert unused == []
