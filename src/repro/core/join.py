@@ -77,38 +77,16 @@ def ship_page_maps(runtime, joiners) -> None:
     master, exactly as before.  With the combining tree enabled
     (PROTOCOL.md §11) and several joiners absorbed at once, the master
     instead sends one map per tree-child subtree containing joiners; each
-    relay hop forwards it toward the remaining ``targets`` (see the
-    PAGE_MAP arm of ``DsmProcess._handle_request``), so the master's link
+    relay hop forwards it toward the remaining ``targets``
+    (``DsmProcess.relay_page_map``), so the master's link
     carries at most ``radix`` map payloads however many processes join.
     """
     master = runtime.master
-    tb = master.tree_barrier
-    if tb is None or len(joiners) <= 1:
+    if master.tree_barrier is None or len(joiners) <= 1:
         for joiner in joiners:
             ship_page_map(runtime, joiner)
         return
-    from ..dsm.treebarrier import subtree_pids, tree_children
-
-    npages = runtime.space.total_pages
-    size = npages * runtime.cfg.dsm.page_descriptor_bytes
-    owners = {page: master.owner_of(page) for page in range(npages)}
-    targets = sorted(j.pid for j in joiners)
-    pids = runtime.team.pids
-    obs = runtime.sim.obs
-    legs = []
-    for cpid in tree_children(pids, 0, tb.radix):
-        sub = set(subtree_pids(pids, pids.index(cpid), tb.radix))
-        hit = [t for t in targets if t in sub]
-        if not hit:
-            continue
-        legs.append((
-            mk.PAGE_MAP,
-            cpid,
-            {"owners": owners, "targets": hit},
-            size,
-        ))
-    master.send_fanout(legs)
-    if obs.enabled:
-        for _ in legs:
-            obs.count("adapt.page_map_messages")
-            obs.count("adapt.page_map_bytes", size)
+    owners = {
+        page: master.owner_of(page) for page in range(runtime.space.total_pages)
+    }
+    master.relay_page_map(owners, sorted(j.pid for j in joiners))

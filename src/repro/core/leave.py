@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import Generator, List
 
-from ..dsm.treebarrier import tree_children
 from ..network import message as mk
 
 
@@ -41,28 +40,12 @@ def absorb_leaver_pages(runtime, leaver) -> Generator:
         pid for pid in runtime.team.pids if pid not in (master.pid, leaver.pid)
     )
     size = len(owned) * runtime.cfg.dsm.page_descriptor_bytes
-    tb = master.tree_barrier
     if owned and targets:
-        if tb is not None and len(targets) > 1:
-            # Tree-shaped drain broadcast: the last flat all-to-master-link
-            # fan-out of the adaptation protocol (ROADMAP item 2's
-            # remaining headroom) relays through the PR 8 combining tree
-            # instead.  The heap layout runs over ``[master] + targets`` —
-            # derived from the payload itself, so no hop ever routes
-            # through the leaver — and each hop forwards to its children
-            # (the OWNER_UPDATE arm of ``DsmProcess._handle_request``).
-            # Flat/star configurations take the branch below, which is the
-            # seed's exact message pattern.
-            relay = [master.pid] + targets
-            master.send_fanout([
-                (
-                    mk.OWNER_UPDATE,
-                    cpid,
-                    {"pages": list(owned), "targets": targets},
-                    max(size, 8),
-                )
-                for cpid in tree_children(relay, 0, tb.radix)
-            ])
+        if master.tree_barrier is not None and len(targets) > 1:
+            # Tree-shaped drain broadcast: the master's hop of the relay
+            # every target then continues.  Flat/star configurations take
+            # the branch below, which is the seed's exact message pattern.
+            master.relay_owner_update({"pages": list(owned), "targets": targets})
         else:
             master.send_fanout([
                 (mk.OWNER_UPDATE, pid, {"pages": list(owned)}, max(size, 8))

@@ -48,7 +48,7 @@ class BarrierManager:
         return self._local_done
 
     def on_arrive(self, msg: Message) -> None:
-        """A slave's BARRIER_ARRIVE message (fed by the server loop)."""
+        """A slave's BARRIER_ARRIVE message (fed by ``DsmProcess.take``)."""
         p = msg.payload
         self._record(p["pid"], p["notices"], p["vc"], p["want_gc"])
 

@@ -1,9 +1,11 @@
 """The per-node DSM protocol engine.
 
 A :class:`DsmProcess` is one TreadMarks process: it owns a page table, a
-vector clock, an interval log, and a server coroutine that services
-protocol requests (page fetches, diff fetches, lock traffic) concurrently
-with the main computation — the analogue of TreadMarks' SIGIO handlers.
+vector clock, an interval log, and a server that services protocol
+requests (page fetches, diff fetches, lock traffic) concurrently with the
+main computation — the analogue of TreadMarks' SIGIO handlers: a callback
+on the delivering event, then a :class:`~repro.simcore.Hold` on the node's
+handler CPU (``docs/PROTOCOL.md`` §1, "The server side").
 
 The main computation drives the engine through:
 
@@ -26,7 +28,7 @@ from ..config import SystemConfig
 from ..errors import DsmError, NetworkError, ProtocolError
 from ..network import message as mk
 from ..network.message import Message
-from ..simcore import Channel, Signal, Simulator, Store
+from ..simcore import Channel, Hold, Signal, Simulator, Store
 from .diffs import apply_diffs_in_order, make_diff
 from .gc import gc_new_owners
 from .intervals import Diff, IntervalLog, IntervalNotice, IntervalRecord, NoticeBatch
@@ -137,13 +139,8 @@ class DsmProcess:
         #: req_ids currently being served (duplicate retransmissions of a
         #: request we are still working on are suppressed).
         self._inflight_reqs: set = set()
-        self._server_proc = None
-        #: Live request-handler coroutines (killed on crash/halt).
-        self._handlers: List = []
-        #: Handlers finished since the last reap; the server loop prunes
-        #: ``_handlers`` in place only when this is nonzero instead of
-        #: rebuilding the list on every dispatched message.
-        self._handlers_dead = 0
+        #: Requests on (or queued for) the handler CPU, in issue order.
+        self._holds: Dict[Hold, None] = {}
         #: Set by the runtime when failure detection is on: called as
         #: ``crash_hook(dst_node_id, err)`` when a request to a peer times
         #: out or the peer's NIC is dark — escalates the NetworkError into a
@@ -304,191 +301,187 @@ class DsmProcess:
     # server: request handling (the SIGIO side of TreadMarks)
     # ------------------------------------------------------------------
     def start_server(self) -> None:
-        """(Re)start the server coroutine on the current node's NIC."""
-        if self._server_proc is not None and self._server_proc.alive:
-            self._server_proc.interrupt("server restart")
-        self._server_proc = self.sim.process(
-            self._server_loop(), name=f"{self.name}.server", daemon=True
-        )
+        """(Re)start serving on the current node's NIC; messages that
+        arrived before (a joiner's, a migrating process's) are served now,
+        in arrival order."""
+        self._stop_taking()
+        self.node.nic.serve(self)
 
-    def _server_loop(self) -> Generator:
-        inbox = self.node.nic.inbox
-        # Only take messages addressed to this process (or to the node
-        # as a whole) — two multiplexed processes share one NIC.  One
-        # shared match closure (building one per message is measurable);
-        # it must read ``self.pid`` dynamically — adaptation renumbers
-        # pids while the loop is parked on a recv.
-        match = (
-            lambda m, s=self: m.dst_pid is None or m.dst_pid == s.pid
-        )  # noqa: E731
-        # Handler names cached per kind (two f-strings per dispatched
-        # request otherwise); invalidated when adaptation renumbers us.
-        names: dict = {}
-        names_pid = self.pid
-        while True:
-            msg = yield inbox.recv(match=match)
-            if msg.kind in MAIN_KINDS:
+    def _stop_taking(self) -> None:
+        servers = self.node.nic.servers
+        if self in servers:
+            servers.remove(self)
+
+    def take(self, msg: Message) -> None:
+        """The server (called by the NIC): route one message, in the event
+        that delivers it.  A failure is reported under the name the
+        message's handler coroutine used to have (``P3.h.page_req``)."""
+        kind = msg.kind
+        try:
+            if kind in MAIN_KINDS:
                 self.main_inbox.put(msg)
-            elif msg.kind == mk.BARRIER_ARRIVE:
+            elif kind == mk.BARRIER_ARRIVE:
                 self.barrier_mgr.on_arrive(msg)
-            elif msg.kind == mk.BARRIER_TREE_ARRIVE:
+            elif kind == mk.BARRIER_TREE_ARRIVE:
                 self.tree_barrier.on_arrive(msg)
-            elif msg.kind == mk.JOIN_DONE:
+            elif kind == mk.JOIN_DONE:
                 self.join_store.put(msg)
-            elif msg.kind == mk.GC_DONE:
+            elif kind == mk.GC_DONE:
                 self.gc_done_store.put(msg)
-            elif msg.kind == mk.LOCK_REQ:
+            elif kind == mk.LOCK_REQ:
                 self.lock_mgr.on_request(msg)
             else:
                 if msg.req_id is not None:
                     if msg.req_id in self._inflight_reqs:
-                        continue  # duplicate of a request already in service
+                        return  # duplicate of a request already in service
                     self._inflight_reqs.add(msg.req_id)
-                kind = msg.kind
-                if self.pid != names_pid:
-                    names_pid = self.pid
-                    names = {}
-                name = names.get(kind)
-                if name is None:
-                    name = names[kind] = f"{self.name}.h.{kind}"
-                handler = self.sim.process(
-                    self._dispatch(msg),
-                    name=name,
-                    daemon=True,
-                )
-                # Reap finished handlers lazily: only when at least one has
-                # completed since the last prune (previously the list was
-                # rebuilt on every dispatched message — O(handlers) per
-                # message on the server hot path).
-                if self._handlers_dead:
-                    self._handlers = [h for h in self._handlers if h.alive]
-                    self._handlers_dead = 0
-                self._handlers.append(handler)
+                self._serve(msg)
+        except BaseException as err:  # noqa: BLE001 - report through simulator
+            self.sim._report_failure(f"{self.name}.h.{kind}", err)
 
-    def _dispatch(self, msg: Message) -> Generator:
-        try:
-            yield from self._handle_request(msg)
-        finally:
-            self._handlers_dead += 1
-            if msg.req_id is not None:
-                self._inflight_reqs.discard(msg.req_id)
-
-    def _handle_request(self, msg: Message) -> Generator:
-        if msg.kind == mk.PAGE_REQ:
-            yield from self._serve_page(msg)
-        elif msg.kind == mk.DIFF_REQ:
-            yield from self._serve_diff(msg)
-        elif msg.kind == mk.LOCK_FORWARD:
-            yield from self._on_lock_forward(msg)
-        elif msg.kind == mk.CKPT_PAGE_REQ:
-            yield from self._serve_page(msg, reply_kind=mk.CKPT_PAGE_REPLY)
-        elif msg.kind == mk.CONNECT:
+    def _serve(self, msg: Message) -> None:
+        """Take a request: what precedes its service time runs now, then it
+        occupies the handler CPU; :meth:`_reply` finishes it."""
+        kind = msg.kind
+        net = self.cfg.network
+        if kind == mk.PAGE_REQ or kind == mk.CKPT_PAGE_REQ:
+            self._check_servable(msg.payload["page"])
+            self._occupy(
+                msg, net.page_service_server,
+                mk.PAGE_REPLY if kind == mk.PAGE_REQ else mk.CKPT_PAGE_REPLY,
+            )
+        elif kind == mk.DIFF_REQ:
+            span = (msg.payload["page"], msg.payload["from_seq"],
+                    msg.payload["to_seq"])
+            self._encode_lazy_diffs(*span)
+            diffs = self.log.diffs_for(*span)
+            dirty = sum(d.dirty_bytes for d in diffs)
+            self._occupy(
+                msg, net.diff_fixed + dirty * net.diff_per_byte, mk.DIFF_REPLY,
+                4 + sum(d.wire_size for d in diffs),
+                {"diffs": diffs, "n_diffs": len(diffs)},
+            )
+        elif kind == mk.LOCK_FORWARD:
+            self._occupy(msg, net.lock_service)
+        elif kind == mk.CONNECT:
             # A joining process dialing in (§4.1): acknowledge.
-            yield from self.node.service(50.0e-6)
-            self.node.nic.send(msg.reply(mk.CONNECT_ACK, size_bytes=4))
-        elif msg.kind == mk.HEARTBEAT:
+            self._occupy(msg, 50.0e-6, mk.CONNECT_ACK)
+        elif kind == mk.HEARTBEAT:
             # Failure-detector probe from the master: ack goes through the
             # handler CPU, so a node buried in protocol work acks late —
             # that is what the detector's timeout margin is tuned against.
-            yield from self.node.service(10.0e-6)
-            try:
-                self.node.nic.send(msg.reply(mk.HEARTBEAT_ACK, size_bytes=4))
-            except NetworkError:
-                pass  # the prober's NIC went dark; nothing to tell it
-        elif msg.kind == mk.PAGE_MAP:
-            # The page-location map shipped to a joiner at absorption.
-            payload = msg.payload
-            targets = payload.get("targets") if isinstance(payload, dict) else None
-            if targets is None:
-                self.owners = dict(payload["owners"])
-                self.sim.tracer.emit(
-                    "adapt", "page_map", f"{self.name} {len(self.owners)} pages"
-                )
-            else:
-                # Tree-relayed map (PROTOCOL.md §11): install it if we are
-                # one of the addressed joiners, then forward one copy to
-                # each tree child whose subtree still contains targets.
-                if self.pid in targets:
-                    self.owners = dict(payload["owners"])
-                    self.sim.tracer.emit(
-                        "adapt", "page_map",
-                        f"{self.name} {len(self.owners)} pages",
-                    )
-                from .treebarrier import subtree_pids, tree_children
-
-                pids = self.team.pids
-                pos = pids.index(self.pid)
-                radix = self.cfg.perf.barrier_radix
-                size = (
-                    len(payload["owners"])
-                    * self.cfg.dsm.page_descriptor_bytes
-                )
-                obs = self.sim.obs
-                legs = []
-                for cpid in tree_children(pids, pos, radix):
-                    sub = set(subtree_pids(pids, pids.index(cpid), radix))
-                    hit = [t for t in targets if t in sub]
-                    if not hit:
-                        continue
-                    legs.append((
-                        mk.PAGE_MAP,
-                        cpid,
-                        {"owners": payload["owners"], "targets": hit},
-                        size,
-                    ))
-                self.send_fanout(legs)
-                if obs.enabled:
-                    for _ in legs:
-                        obs.count("adapt.page_map_messages")
-                        obs.count("adapt.page_map_bytes", size)
-        elif msg.kind == mk.OWNER_UPDATE:
-            # The master took over a leaver's pages (§4.2).
-            payload = msg.payload
-            mapped, owner = self.table.mapped, self.table.owner
-            for page in payload["pages"]:
-                self.owners[page] = TeamView.MASTER_PID
-                if mapped[page]:
-                    owner[page] = TeamView.MASTER_PID
-            targets = payload.get("targets") if isinstance(payload, dict) else None
-            if targets:
-                # Tree-relayed drain broadcast (PROTOCOL.md §13): forward
-                # one copy to each of our children in the heap layout over
-                # ``[master] + targets``.  The layout comes from the
-                # payload, so it never includes (or routes through) the
-                # leaver; every relay node is itself a target and has
-                # already installed the update above.
-                from .treebarrier import tree_children
-
-                relay = [TeamView.MASTER_PID] + list(targets)
-                pos = relay.index(self.pid)
-                size = len(payload["pages"]) * self.cfg.dsm.page_descriptor_bytes
-                # The drain's rebuild may renumber the team while a hop is
-                # in flight; pids that no longer exist are dropped here —
-                # the same best-effort contract flat mode gets from the
-                # server loop's dst_pid mismatch check.  (A reused pid
-                # still receives the update, which is harmless: "the
-                # master owns these pages" is globally true post-drain.)
-                alive = set(self.team.pids)
-                self.send_fanout([
-                    (mk.OWNER_UPDATE, cpid, payload, max(size, 8))
-                    for cpid in tree_children(relay, pos, self.cfg.perf.barrier_radix)
-                    if cpid in alive
-                ])
+            self._occupy(msg, 10.0e-6, mk.HEARTBEAT_ACK)
+        elif kind == mk.PAGE_MAP:
+            self._on_page_map(msg)
+        elif kind == mk.OWNER_UPDATE:
+            self._on_owner_update(msg)
         else:
             raise ProtocolError(f"{self.name}: unexpected request {msg!r}")
 
-    def _serve_page(self, msg: Message, reply_kind: str = mk.PAGE_REPLY) -> Generator:
-        page = msg.payload["page"]
-        self._check_servable(page)
-        yield from self.node.service(self.cfg.network.page_service_server)
-        data = None
-        if self.materialized:
-            data = self.store.page_view(page).copy()
-        # "applied" is a fresh dict: retransmissions of this reply carry
-        # the applied cells as of send time.
-        payload = {"page": page, "applied": self.table.applied_of(page), "data": data}
-        size = self.cfg.dsm.page_size + self.vc_wire_bytes
-        self.node.nic.send(msg.reply(reply_kind, size_bytes=size, payload=payload))
+    def _occupy(self, msg: Message, cost: float, reply_kind: Optional[str] = None,
+                size: int = 4, payload: Any = None) -> None:
+        """Queue ``msg`` for ``cost`` seconds of this node's handler CPU
+        (one FIFO for every request served on the node)."""
+        node = self.node
+        hold = node.handler_cpu.hold(
+            cost / node.speed, self._reply, msg, (reply_kind, size, payload)
+        )
+        self._holds[hold] = None
+
+    def _reply(self, hold: Hold) -> None:
+        """A request's service time is over: answer it.  The one place a
+        reply is built and sent; a page's bytes and ``applied`` clock are
+        read now, not at arrival."""
+        msg = hold.msg
+        del self._holds[hold]
+        self._inflight_reqs.discard(msg.req_id)
+        reply_kind, size, payload = hold.state
+        try:
+            if reply_kind is None:
+                self._on_lock_forward(msg)
+                return
+            if reply_kind == mk.PAGE_REPLY or reply_kind == mk.CKPT_PAGE_REPLY:
+                page = msg.payload["page"]
+                data = self.store.page_view(page).copy() if self.materialized else None
+                # "applied" is a fresh dict: retransmissions of this reply
+                # carry the applied cells as of send time.
+                payload = {"page": page, "applied": self.table.applied_of(page),
+                           "data": data}
+                size = self.cfg.dsm.page_size + self.vc_wire_bytes
+            self.node.nic.send(msg.reply(reply_kind, size_bytes=size, payload=payload))
+        except BaseException as err:  # noqa: BLE001 - report through simulator
+            if reply_kind == mk.HEARTBEAT_ACK and isinstance(err, NetworkError):
+                return  # the prober's NIC went dark; nothing to tell it
+            self.sim._report_failure(f"{self.name}.h.{msg.kind}", err)
+
+    def _on_page_map(self, msg: Message) -> None:
+        """The page-location map shipped to a joiner at absorption."""
+        payload = msg.payload
+        targets = payload.get("targets")
+        if targets is None or self.pid in targets:
+            self.owners = dict(payload["owners"])
+            self.sim.tracer.emit(
+                "adapt", "page_map", f"{self.name} {len(self.owners)} pages"
+            )
+        if targets is not None:
+            self.relay_page_map(payload["owners"], targets)
+
+    def relay_page_map(self, owners: Dict[int, int], targets: List[int]) -> None:
+        """One hop of a tree-relayed page map (PROTOCOL.md §11), the
+        master's included: one copy to each tree child whose subtree
+        contains ``targets``."""
+        from .treebarrier import subtree_pids, tree_children
+
+        pids = self.team.pids
+        radix = self.cfg.perf.barrier_radix
+        size = len(owners) * self.cfg.dsm.page_descriptor_bytes
+        legs = []
+        for cpid in tree_children(pids, pids.index(self.pid), radix):
+            sub = set(subtree_pids(pids, pids.index(cpid), radix))
+            hit = [t for t in targets if t in sub]
+            if hit:
+                legs.append(
+                    (mk.PAGE_MAP, cpid, {"owners": owners, "targets": hit}, size))
+        self.send_fanout(legs)
+        obs = self.sim.obs
+        if obs.enabled:
+            for _ in legs:
+                obs.count("adapt.page_map_messages")
+                obs.count("adapt.page_map_bytes", size)
+
+    def _on_owner_update(self, msg: Message) -> None:
+        """The master took over a leaver's pages (§4.2)."""
+        payload = msg.payload
+        mapped, owner = self.table.mapped, self.table.owner
+        for page in payload["pages"]:
+            self.owners[page] = TeamView.MASTER_PID
+            if mapped[page]:
+                owner[page] = TeamView.MASTER_PID
+        if payload.get("targets"):
+            self.relay_owner_update(payload)
+
+    def relay_owner_update(self, payload: Dict[str, Any]) -> None:
+        """One hop of the tree-relayed drain broadcast (PROTOCOL.md §13),
+        the master's included: one copy to each of our children in the
+        heap layout over ``[master] + targets``.  The layout comes from the
+        payload, so it never includes (or routes through) the leaver; every
+        relay node is itself a target and has installed the update."""
+        from .treebarrier import tree_children
+
+        relay = [TeamView.MASTER_PID] + list(payload["targets"])
+        size = len(payload["pages"]) * self.cfg.dsm.page_descriptor_bytes
+        # The drain's rebuild may renumber the team while a hop is in
+        # flight; pids that no longer exist are dropped here — the same
+        # best-effort contract flat mode gets from the NIC's dst_pid check.
+        # (A reused pid still receives the update, which is harmless: "the
+        # master owns these pages" is globally true post-drain.)
+        alive = set(self.team.pids)
+        self.send_fanout([
+            (mk.OWNER_UPDATE, cpid, payload, max(size, 8))
+            for cpid in tree_children(
+                relay, relay.index(self.pid), self.cfg.perf.barrier_radix)
+            if cpid in alive
+        ])
 
     def _check_servable(self, page: int) -> None:
         # Lazily map: the home/owner of a page holds a valid (zero-filled)
@@ -499,27 +492,6 @@ class DsmProcess:
             raise ProtocolError(
                 f"{self.name}: asked for page {page} but holds no valid copy"
             )
-
-    def _serve_diff(self, msg: Message) -> Generator:
-        page = msg.payload["page"]
-        from_seq = msg.payload["from_seq"]
-        to_seq = msg.payload["to_seq"]
-        self._encode_lazy_diffs(page, from_seq, to_seq)
-        diffs = self.log.diffs_for(page, from_seq, to_seq)
-        dirty = 0
-        size = 4
-        for d in diffs:
-            dirty += d.dirty_bytes
-            size += d.wire_size
-        cost = self.cfg.network.diff_fixed + dirty * self.cfg.network.diff_per_byte
-        yield from self.node.service(cost)
-        self.node.nic.send(
-            msg.reply(
-                mk.DIFF_REPLY,
-                size_bytes=size,
-                payload={"diffs": diffs, "n_diffs": len(diffs)},
-            )
-        )
 
     def _encode_lazy_diffs(self, page: int, from_seq: int, to_seq: int) -> None:
         """Encode diffs for intervals that skipped eager creation.
@@ -1251,12 +1223,12 @@ class DsmProcess:
             {"lock": lock_id},
         ))
 
-    def _on_lock_forward(self, msg: Message) -> Generator:
-        """The manager forwarded a lock request to us (last in the chain)."""
+    def _on_lock_forward(self, msg: Message) -> None:
+        """The manager forwarded a lock request to us (last in the chain);
+        called when its ``lock_service`` time on the handler CPU is over."""
         lock_id = msg.payload["lock"]
         requester = msg.payload["requester"]
         requester_vc = msg.payload["vc"]
-        yield from self.node.service(self.cfg.network.lock_service)
         state = self._lock(lock_id)
         if state["tokens"] > 0:
             # a completed tenure is waiting for exactly this forward (this
@@ -1272,8 +1244,6 @@ class DsmProcess:
             raise ProtocolError(
                 f"{self.name}: forwarded lock {lock_id} with no tenure to match"
             )
-        return
-        yield  # pragma: no cover - generator form for the dispatch table
 
     # ------------------------------------------------------------------
     # compute & data access helpers
@@ -1339,21 +1309,21 @@ class DsmProcess:
 
     def terminate(self) -> None:
         """Tear down after leaving the computation."""
-        if self._server_proc is not None and self._server_proc.alive:
-            self._server_proc.interrupt("process left")
+        self._stop_taking()
         self.node.remove_process()
 
     def fail_stop(self) -> None:
-        """Die with the node: server and in-flight handlers stop cold.
+        """Die with the node: nothing more is taken, and every request
+        queued for or occupying the handler CPU is cancelled unanswered, in
+        issue order (the CPU goes to whoever else queues on the node).
 
         The node's own crash already zeroed its resident-process count, so
         no node bookkeeping happens here.
         """
-        for handler in self._handlers:
-            handler.kill()
-        self._handlers.clear()
-        if self._server_proc is not None:
-            self._server_proc.kill()
+        self._stop_taking()
+        holds, self._holds = self._holds, {}
+        for hold in holds:
+            hold.cancel()
 
     def halt(self) -> None:
         """Stop serving (recovery teardown of a *surviving* process).
@@ -1361,16 +1331,13 @@ class DsmProcess:
         Unlike :meth:`fail_stop` the node is healthy: the resident-process
         slot is handed back so recovery can place a fresh engine on it.
         """
-        for handler in self._handlers:
-            handler.kill()
-        self._handlers.clear()
-        if self._server_proc is not None:
-            self._server_proc.kill()
+        self.fail_stop()
         if not getattr(self.node, "crashed", False):
             self.node.remove_process()
 
     def move_to_node(self, new_node) -> None:
         """Transplant this process onto ``new_node`` (after image copy)."""
+        self._stop_taking()
         self.node.remove_process()
         self.node = new_node
         new_node.add_process()

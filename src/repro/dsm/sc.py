@@ -195,17 +195,26 @@ class ScProcess(DsmProcess):
     # ------------------------------------------------------------------
     # server side
     # ------------------------------------------------------------------
-    def _handle_request(self, msg: Message) -> Generator:
-        if msg.kind == SC_READ_REQ:
-            yield from self._sc_manage(msg, write=False)
-        elif msg.kind == SC_WRITE_REQ:
-            yield from self._sc_manage(msg, write=True)
-        elif msg.kind in (SC_FETCH, SC_FETCH_EX):
-            yield from self._sc_serve_fetch(msg)
-        elif msg.kind == SC_INVALIDATE:
-            yield from self._sc_invalidate(msg)
+    def _serve(self, msg: Message) -> None:
+        # The manager and owner arms really block (page lock, invalidation
+        # round trips, the owner-designate wait): each runs as a coroutine.
+        kind = msg.kind
+        if kind == SC_READ_REQ or kind == SC_WRITE_REQ:
+            arm = self._sc_manage(msg, write=kind == SC_WRITE_REQ)
+        elif kind == SC_FETCH or kind == SC_FETCH_EX:
+            arm = self._sc_serve_fetch(msg)
+        elif kind == SC_INVALIDATE:
+            arm = self._sc_invalidate(msg)
         else:
-            yield from super()._handle_request(msg)
+            return super()._serve(msg)
+        self.sim.process(self._handle_request(msg, arm),
+                         name=f"{self.name}.h.{kind}", daemon=True)
+
+    def _handle_request(self, msg: Message, arm: Generator) -> Generator:
+        try:
+            yield from arm
+        finally:
+            self._inflight_reqs.discard(msg.req_id)
 
     def _sc_manage(self, msg: Message, write: bool) -> Generator:
         """Manager: resolve a fault against the directory."""

@@ -115,7 +115,7 @@ class TreeBarrier:
         self.proc = proc
         self.radix = proc.cfg.perf.barrier_radix
         self.round = 0
-        #: Combined arrivals from our children (fed by the server loop).
+        #: Combined arrivals from our children (fed by ``DsmProcess.take``).
         self.arrive_store = Store(proc.sim, name=f"{proc.name}.treearrive")
         #: Per-tree-child subtree knowledge floor (elementwise-min clock)
         #: reported at the last join — what the next fork/GC relay must
@@ -124,7 +124,7 @@ class TreeBarrier:
         self.child_join_vcs: Dict[int, "VectorClock"] = {}
 
     def on_arrive(self, msg) -> None:
-        """A child's BARRIER_TREE_ARRIVE (called from the server loop)."""
+        """A child's BARRIER_TREE_ARRIVE (called from ``DsmProcess.take``)."""
         self.arrive_store.put(msg)
 
     def reset(self) -> None:

@@ -21,7 +21,6 @@ from ..config import FaultParams
 from ..errors import NetworkError
 from ..network import message as mk
 from ..network.message import Message
-from ..simcore import Signal
 
 
 class FailureDetector:
@@ -67,13 +66,9 @@ class FailureDetector:
                 continue
             for pid in runtime.team.slave_pids:
                 node_id = runtime.team.node_of(pid)
-                sim.process(
-                    self._probe(master, pid, node_id),
-                    name=f"hb.{node_id}",
-                    daemon=True,
-                )
+                self._probe(master, pid, node_id)
 
-    def _probe(self, master, pid: int, node_id: int) -> Generator:
+    def _probe(self, master, pid: int, node_id: int) -> None:
         sim = self.runtime.sim
         nic = master.node.nic
         rid = mk.next_req_id()
@@ -90,36 +85,23 @@ class FailureDetector:
         obs = sim.obs
         if obs.enabled:
             obs.count("detector.heartbeats_sent")
-        nic._pending_reqs.add(rid)
         try:
             nic.send(msg)
         except NetworkError:
             # The peer's (or our own) port is dark: instant miss.
-            nic._complete_request(rid)
             self._miss(node_id)
             return
-        acked = []
-        deadline = Signal(sim, name=f"hb.{node_id}.{rid}")
 
-        def on_ack(reply, exc) -> None:
-            acked.append(reply)
-            if not deadline.fired:
-                deadline.fire()
-
-        recv = nic.replies.recv(match=lambda m, rid=rid: m.req_id == rid)
-        recv.subscribe(on_ack)
-        timer = sim.schedule(
-            self.params.heartbeat_timeout,
-            lambda: None if deadline.fired else deadline.fire(),
-        )
-        yield deadline
-        recv.unsubscribe(on_ack)
-        timer.cancel()
-        nic._complete_request(rid)
-        if acked:
+        def on_ack(ack, exc) -> None:
+            timer.cancel()
             self._ack(node_id)
-        else:
+
+        def on_deadline() -> None:
+            del nic._reply_waiters[rid]  # a late ack finds no entry: dropped
             self._miss(node_id)
+
+        nic._reply_waiters[rid] = on_ack
+        timer = sim.schedule(self.params.heartbeat_timeout, on_deadline)
 
     def _ack(self, node_id: int) -> None:
         if self._misses.get(node_id, 0) > 0:

@@ -67,11 +67,12 @@ class LossModel:
 class ReliableRequest(Waitable):
     """A reply wait that retransmits the request on timeout.
 
-    Behaves exactly like ``nic.replies.recv(match=req_id)`` when nothing
-    is lost; every ``rto`` without a reply, the original request message
-    is re-sent (a fresh transmission with the same ``req_id``, so a late
-    original reply still matches).  Duplicate replies are filtered by the
-    NIC's outstanding-request table.
+    Behaves exactly like the plain :class:`~repro.network.nic.ReplyWait`
+    when nothing is lost; every ``rto`` without a reply, the original
+    request message is re-sent (a fresh transmission with the same
+    ``req_id``, so a late original reply still matches).  The first reply
+    takes the NIC's reply-table entry with it, so duplicates find none
+    and are dropped.
     """
 
     def __init__(self, nic, msg: Message, rto: float = DEFAULT_RTO,
@@ -80,24 +81,17 @@ class ReliableRequest(Waitable):
         self._msg = msg
         self._rto = rto
         self._max_retries = max_retries
-        self._inner = None
         self._timer = None
         self._callback = None
         self._retries = 0
-        self.retransmissions = 0
 
     def subscribe(self, callback) -> None:
         self._callback = callback
-        rid = self._msg.req_id
-        self._inner = self._nic.replies.recv(
-            match=lambda m, rid=rid: m.req_id == rid
-        )
-        self._inner.subscribe(self._on_reply)
+        self._nic._reply_waiters[self._msg.req_id] = self._on_reply
         self._arm_timer()
 
     def unsubscribe(self, callback) -> None:
-        if self._inner is not None:
-            self._inner.unsubscribe(self._on_reply)
+        self._nic._reply_waiters.pop(self._msg.req_id, None)
         self._disarm_timer()
         self._callback = None
 
@@ -113,10 +107,8 @@ class ReliableRequest(Waitable):
 
     def _on_reply(self, msg, exc) -> None:
         self._disarm_timer()
-        self._nic._complete_request(self._msg.req_id)
         cb, self._callback = self._callback, None
-        if cb is not None:
-            cb(msg, exc)
+        cb(msg, exc)
 
     def _on_timeout(self) -> None:
         from ..errors import NetworkError
@@ -126,20 +118,16 @@ class ReliableRequest(Waitable):
         self._retries += 1
         if self._retries > self._max_retries:
             # The peer is unreachable: surface it rather than spin forever.
-            # Completing the request here is essential — otherwise the
-            # req_id entry leaks in the NIC's outstanding-request table and
-            # a late duplicate reply would be misdelivered to a waiter that
+            # Giving up the reply-table entry here is essential — otherwise
+            # a late duplicate reply would be delivered to a waiter that
             # has long since errored out.
-            if self._inner is not None:
-                self._inner.unsubscribe(self._on_reply)
-            self._nic._complete_request(self._msg.req_id)
+            self._nic._reply_waiters.pop(self._msg.req_id, None)
             cb, self._callback = self._callback, None
             cb(None, NetworkError(
                 f"request {self._msg.kind}#{self._msg.req_id} to node "
                 f"{self._msg.dst} timed out after {self._max_retries} retries"
             ))
             return
-        self.retransmissions += 1
         self._nic.count_retransmission()
         try:
             self._nic.send(self._msg)

@@ -9,7 +9,7 @@ from .channel import Channel
 from .events import Event, EventQueue, LATE, NORMAL, URGENT
 from .process import Signal, SimProcess, Timeout, Waitable
 from .rand import RandomStreams, substream_seed
-from .resources import Resource, Store
+from .resources import Hold, Resource, Store
 from .simulator import Simulator
 from .trace import TraceRecord, Tracer
 
@@ -17,6 +17,7 @@ __all__ = [
     "Channel",
     "Event",
     "EventQueue",
+    "Hold",
     "LATE",
     "NORMAL",
     "URGENT",

@@ -25,6 +25,8 @@ Callback = Callable[[Any, Optional[BaseException]], None]
 class Waitable:
     """Base class for objects a simulated process may ``yield`` on."""
 
+    __slots__ = ()
+
     def subscribe(self, callback: Callback) -> None:
         """Arrange for ``callback(value, exc)`` to run when ready."""
         raise NotImplementedError
@@ -122,7 +124,10 @@ class SimProcess(Waitable):
         #: and the signal allocation sits on the spawn hot path.
         self._done: Optional[Signal] = None
         self._current_wait: Optional[Waitable] = None
-        self._resume_cb: Callback = self._step
+        #: ``self._step``, bound once (a waitable is handed this on every
+        #: yield); dropped by ``_finish`` so a finished process is freed
+        #: by reference count, not left as a cycle for the collector.
+        self._resume_cb: Optional[Callback] = self._step
         sim._queue.push(sim.now, (self._step, None), priority=_ev.NORMAL)
         sim._register(self)
 
@@ -162,14 +167,14 @@ class SimProcess(Waitable):
             return
         except BaseException as err:  # noqa: BLE001 - report through simulator
             self._finish(error=err)
-            self._sim._report_failure(self, err)
+            self._sim._report_failure(self.name, err)
             return
         if not isinstance(target, Waitable):
             err = SimulationError(
                 f"process {self.name!r} yielded non-waitable {target!r}"
             )
             self._finish(error=err)
-            self._sim._report_failure(self, err)
+            self._sim._report_failure(self.name, err)
             return
         self._current_wait = target
         target.subscribe(self._resume_cb)
@@ -178,6 +183,7 @@ class SimProcess(Waitable):
         self.alive = False
         self.result = result
         self.error = error
+        self._resume_cb = None
         self._sim._unregister(self)
         done = self._done
         if done is not None:
@@ -201,7 +207,7 @@ class SimProcess(Waitable):
             self._gen.close()
         except BaseException as err:  # noqa: BLE001 - a finally block misbehaved
             self._finish(error=err)
-            self._sim._report_failure(self, err)
+            self._sim._report_failure(self.name, err)
             return
         self._finish(result=None)
 

@@ -84,10 +84,12 @@ class Simulator:
     def _unregister(self, proc) -> None:
         self._processes.discard(proc)
 
-    def _report_failure(self, proc, err: BaseException) -> None:
+    def _report_failure(self, name: str, err: BaseException) -> None:
+        """Record the first failure of a process, or of a callback that
+        stands for one (``name`` is what the error message blames)."""
         if self._failure is None:
             self._failure = SimulationError(
-                f"process {proc.name!r} failed at t={self.now:.6f}: {err!r}"
+                f"process {name!r} failed at t={self.now:.6f}: {err!r}"
             )
             self._failure.__cause__ = err
 

@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 from repro.dsm import Protocol, SharedArray
+from repro.network import Message
+from repro.network import message as mk
 
 from ..helpers import build_system, run_phases
 
@@ -400,3 +402,143 @@ class TestTracedMode:
         # traced diffs >= materialized (identical-byte writes are dropped
         # only when real bytes are compared)
         assert traced[2] >= mat[2]
+
+
+class TestRequestServer:
+    """The server side of a request, message by message (no program runs):
+    the NIC hands a resident process its messages inside the delivering
+    event, and each request is one hold on the node's handler CPU."""
+
+    def _system(self, nprocs=3):
+        sim, rt, pool = build_system(nprocs=nprocs)
+        make_array(rt)
+        sim.run()  # nothing is pending on an idle system
+        return sim, rt
+
+    @staticmethod
+    def _request(rt, src_pid, kind, dst_pid, payload=None, *, dst_node=None,
+                 addressed=True):
+        """A raw request from ``src_pid``'s node; returns (message, replies)."""
+        src = rt.procs[src_pid]
+        msg = Message(
+            kind, src=src.node.node_id,
+            dst=rt.team.node_of(dst_pid) if dst_node is None else dst_node,
+            size_bytes=8, payload=payload, src_pid=src_pid,
+            dst_pid=dst_pid if addressed else None,
+        )
+        replies = []
+        src.node.nic.request(msg).subscribe(lambda rep, exc: replies.append(rep))
+        return msg, replies
+
+    @staticmethod
+    def _sent(rt, kind):
+        return rt.nodes[0].switch.stats.snapshot().by_kind_messages[kind]
+
+    @pytest.mark.parametrize("kind,payload,reply_kind", [
+        (mk.PAGE_REQ, {"page": 0}, mk.PAGE_REPLY),
+        (mk.DIFF_REQ, {"page": 0, "from_seq": 0, "to_seq": 0}, mk.DIFF_REPLY),
+    ])
+    def test_uncontended_round_trip_is_three_events(self, kind, payload, reply_kind):
+        sim, rt = self._system()
+        before = sim.events_executed
+        _, replies = self._request(rt, 1, kind, 0, payload)
+        sim.run()
+        # request delivered (and taken), service time over (reply sent),
+        # reply delivered (and the requester resumed)
+        assert sim.events_executed - before == 3
+        assert [rep.kind for rep in replies] == [reply_kind]
+        assert not rt.procs[0]._holds and not rt.procs[0]._inflight_reqs
+
+    def test_duplicate_in_service_suppressed_retransmission_served_again(self):
+        sim, rt = self._system()
+        nic = rt.procs[1].node.nic
+        msg, replies = self._request(rt, 1, mk.PAGE_REQ, 0, {"page": 0})
+        nic.send(msg)  # a duplicate, arriving while the original is in service
+        sim.run()
+        assert self._sent(rt, mk.PAGE_REQ) == 2 and self._sent(rt, mk.PAGE_REPLY) == 1
+        nic.send(msg)  # a retransmission that crossed the reply
+        sim.run()
+        assert self._sent(rt, mk.PAGE_REPLY) == 2
+        assert len(replies) == 1  # the second reply found no waiter: dropped
+
+    def test_multiplexed_processes_share_one_nic(self):
+        sim, rt = self._system()
+        p1, p2 = rt.procs[1], rt.procs[2]
+        node = p1.node
+        p2.move_to_node(node)
+        rt.team.move_pid(2, node.node_id)
+        # addressed messages reach only their process, whatever the order
+        rt.master.send(mk.PAGE_MAP, 2, {"owners": {0: 2}})
+        rt.master.send(mk.PAGE_MAP, 1, {"owners": {0: 1}})
+        sim.run()
+        assert (p1.owners, p2.owners) == ({0: 1}, {0: 2})
+        # unaddressed ones go to the front of the waiter order, which the
+        # taker then leaves for the back: P1 was served last above
+        served_by = []
+        for _ in range(3):
+            msg, _ = self._request(rt, 0, mk.CONNECT, 1, addressed=False)
+            sim.run(until=sim.now + 80e-6)  # delivered, not yet acknowledged
+            served_by.append([p.pid for p in (p1, p2)
+                              if msg.req_id in p._inflight_reqs])
+            sim.run()
+        assert served_by == [[2], [1], [2]]
+        assert self._sent(rt, mk.CONNECT_ACK) == 3
+
+    def test_messages_delivered_before_start_server_are_served_in_order(self):
+        sim, rt = self._system()
+        p1 = rt.procs[1]
+        p1._stop_taking()
+        sent = [self._request(rt, 0, mk.CONNECT, 1) for _ in range(3)]
+        sim.run()
+        assert len(p1.node.nic.inbox) == 3
+        p1.start_server()
+        assert len(p1.node.nic.inbox) == 0
+        sim.run()
+        assert [[rep.req_id for rep in replies] for _, replies in sent] == [
+            [msg.req_id] for msg, _ in sent]
+        acked_at = [replies[0].arrived_at for _, replies in sent]
+        assert acked_at == sorted(set(acked_at))
+
+    @pytest.mark.parametrize("stop", ["fail_stop", "halt"])
+    def test_stopping_drops_queued_and_in_service_requests(self, stop):
+        sim, rt = self._system()
+        p0, p1 = rt.procs[0], rt.procs[1]
+        cpu = p0.node.handler_cpu
+        for _ in range(3):
+            self._request(rt, 1, mk.PAGE_REQ, 0, {"page": 0})
+        sim.run(until=sim.now + 100e-6)
+        assert cpu.in_use == 1 and len(cpu._queue) == 2 and len(p0._holds) == 3
+        getattr(p0, stop)()
+        assert cpu.in_use == 0 and not cpu._queue and not p0._holds
+        sim.run()
+        assert self._sent(rt, mk.PAGE_REPLY) == 0
+        # the CPU serves whoever queues next
+        done = []
+        cpu.hold(1e-6, done.append)
+        sim.run()
+        assert len(done) == 1
+
+    def test_handler_error_names_the_handler(self):
+        from repro.errors import SimulationError
+
+        sim, rt = self._system()
+        # P1 never touched page 0 and is not its home: no valid copy
+        self._request(rt, 2, mk.PAGE_REQ, 1, {"page": 0})
+        with pytest.raises(SimulationError, match=r"'P1\.h\.page_req' failed.*"
+                                                  r"holds no valid copy"):
+            sim.run()
+
+    def test_only_a_heartbeat_ack_may_be_lost_to_a_dark_prober(self):
+        from repro.errors import SimulationError
+
+        sim, rt = self._system()
+        self._request(rt, 0, mk.HEARTBEAT, 1)
+        sim.run(until=sim.now + 70e-6)
+        rt.master.node.nic.detach()  # dark before the ack is sent
+        sim.run()
+        rt.master.node.nic.reattach()
+        self._request(rt, 0, mk.CONNECT, 1)
+        sim.run(until=sim.now + 70e-6)
+        rt.master.node.nic.detach()
+        with pytest.raises(SimulationError, match=r"'P1\.h\.connect' failed"):
+            sim.run()

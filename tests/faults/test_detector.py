@@ -60,6 +60,9 @@ class TestSuspicion:
         assert res.detector.heartbeat_misses >= 1
         assert res.detector.false_suspicions >= 1
         assert res.recoveries == []
+        # A probe that timed out gave up its reply-table entry (its late
+        # ack was dropped on arrival), as did every answered request.
+        assert not rt.master.node.nic._reply_waiters
 
     def test_sustained_partition_declares_crash(self):
         sim, rt, pool = build_adaptive(nprocs=3, extra_nodes=2,

@@ -6,28 +6,35 @@ model options, so it can be pinned once and checked forever: each *row* —
 digests of everything it produced against ``golden_matrix.json``:
 
 * ``result`` — the canonical :class:`~repro.exec.result.ScenarioResult`
-  JSON (every row);
+  JSON without its ``events`` field (every row);
 * ``memory`` — the bytes of the final shared arrays (materialized rows);
 * ``metrics`` / ``chrome_trace`` — the exported telemetry (obs-on rows);
 * ``records`` — the tracer's record stream (``trace=True`` rows).
 
-The data file was captured on the last revision that still carried
-on/off switches for the host-side fast paths (all at their defaults); its
-six ``flat/obs-off`` seed rows equal ``SEED_DIGESTS`` in
-``tests/exec/test_scale_identity.py``.  Host-side work may be restructured
-freely as long as every row still matches.  ``python -m tests.golden``
-regenerates the file — legitimate only for a change *meant* to alter the
-model (docs/TESTING.md §7); the seed rows must never move.
+Those digests are the modelled outputs.  Beside them each row pins
+``events``, the number of simulator events the run executed, as a plain
+integer: it is engine bookkeeping, so a change to how the host schedules
+the same model moves these lines and nothing else.
+
+The ``result`` digests of the six ``flat/obs-off`` seed rows equal
+``SEED_DIGESTS`` in ``tests/exec/test_scale_identity.py``.  Host-side
+work may be restructured freely as long as every digest still matches.
+``python -m tests.golden`` regenerates the file — for a change *meant* to
+alter the model, or an engine change that moves ``events`` only
+(docs/TESTING.md §7); ``python -m tests.golden --check`` prints, per
+drifted row, which keys differ.
 """
 
 from __future__ import annotations
 
+import argparse
 import functools
 import hashlib
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Union
 
 import numpy as np
 
@@ -37,7 +44,7 @@ from repro.bench.harness import ExperimentResult, run_experiment
 from repro.config import DsmParams, PerfParams, SystemConfig
 from repro.dsm import Protocol, TmkProgram
 from repro.exec.pool import execute_spec
-from repro.exec.result import ScenarioResult
+from repro.exec.result import ScenarioResult, canonical_checksum
 from repro.obs.export import chrome_trace, metrics_dict
 
 DATA_FILE = Path(__file__).with_name("golden_matrix.json")
@@ -183,11 +190,20 @@ class Row:
 
     experiment: ExperimentResult
     registry: object
-    digests: Dict[str, str]
+    #: SHA-256 digests by output kind, plus the integer ``events``.
+    digests: Dict[str, Union[str, int]]
 
 
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def result_digest(result: ScenarioResult) -> str:
+    """SHA-256 of the canonical result JSON with ``events`` left out: the
+    event count is how the engine got there, not a modelled output."""
+    fields = result.to_dict()
+    del fields["events"]
+    return canonical_checksum(fields)
 
 
 @functools.lru_cache(maxsize=None)
@@ -210,8 +226,10 @@ def run_row(row_id: str) -> Row:
     else:
         exp, _ = execute_spec(spec.replaced(perf=perf), obs=registry)
     sim = exp.runtime.sim
-    digests = {"result": _sha(ScenarioResult.from_experiment(
-        exp, events=sim.events_executed).to_json())}
+    digests: Dict[str, Union[str, int]] = {
+        "result": result_digest(ScenarioResult.from_experiment(exp)),
+        "events": sim.events_executed,
+    }
     if exp.app.final:
         memory = hashlib.sha256()
         for array_name in sorted(exp.app.final):
@@ -227,18 +245,51 @@ def run_row(row_id: str) -> Row:
 
 
 @functools.lru_cache(maxsize=None)
-def pinned() -> Dict[str, Dict[str, str]]:
+def pinned() -> Dict[str, Dict[str, Union[str, int]]]:
     return json.loads(DATA_FILE.read_text())
+
+
+def drifted_keys(row_id: str) -> List[str]:
+    """Run ``row_id``; the keys whose value is not the pinned one."""
+    got, want = run_row(row_id).digests, pinned().get(row_id, {})
+    return sorted(k for k in got.keys() | want.keys() if got.get(k) != want.get(k))
 
 
 def golden_row(row_id: str) -> Row:
     """Run ``row_id``, assert it matches its pinned digests, return it."""
-    row = run_row(row_id)
-    assert row.digests == pinned()[row_id], f"{row_id} drifted from its golden"
-    return row
+    keys = drifted_keys(row_id)
+    assert not keys, f"{row_id} drifted from its golden in {', '.join(keys)}"
+    return run_row(row_id)
+
+
+def check() -> int:
+    """Print every drifted row with the keys that differ; 1 if any did."""
+    moved: Dict[str, int] = {}
+    rows = 0
+    for row_id in ROWS:
+        keys = drifted_keys(row_id)
+        if not keys:
+            continue
+        rows += 1
+        got, want = run_row(row_id).digests, pinned().get(row_id, {})
+        shown = [
+            f"events {want.get(k)} -> {got.get(k)}" if k == "events" else k
+            for k in keys
+        ]
+        print(f"{row_id}: {', '.join(shown)}")
+        for k in keys:
+            moved[k] = moved.get(k, 0) + 1
+    summary = ", ".join(f"{k} in {n}" for k, n in sorted(moved.items()))
+    print(f"{rows} of {len(ROWS)} rows drifted" + (f": {summary}" if rows else ""))
+    return 1 if rows else 0
 
 
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true",
+                        help="compare with the data file instead of rewriting it")
+    if parser.parse_args().check:
+        sys.exit(check())
     DATA_FILE.write_text(json.dumps(
         {row_id: run_row(row_id).digests for row_id in ROWS},
         indent=1, sort_keys=True) + "\n")

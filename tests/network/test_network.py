@@ -5,7 +5,7 @@ import pytest
 from repro.config import NetworkParams
 from repro.errors import NetworkError
 from repro.network import Message, Switch
-from repro.network.message import PAGE_REPLY, next_req_id
+from repro.network.message import PAGE_REPLY
 from repro.simcore import Simulator
 
 
@@ -122,17 +122,30 @@ class TestRouting:
         with pytest.raises(NetworkError):
             nics[0].send(Message("d", src=1, dst=0))
 
-    def test_replies_routed_to_replies_channel(self):
+    def test_replies_routed_by_req_id(self):
         sim, switch, nics = make_net(2)
-        msg = Message("req", src=0, dst=1, size_bytes=1, req_id=next_req_id())
-        switch.transmit(msg)
+        got = []
+        first = Message("req", src=0, dst=1, size_bytes=1)
+        second = Message("req", src=0, dst=1, size_bytes=1)
+        nics[0].request(first).subscribe(lambda rep, exc: got.append(("1st", rep)))
+        nics[0].request(second).subscribe(lambda rep, exc: got.append(("2nd", rep)))
         sim.run(check_deadlock=False)
+        nics[1].inbox.try_recv()
         req = nics[1].inbox.try_recv()
+        assert req is second
         switch.transmit(req.reply("rep"))
         sim.run(check_deadlock=False)
         assert nics[0].inbox.try_recv() is None
-        rep = nics[0].replies.try_recv()
-        assert rep.kind == "rep" and rep.req_id == msg.req_id
+        [(who, rep)] = got
+        assert who == "2nd" and rep.kind == "rep" and rep.req_id == second.req_id
+        assert list(nics[0]._reply_waiters) == [first.req_id]
+
+    def test_unmatched_reply_is_dropped(self):
+        sim, switch, nics = make_net(2)
+        switch.transmit(Message("rep", src=1, dst=0, req_id=12345, is_reply=True))
+        sim.run()
+        assert sim.events_executed == 1
+        assert len(nics[0].inbox) == 0 and not nics[0]._reply_waiters
 
 
 class TestAccounting:

@@ -91,6 +91,26 @@ class TestRetransmission:
         assert len(done) == 30  # every request eventually answered
         assert switch.loss.dropped > 0
 
+    def test_late_duplicate_reply_is_dropped(self):
+        sim, switch, nics = self._net(1e-12)  # lossy, but loses nothing here
+        out = []
+
+        def server():
+            msg = yield nics[1].inbox.recv()
+            nics[1].send(msg.reply("page_reply", size_bytes=64))
+            nics[1].send(msg.reply("page_reply", size_bytes=64))
+
+        def client():
+            out.append((yield nics[0].request(Message(PAGE_REQ, src=0, dst=1))))
+            out.append((yield sim.timeout(1.0, "slept")))
+
+        sim.process(server())
+        sim.process(client())
+        sim.run()
+        # resumed once by the first copy; the second found no table entry
+        assert [out[0].kind, out[1]] == ["page_reply", "slept"]
+        assert not nics[0]._reply_waiters and len(nics[0].inbox) == 0
+
     def test_unreachable_peer_times_out(self):
         sim, switch, nics = self._net(0.2)
         # no server: requests to node 1 are consumed by nobody -> inbox fills,

@@ -1,6 +1,8 @@
 """Tests for channels, stores, resources, tracer and random streams."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.simcore import Channel, RandomStreams, Resource, Simulator, Store, substream_seed
 
@@ -164,6 +166,96 @@ class TestResource:
         res = Resource(sim)
         with pytest.raises(RuntimeError):
             res.release()
+
+    def test_kill_inside_the_grant_window_returns_the_unit(self):
+        """Granted, resume not yet run: the generator is closed at the
+        ``yield`` *before* its ``try``, so only the waitable can know."""
+        sim = Simulator()
+        cpu = Resource(sim)
+
+        def worker():
+            yield cpu.acquire()
+            try:
+                yield sim.timeout(1.0)
+            finally:
+                cpu.release()
+
+        first = sim.process(worker())
+        sim.step()  # first step: acquire subscribed, unit granted
+        assert cpu.in_use == 1
+        first.kill()
+        assert cpu.in_use == 0
+        second = sim.process(worker())
+        sim.run()
+        assert not second.alive and sim.now == 1.0 and cpu.in_use == 0
+
+    def test_hold_is_one_event_and_has_no_grant_window(self):
+        sim = Simulator()
+        cpu = Resource(sim)
+        done = []
+        hold = cpu.hold(2.0, done.append, "msg", "state")
+        assert cpu.in_use == 1 and len(sim._queue) == 1  # already in service
+        sim.run()
+        assert done == [hold] and (hold.msg, hold.state) == ("msg", "state")
+        assert sim.events_executed == 1 and sim.now == 2.0 and cpu.in_use == 0
+
+
+#: One use of the resource: (arrival slot, duration, callback form?,
+#: slots until cancelled or None).  Use ``i`` arrives ``i/64`` into its
+#: slot (a process reaches the queue one event after it is spawned, so
+#: same-instant arrivals of the two forms have no common order to test),
+#: durations are whole numbers and cancellations fall on the halves, so no
+#: cancellation ties with a grant either.
+USE = st.tuples(st.integers(0, 6), st.integers(0, 3), st.booleans(),
+                st.none() | st.integers(0, 8))
+
+
+def _run_uses(uses, capacity, all_generators):
+    """Run ``uses``; returns ({use: end time}, resource) with the
+    uncancelled (or cancelled too late) uses' completion times."""
+    sim = Simulator()
+    res = Resource(sim, capacity=capacity)
+    ends = {}
+
+    def worker(i, duration):
+        yield res.acquire()
+        try:
+            yield sim.timeout(float(duration))
+        finally:
+            res.release()
+        ends[i] = sim.now
+
+    def arrive(i, duration, as_hold, cancel_after):
+        if as_hold and not all_generators:
+            hold = res.hold(float(duration),
+                            lambda hold: ends.__setitem__(hold.msg, sim.now), i)
+            cancel = hold.cancel
+        else:
+            cancel = sim.process(worker(i, duration), name=f"w{i}").kill
+        if cancel_after is not None:
+            sim.schedule(cancel_after + 0.5, cancel)
+
+    for i, (slot, *use) in enumerate(uses):
+        sim.at(slot + i / 64, lambda i=i, use=use: arrive(i, *use))
+    sim.run()
+    return ends, res
+
+
+@settings(max_examples=300, deadline=None)
+@given(uses=st.lists(USE, max_size=12), capacity=st.sampled_from([1, 2]))
+def test_holds_and_acquirers_share_one_fifo_on_generated_programs(uses, capacity):
+    """Callback holds mixed with generator acquirers, cancelled while
+    queued, in service and after completion: every use completes when it
+    does in the all-generator run of the same program (``kill`` standing
+    for ``cancel``), service starts in arrival order, nothing leaks."""
+    mixed, res = _run_uses(uses, capacity, all_generators=False)
+    reference, ref_res = _run_uses(uses, capacity, all_generators=True)
+    assert mixed == reference
+    assert res.in_use == ref_res.in_use == 0
+    assert not res._queue and not ref_res._queue
+    arrival_order = sorted(mixed, key=lambda i: (uses[i][0], i))
+    starts = [mixed[i] - uses[i][1] for i in arrival_order]
+    assert starts == sorted(starts)
 
 
 class TestTracer:

@@ -344,3 +344,46 @@ class TestProcesses:
             return log
 
         assert build() == build()
+
+    def test_request_reply_round_trips_leave_nothing_for_the_cyclic_collector(self):
+        """Finished processes, holds and reply waits are freed by reference
+        count: a run's garbage must not grow with its request count."""
+        import gc
+
+        from repro.network import Message, Switch
+        from repro.simcore import Resource
+
+        sim = Simulator()
+        switch = Switch(sim)
+        nics = [switch.attach(i) for i in range(2)]
+        cpu = Resource(sim)
+        served = []
+
+        def reply(hold):
+            served.append(hold.msg.req_id)
+            nics[1].send(hold.msg.reply("pong", size_bytes=8))
+
+        class Server:
+            pid = None
+
+            def take(self, msg):
+                cpu.hold(50e-6, reply, msg)
+
+        nics[1].serve(Server())
+
+        def client():
+            for _ in range(4):
+                yield nics[0].request(Message("ping", src=0, dst=1, size_bytes=8))
+
+        was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            for i in range(25):
+                sim.process(client(), name=f"c{i}")
+            sim.run()
+            assert len(served) == 100
+            assert gc.collect() == 0
+        finally:
+            if was_enabled:
+                gc.enable()
