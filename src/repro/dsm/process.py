@@ -62,6 +62,36 @@ MAIN_KINDS = frozenset(
 )
 
 
+class _Pull:
+    """One :meth:`DsmProcess.pull_pages` window.  The spawned ``pull_one``
+    generators refer to it and nothing refers back, so a finished pull is
+    freed by reference count (the event loop makes no cycles, §10)."""
+
+    __slots__ = ("proc", "pairs", "kind", "idx", "active", "done")
+
+    def __init__(self, proc: "DsmProcess", pairs: List[Tuple[int, int]], kind: str):
+        self.proc, self.pairs, self.kind = proc, pairs, kind
+        self.idx = self.active = 0
+        self.done = Signal(proc.sim, f"{proc.name}.pull")
+
+    def launch(self) -> None:
+        pairs, kind = self.pairs, self.kind
+        while self.active < PIPELINE_DEPTH and self.idx < len(pairs):
+            page, from_pid = pairs[self.idx]
+            self.idx += 1
+            self.active += 1
+            self.proc.sim.process(
+                self.pull_one(page, from_pid), name=f"{kind}.{page}", daemon=True
+            )
+
+    def pull_one(self, page: int, from_pid: int) -> Generator:
+        yield from self.proc._pull_page(page, from_pid, self.kind)
+        self.active -= 1
+        self.launch()
+        if self.active == 0 and self.idx >= len(self.pairs):
+            self.done.fire()
+
+
 class DsmProcess:
     """One TreadMarks-style DSM process."""
 
@@ -775,31 +805,10 @@ class DsmProcess:
         The serving CPUs and this node's downlink serialize the stream,
         which is exactly the bottleneck §5.4 measures.
         """
-        idx = 0
-        active = 0
-        done = Signal(self.sim, f"{self.name}.pull")
-
-        def pull_one(page: int, from_pid: int) -> Generator:
-            nonlocal active
-            yield from self._pull_page(page, from_pid, kind)
-            active -= 1
-            launch()
-            if active == 0 and idx >= len(pairs):
-                done.fire()
-
-        def launch() -> None:
-            nonlocal active, idx
-            while active < PIPELINE_DEPTH and idx < len(pairs):
-                page, from_pid = pairs[idx]
-                idx += 1
-                active += 1
-                self.sim.process(
-                    pull_one(page, from_pid), name=f"{kind}.{page}", daemon=True
-                )
-
         if pairs:
-            launch()
-            yield done
+            pull = _Pull(self, pairs, kind)
+            pull.launch()
+            yield pull.done
 
     def _fetch_page(self, page: int, from_pid: int) -> Generator:
         """Fetch a full page copy from ``from_pid``."""
@@ -1318,12 +1327,16 @@ class DsmProcess:
         issue order (the CPU goes to whoever else queues on the node).
 
         The node's own crash already zeroed its resident-process count, so
-        no node bookkeeping happens here.
+        no node bookkeeping happens here.  The barrier and lock engines,
+        which point back at this process, are dropped: nothing reads them
+        once the coroutines are dead, and a discarded engine is then freed
+        by reference count rather than left as a cycle (§10).
         """
         self._stop_taking()
         holds, self._holds = self._holds, {}
         for hold in holds:
             hold.cancel()
+        self.barrier_mgr = self.lock_mgr = self.tree_barrier = None
 
     def halt(self) -> None:
         """Stop serving (recovery teardown of a *surviving* process).

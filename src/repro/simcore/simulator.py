@@ -8,6 +8,7 @@ fixed seed the entire simulation is deterministic.
 
 from __future__ import annotations
 
+import gc
 from typing import Any, Callable, Generator, Optional
 
 from ..errors import DeadlockError, SimulationError
@@ -101,9 +102,16 @@ class Simulator:
         non-daemon processes remain while no event can ever wake them,
         :class:`DeadlockError` is raised — this catches lost messages and
         barrier mismatches in the DSM protocol immediately.
+
+        The cyclic collector is paused while the loop runs and the caller's
+        setting restored on every way out: the loop makes no reference
+        cycles, so a collection inside it would only re-walk live model
+        state (``docs/PROTOCOL.md`` §10; a tier-1 guard checks it).
         """
         queue = self._queue
         executed = 0
+        collecting = gc.isenabled()
+        gc.disable()
         try:
             if until is None:
                 # Run-to-drain fast path: no horizon check means the next
@@ -151,6 +159,8 @@ class Simulator:
                         a()
         finally:
             self.events_executed += executed
+            if collecting:
+                gc.enable()
         if self._failure is not None:
             raise self._failure
         if check_deadlock:

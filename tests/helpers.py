@@ -2,11 +2,23 @@
 
 from __future__ import annotations
 
+import gc
+
 from repro.cluster import NodePool
 from repro.config import SystemConfig
 from repro.dsm import TmkProgram, TmkRuntime
 from repro.network import Switch
 from repro.simcore import Simulator
+
+
+def collected_so_far() -> int:
+    """Objects every cyclic-collector pass so far has found unreachable.
+
+    A difference of two readings counts what any collection in between
+    found — the explicit ``gc.collect()`` and an automatic pass alike (the
+    first allocation after ``Simulator.run`` restores the collector
+    usually triggers one)."""
+    return sum(gen["collected"] + gen["uncollectable"] for gen in gc.get_stats())
 
 
 def build_system(nprocs=4, extra_nodes=0, cfg=None, materialized=True, trace=False,

@@ -1,5 +1,7 @@
 """Tests for the discrete-event engine: scheduling, ordering, clock."""
 
+import contextlib
+import gc
 import itertools
 
 import pytest
@@ -7,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import DeadlockError, SimulationError
 from repro.simcore import LATE, NORMAL, URGENT, Simulator
+
+from ..helpers import collected_so_far
 
 
 def test_clock_starts_at_zero():
@@ -348,8 +352,6 @@ class TestProcesses:
     def test_request_reply_round_trips_leave_nothing_for_the_cyclic_collector(self):
         """Finished processes, holds and reply waits are freed by reference
         count: a run's garbage must not grow with its request count."""
-        import gc
-
         from repro.network import Message, Switch
         from repro.simcore import Resource
 
@@ -375,15 +377,47 @@ class TestProcesses:
             for _ in range(4):
                 yield nics[0].request(Message("ping", src=0, dst=1, size_bytes=8))
 
-        was_enabled = gc.isenabled()
         gc.collect()
-        gc.disable()
-        try:
-            for i in range(25):
-                sim.process(client(), name=f"c{i}")
-            sim.run()
-            assert len(served) == 100
-            assert gc.collect() == 0
-        finally:
-            if was_enabled:
-                gc.enable()
+        before = collected_so_far()
+        for i in range(25):
+            sim.process(client(), name=f"c{i}")
+        sim.run()
+        assert len(served) == 100
+        gc.collect()
+        assert collected_so_far() == before
+
+
+@pytest.fixture
+def collector_setting():
+    """Restore the collector setting the test started with."""
+    was_enabled = gc.isenabled()
+    yield
+    (gc.enable if was_enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("ending", ["drain", "until", "raises", "deadlock"])
+def test_run_pauses_the_collector_and_restores_the_callers_setting(
+    ending, enabled, collector_setting
+):
+    """Paused inside the loop; afterwards exactly as the caller left it,
+    on every way out (a caller's ``gc.disable()`` stays in force)."""
+    sim = Simulator()
+    inside = []
+
+    def proc():
+        yield sim.timeout(1.0)
+        inside.append(gc.isenabled())
+        if ending == "raises":
+            raise ValueError("boom")
+        yield sim.signal("never") if ending == "deadlock" else sim.timeout(10.0)
+
+    sim.process(proc(), name="p")
+    (gc.enable if enabled else gc.disable)()
+    error = {"raises": SimulationError, "deadlock": DeadlockError}.get(ending)
+    with pytest.raises(error) if error else contextlib.nullcontext():
+        sim.run(until=5.0 if ending == "until" else None)
+    assert inside == [False]
+    assert gc.isenabled() is enabled
+    if ending == "until":
+        assert sim.now == 5.0
