@@ -67,14 +67,6 @@ class Node:
         self.busy_time += stretched
         yield self.sim.timeout(stretched)
 
-    def service(self, seconds: float) -> Generator:
-        """Charge request-service time, serialized with other handlers."""
-        yield self.handler_cpu.acquire()
-        try:
-            yield self.sim.timeout(seconds / self.speed)
-        finally:
-            self.handler_cpu.release()
-
     def withdraw(self) -> None:
         """The owner reclaims the node (after any leave completes)."""
         self.in_pool = False

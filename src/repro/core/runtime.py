@@ -265,8 +265,8 @@ class AdaptiveRuntime(TmkRuntime):
                 req.state = RequestState.CANCELLED
                 req.completed_at = now
                 watchdog = getattr(req, "_watchdog", None)
-                if watchdog is not None and watchdog.alive:
-                    watchdog.interrupt("cancelled by crash recovery")
+                if watchdog is not None:
+                    watchdog.kill()
 
     def _rebuild_after_crash(self, new_node_ids: List[int]) -> None:
         """Fresh team, fresh DSM engines — shared address space retained."""
@@ -393,8 +393,8 @@ class AdaptiveRuntime(TmkRuntime):
             req.state = RequestState.DONE
             req.completed_at = sim.now
             watchdog = getattr(req, "_watchdog", None)
-            if watchdog is not None and watchdog.alive:
-                watchdog.interrupt("leave completed at adaptation point")
+            if watchdog is not None:
+                watchdog.kill()
         self.adaptations += events
         record.nprocs_after = self.team.nprocs
         record.duration = sim.now - t0

@@ -108,7 +108,7 @@ class BarrierManager:
         if do_gc:
             yield from master.gc_flush()
             for _ in range(len(arrivals) - 1):
-                yield master.gc_done_store.get()
+                yield master.gc_done_store.recv()
             master.send_fanout([
                 (mk.GC_GO, pid, {}, 4)
                 for pid in sorted(arrivals)

@@ -28,7 +28,7 @@ from ..config import SystemConfig
 from ..errors import DsmError, NetworkError, ProtocolError
 from ..network import message as mk
 from ..network.message import Message
-from ..simcore import Channel, Hold, Signal, Simulator, Store
+from ..simcore import Channel, Hold, Signal, Simulator
 from .diffs import apply_diffs_in_order, make_diff
 from .gc import gc_new_owners
 from .intervals import Diff, IntervalLog, IntervalNotice, IntervalRecord, NoticeBatch
@@ -63,9 +63,11 @@ MAIN_KINDS = frozenset(
 
 
 class _Pull:
-    """One :meth:`DsmProcess.pull_pages` window.  The spawned ``pull_one``
-    generators refer to it and nothing refers back, so a finished pull is
-    freed by reference count (the event loop makes no cycles, §10)."""
+    """One :meth:`DsmProcess.pull_pages` window: up to ``PIPELINE_DEPTH``
+    page requests in flight, each a callback chain — the reply schedules
+    the install ``page_service_client`` later, the install launches the
+    next request.  The reply table refers to the window and nothing refers
+    back, so a finished pull is freed by reference count (§10)."""
 
     __slots__ = ("proc", "pairs", "kind", "idx", "active", "done")
 
@@ -75,21 +77,48 @@ class _Pull:
         self.done = Signal(proc.sim, f"{proc.name}.pull")
 
     def launch(self) -> None:
-        pairs, kind = self.pairs, self.kind
+        proc, pairs, kind = self.proc, self.pairs, self.kind
         while self.active < PIPELINE_DEPTH and self.idx < len(pairs):
             page, from_pid = pairs[self.idx]
             self.idx += 1
             self.active += 1
-            self.proc.sim.process(
-                self.pull_one(page, from_pid), name=f"{kind}.{page}", daemon=True
-            )
+            node = proc.team.node_of(from_pid)
 
-    def pull_one(self, page: int, from_pid: int) -> Generator:
-        yield from self.proc._pull_page(page, from_pid, self.kind)
+            def on_reply(reply, err, page=page, node=node):
+                if err is not None:
+                    self.fail(page, node, err)
+                else:
+                    proc.sim.schedule(proc.cfg.network.page_service_client,
+                                      (self.install, reply))
+
+            try:
+                proc.request(kind, from_pid, {"page": page}, 8).subscribe(on_reply)
+            except BaseException as err:  # noqa: BLE001 - a dark NIC, reported
+                self.fail(page, node, err)
+
+    def install(self, reply: Message, _exc=None) -> None:
+        payload = reply.payload
+        try:
+            self.proc.install_page(payload["page"], payload["data"], payload["applied"])
+        except BaseException as err:  # noqa: BLE001 - report through simulator
+            self.proc.sim._report_failure(f"{self.kind}.{payload['page']}", err)
+            return
         self.active -= 1
         self.launch()
         if self.active == 0 and self.idx >= len(self.pairs):
             self.done.fire()
+
+    def fail(self, page: int, node: int, err: BaseException) -> None:
+        """A lost peer goes to the crash hook and the window never
+        completes (recovery kills whoever waits on it); anything else is
+        the simulation's failure, under the pull's name."""
+        hook = self.proc.crash_hook
+        try:
+            if hook is None or not isinstance(err, NetworkError):
+                raise err
+            hook(node, err)
+        except BaseException as failure:  # noqa: BLE001 - report through simulator
+            self.proc.sim._report_failure(f"{self.kind}.{page}", failure)
 
 
 class DsmProcess:
@@ -148,8 +177,8 @@ class DsmProcess:
         #: Control messages for the main coroutine (fork, release, grants...).
         self.main_inbox = Channel(sim, name=f"{self.name}.main")
         #: Master-side collectors.
-        self.join_store = Store(sim, name=f"{self.name}.joins")
-        self.gc_done_store = Store(sim, name=f"{self.name}.gcdone")
+        self.join_store = Channel(sim, name=f"{self.name}.joins")
+        self.gc_done_store = Channel(sim, name=f"{self.name}.gcdone")
         self.barrier_mgr = None  # set for the master by the runtime
         self.lock_mgr = None  # set for the master by the runtime
         #: Combining-tree barrier engine (PerfParams.barrier_tree, §11);
@@ -794,7 +823,8 @@ class DsmProcess:
     def _pull_page(
         self, page: int, from_pid: int, kind: str = mk.PAGE_REQ
     ) -> Generator:
-        """The one way a page moves: request, client-side service, install."""
+        """A fault's page fetch: request, client-side service, install (the
+        callback form of the same three steps is :class:`_Pull`)."""
         reply = yield from self.request_reply(kind, from_pid, {"page": page}, size=8)
         yield self.sim.timeout(self.cfg.network.page_service_client)
         self.install_page(page, reply.payload["data"], reply.payload["applied"])

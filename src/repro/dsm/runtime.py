@@ -377,7 +377,7 @@ class TmkRuntime:
                 min_vc = own_vc
                 arrivals: Dict[int, dict] = {}
                 for _ in children:
-                    m2 = yield proc.join_store.get()
+                    m2 = yield proc.join_store.recv()
                     arrivals[m2.payload["pid"]] = m2.payload
                 batched = fold_batches(
                     arrivals[cpid]["notices"] for cpid in sorted(arrivals)
@@ -467,7 +467,7 @@ class TmkRuntime:
             # see treebarrier.writer_sorted).
             arrivals: Dict[int, dict] = {}
             for _ in targets:
-                msg = yield master.join_store.get()
+                msg = yield master.join_store.recv()
                 arrivals[msg.payload["pid"]] = msg.payload
             batched = fold_batches(
                 arrivals[cpid]["notices"] for cpid in sorted(arrivals)
@@ -485,7 +485,7 @@ class TmkRuntime:
                 obs.count("barrier.tree.notices_folded", len(batched))
         else:
             for _ in targets:
-                msg = yield master.join_store.get()
+                msg = yield master.join_store.recv()
                 p = msg.payload
                 master.apply_notices(p["notices"], p["vc"])
                 self.slave_vcs[p["pid"]] = p["vc"]  # frozen snapshot; no copy needed
@@ -522,14 +522,14 @@ class TmkRuntime:
         ])
         yield from master.gc_flush()
         for _ in targets:
-            yield master.gc_done_store.get()
+            yield master.gc_done_store.recv()
         master.send_fanout([(mk.GC_GO, pid, {}, 4) for pid in targets])
         master.gc_reset()
         # wait for every target (subtree) to confirm its reset before the
         # caller may touch team-wide state (adaptation rebuilds the pid
         # space next)
         for _ in targets:
-            yield master.gc_done_store.get()
+            yield master.gc_done_store.recv()
         self.slave_vcs = {
             pid: VectorClock.zeros(self.team.nprocs) for pid in self.team.slave_pids
         }

@@ -35,12 +35,14 @@ Protocol messages (manager = master, as for locks):
 
 from __future__ import annotations
 
-from typing import Dict, Generator, Set
+from collections import deque
+from functools import partial
+from typing import Any, Callable, Deque, Dict, Generator, List, Optional, Set
 
 from ..errors import ProtocolError
 from ..network import message as mk
 from ..network.message import Message
-from ..simcore import Resource
+from ..simcore.process import Callback
 from .intervals import NoticeBatch
 from .memory import SharedSegment
 from .page import MODE_NONE, MODE_READ, MODE_WRITE
@@ -82,9 +84,10 @@ class ScProcess(DsmProcess):
         self._sc_exclusive: Set[int] = set()
         # the manager's directory lives on the master instance
         self.sc_directory = None
-        #: per-page mutual exclusion at the manager: fault resolution
-        #: involves round trips, and two faults on one page must serialize
-        self._sc_page_locks: Dict[int, object] = {}
+        #: the manager's per-page FIFO of fault requests: resolution takes
+        #: round trips, and two faults on one page must serialize — the
+        #: head is in resolution, the rest wait for it
+        self._sc_faults: Dict[int, Deque[Message]] = {}
 
     # ------------------------------------------------------------------
     # fault side
@@ -196,125 +199,145 @@ class ScProcess(DsmProcess):
     # server side
     # ------------------------------------------------------------------
     def _serve(self, msg: Message) -> None:
-        # The manager and owner arms really block (page lock, invalidation
-        # round trips, the owner-designate wait): each runs as a coroutine.
+        # Each arm is a chain of callbacks: this event, then the handler
+        # CPU and the replies the arm waits for (docs/PROTOCOL.md §3).
         kind = msg.kind
         if kind == SC_READ_REQ or kind == SC_WRITE_REQ:
-            arm = self._sc_manage(msg, write=kind == SC_WRITE_REQ)
+            if not self.is_master:
+                raise ProtocolError(f"{self.name}: SC fault request at a non-manager")
+            page = msg.payload["page"]
+            faults = self._sc_faults.get(page)
+            if faults is None:
+                faults = self._sc_faults[page] = deque()
+            faults.append(msg)
+            if len(faults) == 1:
+                self._sc_resolve(msg)
         elif kind == SC_FETCH or kind == SC_FETCH_EX:
-            arm = self._sc_serve_fetch(msg)
+            self._sc_ship(msg, msg.payload["page"], kind == SC_FETCH_EX,
+                          partial(self._sc_reply, msg, SC_DATA))
         elif kind == SC_INVALIDATE:
-            arm = self._sc_invalidate(msg)
+            self._sc_drop(msg.payload["page"], MODE_NONE)
+            self._sc_service(msg, 25e-6,
+                             lambda _hold: self._sc_reply(msg, SC_INVALIDATE_ACK))
         else:
-            return super()._serve(msg)
-        self.sim.process(self._handle_request(msg, arm),
-                         name=f"{self.name}.h.{kind}", daemon=True)
+            super()._serve(msg)
 
-    def _handle_request(self, msg: Message, arm: Generator) -> Generator:
-        try:
-            yield from arm
-        finally:
-            self._inflight_reqs.discard(msg.req_id)
+    def _sc_step(self, msg: Message, step: Callable[[Any], None]) -> Callback:
+        """``step`` as a ``(value, err)`` callback serving ``msg``: an error,
+        the awaited reply's or the step's own, is the failure of
+        ``P<pid>.h.<kind>``."""
+        def callback(value: Any, err: Optional[BaseException] = None) -> None:
+            try:
+                if err is not None:
+                    raise err
+                step(value)
+            except BaseException as failure:  # noqa: BLE001 - report through simulator
+                self.sim._report_failure(f"{self.name}.h.{msg.kind}", failure)
+        return callback
 
-    def _sc_manage(self, msg: Message, write: bool) -> Generator:
-        """Manager: resolve a fault against the directory."""
-        if not self.is_master:
-            raise ProtocolError(f"{self.name}: SC fault request at a non-manager")
-        page = msg.payload["page"]
-        requester = msg.src_pid
-        lock = self._sc_page_locks.get(page)
-        if lock is None:
-            lock = Resource(self.sim, capacity=1, name=f"scpage{page}")
-            self._sc_page_locks[page] = lock
-        yield lock.acquire()
-        try:
-            yield from self._sc_resolve(msg, page, requester, write)
-        finally:
-            lock.release()
+    def _sc_service(self, msg: Message, cost: float, step: Callable[[Any], None]) -> None:
+        """``cost`` seconds of this node's handler CPU, then ``step``."""
+        node = self.node
+        node.handler_cpu.hold(cost / node.speed, self._sc_step(msg, step))
 
-    def _sc_resolve(self, msg: Message, page: int, requester: int, write: bool) -> Generator:
-        state = self.sc_directory.entry(page)
-        owner = state["owner"]
+    def _sc_reply(self, msg: Message, kind: str, data: Any = None) -> None:
+        """Answer ``msg``: its request is then out of service."""
+        if kind == SC_INVALIDATE_ACK:
+            reply = msg.reply(kind, size_bytes=4)
+        else:
+            size = 8 if kind == SC_GRANT else self.cfg.dsm.page_size
+            reply = msg.reply(kind, size_bytes=size, payload={"data": data})
+        self.node.nic.send(reply)
+        self._inflight_reqs.discard(msg.req_id)
 
-        if write:
+    def _sc_resolve(self, msg: Message) -> None:
+        """Manager: resolve the fault at the head of its page's queue."""
+        if msg.kind == SC_WRITE_REQ:
             # invalidate every other copy, with acks (SC requires it)
-            to_invalidate = sorted(state["copies"] - {requester, owner})
-            for pid in to_invalidate:
-                yield self.request(SC_INVALIDATE, pid, {"page": page}, size=8)
-            if owner == requester:
-                # upgrade in place (requester already holds the only copy)
-                self.node.nic.send(
-                    msg.reply(SC_GRANT, size_bytes=8, payload={"data": None})
-                )
-            else:
-                data = yield from self._sc_obtain(page, owner, exclusive=True)
-                self.node.nic.send(
-                    msg.reply(SC_DATA, size_bytes=self.cfg.dsm.page_size,
-                              payload={"data": data})
-                )
-            state["owner"] = requester
-            state["copies"] = {requester}
+            state = self.sc_directory.entry(msg.payload["page"])
+            pending = sorted(state["copies"] - {msg.src_pid, state["owner"]})
+            self._sc_invalidate(msg, pending)
         else:
-            data = yield from self._sc_obtain(page, owner, exclusive=False)
-            self.node.nic.send(
-                msg.reply(SC_DATA, size_bytes=self.cfg.dsm.page_size,
-                          payload={"data": data})
-            )
-            state["copies"].add(requester)
+            self._sc_obtain(msg, exclusive=False)
 
-    def _sc_obtain(self, page: int, owner: int, exclusive: bool) -> Generator:
+    def _sc_invalidate(self, msg: Message, pending: List[int], _ack: Any = None) -> None:
+        """Invalidate ``pending``'s copies one acked round trip at a time,
+        then hand the page over."""
+        if pending:
+            self.request(SC_INVALIDATE, pending.pop(0), msg.payload, size=8).subscribe(
+                self._sc_step(msg, partial(self._sc_invalidate, msg, pending)))
+        elif self.sc_directory.entry(msg.payload["page"])["owner"] == msg.src_pid:
+            # upgrade in place (requester already holds the only copy)
+            self._sc_settle(msg, None, SC_GRANT)
+        else:
+            self._sc_obtain(msg, exclusive=True)
+
+    def _sc_obtain(self, msg: Message, exclusive: bool) -> None:
         """Manager-side: get the page bytes from the owner (or locally).
 
         All data and invalidations then flow out of the manager node, whose
         per-destination FIFO delivery makes a later invalidation unable to
         overtake an earlier grant.
         """
+        page = msg.payload["page"]
+        owner = self.sc_directory.entry(page)["owner"]
+        settle = partial(self._sc_settle, msg)
         if owner == self.pid:
-            return (yield from self._sc_ship(page, exclusive))
-        kind = SC_FETCH_EX if exclusive else SC_FETCH
-        reply = yield self.request(kind, owner, {"page": page}, size=8)
-        return reply.payload["data"]
+            self._sc_ship(msg, page, exclusive, settle)
+        else:
+            self.request(SC_FETCH_EX if exclusive else SC_FETCH, owner,
+                         msg.payload, size=8).subscribe(
+                self._sc_step(msg, lambda reply: settle(reply.payload["data"])))
 
-    def _sc_ship(self, page: int, exclusive: bool) -> Generator:
-        """Owner side: copy the page out, giving up or demoting our hold."""
+    def _sc_settle(self, msg: Message, data: Any, kind: str = SC_DATA) -> None:
+        """Manager: answer the fault, record the new owner or copy, and
+        start the next fault queued on the page."""
+        page = msg.payload["page"]
+        self._sc_reply(msg, kind, data)
+        state = self.sc_directory.entry(page)
+        if msg.kind == SC_WRITE_REQ:
+            state["owner"] = msg.src_pid
+            state["copies"] = {msg.src_pid}
+        else:
+            state["copies"].add(msg.src_pid)
+        faults = self._sc_faults[page]
+        faults.popleft()
+        if faults:
+            self._sc_step(faults[0], self._sc_resolve)(faults[0])
+
+    def _sc_ship(self, msg: Message, page: int, exclusive: bool,
+                 then: Callable[[Any], None], _: Any = None) -> None:
+        """Owner side: copy the page out, giving up or demoting our hold,
+        ``page_service_server`` of handler CPU after our copy is valid;
+        ``then(data)``."""
         table = self.table
         if not table.mapped[page]:
             self._map(page)
-        while not table.valid[page]:
+        if not table.valid[page]:
             # our own grant may still be inbound (owner-designate window)
-            yield self.sim.timeout(50e-6)
-        yield from self.node.service(self.cfg.network.page_service_server)
-        data = self.store.page_view(page).copy() if self.materialized else None
-        if exclusive:
-            table.valid[page] = 0
-            table.mode[page] = MODE_NONE
-        else:
+            retry = partial(self._sc_ship, msg, page, exclusive, then)
+            self.sim.schedule(50e-6, (self._sc_step(msg, retry), None))
+            return
+
+        def copy_out(_hold: Any) -> None:
+            data = self.store.page_view(page).copy() if self.materialized else None
             # shipping a shared copy demotes our exclusive hold: the next
             # local write must fault so the new copy gets invalidated
-            table.mode[page] = MODE_READ
-        self._sc_exclusive.discard(page)
-        return data
+            self._sc_drop(page, MODE_NONE if exclusive else MODE_READ)
+            then(data)
 
-    def _sc_serve_fetch(self, msg: Message) -> Generator:
-        """Owner: ship the page back to the manager."""
-        data = yield from self._sc_ship(
-            msg.payload["page"], exclusive=msg.kind == SC_FETCH_EX
-        )
-        self.node.nic.send(
-            msg.reply(SC_DATA, size_bytes=self.cfg.dsm.page_size,
-                      payload={"data": data})
-        )
+        self._sc_service(msg, self.cfg.network.page_service_server, copy_out)
 
-    def _sc_invalidate(self, msg: Message) -> Generator:
-        page = msg.payload["page"]
+    def _sc_drop(self, page: int, mode: int) -> None:
+        """Give up our exclusive hold on ``page``: down to a shared copy
+        (``MODE_READ``) or to none at all."""
         table = self.table
-        if not table.mapped[page]:
-            self._map(page)
-        table.valid[page] = 0
-        table.mode[page] = MODE_NONE
+        if mode == MODE_NONE:
+            if not table.mapped[page]:
+                self._map(page)
+            table.valid[page] = 0
+        table.mode[page] = mode
         self._sc_exclusive.discard(page)
-        yield from self.node.service(25e-6)
-        self.node.nic.send(msg.reply(SC_INVALIDATE_ACK, size_bytes=4))
 
 
 class ScRuntime(TmkRuntime):

@@ -43,7 +43,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, Generator, List
 
 from ..network import message as mk
-from ..simcore.resources import Store
+from ..simcore import Channel
 from .intervals import IntervalNotice, NoticeBatch
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -116,7 +116,7 @@ class TreeBarrier:
         self.radix = proc.cfg.perf.barrier_radix
         self.round = 0
         #: Combined arrivals from our children (fed by ``DsmProcess.take``).
-        self.arrive_store = Store(proc.sim, name=f"{proc.name}.treearrive")
+        self.arrive_store = Channel(proc.sim, name=f"{proc.name}.treearrive")
         #: Per-tree-child subtree knowledge floor (elementwise-min clock)
         #: reported at the last join — what the next fork/GC relay must
         #: top up.  Cleared on every epoch reset and team rebuild; a
@@ -156,7 +156,7 @@ class TreeBarrier:
         # -- up-sweep: collect and fold the children's subtrees ----------
         arrivals: Dict[int, dict] = {}
         for _ in children:
-            msg = yield self.arrive_store.get()
+            msg = yield self.arrive_store.recv()
             p = msg.payload
             arrivals[p["pid"]] = p
 
@@ -230,7 +230,7 @@ class TreeBarrier:
         proc = self.proc
         yield from proc.gc_flush()
         for _ in children:
-            yield proc.gc_done_store.get()
+            yield proc.gc_done_store.recv()
         if pos != 0:
             parent = tree_parent(pids, pos, self.radix)
             proc.send(
@@ -263,7 +263,7 @@ class TreeBarrier:
         parent = tree_parent(pids, pos, self.radix)
         yield from proc.gc_flush()
         for _ in children:
-            yield proc.gc_done_store.get()
+            yield proc.gc_done_store.recv()
         proc.send(
             mk.GC_DONE, parent, {"pid": proc.pid, "phase": "flush"}, size=8
         )
@@ -271,7 +271,7 @@ class TreeBarrier:
         proc.send_fanout([(mk.GC_GO, cpid, {}, 4) for cpid in children])
         proc.gc_reset()
         for _ in children:
-            yield proc.gc_done_store.get()
+            yield proc.gc_done_store.recv()
         proc.send(
             mk.GC_DONE, parent, {"pid": proc.pid, "phase": "reset"}, size=8
         )

@@ -24,18 +24,6 @@ class DeadlockError(SimulationError):
     """All processes are blocked and no future events exist."""
 
 
-class InterruptedError_(ReproError):
-    """Thrown *into* a simulated process when it is interrupted.
-
-    Named with a trailing underscore to avoid shadowing the builtin
-    ``InterruptedError``.
-    """
-
-    def __init__(self, cause: object = None):
-        super().__init__(f"simulated process interrupted: {cause!r}")
-        self.cause = cause
-
-
 class NetworkError(ReproError):
     """Malformed routing, unknown destination, or link misuse."""
 

@@ -222,7 +222,7 @@ class ResultCache:
 
     def put(self, spec: ScenarioSpec, result: ScenarioResult,
             wall_seconds: float = 0.0) -> Path:
-        """Store (atomically) and return the entry path."""
+        """Write the entry (atomically) and return its path."""
         self.root.mkdir(parents=True, exist_ok=True)
         path = self.path(spec)
         result_dict = result.to_dict()

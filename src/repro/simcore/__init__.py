@@ -9,7 +9,7 @@ from .channel import Channel
 from .events import Event, EventQueue, LATE, NORMAL, URGENT
 from .process import Signal, SimProcess, Timeout, Waitable
 from .rand import RandomStreams, substream_seed
-from .resources import Hold, Resource, Store
+from .resources import Hold, Resource
 from .simulator import Simulator
 from .trace import TraceRecord, Tracer
 
@@ -26,7 +26,6 @@ __all__ = [
     "Signal",
     "SimProcess",
     "Simulator",
-    "Store",
     "Timeout",
     "TraceRecord",
     "Tracer",

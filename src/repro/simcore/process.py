@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Generator, Optional
 
-from ..errors import InterruptedError_, SimulationError
+from ..errors import SimulationError
 from . import events as _ev
 
 #: Callback signature used by waitables: (value, exception).
@@ -120,8 +120,7 @@ class SimProcess(Waitable):
         self.result: Any = None
         self.error: Optional[BaseException] = None
         #: Completion signal, created lazily on the first join — most
-        #: processes (request handlers in particular) are never joined,
-        #: and the signal allocation sits on the spawn hot path.
+        #: processes are never joined.
         self._done: Optional[Signal] = None
         self._current_wait: Optional[Waitable] = None
         #: ``self._step``, bound once (a waitable is handed this on every
@@ -162,9 +161,6 @@ class SimProcess(Waitable):
         except StopIteration as stop:
             self._finish(result=stop.value)
             return
-        except InterruptedError_ as err:
-            self._finish(error=err)
-            return
         except BaseException as err:  # noqa: BLE001 - report through simulator
             self._finish(error=err)
             self._sim._report_failure(self.name, err)
@@ -192,11 +188,11 @@ class SimProcess(Waitable):
     def kill(self) -> None:
         """Fail-stop termination: the process stops where it stands.
 
-        Unlike :meth:`interrupt`, nothing is thrown *into* the generator at
-        a resumption point it can react to — the generator is closed on the
-        spot (``finally`` blocks still run, so held resources are released)
-        and any pending wait is cancelled.  This models a node losing power
-        mid-computation.  Killing a dead process is a no-op.
+        Nothing is thrown *into* the generator at a resumption point it can
+        react to — the generator is closed on the spot (``finally`` blocks
+        still run, so held resources are released) and any pending wait is
+        cancelled.  This models a node losing power mid-computation.
+        Killing a dead process is a no-op.
         """
         if not self.alive:
             return
@@ -210,23 +206,6 @@ class SimProcess(Waitable):
             self._sim._report_failure(self.name, err)
             return
         self._finish(result=None)
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`InterruptedError_` into the process.
-
-        Only a process blocked on a waitable can be interrupted; the pending
-        wait is cancelled.  Interrupting a dead process is a no-op.
-        """
-        if not self.alive:
-            return
-        if self._current_wait is not None:
-            self._current_wait.unsubscribe(self._resume_cb)
-            self._current_wait = None
-        self._sim._queue.push(
-            self._sim.now,
-            lambda: self._step(None, InterruptedError_(cause)),
-            priority=_ev.URGENT,
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "alive" if self.alive else "done"

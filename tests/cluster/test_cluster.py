@@ -62,16 +62,11 @@ class TestNode:
 
     def test_service_serializes_per_node(self):
         sim, node = self._node()
-        spans = []
-
-        def handler(i):
-            yield from node.service(0.1)
-            spans.append((i, sim.now))
-
-        for i in range(3):
-            sim.process(handler(i))
+        ends = []
+        for _ in range(3):
+            node.handler_cpu.hold(0.1, lambda hold: ends.append(sim.now))
         sim.run()
-        assert [t for _, t in spans] == pytest.approx([0.1, 0.2, 0.3])
+        assert ends == pytest.approx([0.1, 0.2, 0.3])
 
     def test_negative_compute_rejected(self):
         sim, node = self._node()

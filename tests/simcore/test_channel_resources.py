@@ -1,10 +1,13 @@
-"""Tests for channels, stores, resources, tracer and random streams."""
+"""Tests for channels, resources, tracer and random streams."""
+
+import heapq
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simcore import Channel, RandomStreams, Resource, Simulator, Store, substream_seed
+from repro.simcore import Channel, RandomStreams, Resource, Simulator, substream_seed
 
 
 class TestChannel:
@@ -100,29 +103,12 @@ class TestChannel:
         chan = Channel(sim)
         assert chan.try_recv() is None
 
-
-class TestStore:
-    def test_put_get(self):
-        sim = Simulator()
-        store = Store(sim)
-        got = []
-
-        def consumer():
-            item = yield store.get()
-            got.append(item)
-
-        store.put(99)
-        sim.process(consumer())
-        sim.run()
-        assert got == [99]
-        assert store.try_get() is None
-
     def test_len(self):
         sim = Simulator()
-        store = Store(sim)
-        store.put(1)
-        store.put(2)
-        assert len(store) == 2
+        chan = Channel(sim)
+        chan.put(1)
+        chan.put(2)
+        assert len(chan) == 2
 
 
 class TestResource:
@@ -130,64 +116,25 @@ class TestResource:
         sim = Simulator()
         cpu = Resource(sim, capacity=1)
         spans = []
-
-        def worker(i):
-            yield cpu.acquire()
-            start = sim.now
-            yield sim.timeout(1.0)
-            cpu.release()
-            spans.append((i, start, sim.now))
-
         for i in range(3):
-            sim.process(worker(i))
+            cpu.hold(1.0, lambda hold: spans.append((hold.msg, sim.now - 1.0, sim.now)), i)
         sim.run()
         assert spans == [(0, 0.0, 1.0), (1, 1.0, 2.0), (2, 2.0, 3.0)]
 
     def test_capacity_two_allows_overlap(self):
         sim = Simulator()
         res = Resource(sim, capacity=2)
-        spans = []
-
-        def worker(i):
-            yield res.acquire()
-            start = sim.now
-            yield sim.timeout(1.0)
-            res.release()
-            spans.append((i, start))
-
-        for i in range(4):
-            sim.process(worker(i))
+        ends = []
+        for _ in range(4):
+            res.hold(1.0, lambda hold: ends.append(sim.now))
         sim.run()
-        starts = [s for _, s in spans]
-        assert starts == [0.0, 0.0, 1.0, 1.0]
+        assert ends == [1.0, 1.0, 2.0, 2.0]
 
     def test_release_without_acquire_raises(self):
         sim = Simulator()
         res = Resource(sim)
         with pytest.raises(RuntimeError):
             res.release()
-
-    def test_kill_inside_the_grant_window_returns_the_unit(self):
-        """Granted, resume not yet run: the generator is closed at the
-        ``yield`` *before* its ``try``, so only the waitable can know."""
-        sim = Simulator()
-        cpu = Resource(sim)
-
-        def worker():
-            yield cpu.acquire()
-            try:
-                yield sim.timeout(1.0)
-            finally:
-                cpu.release()
-
-        first = sim.process(worker())
-        sim.step()  # first step: acquire subscribed, unit granted
-        assert cpu.in_use == 1
-        first.kill()
-        assert cpu.in_use == 0
-        second = sim.process(worker())
-        sim.run()
-        assert not second.alive and sim.now == 1.0 and cpu.in_use == 0
 
     def test_hold_is_one_event_and_has_no_grant_window(self):
         sim = Simulator()
@@ -200,40 +147,25 @@ class TestResource:
         assert sim.events_executed == 1 and sim.now == 2.0 and cpu.in_use == 0
 
 
-#: One use of the resource: (arrival slot, duration, callback form?,
-#: slots until cancelled or None).  Use ``i`` arrives ``i/64`` into its
-#: slot (a process reaches the queue one event after it is spawned, so
-#: same-instant arrivals of the two forms have no common order to test),
-#: durations are whole numbers and cancellations fall on the halves, so no
-#: cancellation ties with a grant either.
-USE = st.tuples(st.integers(0, 6), st.integers(0, 3), st.booleans(),
-                st.none() | st.integers(0, 8))
+#: One use of the resource: (arrival slot, duration, slots until cancelled
+#: or None).  Use ``i`` arrives ``i/64`` into its slot, durations are whole
+#: numbers and cancellations fall on the halves, so no two of arrival,
+#: grant and cancellation coincide.
+USE = st.tuples(st.integers(0, 6), st.integers(0, 3), st.none() | st.integers(0, 8))
 
 
-def _run_uses(uses, capacity, all_generators):
-    """Run ``uses``; returns ({use: end time}, resource) with the
+def _run_uses(uses, capacity):
+    """Run ``uses`` as holds; returns ({use: end time}, resource) with the
     uncancelled (or cancelled too late) uses' completion times."""
     sim = Simulator()
     res = Resource(sim, capacity=capacity)
     ends = {}
 
-    def worker(i, duration):
-        yield res.acquire()
-        try:
-            yield sim.timeout(float(duration))
-        finally:
-            res.release()
-        ends[i] = sim.now
-
-    def arrive(i, duration, as_hold, cancel_after):
-        if as_hold and not all_generators:
-            hold = res.hold(float(duration),
-                            lambda hold: ends.__setitem__(hold.msg, sim.now), i)
-            cancel = hold.cancel
-        else:
-            cancel = sim.process(worker(i, duration), name=f"w{i}").kill
+    def arrive(i, duration, cancel_after):
+        hold = res.hold(float(duration),
+                        lambda hold: ends.__setitem__(hold.msg, sim.now), i)
         if cancel_after is not None:
-            sim.schedule(cancel_after + 0.5, cancel)
+            sim.schedule(cancel_after + 0.5, hold.cancel)
 
     for i, (slot, *use) in enumerate(uses):
         sim.at(slot + i / 64, lambda i=i, use=use: arrive(i, *use))
@@ -241,21 +173,35 @@ def _run_uses(uses, capacity, all_generators):
     return ends, res
 
 
+def _fifo_model(uses, capacity):
+    """The same program's completion times, worked out by hand: uses start
+    in arrival order, each at ``max(arrival, earliest unit free)``; one
+    cancelled while queued never starts, one cancelled in service gives
+    its unit back then and never ends."""
+    free = [0.0] * capacity  # a heap of the times the units come free
+    ends = {}
+    for i in sorted(range(len(uses)), key=lambda i: (uses[i][0], i)):
+        slot, duration, cancel_after = uses[i]
+        arrival = slot + i / 64
+        cancel = math.inf if cancel_after is None else arrival + (cancel_after + 0.5)
+        start = max(arrival, free[0])
+        if cancel < start:
+            continue
+        end = start + float(duration)
+        heapq.heapreplace(free, min(end, cancel))
+        if end < cancel:
+            ends[i] = end
+    return ends
+
+
 @settings(max_examples=300, deadline=None)
 @given(uses=st.lists(USE, max_size=12), capacity=st.sampled_from([1, 2]))
-def test_holds_and_acquirers_share_one_fifo_on_generated_programs(uses, capacity):
-    """Callback holds mixed with generator acquirers, cancelled while
-    queued, in service and after completion: every use completes when it
-    does in the all-generator run of the same program (``kill`` standing
-    for ``cancel``), service starts in arrival order, nothing leaks."""
-    mixed, res = _run_uses(uses, capacity, all_generators=False)
-    reference, ref_res = _run_uses(uses, capacity, all_generators=True)
-    assert mixed == reference
-    assert res.in_use == ref_res.in_use == 0
-    assert not res._queue and not ref_res._queue
-    arrival_order = sorted(mixed, key=lambda i: (uses[i][0], i))
-    starts = [mixed[i] - uses[i][1] for i in arrival_order]
-    assert starts == sorted(starts)
+def test_holds_share_one_fifo_on_generated_programs(uses, capacity):
+    """Holds cancelled while queued, in service and after completion: every
+    use completes when the FIFO model says, and nothing leaks."""
+    ends, res = _run_uses(uses, capacity)
+    assert ends == _fifo_model(uses, capacity)
+    assert res.in_use == 0 and not res._queue
 
 
 class TestTracer:

@@ -280,39 +280,6 @@ class TestProcesses:
         with pytest.raises(SimulationError):
             sim.run()
 
-    def test_interrupt_wakes_blocked_process(self):
-        from repro.errors import InterruptedError_
-
-        sim = Simulator()
-        events = []
-
-        def sleeper():
-            try:
-                yield sim.timeout(100.0)
-                events.append("slept")
-            except InterruptedError_ as err:
-                events.append(("interrupted", sim.now, err.cause))
-
-        proc = sim.process(sleeper(), name="sleeper")
-
-        def interrupter():
-            yield sim.timeout(3.0)
-            proc.interrupt("wake up")
-
-        sim.process(interrupter(), name="int")
-        sim.run()
-        assert events == [("interrupted", 3.0, "wake up")]
-
-    def test_interrupt_dead_process_is_noop(self):
-        sim = Simulator()
-
-        def quick():
-            yield sim.timeout(0.1)
-
-        proc = sim.process(quick())
-        sim.run()
-        proc.interrupt("late")  # no exception
-
     def test_deadlock_detection(self):
         sim = Simulator()
 
