@@ -233,13 +233,14 @@ class PerfParams:
     bitwise invisible to every modelled output (``tests/golden.py``).
     """
 
-    #: Synchronize through a ``barrier_radix``-ary combining tree over pids
-    #: (children of position i are k·i+1 … k·i+k; the master is the root)
-    #: instead of the paper's flat all-to-one fold at the master.  Interior
-    #: processes fold their subtree's write notices (run-batched, deduped)
-    #: before forwarding one combined arrival upward, and releases fan back
-    #: down the same tree, so the master's link carries O(radix) instead of
-    #: O(N) payloads per barrier.  See docs/PROTOCOL.md §11.
+    #: Give the synchronization tree ``barrier_radix`` children per node
+    #: (children of pid i are k·i+1 … k·i+k; the master is the root).
+    #: Off, the radix is the team size: one level, the master folds every
+    #: arrival — the paper's flat all-to-one fold.  Deeper, interior
+    #: processes fold their subtree's write notices before forwarding one
+    #: combined arrival upward, and releases fan back down the same tree,
+    #: so the master's link carries O(radix) instead of O(N) payloads per
+    #: barrier.  See docs/PROTOCOL.md §11.
     barrier_tree: bool = False
 
     #: Fan-out of the combining tree (tree height is ⌈log_k N⌉).

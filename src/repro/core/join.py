@@ -54,39 +54,22 @@ def connection_setup(runtime, req: JoinRequest) -> Generator:
     sim.tracer.emit("adapt", "join_ready", f"node{req.node_id}")
 
 
-def ship_page_map(runtime, joiner) -> None:
-    """Send the joiner the page-location map (one message, §4.1)."""
-    master = runtime.master
-    npages = runtime.space.total_pages
-    size = npages * runtime.cfg.dsm.page_descriptor_bytes
-    owners = {
-        page: master.owner_of(page) for page in range(npages)
-    }
-    master.send(mk.PAGE_MAP, joiner.pid, {"owners": owners}, size=size)
-    obs = runtime.sim.obs
-    if obs.enabled:
-        obs.count("adapt.page_map_messages")
-        obs.count("adapt.page_map_bytes", size)
-
-
 def ship_page_maps(runtime, joiners) -> None:
-    """Ship page-location maps to every joiner of this adaptation round.
+    """Ship the page-location map to every joiner of this adaptation round.
 
-    Flat mode (and the single-joiner case, where the direct message is
-    already the cheapest route) sends one PAGE_MAP per joiner from the
-    master, exactly as before.  With the combining tree enabled
-    (PROTOCOL.md §11) and several joiners absorbed at once, the master
-    instead sends one map per tree-child subtree containing joiners; each
-    relay hop forwards it toward the remaining ``targets``
-    (``DsmProcess.relay_page_map``), so the master's link
-    carries at most ``radix`` map payloads however many processes join.
+    A lone joiner gets it straight from the master — already the
+    cheapest route, the paper's one message (§4.1).  Several are reached
+    through the synchronization tree (PROTOCOL.md §11): the master sends
+    one map per child subtree holding joiners and each relay hop forwards
+    it toward the remaining ``targets`` (``DsmProcess.relay_page_map``),
+    so the master's link carries at most ``radix`` map payloads however
+    many processes join.  With one level that is one map per joiner.
     """
-    master = runtime.master
-    if master.tree_barrier is None or len(joiners) <= 1:
-        for joiner in joiners:
-            ship_page_map(runtime, joiner)
+    if not joiners:
         return
+    master = runtime.master
     owners = {
         page: master.owner_of(page) for page in range(runtime.space.total_pages)
     }
-    master.relay_page_map(owners, sorted(j.pid for j in joiners))
+    targets = sorted(j.pid for j in joiners)
+    master.relay_page_map(owners, targets, direct=len(targets) == 1)

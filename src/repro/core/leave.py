@@ -36,19 +36,12 @@ def absorb_leaver_pages(runtime, leaver) -> Generator:
         master.owners[page] = master.pid
         if page in master.table:
             master.table.owner[page] = master.pid
-    targets = sorted(
+    targets = [
         pid for pid in runtime.team.pids if pid not in (master.pid, leaver.pid)
-    )
-    size = len(owned) * runtime.cfg.dsm.page_descriptor_bytes
+    ]
     if owned and targets:
-        if master.tree_barrier is not None and len(targets) > 1:
-            # Tree-shaped drain broadcast: the master's hop of the relay
-            # every target then continues.  Flat/star configurations take
-            # the branch below, which is the seed's exact message pattern.
-            master.relay_owner_update({"pages": list(owned), "targets": targets})
-        else:
-            master.send_fanout([
-                (mk.OWNER_UPDATE, pid, {"pages": list(owned)}, max(size, 8))
-                for pid in targets
-            ])
+        # The master's hop of the drain broadcast; every target relays it
+        # on through the synchronization tree (one level: none does).
+        master.relay_owner_update({"pages": list(owned), "targets": targets,
+                                   "radix": master.tree_barrier.radix})
     return len(to_fetch), len(owned)

@@ -270,9 +270,7 @@ class AdaptiveRuntime(TmkRuntime):
 
     def _rebuild_after_crash(self, new_node_ids: List[int]) -> None:
         """Fresh team, fresh DSM engines — shared address space retained."""
-        from ..dsm.barrier import BarrierManager
         from ..dsm.locks import LockManager
-        from ..dsm.vectorclock import VectorClock
 
         self.team.set_mapping(dict(enumerate(new_node_ids)))
         self.nodes = [self._find_node(nid) for nid in new_node_ids]
@@ -291,12 +289,8 @@ class AdaptiveRuntime(TmkRuntime):
             proc.start_server()
             self.procs[pid] = proc
         self.master = self.procs[self.team.MASTER_PID]
-        self.master.barrier_mgr = BarrierManager(self.master)
         self.master.lock_mgr = LockManager(self.master)
         self.master_ctx = RegionCtx(self, self.master)
-        self.slave_vcs = {
-            pid: VectorClock.zeros(self.team.nprocs) for pid in self.team.slave_pids
-        }
         self._frozen = None
 
     def _finish_recovery(self) -> None:
@@ -543,12 +537,6 @@ class AdaptiveRuntime(TmkRuntime):
         ship_page_maps(self, [self.procs[p] for p in joiner_pids])
         for new_pid in joiner_pids:
             self._start_slave(self.procs[new_pid])
-
-        from ..dsm.vectorclock import VectorClock
-
-        self.slave_vcs = {
-            pid: VectorClock.zeros(self.team.nprocs) for pid in self.team.slave_pids
-        }
 
     # ------------------------------------------------------------------
     # results

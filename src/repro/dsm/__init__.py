@@ -5,7 +5,7 @@ The protocol engine (:class:`DsmProcess`), fork/join runtime
 garbage collection, and shared-array handles.
 """
 
-from .barrier import BarrierManager
+from .barrier import TreeBarrier
 from .diffs import apply_diffs_in_order, changed_ranges, make_diff
 from .gc import gc_new_owners
 from .intervals import (
@@ -25,14 +25,12 @@ from .sc import ScProcess, ScRuntime
 from .sharedarray import SharedArray
 from .statistics import DsmStats, TeamStats
 from .team import TeamView
-from .treebarrier import TreeBarrier
 from .vectorclock import VectorClock
 
 __all__ = [
     "TreeBarrier",
     "AccessMode",
     "AddressSpace",
-    "BarrierManager",
     "Diff",
     "DsmProcess",
     "DsmStats",

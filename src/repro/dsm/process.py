@@ -29,6 +29,7 @@ from ..errors import DsmError, NetworkError, ProtocolError
 from ..network import message as mk
 from ..network.message import Message
 from ..simcore import Channel, Hold, Signal, Simulator
+from .barrier import TreeBarrier, in_subtree, tree_children
 from .diffs import apply_diffs_in_order, make_diff
 from .gc import gc_new_owners
 from .intervals import Diff, IntervalLog, IntervalNotice, IntervalRecord, NoticeBatch
@@ -54,7 +55,6 @@ MAIN_KINDS = frozenset(
         mk.FORK,
         mk.STOP,
         mk.BARRIER_RELEASE,
-        mk.BARRIER_TREE_RELEASE,
         mk.GC_GO,
         mk.GC_REQ,
         mk.LOCK_GRANT,
@@ -176,18 +176,13 @@ class DsmProcess:
 
         #: Control messages for the main coroutine (fork, release, grants...).
         self.main_inbox = Channel(sim, name=f"{self.name}.main")
-        #: Master-side collectors.
+        #: Collectors of our tree children's arrivals, joins and GC reports.
+        self.arrive_store = Channel(sim, name=f"{self.name}.arrivals")
         self.join_store = Channel(sim, name=f"{self.name}.joins")
         self.gc_done_store = Channel(sim, name=f"{self.name}.gcdone")
-        self.barrier_mgr = None  # set for the master by the runtime
         self.lock_mgr = None  # set for the master by the runtime
-        #: Combining-tree barrier engine (PerfParams.barrier_tree, §11);
-        #: None runs the paper's flat all-to-one barrier.
-        self.tree_barrier = None
-        if cfg.perf.barrier_tree:
-            from .treebarrier import TreeBarrier
-
-            self.tree_barrier = TreeBarrier(self)
+        #: The synchronization engine: barrier, fork, join, GC rounds (§11).
+        self.tree_barrier = TreeBarrier(self)
         #: Per-process distributed lock state: lock id -> dict.
         self._lock_state: Dict[int, Dict[str, Any]] = {}
         #: Set by the runtime: a generator-returning callable that blocks
@@ -380,9 +375,7 @@ class DsmProcess:
             if kind in MAIN_KINDS:
                 self.main_inbox.put(msg)
             elif kind == mk.BARRIER_ARRIVE:
-                self.barrier_mgr.on_arrive(msg)
-            elif kind == mk.BARRIER_TREE_ARRIVE:
-                self.tree_barrier.on_arrive(msg)
+                self.arrive_store.put(msg)
             elif kind == mk.JOIN_DONE:
                 self.join_store.put(msg)
             elif kind == mk.GC_DONE:
@@ -476,31 +469,34 @@ class DsmProcess:
     def _on_page_map(self, msg: Message) -> None:
         """The page-location map shipped to a joiner at absorption."""
         payload = msg.payload
-        targets = payload.get("targets")
-        if targets is None or self.pid in targets:
+        targets = payload["targets"]
+        if self.pid in targets:
             self.owners = dict(payload["owners"])
             self.sim.tracer.emit(
                 "adapt", "page_map", f"{self.name} {len(self.owners)} pages"
             )
-        if targets is not None:
-            self.relay_page_map(payload["owners"], targets)
+        self.relay_page_map(payload["owners"], targets)
 
-    def relay_page_map(self, owners: Dict[int, int], targets: List[int]) -> None:
-        """One hop of a tree-relayed page map (PROTOCOL.md §11), the
-        master's included: one copy to each tree child whose subtree
-        contains ``targets``."""
-        from .treebarrier import subtree_pids, tree_children
-
-        pids = self.team.pids
-        radix = self.cfg.perf.barrier_radix
+    def relay_page_map(self, owners: Dict[int, int], targets: List[int],
+                       direct: bool = False) -> None:
+        """One hop of the page-map relay (PROTOCOL.md §11), the master's
+        included: one copy to each tree child whose subtree holds some of
+        ``targets`` — or, ``direct``, one copy straight to each target."""
+        tree = self.tree_barrier
         size = len(owners) * self.cfg.dsm.page_descriptor_bytes
-        legs = []
-        for cpid in tree_children(pids, pids.index(self.pid), radix):
-            sub = set(subtree_pids(pids, pids.index(cpid), radix))
-            hit = [t for t in targets if t in sub]
-            if hit:
-                legs.append(
-                    (mk.PAGE_MAP, cpid, {"owners": owners, "targets": hit}, size))
+        if direct:
+            routes = [(t, [t]) for t in targets]
+        else:
+            routes = [
+                (cpid, [t for t in targets if in_subtree(t, cpid, tree.radix)])
+                for cpid in tree.children
+            ]
+        legs = [
+            (mk.PAGE_MAP, cpid, {"owners": owners, "targets": hit}, size)
+            for cpid, hit in routes if hit
+        ]
+        if not legs:
+            return
         self.send_fanout(legs)
         obs = self.sim.obs
         if obs.enabled:
@@ -516,30 +512,31 @@ class DsmProcess:
             self.owners[page] = TeamView.MASTER_PID
             if mapped[page]:
                 owner[page] = TeamView.MASTER_PID
-        if payload.get("targets"):
-            self.relay_owner_update(payload)
+        self.relay_owner_update(payload)
 
     def relay_owner_update(self, payload: Dict[str, Any]) -> None:
-        """One hop of the tree-relayed drain broadcast (PROTOCOL.md §13),
-        the master's included: one copy to each of our children in the
-        heap layout over ``[master] + targets``.  The layout comes from the
-        payload, so it never includes (or routes through) the leaver; every
-        relay node is itself a target and has installed the update."""
-        from .treebarrier import tree_children
-
-        relay = [TeamView.MASTER_PID] + list(payload["targets"])
+        """One hop of the drain broadcast (PROTOCOL.md §13), the master's
+        included: one copy to each of our children in the heap layout over
+        ``[master] + targets`` with the master's ``radix`` at the drain.
+        The layout comes from the payload, so it never includes (or routes
+        through) the leaver and a team rebuilt meanwhile does not reshape
+        it; every relay node is itself a target and has installed the
+        update."""
+        relay = [TeamView.MASTER_PID] + payload["targets"]
+        children = tree_children(relay, relay.index(self.pid), payload["radix"])
+        if not children:
+            return
         size = len(payload["pages"]) * self.cfg.dsm.page_descriptor_bytes
         # The drain's rebuild may renumber the team while a hop is in
         # flight; pids that no longer exist are dropped here — the same
-        # best-effort contract flat mode gets from the NIC's dst_pid check.
-        # (A reused pid still receives the update, which is harmless: "the
-        # master owns these pages" is globally true post-drain.)
-        alive = set(self.team.pids)
+        # best-effort contract the NIC's dst_pid check gives the master's
+        # own hop.  (A reused pid still receives the update, which is
+        # harmless: "the master owns these pages" is globally true
+        # post-drain.)
+        nprocs = self.team.nprocs
         self.send_fanout([
             (mk.OWNER_UPDATE, cpid, payload, max(size, 8))
-            for cpid in tree_children(
-                relay, relay.index(self.pid), self.cfg.perf.barrier_radix)
-            if cpid in alive
+            for cpid in children if cpid < nprocs
         ])
 
     def _check_servable(self, page: int) -> None:
@@ -1096,36 +1093,13 @@ class DsmProcess:
         return pruned
 
     # ------------------------------------------------------------------
-    # barrier (client side; the manager lives on the master)
+    # barrier (the fold itself is the synchronization engine's)
     # ------------------------------------------------------------------
     def barrier(self) -> Generator:
         """TreadMarks barrier with write-notice exchange."""
         t0 = self.sim.now
-        if self.tree_barrier is not None:
-            self.stats.barriers += 1
-            yield from self.tree_barrier.barrier()
-            self.stats.barrier_wait_time += self.sim.now - t0
-            obs = self.sim.obs
-            if obs.enabled and obs.per_process:
-                obs.span(
-                    f"P{self.pid}", "barrier.wait", t0, self.sim.now,
-                    category="dsm",
-                )
-            return
-        notices = self.sync_notices()
         self.stats.barriers += 1
-        if self.is_master:
-            done = self.barrier_mgr.arrive_local(self, notices, self.wants_gc)
-            yield done
-        else:
-            self.send(*self.notice_leg(
-                mk.BARRIER_ARRIVE, TeamView.MASTER_PID, notices,
-                {"pid": self.pid, "want_gc": self.wants_gc},
-            ))
-            msg = yield self.main_inbox.recv(match=lambda m: m.kind == mk.BARRIER_RELEASE)
-            self.apply_notices(msg.payload["notices"], msg.payload["vc"])
-            if msg.payload["gc"]:
-                yield from self.gc_participate()
+        yield from self.tree_barrier.barrier()
         self.stats.barrier_wait_time += self.sim.now - t0
         obs = self.sim.obs
         if obs.enabled and obs.per_process:
@@ -1173,32 +1147,10 @@ class DsmProcess:
         self._lock_state.clear()
         if self.lock_mgr is not None:
             self.lock_mgr.reset()
-        if self.tree_barrier is not None:
-            # Subtree knowledge floors are per-epoch (clocks reset).
-            self.tree_barrier.reset()
+        # Subtree knowledge floors are per-epoch (clocks reset).
+        self.tree_barrier.reset()
         self.stats.gcs += 1
         self.sim.tracer.emit("dsm", "gc", f"{self.name} epoch={self.epoch}")
-
-    def gc_participate(self, ack: bool = False) -> Generator:
-        """Slave-side GC phase: flush, report done, await go, reset.
-
-        With ``ack`` (fork-point GC), a second GC_DONE confirms the reset —
-        the master must not rebuild the team while a slave still holds the
-        old epoch's state.
-        """
-        yield from self.gc_flush()
-        self.send(
-            mk.GC_DONE, TeamView.MASTER_PID, {"pid": self.pid, "phase": "flush"}, size=8
-        )
-        yield self.main_inbox.recv(match=lambda m: m.kind == mk.GC_GO)
-        self.gc_reset()
-        if ack:
-            self.send(
-                mk.GC_DONE,
-                TeamView.MASTER_PID,
-                {"pid": self.pid, "phase": "reset"},
-                size=8,
-            )
 
     # ------------------------------------------------------------------
     # locks (distributed queue, master as manager)
@@ -1342,14 +1294,15 @@ class DsmProcess:
         self.table.remap_owners(owner_remap, TeamView.MASTER_PID)
         self.table.applied.clear()  # keyed by the old pids
         self.table.proc_name = self.name
-        if self.tree_barrier is not None:
-            # Pids were renumbered; the tree is rebuilt from the new team.
-            self.tree_barrier.reset()
+        # Pids were renumbered; the tree is rebuilt from the new team.
+        self.tree_barrier.reset()
 
     def terminate(self) -> None:
-        """Tear down after leaving the computation."""
+        """Tear down after leaving the computation.  The engines that point
+        back at this process are dropped, as in :meth:`fail_stop`."""
         self._stop_taking()
         self.node.remove_process()
+        self.lock_mgr = self.tree_barrier = None
 
     def fail_stop(self) -> None:
         """Die with the node: nothing more is taken, and every request
@@ -1357,7 +1310,7 @@ class DsmProcess:
         issue order (the CPU goes to whoever else queues on the node).
 
         The node's own crash already zeroed its resident-process count, so
-        no node bookkeeping happens here.  The barrier and lock engines,
+        no node bookkeeping happens here.  The synchronization and lock engines,
         which point back at this process, are dropped: nothing reads them
         once the coroutines are dead, and a discarded engine is then freed
         by reference count rather than left as a cycle (§10).
@@ -1366,7 +1319,7 @@ class DsmProcess:
         holds, self._holds = self._holds, {}
         for hold in holds:
             hold.cancel()
-        self.barrier_mgr = self.lock_mgr = self.tree_barrier = None
+        self.lock_mgr = self.tree_barrier = None
 
     def halt(self) -> None:
         """Stop serving (recovery teardown of a *surviving* process).

@@ -21,20 +21,17 @@ from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 import numpy as np
 
 from ..config import SystemConfig
-from ..errors import DsmError, ProtocolError
+from ..errors import DsmError
 from ..network import message as mk
 from ..obs.breakdown import CostBreakdown
 from ..obs.core import TRACK_MASTER
 from ..simcore import Simulator
-from .barrier import BarrierManager
 from .locks import LockManager
 from .memory import AddressSpace, SharedSegment
 from .page import Protocol
 from .process import DsmProcess
 from .statistics import DsmStats
 from .team import TeamView
-from .treebarrier import fold_batches, tree_children, tree_parent, vc_min
-from .vectorclock import VectorClock
 
 #: A parallel-region body: ``region(ctx, pid, nprocs, args) -> generator``.
 RegionFn = Callable[["RegionCtx", int, int, Any], Generator]
@@ -209,7 +206,6 @@ class TmkRuntime:
             )
             self.procs[pid] = proc
         self.master = self.procs[TeamView.MASTER_PID]
-        self.master.barrier_mgr = BarrierManager(self.master)
         self.master.lock_mgr = LockManager(self.master)
         # The base runtime's stall_check is a no-op; installing it as a
         # per-page-fault hook would only create and discard an empty
@@ -222,9 +218,6 @@ class TmkRuntime:
             proc.peers_hook = self._live_procs
             proc.start_server()
         self.master_ctx = RegionCtx(self, self.master)
-        self.slave_vcs: Dict[int, VectorClock] = {
-            pid: VectorClock.zeros(self.team.nprocs) for pid in self.team.slave_pids
-        }
         self.fork_seq = 0
         self.program: Optional[TmkProgram] = None
         #: Set when the master driver completes; long-running daemons
@@ -342,96 +335,16 @@ class TmkRuntime:
                         node.withdraw()
                 break
             if msg.kind == mk.GC_REQ:
-                if proc.tree_barrier is not None:
-                    # Tree-relayed fork-point GC: forward to our subtree,
-                    # aggregate both done rounds one hop at a time (§11).
-                    yield from proc.tree_barrier.gc_fork_point_participate(
-                        msg.payload
-                    )
-                else:
-                    proc.apply_notices(msg.payload["notices"], msg.payload["vc"])
-                    yield from proc.gc_participate(ack=True)
+                yield from proc.tree_barrier.fork_point_gc(msg.payload)
                 continue
             payload = msg.payload
             proc.apply_notices(payload["notices"], payload["vc"])
-            tb = proc.tree_barrier
-            children: List[int] = []
-            if tb is not None:
-                # Relay the fork down our subtree before running the
-                # region, so the whole tree starts in parallel.  Each
-                # child gets the notices its subtree's knowledge floor is
-                # missing — a superset of what the flat master would have
-                # sent each member; receivers dedupe.
-                pids = self.team.pids
-                children = tree_children(pids, pids.index(proc.pid), tb.radix)
-                fork = {k: payload[k] for k in ("phase", "args", "fork_seq", "nprocs")}
-                proc.send_fanout(self._fork_legs(proc, children, tb.child_vc, fork))
+            # Relay the fork down our subtree before running the region,
+            # so the whole tree starts in parallel.
+            proc.tree_barrier.fork(payload)
             region = self.program.phase(payload["phase"])
             yield from region(ctx, proc.pid, payload["nprocs"], payload["args"])
-            notices = proc.sync_notices()
-            if tb is not None:
-                # Combine our subtree's joins into one upward JOIN_DONE:
-                # own arrival clock is the floor for ourselves, children
-                # report their subtrees' floors; notices fold run-batched.
-                own_vc = proc.vc.snapshot()
-                min_vc = own_vc
-                arrivals: Dict[int, dict] = {}
-                for _ in children:
-                    m2 = yield proc.join_store.recv()
-                    arrivals[m2.payload["pid"]] = m2.payload
-                batched = fold_batches(
-                    arrivals[cpid]["notices"] for cpid in sorted(arrivals)
-                )
-                if batched:
-                    proc.apply_notices(batched, proc.vc.snapshot())
-                obs = self.sim.obs
-                if obs.enabled and children:
-                    obs.count("barrier.tree.folds")
-                    obs.count("barrier.tree.notices_folded", len(batched))
-                want_gc = proc.wants_gc
-                for cpid in sorted(arrivals):
-                    p = arrivals[cpid]
-                    proc.vc.merge(p["vc"])
-                    tb.child_join_vcs[cpid] = p["min_vc"]
-                    min_vc = vc_min(min_vc, p["min_vc"])
-                    want_gc = want_gc or p["want_gc"]
-                upward = fold_batches(
-                    [notices]
-                    + [arrivals[cpid]["notices"] for cpid in sorted(arrivals)]
-                )
-                pids = self.team.pids
-                proc.send(*proc.notice_leg(
-                    mk.JOIN_DONE,
-                    tree_parent(pids, pids.index(proc.pid), tb.radix),
-                    upward,
-                    {"pid": proc.pid, "min_vc": min_vc, "want_gc": want_gc},
-                    extra_bytes=proc.vc_wire_bytes + 8,
-                ))
-                continue
-            proc.send(*proc.notice_leg(
-                mk.JOIN_DONE, TeamView.MASTER_PID, notices,
-                {"pid": proc.pid, "want_gc": proc.wants_gc},
-            ))
-
-    def _sync_targets(self):
-        """Whom the master synchronizes with directly, and the clock each
-        target is known to cover: its tree children and their subtrees'
-        knowledge floors, or (flat) every slave and its last join clock."""
-        tb = self.master.tree_barrier
-        if tb is not None:
-            return tree_children(self.team.pids, 0, tb.radix), tb.child_vc
-        return self.team.slave_pids, self.slave_vcs.__getitem__
-
-    @staticmethod
-    def _fork_legs(proc: DsmProcess, targets, known_vc, fork: dict) -> list:
-        """One FORK leg per target, carrying what its clock does not cover."""
-        return [
-            proc.notice_leg(
-                mk.FORK, pid, proc.notices_unknown_to(known_vc(pid)), fork,
-                extra_bytes=8 * fork["nprocs"] + 16,
-            )
-            for pid in targets
-        ]
+            yield from proc.tree_barrier.join()
 
     def _fork_join(self, phase_name: str, args: Any) -> Generator:
         """One parallel construct: adaptation point, fork, region, join."""
@@ -445,51 +358,17 @@ class TmkRuntime:
         obs = self.sim.obs
         fork_t0 = self.sim.now
         self.sim.tracer.emit("tmk", "fork", f"#{self.fork_seq} {phase_name}")
-        tb = master.tree_barrier
-        # With the tree the master only talks to its tree children; each
-        # child re-forks its own subtree (see _slave_main).  A child's
-        # payload carries what its subtree's knowledge floor is missing —
-        # a superset of each member's need; receivers dedupe.
-        targets, known_vc = self._sync_targets()
-        master.send_fanout(self._fork_legs(master, targets, known_vc, {
+        # The master forks its tree children (every slave, with one level);
+        # each child re-forks its own subtree (see _slave_main).
+        master.tree_barrier.fork({
             "phase": phase_name,
             "args": args,
             "fork_seq": self.fork_seq,
             "nprocs": self.team.nprocs,
-        }))
+        })
         region = self.program.phase(phase_name)
         yield from region(self.master_ctx, master.pid, self.team.nprocs, args)
-        master.close_interval()
-        want_gc = master.wants_gc
-        if tb is not None:
-            # Tree join: one combined JOIN_DONE per tree child, folded with
-            # a single run-batched ingestion (the flat fold's run sequence;
-            # see treebarrier.writer_sorted).
-            arrivals: Dict[int, dict] = {}
-            for _ in targets:
-                msg = yield master.join_store.recv()
-                arrivals[msg.payload["pid"]] = msg.payload
-            batched = fold_batches(
-                arrivals[cpid]["notices"] for cpid in sorted(arrivals)
-            )
-            if batched:
-                master.apply_notices(batched, master.vc.snapshot())
-            for cpid in sorted(arrivals):
-                p = arrivals[cpid]
-                master.vc.merge(p["vc"])
-                tb.child_join_vcs[cpid] = p["min_vc"]
-                want_gc = want_gc or p["want_gc"]
-            if obs.enabled and targets:
-                obs.count("barrier.tree.rounds")
-                obs.count("barrier.tree.folds")
-                obs.count("barrier.tree.notices_folded", len(batched))
-        else:
-            for _ in targets:
-                msg = yield master.join_store.recv()
-                p = msg.payload
-                master.apply_notices(p["notices"], p["vc"])
-                self.slave_vcs[p["pid"]] = p["vc"]  # frozen snapshot; no copy needed
-                want_gc = want_gc or p["want_gc"]
+        want_gc = yield from master.tree_barrier.join()
         self.sim.tracer.emit("tmk", "join", f"#{self.fork_seq} {phase_name}")
         if obs.enabled:
             obs.span(
@@ -505,34 +384,16 @@ class TmkRuntime:
             yield from self.gc_at_fork_point()
 
     def gc_at_fork_point(self) -> Generator:
-        """Master-coordinated GC while all slaves are in Tmk_wait."""
-        master = self.master
+        """Master-coordinated GC while all slaves are in Tmk_wait.
+
+        The request relays down the tree and both done rounds (flush,
+        reset) aggregate one hop at a time, so the master's link carries
+        radix control messages per phase.
+        """
         obs = self.sim.obs
         gc_t0 = self.sim.now
         self.sim.tracer.emit("dsm", "gc_start", f"fork#{self.fork_seq}")
-        # With the tree, the request relays down it and both done rounds
-        # (flush, reset) aggregate one hop at a time, so the master link
-        # carries radix control messages instead of N.
-        targets, known_vc = self._sync_targets()
-        master.send_fanout([
-            master.notice_leg(
-                mk.GC_REQ, pid, master.notices_unknown_to(known_vc(pid))
-            )
-            for pid in targets
-        ])
-        yield from master.gc_flush()
-        for _ in targets:
-            yield master.gc_done_store.recv()
-        master.send_fanout([(mk.GC_GO, pid, {}, 4) for pid in targets])
-        master.gc_reset()
-        # wait for every target (subtree) to confirm its reset before the
-        # caller may touch team-wide state (adaptation rebuilds the pid
-        # space next)
-        for _ in targets:
-            yield master.gc_done_store.recv()
-        self.slave_vcs = {
-            pid: VectorClock.zeros(self.team.nprocs) for pid in self.team.slave_pids
-        }
+        yield from self.master.tree_barrier.fork_point_gc()
         if obs.enabled:
             obs.span(
                 TRACK_MASTER,

@@ -29,13 +29,15 @@ class TeamView:
     def nprocs(self) -> int:
         return len(self._node_of)
 
+    # Pids are dense 0..n-1 (``set_mapping`` enforces it), so the pid
+    # sets are ranges.
     @property
-    def pids(self) -> List[int]:
-        return sorted(self._node_of)
+    def pids(self) -> range:
+        return range(len(self._node_of))
 
     @property
-    def slave_pids(self) -> List[int]:
-        return [p for p in sorted(self._node_of) if p != self.MASTER_PID]
+    def slave_pids(self) -> range:
+        return range(1, len(self._node_of))
 
     def node_of(self, pid: int) -> int:
         try:

@@ -34,10 +34,6 @@ LOCK_FORWARD = "lock_forward"
 LOCK_GRANT = "lock_grant"
 BARRIER_ARRIVE = "barrier_arrive"
 BARRIER_RELEASE = "barrier_release"
-# Tree-structured barrier (PerfParams.barrier_tree, PROTOCOL.md §11):
-# combined subtree arrival sent to the tree parent, release relayed down.
-BARRIER_TREE_ARRIVE = "barrier_tree_arrive"
-BARRIER_TREE_RELEASE = "barrier_tree_release"
 GC_REQ = "gc_req"
 GC_DONE = "gc_done"
 GC_GO = "gc_go"

@@ -83,7 +83,8 @@ class TestAdaptationChains:
         assert res.adaptations == 5
         assert len(checks) == rt.team.nprocs
         # pids dense, nodes unique
-        assert rt.team.pids == list(range(rt.team.nprocs))
+        assert sorted(rt.team.snapshot()) == list(range(rt.team.nprocs))
+        assert sorted(rt.procs) == list(rt.team.pids)
 
     def test_owner_maps_agree_after_chain(self):
         sim, rt, pool = build_adaptive(nprocs=4, extra_nodes=1)

@@ -1,44 +1,47 @@
-"""Unit-level tests for the barrier manager and error paths."""
+"""Unit-level tests for the synchronization engine's barrier (round
+counter, forced GC) and its error paths."""
 
 import pytest
 
-from repro.dsm import Protocol, SharedArray, TmkProgram
+from repro.config import PerfParams, SystemConfig
+from repro.dsm import SharedArray
 from repro.errors import SimulationError
+from repro.network import message as mk
 
 from ..helpers import build_system, run_phases
+
+
+def _stray_arrival(nprocs, sender, dst, cfg=None):
+    """Run one barrier in which ``sender`` first sends an extra arrival to
+    ``dst``; everyone else reaches the barrier much later."""
+    sim, rt, pool = build_system(nprocs=nprocs, cfg=cfg)
+
+    def region(ctx, pid, nprocs, args):
+        if pid == sender:
+            proc = ctx.proc
+            proc.send(*proc.notice_leg(
+                mk.BARRIER_ARRIVE, dst, proc.sync_notices(),
+                {"pid": pid, "want_gc": False},
+            ))
+        else:
+            yield from ctx.compute(1e-2)
+        yield from ctx.barrier()
+
+    run_phases(rt, {"r": region}, ["r"])
 
 
 class TestBarrierErrors:
     def test_double_arrival_detected(self):
         """A process arriving twice at one round is a protocol violation."""
-        sim, rt, pool = build_system(nprocs=2)
+        with pytest.raises(SimulationError, match="pid 1 arrived twice at barrier 0"):
+            _stray_arrival(nprocs=3, sender=1, dst=0)
 
-        def bad(ctx, pid, nprocs, args):
-            if pid == 0:
-                # feed a duplicate arrival directly into the manager
-                mgr = ctx.proc.barrier_mgr
-                done = mgr.arrive_local(ctx.proc, [], False)
-                with pytest.raises(Exception):
-                    mgr.arrive_local(ctx.proc, [], False)
-                # let the round finish for the slave's arrival
-            yield from ctx.barrier() if pid == 1 else ctx.compute(0)
-
-        # simpler: manager guards double arrival; verified via direct call
-        from repro.dsm.barrier import BarrierManager
-        from repro.errors import ProtocolError
-
-        master = rt.master
-        mgr = master.barrier_mgr
-        mgr.arrive_local(master, [], False)
-        with pytest.raises(ProtocolError):
-            mgr._record(master.pid, [], master.vc.copy(), False)
-
-    def test_arrive_local_requires_master(self):
-        from repro.errors import ProtocolError
-
-        sim, rt, pool = build_system(nprocs=2)
-        with pytest.raises(ProtocolError):
-            rt.master.barrier_mgr.arrive_local(rt.procs[1], [], False)
+    def test_arrival_at_a_non_parent_detected(self):
+        """An arrival reaches its tree parent only: pid 3's parent in a
+        radix-2 tree is pid 1, not the master."""
+        cfg = SystemConfig(perf=PerfParams(barrier_tree=True, barrier_radix=2))
+        with pytest.raises(SimulationError, match="pid 3 arrived at P0, not its parent"):
+            _stray_arrival(nprocs=4, sender=3, dst=0, cfg=cfg)
 
     def test_rounds_increment(self):
         sim, rt, pool = build_system(nprocs=3)
@@ -48,7 +51,7 @@ class TestBarrierErrors:
             yield from ctx.barrier()
 
         run_phases(rt, {"r": region}, ["r"])
-        assert rt.master.barrier_mgr.round == 2
+        assert [p.tree_barrier.round for p in rt.procs.values()] == [2, 2, 2]
 
     def test_forced_gc_flag_consumed(self):
         sim, rt, pool = build_system(nprocs=2)
@@ -62,9 +65,9 @@ class TestBarrierErrors:
             yield from ctx.barrier()
             yield from ctx.compute(1e-5)
 
-        rt.master.barrier_mgr.force_gc = True
+        rt.master.tree_barrier.force_gc = True
         run_phases(rt, {"r": region}, ["r"])
-        assert rt.master.barrier_mgr.force_gc is False
+        assert rt.master.tree_barrier.force_gc is False
         assert all(p.stats.gcs == 1 for p in rt.procs.values())
 
 

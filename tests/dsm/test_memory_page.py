@@ -212,8 +212,8 @@ class TestTeamView:
     def test_basic_mapping(self):
         team = TeamView([10, 11, 12])
         assert team.nprocs == 3
-        assert team.pids == [0, 1, 2]
-        assert team.slave_pids == [1, 2]
+        assert list(team.pids) == [0, 1, 2]
+        assert list(team.slave_pids) == [1, 2]
         assert team.node_of(1) == 11
         assert team.pid_of_node(12) == 2
         assert team.has_node(10) and not team.has_node(99)

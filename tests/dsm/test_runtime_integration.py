@@ -468,8 +468,8 @@ class TestRequestServer:
         p2.move_to_node(node)
         rt.team.move_pid(2, node.node_id)
         # addressed messages reach only their process, whatever the order
-        rt.master.send(mk.PAGE_MAP, 2, {"owners": {0: 2}})
-        rt.master.send(mk.PAGE_MAP, 1, {"owners": {0: 1}})
+        rt.master.send(mk.PAGE_MAP, 2, {"owners": {0: 2}, "targets": [2]})
+        rt.master.send(mk.PAGE_MAP, 1, {"owners": {0: 1}, "targets": [1]})
         sim.run()
         assert (p1.owners, p2.owners) == ({0: 1}, {0: 2})
         # unaddressed ones go to the front of the waiter order, which the

@@ -1,11 +1,13 @@
 """Combining-tree synchronization (PROTOCOL.md §11).
 
-Two layers of evidence that the tree is a pure *routing* change:
+Three layers of evidence that the tree is a pure *routing* change:
 
+* Flat is the one-level tree: every golden scenario kind run with a tree
+  whose radix covers the team reproduces the flat row's pinned digests.
 * A Hypothesis property over the pure fold algebra — for random team
   sizes, radices, notice-run lengths, and arrival orders, the notice
-  sequence the root ingests through the tree equals the flat manager's
-  batched fold sequence, writer for writer, notice for notice.
+  sequence the root ingests through the tree equals the one-level
+  tree's, writer for writer, notice for notice.
 * End-to-end runs — materialized programs produce the same shared memory
   with the tree on and off, GC rounds included, and tree runs are
   internally deterministic.
@@ -20,16 +22,17 @@ from hypothesis import given, settings, strategies as st
 from repro.api import AdaptEvent, run, spec_from_preset
 from repro.config import DsmParams, PerfParams, SystemConfig
 from repro.dsm import Protocol, SharedArray
-from repro.dsm.treebarrier import (
-    subtree_pids,
+from repro.dsm.barrier import (
+    children_of,
+    in_subtree,
+    parent_of,
     tree_children,
-    tree_parent,
     vc_min,
     writer_sorted,
 )
 from repro.dsm.vectorclock import VectorClock
 
-from ..golden import golden_row
+from ..golden import SCENARIOS, golden_row, pinned, run_scenario
 from ..helpers import build_system, run_phases
 
 
@@ -38,20 +41,33 @@ from ..helpers import build_system, run_phases
 # ---------------------------------------------------------------------------
 class TestTreeLayout:
     def test_children_and_parent_agree(self):
-        pids = list(range(13))
-        for radix in (2, 3, 4):
-            for pos, pid in enumerate(pids):
-                for child in tree_children(pids, pos, radix):
-                    cpos = pids.index(child)
-                    assert tree_parent(pids, cpos, radix) == pid
+        n = 13
+        for radix in (2, 3, 4, n):
+            children = [c for pid in range(n) for c in children_of(pid, n, radix)]
+            assert sorted(children) == list(range(1, n))
+            for pid in range(n):
+                for child in children_of(pid, n, radix):
+                    assert parent_of(child, radix) == pid
+                    assert tree_children(list(range(n)), pid, radix) == list(
+                        children_of(pid, n, radix))
 
     def test_subtrees_partition_the_team(self):
-        pids = list(range(17))
+        n = 17
         for radix in (2, 3, 5):
-            covered = [0]
-            for child in tree_children(pids, 0, radix):
-                covered += subtree_pids(pids, pids.index(child), radix)
-            assert sorted(covered) == pids
+            for pid in range(1, n):
+                homes = [c for c in children_of(0, n, radix)
+                         if in_subtree(pid, c, radix)]
+                assert len(homes) == 1
+                assert in_subtree(pid, 0, radix)
+
+    def test_one_level_is_flat(self):
+        """Radix = team size: the master parents every slave, which are
+        leaves."""
+        n = 9
+        assert list(children_of(0, n, n)) == list(range(1, n))
+        for pid in range(1, n):
+            assert parent_of(pid, n) == 0
+            assert not children_of(pid, n, n)
 
     def test_root_has_no_parent_calls_needed(self):
         pids = [0, 1, 2, 3]
@@ -104,10 +120,21 @@ def _tree_combined(pids, pos, radix, runs, rng):
     return writer_sorted(chunks)
 
 
+def _root_fold(pids, radix, runs, rng):
+    """The notice sequence the root folds: its children's subtree chunks."""
+    chunks = [
+        _tree_combined(pids, pids.index(child), radix, runs, rng)
+        for child in sorted(tree_children(pids, 0, radix))
+    ]
+    rng.shuffle(chunks)
+    return writer_sorted(chunks)
+
+
 @given(teams())
 @settings(max_examples=200, deadline=None)
 def test_tree_fold_sequence_equals_flat_fold(team):
-    """The root ingests exactly the flat manager's batched sequence."""
+    """The root ingests exactly the one-level tree's sequence — the flat
+    fold whose outputs ``test_flat_is_the_one_level_tree`` pins."""
     nprocs, radix, run_lens, shuffle_seed = team
     import random
 
@@ -117,16 +144,10 @@ def test_tree_fold_sequence_equals_flat_fold(team):
         pid: [FakeNotice(pid, seq) for seq in range(1, run_lens[pid] + 1)]
         for pid in pids
     }
-    # Flat batched fold: non-master arrivals concatenated in pid order.
-    flat = [n for pid in pids if pid != 0 for n in runs[pid]]
-    # Tree fold: the root combines its children's subtree chunks.
-    chunks = [
-        _tree_combined(pids, pids.index(child), radix, runs, rng)
-        for child in sorted(tree_children(pids, 0, radix))
-    ]
-    rng.shuffle(chunks)
-    tree = writer_sorted(chunks)
-    assert tree == flat
+    flat = _root_fold(pids, nprocs, runs, rng)
+    # One level: the leaves' runs concatenated in pid order.
+    assert flat == [n for pid in pids if pid != 0 for n in runs[pid]]
+    assert _root_fold(pids, radix, runs, rng) == flat
 
 
 @given(teams())
@@ -150,6 +171,22 @@ def test_every_subtree_chunk_is_writer_grouped(team):
         for writer in set(writers):
             seqs = [n.seq for n in chunk if n.proc == writer]
             assert seqs == sorted(seqs)
+
+
+# ---------------------------------------------------------------------------
+# flat is the one-level tree
+# ---------------------------------------------------------------------------
+#: A radix at least every golden team size, adaptive joins included.
+ONE_LEVEL = {"barrier_tree": True, "barrier_radix": 64}
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+def test_flat_is_the_one_level_tree(scenario):
+    """A tree whose radix covers the team is the paper's flat fold: every
+    digest of the run, and its event count, equal the pinned flat row."""
+    row = run_scenario(scenario, ONE_LEVEL)
+    assert row.experiment.runtime.team.nprocs <= ONE_LEVEL["barrier_radix"]
+    assert row.digests == pinned()[f"{scenario}/flat/obs-off"]
 
 
 # ---------------------------------------------------------------------------
@@ -260,10 +297,7 @@ class TestTreeEndToEnd:
 
         run_phases(rt, {"phase": phase}, ["phase"])
         assert sorted(hits) == [0, 1, 2, 3]
-        assert all(
-            p.tree_barrier is not None and p.tree_barrier.round > 0
-            for p in rt.procs.values()
-        )
+        assert all(p.tree_barrier.round > 0 for p in rt.procs.values())
 
 
 def _gauss_leave_join(label, **perf):

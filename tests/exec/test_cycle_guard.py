@@ -4,7 +4,8 @@
 (``docs/PROTOCOL.md`` §10).  That is only free if nothing the loop throws
 away needs the collector, so this guard runs every golden scenario kind on
 the flat and the tree+fattree model, obs off and on, plus a lossy wire
-(``ReliableRequest`` retransmit timers) and the SC baseline, with
+(``ReliableRequest`` retransmit timers), a leaver let go of mid-run and
+the SC baseline, with
 ``Simulator.run`` wrapped: one ``gc.collect()`` just before the loop and
 one just after it, while the run is still referenced.  Every collection
 in between must find nothing.
@@ -14,9 +15,11 @@ import gc
 
 import pytest
 
+from repro.api import AdaptEvent, ScenarioSpec
 from repro.apps import TINY
 from repro.config import NetworkParams, SystemConfig
 from repro.dsm import ScRuntime
+from repro.exec.pool import execute_spec
 from repro.simcore import Simulator
 
 from ..golden import SCENARIOS, run_row
@@ -78,6 +81,25 @@ def test_lossy_wire_loop_leaves_no_cyclic_garbage(kernel, monkeypatch):
     lossy = SystemConfig(network=NetworkParams(loss_rate=0.05))
     result, found = loop_garbage(monkeypatch, _tiny(kernel, lossy))
     assert result.network.retransmissions > 0
+    assert found == [0]
+
+
+def test_retired_leaver_leaves_no_cyclic_garbage(monkeypatch):
+    """A leaver's engine is dropped with it.  In the golden ``adapt`` row
+    the leaver stays referenced to the end; here a later join's start
+    lets go of it inside the loop."""
+    spec = ScenarioSpec(
+        kernel="jacobi", params={"n": 96, "iterations": 12}, nprocs=8,
+        adaptive=True, extra_nodes=2, seed=7,
+        events=(AdaptEvent("leave", 0.012, 3), AdaptEvent("leave", 0.020, 5, 0.0),
+                AdaptEvent("join", 0.022, 8)))
+
+    def scenario():
+        exp, _ = execute_spec(spec)
+        assert [r.joins for r in exp.adapt_records] == [[], [8]]
+        return exp
+
+    _, found = loop_garbage(monkeypatch, scenario)
     assert found == [0]
 
 

@@ -4,11 +4,11 @@ Protocol work — serving a request, pulling a page, resolving an SC fault —
 is a callback chain on the delivering event and the node's handler CPU
 (``docs/PROTOCOL.md`` §1, §10).  A :class:`~repro.simcore.SimProcess` is
 made only for a *driver*: the master's driver and each process's main
-loop, the adaptation and recovery orchestrators, the cluster and fault
-daemons, and a barrier round's release.  This guard records the name of
-every process built over every golden scenario kind (flat and
-tree+fattree), an adaptive run with checkpoints on a lossy wire, and the
-SC baseline, and checks each against that allowlist.
+loop, the adaptation and recovery orchestrators, and the cluster and
+fault daemons.  This guard records the name of every process built over
+every golden scenario kind (flat and tree+fattree), an adaptive run with
+checkpoints on a lossy wire, and the SC baseline, and checks each against
+that allowlist.
 """
 
 import dataclasses
@@ -30,7 +30,6 @@ DRIVER = re.compile(
     r"master\.driver|P\d+\.main"
     r"|join\.setup\.\d+|grace\.\d+|recovery"
     r"|failure\.detector|loadsensor|alternator|owner\.\d+"
-    r"|barrier\d+\.release"
 )
 
 
@@ -96,5 +95,6 @@ def test_sc_baseline_spawns_drivers_only(kernel, monkeypatch):
 
 
 def test_allowlist_rejects_protocol_work():
-    for name in ("page_req.12", "ckpt_page_req.3", "P2.h.sc_write_req", "proc"):
+    for name in ("page_req.12", "ckpt_page_req.3", "P2.h.sc_write_req",
+                 "barrier3.release", "proc"):
         assert not DRIVER.fullmatch(name)

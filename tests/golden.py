@@ -210,8 +210,13 @@ def result_digest(result: ScenarioResult) -> str:
 def run_row(row_id: str) -> Row:
     """Execute one row (once per session) and digest its outputs."""
     name, model, obs = row_id.split("/")
-    scenario, perf = SCENARIOS[name], MODELS[model]
-    registry = ObsConfig().make_registry() if obs == "obs-on" else None
+    return run_scenario(name, MODELS[model], obs == "obs-on")
+
+
+def run_scenario(name: str, perf: Dict[str, object], obs: bool = False) -> Row:
+    """Execute scenario ``name`` under the model options ``perf``."""
+    scenario = SCENARIOS[name]
+    registry = ObsConfig().make_registry() if obs else None
     spec, program = scenario.spec, scenario.program
     if program is not None:
         dsm = DsmParams() if scenario.gc_limit is None else DsmParams(
