@@ -44,12 +44,14 @@ class TestPinnedData:
 
     @pytest.mark.parametrize("family", [
         ("fft3d-mat",), ("gauss-mat",), ("nbf-mat",),
-        ("jacobi-mat", "jacobi-mat+trace", "adapt-mat", "crash-mat"),
+        ("jacobi-mat", "jacobi-mat+trace", "jacobi-mat+loss", "adapt-mat",
+         "crash-mat"),
         ("barrier", "barrier-gc"), ("locks", "locks-gc"),
     ], ids=lambda family: family[0])
     def test_memory_never_depends_on_model_faults_or_gc(self, family):
         """One program, one final memory image — whatever the topology,
-        fold, fetch batching, adaptation, crash recovery or GC schedule."""
+        fold, fetch batching, adaptation, crash recovery, lossy wire or GC
+        schedule."""
         images = {
             pinned()[f"{scenario}/{model}/{obs}"]["memory"]
             for scenario in family for model in MODELS

@@ -32,7 +32,7 @@ import functools
 import hashlib
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
@@ -149,6 +149,8 @@ class Scenario:
     trace: bool = False
     #: ``DsmParams.gc_interval_limit`` override (programs only).
     gc_limit: Optional[int] = None
+    #: ``NetworkParams.loss_rate`` of the wire (specs only).
+    loss: float = 0.0
 
 
 def _tiny(app: str, nprocs: int = 4, **kwargs) -> ScenarioSpec:
@@ -172,6 +174,9 @@ SCENARIOS: Dict[str, Scenario] = {
     "chaos": Scenario(_CRASH.replaced(events=(), fault_plan=CHAOS_PLAN)),
     "gauss+trace": Scenario(_tiny("gauss"), trace=True),
     "jacobi-mat+trace": Scenario(_tiny("jacobi", materialized=True), trace=True),
+    "jacobi-mat+loss": Scenario(_tiny("jacobi", materialized=True), loss=0.05),
+    "chaos+loss": Scenario(_CRASH.replaced(events=(), fault_plan=CHAOS_PLAN),
+                           loss=0.05),
     "barrier": Scenario(program=BarrierProgram),
     "barrier-gc": Scenario(program=BarrierProgram, gc_limit=4),
     "locks": Scenario(program=LockProgram),
@@ -224,10 +229,22 @@ def run_scenario(name: str, perf: Dict[str, object], obs: bool = False) -> Row:
         exp = run_experiment(
             program, nprocs=program.NPROCS, materialized=True, trace=True,
             obs=registry, cfg=SystemConfig(perf=PerfParams(**perf), dsm=dsm))
-    elif scenario.trace:
+    elif scenario.trace or scenario.loss:
+        # What ``execute_spec`` runs, under a config no spec can express:
+        # the tracer on, or a lossy wire.
+        cfg = spec.replaced(perf=perf).build_config()
+        if scenario.loss:
+            cfg = cfg.with_(network=replace(cfg.network, loss_rate=scenario.loss))
+        adaptive = spec.effective_adaptive
+        runtime_kwargs = dict(
+            checkpoint_interval=spec.checkpoint_interval,
+            failure_detection=spec.failure_detection or spec.has_crashes,
+        ) if adaptive else None
         exp = run_experiment(
-            spec.build_app, nprocs=spec.nprocs, materialized=spec.materialized,
-            trace=True, obs=registry, cfg=spec.replaced(perf=perf).build_config())
+            spec.build_app, nprocs=spec.nprocs, adaptive=adaptive,
+            extra_nodes=spec.extra_nodes, cfg=cfg,
+            materialized=spec.materialized, events=spec.install_events,
+            trace=scenario.trace, runtime_kwargs=runtime_kwargs, obs=registry)
     else:
         exp, _ = execute_spec(spec.replaced(perf=perf), obs=registry)
     sim = exp.runtime.sim
