@@ -30,9 +30,8 @@ def sweep():
 def test_loss_report(sweep, report):
     rows = []
     for rate, res in sweep.items():
-        dropped = res.runtime.switch.loss.dropped if res.runtime.switch.loss else 0
         rows.append([
-            f"{rate:.0%}", res.runtime_seconds, res.messages, dropped,
+            f"{rate:.0%}", res.runtime_seconds, res.messages, res.traffic.dropped,
         ])
     report(
         "loss_resilience",
@@ -56,8 +55,8 @@ def test_duplicates_add_messages(sweep):
 
 
 def test_drop_counters_track_rate(sweep):
-    d5 = sweep[0.05].runtime.switch.loss.dropped
-    d10 = sweep[0.10].runtime.switch.loss.dropped
+    d5 = sweep[0.05].traffic.dropped
+    d10 = sweep[0.10].traffic.dropped
     assert 0 < d5 < d10
 
 

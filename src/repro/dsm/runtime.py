@@ -130,7 +130,7 @@ class MasterApi:
 class NetworkCounters:
     """Data-plane reliability counters (added piecemeal in PR 1)."""
 
-    #: Data-plane messages dropped by the seeded loss model.
+    #: Data-plane messages the lossy wire dropped.
     dropped: int = 0
     #: Request re-sends performed by retransmit timers across all NICs.
     retransmissions: int = 0
@@ -295,7 +295,7 @@ class TmkRuntime:
             per_process={pid: p.stats.copy() for pid, p in self.procs.items()},
             forks=self.fork_seq,
             network=NetworkCounters(
-                dropped=self._switch.loss.dropped if self._switch.loss else 0,
+                dropped=traffic.dropped,
                 retransmissions=traffic.retransmissions,
             ),
             cost_breakdown=CostBreakdown.from_registry(obs) if obs.enabled else None,

@@ -2,14 +2,13 @@
 
 Declarative, seeded failure scenarios for the adaptive DSM system:
 :class:`FaultPlan` scripts node crashes and link faults, a
-:class:`FaultInjector` replays a plan onto a running system, a
-:class:`LinkFaults` object holds the switch-level injection state, and
+:class:`FaultInjector` replays a plan onto a running system (its link
+faults onto the wire's :class:`~repro.network.LinkFaults`), and
 :class:`FailureDetector` is the master-driven heartbeat prober feeding the
 crash-recovery orchestrator in :mod:`repro.core.recovery`.
 """
 
 from .detector import FailureDetector
-from .links import LinkFaults
 from .plan import (
     FaultAction,
     FaultInjector,
@@ -21,7 +20,6 @@ from .plan import (
 
 __all__ = [
     "FailureDetector",
-    "LinkFaults",
     "FaultAction",
     "FaultInjector",
     "FaultPlan",

@@ -8,9 +8,9 @@ node buried in page requests acks late and a congested link can produce
 to the recovery orchestrator; the declaration is fenced by killing the
 node, so a merely-partitioned node cannot resurface mid-recovery.
 
-Heartbeat kinds are control-plane: the loss/duplication models leave them
-alone (a real implementation retransmits probes anyway — a lost probe is
-indistinguishable from a missed one and simply counts as a miss).
+Heartbeat kinds are control-plane: the wire's loss and duplication leave
+them alone (a real implementation retransmits probes anyway — a lost probe
+is indistinguishable from a missed one and simply counts as a miss).
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from ..config import FaultParams
 from ..errors import NetworkError
 from ..network import message as mk
 from ..network.message import Message
+from ..network.nic import ReplyWait
 
 
 class FailureDetector:
@@ -69,20 +70,18 @@ class FailureDetector:
                 self._probe(master, pid, node_id)
 
     def _probe(self, master, pid: int, node_id: int) -> None:
-        sim = self.runtime.sim
         nic = master.node.nic
-        rid = mk.next_req_id()
         msg = Message(
             mk.HEARTBEAT,
             src=master.node.node_id,
             dst=node_id,
             size_bytes=4,
-            req_id=rid,
+            req_id=mk.next_req_id(),
             src_pid=master.pid,
             dst_pid=pid,
         )
         self.heartbeats_sent += 1
-        obs = sim.obs
+        obs = self.runtime.sim.obs
         if obs.enabled:
             obs.count("detector.heartbeats_sent")
         try:
@@ -91,17 +90,10 @@ class FailureDetector:
             # The peer's (or our own) port is dark: instant miss.
             self._miss(node_id)
             return
-
-        def on_ack(ack, exc) -> None:
-            timer.cancel()
-            self._ack(node_id)
-
-        def on_deadline() -> None:
-            del nic._reply_waiters[rid]  # a late ack finds no entry: dropped
-            self._miss(node_id)
-
-        nic._reply_waiters[rid] = on_ack
-        timer = sim.schedule(self.params.heartbeat_timeout, on_deadline)
+        # No re-send: the deadline is the probe's one timeout, and a late
+        # ack finds no reply-table entry and is dropped.
+        ReplyWait(nic, msg, rto=self.params.heartbeat_timeout, retries=0).subscribe(
+            lambda ack, exc: self._miss(node_id) if exc else self._ack(node_id))
 
     def _ack(self, node_id: int) -> None:
         if self._misses.get(node_id, 0) > 0:

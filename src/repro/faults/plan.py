@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import List, Sequence, TextIO, Tuple, Union
 
 from ..errors import FaultError
-from .links import LinkFaults
+from ..network.faults import LinkFaults
 
 #: action name -> number of arguments after the timestamp.
 _ACTIONS = {
@@ -127,17 +127,17 @@ def dump_plan(plan: FaultPlan) -> str:
 class FaultInjector:
     """Schedule a :class:`FaultPlan` onto a runtime's simulator."""
 
-    def __init__(self, runtime, plan: FaultPlan, seed: int = 0xFA17):
+    def __init__(self, runtime, plan: FaultPlan):
         self.runtime = runtime
         self.plan = plan
-        self.seed = seed
         self.fired: List[FaultAction] = []
         self._installed = False
 
     def _link_faults(self) -> LinkFaults:
+        """The wire's fault state: a lossy wire's own, or a new one."""
         switch = self.runtime.switch
         if switch.faults is None:
-            switch.faults = LinkFaults(seed=self.seed)
+            switch.faults = LinkFaults()
         return switch.faults
 
     def install(self) -> None:
@@ -149,7 +149,7 @@ class FaultInjector:
             # Latch the retransmit/dedup gating now, not when the first
             # lossy action fires — requests in flight across the switch-on
             # instant must be filtered under one consistent regime.
-            self._link_faults().mark_unreliable()
+            self._link_faults().unreliable = True
         for action in self.plan.actions:
             self.runtime.sim.at(action.time, lambda a=action: self._fire(a))
 

@@ -9,7 +9,7 @@ while the main thread may itself be blocked waiting for a reply.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict
+from typing import TYPE_CHECKING, Dict, Optional
 
 from ..errors import NetworkError
 from ..simcore import Channel, Simulator, Waitable
@@ -19,21 +19,86 @@ from .message import Message, next_req_id
 if TYPE_CHECKING:  # pragma: no cover
     from .switch import Switch
 
+#: First retransmission timeout on an unreliable wire: a page round trip
+#: is ~1.3 ms, and 4 ms gives slow replies room before the first re-send.
+#: The timeout doubles per re-send, up to ``MAX_RTO``, so a congested
+#: server is not buried under duplicates — without backoff, service
+#: queues longer than the timeout trigger a retransmission collapse.
+RTO = 4.0e-3
+MAX_RTO = 128.0e-3
+#: Re-sends before a request gives up on its peer.
+MAX_RETRIES = 25
+
 
 class ReplyWait(Waitable):
-    """The reply to request ``req_id``, as an entry of the reply table."""
+    """The reply to request ``msg``, as an entry of its NIC's reply table.
 
-    __slots__ = ("_waiters", "_req_id")
+    Without ``rto`` the entry is the waiter's own callback.  With ``rto``
+    the request is re-sent (a fresh transmission with the same ``req_id``,
+    so a late reply to an earlier copy still matches) each time ``rto``
+    passes without a reply, and ``rto`` doubles per re-send up to
+    :data:`MAX_RTO` (a longer first ``rto`` is kept as given).  After
+    ``retries`` re-sends the wait gives up its entry — a late reply then
+    finds none and is dropped — and fails with :class:`NetworkError`.
+    """
 
-    def __init__(self, nic: "Nic", req_id: int):
-        self._waiters = nic._reply_waiters
-        self._req_id = req_id
+    __slots__ = ("_nic", "_msg", "_rto", "_retries", "_resends", "_timer",
+                 "_callback")
+
+    def __init__(self, nic: "Nic", msg: Message, rto: Optional[float] = None,
+                 retries: int = MAX_RETRIES):
+        self._nic = nic
+        self._msg = msg
+        self._rto = rto
+        self._retries = retries
+        self._resends = 0
+        self._timer = None
+        self._callback: Optional[Callback] = None
 
     def subscribe(self, callback: Callback) -> None:
-        self._waiters[self._req_id] = callback
+        if self._rto is None:
+            self._nic._reply_waiters[self._msg.req_id] = callback
+            return
+        self._callback = callback
+        self._nic._reply_waiters[self._msg.req_id] = self._on_reply
+        self._timer = self._nic.sim.schedule(self._rto, self._on_timeout)
 
     def unsubscribe(self, callback: Callback) -> None:
-        self._waiters.pop(self._req_id, None)
+        self._nic._reply_waiters.pop(self._msg.req_id, None)
+        self._disarm()
+        self._callback = None
+
+    def _disarm(self) -> None:
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
+
+    def _on_reply(self, msg: Message, exc) -> None:
+        self._disarm()
+        cb, self._callback = self._callback, None
+        cb(msg, exc)
+
+    def _on_timeout(self) -> None:
+        # Forget the fired timer: it refers back to this wait, so keeping it
+        # would leave a reference cycle behind a wait that gave up.
+        self._timer = None
+        nic, msg = self._nic, self._msg
+        if self._resends == self._retries:
+            nic._reply_waiters.pop(msg.req_id, None)
+            cb, self._callback = self._callback, None
+            cb(None, NetworkError(
+                f"request {msg.kind}#{msg.req_id} to node {msg.dst} "
+                f"timed out after {self._retries} retries"
+            ))
+            return
+        self._resends += 1
+        self._rto = min(self._rto * 2, MAX_RTO)
+        nic.switch.stats.count_retransmission()
+        try:
+            nic.send(msg)
+        except NetworkError:
+            pass  # detached peer: keep waiting for the final timeout
+        self._timer = nic.sim.schedule(self._rto, self._on_timeout)
 
 
 class Nic:
@@ -55,14 +120,10 @@ class Nic:
         #: Resident servers in waiter order: objects with a ``pid`` (read
         #: per message, adaptation renumbers it) and a ``take(msg)``.
         self.servers: list = []
-        #: ``req_id`` -> ``callback(reply, None)`` of each outstanding request.
+        #: ``req_id`` -> ``callback(reply, None)`` of each outstanding
+        #: request; written by :class:`ReplyWait` only.
         self._reply_waiters: Dict[int, Callback] = {}
         self.attached = True
-        #: Request re-sends performed by this NIC's retransmit timers.
-        self.retransmissions = 0
-        #: Cached :meth:`_unreliable_wire` answer (None = not derivable
-        #: yet).  The switch's ``faults`` setter resets it on install.
-        self._wire_unreliable = None
 
     # -- sending ----------------------------------------------------------
     def send(self, msg: Message) -> float:
@@ -78,19 +139,17 @@ class Nic:
     def request(self, msg: Message) -> Waitable:
         """Send a request and return a waitable for its reply.
 
-        Usage inside a simulated process::
+        On an unreliable wire (``LinkFaults.unreliable``) the wait
+        retransmits.  Usage inside a simulated process::
 
             reply = yield nic.request(Message(PAGE_REQ, src=me, dst=owner, ...))
         """
         if msg.req_id is None:
             msg.req_id = next_req_id()
-        unreliable = self._unreliable_wire()
+        faults = self.switch.faults
+        rto = RTO if faults is not None and faults.unreliable else None
         self.send(msg)
-        if unreliable:
-            from .reliability import ReliableRequest
-
-            return ReliableRequest(self, msg)
-        return ReplyWait(self, msg.req_id)
+        return ReplyWait(self, msg, rto)
 
     def serve(self, server) -> None:
         """Register ``server`` and hand it, in arrival order, the queued
@@ -107,41 +166,6 @@ class Nic:
         so ``on_error`` sees a detached sender once per leg.
         """
         self.switch.transmit_flight(msgs, on_error, src_nic=self)
-
-    def _unreliable_wire(self) -> bool:
-        """True when messages may be lost or duplicated in transit.
-
-        Requests then go through :class:`ReliableRequest`.  The answer is
-        evaluated on every request — the hottest path in the simulator —
-        so static configurations are cached: a lossy wire stays lossy (the
-        loss model is fixed at switch construction), a healthy wire with no
-        fault state stays healthy until the switch's ``faults`` setter
-        invalidates the cache, and a fault state that turned unreliable is
-        latched (``LinkFaults.unreliable`` never clears).  Only the transient
-        "fault state installed but still reliable" case re-derives the
-        answer each call, since injection may flip it at any time.
-        """
-        cached = self._wire_unreliable
-        if cached is not None:
-            return cached
-        switch = self.switch
-        loss = switch.loss
-        if loss is not None and loss.rate > 0:
-            self._wire_unreliable = True
-            return True
-        faults = switch.faults
-        if faults is None:
-            self._wire_unreliable = False
-            return False
-        if faults.unreliable:
-            self._wire_unreliable = True
-            return True
-        return False
-
-    def count_retransmission(self) -> None:
-        """Account one request re-send (local and switch-wide counters)."""
-        self.retransmissions += 1
-        self.switch.stats.count_retransmission()
 
     # -- delivery (called by the switch) -----------------------------------
     def deliver(self, msg: Message, _exc=None) -> None:

@@ -28,7 +28,7 @@ class TrafficSnapshot:
     bytes: int = 0
     pages: int = 0
     diffs: int = 0
-    #: Messages the seeded loss model dropped on the wire.
+    #: Messages the lossy wire dropped (``LinkFaults.dropped``).
     dropped: int = 0
     #: Messages discarded at a cut (partitioned) switch path.
     cut: int = 0
@@ -36,7 +36,7 @@ class TrafficSnapshot:
     duplicated: int = 0
     #: Messages delivered late by delay injection.
     delayed: int = 0
-    #: Request re-sends performed by :class:`ReliableRequest` timers.
+    #: Request re-sends performed by :class:`ReplyWait` timers.
     retransmissions: int = 0
     per_link_bytes: Counter = field(default_factory=Counter)
     by_kind_messages: Counter = field(default_factory=Counter)
@@ -124,7 +124,7 @@ class TrafficStats:
             s.diffs += int(msg.payload.get("n_diffs", 1)) if isinstance(msg.payload, dict) else 1
 
     def count_drop(self) -> None:
-        """Account one loss-model drop."""
+        """Account one message lost on the wire."""
         self._snap.dropped += 1
 
     def count_cut(self) -> None:

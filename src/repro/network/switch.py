@@ -15,11 +15,12 @@ collecting a leaver's pages) serializes on that node's downlink.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Optional
 
 from ..config import NetworkParams
 from ..errors import NetworkError
 from ..simcore import Simulator
+from .faults import LinkFaults
 from .link import Link
 from .message import Message
 from .nic import Nic
@@ -37,39 +38,18 @@ class Switch:
         self.uplinks: Dict[int, Link] = {}
         self.downlinks: Dict[int, Link] = {}
         self.stats = TrafficStats(header_bytes=self.params.header_bytes)
-        #: Optional seeded message-loss model (None = lossless wire).
-        self.loss = None
+        #: What the wire does to a message (None = a healthy wire).  A
+        #: lossy wire gets it here; a :class:`~repro.faults.FaultInjector`
+        #: installs one, or adds its faults to this one.
+        self.faults: Optional[LinkFaults] = None
         if self.params.loss_rate > 0:
-            from .reliability import LossModel
-
-            self.loss = LossModel(
-                rate=self.params.loss_rate, seed=self.params.loss_seed
-            )
-        #: Optional fault-injection state (:class:`~repro.faults.LinkFaults`);
-        #: installed by a :class:`~repro.faults.FaultInjector` (through the
-        #: :attr:`faults` property, which drops the NICs' cached wire
-        #: reliability).
-        self._faults = None
+            self.faults = LinkFaults(self.params.loss_rate, self.params.loss_seed)
         #: Calls of :meth:`transmit_flight` (fan-out waves, a tree leaf's
         #: empty one included) / legs they carried — host-side counters
         #: only (never part of simulated state); the benchmark reads them
         #: as ``network.flight_*``.
         self.flights_compiled = 0
         self.flight_legs = 0
-
-    @property
-    def faults(self):
-        """Fault-injection state (``None`` = healthy wire)."""
-        return self._faults
-
-    @faults.setter
-    def faults(self, value) -> None:
-        self._faults = value
-        # Installing (or clearing) fault state changes whether requests
-        # must go through the reliable-delivery layer; every NIC re-derives
-        # its cached answer lazily (see Nic._unreliable_wire).
-        for nic in self.nics.values():
-            nic._wire_unreliable = None
 
     # -- topology -----------------------------------------------------------
     def attach(self, node_id: int) -> Nic:
@@ -160,23 +140,25 @@ class Switch:
         if trunks:
             arrival += len(trunks) * params.switch_hop_latency
         arrival += size_bytes * params.per_byte
-        faults = self._faults
+        faults = self.faults
         if faults is not None:
             # Degraded ports add fixed latency on either endpoint's path.
             arrival += faults.extra_latency(msg.src, msg.dst)
         msg.arrived_at = arrival
         self.stats.record(msg, uplink=up.name, downlink=down.name, via=trunks)
-        if faults is not None and faults.blocked(msg.src, msg.dst):
-            # the packet burned wire time but dies at the partition
-            self.stats.count_cut()
-            self.sim.tracer.emit("net", "cut", f"{msg.kind} {msg.src}->{msg.dst}")
-            return arrival
-        if self.loss is not None and self.loss.should_drop(msg):
-            # the packet burned wire time but never arrives
-            self.stats.count_drop()
-            self.sim.tracer.emit("net", "dropped", f"{msg.kind} {msg.src}->{msg.dst}")
-            return arrival
         if faults is not None:
+            if faults.blocked(msg.src, msg.dst):
+                # the packet burned wire time but dies at the partition
+                self.stats.count_cut()
+                self.sim.tracer.emit("net", "cut", f"{msg.kind} {msg.src}->{msg.dst}")
+                return arrival
+            if faults.dropped(msg):
+                # the packet burned wire time but never arrives
+                self.stats.count_drop()
+                self.sim.tracer.emit(
+                    "net", "dropped", f"{msg.kind} {msg.src}->{msg.dst}"
+                )
+                return arrival
             delay = faults.delay_for(msg)
             if delay > 0.0:
                 self.stats.count_delay()

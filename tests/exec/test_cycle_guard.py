@@ -4,7 +4,7 @@
 (``docs/PROTOCOL.md`` §10).  That is only free if nothing the loop throws
 away needs the collector, so this guard runs every golden scenario kind on
 the flat and the tree+fattree model, obs off and on, plus a lossy wire
-(``ReliableRequest`` retransmit timers), a leaver let go of mid-run and
+(``ReplyWait`` retransmit timers), a leaver let go of mid-run and
 the SC baseline, with
 ``Simulator.run`` wrapped: one ``gc.collect()`` just before the loop and
 one just after it, while the run is still referenced.  Every collection

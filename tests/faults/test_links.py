@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import FaultError, NetworkError
-from repro.faults import FaultInjector, LinkFaults, parse_plan
+from repro.faults import FaultInjector, parse_plan
+from repro.network import LinkFaults
 from repro.network.message import Message
 
 from ..helpers import build_adaptive, run_phases

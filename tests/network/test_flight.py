@@ -79,45 +79,6 @@ class TestFlightErrors:
         assert switch.stats.snapshot().messages == 0
 
 
-class TestWireReliabilityCache:
-    """Nic._unreliable_wire is cached when the answer is static."""
-
-    def test_lossless_healthy_wire_caches_false(self):
-        sim, switch, nics = _star(2)
-        assert nics[0]._unreliable_wire() is False
-        assert nics[0]._wire_unreliable is False
-
-    def test_loss_model_caches_true(self):
-        sim = Simulator()
-        switch = Switch(sim, NetworkParams(loss_rate=0.1, loss_seed=1))
-        nic = switch.attach(0)
-        assert nic._unreliable_wire() is True
-        assert nic._wire_unreliable is True
-
-    def test_installing_faults_invalidates_cache(self):
-        from repro.faults.links import LinkFaults
-
-        sim, switch, nics = _star(2)
-        assert nics[0]._unreliable_wire() is False
-        faults = LinkFaults()
-        switch.faults = faults
-        # Healthy fault state: answer stays False but must NOT be cached —
-        # the injector may degrade a link later.
-        assert nics[0]._wire_unreliable is None
-        assert nics[0]._unreliable_wire() is False
-        assert nics[0]._wire_unreliable is None
-
-    def test_unreliable_faults_latch_true(self):
-        from repro.faults.links import LinkFaults
-
-        sim, switch, nics = _star(2)
-        faults = LinkFaults()
-        switch.faults = faults
-        faults.mark_unreliable()
-        assert nics[0]._unreliable_wire() is True
-        assert nics[0]._wire_unreliable is True
-
-
 def _state_after(fanout, legs, dark, hooked):
     """Send ``legs`` from the master of a fresh 4-process system, as one
     ``send_fanout`` or as one ``send`` per leg; pid 2 is dark if asked."""

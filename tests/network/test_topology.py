@@ -118,7 +118,7 @@ class TestFatTreeRouting:
 
 class TestOneWireModel:
     @pytest.mark.parametrize("call", [
-        "faults.blocked", "loss.should_drop", "faults.delay_for",
+        "faults.blocked", "faults.dropped", "faults.delay_for",
         "faults.duplicate",
     ])
     def test_fault_and_loss_sequence_lives_in_one_function(self, call):
@@ -134,6 +134,17 @@ class TestOneWireModel:
                             and ast.unparse(node.func).endswith(call)):
                         callers.append(f"{path.name}:{fn.name}")
         assert callers == ["switch.py:transmit"]
+
+    def test_only_the_network_touches_the_reply_table(self):
+        """Waiting for a reply — a request's, a heartbeat's — is
+        ``ReplyWait``'s job: no module outside ``network/`` reads a NIC's
+        reply table."""
+        network = Path(repro.network.__file__).parent
+        readers = [
+            path.name for path in sorted(network.parent.rglob("*.py"))
+            if path.parent != network and "_reply_waiters" in path.read_text()
+        ]
+        assert readers == []
 
     def test_fattree_transmit_is_the_switch_transmit(self):
         """The class attribute the spine's tracer patches is an alias,
