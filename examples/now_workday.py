@@ -8,18 +8,34 @@ pool, each with a per-node grace period) and go to meetings or lunch
 application support — the adaptive runtime re-partitions at the next
 parallel construct each time.
 
+The day is a plan in the one event-script grammar (``time action
+args...``, see ``repro.faults.plan``) — the same text ``repro run
+--adaptive --faults FILE`` replays.
+
 Run:  python examples/now_workday.py
 """
 
 from repro.bench import make_jacobi
-from repro.cluster import DaySchedule, NodePool, OwnerSchedule
+from repro.cluster import NodePool
 from repro.config import SystemConfig
 from repro.core import AdaptiveRuntime, GracePolicy
+from repro.faults import FaultInjector, parse_plan
 from repro.network import Switch
 from repro.simcore import Simulator
 
-# simulated "hours" compressed into seconds
-H = 2.0
+# The day's schedule, simulated "hours" compressed into 2 s: an owner at
+# the desk takes the node out of the pool, an owner away gives it back.
+# A leave with no GRACE argument uses the runtime's grace policy.
+WORKDAY = """
+1.0 leave 5    # node 5's owner: 0.5-1.5 h
+1.6 leave 6    # node 6's owner: 0.8-1.2 h and 2.2-2.6 h
+2.0 leave 7    # node 7's owner: 1.0-2.5 h
+2.4 join 6
+3.0 join 5
+4.4 leave 6
+5.0 join 7
+5.2 join 6
+"""
 
 
 def main():
@@ -37,14 +53,7 @@ def main():
     program = app.program(rt)
     app.do_collect = False
 
-    # the day's schedule: owners present (=> node out of the pool) in spans
-    schedules = [
-        DaySchedule(node_id=5, present=((0.5 * H, 1.5 * H),)),
-        DaySchedule(node_id=6, present=((0.8 * H, 1.2 * H), (2.2 * H, 2.6 * H))),
-        DaySchedule(node_id=7, present=((1.0 * H, 2.5 * H),)),
-    ]
-    daemon = OwnerSchedule(rt, schedules)
-    daemon.install()
+    FaultInjector(rt, parse_plan(WORKDAY)).install()
 
     res = rt.run(program)
 

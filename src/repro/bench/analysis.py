@@ -86,23 +86,18 @@ class LinkReport:
 
 
 def link_reports(result) -> List[LinkReport]:
-    """Per-link traffic from the run's switch (needs result.runtime)."""
-    runtime = result.runtime
+    """Per-link traffic from the run's switch (needs result.runtime):
+    every directional link of the topology, fat-tree trunks included."""
     elapsed = result.runtime_seconds
-    switch = runtime.switch
-    out = []
-    for links in (switch.uplinks, switch.downlinks):
-        for node_id in sorted(links):
-            link = links[node_id]
-            out.append(
-                LinkReport(
-                    name=link.name,
-                    bytes=link.bytes_carried,
-                    messages=link.messages_carried,
-                    utilization=link.utilization(elapsed),
-                )
-            )
-    return out
+    return [
+        LinkReport(
+            name=link.name,
+            bytes=link.bytes_carried,
+            messages=link.messages_carried,
+            utilization=link.utilization(elapsed),
+        )
+        for link in result.runtime.switch.iter_links()
+    ]
 
 
 def busiest_links(result, top: int = 5) -> List[LinkReport]:

@@ -78,8 +78,9 @@ def run_experiment(
     """Run one kernel to completion under a fresh simulated NOW.
 
     ``events`` is called with the runtime before the run starts; use it to
-    install an :class:`~repro.cluster.EventScript`, an alternator, or to
-    schedule ``submit_join``/``submit_leave`` calls directly.
+    install a plan through :class:`~repro.faults.FaultInjector`, an
+    alternator, or to schedule ``submit_join``/``submit_leave`` calls
+    directly.
 
     ``obs`` is a :class:`~repro.obs.Registry` to record spans/counters
     into (None runs uninstrumented — the pre-observability behaviour).

@@ -932,18 +932,18 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--extra-nodes", type=int, default=2,
                        help="idle workstations available for joins")
         p.add_argument("--grace", type=float, default=None,
-                       help="grace period for scripted leaves (s)")
+                       help="grace period for --event leaves (s)")
         p.add_argument("--event", action="append", type=_parse_event,
                        metavar="ACTION:TIME[:NODE]",
                        help="schedule an adapt event or crash (repeatable)")
         p.add_argument("--faults", metavar="FILE", default=None,
-                       help="replay a fault plan file (crashes, partitions, "
-                            "message duplication/delay)")
+                       help="replay a plan file (joins, leaves, crashes, "
+                            "partitions, message duplication/delay)")
         p.add_argument("--checkpoint-interval", type=float, default=None,
                        help="checkpoint period in simulated seconds")
         p.add_argument("--failure-detection", action="store_true",
                        help="run the heartbeat failure detector (implied by "
-                            "crash events and --faults)")
+                            "a crash in --event or --faults)")
 
     run = sub.add_parser("run", help="run one kernel on a simulated NOW")
     _add_scenario_args(run)

@@ -2,56 +2,68 @@
 
 The paper deliberately leaves event generation out of scope ("a daemon may
 generate events at set times according to an operational schedule, or a
-load sensor may be employed").  These are the daemons used by the
-benchmark harness:
+load sensor may be employed").  A timed schedule is a plan in the one
+script grammar (:mod:`repro.faults.plan`), installed by
+:class:`~repro.faults.FaultInjector`; this module generates what a
+script cannot state:
 
-* :class:`EventScript` — explicit (time, action, node) list;
+* :func:`synthesize_workday` — the Poisson owner model as data: a
+  :class:`~repro.faults.FaultPlan` of leaves and joins over one "day";
 * :class:`PeriodicAlternator` — Table 2's experiment: alternately leave
   and re-join, at most one adapt event per adaptation point, targeting
-  the *end* or a *middle* process id.
+  the *end* or a *middle* process id.  It reacts to each request's
+  completion, so it stays a daemon.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Generator, List, Literal, Optional, Sequence, Tuple, Union
 
 from ..core.adaptation import RequestState
-from ..errors import AdaptationError
+from ..errors import AdaptationError, ConfigurationError
+from ..faults.plan import FaultAction, FaultPlan
+from ..simcore import RandomStreams
 
-Action = Literal["join", "leave", "crash"]
+Action = Literal["join", "leave"]
 PidSelector = Union[int, Literal["end", "middle"]]
 
 
-@dataclass(frozen=True)
-class ScriptedEvent:
-    time: float
-    action: Action
-    node_id: int
-    grace: Optional[float] = None
+def synthesize_workday(
+    node_ids: Sequence[int],
+    day_length: float,
+    seed: int = 7,
+    mean_sessions: float = 2.0,
+    mean_session_length: Optional[float] = None,
+    grace: Optional[float] = None,
+) -> FaultPlan:
+    """A synthetic owner-activity plan over one 'day'.
 
-
-class EventScript:
-    """Submit a fixed list of adapt events at fixed simulated times."""
-
-    def __init__(self, runtime, events: Sequence[ScriptedEvent]):
-        self.runtime = runtime
-        self.events = sorted(events, key=lambda e: (e.time, e.node_id))
-        self.submitted: List[ScriptedEvent] = []
-
-    def install(self) -> None:
-        """Schedule every event on the runtime's simulator."""
-        for ev in self.events:
-            self.runtime.sim.at(ev.time, lambda ev=ev: self._fire(ev))
-
-    def _fire(self, ev: ScriptedEvent) -> None:
-        if ev.action == "join":
-            self.runtime.submit_join(ev.node_id)
-        elif ev.action == "crash":
-            self.runtime.inject_crash(ev.node_id)
-        else:
-            self.runtime.submit_leave(ev.node_id, grace=ev.grace)
-        self.submitted.append(ev)
+    Each node's owner shows up a Poisson number of times for
+    exponentially-long sessions; the node leaves the pool while the owner
+    is present (the §1 NOW scenario) and rejoins when they go.
+    """
+    if day_length <= 0:
+        raise ConfigurationError("day_length must be positive")
+    rng = RandomStreams(seed)
+    mean_len = mean_session_length if mean_session_length else day_length / 8.0
+    actions: List[FaultAction] = []
+    for node_id in node_ids:
+        leave = (node_id,) if grace is None else (node_id, grace)
+        stream = rng.stream(f"trace.{node_id}")
+        sessions = stream.poisson(mean_sessions)
+        starts = sorted(float(stream.uniform(0, day_length)) for _ in range(sessions))
+        cursor = 0.0
+        for start in starts:
+            if start < cursor:
+                continue  # overlapping session: owner already present
+            length = float(stream.exponential(mean_len))
+            end = min(start + length, day_length * 0.98)
+            if end <= start:
+                continue
+            actions.append(FaultAction(start, "leave", leave))
+            actions.append(FaultAction(end, "join", (node_id,)))
+            cursor = end
+    return FaultPlan(actions)
 
 
 def select_pid(nprocs: int, selector: PidSelector) -> int:

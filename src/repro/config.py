@@ -291,8 +291,8 @@ class SystemConfig:
     #: adaptation point (process table updates, id reassignment).
     adapt_fixed_cost: float = 5.0e-3
 
-    #: RNG seed used for all stochastic model components (spawn times,
-    #: owner activity).  Simulations are deterministic given the seed.
+    #: RNG seed used for all stochastic model components (spawn times).
+    #: Simulations are deterministic given the seed.
     seed: int = 0x5EED
 
     def validate(self) -> None:

@@ -8,9 +8,11 @@ itself to disk.  No coordination with slaves, no message logging.
 Recovery restores the shared memory into a fresh runtime with the master
 owning every page.  (Python cannot freeze a generator mid-flight the way
 libckpt freezes a process image, so the *program driver* is restarted and
-is expected to resume from application-level state kept in shared memory —
-all bundled kernels store their iteration counter there.  The checkpoint
-cost model is unaffected by this deviation; see DESIGN.md.)
+resumes only from application-level state kept in shared memory.  Of the
+bundled kernels only ``ResumableJacobi`` (``jacobi-resumable``) keeps its
+iteration counter there; the four stock kernels' drivers rewrite the
+initial data and re-run from iteration 0.  The checkpoint cost model is
+unaffected by this deviation; see DESIGN.md.)
 """
 
 from __future__ import annotations

@@ -14,10 +14,13 @@ orchestrator therefore:
 4. charges the restore cost — re-reading the checkpoint image at the
    disk rate plus one remote process creation — and rebuilds fresh DSM
    engines, loading the checkpointed segments into the new master;
-5. restarts the program driver.  Application kernels keep their iteration
-   counter in shared memory (the same convention the pre-existing restore
-   path relies on), so the replay skips the checkpointed prefix and only
-   the work since the last checkpoint is lost.
+5. restarts the program driver.  A kernel that keeps its iteration
+   counter in shared memory (``ResumableJacobi``, ``jacobi-resumable``)
+   skips the checkpointed prefix, so only the work since the last
+   checkpoint is lost.  The four stock kernels' drivers rewrite the
+   initial data and re-run from iteration 0, so for them
+   ``lost_work_seconds`` (detection minus checkpoint time) understates
+   the work lost.
 
 A :class:`RecoveryRecord` with the detection latency, restore time and
 lost work lands in ``RunResult.recoveries``.
@@ -142,7 +145,8 @@ def run_recovery(
         restore_checkpoint_live(runtime, ckpt)
     runtime.ckpt_mgr.last_time = sim.now
 
-    # 5. restart the computation; kernels resume from shared-memory state
+    # 5. restart the computation; a resumable kernel resumes from
+    # shared-memory state, a stock one re-runs from iteration 0
     for pid in runtime.team.slave_pids:
         runtime._start_slave(runtime.procs[pid])
     runtime._driver_proc = sim.process(

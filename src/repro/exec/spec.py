@@ -12,7 +12,11 @@ which is what keys the content-addressed result cache.
 Everything a spec references is declarative on purpose: adapt events are
 ``(action, time, node, grace)`` records, fault scenarios are the plan
 *text* (``repro.faults.dump_plan`` round-trips), and kernels are named in
-a registry — no closures, no live objects.
+a registry — no closures, no live objects.  Both are one script at run
+time: :meth:`ScenarioSpec.install_events` lowers each event to the plan
+grammar's ``join``/``leave``/``crash`` (default nodes resolved against
+the fresh team) and installs events then plan through one
+:class:`~repro.faults.FaultInjector`.
 """
 
 from __future__ import annotations
@@ -53,6 +57,7 @@ class AdaptEvent:
 
     ``node=None`` uses the same defaults as the CLI: the node hosting the
     last pid for ``leave``/``crash``, the next free node id for ``join``.
+    Only a ``leave`` takes ``grace``.
     """
 
     action: str
@@ -65,6 +70,8 @@ class AdaptEvent:
             raise ConfigurationError(f"unknown adapt action {self.action!r}")
         if self.time < 0:
             raise ConfigurationError("adapt event time must be >= 0")
+        if self.grace is not None and self.action != "leave":
+            raise ConfigurationError(f"{self.action} takes no grace period")
 
     def canonical(self) -> Dict[str, Any]:
         return {
@@ -269,7 +276,10 @@ class ScenarioSpec:
         return classes[self.kernel](**self.params)
 
     def install_events(self, rt) -> None:
-        """Schedule the declarative events/fault plan on a fresh runtime."""
+        """Install the events, in spec order, then the fault plan, through
+        one :class:`~repro.faults.FaultInjector` on a fresh runtime."""
+        from ..faults import FaultAction, FaultInjector, parse_plan
+
         # A default join takes the next node id that is neither in the
         # team nor claimed by another join (earlier default or explicit).
         claimed = {rt.team.node_of(pid) for pid in rt.team.pids}
@@ -283,21 +293,19 @@ class ScenarioSpec:
                     node += 1
                 claimed.add(node)
                 join_nodes[i] = node
+        # A default leave or crash takes the node hosting the last pid.
+        last = rt.team.node_of(rt.team.nprocs - 1)
+        actions = []
         for i, ev in enumerate(self.events):
-            if ev.action == "leave":
-                node = ev.node if ev.node is not None else rt.team.node_of(rt.team.nprocs - 1)
-                rt.sim.at(ev.time,
-                          lambda n=node, g=ev.grace: rt.submit_leave(n, grace=g))
-            elif ev.action == "crash":
-                node = ev.node if ev.node is not None else rt.team.node_of(rt.team.nprocs - 1)
-                rt.sim.at(ev.time, lambda n=node: rt.inject_crash(n))
-            else:  # join
-                node = ev.node if ev.node is not None else join_nodes[i]
-                rt.sim.at(ev.time, lambda n=node: rt.submit_join(n))
+            if ev.node is not None:
+                node = ev.node
+            else:
+                node = join_nodes[i] if ev.action == "join" else last
+            args = (node,) if ev.grace is None else (node, ev.grace)
+            actions.append(FaultAction(ev.time, ev.action, args))
         if self.fault_plan:
-            from ..faults import FaultInjector, parse_plan
-
-            FaultInjector(rt, parse_plan(self.fault_plan)).install()
+            actions += parse_plan(self.fault_plan).actions
+        FaultInjector(rt, actions).install()
 
 
 def spec_from_preset(preset: str, kernel: str, nprocs: int,

@@ -1,11 +1,13 @@
-"""Fault injection and failure detection.
+"""Event scripts, fault injection and failure detection.
 
-Declarative, seeded failure scenarios for the adaptive DSM system:
-:class:`FaultPlan` scripts node crashes and link faults, a
-:class:`FaultInjector` replays a plan onto a running system (its link
-faults onto the wire's :class:`~repro.network.LinkFaults`), and
-:class:`FailureDetector` is the master-driven heartbeat prober feeding the
-crash-recovery orchestrator in :mod:`repro.core.recovery`.
+Declarative, seeded scenarios for the adaptive DSM system:
+:class:`FaultPlan` is the one event script — joins, leaves, node crashes
+and link faults in one grammar — and :class:`FaultInjector` is the one
+installer that replays a plan (or a spec's adapt events lowered to plan
+actions) onto a running system, its link faults onto the wire's
+:class:`~repro.network.LinkFaults`.  :class:`FailureDetector` is the
+master-driven heartbeat prober feeding the crash-recovery orchestrator
+in :mod:`repro.core.recovery`.
 """
 
 from .detector import FailureDetector

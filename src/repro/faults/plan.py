@@ -1,12 +1,14 @@
-"""Declarative fault plans: record and replay failure scenarios.
+"""Event scripts: one grammar for adapt events, availability traces and faults.
 
-A *fault plan* is a plain-text script in the same spirit as the
-availability traces (`time action args...` per line, ``#`` comments),
-describing what goes wrong and when:
+A *plan* is a plain-text script (`time action args...` per line, ``#``
+comments) describing who comes, who goes and what goes wrong, and when:
 
 =========  ====================  ==========================================
 action     arguments             effect
 =========  ====================  ==========================================
+join       NODE                  submit a join of the node
+leave      NODE [GRACE]          submit a leave (GRACE overrides the grace
+                                 policy; 0 forces an urgent leave)
 crash      NODE                  fail-stop the node (kills its processes)
 cut        A B                   partition nodes A and B at the switch
 heal       A B                   undo the partition
@@ -16,40 +18,47 @@ duplicate  RATE                  duplicate this fraction of data messages
 delay      RATE SECONDS          delay this fraction by SECONDS
 =========  ====================  ==========================================
 
-:class:`FaultInjector` schedules a parsed plan onto a runtime's simulator;
-everything is seeded and deterministic, so a failure scenario is exactly
-repeatable and shareable as a file (``repro run --faults plan.txt``).
+:class:`FaultInjector` is the one installer: it schedules a list of
+actions — a parsed plan, or a :class:`~repro.exec.spec.ScenarioSpec`'s
+adapt events lowered to actions ahead of its plan — onto a runtime's
+simulator in the order given.  Everything is seeded and deterministic, so
+a scenario is exactly repeatable and shareable as a file (``repro run
+--adaptive --faults plan.txt``).
 """
 
 from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
-from typing import List, Sequence, TextIO, Tuple, Union
+from typing import Iterable, Iterator, List, TextIO, Tuple, Union
 
 from ..errors import FaultError
 from ..network.faults import LinkFaults
 
-#: action name -> number of arguments after the timestamp.
-_ACTIONS = {
-    "crash": 1,
-    "cut": 2,
-    "heal": 2,
-    "degrade": 2,
-    "restore": 1,
-    "duplicate": 1,
-    "delay": 2,
+#: action name -> (fewest, most) arguments after the timestamp.
+_ARITY = {
+    "join": (1, 1),
+    "leave": (1, 2),
+    "crash": (1, 1),
+    "cut": (2, 2),
+    "heal": (2, 2),
+    "degrade": (2, 2),
+    "restore": (1, 1),
+    "duplicate": (1, 1),
+    "delay": (2, 2),
 }
 
 #: Actions that make the wire lossy/duplicating — the injector latches the
 #: unreliable-wire gate for these at install time, so requests already in
-#: flight when the action fires are filtered consistently.
+#: flight when the action fires are filtered consistently.  Nothing else
+#: touches ``switch.faults``: a fault object on the switch alone sends
+#: every message down the fault branch of ``Switch.transmit``.
 _UNRELIABLE_ACTIONS = frozenset({"cut", "duplicate", "delay"})
 
 
 @dataclass(frozen=True)
 class FaultAction:
-    """One scheduled fault event."""
+    """One scheduled script event."""
 
     time: float
     action: str
@@ -64,25 +73,24 @@ class FaultAction:
 
 @dataclass
 class FaultPlan:
-    """An ordered list of fault actions (the parsed plan file)."""
+    """An ordered list of script actions (the parsed plan file)."""
 
     actions: List[FaultAction] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         self.actions = sorted(self.actions, key=lambda a: (a.time, a.action, a.args))
 
+    def __iter__(self) -> Iterator[FaultAction]:
+        return iter(self.actions)
+
     @property
     def crash_times(self) -> List[Tuple[float, int]]:
         """(time, node) for every scheduled crash."""
         return [(a.time, int(a.args[0])) for a in self.actions if a.action == "crash"]
 
-    def needs_reliability(self) -> bool:
-        """Does any action require the reliable-request wire gating?"""
-        return any(a.action in _UNRELIABLE_ACTIONS for a in self.actions)
-
 
 def parse_plan(source: Union[str, TextIO]) -> FaultPlan:
-    """Parse a fault plan from a string or file-like object."""
+    """Parse a plan from a string or file-like object."""
     if isinstance(source, str):
         source = io.StringIO(source)
     actions: List[FaultAction] = []
@@ -92,10 +100,11 @@ def parse_plan(source: Union[str, TextIO]) -> FaultPlan:
             continue
         parts = line.split()
         time_s, action = parts[0], parts[1] if len(parts) > 1 else ""
-        if action not in _ACTIONS:
+        if action not in _ARITY:
             raise FaultError(f"plan line {lineno}: unknown action {action!r}")
-        want = _ACTIONS[action]
-        if len(parts) != 2 + want:
+        least, most = _ARITY[action]
+        if not least <= len(parts) - 2 <= most:
+            want = least if least == most else f"{least}-{most}"
             raise FaultError(
                 f"plan line {lineno}: {action} takes {want} argument(s), "
                 f"got {len(parts) - 2}"
@@ -112,7 +121,7 @@ def parse_plan(source: Union[str, TextIO]) -> FaultPlan:
 
 
 def parse_plan_file(path) -> FaultPlan:
-    """Parse a fault plan from a file path."""
+    """Parse a plan from a file path."""
     with open(path, "r", encoding="utf-8") as fh:
         return parse_plan(fh)
 
@@ -125,11 +134,11 @@ def dump_plan(plan: FaultPlan) -> str:
 
 
 class FaultInjector:
-    """Schedule a :class:`FaultPlan` onto a runtime's simulator."""
+    """Schedule script actions onto a runtime's simulator, in the order given."""
 
-    def __init__(self, runtime, plan: FaultPlan):
+    def __init__(self, runtime, actions: Iterable[FaultAction]):
         self.runtime = runtime
-        self.plan = plan
+        self.actions = list(actions)
         self.fired: List[FaultAction] = []
         self._installed = False
 
@@ -145,17 +154,22 @@ class FaultInjector:
         if self._installed:
             raise FaultError("fault plan already installed")
         self._installed = True
-        if self.plan.needs_reliability():
+        if any(a.action in _UNRELIABLE_ACTIONS for a in self.actions):
             # Latch the retransmit/dedup gating now, not when the first
             # lossy action fires — requests in flight across the switch-on
             # instant must be filtered under one consistent regime.
             self._link_faults().unreliable = True
-        for action in self.plan.actions:
+        for action in self.actions:
             self.runtime.sim.at(action.time, lambda a=action: self._fire(a))
 
     def _fire(self, action: FaultAction) -> None:
         args = action.args
-        if action.action == "crash":
+        if action.action == "join":
+            self.runtime.submit_join(int(args[0]))
+        elif action.action == "leave":
+            grace = args[1] if len(args) > 1 else None
+            self.runtime.submit_leave(int(args[0]), grace=grace)
+        elif action.action == "crash":
             self.runtime.inject_crash(int(args[0]))
         elif action.action == "cut":
             self._link_faults().cut(int(args[0]), int(args[1]))

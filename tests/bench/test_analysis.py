@@ -13,6 +13,7 @@ from repro.bench import (
     time_breakdown,
 )
 from repro.bench.harness import run_experiment
+from repro.config import PerfParams, SystemConfig
 
 
 @pytest.fixture(scope="module")
@@ -81,6 +82,16 @@ class TestLinkReports:
 
     def test_link_table_renders(self, run):
         assert "utilization" in link_table(run)
+
+    def test_fattree_trunks_reported(self):
+        """§5.4's max-per-link view covers the trunks, where a fat-tree's
+        traffic concentrates: each carries a whole leaf's."""
+        cfg = SystemConfig(perf=PerfParams(topology="fattree", topology_radix=2))
+        fat = run_experiment(lambda: make_jacobi(200, 10), nprocs=8, cfg=cfg)
+        names = {r.name for r in link_reports(fat)}
+        assert {f"trunk.{d}{leaf}" for d in ("up", "down") for leaf in range(4)} <= names
+        assert len(names) == 16 + 8
+        assert any(l.name.startswith("trunk.") for l in busiest_links(fat, top=2))
 
 
 class TestSpeedupTable:

@@ -2,16 +2,7 @@
 
 import pytest
 
-from repro.cluster import (
-    DaySchedule,
-    EventScript,
-    NodePool,
-    OwnerSchedule,
-    PeriodicAlternator,
-    PoissonOwnerActivity,
-    ScriptedEvent,
-    select_pid,
-)
+from repro.cluster import NodePool, PeriodicAlternator, select_pid
 from repro.errors import AdaptationError, NodeUnavailableError
 from repro.network import Switch
 from repro.simcore import Simulator
@@ -126,24 +117,6 @@ class TestSelectPid:
             select_pid(8, "first")
 
 
-class TestEventScript:
-    def test_script_fires_in_order(self):
-        sim, rt, pool = build_adaptive(nprocs=4)
-        prog = iterative_program(rt, n_iter=40)
-        script = EventScript(
-            rt,
-            [
-                ScriptedEvent(0.10, "leave", 3),
-                ScriptedEvent(0.05, "leave", 2, grace=9.0),
-            ],
-        )
-        script.install()
-        res = rt.run(prog)
-        assert [e.node_id for e in script.submitted] == [2, 3]
-        assert rt.team.nprocs == 2
-        assert res.adaptations == 2
-
-
 class TestPeriodicAlternator:
     def test_alternating_leave_join_end(self):
         sim, rt, pool = build_adaptive(nprocs=4)
@@ -174,51 +147,3 @@ class TestPeriodicAlternator:
         for record in res.adapt_log:
             assert len(record.joins) + len(record.leaves) + len(record.urgent_leaves) == 1
 
-
-class TestOwnerSchedule:
-    def test_presence_window_leaves_then_rejoins(self):
-        sim, rt, pool = build_adaptive(nprocs=4)
-        prog = iterative_program(rt, n_iter=200, compute=0.02)
-        sched = OwnerSchedule(rt, [DaySchedule(node_id=3, present=((0.2, 1.5),))])
-        sched.install()
-        res = rt.run(prog)
-        actions = [(a, n) for _, a, n in sched.fired]
-        assert actions == [("leave", 3), ("join", 3)]
-        leaves = [r for r in res.adapt_log if r.leaves or r.urgent_leaves]
-        joins = [r for r in res.adapt_log if r.joins]
-        assert leaves and joins
-
-    def test_inverted_window_rejected(self):
-        with pytest.raises(ValueError):
-            DaySchedule(node_id=1, present=((5.0, 2.0),)).transitions()
-
-
-class TestPoissonOwnerActivity:
-    def test_generates_leave_join_stream(self):
-        sim, rt, pool = build_adaptive(nprocs=4)
-        prog = iterative_program(rt, n_iter=400, compute=0.02)
-        daemon = PoissonOwnerActivity(
-            rt, node_ids=[2, 3], mean_away=1.0, mean_present=0.5, grace=60.0
-        )
-        daemon.install()
-        res = rt.run(prog)
-        assert len(daemon.fired) >= 2
-        assert res.adaptations >= 2
-
-    def test_bad_means_rejected(self):
-        sim, rt, pool = build_adaptive(nprocs=2)
-        with pytest.raises(ValueError):
-            PoissonOwnerActivity(rt, [1], mean_away=0, mean_present=1)
-
-    def test_deterministic_given_seed(self):
-        def one_run():
-            sim, rt, pool = build_adaptive(nprocs=4)
-            prog = iterative_program(rt, n_iter=200, compute=0.02)
-            daemon = PoissonOwnerActivity(
-                rt, node_ids=[3], mean_away=1.0, mean_present=0.5, grace=60.0
-            )
-            daemon.install()
-            rt.run(prog)
-            return daemon.fired
-
-        assert one_run() == one_run()

@@ -29,7 +29,7 @@ from ..helpers import build_system
 DRIVER = re.compile(
     r"master\.driver|P\d+\.main"
     r"|join\.setup\.\d+|grace\.\d+|recovery"
-    r"|failure\.detector|loadsensor|alternator|owner\.\d+"
+    r"|failure\.detector|alternator"
 )
 
 

@@ -100,6 +100,12 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             AdaptEvent("leave", -1.0)
 
+    @pytest.mark.parametrize("action", ["join", "crash"])
+    def test_grace_outside_a_leave_rejected(self, action):
+        with pytest.raises(ConfigurationError, match="takes no grace period"):
+            AdaptEvent(action, 1.0, 2, grace=0.5)
+        assert AdaptEvent("leave", 1.0, 2, grace=0.5).grace == 0.5
+
 
 class TestDerivedProperties:
     def test_effective_adaptive_implied_by_events(self):
@@ -151,3 +157,36 @@ class TestDefaultNodes:
         # resolved in time order: 0.002 -> node 2, 0.003 -> node 3
         # (explicit), 0.004 -> node 4
         assert [j.node_id for j in res.runtime.queue.joins] == [2, 3, 4]
+
+
+class TestOneInstaller:
+    """Adapt events are lowered to plan actions and installed through the
+    one injector: an event script and its plan text run the same model,
+    event for event."""
+
+    SCRIPTS = {
+        "leave+default-join": (
+            8, 2, {}, (AdaptEvent("leave", 0.03, 3), AdaptEvent("join", 0.06)),
+            "0.03 leave 3\n0.06 join 8"),
+        "urgent-leave+join": (
+            8, 2, {}, (AdaptEvent("leave", 0.03, 3, grace=0.0), AdaptEvent("join", 0.06)),
+            "0.03 leave 3 0\n0.06 join 8"),
+        "default-crash": (
+            4, 1, {"checkpoint_interval": 0.02, "failure_detection": True},
+            (AdaptEvent("crash", 0.03),), "0.03 crash 3"),
+    }
+
+    @pytest.mark.parametrize("model", ["flat", "tree+fattree"])
+    @pytest.mark.parametrize("script", sorted(SCRIPTS))
+    def test_events_and_plan_text_run_identically(self, script, model):
+        from repro.exec.pool import run_spec
+
+        from ..golden import MODELS
+
+        nprocs, extra, fields, events, plan = self.SCRIPTS[script]
+        base = spec_from_preset("tiny", "jacobi", nprocs, calibrated=False,
+                                extra_nodes=extra, perf=MODELS[model], **fields)
+        by_events, _ = run_spec(base.replaced(events=events))
+        by_plan, _ = run_spec(base.replaced(fault_plan=plan))
+        assert by_events.adaptations + len(by_events.recoveries) > 0
+        assert by_events.to_json() == by_plan.to_json()

@@ -62,10 +62,15 @@ class TestParsing:
             parse_plan("-1 crash 0")
 
     def test_needs_reliability(self):
-        assert parse_plan("0.5 cut 0 1").needs_reliability()
-        assert parse_plan("0.5 duplicate 0.1").needs_reliability()
-        assert parse_plan("0.5 delay 0.1 0.001").needs_reliability()
-        assert not parse_plan("0.5 crash 1\n1.0 degrade 2 0.001").needs_reliability()
+        def latches(text):
+            sim, rt, pool = build_adaptive(nprocs=2)
+            FaultInjector(rt, parse_plan(text)).install()
+            return rt.switch.faults is not None and rt.switch.faults.unreliable
+
+        assert latches("0.5 cut 0 1")
+        assert latches("0.5 duplicate 0.1")
+        assert latches("0.5 delay 0.1 0.001")
+        assert not latches("0.5 crash 1\n1.0 degrade 2 0.001\n1.5 leave 1 0\n2.0 join 1")
 
 
 class TestInjector:
@@ -77,6 +82,15 @@ class TestInjector:
         assert [a.action for a in inj.fired] == ["degrade", "restore"]
         assert rt.switch.faults is not None
         assert rt.switch.faults.extra_latency(0, 1) == 0.0
+
+    def test_same_time_actions_fire_in_the_order_given(self):
+        sim, rt, pool = build_adaptive(nprocs=2)
+        actions = [FaultAction(0.1, "restore", (1,)), FaultAction(0.1, "degrade", (1, 0.001))]
+        inj = FaultInjector(rt, actions)
+        inj.install()
+        sim.run(until=0.5)
+        assert inj.fired == actions
+        assert rt.switch.faults.extra_latency(0, 1) == 0.001
 
     def test_double_install_rejected(self):
         sim, rt, pool = build_adaptive(nprocs=2)

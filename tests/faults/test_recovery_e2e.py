@@ -11,8 +11,10 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.bench.harness import run_experiment
 from repro.config import FaultParams, SystemConfig
 from repro.errors import RecoveryError
+from repro.exec import AdaptEvent, ScenarioSpec
 from repro.faults import FaultInjector, parse_plan
 
 from ..helpers import build_adaptive
@@ -143,6 +145,36 @@ class TestPlanDrivenRecovery:
         res = rt.run(prog)
         assert len(res.recoveries) == 2
         np.testing.assert_array_equal(final["grid"], fault_free_grid())
+
+
+class TestStockKernelsReplayFromZero:
+    """Only ``jacobi-resumable`` keeps its iteration counter in shared
+    memory.  A stock kernel's driver rewrites the initial data, so after a
+    warm restore it re-runs every iteration, like a cold restart."""
+
+    ITERATIONS = 60
+
+    def _forks_after_recovery(self, kernel):
+        spec = ScenarioSpec(
+            kernel=kernel, params={"n": 96, "iterations": self.ITERATIONS},
+            nprocs=4, calibrated=False, materialized=True, extra_nodes=1,
+            events=(AdaptEvent("crash", 0.85),))
+        exp = run_experiment(
+            spec.build_app, nprocs=spec.nprocs, adaptive=True,
+            extra_nodes=spec.extra_nodes, materialized=True,
+            events=spec.install_events, trace=True,
+            runtime_kwargs={"checkpoint_interval": 0.2, "failure_detection": True})
+        (rec,) = exp.recoveries
+        assert rec.checkpoint_time is not None  # a warm restore
+        assert exp.app.verify(rtol=1e-7, atol=1e-9)
+        tracer = exp.runtime.sim.tracer
+        return sum(1 for r in tracer.select("tmk", "fork") if r.time >= rec.time)
+
+    def test_stock_jacobi_reruns_every_iteration(self):
+        assert self._forks_after_recovery("jacobi") == 2 * self.ITERATIONS
+
+    def test_resumable_jacobi_skips_the_checkpointed_prefix(self):
+        assert 0 < self._forks_after_recovery("jacobi-resumable") < 2 * self.ITERATIONS
 
 
 class TestPoolExhaustion:

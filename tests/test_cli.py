@@ -281,3 +281,15 @@ class TestSharedEngineFlags:
         """Nothing produces a cache to merge since workers keep none."""
         with pytest.raises(SystemExit):
             build_parser().parse_args(["cache", "merge", "src", "dst"])
+
+
+def test_run_replays_a_join_leave_plan(tmp_path, capsys):
+    """An availability trace is a plan file: ``--faults`` replays it."""
+    plan = tmp_path / "day.txt"
+    plan.write_text("# owner arrives, then leaves again\n0.5 leave 2 60\n1.0 join 2\n")
+    rc = main(["run", "jacobi", "--preset", "bench", "--nprocs", "3", "--adaptive",
+               "--faults", str(plan)])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "joins=[] leaves=[2] urgent=[] team 3->2" in out
+    assert "joins=[2] leaves=[] urgent=[] team 2->3" in out
