@@ -877,6 +877,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Adaptive OpenMP-on-NOW (PPoPP 1999) reproduction toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    from .config import EXEC_CACHE_DIR
     from .exec.service import DEFAULT_PORT
 
     engine = _engine_parent()
@@ -966,8 +967,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="export the Chrome/Perfetto trace.json")
     rep.add_argument("--metrics", default=None, metavar="FILE",
                      help="export the flat metrics.json")
-    rep.add_argument("--cache-dir", default=None,
-                     help="result-cache directory for --digest")
+    rep.add_argument("--cache-dir", default=EXEC_CACHE_DIR,
+                     help="result-cache directory for --digest "
+                          "(default: %(default)s)")
     rep.add_argument("--scale", default=None, metavar="FILE",
                      help="render the scaling table of a `repro scale` "
                           "JSON report instead of running")

@@ -228,8 +228,8 @@ class PerfParams:
     a single switched segment — and keep the Table 1/2 reproduction
     exact.  How a page moves is not among them: a fault, a leave drain
     and a checkpoint all pull it with one request/reply exchange.
-    Host-side speed-ups (plan cache, run-encoded diffs, interval-log
-    pruning) are not options either: they are the implementation,
+    Host-side speed-ups (plan cache, run-encoded diffs, per-page interval
+    index) are not options either: they are the implementation,
     bitwise invisible to every modelled output (``tests/golden.py``).
     """
 

@@ -176,7 +176,6 @@ class AdaptiveRuntime(TmkRuntime):
     def _wire_process(self, proc: DsmProcess) -> None:
         """Install the runtime's hooks on a (new) DSM engine."""
         proc.stall_hook = self.stall_check
-        proc.peers_hook = self._live_procs
         if self.failure_detection:
             proc.crash_hook = self._report_suspected_crash
 

@@ -23,7 +23,7 @@ from .process import DsmProcess
 from .runtime import MasterApi, RegionCtx, RunResult, TmkProgram, TmkRuntime
 from .sc import ScProcess, ScRuntime
 from .sharedarray import SharedArray
-from .statistics import DsmStats, TeamStats
+from .statistics import DsmStats
 from .team import TeamView
 from .vectorclock import VectorClock
 
@@ -50,7 +50,6 @@ __all__ = [
     "ScRuntime",
     "SharedArray",
     "SharedSegment",
-    "TeamStats",
     "TeamView",
     "TmkProgram",
     "TmkRuntime",

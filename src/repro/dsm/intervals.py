@@ -23,7 +23,7 @@ A traced diff is its declared range list and nothing else.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
@@ -213,49 +213,41 @@ class IntervalRecord:
 
 
 class IntervalLog:
-    """Per-process store of closed intervals for the current GC epoch.
+    """Per-process, append-only store of the intervals closed this GC epoch.
 
-    Besides the primary seq -> record map, the log keeps a per-page index
-    of the (seq-ascending) intervals that wrote each page — parallel
-    ``(seqs, records)`` lists — so diff lookups for a seq window bisect a
-    short page-local int list instead of probing every seq in the window.
+    Every own close carries a fresh clock tick, so records arrive in
+    ascending seq and garbage collection (:meth:`clear`) is the only
+    thing that ever drops one.  The log is a per-page index — parallel
+    ``(seqs, records)`` lists of the intervals that wrote each page — so
+    diff lookups for a seq window bisect a short page-local int list.
     """
 
     def __init__(self, proc: int):
         self.proc = proc
-        self._by_seq: Dict[int, IntervalRecord] = {}
+        self._count = 0
+        self._last_seq = 0
         #: page id -> ascending (seqs, records) of the intervals writing it.
         self._by_page: Dict[int, Tuple[List[int], List[IntervalRecord]]] = {}
 
     def __len__(self) -> int:
-        return len(self._by_seq)
+        return self._count
 
     def add(self, record: IntervalRecord) -> None:
+        """Append ``record``; its seq must follow every earlier one."""
         seq = record.seq
-        if seq in self._by_seq:
-            raise ValueError(f"duplicate interval seq {seq} for proc {self.proc}")
-        self._by_seq[seq] = record
+        if seq <= self._last_seq:
+            raise ValueError(f"interval seq {seq} for proc {self.proc} is not "
+                             f"after seq {self._last_seq}")
+        self._last_seq = seq
+        self._count += 1
         by_page = self._by_page
         for page in record.write_ranges:
             bucket = by_page.get(page)
             if bucket is None:
                 by_page[page] = ([seq], [record])
-                continue
-            seqs, records = bucket
-            if seqs[-1] < seq:
-                seqs.append(seq)
-                records.append(record)
             else:
-                k = bisect_left(seqs, seq)
-                seqs.insert(k, seq)
-                records.insert(k, record)
-
-    def get(self, seq: int) -> IntervalRecord:
-        return self._by_seq[seq]
-
-    def pages(self) -> List[int]:
-        """Pages with at least one live record (prune-candidate keys)."""
-        return list(self._by_page)
+                bucket[0].append(seq)
+                bucket[1].append(record)
 
     def records_for(
         self, page: int, from_seq_exclusive: int, to_seq_inclusive: int
@@ -279,44 +271,7 @@ class IntervalLog:
                 out.append(diff)
         return out
 
-    def prune_covered(self, cover: Dict[int, int]) -> int:
-        """Drop records every peer's applied clock already covers.
-
-        ``cover[page]`` is the *cover frontier* for this writer on
-        ``page``: the minimum, over all peers, of the seq up to which the
-        peer has applied this writer's diffs on that page (0 when a peer
-        has no mapping yet — a later notice would lazily map the page
-        with a zero applied clock and request diffs from seq 0).  A
-        record is dead once **every** page it wrote is covered at or
-        beyond its seq: no DIFF_REQ can ever name it again, because
-        requests ask for ``(applied[writer], to]`` windows.
-
-        Returns the number of records dropped.  Purely host-side
-        bookkeeping — no messages, no simulated time — so pruning never
-        changes simulated results (see ``tests/dsm/test_interval_prune.py``).
-        """
-        if not self._by_seq:
-            return 0
-        dead = [
-            seq for seq, rec in self._by_seq.items()
-            if all(cover.get(page, 0) >= seq for page in rec.write_ranges)
-        ]
-        for seq in dead:
-            rec = self._by_seq.pop(seq)
-            by_page = self._by_page
-            for page in rec.write_ranges:
-                bucket = by_page.get(page)
-                if bucket is None:
-                    continue
-                seqs, records = bucket
-                lo = bisect_left(seqs, seq)
-                if lo < len(seqs) and seqs[lo] == seq:
-                    del seqs[lo], records[lo]
-                if not seqs:
-                    del by_page[page]
-        return len(dead)
-
     def clear(self) -> None:
         """Drop everything (garbage collection)."""
-        self._by_seq.clear()
+        self._count = self._last_seq = 0
         self._by_page.clear()

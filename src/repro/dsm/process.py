@@ -40,11 +40,6 @@ from .statistics import DsmStats
 from .team import TeamView
 from .vectorclock import VectorClock
 
-#: Interval closes between prune sweeps of a process's interval log
-#: (pruning is O(peers × pages written), so it is amortized rather than
-#: run per close).
-INTERVAL_PRUNE_PERIOD = 64
-
 #: Page pulls the master keeps in flight while it drains a leaver (§4.2)
 #: or collects a checkpoint (§4.3).
 PIPELINE_DEPTH = 32
@@ -165,12 +160,6 @@ class DsmProcess:
         self.stats = DsmStats()
         #: Highest own interval seq already reported to the master.
         self._sent_to_master_seq = 0
-        #: Interval closes left until the next log-prune sweep.
-        self._prune_countdown = INTERVAL_PRUNE_PERIOD
-        #: Intervals closed since the last GC; drives ``wants_gc`` (the
-        #: §4.1 consistency-memory limit) independently of pruning, so
-        #: GC timing never depends on how much of the log was pruned.
-        self._intervals_this_epoch = 0
         self._notice_bytes = cfg.dsm.write_notice_bytes
         self._vc_bytes: Tuple[int, int] = (-1, 0)  # (vc width, cached bytes)
 
@@ -200,10 +189,6 @@ class DsmProcess:
         #: out or the peer's NIC is dark — escalates the NetworkError into a
         #: suspected-crash report instead of failing the simulation.
         self.crash_hook = None
-        #: Set by the runtime: zero-argument callable returning the live
-        #: pid -> process map.  Interval-log pruning reads peers' applied
-        #: clocks through it — pure host-side bookkeeping, no messages.
-        self.peers_hook = None
         node.add_process()
 
     # ------------------------------------------------------------------
@@ -1011,12 +996,6 @@ class DsmProcess:
                 obs.count("dsm.diff.created", len(diffs))
         self.current_writes = {}
         self.stats.intervals_closed += 1
-        self._intervals_this_epoch += 1
-        self._prune_countdown -= 1
-        if self._prune_countdown <= 0:
-            self._prune_countdown = INTERVAL_PRUNE_PERIOD
-            if len(self.log) >= INTERVAL_PRUNE_PERIOD:
-                self._prune_interval_log()
         # Index our own interval directly: ``seq`` is a fresh maximum for
         # our bucket, so a plain append keeps it ascending.
         notice = IntervalNotice(pid, seq, rec_vc, tuple(pages))
@@ -1039,58 +1018,9 @@ class DsmProcess:
 
     @property
     def wants_gc(self) -> bool:
-        """True when enough intervals closed this epoch (§4.1).
-
-        Counts *closes*, not live log records, so incremental pruning
-        (which shrinks the log) never shifts when GCs happen.
-        """
-        return self._intervals_this_epoch >= self.cfg.dsm.gc_interval_limit
-
-    def _prune_interval_log(self) -> int:
-        """Drop log records no peer can ever request diffs from again.
-
-        A peer asks this writer for diffs of page ``p`` in the window
-        ``(applied[p][us], seq]`` (see :meth:`_fetch_pending`), and its
-        per-page applied clock only advances within an epoch.  So the
-        *cover frontier* — the minimum over all peers of their applied
-        cell for us on ``p``, with 0 for peers that never mapped ``p``
-        (a later notice lazily maps it with nothing applied) — is a
-        safe lower bound: records whose every written page is covered at
-        or beyond their seq are unreachable and can be dropped.
-
-        Skipped entirely unless every peer is in our GC epoch (applied
-        clocks reset across GC/adaptation, so cross-epoch reads would be
-        meaningless).  Reads peer state through ``peers_hook`` — an
-        oracle read of host memory, no simulated messages or time, which
-        is why pruning is bitwise invisible to the simulation.
-        """
-        peers_hook = self.peers_hook
-        if peers_hook is None:
-            return 0
-        pid = self.pid
-        epoch = self.epoch
-        peers = [q for q in peers_hook().values() if q.pid != pid]
-        if not peers:
-            return 0
-        for q in peers:
-            if q.epoch != epoch:
-                return 0
-        # Each peer's applied column for us (cells of unmapped pages are
-        # 0); a peer that never applied anything of ours covers nothing.
-        columns = [q.table.applied.get(pid) for q in peers]
-        if None in columns:
-            return 0
-        cover: Dict[int, int] = {}
-        for page in self.log.pages():
-            frontier = min([applied[page] for applied in columns])
-            if frontier:
-                cover[page] = frontier
-        if not cover:
-            return 0
-        pruned = self.log.prune_covered(cover)
-        if pruned:
-            self.stats.intervals_pruned += pruned
-        return pruned
+        """True when enough intervals closed this epoch (§4.1): the log
+        holds exactly the intervals closed since the last GC."""
+        return len(self.log) >= self.cfg.dsm.gc_interval_limit
 
     # ------------------------------------------------------------------
     # barrier (the fold itself is the synchronization engine's)
@@ -1141,8 +1071,6 @@ class DsmProcess:
         self._known.clear()
         self.vc = VectorClock.zeros(self.team.nprocs)
         self.epoch += 1
-        self._intervals_this_epoch = 0
-        self._prune_countdown = INTERVAL_PRUNE_PERIOD
         self._sent_to_master_seq = 0
         self._lock_state.clear()
         if self.lock_mgr is not None:

@@ -215,7 +215,6 @@ class TmkRuntime:
         for proc in self.procs.values():
             if install_stall:
                 proc.stall_hook = self.stall_check
-            proc.peers_hook = self._live_procs
             proc.start_server()
         self.master_ctx = RegionCtx(self, self.master)
         self.fork_seq = 0
@@ -253,15 +252,6 @@ class TmkRuntime:
         return self.space.alloc(
             name, nbytes, protocol=protocol, home=home, dtype=dtype, shape=shape
         )
-
-    def _live_procs(self) -> Dict[int, DsmProcess]:
-        """The current pid -> process map (``DsmProcess.peers_hook``).
-
-        Interval-log pruning reads peers' applied clocks through this —
-        always the *current* map, so team rebuilds (adaptation, crash
-        recovery) are picked up automatically.
-        """
-        return self.procs
 
     # -- hooks overridden by the adaptive runtime ---------------------------
     def at_adaptation_point(self) -> Generator:

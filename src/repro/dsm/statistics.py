@@ -7,7 +7,7 @@ timing breakdowns used by the adaptation-cost analysis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 
 @dataclass
@@ -22,10 +22,6 @@ class DsmStats:
     diffs_created: int = 0
     twins_created: int = 0
     intervals_closed: int = 0
-    #: Interval-log records dropped by incremental pruning (host-side
-    #: memory bounding — see ``DsmProcess._prune_interval_log``; never
-    #: affects simulated times or traffic).
-    intervals_pruned: int = 0
     barriers: int = 0
     locks_acquired: int = 0
     gcs: int = 0
@@ -47,23 +43,3 @@ class DsmStats:
 
     def copy(self) -> "DsmStats":
         return DsmStats(**{f.name: getattr(self, f.name) for f in fields(DsmStats)})
-
-    def delta(self, earlier: "DsmStats") -> "DsmStats":
-        """Activity since ``earlier``."""
-        out = DsmStats()
-        for f in fields(DsmStats):
-            setattr(out, f.name, getattr(self, f.name) - getattr(earlier, f.name))
-        return out
-
-
-@dataclass
-class TeamStats:
-    """Aggregate of a set of process stats plus run-level quantities."""
-
-    per_process: dict = field(default_factory=dict)
-
-    def total(self) -> DsmStats:
-        acc = DsmStats()
-        for stats in self.per_process.values():
-            acc = acc.add(stats)
-        return acc

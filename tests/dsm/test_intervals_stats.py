@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.dsm import DsmStats, IntervalLog, IntervalRecord, VectorClock
-from repro.dsm.intervals import Diff, WriteNotice
-from repro.dsm.statistics import TeamStats
+from repro.dsm import DsmStats, IntervalLog, IntervalRecord, RunResult, VectorClock
+from repro.dsm.intervals import Diff
+
+from ..golden import golden_row
 
 
 def record(proc, seq, pages, width=2):
@@ -39,7 +40,7 @@ class TestIntervalLog:
         log = IntervalLog(0)
         rec = record(0, 1, [4])
         log.add(rec)
-        assert log.get(1) is rec
+        assert log.records_for(4, 0, 1) == [rec]
         assert len(log) == 1
 
     def test_duplicate_seq_rejected(self):
@@ -48,13 +49,22 @@ class TestIntervalLog:
         with pytest.raises(ValueError):
             log.add(record(0, 1, [5]))
 
+    def test_out_of_order_seq_rejected(self):
+        """Own closes carry fresh ticks: the log only ever appends."""
+        log = IntervalLog(0)
+        log.add(record(0, 2, [4]))
+        with pytest.raises(ValueError):
+            log.add(record(0, 1, [4]))
+        assert len(log) == 1
+
     def test_diffs_for_range(self):
         log = IntervalLog(0)
         for seq in (1, 2, 3, 4):
             log.add(record(0, seq, [10] if seq != 3 else [11]))
         diffs = log.diffs_for(10, 0, 4)
         assert [d.seq for d in diffs] == [1, 2, 4]
-        assert log.diffs_for(10, 2, 4) == [log.get(4).diffs[10]]
+        [rec4] = log.records_for(10, 3, 4)
+        assert log.diffs_for(10, 2, 4) == [rec4.diffs[10]]
         assert log.diffs_for(99, 0, 4) == []
 
     def test_clear(self):
@@ -62,6 +72,31 @@ class TestIntervalLog:
         log.add(record(0, 1, [4]))
         log.clear()
         assert len(log) == 0
+        log.add(record(0, 1, [4]))  # a new epoch restarts at seq 1
+        assert len(log) == 1
+
+    def test_clear_empties_every_page_index(self):
+        log = IntervalLog(0)
+        log.add(record(0, 1, [4, 5]))
+        log.clear()
+        assert log.records_for(4, 0, 9) == []
+        assert log.diffs_for(5, 0, 9) == []
+
+    def test_multi_page_record_indexed_under_each_page(self):
+        log = IntervalLog(0)
+        rec = record(0, 1, [0, 1])
+        log.add(rec)
+        assert log.records_for(0, 0, 1) == log.records_for(1, 0, 1) == [rec]
+        assert log.records_for(2, 0, 1) == []
+        assert len(log) == 1  # one record, however many pages it wrote
+
+    def test_records_for_window_is_half_open(self):
+        log = IntervalLog(0)
+        for seq in (1, 2, 3, 4):
+            log.add(record(0, seq, [10]))
+        assert [r.seq for r in log.records_for(10, 1, 3)] == [2, 3]
+        assert log.records_for(10, 4, 9) == []
+        assert log.records_for(10, 0, 0) == []
 
 
 class TestDiff:
@@ -94,14 +129,32 @@ class TestDsmStats:
         b.barriers = 99
         assert a.barriers == 1
 
-    def test_delta(self):
-        before = DsmStats(page_fetches=10)
-        after = DsmStats(page_fetches=25, gcs=1)
-        d = after.delta(before)
-        assert d.page_fetches == 15
-        assert d.gcs == 1
-
     def test_team_total(self):
-        team = TeamStats(per_process={0: DsmStats(locks_acquired=2),
-                                      1: DsmStats(locks_acquired=3)})
-        assert team.total().locks_acquired == 5
+        result = RunResult(runtime_seconds=0.0, traffic=None, forks=0,
+                           per_process={0: DsmStats(locks_acquired=2),
+                                        1: DsmStats(locks_acquired=3)})
+        assert result.total.locks_acquired == 5
+
+
+class TestLogOnGoldenRuns:
+    def test_log_keeps_every_close_until_gc(self):
+        """The ``locks`` rows run no GC, so every interval a process
+        closed is still in its log."""
+        for proc in golden_row("locks/flat/obs-off").experiment.runtime.procs.values():
+            assert proc.stats.gcs == 0
+            assert len(proc.log) == proc.stats.intervals_closed > 0
+
+    def test_gc_interval_limit_triggers_one_gc(self):
+        """``locks-gc`` closes 150 intervals per process against a limit
+        of 100: the log reaches the limit once, at the next fork."""
+        for proc in golden_row("locks-gc/flat/obs-off").experiment.runtime.procs.values():
+            assert proc.stats.gcs == 1
+
+    def test_gc_is_the_only_drop(self):
+        """``locks-gc`` GCs at its closing fork, after all 150 closes:
+        the log then holds nothing and no longer asks for a GC."""
+        for proc in golden_row("locks-gc/flat/obs-off").experiment.runtime.procs.values():
+            assert proc.stats.intervals_closed >= proc.cfg.dsm.gc_interval_limit
+            assert proc.epoch == 1
+            assert len(proc.log) == 0
+            assert not proc.wants_gc

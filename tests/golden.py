@@ -104,8 +104,7 @@ class BarrierProgram(AppKernel):
 
 class LockProgram(AppKernel):
     """A contended lock counter: every tenure closes an interval, and the
-    round-robin handoff keeps every peer's applied clock advancing (the
-    precondition for interval records to become prunable)."""
+    round-robin handoff keeps every peer's applied clock advancing."""
 
     name = "lock-counter"
     NPROCS = 3

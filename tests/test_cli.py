@@ -190,9 +190,30 @@ class TestReport:
         assert rc == 0
         assert "runtime" in out
 
+    def test_digest_mode_reads_the_default_sweep_cache(self, tmp_path,
+                                                        monkeypatch, capsys):
+        from repro.config import EXEC_CACHE_DIR
+
+        monkeypatch.chdir(tmp_path)
+        assert main(["sweep", "--apps", "jacobi", "--nodes", "4",
+                     "--preset", "tiny", "--jobs", "1"]) == 0
+        capsys.readouterr()
+        digest = next((tmp_path / EXEC_CACHE_DIR).glob("*.json")).stem
+        assert main(["report", "--digest", digest[:12]]) == 0
+        out = capsys.readouterr().out
+        assert "runtime" in out and "cost (ms)" in out
+
     def test_digest_mode_unknown_digest(self, tmp_path, capsys):
         assert main(["report", "--digest", "feedfacefeed",
                      "--cache-dir", str(tmp_path)]) == 2
+
+    def test_digest_mode_unknown_digest_default_cache(self, tmp_path,
+                                                      monkeypatch, capsys):
+        """Without ``--cache-dir`` the lookup runs in the sweep's default
+        cache directory and reports a miss instead of crashing."""
+        monkeypatch.chdir(tmp_path)
+        assert main(["report", "--digest", "feedfacefeed"]) == 2
+        assert "no cache entry" in capsys.readouterr().err
 
 
 class TestScale:
