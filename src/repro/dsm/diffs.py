@@ -7,11 +7,13 @@ dirty ranges; its wire size is identical because the declared ranges are
 exact.
 
 Encoding keeps what the comparison yields and nothing derived from it:
-the offsets of the changed bytes (narrowed to the page's offset dtype),
-the bytes gathered at those offsets, and the run count the wire size
-needs (see :class:`~repro.dsm.intervals.Diff`).  Fetching several diffs
-of one page applies them one after another in happens-before order, so a
-byte written by several intervals ends up with the last writer's value.
+the comparison itself packed to one bit per page byte, the changed bytes
+it selects, and the run count the wire size needs, counted from the
+comparison (see :class:`~repro.dsm.intervals.Diff`).  A diff therefore
+costs its dirty bytes plus ``page_size // 8``, however fragmented.
+Fetching several diffs of one page applies them one after another in
+happens-before order, so a byte written by several intervals ends up
+with the last writer's value.
 """
 
 from __future__ import annotations
@@ -64,9 +66,10 @@ def make_diff(
     if not vc_is_snapshot:
         vc = vc.snapshot()
     if twin is not None and current is not None:
-        # flatnonzero without its ravel: pages are 1-D.
-        positions = (twin != current).nonzero()[0]
-        if not positions.size:
+        changed = twin != current
+        # A run starts at every False -> True step, and at byte 0 if set.
+        runs = int(np.count_nonzero(changed[1:] > changed[:-1])) + int(changed[0])
+        if not runs:
             return None
     else:
         ranges = declared_ranges if declared_normalized else normalize(declared_ranges)
@@ -76,14 +79,14 @@ def make_diff(
             return Diff(proc, seq, page, vc, ranges)
         # No twin (single-writer page later demoted to multiple-writer): the
         # declared write ranges stand in for the comparison and the current
-        # bytes are shipped.  Normalized ranges are non-adjacent, so their
-        # offsets form exactly ``len(ranges)`` runs.
-        positions = np.concatenate([np.arange(s, e) for s, e in ranges])
-    return Diff(
-        proc, seq, page, vc,
-        buf=current[positions],
-        offsets=positions.astype(np.min_scalar_type(current.size - 1)),
-    )
+        # bytes are shipped.  Normalized ranges are non-adjacent, so they
+        # are exactly ``len(ranges)`` runs.
+        changed = np.zeros(current.size, dtype=bool)
+        for start, end in ranges:
+            changed[start:end] = True
+        runs = len(ranges)
+    return Diff(proc, seq, page, vc, buf=current[changed],
+                mask=np.packbits(changed), runs=runs)
 
 
 def apply_diffs_in_order(
@@ -91,11 +94,13 @@ def apply_diffs_in_order(
 ) -> List[Diff]:
     """Apply ``diffs`` in happens-before order; returns the sorted list.
 
-    ``page_buffer`` may be ``None`` in traced mode (ordering still
-    computed, since callers use it to update applied clocks).
+    ``page_buffer`` is ``None`` in traced mode: there are no bytes whose
+    last writer matters, so ``diffs`` comes back as given, unsorted.
+    Callers advance their applied clocks per writer, not in this order.
     """
-    ordered = sorted(diffs, key=Diff.sort_key) if len(diffs) > 1 else list(diffs)
-    if page_buffer is not None:
-        for diff in ordered:
-            diff.apply(page_buffer)
+    if page_buffer is None:
+        return diffs
+    ordered = sorted(diffs, key=Diff.sort_key) if len(diffs) > 1 else diffs
+    for diff in ordered:
+        diff.apply(page_buffer)
     return ordered

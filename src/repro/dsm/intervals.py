@@ -13,12 +13,13 @@ after a GC every page is valid somewhere with a known owner and no
 interval/notice/diff state survives, which is what makes adaptation cheap.
 
 A materialized diff is three things: ``buf``, every changed byte in page
-order; ``offsets``, the page offset of each of those bytes in a narrow
-unsigned dtype (uint16 for pages up to 64 KiB); and the number of runs
-the offsets form, which is all the wire size needs.  No ``(start, end)``
-tuple exists per run — a Jacobi page is ~440 runs — until somebody reads
-``Diff.ranges``.  Application is one scatter, ``page[offsets] = buf``.
-A traced diff is its declared range list and nothing else.
+order; ``mask``, one bit per page byte saying which bytes changed
+(``page_size // 8`` bytes, ``np.packbits`` order); and the number of runs
+the changed bytes form, which is all the wire size needs.  No
+``(start, end)`` tuple exists per run — a Jacobi page is ~490 runs —
+until somebody reads ``Diff.ranges``.  Application is one masked store,
+``page[unpackbits(mask)] = buf``.  A traced diff is its declared range
+list and nothing else.
 """
 
 from __future__ import annotations
@@ -26,11 +27,11 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .ranges import RUN_HEADER_BYTES, Range, coalesce, count_runs, total_bytes
+from .ranges import RUN_HEADER_BYTES, Range, coalesce, total_bytes
 from .runs import Run, run_at, spans
 from .vectorclock import VectorClock
 
@@ -43,11 +44,11 @@ class Diff:
     Two shapes share the ``(proc, seq, page, vc)`` header:
 
     * *traced*: the declared dirty ``ranges`` are the diff; ``buf`` and
-      ``offsets`` are ``None``.
+      ``mask`` are ``None``.
     * *materialized*: ``buf`` holds the changed bytes in page order and
-      ``offsets`` their page offsets, parallel to ``buf`` in the smallest
-      unsigned dtype that holds ``page_size - 1``.  Only the run *count*
-      is kept; ``ranges`` run-length encodes ``offsets`` on demand.
+      ``mask`` the packed bitmap of their page positions (``buf.size``
+      bits set).  Only the run *count* is kept, as the encoder counted
+      it; ``ranges`` run-length encodes the mask on demand.
 
     ``dirty_bytes`` and ``wire_size = dirty_bytes + RUN_HEADER_BYTES *
     runs`` are computed once at construction (they sit on the
@@ -55,7 +56,7 @@ class Diff:
     shapes.  Equality is identity: ``(proc, seq, page)`` names a diff.
     """
 
-    __slots__ = ("proc", "seq", "page", "vc", "buf", "offsets", "runs",
+    __slots__ = ("proc", "seq", "page", "vc", "buf", "mask", "runs",
                  "dirty_bytes", "wire_size", "_ranges", "_key")
 
     def __init__(
@@ -66,18 +67,19 @@ class Diff:
         vc: VectorClock,
         ranges: Optional[List[Range]] = None,
         buf: Optional[np.ndarray] = None,
-        offsets: Optional[np.ndarray] = None,
+        mask: Optional[np.ndarray] = None,
+        runs: int = 0,
     ):
         self.proc = proc
         self.seq = seq
         self.page = page
         self.vc = vc
         self.buf = buf
-        self.offsets = offsets
+        self.mask = mask
         self._ranges = ranges
         self._key = None
-        if offsets is not None:
-            runs, dirty = count_runs(offsets), buf.size
+        if mask is not None:
+            dirty = buf.size
         else:
             runs = len(ranges)
             if runs == 1:
@@ -95,15 +97,16 @@ class Diff:
     def ranges(self) -> List[Range]:
         """The dirty byte ranges (exact in both shapes)."""
         ranges = self._ranges
-        return ranges if ranges is not None else coalesce(self.offsets)
+        if ranges is None:
+            ranges = coalesce(np.flatnonzero(np.unpackbits(self.mask)))
+        return ranges
 
     def apply(self, page_buffer: np.ndarray) -> None:
         """Write the diff's bytes into a page-sized uint8 buffer."""
         if self.buf is None:
             raise ValueError("cannot apply a traced-mode diff to real data")
-        # Widened explicitly: numpy's own cast of a narrow index array
-        # inside the scatter is slower than this copy plus the scatter.
-        page_buffer[self.offsets.astype(np.intp)] = self.buf
+        changed = np.unpackbits(self.mask, count=page_buffer.size).view(bool)
+        page_buffer[changed] = self.buf
 
     def sort_key(self):
         """Happens-before-consistent application order (cached)."""
@@ -300,16 +303,35 @@ class IntervalLog:
                     out = records[lo:hi]
         return out
 
-    def diffs_for(self, page: int, from_seq_exclusive: int, to_seq_inclusive: int) -> List[Diff]:
-        """All diffs of ``page`` in intervals ``(from, to]`` (ascending seq)."""
+    def diffs_for(
+        self,
+        page: int,
+        from_seq_exclusive: int,
+        to_seq_inclusive: int,
+        encode: Optional[Callable[[IntervalRecord, int], Optional[Diff]]] = None,
+    ) -> List[Diff]:
+        """All diffs of ``page`` in intervals ``(from, to]`` (ascending seq).
+
+        A traced diff is wrapped from the record's ``diff_runs`` the first
+        time it is asked for.  A record whose page skipped eager encoding
+        (single-writer at close, demoted since) gets its diff from
+        ``encode(record, page)``, if given; either way the diff is kept in
+        the record, so the page is encoded once.
+        """
         out = []
         for rec in self.records_for(page, from_seq_exclusive, to_seq_inclusive):
             diff = rec.diffs.get(page)
             if diff is None:
                 run = run_at(rec.diff_runs, page)
-                if run is None:
+                if run is not None:
+                    diff = Diff(rec.proc, rec.seq, page, rec.vc, run[2])
+                elif encode is None:
                     continue
-                diff = rec.diffs[page] = Diff(rec.proc, rec.seq, page, rec.vc, run[2])
+                else:
+                    diff = encode(rec, page)
+                    if diff is None:
+                        continue
+                rec.diffs[page] = diff
             out.append(diff)
         return out
 

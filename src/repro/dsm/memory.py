@@ -5,11 +5,17 @@ segment (array) occupies a page-aligned run of global page ids.  It is
 metadata only — actual bytes live in each process's :class:`LocalStore`
 (materialized mode) because every DSM process has its *own copy* of every
 page it maps, exactly like nodes of a real DSM.
+
+Like a real DSM node's mapping of the shared region, a store is demand
+zero: each (process, segment) buffer is one private anonymous ``mmap``,
+so a page takes memory only once something writes it, and the whole
+mapping is returned to the kernel as soon as the last view of it dies.
 """
 
 from __future__ import annotations
 
 import bisect
+import mmap
 import weakref
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -159,6 +165,8 @@ class LocalStore:
 
     One padded uint8 buffer per segment; page copies and application data
     are views into it, so applying a diff updates what the app reads.
+    Each buffer views its own anonymous private mapping: pages nobody
+    writes stay the kernel's shared zero page.
     """
 
     def __init__(self, space: AddressSpace):
@@ -166,10 +174,12 @@ class LocalStore:
         self._buffers: Dict[int, np.ndarray] = {}
 
     def buffer(self, seg: SharedSegment) -> np.ndarray:
-        """The full padded buffer for ``seg`` (created zeroed on first use)."""
+        """The full padded buffer for ``seg`` (mapped zeroed on first use)."""
         buf = self._buffers.get(seg.seg_id)
         if buf is None:
-            buf = np.zeros(seg.npages * self.space.page_size, dtype=np.uint8)
+            size = seg.npages * self.space.page_size
+            buf = np.frombuffer(mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE),
+                                dtype=np.uint8)
             self._buffers[seg.seg_id] = buf
         return buf
 

@@ -399,15 +399,18 @@ class DsmProcess:
                 mk.PAGE_REPLY if kind == mk.PAGE_REQ else mk.CKPT_PAGE_REPLY,
             )
         elif kind == mk.DIFF_REQ:
-            span = (msg.payload["page"], msg.payload["from_seq"],
-                    msg.payload["to_seq"])
-            self._encode_lazy_diffs(*span)
-            diffs = self.log.diffs_for(*span)
-            dirty = sum(d.dirty_bytes for d in diffs)
+            payload = msg.payload
+            diffs = self.log.diffs_for(
+                payload["page"], payload["from_seq"], payload["to_seq"],
+                self._encode_lazy_diff,
+            )
+            dirty = wire = 0
+            for diff in diffs:
+                dirty += diff.dirty_bytes
+                wire += diff.wire_size
             self._occupy(
                 msg, net.diff_fixed + dirty * net.diff_per_byte, mk.DIFF_REPLY,
-                4 + sum(d.wire_size for d in diffs),
-                {"diffs": diffs, "n_diffs": len(diffs)},
+                4 + wire, {"diffs": diffs, "n_diffs": len(diffs)},
             )
         elif kind == mk.LOCK_FORWARD:
             self._occupy(msg, net.lock_service)
@@ -545,8 +548,9 @@ class DsmProcess:
                 f"{self.name}: asked for page {page} but holds no valid copy"
             )
 
-    def _encode_lazy_diffs(self, page: int, from_seq: int, to_seq: int) -> None:
-        """Encode diffs for intervals that skipped eager creation.
+    def _encode_lazy_diff(self, rec: IntervalRecord, page: int) -> Optional[Diff]:
+        """Encode the diff of ``page`` for an interval that skipped eager
+        creation (``IntervalLog.diffs_for`` asks for it).
 
         Happens only for pages demoted from single-writer after their
         interval closed.  In materialized mode the current page bytes stand
@@ -554,29 +558,21 @@ class DsmProcess:
         exact, and later intervals' diffs overwrite in apply order, so the
         reader converges to the same bytes.
         """
-        created = 0
-        for rec in self.log.records_for(page, from_seq, to_seq):
-            diff_runs = rec.diff_runs
-            if diff_runs is rec.runs or page in rec.diffs or (
-                    diff_runs and run_at(diff_runs, page)):
-                continue  # encoded at close, or wrapped on request
-            diff = make_diff(
-                proc=self.pid,
-                seq=rec.seq,
-                page=page,
-                vc=rec.vc,
-                declared_ranges=run_at(rec.runs, page)[2],
-                current=self.store.page_view(page) if self.materialized else None,
-                vc_is_snapshot=True,
-            )
-            if diff is not None:
-                rec.diffs[page] = diff
-                created += 1
-        if created:
-            self.stats.diffs_created += created
+        diff = make_diff(
+            proc=self.pid,
+            seq=rec.seq,
+            page=page,
+            vc=rec.vc,
+            declared_ranges=run_at(rec.runs, page)[2],
+            current=self.store.page_view(page) if self.materialized else None,
+            vc_is_snapshot=True,
+        )
+        if diff is not None:
+            self.stats.diffs_created += 1
             obs = self.sim.obs
             if obs.enabled:
-                obs.count("dsm.diff.created", created)
+                obs.count("dsm.diff.created", 1)
+        return diff
 
     # ------------------------------------------------------------------
     # page ownership and notices
@@ -1136,7 +1132,7 @@ class DsmProcess:
         # ARE the diff.  Single-writer pages serve full-page refreshes
         # instead; should one be demoted later (write sharing after an
         # adaptation), its diff is encoded lazily at the first DIFF_REQ
-        # from the recorded ranges (see _encode_lazy_diffs).
+        # from the recorded ranges (see _encode_lazy_diff).
         diffs = rec.diffs
         if self.materialized:
             twins = sorted(self._twins, key=itemgetter(0))

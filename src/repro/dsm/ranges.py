@@ -50,19 +50,6 @@ def merge(a: Iterable[Range], b: Iterable[Range]) -> List[Range]:
     return normalize(a + b)
 
 
-def _gaps(offsets: np.ndarray) -> np.ndarray:
-    """True at ``i`` where ``offsets[i + 1]`` opens a new run.  Strictly
-    ascending input keeps ``offsets[:-1] + 1`` inside any unsigned dtype."""
-    return offsets[1:] != offsets[:-1] + 1
-
-
-def count_runs(offsets: np.ndarray) -> int:
-    """Number of maximal runs of consecutive values in ascending ``offsets``."""
-    if not offsets.size:
-        return 0
-    return int(np.count_nonzero(_gaps(offsets))) + 1
-
-
 def coalesce(offsets: np.ndarray) -> List[Range]:
     """Run-length encode strictly ascending ``offsets`` into ``(start, end)``
     ranges — the one coalescing helper behind ``changed_ranges``,
@@ -70,7 +57,7 @@ def coalesce(offsets: np.ndarray) -> List[Range]:
     if not offsets.size:
         return []
     wide = offsets.astype(np.int64)  # ``last + 1`` may not fit a narrow dtype
-    breaks = np.flatnonzero(_gaps(wide))
+    breaks = np.flatnonzero(wide[1:] != wide[:-1] + 1)
     starts = np.concatenate((wide[:1], wide[breaks + 1]))
     ends = np.concatenate((wide[breaks], wide[-1:])) + 1
     return list(zip(starts.tolist(), ends.tolist()))

@@ -1,17 +1,18 @@
-"""Property-based tests of the run-encoded diff.
+"""Property-based tests of the masked diff.
 
-A materialized diff is ``buf`` (the changed bytes), ``offsets`` (their
-page offsets, in the narrowest unsigned dtype the page needs) and a run
-count; ``ranges`` is derived on demand.  These tests drive the encoder
-with hypothesis-generated write patterns and assert the invariants the
-rest of the engine relies on:
+A materialized diff is ``buf`` (the changed bytes), ``mask`` (one bit per
+page byte, set where the byte changed) and a run count; ``ranges`` is
+derived on demand.  These tests drive the encoder with
+hypothesis-generated write patterns and assert the invariants the rest
+of the engine relies on:
 
 * encode→apply round-trips bitwise (any twin, any write pattern), from a
   twin and from declared ranges alone (the lazily encoded path);
 * derived ranges, dirty bytes and wire size equal what ``changed_ranges``
   says, and what the traced encoding of the same ranges says;
 * in-order application of a diff chain equals a byte-by-byte reference;
-* a diff retains a few bytes per dirty byte and no object per run.
+* a diff retains its dirty bytes plus ``page_size // 8`` and no object
+  per run.
 """
 
 from __future__ import annotations
@@ -60,6 +61,11 @@ def encode(twin: np.ndarray, current: np.ndarray, seq: int = 1, proc: int = 0):
     )
 
 
+def mask_bits(diff) -> np.ndarray:
+    """The diff's mask unpacked to one bool per page byte."""
+    return np.unpackbits(diff.mask).view(bool)
+
+
 def assert_encodes(twin: np.ndarray, current: np.ndarray) -> None:
     """Everything a diff of ``twin -> current`` must satisfy."""
     diff = encode(twin, current)
@@ -70,7 +76,8 @@ def assert_encodes(twin: np.ndarray, current: np.ndarray) -> None:
         return
     assert diff.ranges == ranges
     assert diff.runs == len(ranges)
-    assert diff.dirty_bytes == total_bytes(ranges) == diff.buf.size == diff.offsets.size
+    assert diff.dirty_bytes == total_bytes(ranges) == diff.buf.size
+    assert np.array_equal(mask_bits(diff), twin != current)
     assert diff.wire_size == diff.dirty_bytes + RUN_HEADER_BYTES * len(ranges)
     target = twin.copy()
     diff.apply(target)
@@ -129,7 +136,9 @@ class TestRoundTrip:
             assert diff is None
             return
         assert diff.ranges == ranges and diff.runs == len(ranges)
-        assert diff.offsets.dtype == np.uint8
+        assert diff.mask.nbytes == PAGE // 8
+        assert mask_bits(diff).tolist() == [
+            any(s <= i < e for s, e in ranges) for i in range(PAGE)]
         assert diff.dirty_bytes == total_bytes(ranges) == diff.buf.size
         assert diff.wire_size == diff.dirty_bytes + RUN_HEADER_BYTES * len(ranges)
         stale = rng.integers(0, 256, size=PAGE, dtype=np.uint8)
@@ -152,11 +161,10 @@ class TestEncodingInvariants:
             return
         assert diff.ranges == normalize(diff.ranges)  # sorted, coalesced
         assert all(0 <= s < e <= PAGE for s, e in diff.ranges)
-        # offsets: strictly increasing, one per dirty byte, naming buf's bytes
-        offsets = diff.offsets.astype(np.int64)
-        assert bool(np.all(offsets[1:] > offsets[:-1]))
-        assert offsets.tolist() == [i for s, e in diff.ranges for i in range(s, e)]
-        assert np.array_equal(diff.buf, current[offsets])
+        # mask: one bit per dirty byte, selecting buf's bytes in page order
+        positions = np.flatnonzero(mask_bits(diff))
+        assert positions.tolist() == [i for s, e in diff.ranges for i in range(s, e)]
+        assert np.array_equal(diff.buf, current[positions])
 
     @given(writes=writes_strategy(), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=200, deadline=None)
@@ -177,20 +185,22 @@ class TestEncodingInvariants:
         assert traced.runs == mat.runs
         assert traced.dirty_bytes == mat.dirty_bytes
         assert traced.wire_size == mat.wire_size
-        assert traced.buf is None and traced.offsets is None
+        assert traced.buf is None and traced.mask is None
+        assert mat.mask.nbytes == PAGE // 8
 
-    @pytest.mark.parametrize("page_size, dtype", [
-        (256, np.uint8), (4096, np.uint16), (65536, np.uint16), (131072, np.uint32),
-    ])
-    def test_offset_dtype_is_the_narrowest_that_fits(self, page_size, dtype):
-        """The last byte of the page is the largest offset: 65 535 still
-        fits uint16, one page size up widens, and both apply correctly."""
+    @pytest.mark.parametrize("page_size", [256, 4096, 65536, 131072])
+    def test_mask_is_one_bit_per_page_byte(self, page_size):
+        """Whatever the page size, the mask is ``page_size // 8`` bytes,
+        it has one bit set per byte of ``buf``, and the run count the
+        encoder took from the comparison is the number of derived ranges.
+        The last byte of the page is covered and applies correctly."""
         twin = np.zeros(page_size, dtype=np.uint8)
         current = twin.copy()
         current[[0, page_size - 2, page_size - 1]] = 9
         diff = encode(twin, current)
-        assert diff.offsets.dtype == dtype
-        assert diff.offsets.tolist() == [0, page_size - 2, page_size - 1]
+        assert diff.mask.nbytes == page_size // 8
+        assert diff.buf.size == int(np.unpackbits(diff.mask).sum()) == 3
+        assert diff.runs == len(diff.ranges) == 2
         assert diff.ranges == [(0, 1), (page_size - 2, page_size)]
         assert diff.wire_size == 3 + 2 * RUN_HEADER_BYTES
         target = twin.copy()
@@ -206,38 +216,53 @@ class TestEncodingInvariants:
         assert len({a, b}) == 2
 
 
+def retained_by(build):
+    """Bytes and blocks that ``build()``'s result keeps alive, traced."""
+    build()  # first-call caches are not the diff's
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot()
+        diff = build()
+        gc.collect()
+        after = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    own = [tracemalloc.Filter(False, tracemalloc.__file__)]
+    grown = [s for s in after.filter_traces(own).compare_to(
+        before.filter_traces(own), "filename") if s.size_diff > 0]
+    return diff, sum(s.size_diff for s in grown), sum(s.count_diff for s in grown)
+
+
 class TestFootprint:
     def test_alternating_page_retains_bytes_not_objects(self):
         """Worst-case fragmentation of a 4 KB page: 2 048 dirty bytes in
-        2 048 runs.  The diff keeps 1 B of data + 2 B of offset per dirty
-        byte and a fixed number of objects — nothing per run."""
+        2 048 runs.  The diff keeps 1 B of data per dirty byte, a 512 B
+        mask and a fixed number of objects — nothing per run."""
         twin = np.zeros(4096, dtype=np.uint8)
         current = twin.copy()
         current[::2] = 1
         vc = clock()
-
-        def build():
-            return make_diff(0, 1, 0, vc, [], twin=twin, current=current,
-                             vc_is_snapshot=True)
-
-        build()  # first-call caches are not the diff's
-        gc.collect()
-        tracemalloc.start()
-        try:
-            before = tracemalloc.take_snapshot()
-            diff = build()
-            gc.collect()
-            after = tracemalloc.take_snapshot()
-        finally:
-            tracemalloc.stop()
-        own = [tracemalloc.Filter(False, tracemalloc.__file__)]
-        grown = [s for s in after.filter_traces(own).compare_to(
-            before.filter_traces(own), "filename") if s.size_diff > 0]
-        retained = sum(s.size_diff for s in grown)
-        blocks = sum(s.count_diff for s in grown)
-        assert retained <= 4 * diff.dirty_bytes + 1024, retained
+        diff, retained, blocks = retained_by(lambda: make_diff(
+            0, 1, 0, vc, [], twin=twin, current=current, vc_is_snapshot=True))
+        assert retained <= diff.dirty_bytes + 4096 // 8 + 1024, retained
         assert blocks <= 32, blocks  # a tuple per run would be 2 048 more
         assert diff.dirty_bytes == diff.runs == 2048
+
+    def test_dense_jacobi_page_costs_dirty_bytes_plus_mask(self):
+        """A Jacobi sweep rewrites every float64 of a page but leaves most
+        exponent bytes alone: 7 of every 8 bytes dirty, 512 runs.  The
+        diff keeps at most its dirty bytes, the ``page_size // 8`` mask
+        and 1 KB — not a per-byte offset beside each data byte."""
+        page_size = 4096
+        twin = np.linspace(1.0, 2.0, page_size // 8).view(np.uint8).copy()
+        current = twin.copy()
+        current[np.arange(page_size) % 8 != 7] ^= 0x5A
+        vc = clock()
+        diff, retained, _ = retained_by(lambda: make_diff(
+            0, 1, 0, vc, [], twin=twin, current=current, vc_is_snapshot=True))
+        assert diff.dirty_bytes == 3584 and diff.runs == 512
+        assert retained <= diff.dirty_bytes + page_size // 8 + 1024, retained
 
 
 def apply_bytewise(diffs, page):

@@ -85,7 +85,7 @@ class TestMakeDiff:
     def test_traced_mode_uses_declared_ranges(self):
         diff = make_diff(0, 1, 3, VectorClock([1]), [(0, 10), (5, 20)])
         assert diff.ranges == [(0, 20)]
-        assert diff.buf is None and diff.offsets is None
+        assert diff.buf is None and diff.mask is None
         assert diff.dirty_bytes == 20
 
     def test_traced_empty_ranges_none(self):
@@ -125,8 +125,15 @@ class TestApplyOrder:
         apply_diffs_in_order([d1, d2], buf)
         assert buf[0] == 7 and buf[8] == 9
 
-    def test_returns_sorted_list_without_buffer(self):
+    def test_returns_sorted_list_with_buffer(self):
         d1 = self._diff(0, 1, [1, 0], start=0, value=7)
         d2 = self._diff(1, 1, [1, 1], start=0, value=9)
-        ordered = apply_diffs_in_order([d2, d1], None)
+        ordered = apply_diffs_in_order([d2, d1], np.zeros(16, dtype=np.uint8))
         assert [d.proc for d in ordered] == [0, 1]
+
+    def test_no_buffer_returns_input_unsorted(self):
+        """Traced mode has no bytes to order: the input comes back as is."""
+        d1 = self._diff(0, 1, [1, 0], start=0, value=7)
+        d2 = self._diff(1, 1, [1, 1], start=0, value=9)
+        diffs = [d2, d1]
+        assert apply_diffs_in_order(diffs, None) is diffs

@@ -1,5 +1,7 @@
 """Tests for the address space, local stores, page tables, and teams."""
 
+import mmap
+
 import numpy as np
 import pytest
 
@@ -95,6 +97,19 @@ class TestLocalStore:
         # mutating the view mutates the underlying page bytes
         raw = store.page_view(seg.page0).view(np.float64)
         assert raw[2 * 4 + 3] == 1.5
+
+    def test_buffer_is_a_private_demand_zero_mapping(self):
+        """Each segment's buffer views its own anonymous mapping, so pages
+        nobody writes take no memory; it reads as zeros and is writable."""
+        space = AddressSpace(4096)
+        a, b = space.alloc("a", 3 * 4096), space.alloc("b", 100)
+        store = LocalStore(space)
+        buf = store.buffer(a)
+        mapping = buf.base.obj  # frombuffer's base is a memoryview
+        assert isinstance(mapping, mmap.mmap) and len(mapping) == 3 * 4096
+        assert buf.flags.writeable and not buf.any()
+        assert store.buffer(b).base.obj is not mapping
+        assert store.buffer(b).size == 4096  # padded to whole pages
 
 
 class TestPageTable:

@@ -7,7 +7,6 @@ from repro.dsm import AddressSpace, SharedArray
 from repro.dsm.ranges import (
     clip,
     coalesce,
-    count_runs,
     diff_wire_size,
     intersects,
     merge,
@@ -106,20 +105,18 @@ class TestSizes:
 
 
 class TestRunLengthEncoding:
-    """``coalesce``/``count_runs``: the one positions-to-runs encoder."""
+    """``coalesce``: the one positions-to-runs encoder."""
 
     @given(st.sets(st.integers(0, 300), max_size=60), st.sampled_from(["uint16", "int64"]))
     def test_matches_normalize_of_unit_ranges(self, members, dtype):
         offsets = np.array(sorted(members), dtype=dtype)
         expected = normalize([(i, i + 1) for i in members])
         assert coalesce(offsets) == expected
-        assert count_runs(offsets) == len(expected)
 
     def test_top_of_a_narrow_dtype(self):
         """End offsets are one past the last byte: 65 536 is not a uint16."""
         offsets = np.array([0, 65534, 65535], dtype=np.uint16)
         assert coalesce(offsets) == [(0, 1), (65534, 65536)]
-        assert count_runs(offsets) == 2
 
     @given(st.lists(st.integers(0, 99), max_size=40))
     def test_element_set_takes_any_iterable_or_array(self, indices):
