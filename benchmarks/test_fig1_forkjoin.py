@@ -11,6 +11,7 @@ from repro.bench import format_table
 from repro.cluster import NodePool
 from repro.config import SystemConfig
 from repro.network import Switch
+from repro.obs import Registry
 from repro.openmp import OmpProgram, ParallelFor, compile_openmp
 from repro.simcore import Simulator
 from repro.dsm import TmkRuntime
@@ -19,7 +20,7 @@ MAX = 12
 
 
 def build_run(nprocs):
-    sim = Simulator(trace=True)
+    sim = Simulator(obs=Registry())
     cfg = SystemConfig()
     pool = NodePool(sim, Switch(sim, cfg.network))
     rt = TmkRuntime(sim, cfg, pool.add_nodes(nprocs), materialized=False)
@@ -53,8 +54,8 @@ def test_figure1_model(report):
     assert covered == list(range(MAX))
     assert sorted({pid for pid, _, _ in executed}) == [0, 1, 2]
     # trace shows fork before join
-    forks = sim.tracer.select(category="tmk", subject="fork")
-    joins = sim.tracer.select(category="tmk", subject="join")
+    forks = sim.obs.select_instants(category="tmk", subject="fork")
+    joins = sim.obs.select_instants(category="tmk", subject="join")
     assert len(forks) == len(joins) == 1
     assert forks[0].time <= joins[0].time
 

@@ -7,19 +7,20 @@
     migrated to another node and multiplexed there (idling the other
     t-2 nodes) until a normal leave at the next adaptation point.
 
-Each scenario runs a calibrated Jacobi and the trace is rendered as a
-timeline; assertions pin the event ordering the figure depicts.
+Each scenario runs a calibrated Jacobi and its ``adapt`` instants are
+rendered as a timeline; assertions pin the event ordering the figure depicts.
 """
 
 import pytest
 
 from repro.bench import make_jacobi
 from repro.bench.harness import run_experiment
+from repro.obs import Registry
 
 
 def timeline(result):
-    tracer = result.runtime.sim.tracer
-    return [(r.time, r.subject, r.detail) for r in tracer.select(category="adapt")]
+    instants = result.runtime.sim.obs.select_instants(category="adapt")
+    return [(i.time, i.subject, i.detail) for i in instants]
 
 
 def render(events):
@@ -35,7 +36,7 @@ def scenarios():
         nprocs=3,
         extra_nodes=1,
         adaptive=True,
-        trace=True,
+        obs=Registry(),
         events=lambda rt: rt.sim.schedule(0.01, lambda: rt.submit_join(3)),
     )
     # (b) normal leave: long grace, next adaptation point well inside it
@@ -43,7 +44,7 @@ def scenarios():
         lambda: make_jacobi(350, 40),
         nprocs=3,
         adaptive=True,
-        trace=True,
+        obs=Registry(),
         events=lambda rt: rt.sim.schedule(
             0.05, lambda: rt.submit_leave(2, grace=3.0)
         ),
@@ -53,7 +54,7 @@ def scenarios():
         lambda: make_jacobi(1400, 8),
         nprocs=3,
         adaptive=True,
-        trace=True,
+        obs=Registry(),
         events=lambda rt: rt.sim.schedule(
             0.5, lambda: rt.submit_leave(2, grace=0.15)
         ),

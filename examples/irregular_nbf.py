@@ -17,11 +17,12 @@ from repro.cluster import NodePool
 from repro.config import SystemConfig
 from repro.core import AdaptiveRuntime
 from repro.network import Switch
+from repro.obs import Registry
 from repro.simcore import Simulator
 
 
 def main():
-    sim = Simulator(trace=True)
+    sim = Simulator(obs=Registry())
     cfg = SystemConfig()
     pool = NodePool(sim, Switch(sim, cfg.network))
     rt = AdaptiveRuntime(sim, cfg, pool.add_nodes(4), pool, materialized=True)
@@ -44,8 +45,8 @@ def main():
               f"({mig.spawn_seconds:.2f}s spawn + {mig.copy_seconds:.2f}s copy "
               f"of {mig.image_bytes / 1e6:.1f} MB)")
     print("\nadaptation trace:")
-    for rec in sim.tracer.select(category="adapt"):
-        print(f"  {rec}")
+    for i in sim.obs.select_instants(category="adapt"):
+        print(f"  [{i.time:12.6f}] {i.category:<18} {i.subject} {i.detail}")
 
 
 if __name__ == "__main__":

@@ -71,7 +71,6 @@ def run_experiment(
     cfg: Optional[SystemConfig] = None,
     materialized: bool = False,
     events: Optional[Callable[[Any], Any]] = None,
-    trace: bool = False,
     runtime_kwargs: Optional[Dict[str, Any]] = None,
     obs: Optional[Any] = None,
 ) -> ExperimentResult:
@@ -82,11 +81,12 @@ def run_experiment(
     alternator, or to schedule ``submit_join``/``submit_leave`` calls
     directly.
 
-    ``obs`` is a :class:`~repro.obs.Registry` to record spans/counters
-    into (None runs uninstrumented — the pre-observability behaviour).
+    ``obs`` is a :class:`~repro.obs.Registry` to record spans, counters
+    and instants into (None runs uninstrumented — the pre-observability
+    behaviour).
     """
     cfg = cfg or SystemConfig()
-    sim = Simulator(trace=trace, obs=obs)
+    sim = Simulator(obs=obs)
     # cfg.perf.topology == "star" constructs the plain Switch exactly as
     # before; "fattree" swaps in the hierarchical interconnect (§11).
     switch = build_topology(sim, cfg.network, cfg.perf)

@@ -96,9 +96,8 @@ class CheckpointManager:
         )
         self.checkpoints.append(ckpt)
         self.last_time = sim.now
-        sim.tracer.emit(
-            "adapt", "checkpoint", f"{len(missing)} pages collected, {image} B image"
-        )
+        sim.obs.instant(sim.now, "adapt", "checkpoint",
+                        f"{len(missing)} pages collected, {image} B image")
 
 
 def _install_segments(runtime, ckpt: Checkpoint) -> None:

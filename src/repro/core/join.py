@@ -15,7 +15,7 @@ from typing import Generator
 
 from ..errors import NetworkError
 from ..network import message as mk
-from ..network.message import Message, next_req_id
+from ..network.message import Message
 from .adaptation import JoinRequest, RequestState
 
 
@@ -39,7 +39,6 @@ def connection_setup(runtime, req: JoinRequest) -> Generator:
                 src=node.node_id,
                 dst=dst,
                 size_bytes=16,
-                req_id=next_req_id(),
             )
             yield node.nic.request(msg)
         except NetworkError:
@@ -51,7 +50,7 @@ def connection_setup(runtime, req: JoinRequest) -> Generator:
         return
     req.state = RequestState.READY
     req.ready_at = sim.now
-    sim.tracer.emit("adapt", "join_ready", f"node{req.node_id}")
+    sim.obs.instant(sim.now, "adapt", "join_ready", f"node{req.node_id}")
 
 
 def ship_page_maps(runtime, joiners) -> None:

@@ -25,9 +25,8 @@ def absorb_leaver_pages(runtime, leaver) -> Generator:
     to_fetch: List[int] = [p for p in owned if not master._pte(p).readable]
 
     yield from master.pull_pages([(p, leaver.pid) for p in to_fetch], mk.PAGE_REQ)
-    sim.tracer.emit(
-        "adapt",
-        "leave_drain",
+    sim.obs.instant(
+        sim.now, "adapt", "leave_drain",
         f"{leaver.name}: {len(to_fetch)} pages fetched of {len(owned)} owned",
     )
 

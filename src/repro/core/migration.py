@@ -92,9 +92,8 @@ def migrate_process(runtime, proc, dst_node) -> Generator:
     # 4. transplant the DSM engine onto the destination
     proc.move_to_node(dst_node)
     runtime.team.move_pid(proc.pid, dst_node.node_id)
-    sim.tracer.emit(
-        "adapt", "migrated", f"{proc.name} node{src_node.node_id}->node{dst_node.node_id}"
-    )
+    sim.obs.instant(sim.now, "adapt", "migrated",
+                    f"{proc.name} node{src_node.node_id}->node{dst_node.node_id}")
     obs = sim.obs
     if obs.enabled:
         obs.span(

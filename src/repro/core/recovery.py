@@ -102,9 +102,8 @@ def run_recovery(
     sim = runtime.sim
     t0 = sim.now
     nprocs_before = runtime.team.nprocs
-    sim.tracer.emit(
-        "fault", "recovery_begin", f"crashed={crashed_nodes} reason={reason}"
-    )
+    sim.obs.instant(t0, "fault", "recovery_begin",
+                    f"crashed={crashed_nodes} reason={reason}")
 
     # 1-2. abort the epoch and clear the adaptation queue
     runtime._halt_computation()
@@ -134,10 +133,8 @@ def run_recovery(
         crashed_mid_restore = [
             n for n in new_nodes if runtime.pool.node(n).crashed
         ]
-        sim.tracer.emit(
-            "fault", "recovery_replan",
-            f"crashed during restore: {crashed_mid_restore}",
-        )
+        sim.obs.instant(sim.now, "fault", "recovery_replan",
+                        f"crashed during restore: {crashed_mid_restore}")
         new_nodes = plan_new_team(runtime, nprocs_before)
 
     runtime._rebuild_after_crash(new_nodes)
@@ -194,9 +191,8 @@ def run_recovery(
         )
         obs.count("recovery.count")
         obs.count("recovery.lost_work_seconds", record.lost_work_seconds)
-    sim.tracer.emit(
-        "fault",
-        "recovery_end",
+    sim.obs.instant(
+        sim.now, "fault", "recovery_end",
         f"nprocs {nprocs_before}->{record.nprocs_after} "
         f"restore={record.restore_seconds:.3f}s lost={record.lost_work_seconds:.3f}s",
     )

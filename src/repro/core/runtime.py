@@ -99,7 +99,7 @@ class AdaptiveRuntime(TmkRuntime):
         self.sim.process(
             connection_setup(self, req), name=f"join.setup.{node_id}", daemon=True
         )
-        self.sim.tracer.emit("adapt", "join_request", f"node{node_id}")
+        self.sim.obs.instant(self.sim.now, "adapt", "join_request", f"node{node_id}")
         return req
 
     def submit_leave(
@@ -126,9 +126,8 @@ class AdaptiveRuntime(TmkRuntime):
             req._watchdog = self.sim.process(
                 grace_watchdog(self, req, pid), name=f"grace.{node_id}", daemon=True
             )
-        self.sim.tracer.emit(
-            "adapt", "leave_request", f"node{node_id} pid{pid} grace={period}"
-        )
+        self.sim.obs.instant(self.sim.now, "adapt", "leave_request",
+                             f"node{node_id} pid{pid} grace={period}")
         return req
 
     # ------------------------------------------------------------------
@@ -137,13 +136,13 @@ class AdaptiveRuntime(TmkRuntime):
     def freeze(self, reason: str = "") -> None:
         if self._frozen is None:
             self._frozen = self.sim.signal(f"freeze:{reason}")
-            self.sim.tracer.emit("adapt", "freeze", reason)
+            self.sim.obs.instant(self.sim.now, "adapt", "freeze", reason)
 
     def unfreeze(self) -> None:
         if self._frozen is not None:
             frozen, self._frozen = self._frozen, None
             frozen.fire()
-            self.sim.tracer.emit("adapt", "unfreeze", "")
+            self.sim.obs.instant(self.sim.now, "adapt", "unfreeze", "")
 
     def stall_check(self) -> Generator:
         while self._frozen is not None:
@@ -197,7 +196,7 @@ class AdaptiveRuntime(TmkRuntime):
         if node.crashed:
             return
         node.crash(self.sim.now)
-        self.sim.tracer.emit("fault", "crash", f"node{node_id}")
+        self.sim.obs.instant(self.sim.now, "fault", "crash", f"node{node_id}")
         for proc in list(self.procs.values()):
             if proc.node is not node:
                 continue
@@ -210,7 +209,8 @@ class AdaptiveRuntime(TmkRuntime):
 
     def _report_suspected_crash(self, node_id: int, err: Exception) -> None:
         """Escalation target for request timeouts (``DsmProcess.crash_hook``)."""
-        self.sim.tracer.emit("fault", "suspected", f"node{node_id}: {err}")
+        self.sim.obs.instant(self.sim.now, "fault", "suspected",
+                             f"node{node_id}: {err}")
         self._declare_crashed(node_id, reason="timeout")
 
     def _declare_crashed(self, node_id: int, reason: str) -> None:
@@ -226,11 +226,8 @@ class AdaptiveRuntime(TmkRuntime):
         # Fencing: a node declared crashed IS crashed from here on, even if
         # it was only partitioned — it must never talk to the new team.
         self.inject_crash(node_id)
-        self.sim.tracer.emit(
-            "fault",
-            "declared_crashed",
-            f"node{node_id} reason={reason} latency={latency:.4f}s",
-        )
+        self.sim.obs.instant(self.sim.now, "fault", "declared_crashed",
+                             f"node{node_id} reason={reason} latency={latency:.4f}s")
         if not self.team.has_node(node_id):
             return  # an idle pool node died; the computation is unaffected
         if self._recovering:
@@ -333,9 +330,8 @@ class AdaptiveRuntime(TmkRuntime):
             urgent_leaves=[l.node_id for l in leaves if l.was_urgent],
             nprocs_before=self.team.nprocs,
         )
-        sim.tracer.emit(
-            "adapt",
-            "adaptation_begin",
+        sim.obs.instant(
+            t0, "adapt", "adaptation_begin",
             f"joins={record.joins} leaves={record.leaves + record.urgent_leaves}",
         )
 
@@ -435,12 +431,9 @@ class AdaptiveRuntime(TmkRuntime):
             obs.count("adapt.drained_pages", record.drained_pages)
             obs.count("adapt.leaver_owned_pages", record.leaver_owned_pages)
             obs.count("adapt.traffic_bytes", record.traffic_bytes)
-        sim.tracer.emit(
-            "adapt",
-            "adaptation_end",
-            f"nprocs {record.nprocs_before}->{record.nprocs_after} "
-            f"in {record.duration:.3f}s",
-        )
+        sim.obs.instant(sim.now, "adapt", "adaptation_end",
+                        f"nprocs {record.nprocs_before}->{record.nprocs_after} "
+                        f"in {record.duration:.3f}s")
 
     def _migrate_master(self, req: LeaveRequest) -> Generator:
         """§4.4: the master cannot normal-leave, but it can migrate.
@@ -463,11 +456,8 @@ class AdaptiveRuntime(TmkRuntime):
             and n.node_id not in pending_join_nodes
         ]
         if not idle:
-            self.sim.tracer.emit(
-                "adapt",
-                "master_leave_deferred",
-                f"node{req.node_id}: no idle migration target",
-            )
+            self.sim.obs.instant(self.sim.now, "adapt", "master_leave_deferred",
+                                 f"node{req.node_id}: no idle migration target")
             return False
         target = min(idle, key=lambda n: n.node_id)
         old_node = self.pool.node(req.node_id)

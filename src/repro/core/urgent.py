@@ -38,7 +38,7 @@ def grace_watchdog(runtime, req: LeaveRequest, pid: int) -> Generator:
         return  # handled at an adaptation point within the grace period
     req.state = RequestState.URGENT
     req.was_urgent = True
-    sim.tracer.emit("adapt", "grace_expired", f"node{req.node_id} pid{pid}")
+    sim.obs.instant(sim.now, "adapt", "grace_expired", f"node{req.node_id} pid{pid}")
     yield from urgent_leave(runtime, req, pid)
 
 
@@ -62,8 +62,5 @@ def urgent_leave(runtime, req: LeaveRequest, pid: int) -> Generator:
     # already moved off); the migrated process is dissolved at the next
     # adaptation point by a normal leave.
     src_node.withdraw()
-    sim.tracer.emit(
-        "adapt",
-        "urgent_leave",
-        f"node{req.node_id}: P{pid} multiplexed on node{target.node_id}",
-    )
+    sim.obs.instant(sim.now, "adapt", "urgent_leave",
+                    f"node{req.node_id}: P{pid} multiplexed on node{target.node_id}")

@@ -317,7 +317,6 @@ class DsmProcess:
             dst=self.team.node_of(dst_pid),
             size_bytes=size,
             payload=payload,
-            req_id=mk.next_req_id(),
             src_pid=self.pid,
             dst_pid=dst_pid,
         )
@@ -471,9 +470,8 @@ class DsmProcess:
         targets = payload["targets"]
         if self.pid in targets:
             self.owners = dict(payload["owners"])
-            self.sim.tracer.emit(
-                "adapt", "page_map", f"{self.name} {len(self.owners)} pages"
-            )
+            self.sim.obs.instant(self.sim.now, "adapt", "page_map",
+                                 f"{self.name} {len(self.owners)} pages")
         self.relay_page_map(payload["owners"], targets)
 
     def relay_page_map(self, owners: Dict[int, int], targets: List[int],
@@ -670,10 +668,10 @@ class DsmProcess:
                             own_seq > 0 and iv.vc.entries[my_pid] < own_seq
                         ) or (page < writes.end and writes.contains(page)):
                             protocol[page] = MW
-                            self.sim.tracer.emit(
-                                "dsm", "demote",
-                                f"{self.name} pg{page} -> multiple-writer",
-                            )
+                            obs = self.sim.obs
+                            if obs.enabled and obs.per_process:
+                                obs.instant(self.sim.now, "dsm", "demote",
+                                            f"{self.name} pg{page} -> multiple-writer")
                         else:
                             # The latest writer holds the complete page.
                             owner[page] = proc
@@ -972,9 +970,10 @@ class DsmProcess:
             self.table.valid[page] = 1
             return
         yield from self._pull_page(page, from_pid)
-        tracer = self.sim.tracer
-        if tracer.enabled:
-            tracer.emit("dsm", "page_fetch", f"{self.name}<-P{from_pid} pg{page}")
+        obs = self.sim.obs
+        if obs.enabled and obs.per_process:
+            obs.instant(self.sim.now, "dsm", "page_fetch",
+                        f"{self.name}<-P{from_pid} pg{page}")
 
     def _known_interval(self, writer: int, seq: int) -> IntervalNotice:
         seqs, bucket = self._known[writer]
@@ -1000,9 +999,10 @@ class DsmProcess:
             # Concurrent writers after all: demote and fall through to the
             # diff path for the remaining intervals.
             table.protocol[page] = MW
-            self.sim.tracer.emit(
-                "dsm", "demote", f"{self.name} pg{page} -> multiple-writer"
-            )
+            obs = self.sim.obs
+            if obs.enabled and obs.per_process:
+                obs.instant(self.sim.now, "dsm", "demote",
+                            f"{self.name} pg{page} -> multiple-writer")
             by_writer = table.pending_of(page)
         t_fetch = self.sim.now
         collected: List[Diff] = []
@@ -1278,7 +1278,8 @@ class DsmProcess:
         # Subtree knowledge floors are per-epoch (clocks reset).
         self.tree_barrier.reset()
         self.stats.gcs += 1
-        self.sim.tracer.emit("dsm", "gc", f"{self.name} epoch={self.epoch}")
+        self.sim.obs.instant(self.sim.now, "dsm", "gc",
+                             f"{self.name} epoch={self.epoch}")
 
     # ------------------------------------------------------------------
     # locks (distributed queue, master as manager)

@@ -347,7 +347,7 @@ class TmkRuntime:
         self.fork_seq += 1
         obs = self.sim.obs
         fork_t0 = self.sim.now
-        self.sim.tracer.emit("tmk", "fork", f"#{self.fork_seq} {phase_name}")
+        obs.instant(fork_t0, "tmk", "fork", f"#{self.fork_seq} {phase_name}")
         # The master forks its tree children (every slave, with one level);
         # each child re-forks its own subtree (see _slave_main).
         master.tree_barrier.fork({
@@ -359,7 +359,7 @@ class TmkRuntime:
         region = self.program.phase(phase_name)
         yield from region(self.master_ctx, master.pid, self.team.nprocs, args)
         want_gc = yield from master.tree_barrier.join()
-        self.sim.tracer.emit("tmk", "join", f"#{self.fork_seq} {phase_name}")
+        obs.instant(self.sim.now, "tmk", "join", f"#{self.fork_seq} {phase_name}")
         if obs.enabled:
             obs.span(
                 TRACK_MASTER,
@@ -382,7 +382,7 @@ class TmkRuntime:
         """
         obs = self.sim.obs
         gc_t0 = self.sim.now
-        self.sim.tracer.emit("dsm", "gc_start", f"fork#{self.fork_seq}")
+        obs.instant(gc_t0, "dsm", "gc_start", f"fork#{self.fork_seq}")
         yield from self.master.tree_barrier.fork_point_gc()
         if obs.enabled:
             obs.span(

@@ -76,7 +76,7 @@ class FailureDetector:
             src=master.node.node_id,
             dst=node_id,
             size_bytes=4,
-            req_id=mk.next_req_id(),
+            req_id=nic.switch.next_req_id(),
             src_pid=master.pid,
             dst_pid=pid,
         )
@@ -101,9 +101,8 @@ class FailureDetector:
             obs = self.runtime.sim.obs
             if obs.enabled:
                 obs.count("detector.false_suspicions")
-            self.runtime.sim.tracer.emit(
-                "fault", "suspicion_cleared", f"node{node_id}"
-            )
+            obs.instant(self.runtime.sim.now, "fault", "suspicion_cleared",
+                        f"node{node_id}")
         self._misses[node_id] = 0
 
     def _miss(self, node_id: int) -> None:
@@ -118,8 +117,7 @@ class FailureDetector:
             obs.count("detector.heartbeat_misses")
         count = self._misses.get(node_id, 0) + 1
         self._misses[node_id] = count
-        runtime.sim.tracer.emit(
-            "fault", "heartbeat_miss", f"node{node_id} {count}/{self.params.suspicion_threshold}"
-        )
+        obs.instant(runtime.sim.now, "fault", "heartbeat_miss",
+                    f"node{node_id} {count}/{self.params.suspicion_threshold}")
         if count >= self.params.suspicion_threshold:
             runtime._declare_crashed(node_id, reason="heartbeat")

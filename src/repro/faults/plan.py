@@ -186,4 +186,5 @@ class FaultInjector:
         else:  # pragma: no cover - parse_plan rejects unknown actions
             raise FaultError(f"unknown action {action.action!r}")
         self.fired.append(action)
-        self.runtime.sim.tracer.emit("fault", action.action, action.to_line())
+        sim = self.runtime.sim
+        sim.obs.instant(sim.now, "plan", action.action, action.to_line())

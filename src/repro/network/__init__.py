@@ -10,7 +10,7 @@ and per-link traffic accounting (:class:`TrafficStats`).
 from . import message
 from .faults import DATA_PLANE, LinkFaults
 from .link import Link
-from .message import Message, next_req_id
+from .message import Message
 from .nic import Nic, ReplyWait
 from .stats import TrafficSnapshot, TrafficStats
 from .switch import Switch
@@ -29,5 +29,4 @@ __all__ = [
     "TrafficSnapshot",
     "TrafficStats",
     "message",
-    "next_req_id",
 ]

@@ -9,17 +9,8 @@ issuing coroutine.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Optional
-
-_req_counter = itertools.count(1)
-
-
-def next_req_id() -> int:
-    """A globally unique request id (monotonic, deterministic)."""
-    return next(_req_counter)
-
 
 # -- message kinds used across the DSM / adaptive layers -------------------
 # Transport-level

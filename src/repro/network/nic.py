@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Dict, Optional
 from ..errors import NetworkError
 from ..simcore import Channel, Simulator, Waitable
 from ..simcore.process import Callback
-from .message import Message, next_req_id
+from .message import Message
 
 if TYPE_CHECKING:  # pragma: no cover
     from .switch import Switch
@@ -145,7 +145,7 @@ class Nic:
             reply = yield nic.request(Message(PAGE_REQ, src=me, dst=owner, ...))
         """
         if msg.req_id is None:
-            msg.req_id = next_req_id()
+            msg.req_id = self.switch.next_req_id()
         faults = self.switch.faults
         rto = RTO if faults is not None and faults.unreliable else None
         self.send(msg)

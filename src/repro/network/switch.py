@@ -15,6 +15,7 @@ collecting a leaver's pages) serializes on that node's downlink.
 
 from __future__ import annotations
 
+import itertools
 from typing import Dict, Optional
 
 from ..config import NetworkParams
@@ -50,6 +51,12 @@ class Switch:
         #: as ``network.flight_*``.
         self.flights_compiled = 0
         self.flight_legs = 0
+        self._req_ids = itertools.count(1)
+
+    def next_req_id(self) -> int:
+        """A request id unique within this network, so a function of the
+        run alone (error texts that name a request show it)."""
+        return next(self._req_ids)
 
     # -- topology -----------------------------------------------------------
     def attach(self, node_id: int) -> Nic:
@@ -150,39 +157,36 @@ class Switch:
             if faults.blocked(msg.src, msg.dst):
                 # the packet burned wire time but dies at the partition
                 self.stats.count_cut()
-                self.sim.tracer.emit("net", "cut", f"{msg.kind} {msg.src}->{msg.dst}")
+                self.sim.obs.instant(now, "net", "cut",
+                                     f"{msg.kind} {msg.src}->{msg.dst}")
                 return arrival
             if faults.dropped(msg):
                 # the packet burned wire time but never arrives
                 self.stats.count_drop()
-                self.sim.tracer.emit(
-                    "net", "dropped", f"{msg.kind} {msg.src}->{msg.dst}"
-                )
+                self.sim.obs.instant(now, "net", "dropped",
+                                     f"{msg.kind} {msg.src}->{msg.dst}")
                 return arrival
             delay = faults.delay_for(msg)
             if delay > 0.0:
                 self.stats.count_delay()
-                self.sim.tracer.emit(
-                    "net", "delayed", f"{msg.kind} {msg.src}->{msg.dst} +{delay:.6f}s"
-                )
+                self.sim.obs.instant(now, "net", "delayed",
+                                     f"{msg.kind} {msg.src}->{msg.dst} +{delay:.6f}s")
                 arrival += delay
                 msg.arrived_at = arrival
             if faults.duplicate(msg):
                 # a second copy trails the original by one latency
                 self.stats.count_duplicate()
-                self.sim.tracer.emit(
-                    "net", "duplicated", f"{msg.kind} {msg.src}->{msg.dst}"
-                )
+                self.sim.obs.instant(now, "net", "duplicated",
+                                     f"{msg.kind} {msg.src}->{msg.dst}")
                 self.sim.at(
                     arrival + self.params.one_way_latency,
                     (dst_nic.deliver, msg),
                 )
         self.sim.at(arrival, (dst_nic.deliver, msg))
-        tracer = self.sim.tracer
-        if tracer.enabled:
-            tracer.emit(
-                "net", msg.kind, f"{msg.src}->{msg.dst} {wire_bytes}B{route_note}"
-            )
+        obs = self.sim.obs
+        if obs.enabled and obs.per_process:
+            obs.instant(now, "net", msg.kind,
+                        f"{msg.src}->{msg.dst} {wire_bytes}B{route_note}")
         return arrival
 
     def transmit_flight(self, msgs, on_error=None, src_nic=None) -> None:

@@ -1,4 +1,5 @@
-"""Unified observability: spans, counters, cost breakdown, exporters.
+"""Unified observability: spans, counters, instants, cost breakdown,
+exporters.
 
 The one instrumentation surface for the whole repro.  See
 ``docs/OBSERVABILITY.md`` for the span-name → paper-cost-term mapping
@@ -12,6 +13,7 @@ from .core import (
     TRACK_MASTER,
     TRACK_NETWORK,
     Counter,
+    Instant,
     NullRegistry,
     ObsConfig,
     Registry,
@@ -46,6 +48,7 @@ __all__ = [
     "TRACK_MASTER",
     "TRACK_NETWORK",
     "Counter",
+    "Instant",
     "NullRegistry",
     "ObsConfig",
     "Registry",

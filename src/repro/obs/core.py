@@ -1,4 +1,4 @@
-"""Span/counter primitives keyed on simulated time.
+"""Span/counter/instant primitives keyed on simulated time.
 
 The observability layer records *what the simulation already did* — it
 never yields, never schedules, and never touches the event queue, so an
@@ -11,6 +11,11 @@ pattern::
     ... protocol work ...
     if obs.enabled:
         obs.span("adapt", "adapt.gc", t0, sim.now)
+
+Point events (a crash, a freeze, a fork) are :class:`Instant` records
+stamped with ``sim.now``; a site that fires a handful of times per run
+calls ``obs.instant`` unguarded, one that fires per message or per page
+is guarded by ``obs.enabled and obs.per_process``.
 
 With observability off ``sim.obs`` is the shared :data:`NULL_OBS`
 sentinel whose ``enabled`` is False and whose methods are no-ops, so the
@@ -48,6 +53,17 @@ class Span:
         return self.end - self.start
 
 
+@dataclass(frozen=True)
+class Instant:
+    """One point event of simulated time: ``category`` names its track
+    (``adapt``, ``fault``, ``plan``, ``net``, ``tmk``, ``dsm``)."""
+
+    time: float
+    category: str
+    subject: str
+    detail: Any = None
+
+
 @dataclass
 class Counter:
     """A named accumulator (totals, not time series)."""
@@ -69,8 +85,10 @@ class ObsConfig:
 
     enabled: bool = True
     #: Record per-process spans (region bodies, barrier waits, fault
-    #: waits).  These are the densest spans; turning them off keeps only
-    #: the adaptation/recovery/network tracks.
+    #: waits) and the per-message / per-page instants (``net/<kind>``,
+    #: ``dsm/page_fetch``, ``dsm/demote``).  These are the densest
+    #: records; turning them off keeps only the adaptation/recovery/
+    #: network tracks and the sparse instants.
     per_process: bool = True
     #: Write a Chrome/Perfetto ``trace.json`` here after the run.
     trace_path: Optional[str] = None
@@ -82,7 +100,7 @@ class ObsConfig:
 
 
 class Registry:
-    """Collects spans and counters for one simulated run."""
+    """Collects spans, counters and instants for one simulated run."""
 
     enabled = True
 
@@ -90,6 +108,8 @@ class Registry:
         self.per_process = per_process
         self.spans: List[Span] = []
         self.counters: Dict[str, Counter] = {}
+        #: Point events in the order they happened (so in time order).
+        self.instants: List[Instant] = []
 
     # -- recording ------------------------------------------------------
     def span(
@@ -114,6 +134,12 @@ class Registry:
         else:
             counter.add(value)
 
+    def instant(
+        self, time: float, category: str, subject: str, detail: Any = None
+    ) -> None:
+        """Record a point event at simulated ``time``."""
+        self.instants.append(Instant(time, category, subject, detail))
+
     # -- queries --------------------------------------------------------
     def select(
         self,
@@ -130,13 +156,26 @@ class Registry:
             and (prefix is None or s.name.startswith(prefix))
         ]
 
+    def select_instants(
+        self, category: Optional[str] = None, subject: Optional[str] = None
+    ) -> List[Instant]:
+        """Instants filtered by exact category and/or subject."""
+        return [
+            i
+            for i in self.instants
+            if (category is None or i.category == category)
+            and (subject is None or i.subject == subject)
+        ]
+
     def total(self, name: Optional[str] = None, prefix: Optional[str] = None) -> float:
         """Summed simulated duration of the matching spans."""
         return sum(s.duration for s in self.select(name=name, prefix=prefix))
 
     def tracks(self) -> List[str]:
-        """All track names, per-process tracks sorted numerically last."""
+        """All track names (span tracks and instant categories),
+        per-process tracks sorted numerically last."""
         seen = {s.track for s in self.spans}
+        seen.update(i.category for i in self.instants)
 
         def key(track: str):
             if len(track) > 1 and track[0] == "P" and track[1:].isdigit():
@@ -153,6 +192,7 @@ class Registry:
         """Fold other registries' records into this one (sweep digests)."""
         for other in others:
             self.spans.extend(other.spans)
+            self.instants.extend(other.instants)
             for name, counter in other.counters.items():
                 self.count(name, counter.value)
 
@@ -169,6 +209,9 @@ class NullRegistry(Registry):
         return
 
     def count(self, *args: Any, **kwargs: Any) -> None:  # pragma: no cover - trivial
+        return
+
+    def instant(self, *args: Any, **kwargs: Any) -> None:  # pragma: no cover - trivial
         return
 
 

@@ -4,7 +4,10 @@ The Chrome trace uses the JSON-object format ``chrome://tracing`` and
 Perfetto load directly: one process (pid 0 = the simulated system), one
 thread per track — every simulated DSM process gets its own track (``P0``
 is the master), plus ``adapt``, ``network`` and ``master`` tracks for the
-runtime-level spans.  Timestamps are *simulated* microseconds.
+runtime-level spans.  Each instant is a thread-scoped ``"i"`` event on
+the track named after its category (``adapt``, ``fault``, ``plan``,
+``net``, ``tmk``, ``dsm``), its detail in ``args``.  Timestamps are
+*simulated* microseconds.
 
 :func:`pool_trace` renders the execution engine's worker timeline the
 same way (one track per worker — the calling thread is ``worker0`` —
@@ -56,7 +59,23 @@ def chrome_trace(reg: Registry, meta: Optional[Dict[str, Any]] = None) -> Dict[s
         if span.args:
             event["args"] = dict(span.args)
         events.append(event)
-    end_ts = _sec_to_us(max((s.end for s in reg.spans), default=0.0))
+    for instant in reg.instants:
+        event = {
+            "ph": "i",
+            "s": "t",
+            "pid": 0,
+            "tid": tids[instant.category],
+            "name": instant.subject,
+            "cat": instant.category,
+            "ts": _sec_to_us(instant.time),
+        }
+        if instant.detail is not None:
+            event["args"] = {"detail": instant.detail}
+        events.append(event)
+    end_ts = _sec_to_us(max(
+        max((s.end for s in reg.spans), default=0.0),
+        max((i.time for i in reg.instants), default=0.0),
+    ))
     for name in sorted(reg.counters):
         events.append({
             "ph": "C",

@@ -1,8 +1,9 @@
 """Deterministic discrete-event simulation core.
 
 This subpackage is the substrate every other component runs on: a virtual
-clock, generator-based processes, channels, resources, tracing, and seeded
-random streams.
+clock, generator-based processes, channels, resources and seeded random
+streams.  Telemetry (spans, counters, instants) lives in :mod:`repro.obs`;
+``Simulator.obs`` is the registry a run records into.
 """
 
 from .channel import Channel
@@ -11,7 +12,6 @@ from .process import Signal, SimProcess, Timeout, Waitable
 from .rand import RandomStreams, substream_seed
 from .resources import Hold, Resource
 from .simulator import Simulator
-from .trace import TraceRecord, Tracer
 
 __all__ = [
     "Channel",
@@ -27,8 +27,6 @@ __all__ = [
     "SimProcess",
     "Simulator",
     "Timeout",
-    "TraceRecord",
-    "Tracer",
     "Waitable",
     "substream_seed",
 ]

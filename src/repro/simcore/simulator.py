@@ -15,7 +15,6 @@ from ..errors import DeadlockError, SimulationError
 from ..obs.core import NULL_OBS, Registry
 from .events import EventQueue, NORMAL
 from .process import Signal, SimProcess, Timeout
-from .trace import Tracer
 
 
 class Simulator:
@@ -28,18 +27,13 @@ class Simulator:
 
     ff_phases = 0  # inert residue the spine reads; see ``EventQueue.push_span``
 
-    def __init__(
-        self,
-        trace: bool = False,
-        obs: Optional[Registry] = None,
-    ):
+    def __init__(self, obs: Optional[Registry] = None):
         self.now: float = 0.0
         self._queue = EventQueue()
         self._processes: set = set()
         self._failure: Optional[BaseException] = None
-        self.tracer = Tracer(self, enabled=trace)
-        #: Observability registry.  Instrumentation sites record spans and
-        #: counters into it; :data:`~repro.obs.core.NULL_OBS` (the default)
+        #: Observability registry.  Instrumentation sites record spans,
+        #: counters and instants into it; :data:`~repro.obs.core.NULL_OBS` (the default)
         #: is a no-op, so an un-instrumented run pays nothing.
         self.obs: Registry = obs if obs is not None else NULL_OBS
         #: Events executed so far (cancelled events are not counted);

@@ -5,6 +5,7 @@ import pytest
 from repro.cluster import NodePool, PeriodicAlternator, select_pid
 from repro.errors import AdaptationError, NodeUnavailableError
 from repro.network import Switch
+from repro.obs import Registry
 from repro.simcore import Simulator
 
 from ..helpers import build_adaptive
@@ -130,7 +131,7 @@ class TestPeriodicAlternator:
         assert rt.team.nprocs == 4  # back to full strength
 
     def test_alternator_middle_targets_middle_pid(self):
-        sim, rt, pool = build_adaptive(nprocs=4, trace=True)
+        sim, rt, pool = build_adaptive(nprocs=4, obs=Registry())
         prog = iterative_program(rt, n_iter=120, compute=0.02)
         alt = PeriodicAlternator(rt, selector="middle", gap=0.2, max_events=2)
         alt.install()

@@ -8,6 +8,7 @@ import pytest
 from repro.core import RequestState
 from repro.dsm import SharedArray, TmkProgram
 from repro.errors import AdaptationError
+from repro.obs import Registry
 
 from ..helpers import build_adaptive, build_system
 
@@ -177,7 +178,7 @@ class TestUrgentLeave:
         assert not pool.node(2).in_pool
 
     def test_multiplexing_between_migration_and_adaptation_point(self):
-        sim, rt, pool = build_adaptive(nprocs=3, trace=True)
+        sim, rt, pool = build_adaptive(nprocs=3, obs=Registry())
         prog = iterative_program(rt, n_iter=6, compute=1.0)
         sim.schedule(0.5, lambda: rt.submit_leave(2, grace=0.2))
         rt.run(prog)
@@ -185,8 +186,7 @@ class TestUrgentLeave:
         target = pool.node(mig.dst_node)
         # after the adaptation point the multiplexed process is gone again
         assert target.resident_processes == 1
-        trace = sim.tracer.select(category="adapt")
-        kinds = [r.subject for r in trace]
+        kinds = [i.subject for i in sim.obs.select_instants(category="adapt")]
         assert "grace_expired" in kinds
         assert "migrated" in kinds
         assert kinds.index("migrated") < kinds.index("adaptation_end")

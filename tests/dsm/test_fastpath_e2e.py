@@ -20,7 +20,7 @@ class TestPlanCacheIdentity:
         assert cache.hits > cache.misses > 0
 
     def test_materialized_jacobi_bitwise_identical(self):
-        cache = _plan_cache(golden_row("jacobi-mat+trace/flat/obs-off"))
+        cache = _plan_cache(golden_row("jacobi-mat/flat/obs-off"))
         assert cache.hits > cache.misses > 0
 
     def test_adaptive_join_leave_bitwise_identical(self):

@@ -13,6 +13,7 @@ import pytest
 from repro.dsm import Protocol, SharedArray
 from repro.network import Message
 from repro.network import message as mk
+from repro.obs import Registry
 
 from ..helpers import build_system, run_phases
 
@@ -142,7 +143,7 @@ class TestForkJoin:
         """Concurrent writers on a single-writer page demote it to the
         multiple-writer (diff) protocol, like TreadMarks, and disjoint
         concurrent writes still merge correctly."""
-        sim, rt, pool = build_system(nprocs=2, trace=True)
+        sim, rt, pool = build_system(nprocs=2, obs=Registry())
         # one page, two disjoint halves written concurrently
         arr = make_array(rt, shape=(2, 64), protocol=Protocol.SINGLE_WRITER)
 
@@ -163,7 +164,7 @@ class TestForkJoin:
             ["c", "check"],
         )
         assert sorted(seen) == [0, 1]
-        assert sim.tracer.select(category="dsm", subject="demote")
+        assert sim.obs.select_instants(category="dsm", subject="demote")
 
     def test_run_with_one_process(self):
         sim, rt, pool = build_system(nprocs=1)

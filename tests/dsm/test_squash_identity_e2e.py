@@ -3,7 +3,7 @@
 A fetch that collects several diffs of one page concatenates their
 positions/values and scatters once, last-writer-wins, instead of applying
 them one after another.  The golden matrix (``tests/golden.py``) pins
-every output that could notice — modelled runtime, traffic, the tracer
+every output that could notice — modelled runtime, traffic, the instant
 stream and the final page bytes (``memory``) of the paper's four kernels
 plus the adaptive and crash-recovery paths — on rows that predate the
 removal of the squash switch.  Squashed-equals-sequential over random
@@ -27,8 +27,8 @@ class TestSquashIdentity:
 
     def test_traced_gauss_bitwise_identical(self):
         """Traced mode never has page bytes, but ordering still matters for
-        applied-clock updates; the tracer stream pins it."""
-        assert "records" in golden_row("gauss+trace/flat/obs-off").digests
+        applied-clock updates; the instant stream pins it."""
+        assert "records" in golden_row("gauss/flat/obs-on").digests
 
     def test_adaptive_join_leave_bitwise_identical(self):
         """Leave + join renumber pids mid-run; multi-writer diffs from both

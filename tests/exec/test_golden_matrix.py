@@ -32,20 +32,9 @@ class TestPinnedData:
             observed = pinned()[f"{scenario}/{model}/obs-on"]
             assert {k: observed[k] for k in plain} == plain
 
-    @pytest.mark.parametrize("scenario", ["gauss", "jacobi-mat"])
-    def test_per_message_transport_equals_flights(self, scenario):
-        """``trace=True`` sends every fan-out leg through the per-message
-        fallback; results, memory and telemetry must not notice."""
-        for model in MODELS:
-            for obs in ("obs-off", "obs-on"):
-                flights = pinned()[f"{scenario}/{model}/{obs}"]
-                per_message = pinned()[f"{scenario}+trace/{model}/{obs}"]
-                assert {k: per_message[k] for k in flights} == flights
-
     @pytest.mark.parametrize("family", [
         ("fft3d-mat",), ("gauss-mat",), ("nbf-mat",),
-        ("jacobi-mat", "jacobi-mat+trace", "jacobi-mat+loss", "adapt-mat",
-         "crash-mat"),
+        ("jacobi-mat", "jacobi-mat+loss", "adapt-mat", "crash-mat"),
         ("barrier", "barrier-gc"), ("locks", "locks-gc"),
     ], ids=lambda family: family[0])
     def test_memory_never_depends_on_model_faults_or_gc(self, family):

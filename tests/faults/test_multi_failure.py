@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.errors import RecoveryError
+from repro.obs import Registry
 
 from ..core.test_checkpoint import counter_program
 from ..helpers import build_adaptive
@@ -41,9 +42,10 @@ class TestCascadingCrash:
         detected, finished = recovery_window(nprocs=3, extra_nodes=2)
         mid = detected + (finished - detected) / 2
 
+        obs = Registry()
         sim, rt, pool = build_adaptive(nprocs=3, extra_nodes=2,
                                        checkpoint_interval=0.1,
-                                       failure_detection=True, trace=True)
+                                       failure_detection=True, obs=obs)
         final = {}
         prog, *_ = counter_program(rt, n_iter=N_ITER, final=final)
         sim.schedule(0.9, lambda: rt.inject_crash(rt.team.node_of(1)))
@@ -52,8 +54,7 @@ class TestCascadingCrash:
         res = rt.run(prog)
 
         assert rt.finished
-        fault_events = [r.subject for r in sim.tracer.records
-                        if r.category == "fault"]
+        fault_events = [i.subject for i in obs.select_instants("fault")]
         assert "recovery_replan" in fault_events
         # the rebuilt team contains no crashed node
         assert all(not rt.procs[pid].node.crashed for pid in rt.team.pids)

@@ -16,6 +16,7 @@ from repro.config import FaultParams, SystemConfig
 from repro.errors import RecoveryError
 from repro.exec import AdaptEvent, ScenarioSpec
 from repro.faults import FaultInjector, parse_plan
+from repro.obs import Registry
 
 from ..helpers import build_adaptive
 from ..core.test_checkpoint import counter_program
@@ -162,13 +163,13 @@ class TestStockKernelsReplayFromZero:
         exp = run_experiment(
             spec.build_app, nprocs=spec.nprocs, adaptive=True,
             extra_nodes=spec.extra_nodes, materialized=True,
-            events=spec.install_events, trace=True,
+            events=spec.install_events, obs=Registry(),
             runtime_kwargs={"checkpoint_interval": 0.2, "failure_detection": True})
         (rec,) = exp.recoveries
         assert rec.checkpoint_time is not None  # a warm restore
         assert exp.app.verify(rtol=1e-7, atol=1e-9)
-        tracer = exp.runtime.sim.tracer
-        return sum(1 for r in tracer.select("tmk", "fork") if r.time >= rec.time)
+        forks = exp.runtime.sim.obs.select_instants("tmk", "fork")
+        return sum(1 for i in forks if i.time >= rec.time)
 
     def test_stock_jacobi_reruns_every_iteration(self):
         assert self._forks_after_recovery("jacobi") == 2 * self.ITERATIONS

@@ -9,7 +9,7 @@ digests of everything it produced against ``golden_matrix.json``:
   JSON without its ``events`` field (every row);
 * ``memory`` — the bytes of the final shared arrays (materialized rows);
 * ``metrics`` / ``chrome_trace`` — the exported telemetry (obs-on rows);
-* ``records`` — the tracer's record stream (``trace=True`` rows).
+* ``records`` — the instant stream, ``Registry.instants`` (obs-on rows).
 
 Those digests are the modelled outputs.  Beside them each row pins
 ``events``, the number of simulator events the run executed, as a plain
@@ -45,6 +45,7 @@ from repro.config import DsmParams, PerfParams, SystemConfig
 from repro.dsm import Protocol, TmkProgram
 from repro.exec.pool import execute_spec
 from repro.exec.result import ScenarioResult, canonical_checksum
+from repro.obs import Instant
 from repro.obs.export import chrome_trace, metrics_dict
 
 DATA_FILE = Path(__file__).with_name("golden_matrix.json")
@@ -140,12 +141,10 @@ class LockProgram(AppKernel):
 @dataclass(frozen=True)
 class Scenario:
     """A spec (run through the engine) or a hand-written program (run
-    materialized under the harness with the tracer on)."""
+    materialized under the harness)."""
 
     spec: Optional[ScenarioSpec] = None
     program: Optional[type] = None
-    #: Run the spec with the tracer on (forces the per-message transport).
-    trace: bool = False
     #: ``DsmParams.gc_interval_limit`` override (programs only).
     gc_limit: Optional[int] = None
     #: ``NetworkParams.loss_rate`` of the wire (specs only).
@@ -171,8 +170,6 @@ SCENARIOS: Dict[str, Scenario] = {
     "adapt-mat": Scenario(_ADAPT.replaced(materialized=True)),
     "crash-mat": Scenario(_CRASH.replaced(materialized=True)),
     "chaos": Scenario(_CRASH.replaced(events=(), fault_plan=CHAOS_PLAN)),
-    "gauss+trace": Scenario(_tiny("gauss"), trace=True),
-    "jacobi-mat+trace": Scenario(_tiny("jacobi", materialized=True), trace=True),
     "jacobi-mat+loss": Scenario(_tiny("jacobi", materialized=True), loss=0.05),
     "chaos+loss": Scenario(_CRASH.replaced(events=(), fault_plan=CHAOS_PLAN),
                            loss=0.05),
@@ -202,6 +199,13 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def _record_text(instant: Instant) -> str:
+    """An instant in the dataclass-repr text of the simulator's former
+    record class (the same four fields), so that ``records`` digests
+    pinned before instants moved into ``repro.obs`` still hold."""
+    return "TraceRecord" + repr(instant)[len("Instant"):]
+
+
 def result_digest(result: ScenarioResult) -> str:
     """SHA-256 of the canonical result JSON with ``events`` left out: the
     event count is how the engine got there, not a modelled output."""
@@ -226,14 +230,13 @@ def run_scenario(name: str, perf: Dict[str, object], obs: bool = False) -> Row:
         dsm = DsmParams() if scenario.gc_limit is None else DsmParams(
             gc_interval_limit=scenario.gc_limit)
         exp = run_experiment(
-            program, nprocs=program.NPROCS, materialized=True, trace=True,
-            obs=registry, cfg=SystemConfig(perf=PerfParams(**perf), dsm=dsm))
-    elif scenario.trace or scenario.loss:
+            program, nprocs=program.NPROCS, materialized=True, obs=registry,
+            cfg=SystemConfig(perf=PerfParams(**perf), dsm=dsm))
+    elif scenario.loss:
         # What ``execute_spec`` runs, under a config no spec can express:
-        # the tracer on, or a lossy wire.
+        # a lossy wire.
         cfg = spec.replaced(perf=perf).build_config()
-        if scenario.loss:
-            cfg = cfg.with_(network=replace(cfg.network, loss_rate=scenario.loss))
+        cfg = cfg.with_(network=replace(cfg.network, loss_rate=scenario.loss))
         adaptive = spec.effective_adaptive
         runtime_kwargs = dict(
             checkpoint_interval=spec.checkpoint_interval,
@@ -243,7 +246,7 @@ def run_scenario(name: str, perf: Dict[str, object], obs: bool = False) -> Row:
             spec.build_app, nprocs=spec.nprocs, adaptive=adaptive,
             extra_nodes=spec.extra_nodes, cfg=cfg,
             materialized=spec.materialized, events=spec.install_events,
-            trace=scenario.trace, runtime_kwargs=runtime_kwargs, obs=registry)
+            runtime_kwargs=runtime_kwargs, obs=registry)
     else:
         exp, _ = execute_spec(spec.replaced(perf=perf), obs=registry)
     sim = exp.runtime.sim
@@ -260,8 +263,7 @@ def run_scenario(name: str, perf: Dict[str, object], obs: bool = False) -> Row:
         digests["metrics"] = _sha(json.dumps(metrics_dict(registry), sort_keys=True))
         digests["chrome_trace"] = _sha(
             json.dumps(chrome_trace(registry), sort_keys=True))
-    if sim.tracer.enabled:
-        digests["records"] = _sha("\n".join(map(repr, sim.tracer.records)))
+        digests["records"] = _sha("\n".join(map(_record_text, registry.instants)))
     return Row(exp, registry, digests)
 
 

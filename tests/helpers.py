@@ -21,7 +21,7 @@ def collected_so_far() -> int:
     return sum(gen["collected"] + gen["uncollectable"] for gen in gc.get_stats())
 
 
-def build_system(nprocs=4, extra_nodes=0, cfg=None, materialized=True, trace=False,
+def build_system(nprocs=4, extra_nodes=0, cfg=None, materialized=True,
                  obs=None, runtime_cls=TmkRuntime, **runtime_kw):
     """A simulator + switch + pool + runtime with ``nprocs`` team nodes.
 
@@ -29,7 +29,7 @@ def build_system(nprocs=4, extra_nodes=0, cfg=None, materialized=True, trace=Fal
     ``obs`` is an optional :class:`repro.obs.Registry` to record into.
     Returns (sim, runtime, pool).
     """
-    sim = Simulator(trace=trace, obs=obs)
+    sim = Simulator(obs=obs)
     cfg = cfg or SystemConfig()
     switch = Switch(sim, cfg.network)
     pool = NodePool(sim, switch)
@@ -39,12 +39,12 @@ def build_system(nprocs=4, extra_nodes=0, cfg=None, materialized=True, trace=Fal
     return sim, runtime, pool
 
 
-def build_adaptive(nprocs=4, extra_nodes=2, cfg=None, materialized=True, trace=False,
+def build_adaptive(nprocs=4, extra_nodes=2, cfg=None, materialized=True,
                    obs=None, **runtime_kw):
     """An AdaptiveRuntime over ``nprocs`` team nodes + idle extras."""
     from repro.core import AdaptiveRuntime
 
-    sim = Simulator(trace=trace, obs=obs)
+    sim = Simulator(obs=obs)
     cfg = cfg or SystemConfig()
     switch = Switch(sim, cfg.network)
     pool = NodePool(sim, switch)

@@ -39,7 +39,7 @@ class TestChromeTrace:
         assert doc["otherData"]["schema"] == TRACE_SCHEMA
         assert doc["displayTimeUnit"] == "ms"
         phases = {e["ph"] for e in doc["traceEvents"]}
-        assert phases == {"M", "X", "C"}
+        assert phases == {"M", "X", "C", "i"}
 
     def test_one_metadata_event_per_track(self, observed):
         doc = chrome_trace(observed.registry)
@@ -75,6 +75,43 @@ class TestChromeTrace:
         payload = json.loads(path.read_text())
         assert payload["otherData"]["scenario"] == "exporters"
         validate_trace_file(str(path))
+
+
+class TestInstantExport:
+    @pytest.fixture(scope="class")
+    def crashed(self):
+        spec = spec_from_preset(
+            "tiny", "jacobi", 4, calibrated=False, adaptive=True,
+            extra_nodes=1, events=(AdaptEvent("crash", 0.03),),
+            checkpoint_interval=0.02, failure_detection=True)
+        return run(spec, obs=ObsConfig())
+
+    def test_crash_and_recovery_on_the_fault_track(self, crashed):
+        doc = chrome_trace(crashed.registry)
+        validate_trace(doc)
+        events = doc["traceEvents"]
+        tracks = {e["tid"]: e["args"]["name"] for e in events if e["ph"] == "M"}
+        fault = [e for e in events
+                 if e["ph"] == "i" and tracks[e["tid"]] == "fault"]
+        names = [e["name"] for e in fault]
+        assert names.count("crash") == 1 and names.count("recovery_end") == 1
+        assert names.index("crash") < names.index("recovery_end")
+        crash = fault[names.index("crash")]
+        assert crash["s"] == "t" and crash["cat"] == "fault"
+        (instant,) = crashed.registry.select_instants("fault", "crash")
+        assert crash["ts"] == pytest.approx(instant.time * 1e6)
+        assert crash["args"] == {"detail": instant.detail}
+
+    def test_counters_stamped_after_the_last_instant(self, crashed):
+        events = chrome_trace(crashed.registry)["traceEvents"]
+        last = max(e["ts"] for e in events if e["ph"] == "i")
+        assert all(e["ts"] >= last for e in events if e["ph"] == "C")
+
+    def test_schema_rejects_unknown_instant_scope(self, crashed):
+        doc = chrome_trace(crashed.registry)
+        next(e for e in doc["traceEvents"] if e["ph"] == "i")["s"] = "x"
+        with pytest.raises(SchemaError):
+            validate_trace(doc)
 
 
 class TestMetrics:

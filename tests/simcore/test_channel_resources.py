@@ -1,4 +1,4 @@
-"""Tests for channels, resources, tracer and random streams."""
+"""Tests for channels, resources and random streams."""
 
 import heapq
 import math
@@ -202,30 +202,6 @@ def test_holds_share_one_fifo_on_generated_programs(uses, capacity):
     ends, res = _run_uses(uses, capacity)
     assert ends == _fifo_model(uses, capacity)
     assert res.in_use == 0 and not res._queue
-
-
-class TestTracer:
-    def test_disabled_by_default(self):
-        sim = Simulator()
-        sim.tracer.emit("cat", "subj")
-        assert sim.tracer.records == []
-
-    def test_records_time_and_filtering(self):
-        sim = Simulator(trace=True)
-
-        def proc():
-            yield sim.timeout(2.0)
-            sim.tracer.emit("adapt", "join", {"pid": 3})
-            yield sim.timeout(1.0)
-            sim.tracer.emit("adapt", "leave")
-            sim.tracer.emit("dsm", "fault")
-
-        sim.process(proc())
-        sim.run()
-        assert [r.time for r in sim.tracer.select(category="adapt")] == [2.0, 3.0]
-        assert sim.tracer.select(subject="fault")[0].category == "dsm"
-        assert sim.tracer.categories() == {"adapt", "dsm"}
-        assert "join" in sim.tracer.format()
 
 
 class TestRandomStreams:
