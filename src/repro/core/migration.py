@@ -71,22 +71,9 @@ def migrate_process(runtime, proc, dst_node) -> Generator:
     up = switch.uplinks[src_node.node_id]
     down = switch.downlinks[dst_node.node_id]
     start = max(sim.now, up.busy_until, down.busy_until)
-    end = start + copy_seconds
     for link in (up, down):
-        link.busy_until = end
-        link.busy_time += copy_seconds
-        link.bytes_carried += image
-        link.messages_carried += 1
-    switch.stats.record(
-        Message(
-            mk.MIGRATE_IMAGE,
-            src=src_node.node_id,
-            dst=dst_node.node_id,
-            size_bytes=image - switch.params.header_bytes,
-        ),
-        uplink=up.name,
-        downlink=down.name,
-    )
+        end = link.occupy(start, image, copy_seconds)
+    switch.stats.record(mk.MIGRATE_IMAGE, image)
     yield sim.timeout(end - sim.now)
 
     # 4. transplant the DSM engine onto the destination

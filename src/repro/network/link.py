@@ -47,12 +47,15 @@ class Link:
         self.messages_carried += 1
         return start, end
 
-    def occupy(self, start: float, nbytes: int) -> float:
+    def occupy(self, start: float, nbytes: int,
+               seconds: float | None = None) -> float:
         """Occupy the link from a precomputed ``start`` (joint reservation).
 
         The switch reserves uplink and downlink for the *same* slot
         (cut-through forwarding), so ``start`` is the max of every hop's
-        ``busy_until`` and the send time.  Returns the slot end.
+        ``busy_until`` and the send time.  The slot lasts the wire time of
+        ``nbytes``, or ``seconds`` for a transfer priced at its own rate
+        (a migration image).  Returns the slot end.
 
         The sanity check uses a tolerance *relative* to ``busy_until``:
         multi-hop reservations compute ``start`` as a max over several
@@ -64,9 +67,13 @@ class Link:
             raise ValueError(
                 f"link {self.name}: occupy start {start} before busy_until {self.busy_until}"
             )
-        end = start + self.wire_time(nbytes)
+        if seconds is None:
+            end = start + self.wire_time(nbytes)
+            seconds = end - start
+        else:
+            end = start + seconds
         self.busy_until = end
-        self.busy_time += end - start
+        self.busy_time += seconds
         self.bytes_carried += nbytes
         self.messages_carried += 1
         return end

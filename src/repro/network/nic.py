@@ -93,7 +93,7 @@ class ReplyWait(Waitable):
             return
         self._resends += 1
         self._rto = min(self._rto * 2, MAX_RTO)
-        nic.switch.stats.count_retransmission()
+        nic.switch.stats.retransmissions += 1
         try:
             nic.send(msg)
         except NetworkError:

@@ -2,22 +2,24 @@
 
 The paper reports network traffic as pages / MB / messages / diffs
 (Table 1) and identifies **max traffic per link** as the key determinant of
-adaptation cost (§5.4).  :class:`TrafficStats` tracks totals plus per-link
-byte counters and supports snapshot/delta so an experiment can measure the
-traffic attributable to one adaptation (the paper's §5.4 methodology:
-statistics recorded from a chosen adaptation point onwards).
+adaptation cost (§5.4).  :class:`TrafficStats` tracks totals and per-kind
+counters, reads per-link bytes from the links, and supports snapshot/delta
+so an experiment can measure the traffic attributable to one adaptation
+(the paper's §5.4 methodology: statistics recorded from a chosen
+adaptation point onwards).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
-from .message import DIFF_REPLY, PAGE_REPLY, Message
+from .link import Link
+from .message import DIFF_REPLY, PAGE_REPLY
 
-#: Kinds whose delivery counts one page (hoisted: record() runs per message).
-_PAGE_KINDS = (PAGE_REPLY, "sc_data")
+#: Kinds whose delivery counts one page.
+PAGE_KINDS = (PAGE_REPLY, "sc_data")
 
 
 @dataclass(slots=True)
@@ -94,69 +96,58 @@ class TrafficSnapshot:
 
 
 class TrafficStats:
-    """Mutable traffic counters updated by the switch on every delivery."""
+    """Traffic totals and per-kind counters, updated once per message.
 
-    def __init__(self, header_bytes: int):
-        self.header_bytes = header_bytes
-        self._snap = TrafficSnapshot()
+    The per-link ledger is the :class:`~repro.network.link.Link` objects
+    themselves: :meth:`snapshot` reads ``per_link_bytes`` from ``links()``
+    (the switch's ``iter_links``), so no byte is counted twice.
+    :meth:`Switch.transmit <repro.network.switch.Switch.transmit>` inlines
+    :meth:`record`; every other sender (a migration image) calls it.
+    """
 
-    def record(self, msg: Message, uplink: str, downlink: str,
-               via: tuple = ()) -> None:
-        """Account one delivered message.
+    def __init__(self, links: Callable[[], Iterable[Link]]):
+        self._links = links
+        self.messages = 0
+        self.bytes = 0
+        self.pages = 0
+        self.diffs = 0
+        self.dropped = 0
+        self.cut = 0
+        self.duplicated = 0
+        self.delayed = 0
+        self.retransmissions = 0
+        #: ``{kind: [messages, bytes]}`` in first-seen order.
+        self.by_kind: Dict[str, List[int]] = {}
 
-        ``via`` holds the intermediate (trunk) links the message crossed in
-        a hierarchical topology; each carries the same wire bytes as the
-        endpoint links.  The star topology has none.
-        """
-        wire = msg.size_bytes + self.header_bytes
-        s = self._snap
-        s.messages += 1
-        s.bytes += wire
-        s.by_kind_messages[msg.kind] += 1
-        s.by_kind_bytes[msg.kind] += wire
-        s.per_link_bytes[uplink] += wire
-        s.per_link_bytes[downlink] += wire
-        for link in via:
-            s.per_link_bytes[link.name] += wire
-        if msg.kind in _PAGE_KINDS:
-            s.pages += 1
-        elif msg.kind == DIFF_REPLY:
-            s.diffs += int(msg.payload.get("n_diffs", 1)) if isinstance(msg.payload, dict) else 1
-
-    def count_drop(self) -> None:
-        """Account one message lost on the wire."""
-        self._snap.dropped += 1
-
-    def count_cut(self) -> None:
-        """Account one message discarded at a partitioned path."""
-        self._snap.cut += 1
-
-    def count_duplicate(self) -> None:
-        """Account one injected duplicate delivery."""
-        self._snap.duplicated += 1
-
-    def count_delay(self) -> None:
-        """Account one injected delayed delivery."""
-        self._snap.delayed += 1
-
-    def count_retransmission(self) -> None:
-        """Account one request re-send by a retransmit timer."""
-        self._snap.retransmissions += 1
+    def record(self, kind: str, wire_bytes: int, payload: Any = None) -> None:
+        """Account one message of ``kind`` carrying ``wire_bytes``."""
+        self.messages += 1
+        self.bytes += wire_bytes
+        cell = self.by_kind.get(kind)
+        if cell is None:
+            cell = self.by_kind[kind] = [0, 0]
+        cell[0] += 1
+        cell[1] += wire_bytes
+        if kind in PAGE_KINDS:
+            self.pages += 1
+        elif kind == DIFF_REPLY:
+            self.diffs += payload["n_diffs"]
 
     def snapshot(self) -> TrafficSnapshot:
         """A copy of the current counters."""
-        s = self._snap
+        by_kind = self.by_kind
         return TrafficSnapshot(
-            messages=s.messages,
-            bytes=s.bytes,
-            pages=s.pages,
-            diffs=s.diffs,
-            dropped=s.dropped,
-            cut=s.cut,
-            duplicated=s.duplicated,
-            delayed=s.delayed,
-            retransmissions=s.retransmissions,
-            per_link_bytes=Counter(s.per_link_bytes),
-            by_kind_messages=Counter(s.by_kind_messages),
-            by_kind_bytes=Counter(s.by_kind_bytes),
+            messages=self.messages,
+            bytes=self.bytes,
+            pages=self.pages,
+            diffs=self.diffs,
+            dropped=self.dropped,
+            cut=self.cut,
+            duplicated=self.duplicated,
+            delayed=self.delayed,
+            retransmissions=self.retransmissions,
+            per_link_bytes=Counter({link.name: link.bytes_carried
+                                    for link in self._links() if link.bytes_carried}),
+            by_kind_messages=Counter({k: cell[0] for k, cell in by_kind.items()}),
+            by_kind_bytes=Counter({k: cell[1] for k, cell in by_kind.items()}),
         )

@@ -23,13 +23,17 @@ from ..errors import NetworkError
 from ..simcore import Simulator
 from .faults import LinkFaults
 from .link import Link
-from .message import Message
+from .message import DIFF_REPLY, Message
 from .nic import Nic
-from .stats import TrafficStats
+from .stats import PAGE_KINDS, TrafficStats
 
 
 class Switch:
     """The star-topology interconnect of the simulated NOW."""
+
+    #: Whether a path can cross trunks (:meth:`route` is asked per message);
+    #: the star's never does.
+    routed = False
 
     def __init__(self, sim: Simulator, params: NetworkParams | None = None):
         self.sim = sim
@@ -38,7 +42,7 @@ class Switch:
         self.nics: Dict[int, Nic] = {}
         self.uplinks: Dict[int, Link] = {}
         self.downlinks: Dict[int, Link] = {}
-        self.stats = TrafficStats(header_bytes=self.params.header_bytes)
+        self.stats = TrafficStats(self.iter_links)
         #: What the wire does to a message (None = a healthy wire).  A
         #: lossy wire gets it here; a :class:`~repro.faults.FaultInjector`
         #: installs one, or adds its faults to this one.
@@ -90,9 +94,10 @@ class Switch:
     def transmit(self, msg: Message) -> float:
         """Deliver ``msg``; returns the simulated arrival time.
 
-        The one wire model: whatever the topology (:meth:`route`), this is
-        the only place that validates the destination, reserves links,
-        prices latency, accounts traffic and applies loss and faults.
+        The one wire model: whatever the topology (:meth:`route`, asked
+        only when :attr:`routed`), this is the only place that validates the
+        destination, reserves links, prices latency, accounts traffic and
+        applies loss and faults.
         """
         if msg.dst not in self.nics:
             raise NetworkError(f"message to unknown node {msg.dst}: {msg!r}")
@@ -109,9 +114,9 @@ class Switch:
         params = self.params
         size_bytes = msg.size_bytes
         wire_bytes = size_bytes + params.header_bytes
-        up = self.uplinks[msg.src]
+        src = msg.src
+        up = self.uplinks[src]
         down = self.downlinks[msg.dst]
-        trunks, route_note = self.route(msg.src, msg.dst)
         # Joint cut-through reservation: every link of the path gets the
         # same slot, so a message waits for the *most* backlogged one.
         now = self.sim.now
@@ -120,9 +125,13 @@ class Switch:
         start = now if now >= up_busy else up_busy
         if down_busy > start:
             start = down_busy
-        for link in trunks:
-            if link.busy_until > start:
-                start = link.busy_until
+        if self.routed:
+            trunks, route_note = self.route(src, msg.dst)
+            for link in trunks:
+                if link.busy_until > start:
+                    start = link.busy_until
+        else:
+            trunks, route_note = (), ""
         # The two port links are inlined from Link.occupy (two method
         # calls per message add up on this path; ``start`` >= every
         # link's busy_until by construction, so the stale-start guard
@@ -139,6 +148,20 @@ class Switch:
         down.messages_carried += 1
         for link in trunks:
             link.occupy(start, wire_bytes)
+        # TrafficStats.record, inlined for the same reason.
+        stats = self.stats
+        stats.messages += 1
+        stats.bytes += wire_bytes
+        kind = msg.kind
+        cell = stats.by_kind.get(kind)
+        if cell is None:
+            cell = stats.by_kind[kind] = [0, 0]
+        cell[0] += 1
+        cell[1] += wire_bytes
+        if kind in PAGE_KINDS:
+            stats.pages += 1
+        elif kind == DIFF_REPLY:
+            stats.diffs += msg.payload["n_diffs"]
         # Latency is calibrated against the paper's 1-byte RTT of 126 µs,
         # which already includes header transmission — so only the payload
         # adds wire time here, while occupancy and traffic accounting above
@@ -150,34 +173,33 @@ class Switch:
         faults = self.faults
         if faults is not None:
             # Degraded ports add fixed latency on either endpoint's path.
-            arrival += faults.extra_latency(msg.src, msg.dst)
+            arrival += faults.extra_latency(src, msg.dst)
         msg.arrived_at = arrival
-        self.stats.record(msg, uplink=up.name, downlink=down.name, via=trunks)
         if faults is not None:
-            if faults.blocked(msg.src, msg.dst):
+            if faults.blocked(src, msg.dst):
                 # the packet burned wire time but dies at the partition
-                self.stats.count_cut()
+                stats.cut += 1
                 self.sim.obs.instant(now, "net", "cut",
-                                     f"{msg.kind} {msg.src}->{msg.dst}")
+                                     f"{kind} {src}->{msg.dst}")
                 return arrival
             if faults.dropped(msg):
                 # the packet burned wire time but never arrives
-                self.stats.count_drop()
+                stats.dropped += 1
                 self.sim.obs.instant(now, "net", "dropped",
-                                     f"{msg.kind} {msg.src}->{msg.dst}")
+                                     f"{kind} {src}->{msg.dst}")
                 return arrival
             delay = faults.delay_for(msg)
             if delay > 0.0:
-                self.stats.count_delay()
+                stats.delayed += 1
                 self.sim.obs.instant(now, "net", "delayed",
-                                     f"{msg.kind} {msg.src}->{msg.dst} +{delay:.6f}s")
+                                     f"{kind} {src}->{msg.dst} +{delay:.6f}s")
                 arrival += delay
                 msg.arrived_at = arrival
             if faults.duplicate(msg):
                 # a second copy trails the original by one latency
-                self.stats.count_duplicate()
+                stats.duplicated += 1
                 self.sim.obs.instant(now, "net", "duplicated",
-                                     f"{msg.kind} {msg.src}->{msg.dst}")
+                                     f"{kind} {src}->{msg.dst}")
                 self.sim.at(
                     arrival + self.params.one_way_latency,
                     (dst_nic.deliver, msg),
@@ -185,8 +207,8 @@ class Switch:
         self.sim.at(arrival, (dst_nic.deliver, msg))
         obs = self.sim.obs
         if obs.enabled and obs.per_process:
-            obs.instant(now, "net", msg.kind,
-                        f"{msg.src}->{msg.dst} {wire_bytes}B{route_note}")
+            obs.instant(now, "net", kind,
+                        f"{src}->{msg.dst} {wire_bytes}B{route_note}")
         return arrival
 
     def transmit_flight(self, msgs, on_error=None, src_nic=None) -> None:

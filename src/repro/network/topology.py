@@ -11,12 +11,12 @@ off each leaf switch, and every leaf switch connects to a root switch
 through one full-duplex trunk.
 
 A topology is a route, not a second wire model: :meth:`Switch.transmit`
-asks :meth:`FatTreeSwitch.route` which trunks lie between a message's two
-port links and reserves all of them for the same slot.  Cross-leaf
-messages thus hold *four* directional links — source uplink, source
-leaf's trunk uplink, destination leaf's trunk downlink, destination
-downlink — and pay one ``switch_hop_latency`` per trunk (the root and the
-second leaf switch)::
+asks :meth:`FatTreeSwitch.route` (``routed`` is set) which trunks lie
+between a message's two port links and reserves all of them for the same
+slot.  Cross-leaf messages thus hold *four* directional links — source
+uplink, source leaf's trunk uplink, destination leaf's trunk downlink,
+destination downlink — and pay one ``switch_hop_latency`` per trunk (the
+root and the second leaf switch)::
 
     start   = max(now, busy_until of every hop)
     arrival = start + one_way_latency + len(trunks) * switch_hop_latency
@@ -44,6 +44,8 @@ from .switch import Switch
 
 class FatTreeSwitch(Switch):
     """Two-level switch hierarchy: leaf switches under one root switch."""
+
+    routed = True
 
     def __init__(self, sim: Simulator, params: NetworkParams | None = None,
                  radix: int = 8):

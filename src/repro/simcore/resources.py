@@ -69,8 +69,13 @@ class Resource:
         """Queue for a unit, keep it ``delay`` seconds, release it, call
         ``done(hold)``.  Cancellable while queued and while in service."""
         hold = Hold(self, delay, done, msg, state)
-        self._queue.append(hold)
-        self._drain()
+        if not self._queue and self.in_use < self.capacity:
+            # Idle: nobody to overtake, so the unit is granted at once.
+            self.in_use += 1
+            hold._grant()
+        else:
+            self._queue.append(hold)
+            self._drain()
         return hold
 
     def release(self) -> None:

@@ -1,7 +1,7 @@
 """Tests for vector timestamps."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.dsm import VectorClock
 
@@ -177,3 +177,103 @@ class TestCopyOnWriteSnapshots:
             else:
                 vc.advance(slot % w, seq)
         assert snap.entries == frozen
+
+
+class TestVersionedMerge:
+    """Stamps let ``merge`` skip or adopt; values stay the elementwise max."""
+
+    def test_idle_round_trip_is_adopt_then_noop(self):
+        master = VectorClock([3, 1, 2])
+        slave = VectorClock([1, 1, 0])
+        fork = master.snapshot()
+        slave.merge(fork)  # different lineage, dominated: adopt
+        assert slave.entries is fork.entries
+        join = slave.snapshot()
+        master.tick(0)
+        master.merge(join)  # same lineage, older version: no-op
+        assert master.entries == [4, 1, 2]
+        slave.merge(master.snapshot())  # same lineage, newer: adopt
+        assert slave.entries is master.entries
+        assert slave.entries == [4, 1, 2]
+
+    def test_adopting_a_live_clock_survives_its_next_tick(self):
+        live = VectorClock([2, 3, 4])
+        adopter = VectorClock([1, 1, 1])
+        adopter.merge(live)
+        assert adopter.entries is live.entries
+        live.tick(0)
+        assert live.entries == [3, 3, 4]
+        assert adopter.entries == [2, 3, 4]
+        adopter.tick(2)
+        assert live.entries == [3, 3, 4]
+        assert adopter.entries == [2, 3, 5]
+
+    def test_real_merge_leaves_the_old_version(self):
+        a, b = VectorClock([1, 0]), VectorClock([0, 1])
+        old = a.snapshot()
+        a.merge(b)
+        old.merge(a)
+        assert old.entries == [1, 1]
+
+    def test_mutated_snapshot_leaves_its_sources_lineage(self):
+        a = VectorClock([1, 0])
+        snap = a.snapshot()
+        snap.advance(1, 5)
+        a.tick(0)
+        a.merge(snap)
+        assert a.entries == [2, 5]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(3, 5).flatmap(
+            lambda n: st.tuples(
+                st.integers(1, 4),
+                st.lists(
+                    st.tuples(
+                        st.sampled_from(
+                            ["tick", "tick", "advance", "merge", "merge", "snapshot"]),
+                        st.integers(0, 4 * n),
+                        st.integers(0, 4 * n),
+                        st.integers(0, 9),
+                    ),
+                    max_size=60,
+                ),
+            ).map(lambda t: (n,) + t)
+        )
+    )
+    def test_histories_match_a_plain_list_reference(self, history):
+        """Random tick/advance/merge/snapshot histories over 3-5 clocks
+        (their snapshots are clocks too), checked entry by entry against
+        plain lists merged by elementwise max."""
+        n, width, ops = history
+        clocks = [VectorClock.zeros(width) for _ in range(n)]
+        ref = [[0] * width for _ in range(n)]
+        for op, i, j, k in ops:
+            i %= len(clocks)
+            j %= len(clocks)
+            slot = k % width
+            if op == "tick":
+                clocks[i].tick(slot)
+                ref[i][slot] += 1
+            elif op == "advance":
+                clocks[i].advance(slot, k)
+                ref[i][slot] = max(ref[i][slot], k)
+            elif op == "merge":
+                clocks[i].merge(clocks[j])
+                ref[i] = [max(a, b) for a, b in zip(ref[i], ref[j])]
+            else:
+                clocks.append(clocks[i].snapshot())
+                ref.append(list(ref[i]))
+            for clock, want in zip(clocks, ref):
+                assert clock.entries == want
+                assert clock.sort_key() == (sum(want), tuple(want))
+            # Probe the touched clock's stamp against every other clock's
+            # through throwaway snapshots, which share the stamps.
+            for other, want in zip(clocks, ref):
+                union = [max(a, b) for a, b in zip(ref[i], want)]
+                probe = other.snapshot()
+                probe.merge(clocks[i])
+                assert probe.entries == union
+                probe = clocks[i].snapshot()
+                probe.merge(other)
+                assert probe.entries == union
