@@ -67,7 +67,7 @@ class CheckpointManager:
         missing = [
             (page, master.owner_of(page))
             for page in range(npages)
-            if not master._pte(page).readable
+            if not master.readable(page)
         ]
         yield from master.pull_pages(missing, mk.CKPT_PAGE_REQ)
 
@@ -103,11 +103,13 @@ class CheckpointManager:
 def _install_segments(runtime, ckpt: Checkpoint) -> None:
     """Load the checkpoint image into the current master's memory.
 
-    The master becomes the valid owner of every shared page; every other
-    process's owner map points at the master, exactly as after recovery in
+    The master becomes the valid owner of every shared page; every
+    process's owner column names the master, exactly as after recovery in
     the real system.
     """
     master = runtime.master
+    for proc in runtime.procs.values():
+        proc.table.owner[:] = [master.pid] * runtime.space.total_pages
     for seg in runtime.space.segments.values():
         if master.materialized:
             data = ckpt.segment_data.get(seg.name)
@@ -120,11 +122,6 @@ def _install_segments(runtime, ckpt: Checkpoint) -> None:
             if page not in master.table:
                 master._map(page)  # restored pages count in the image
             master.table.valid[page] = 1
-            master.table.owner[page] = master.pid
-            master.owners[page] = master.pid
-    for proc in runtime.procs.values():
-        if proc is not master:
-            proc.owners = {p: master.pid for p in range(runtime.space.total_pages)}
 
 
 def restore_checkpoint(runtime, ckpt: Checkpoint) -> None:

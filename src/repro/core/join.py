@@ -67,8 +67,7 @@ def ship_page_maps(runtime, joiners) -> None:
     if not joiners:
         return
     master = runtime.master
-    owners = {
-        page: master.owner_of(page) for page in range(runtime.space.total_pages)
-    }
+    # A copy: the master keeps writing its column while the map is in flight.
+    owners = list(master.table.owner)
     targets = sorted(j.pid for j in joiners)
     master.relay_page_map(owners, targets, direct=len(targets) == 1)

@@ -20,9 +20,10 @@ def absorb_leaver_pages(runtime, leaver) -> Generator:
     master = runtime.master
     sim = runtime.sim
     npages = runtime.space.total_pages
-    owned = [p for p in range(npages) if master.owner_of(p) == leaver.pid]
+    owner = master.table.owner
+    owned = [p for p in range(npages) if owner[p] == leaver.pid]
 
-    to_fetch: List[int] = [p for p in owned if not master._pte(p).readable]
+    to_fetch: List[int] = [p for p in owned if not master.readable(p)]
 
     yield from master.pull_pages([(p, leaver.pid) for p in to_fetch], mk.PAGE_REQ)
     sim.obs.instant(
@@ -32,9 +33,7 @@ def absorb_leaver_pages(runtime, leaver) -> Generator:
 
     # Ownership moves to the master, everywhere.
     for page in owned:
-        master.owners[page] = master.pid
-        if page in master.table:
-            master.table.owner[page] = master.pid
+        owner[page] = master.pid
     targets = [
         pid for pid in runtime.team.pids if pid not in (master.pid, leaver.pid)
     ]

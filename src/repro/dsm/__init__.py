@@ -14,11 +14,10 @@ from .intervals import (
     IntervalNotice,
     IntervalRecord,
     NoticeBatch,
-    WriteNotice,
 )
 from .locks import LockManager
 from .memory import AddressSpace, LocalStore, SharedSegment
-from .page import AccessMode, PageTable, PageTableEntry, Protocol
+from .page import PageTable, Protocol
 from .process import DsmProcess
 from .runtime import MasterApi, RegionCtx, RunResult, TmkProgram, TmkRuntime
 from .sc import ScProcess, ScRuntime
@@ -29,7 +28,6 @@ from .vectorclock import VectorClock
 
 __all__ = [
     "TreeBarrier",
-    "AccessMode",
     "AddressSpace",
     "Diff",
     "DsmProcess",
@@ -42,7 +40,6 @@ __all__ = [
     "MasterApi",
     "NoticeBatch",
     "PageTable",
-    "PageTableEntry",
     "Protocol",
     "RegionCtx",
     "RunResult",
@@ -54,7 +51,6 @@ __all__ = [
     "TmkProgram",
     "TmkRuntime",
     "VectorClock",
-    "WriteNotice",
     "apply_diffs_in_order",
     "changed_ranges",
     "gc_new_owners",

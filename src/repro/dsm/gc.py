@@ -14,15 +14,12 @@ needed to agree on it.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping
+from typing import Dict, Iterable
 
 from .intervals import IntervalNotice
 
 
-def gc_new_owners(
-    intervals: Iterable[IntervalNotice],
-    current_owner: Mapping[int, int] | None = None,
-) -> Dict[int, int]:
+def gc_new_owners(intervals: Iterable[IntervalNotice]) -> Dict[int, int]:
     """Owner map changes implied by this epoch's write notices.
 
     For every written page the new owner is the writer of the *latest*
@@ -46,7 +43,4 @@ def gc_new_owners(
         for pages in iv.runs:
             winner.update(dict.fromkeys(pages, iv.proc))
     order.update(winner)
-    if current_owner is not None:
-        # Drop no-op entries to keep owner-update payloads minimal.
-        order = {p: w for p, w in order.items() if current_owner.get(p) != w}
     return order

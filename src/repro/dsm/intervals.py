@@ -120,30 +120,6 @@ class Diff:
                 f"runs={self.runs}, dirty_bytes={self.dirty_bytes})")
 
 
-class WriteNotice:
-    """Advertisement that ``proc``'s interval ``seq`` wrote ``page``.
-
-    A per-page *view* of an :class:`IntervalNotice` for tests, traces and
-    inspection; the protocol stores, ships and dedupes whole intervals.
-    """
-
-    __slots__ = ("proc", "seq", "page", "vc")
-
-    def __init__(self, proc: int, seq: int, page: int, vc: Optional[VectorClock]):
-        self.proc = proc
-        self.seq = seq
-        self.page = page
-        self.vc = vc
-
-    def covered_by(self, applied: VectorClock) -> bool:
-        """True if the advertised writes are already in a copy with ``applied``."""
-        return applied.covers_interval(self.proc, self.seq)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (f"WriteNotice(proc={self.proc}, seq={self.seq}, "
-                f"page={self.page})")
-
-
 class IntervalNotice:
     """The write notices of one closed interval, as one object.
 
@@ -166,11 +142,6 @@ class IntervalNotice:
         self.runs = runs
         self.npages = sum(map(len, runs))
 
-    def notices(self) -> List[WriteNotice]:
-        """Per-page views, ascending page."""
-        proc, seq, vc = self.proc, self.seq, self.vc
-        return [WriteNotice(proc, seq, page, vc) for pages in self.runs for page in pages]
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"IntervalNotice(proc={self.proc}, seq={self.seq}, "
                 f"runs={len(self.runs)}, pages={self.npages})")
@@ -182,8 +153,8 @@ class NoticeBatch:
     ``intervals`` are grouped by writer, each writer's run normally in
     ascending seq.  ``len(batch)`` is the number of (interval, page)
     write notices — what the wire is charged for
-    (``DsmProcess.notice_wire_bytes``) — and iteration yields them as
-    :class:`WriteNotice` views.
+    (``DsmProcess.notice_wire_bytes``); the notices themselves are only
+    ever handled as whole intervals.
     """
 
     __slots__ = ("intervals", "count")
@@ -194,10 +165,6 @@ class NoticeBatch:
 
     def __len__(self) -> int:
         return self.count
-
-    def __iter__(self):
-        for iv in self.intervals:
-            yield from iv.notices()
 
 
 @dataclass(slots=True)
@@ -222,13 +189,6 @@ class IntervalRecord:
     #: diffs wrapped on request, and lazily encoded diffs of pages demoted
     #: after the close.
     diffs: Dict[int, Diff] = field(default_factory=dict)
-
-    def notices(self) -> List[WriteNotice]:
-        """The write notices advertising this interval."""
-        return [
-            WriteNotice(proc=self.proc, seq=self.seq, page=page, vc=self.vc)
-            for start, stop, _ in self.runs for page in range(start, stop)
-        ]
 
 
 class IntervalLog:

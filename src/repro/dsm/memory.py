@@ -41,8 +41,6 @@ class SharedSegment:
     page0: int
     npages: int
     protocol: Protocol
-    #: Node id whose process initially owns (has valid copies of) the pages.
-    home: int
     dtype: str = "uint8"
     shape: Tuple[int, ...] = ()
 
@@ -109,7 +107,6 @@ class AddressSpace:
         name: str,
         nbytes: int,
         protocol: Protocol = Protocol.MULTIPLE_WRITER,
-        home: int = 0,
         dtype: str = "uint8",
         shape: Tuple[int, ...] = (),
     ) -> SharedSegment:
@@ -130,7 +127,6 @@ class AddressSpace:
             page0=self._next_page,
             npages=npages,
             protocol=protocol,
-            home=home,
             dtype=dtype,
             shape=shape,
         )

@@ -11,7 +11,13 @@ whole address space instead of one object graph per page: the access
 fast path is two index loads, notice ingestion is a few list stores per
 page, and garbage collection resets whole columns at once.  The
 per-writer columns are allocated on first use, so a process pays only
-for the writers it has heard from.
+for the writers it has heard from.  The columns are the only per-page
+state a process keeps.
+
+The ``owner`` column is §4.1's page-location map for every page, mapped
+or not: a joiner receives a copy of the master's column, and a page
+nobody has written is owned by the master (pid 0, the column's fill
+value), which holds every page at allocation.
 
 Page *protocols* follow §4.1's page-location map ("what protocol is used,
 single or multiple writer"):
@@ -32,17 +38,13 @@ non-zero pending cells so "anything outstanding?" is one load.
 Pages are *mapped* lazily, on first touch (:meth:`PageTable.map`): the
 mapped-page count sizes the migration image (§5.3), and whether the
 first-touch copy is valid depends on who owns the page at that moment.
-:class:`PageTableEntry` is a cold-path view of one page's cells for
-tests, traces and ``repro.core``.
 """
 
 from __future__ import annotations
 
 import enum
 from operator import gt
-from typing import Dict, Iterator, List
-
-from ..errors import DsmError
+from typing import Dict, List
 
 
 class Protocol(enum.Enum):
@@ -52,20 +54,10 @@ class Protocol(enum.Enum):
     MULTIPLE_WRITER = "multiple_writer"
 
 
-class AccessMode(enum.Enum):
-    """Current access mode of a local page copy."""
-
-    NONE = 0
-    READ = 1
-    WRITE = 2
-
-
 #: Cell encodings of the ``protocol`` and ``mode`` columns (bytearrays).
 SW, MW = 0, 1
 MODE_NONE, MODE_READ, MODE_WRITE = 0, 1, 2
 PROTOCOL_CODE = {Protocol.SINGLE_WRITER: SW, Protocol.MULTIPLE_WRITER: MW}
-_PROTOCOLS = (Protocol.SINGLE_WRITER, Protocol.MULTIPLE_WRITER)
-_MODES = (AccessMode.NONE, AccessMode.READ, AccessMode.WRITE)
 
 
 class PageTable:
@@ -77,23 +69,19 @@ class PageTable:
     """
 
     __slots__ = (
-        "proc_name", "space", "n_mapped", "mapped", "valid", "mode",
-        "protocol", "owner", "last_access", "npending", "applied", "pending",
-        "__weakref__",
+        "space", "n_mapped", "mapped", "valid", "mode", "protocol", "owner",
+        "npending", "applied", "pending", "__weakref__",
     )
 
-    def __init__(self, proc_name: str, space):
-        self.proc_name = proc_name
+    def __init__(self, space):
         self.space = space
         self.n_mapped = 0
         self.mapped = bytearray()
         self.valid = bytearray()
         self.mode = bytearray()
         self.protocol = bytearray()
-        #: Process holding a guaranteed-complete copy (mapped pages only).
+        #: Process holding a guaranteed-complete copy (every page).
         self.owner: List[int] = []
-        #: GC epoch of this process's last access to the page (§5.4 c5).
-        self.last_access: List[int] = []
         #: Number of non-zero ``pending`` cells of the page.
         self.npending: List[int] = []
         #: writer pid -> per-page seq of that writer reflected in our copy.
@@ -111,7 +99,6 @@ class PageTable:
         for col in (self.mapped, self.valid, self.mode):
             col.extend(bytes(extra))
         self.protocol.extend(self.space.protocols[len(self.protocol):])
-        self.last_access.extend([-1] * extra)
         for col in (self.owner, self.npending, *self.applied.values(),
                     *self.pending.values()):
             col.extend([0] * extra)
@@ -123,21 +110,10 @@ class PageTable:
     def __contains__(self, page: int) -> bool:
         return 0 <= page < len(self.mapped) and bool(self.mapped[page])
 
-    def __iter__(self) -> Iterator["PageTableEntry"]:
-        """Views of the mapped pages, ascending."""
-        return (PageTableEntry(self, p) for p, m in enumerate(self.mapped) if m)
-
-    def entry(self, page: int) -> "PageTableEntry":
-        """The view for ``page``; raises if the page was never mapped."""
-        if page not in self:
-            raise DsmError(f"{self.proc_name}: page {page} not mapped")
-        return PageTableEntry(self, page)
-
-    def map(self, page: int, owner: int, valid: bool) -> None:
-        """First touch of ``page``: record its owner and initial validity."""
+    def map(self, page: int, valid: bool) -> None:
+        """First touch of ``page``: record its initial validity."""
         self.mapped[page] = 1
         self.n_mapped += 1
-        self.owner[page] = owner
         self.valid[page] = valid
 
     # -- per-writer cells --------------------------------------------------
@@ -224,56 +200,3 @@ class PageTable:
         lut = [remap.get(pid, default) for pid in range(max(owner, default=0) + 1)]
         owner[:] = map(lut.__getitem__, owner)
 
-
-class PageTableEntry:
-    """Cold-path view of one page's cells in a :class:`PageTable`."""
-
-    __slots__ = ("table", "page")
-
-    def __init__(self, table: PageTable, page: int):
-        self.table = table
-        self.page = page
-
-    @property
-    def valid(self) -> bool:
-        return bool(self.table.valid[self.page])
-
-    @property
-    def mode(self) -> AccessMode:
-        return _MODES[self.table.mode[self.page]]
-
-    @property
-    def protocol(self) -> Protocol:
-        return _PROTOCOLS[self.table.protocol[self.page]]
-
-    @property
-    def owner(self) -> int:
-        return self.table.owner[self.page]
-
-    @property
-    def last_access_epoch(self) -> int:
-        return self.table.last_access[self.page]
-
-    @property
-    def applied(self) -> Dict[int, int]:
-        return self.table.applied_of(self.page)
-
-    @property
-    def pending(self) -> list:
-        """Pending notices, one (the latest) per writer, as
-        :class:`~repro.dsm.intervals.WriteNotice` views without clocks."""
-        from .intervals import WriteNotice
-
-        return [WriteNotice(w, seq, self.page, None)
-                for w, seq in self.table.pending_of(self.page).items()]
-
-    @property
-    def readable(self) -> bool:
-        """A fault-free read is possible: valid copy with nothing pending."""
-        return self.valid and not self.table.npending[self.page]
-
-    def add_notice(self, notice) -> None:
-        self.table.add_pending(self.page, notice.proc, notice.seq)
-
-    def prune_pending(self) -> None:
-        self.table.prune_pending(self.page)

@@ -35,7 +35,7 @@ from .diffs import apply_diffs_in_order, make_diff
 from .gc import gc_new_owners
 from .intervals import Diff, IntervalLog, IntervalNotice, IntervalRecord, NoticeBatch
 from .memory import AddressSpace, LocalStore, SharedSegment
-from .page import MODE_NONE, MODE_READ, MODE_WRITE, MW, SW, PageTable, PageTableEntry
+from .page import MODE_NONE, MODE_READ, MODE_WRITE, MW, SW, PageTable
 from .ranges import Range
 from .runs import Run, WriteSet, page_count, run_at
 from .statistics import DsmStats
@@ -148,7 +148,7 @@ class DsmProcess:
         self.materialized = materialized
         self.store: Optional[LocalStore] = LocalStore(space) if materialized else None
 
-        self.table = PageTable(self.name, space)
+        self.table = PageTable(space)
         self.vc = VectorClock.zeros(team.nprocs)
         self.log = IntervalLog(pid)
         self.epoch = 0
@@ -166,8 +166,6 @@ class DsmProcess:
         self._twins: List[Tuple[int, int, np.ndarray]] = []
         #: Owner changes computed by gc_flush, installed by gc_reset.
         self._gc_pending_owners: Dict[int, int] = {}
-        #: page -> owner pid overrides (default: segment home).
-        self.owners: Dict[int, int] = {}
         self.stats = DsmStats()
         #: Highest own interval seq already reported to the master.
         self._sent_to_master_seq = 0
@@ -468,13 +466,14 @@ class DsmProcess:
         """The page-location map shipped to a joiner at absorption."""
         payload = msg.payload
         targets = payload["targets"]
+        owners = payload["owners"]
         if self.pid in targets:
-            self.owners = dict(payload["owners"])
+            self.table.owner[:] = owners
             self.sim.obs.instant(self.sim.now, "adapt", "page_map",
-                                 f"{self.name} {len(self.owners)} pages")
-        self.relay_page_map(payload["owners"], targets)
+                                 f"{self.name} {len(owners)} pages")
+        self.relay_page_map(owners, targets)
 
-    def relay_page_map(self, owners: Dict[int, int], targets: List[int],
+    def relay_page_map(self, owners: List[int], targets: List[int],
                        direct: bool = False) -> None:
         """One hop of the page-map relay (PROTOCOL.md §11), the master's
         included: one copy to each tree child whose subtree holds some of
@@ -504,11 +503,9 @@ class DsmProcess:
     def _on_owner_update(self, msg: Message) -> None:
         """The master took over a leaver's pages (§4.2)."""
         payload = msg.payload
-        mapped, owner = self.table.mapped, self.table.owner
+        owner = self.table.owner
         for page in payload["pages"]:
-            self.owners[page] = TeamView.MASTER_PID
-            if mapped[page]:
-                owner[page] = TeamView.MASTER_PID
+            owner[page] = TeamView.MASTER_PID
         self.relay_owner_update(payload)
 
     def relay_owner_update(self, payload: Dict[str, Any]) -> None:
@@ -537,7 +534,7 @@ class DsmProcess:
         ])
 
     def _check_servable(self, page: int) -> None:
-        # Lazily map: the home/owner of a page holds a valid (zero-filled)
+        # Lazily map: the owner of a page holds a valid (zero-filled)
         # copy even before ever touching it.
         if not self.table.mapped[page]:
             self._map(page)
@@ -577,21 +574,20 @@ class DsmProcess:
     # ------------------------------------------------------------------
     def owner_of(self, page: int) -> int:
         """Current owner pid of ``page`` as known to this process."""
-        own = self.owners.get(page)
-        if own is not None:
-            return own
-        return self.space.segment_of_page(page).home
+        return self.table.owner[page]
 
     def _map(self, page: int) -> None:
         """First touch of ``page``: its copy is valid iff we own it now."""
-        owner = self.owner_of(page)
-        self.table.map(page, owner, owner == self.pid)
+        self.table.map(page, self.table.owner[page] == self.pid)
 
-    def _pte(self, page: int) -> PageTableEntry:
-        """Cold-path view of ``page``'s state, mapping it if needed."""
-        if not self.table.mapped[page]:
+    def readable(self, page: int) -> bool:
+        """A fault-free read of ``page`` is possible: a valid copy with
+        nothing pending.  Maps the page first, so it counts in the
+        migration image from now on."""
+        table = self.table
+        if not table.mapped[page]:
             self._map(page)
-        return PageTableEntry(self.table, page)
+        return bool(table.valid[page]) and not table.npending[page]
 
     def apply_notices(self, notices: NoticeBatch, sender_vc: VectorClock) -> None:
         """Record a batch of remote write notices (invalidating their
@@ -620,7 +616,6 @@ class DsmProcess:
         owner = table.owner
         own_applied = table.applied.get(my_pid)
         writes = self._writes
-        owners = self.owners
         applied_cols = table.applied
         pending_cols = table.pending
         slice_pages = SLICE_PAGES
@@ -675,10 +670,8 @@ class DsmProcess:
                         else:
                             # The latest writer holds the complete page.
                             owner[page] = proc
-                            owners[page] = proc
                     else:
                         owner[page] = proc
-                        owners[page] = proc
                         continue
                     prev = pend[page]
                     if prev < seq:
@@ -750,9 +743,8 @@ class DsmProcess:
         return True
 
     def _set_owner(self, start: int, stop: int, pid: int) -> None:
-        """``pid`` owns the (mapped) pages ``[start, stop)``."""
+        """``pid`` owns the pages ``[start, stop)``."""
         self.table.owner[start:stop] = [pid] * (stop - start)
-        self.owners.update(dict.fromkeys(range(start, stop), pid))
 
     def _known_intervals(self) -> Iterator[IntervalNotice]:
         """Every interval known this epoch (any writer, bucket order)."""
@@ -806,8 +798,6 @@ class DsmProcess:
         valid = table.valid
         npending = table.npending
         mode = table.mode
-        last_access = table.last_access
-        epoch = self.epoch
         wset = self._writes
         stall = self.stall_hook
         stalled = stall is None
@@ -837,7 +827,6 @@ class DsmProcess:
                 # the _ensure_access generator machinery entirely.  (An
                 # unmapped page reads as not valid.)
                 if valid[page] and not npending[page]:
-                    last_access[page] = epoch
                     if wr is None:
                         if mode[page] == MODE_NONE:
                             mode[page] = MODE_READ
@@ -875,7 +864,6 @@ class DsmProcess:
         stop)``: read (``wr`` None) or write them at the page ranges ``wr``."""
         table = self.table
         mode = table.mode
-        table.last_access[start:stop] = [self.epoch] * (stop - start)
         if wr is None:
             if mode.find(MODE_NONE, start, stop) >= 0:
                 mode[start:stop] = mode[start:stop].replace(b"\0", b"\1")
@@ -906,7 +894,6 @@ class DsmProcess:
         table = self.table
         if not table.mapped[page]:
             self._map(page)
-        table.last_access[page] = self.epoch
         if not table.valid[page] or table.npending[page]:
             t0 = self.sim.now
             self.stats.read_faults += 0 if write else 1
@@ -1055,7 +1042,6 @@ class DsmProcess:
         """Re-fetch a full page (single-writer protocol update path)."""
         yield from self._pull_page(page, from_pid)
         self.table.owner[page] = from_pid
-        self.owners[page] = from_pid
 
     def _prepare_write(self, page: int, first: bool) -> None:
         """Write access to the valid ``page`` in the open interval.
@@ -1070,9 +1056,8 @@ class DsmProcess:
                 self._twins.append((page, page + 1, self.store.page_view(page).copy()))
             self.stats.twins_created += 1
             self.node.busy_time += self.cfg.dsm.twin_time
-        if not multiple_writer and table.owner[page] != self.pid:
+        if not multiple_writer:
             table.owner[page] = self.pid
-            self.owners[page] = self.pid
         table.valid[page] = 1
         table.mode[page] = MODE_WRITE
 
@@ -1101,11 +1086,9 @@ class DsmProcess:
         node.busy_time = busy
         pid = self.pid
         if protocol.find(SW, start, stop) >= 0 and owner[start:stop].count(pid) != n:
-            owners = self.owners
             for page in range(start, stop):
-                if protocol[page] != MW and owner[page] != pid:
+                if protocol[page] != MW:
                     owner[page] = pid
-                    owners[page] = pid
         table.valid[start:stop] = b"\1" * n
         table.mode[start:stop] = bytes([MODE_WRITE]) * n
 
@@ -1260,11 +1243,9 @@ class DsmProcess:
         if self._writes:
             raise ProtocolError(f"{self.name}: GC with an open write set")
         table = self.table
-        mapped, owner = table.mapped, table.owner
+        owner = table.owner
         for page, new_owner in self._gc_pending_owners.items():
-            if mapped[page]:
-                owner[page] = new_owner
-        self.owners.update(self._gc_pending_owners)
+            owner[page] = new_owner
         self._gc_pending_owners = {}
         table.reset_epoch()
         self.log.clear()
@@ -1416,13 +1397,8 @@ class DsmProcess:
         width = self.team.nprocs
         self.vc = VectorClock.zeros(width)
         self._sent_to_master_seq = 0
-        self.owners = {
-            page: owner_remap.get(owner, TeamView.MASTER_PID)
-            for page, owner in self.owners.items()
-        }
         self.table.remap_owners(owner_remap, TeamView.MASTER_PID)
         self.table.applied.clear()  # keyed by the old pids
-        self.table.proc_name = self.name
         # Pids were renumbered; the tree is rebuilt from the new team.
         self.tree_barrier.reset()
 

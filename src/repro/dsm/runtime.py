@@ -240,7 +240,6 @@ class TmkRuntime:
         name: str,
         nbytes: Optional[int] = None,
         protocol: Protocol = Protocol.MULTIPLE_WRITER,
-        home: int = TeamView.MASTER_PID,
         dtype: str = "uint8",
         shape: Tuple[int, ...] = (),
     ) -> SharedSegment:
@@ -250,7 +249,7 @@ class TmkRuntime:
                 raise DsmError("malloc needs nbytes or shape")
             nbytes = int(np.prod(shape)) * np.dtype(dtype).itemsize
         return self.space.alloc(
-            name, nbytes, protocol=protocol, home=home, dtype=dtype, shape=shape
+            name, nbytes, protocol=protocol, dtype=dtype, shape=shape
         )
 
     # -- hooks overridden by the adaptive runtime ---------------------------

@@ -48,6 +48,7 @@ from .memory import SharedSegment
 from .page import MODE_NONE, MODE_READ, MODE_WRITE
 from .process import DsmProcess
 from .runtime import TmkRuntime
+from .team import TeamView
 
 SC_READ_REQ = "sc_read_req"
 SC_WRITE_REQ = "sc_write_req"
@@ -60,17 +61,17 @@ SC_DATA = "sc_data"
 
 
 class ScDirectory:
-    """The manager's per-page owner/copyset table."""
+    """The manager's per-page owner/copyset table (the master holds
+    every page at first)."""
 
-    def __init__(self, space):
-        self.space = space
+    def __init__(self):
         self._entries: Dict[int, dict] = {}
 
     def entry(self, page: int) -> dict:
         state = self._entries.get(page)
         if state is None:
-            home = self.space.segment_of_page(page).home
-            state = {"owner": home, "copies": {home}}
+            master = TeamView.MASTER_PID
+            state = {"owner": master, "copies": {master}}
             self._entries[page] = state
         return state
 
@@ -128,8 +129,6 @@ class ScProcess(DsmProcess):
         stall = self.stall_hook
         exclusive = self._sc_exclusive
         valid = self.table.valid
-        last_access = self.table.last_access
-        epoch = self.epoch
         write_pages = sorted(p for p, w in combined.items() if w)
         for page in sorted(combined):
             write = combined[page]
@@ -139,7 +138,6 @@ class ScProcess(DsmProcess):
             # fault generator would return without yielding.  (Both imply
             # the page is mapped.)
             if page in exclusive if write else valid[page]:
-                last_access[page] = epoch
                 continue
             yield from self._sc_ensure(page, write=write)
         for attempt in range(200):
@@ -163,7 +161,6 @@ class ScProcess(DsmProcess):
         table = self.table
         if not table.mapped[page]:
             self._map(page)
-        table.last_access[page] = self.epoch
         if page in self._sc_exclusive if write else table.valid[page]:
             return
         t0 = self.sim.now
@@ -348,6 +345,6 @@ class ScRuntime(TmkRuntime):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        directory = ScDirectory(self.space)
+        directory = ScDirectory()
         for proc in self.procs.values():
             proc.sc_directory = directory

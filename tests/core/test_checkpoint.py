@@ -215,4 +215,4 @@ class TestRecovery:
         restore_checkpoint(rt2, ck)
         for page in range(rt2.space.total_pages):
             assert rt2.master.owner_of(page) == 0
-            assert rt2.master._pte(page).valid
+            assert rt2.master.readable(page)

@@ -113,9 +113,7 @@ class TestBarrierSemantics:
                 yield from ctx.barrier()
             else:
                 # before our barrier: no notice applied yet -> no pending
-                pte_pending_before = any(
-                    p.pending for p in ctx.proc.table
-                )
+                pte_pending_before = any(ctx.proc.table.npending)
                 yield from ctx.barrier()
                 yield from ctx.access(arr.seg, reads=arr.full())
                 observed["before"] = pte_pending_before

@@ -53,8 +53,7 @@ def assert_dense_invariants(rt, after_gc=False):
     for proc in rt.procs.values():
         t = proc.table
         columns = [t.mapped, t.valid, t.mode, t.protocol, t.owner,
-                   t.last_access, t.npending, *t.applied.values(),
-                   *t.pending.values()]
+                   t.npending, *t.applied.values(), *t.pending.values()]
         assert {len(col) for col in columns} == {npages}
         assert len(t) == sum(t.mapped)
         for page in range(npages):
@@ -74,11 +73,15 @@ def assert_dense_invariants(rt, after_gc=False):
             assert not any(t.npending) and not any(t.mode)
             assert t.protocol == rt.space.protocols
     if after_gc:
-        # every page valid somewhere, with an owner everyone agrees on
+        # every page valid somewhere, with an owner everyone agrees on,
+        # mapped or not: the owner column is the whole page-location map
+        columns = [proc.table.owner for proc in rt.procs.values()]
         for page in range(npages):
-            owners = {p.owner_of(page) for p in rt.procs.values()}
+            owners = {col[page] for col in columns}
             assert len(owners) == 1, f"owner disagreement on page {page}"
-            assert rt.procs[owners.pop()]._pte(page).valid, \
+            owner = owners.pop()
+            assert owner in rt.procs, f"page {page} owned by gone pid {owner}"
+            assert rt.procs[owner].readable(page), \
                 f"owner of page {page} holds no valid copy"
 
 
@@ -219,7 +222,7 @@ class TestGcInvariant:
             assert_dense_invariants(rt, after_gc=True)
             for page in range(rt.space.total_pages):
                 for p in rt.procs.values():
-                    assert not p._pte(page).pending
+                    assert not p.table.pending_of(page)
             yield from api.fork_join("w")
 
         rt.run(TmkProgram({"w": region}, driver, "gc-invariant"))

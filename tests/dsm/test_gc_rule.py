@@ -2,7 +2,7 @@
 the same owners from the same notices, and owners must be writers).
 
 The rule consumes interval-granular notices; the properties are stated
-over their per-page ``WriteNotice`` views."""
+over their per-page ``(interval, page)`` pairs."""
 
 from hypothesis import given, strategies as st
 
@@ -36,7 +36,8 @@ def notice_sets(draw):
 
 
 def views(intervals):
-    return [n for iv in intervals for n in iv.notices()]
+    """``(interval, page)`` for every page every interval wrote."""
+    return [(iv, page) for iv in intervals for pages in iv.runs for page in pages]
 
 
 @given(notice_sets())
@@ -44,14 +45,14 @@ def test_owner_is_always_a_writer_of_the_page(intervals):
     owners = gc_new_owners(intervals)
     notices = views(intervals)
     for page, owner in owners.items():
-        writers = {n.proc for n in notices if n.page == page}
+        writers = {iv.proc for iv, p in notices if p == page}
         assert owner in writers
 
 
 @given(notice_sets())
 def test_every_written_page_gets_an_owner(intervals):
     owners = gc_new_owners(intervals)
-    assert set(owners) == {n.page for n in views(intervals)}
+    assert set(owners) == {page for _, page in views(intervals)}
 
 
 @given(notice_sets())
@@ -59,12 +60,11 @@ def test_matches_the_per_page_rule_in_value_and_order(intervals):
     """The run-level rule returns what a per-page scan does, page order
     (first naming, which sets ``owners``' insertion order) included."""
     best = {}
-    for iv in intervals:
+    for iv, page in views(intervals):
         key = (*iv.vc.sort_key(), -iv.proc)
-        for n in iv.notices():
-            prev = best.get(n.page)
-            if prev is None or key > prev:
-                best[n.page] = key
+        prev = best.get(page)
+        if prev is None or key > prev:
+            best[page] = key
     expected = [(page, -key[-1]) for page, key in best.items()]
     assert list(gc_new_owners(intervals).items()) == expected
 
@@ -82,8 +82,8 @@ def test_happens_before_winner(intervals):
     the page, that writer owns it."""
     owners = gc_new_owners(intervals)
     by_page = {}
-    for n in views(intervals):
-        by_page.setdefault(n.page, []).append(n)
+    for iv, page in views(intervals):
+        by_page.setdefault(page, []).append(iv)
     for page, ns in by_page.items():
         dominators = [
             n for n in ns
@@ -91,9 +91,3 @@ def test_happens_before_winner(intervals):
         ]
         if dominators:
             assert owners[page] == dominators[0].proc
-
-
-def test_current_owner_filter_drops_noops():
-    notices = [make_interval(1, 1, [5], [0, 1])]
-    assert gc_new_owners(notices, current_owner={5: 1}) == {}
-    assert gc_new_owners(notices, current_owner={5: 0}) == {5: 1}

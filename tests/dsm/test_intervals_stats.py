@@ -4,7 +4,7 @@ import pytest
 
 from repro.dsm import DsmStats, IntervalLog, IntervalRecord, RunResult, VectorClock
 from repro.dsm.intervals import Diff
-from repro.dsm.runs import encode, spans
+from repro.dsm.runs import encode, expand, spans
 
 from ..golden import golden_row
 
@@ -23,17 +23,16 @@ def record(proc, seq, pages, width=2):
 class TestIntervalRecord:
     def test_notices_sorted_by_page(self):
         rec = record(1, 3, [7, 2, 5])
-        notices = rec.notices()
-        assert [n.page for n in notices] == [2, 5, 7]
-        assert all(n.proc == 1 and n.seq == 3 for n in notices)
+        notices = [(rec.proc, rec.seq, page) for page in expand(rec.runs)]
+        assert [page for _, _, page in notices] == [2, 5, 7]
+        assert all(proc == 1 and seq == 3 for proc, seq, _ in notices)
 
     def test_notice_covered_by(self):
         rec = record(0, 2, [1])
-        notice = rec.notices()[0]
         covers = VectorClock([2, 0])
         misses = VectorClock([1, 5])
-        assert notice.covered_by(covers)
-        assert not notice.covered_by(misses)
+        assert covers.covers_interval(rec.proc, rec.seq)
+        assert not misses.covers_interval(rec.proc, rec.seq)
 
 
 class TestIntervalLog:

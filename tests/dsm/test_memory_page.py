@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from repro.dsm import AddressSpace, LocalStore, PageTable, Protocol, TeamView
-from repro.dsm.intervals import WriteNotice
 from repro.dsm.memory import MAX_PAGES
-from repro.dsm.page import AccessMode
-from repro.errors import AdaptationError, AllocationError, DsmError
+from repro.dsm.page import MODE_NONE, MW, SW
+from repro.errors import AdaptationError, AllocationError
 
 
 class TestAddressSpace:
@@ -113,95 +112,100 @@ class TestLocalStore:
 
 
 class TestPageTable:
-    """The dense column store, through its per-page view."""
+    """The dense column store, one page's cells at a time."""
 
     def _table(self, npages=8, protocol=Protocol.MULTIPLE_WRITER):
         space = AddressSpace(4096)
         space.alloc("seg", 4096 * npages, protocol=protocol)
-        return PageTable("P0", space)
+        return PageTable(space)
 
     def _mapped(self, table, page, owner=0, valid=True):
-        table.map(page, owner=owner, valid=valid)
-        return table.entry(page)
+        table.map(page, valid=valid)
+        table.owner[page] = owner
+        return page
 
-    def _notice(self, proc, seq, page):
-        return WriteNotice(proc=proc, seq=seq, page=page, vc=None)
+    @staticmethod
+    def _readable(table, page):
+        return bool(table.valid[page]) and not table.npending[page]
 
     def test_unmapped_page_raises(self):
         table = self._table()
-        with pytest.raises(DsmError):
-            table.entry(3)
-        with pytest.raises(DsmError):
-            table.entry(99)  # outside the address space
+        assert 3 not in table
+        assert 99 not in table  # outside the address space
+        with pytest.raises(IndexError):
+            table.valid[99]
 
     def test_map_and_lookup(self):
         table = self._table()
-        pte = self._mapped(table, 3, owner=1, valid=False)
-        assert (pte.page, pte.owner, pte.valid) == (3, 1, False)
-        assert pte.protocol is Protocol.MULTIPLE_WRITER
-        assert pte.mode is AccessMode.NONE and pte.last_access_epoch == -1
+        page = self._mapped(table, 3, owner=1, valid=False)
+        assert (page, table.owner[page], table.valid[page]) == (3, 1, False)
+        assert table.protocol[page] == MW
+        assert table.mode[page] == MODE_NONE
         assert 3 in table and 4 not in table
         assert len(table) == 1
 
     def test_add_notice_invalidates(self):
-        pte = self._mapped(self._table(), 0)
-        assert pte.readable
-        pte.add_notice(self._notice(1, 1, 0))
-        assert not pte.readable
-        assert len(pte.pending) == 1
+        table = self._table()
+        page = self._mapped(table, 0)
+        assert self._readable(table, page)
+        table.add_pending(page, 1, 1)
+        assert not self._readable(table, page)
+        assert len(table.pending_of(page)) == 1
 
     def test_add_notice_deduplicates(self):
         table = self._table()
-        pte = self._mapped(table, 0)
-        pte.add_notice(self._notice(1, 1, 0))
-        pte.add_notice(self._notice(1, 1, 0))
-        assert len(pte.pending) == 1
+        page = self._mapped(table, 0)
+        table.add_pending(page, 1, 1)
+        table.add_pending(page, 1, 1)
+        assert len(table.pending_of(page)) == 1
         assert table.npending[0] == 1
         # a later interval of the same writer replaces, not adds
-        pte.add_notice(self._notice(1, 3, 0))
-        pte.add_notice(self._notice(1, 2, 0))  # out of order: older loses
-        assert [(n.proc, n.seq) for n in pte.pending] == [(1, 3)]
+        table.add_pending(page, 1, 3)
+        table.add_pending(page, 1, 2)  # out of order: older loses
+        assert list(table.pending_of(page).items()) == [(1, 3)]
         assert table.npending[0] == 1
 
     def test_covered_notice_ignored(self):
         table = self._table()
-        pte = self._mapped(table, 0)
+        page = self._mapped(table, 0)
         table.advance(0, 1, 5)
-        pte.add_notice(self._notice(1, 3, 0))
-        assert pte.readable
-        assert pte.applied == {1: 5}
+        table.add_pending(page, 1, 3)
+        assert self._readable(table, page)
+        assert table.applied_of(page) == {1: 5}
 
     def test_prune_pending(self):
         table = self._table()
-        pte = self._mapped(table, 0)
-        pte.add_notice(self._notice(1, 1, 0))
-        pte.add_notice(self._notice(2, 4, 0))
+        page = self._mapped(table, 0)
+        table.add_pending(page, 1, 1)
+        table.add_pending(page, 2, 4)
         table.advance(0, 1, 1)
-        pte.prune_pending()
-        assert [n.proc for n in pte.pending] == [2]
+        table.prune_pending(page)
+        assert list(table.pending_of(page)) == [2]
         assert table.npending[0] == 1
         table.clear_pending(0)
-        assert pte.readable and table.pending_of(0) == {}
+        assert self._readable(table, page) and table.pending_of(0) == {}
 
     def test_entries_snapshot_sorted(self):
         table = self._table(protocol=Protocol.SINGLE_WRITER)
         for page in (5, 1, 3):
-            table.map(page, owner=0, valid=False)
-        assert [p.page for p in table] == [1, 3, 5]
-        assert all(p.protocol is Protocol.SINGLE_WRITER for p in table)
+            table.map(page, valid=False)
+        mapped = [p for p in range(len(table.mapped)) if p in table]
+        assert mapped == [1, 3, 5]
+        assert all(table.protocol[p] == SW for p in mapped)
 
     def test_columns_grow_with_the_address_space(self):
         """Segments allocated after a process exists extend its columns,
         including per-writer columns already in use."""
         space = AddressSpace(4096)
         space.alloc("a", 4096 * 2)
-        table = PageTable("P0", space)
-        table.map(1, owner=0, valid=True)
+        table = PageTable(space)
+        table.map(1, valid=True)
         table.add_pending(1, 2, 7)
         space.alloc("b", 4096 * 3, protocol=Protocol.SINGLE_WRITER)
         assert len(table.valid) == len(table.pending[2]) == 5
-        table.map(4, owner=1, valid=False)
-        assert table.entry(4).protocol is Protocol.SINGLE_WRITER
+        assert len(table.owner) == 5 and table.owner[2:] == [0, 0, 0]
+        table.map(4, valid=False)
+        assert table.protocol[4] == SW
         assert table.add_pending(4, 2, 1) and table.npending[4] == 1
         assert table.pending_of(1) == {2: 7}
 
@@ -210,17 +214,17 @@ class TestPageTable:
         cell and demotion is dropped; adaptation renumbers owner cells."""
         table = self._table(protocol=Protocol.SINGLE_WRITER)
         for page, owner in ((0, 0), (1, 2), (2, 3)):
-            table.map(page, owner=owner, valid=True)
+            self._mapped(table, page, owner=owner, valid=True)
         table.add_pending(1, 2, 4)
         table.advance(2, 3, 9)
-        table.protocol[2] = 1  # demoted to multiple-writer
+        table.protocol[2] = MW  # demoted to multiple-writer
         table.reset_epoch()
-        assert [p.valid for p in table] == [True, False, True]
+        assert list(table.valid[:3]) == [True, False, True]
         assert table.npending == [0] * 8
         assert table.applied == {} and table.pending == {}
-        assert table.entry(2).protocol is Protocol.SINGLE_WRITER
+        assert table.protocol[2] == SW
         table.remap_owners({0: 0, 3: 1}, default=0)  # pid 2 left
-        assert [p.owner for p in table] == [0, 0, 1]
+        assert table.owner[:3] == [0, 0, 1]
 
 
 class TestTeamView:

@@ -3,7 +3,7 @@
 entry points, no simulated time passes."""
 
 from repro.dsm import IntervalNotice, NoticeBatch, Protocol, VectorClock
-from repro.dsm.page import AccessMode
+from repro.dsm.page import MODE_NONE, MW, SW
 from repro.dsm.runs import page_spans
 
 from ..helpers import build_system
@@ -23,6 +23,17 @@ def _interval(proc, seq, pages, width=3):
     return IntervalNotice(proc, seq, VectorClock(vc), page_spans(pages))
 
 
+def _notices(batch):
+    """``(proc, seq, page)`` of every write notice in ``batch``."""
+    return [(iv.proc, iv.seq, page)
+            for iv in batch.intervals for pages in iv.runs for page in pages]
+
+
+def _mapped(table):
+    """The mapped pages, ascending."""
+    return [p for p in range(len(table.mapped)) if p in table]
+
+
 def _write(proc, seg, first_page, last_page):
     """Write whole pages at their home: faults nothing, yields nothing."""
     for _ in proc.access(seg, writes=((first_page * PAGE, (last_page + 1) * PAGE),)):
@@ -37,11 +48,11 @@ class TestBatch:
         _write(master, seg, 0, 2)
         batch = master.close_interval()
         assert len(batch) == 3 and len(batch.intervals) == 1
-        assert [(n.proc, n.seq, n.page) for n in batch] == [(0, 1, 0), (0, 1, 1), (0, 1, 2)]
+        assert _notices(batch) == [(0, 1, 0), (0, 1, 1), (0, 1, 2)]
         assert master.notice_wire_bytes(len(batch)) \
             == 3 * rt.cfg.dsm.write_notice_bytes
         merged = NoticeBatch(batch.intervals + [_interval(1, 1, [4, 5])])
-        assert len(merged) == 5 and len(list(merged)) == 5
+        assert len(merged) == 5 and len(_notices(merged)) == 5
         assert not NoticeBatch() and len(NoticeBatch()) == 0
 
     def test_sync_notices_returns_what_the_master_has_not_been_told(self):
@@ -80,32 +91,34 @@ class TestIngestion:
         me.apply_notices(NoticeBatch([_interval(0, 1, [1])]), VectorClock([1, 3, 0]))
         assert me.table.pending_of(1) == {0: 1, 1: 2}
         assert me.table.npending[1] == 2
-        assert all(p.mode is AccessMode.NONE and not p.readable for p in me.table)
+        assert all(me.table.mode[p] == MODE_NONE and not me.readable(p)
+                   for p in _mapped(me.table))
 
     def test_own_and_covered_intervals_do_not_invalidate(self):
         rt, seg = _system()
         me = rt.procs[2]
-        me.table.map(0, owner=0, valid=True)
+        me.table.map(0, valid=True)
         me.table.advance(0, 1, 2)  # our copy already has P1's seq 2
         me.apply_notices(
             NoticeBatch([_interval(1, 2, [0]), _interval(2, 1, [0])]),
             VectorClock([0, 2, 1]),
         )
-        assert me.table.entry(0).readable
+        assert me.readable(0)
         assert set(me._known) == {1, 2}  # both still indexed for forwarding
 
     def test_single_writer_notice_moves_ownership_or_demotes(self):
         rt, seg = _system(protocol=Protocol.SINGLE_WRITER)
         me = rt.procs[2]
         me.apply_notices(NoticeBatch([_interval(1, 1, [3])]), VectorClock([0, 1, 0]))
-        assert me.owner_of(3) == 1 and me.table.entry(3).owner == 1
-        assert me.table.entry(3).protocol is Protocol.SINGLE_WRITER
+        assert me.owner_of(3) == 1 and me.table.owner[3] == 1
+        assert me.table.protocol[3] == SW
         # we wrote page 4 in an interval the other writer had not seen
-        me.table.map(4, owner=2, valid=True)
+        me.table.map(4, valid=True)
+        me.table.owner[4] = 2
         me.table.advance(4, 2, 1)
         me.apply_notices(NoticeBatch([_interval(1, 2, [4])]), VectorClock([0, 2, 0]))
-        assert me.table.entry(4).protocol is Protocol.MULTIPLE_WRITER
-        assert me.table.entry(4).owner == 2
+        assert me.table.protocol[4] == MW
+        assert me.table.owner[4] == 2
 
     def test_notices_unknown_to_cuts_each_writer_at_its_floor(self):
         rt, seg = _system()
@@ -125,24 +138,24 @@ class TestResets:
     def test_gc_then_adapt_reset_across_a_team_width_change(self):
         rt, seg = _system()
         me = rt.procs[1]
-        me.table.map(0, owner=0, valid=True)
-        me.table.map(1, owner=0, valid=True)
+        me.table.map(0, valid=True)
+        me.table.map(1, valid=True)
         me.apply_notices(NoticeBatch([_interval(2, 1, [0, 5])]), VectorClock([0, 0, 1]))
         me.table.advance(1, 0, 4)
         me._gc_pending_owners = {0: 2, 5: 2, 3: 2}  # as gc_flush leaves it
         me.gc_reset()
         assert me.epoch == 1 and me._known == {} and me._gc_pending_owners == {}
-        assert [(p.page, p.valid, p.owner) for p in me.table] \
+        assert [(p, me.table.valid[p], me.table.owner[p]) for p in _mapped(me.table)] \
             == [(0, False, 2), (1, True, 0), (5, False, 2)]
-        assert me.owners == {0: 2, 5: 2, 3: 2}  # unmapped page 3 too
+        assert me.table.owner == [2, 0, 0, 2, 0, 2]  # unmapped page 3 too
         assert me.table.applied == {} and me.table.pending == {}
         assert me.table.npending == [0] * 6
         # pid 1 leaves: the team shrinks to two, old pid 2 becomes pid 1
         rt.team.set_mapping({0: 0, 1: 2})
         me.adapt_reset(1, {0: 0, 2: 1})
         assert me.pid == 1 and me.vc.width == 2
-        assert me.owners == {0: 1, 5: 1, 3: 1}
-        assert [p.owner for p in me.table] == [1, 0, 1]
+        assert me.table.owner == [1, 0, 0, 1, 0, 1]
+        assert [me.table.owner[p] for p in _mapped(me.table)] == [1, 0, 1]
         # the next epoch's notices carry the narrower clocks
         me.apply_notices(NoticeBatch([_interval(0, 1, [1], width=2)]),
                          VectorClock([1, 0]))

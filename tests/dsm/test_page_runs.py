@@ -51,8 +51,7 @@ def per_page_apply(me, notices, sender_vc):
             continue
         applied = table.applied.get(proc)
         pend = table.column(table.pending, proc)
-        for notice in iv.notices():
-            page = notice.page
+        for page in (p for pages in iv.runs for p in pages):
             if not table.mapped[page]:
                 me._map(page)
             if table.protocol[page] == MW:
@@ -64,10 +63,8 @@ def per_page_apply(me, notices, sender_vc):
                     table.protocol[page] = MW
                 else:
                     table.owner[page] = proc
-                    me.owners[page] = proc
             else:
                 table.owner[page] = proc
-                me.owners[page] = proc
                 continue
             prev = pend[page]
             if prev < seq:
@@ -79,14 +76,13 @@ def per_page_apply(me, notices, sender_vc):
 
 
 def state(me):
-    """Every column, ``owners`` in insertion order, the index and clock."""
+    """Every column, the index and clock."""
     t = me.table
     return (
         bytes(t.mapped), bytes(t.valid), bytes(t.mode), bytes(t.protocol),
-        t.n_mapped, list(t.owner), list(t.last_access), list(t.npending),
+        t.n_mapped, list(t.owner), list(t.npending),
         [(w, list(col)) for w, col in t.applied.items()],
         [(w, list(col)) for w, col in t.pending.items()],
-        list(me.owners.items()),
         [(w, list(seqs), [id(iv) for iv in bucket])
          for w, (seqs, bucket) in me._known.items()],
         list(me.vc.entries),
@@ -139,7 +135,8 @@ def _lay_down(me, setup):
     for (a, b), owner, valid in touches:
         for page in range(a, b):
             if not me.table.mapped[page]:
-                me.table.map(page, owner, valid)
+                me.table.map(page, valid)
+                me.table.owner[page] = owner
     for writer, (a, b), seq in applied:
         for page in range(a, b):
             me.table.advance(page, writer, seq)
@@ -237,7 +234,8 @@ def test_closed_write_set_expands_to_the_per_page_map(accesses):
         assert len(batch) == page_count(rec.runs) == len(expected)
         assert notice.runs is rec.spans
         assert all(a.stop < b.start for a, b in zip(notice.runs, notice.runs[1:]))
-        assert [n.page for n in batch] == list(expand(rec.runs))
+        assert [p for iv in batch.intervals for pages in iv.runs for p in pages] \
+            == list(expand(rec.runs))
 
 
 def test_log_lookup_merges_alternating_write_sets():

@@ -469,10 +469,11 @@ class TestRequestServer:
         p2.move_to_node(node)
         rt.team.move_pid(2, node.node_id)
         # addressed messages reach only their process, whatever the order
-        rt.master.send(mk.PAGE_MAP, 2, {"owners": {0: 2}, "targets": [2]})
-        rt.master.send(mk.PAGE_MAP, 1, {"owners": {0: 1}, "targets": [1]})
+        rest = [0] * (rt.space.total_pages - 1)
+        rt.master.send(mk.PAGE_MAP, 2, {"owners": [2] + rest, "targets": [2]})
+        rt.master.send(mk.PAGE_MAP, 1, {"owners": [1] + rest, "targets": [1]})
         sim.run()
-        assert (p1.owners, p2.owners) == ({0: 1}, {0: 2})
+        assert (p1.table.owner, p2.table.owner) == ([1] + rest, [2] + rest)
         # unaddressed ones go to the front of the waiter order, which the
         # taker then leaves for the back: P1 was served last above
         served_by = []

@@ -85,8 +85,8 @@ class TestTreeLayout:
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class FakeNotice:
-    """Just enough of a WriteNotice for ``writer_sorted``: a writer id
-    and a per-writer sequence number."""
+    """Just enough of an interval notice for ``writer_sorted``: a writer
+    id and a per-writer sequence number."""
 
     proc: int
     seq: int
