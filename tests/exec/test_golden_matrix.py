@@ -34,7 +34,8 @@ class TestPinnedData:
 
     @pytest.mark.parametrize("family", [
         ("fft3d-mat",), ("gauss-mat",), ("nbf-mat",),
-        ("jacobi-mat", "jacobi-mat+loss", "adapt-mat", "crash-mat"),
+        ("jacobi-mat", "jacobi-mat+loss", "adapt-mat", "crash-mat",
+         "crash-warm-mat"),
         ("barrier", "barrier-gc"), ("locks", "locks-gc"),
     ], ids=lambda family: family[0])
     def test_memory_never_depends_on_model_faults_or_gc(self, family):

@@ -160,6 +160,9 @@ _ADAPT = _tiny("jacobi", 8, adaptive=True, extra_nodes=2,
 _CRASH = _tiny("jacobi", adaptive=True, extra_nodes=1,
                events=(AdaptEvent("crash", 0.03),), checkpoint_interval=0.02,
                failure_detection=True)
+#: The crash lands after the first checkpoint completes (≈0.496 s), so
+#: recovery restores it: a warm restart, where ``_CRASH`` is a cold one.
+_CRASH_WARM = _CRASH.replaced(events=(AdaptEvent("crash", 0.5),))
 
 SCENARIOS: Dict[str, Scenario] = {
     **{app: Scenario(_tiny(app)) for app in ("fft3d", "gauss", "jacobi", "nbf")},
@@ -169,6 +172,8 @@ SCENARIOS: Dict[str, Scenario] = {
     "crash": Scenario(_CRASH),
     "adapt-mat": Scenario(_ADAPT.replaced(materialized=True)),
     "crash-mat": Scenario(_CRASH.replaced(materialized=True)),
+    "crash-warm": Scenario(_CRASH_WARM),
+    "crash-warm-mat": Scenario(_CRASH_WARM.replaced(materialized=True)),
     "chaos": Scenario(_CRASH.replaced(events=(), fault_plan=CHAOS_PLAN)),
     "jacobi-mat+loss": Scenario(_tiny("jacobi", materialized=True), loss=0.05),
     "chaos+loss": Scenario(_CRASH.replaced(events=(), fault_plan=CHAOS_PLAN),
