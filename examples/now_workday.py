@@ -3,7 +3,7 @@
 
 The §1 scenario: a long-running Jacobi relaxation occupies a pool of 8
 workstations.  Owners arrive at their desks (their machines leave the
-pool, each with a per-node grace period) and go to meetings or lunch
+pool, each with a grace period) and go to meetings or lunch
 (their machines rejoin).  The computation is never stopped and needs no
 application support — the adaptive runtime re-partitions at the next
 parallel construct each time.
@@ -18,18 +18,19 @@ Run:  python examples/now_workday.py
 from repro.bench import make_jacobi
 from repro.cluster import NodePool
 from repro.config import SystemConfig
-from repro.core import AdaptiveRuntime, GracePolicy
+from repro.core import AdaptiveRuntime
 from repro.faults import FaultInjector, parse_plan
 from repro.network import Switch
 from repro.simcore import Simulator
 
 # The day's schedule, simulated "hours" compressed into 2 s: an owner at
 # the desk takes the node out of the pool, an owner away gives it back.
-# A leave with no GRACE argument uses the runtime's grace policy.
+# A leave with no GRACE argument uses ``SystemConfig.grace_period`` (3 s);
+# node 5's owner is impatient and gives 1 s.
 WORKDAY = """
-1.0 leave 5    # node 5's owner: 0.5-1.5 h
-1.6 leave 6    # node 6's owner: 0.8-1.2 h and 2.2-2.6 h
-2.0 leave 7    # node 7's owner: 1.0-2.5 h
+1.0 leave 5 1.0  # node 5's owner: 0.5-1.5 h
+1.6 leave 6      # node 6's owner: 0.8-1.2 h and 2.2-2.6 h
+2.0 leave 7      # node 7's owner: 1.0-2.5 h
 2.4 join 6
 3.0 join 5
 4.4 leave 6
@@ -43,11 +44,7 @@ def main():
     cfg = SystemConfig()
     pool = NodePool(sim, Switch(sim, cfg.network))
     team = pool.add_nodes(8)
-
-    # per-node grace periods: node 5's owner is impatient
-    grace = GracePolicy(default=3.0, per_node={5: 1.0})
-    rt = AdaptiveRuntime(sim, cfg, team, pool, grace_policy=grace,
-                         materialized=False)
+    rt = AdaptiveRuntime(sim, cfg, team, pool, materialized=False)
 
     app = make_jacobi(700, 700)  # long-running: ~10 s of simulated work
     program = app.program(rt)

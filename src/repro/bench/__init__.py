@@ -32,7 +32,6 @@ from .harness import ExperimentResult, nonadaptive_times
 from .perf import calibrate_spin
 from .recovery import (
     RecoveryPoint,
-    ResumableJacobi,
     recovery_sweep,
     sweep_rows,
 )
@@ -85,7 +84,6 @@ __all__ = [
     "ratio_note",
     "speedup",
     "RecoveryPoint",
-    "ResumableJacobi",
     "recovery_sweep",
     "sweep_rows",
 ]

@@ -6,53 +6,15 @@ directly: short intervals pay frequent image writes but lose little work
 on a crash; long intervals run faster fault-free but replay more
 iterations after recovery.
 
-The stock :class:`~repro.apps.Jacobi` driver restarts from iteration 0,
-so the sweep uses :class:`ResumableJacobi` — identical constructs plus an
-iteration counter in shared memory, following the same resumable-kernel
-convention the checkpoint/restore machinery documents.
+Recovery replays the driver to the restored checkpoint's fork, so the
+work lost is what ran between that checkpoint and the detection.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Generator, List, Optional, Sequence
-
-from ..apps import Jacobi
-from ..dsm import Protocol
-
-
-class ResumableJacobi(Jacobi):
-    """Jacobi that keeps its iteration counter in shared memory.
-
-    A restarted driver reads the counter and resumes after the last
-    completed iteration, so only the work since the restored checkpoint
-    is replayed.
-    """
-
-    name = "jacobi-resumable"
-
-    def allocate(self, rt) -> None:
-        super().allocate(rt)
-        self.shared(rt, "iter", (4,), "int64", Protocol.MULTIPLE_WRITER)
-
-    def driver(self, omp) -> Generator:
-        ctx = omp.ctx
-        grid = self.arrays["grid"]
-        meta = self.arrays["iter"]
-        yield from ctx.access(meta.seg, reads=meta.full())
-        start = int(meta.view(ctx)[0]) if ctx.materialized else 0
-        if start == 0:
-            yield from ctx.access(grid.seg, writes=grid.full())
-            if ctx.materialized:
-                grid.view(ctx)[:] = self.initial_grid()
-        for it in range(start, self.iterations):
-            yield from omp.parallel_for("sweep")
-            yield from omp.parallel_for("copy")
-            yield from ctx.access(meta.seg, writes=meta.full())
-            if ctx.materialized:
-                meta.view(ctx)[0] = it + 1
-        yield from self.collect(ctx, ["grid"])
+from typing import Callable, List, Optional, Sequence
 
 
 @dataclass
@@ -103,7 +65,7 @@ def recovery_sweep(
         sweep = partial(api_sweep, jobs=1)
 
     base_spec = ScenarioSpec(
-        kernel="jacobi-resumable", params={"n": n, "iterations": iterations},
+        kernel="jacobi", params={"n": n, "iterations": iterations},
         nprocs=nprocs, calibrated=False, adaptive=True, materialized=True,
         extra_nodes=1, label="recovery-baseline",
     )

@@ -13,7 +13,6 @@ from .adaptation import (
     RequestState,
 )
 from .checkpoint import Checkpoint, CheckpointManager, restore_checkpoint
-from .grace import GracePolicy
 from .migration import MigrationOutcome, migrate_process
 from .reassign import (
     STRATEGIES,
@@ -31,7 +30,6 @@ __all__ = [
     "Checkpoint",
     "CheckpointManager",
     "CompactShift",
-    "GracePolicy",
     "JoinRequest",
     "LeaveRequest",
     "MigrationOutcome",

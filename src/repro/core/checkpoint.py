@@ -5,20 +5,20 @@ shared memory.  So a checkpoint is: (1) garbage-collect, (2) the master
 fetches every page it lacks a valid copy of, (3) the master libckpt's
 itself to disk.  No coordination with slaves, no message logging.
 
-Recovery restores the shared memory into a fresh runtime with the master
-owning every page.  (Python cannot freeze a generator mid-flight the way
-libckpt freezes a process image, so the *program driver* is restarted and
-resumes only from application-level state kept in shared memory.  Of the
-bundled kernels only ``ResumableJacobi`` (``jacobi-resumable``) keeps its
-iteration counter there; the four stock kernels' drivers rewrite the
-initial data and re-run from iteration 0.  The checkpoint cost model is
-unaffected by this deviation; see DESIGN.md.)
+Recovery restores the shared memory with the master owning every page.
+Python cannot freeze a generator mid-flight the way libckpt freezes a
+process image, so the master's driver is rebuilt by re-execution: a
+checkpoint records the phase names the driver had forked, and the
+restarted driver replays through them at no cost before it runs for real
+(:meth:`~repro.dsm.runtime.TmkRuntime._replayed`).  A driver whose
+control flow depends on shared data cannot be replayed; the replay
+detects the divergence and raises :class:`~repro.errors.CheckpointError`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Generator, List, Optional
+from typing import Dict, Generator, List, Optional, Tuple
 
 import numpy as np
 
@@ -38,6 +38,8 @@ class Checkpoint:
     write_seconds: float
     #: seg name -> raw bytes of the whole segment (materialized mode only).
     segment_data: Dict[str, np.ndarray] = field(default_factory=dict)
+    #: Phase names the driver had forked when the checkpoint was taken.
+    phases: Tuple[str, ...] = ()
 
 
 class CheckpointManager:
@@ -93,6 +95,7 @@ class CheckpointManager:
             image_bytes=image,
             write_seconds=write_seconds,
             segment_data=segment_data,
+            phases=tuple(runtime.phases),
         )
         self.checkpoints.append(ckpt)
         self.last_time = sim.now
@@ -100,13 +103,25 @@ class CheckpointManager:
                         f"{len(missing)} pages collected, {image} B image")
 
 
-def _install_segments(runtime, ckpt: Checkpoint) -> None:
-    """Load the checkpoint image into the current master's memory.
+def restore_checkpoint(runtime, ckpt: Checkpoint) -> None:
+    """Load ``ckpt`` into ``runtime`` and arm the driver's replay.
 
-    The master becomes the valid owner of every shared page; every
-    process's owner column names the master, exactly as after recovery in
-    the real system.
+    The runtime is fresh (before ``run``) or being recovered: the crash
+    orchestrator has halted the computation and rebuilt fresh engines (no
+    open write sets, zero vector clocks, empty interval logs).  The master
+    becomes the valid owner of every shared page; every process's owner
+    column names the master, exactly as after recovery in the real system.
+    The next driver run replays the checkpoint's forks and continues for
+    real from the first fork past them.
     """
+    driver = runtime._driver_proc
+    if runtime.finished or (driver is not None and driver.alive):
+        raise CheckpointError("restore_checkpoint needs a stopped driver")
+    if ckpt.total_pages != runtime.space.total_pages:
+        raise CheckpointError(
+            f"checkpoint covers {ckpt.total_pages} pages, "
+            f"address space has {runtime.space.total_pages}"
+        )
     master = runtime.master
     for proc in runtime.procs.values():
         proc.table.owner[:] = [master.pid] * runtime.space.total_pages
@@ -122,25 +137,4 @@ def _install_segments(runtime, ckpt: Checkpoint) -> None:
             if page not in master.table:
                 master._map(page)  # restored pages count in the image
             master.table.valid[page] = 1
-
-
-def restore_checkpoint(runtime, ckpt: Checkpoint) -> None:
-    """Load a checkpoint into a *fresh* runtime (before ``run``)."""
-    if runtime.fork_seq != 0:
-        raise CheckpointError("restore_checkpoint must precede run()")
-    _install_segments(runtime, ckpt)
-
-
-def restore_checkpoint_live(runtime, ckpt: Checkpoint) -> None:
-    """Load a checkpoint into a *running* runtime during crash recovery.
-
-    The caller (the recovery orchestrator) guarantees the computation is
-    quiesced and the process engines are freshly rebuilt: no open write
-    sets, zero vector clocks, empty interval logs.
-    """
-    if ckpt.total_pages != runtime.space.total_pages:
-        raise CheckpointError(
-            f"checkpoint covers {ckpt.total_pages} pages, "
-            f"address space has {runtime.space.total_pages}"
-        )
-    _install_segments(runtime, ckpt)
+    runtime.replay = ckpt.phases

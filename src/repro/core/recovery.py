@@ -14,13 +14,11 @@ orchestrator therefore:
 4. charges the restore cost — re-reading the checkpoint image at the
    disk rate plus one remote process creation — and rebuilds fresh DSM
    engines, loading the checkpointed segments into the new master;
-5. restarts the program driver.  A kernel that keeps its iteration
-   counter in shared memory (``ResumableJacobi``, ``jacobi-resumable``)
-   skips the checkpointed prefix, so only the work since the last
-   checkpoint is lost.  The four stock kernels' drivers rewrite the
-   initial data and re-run from iteration 0, so for them
-   ``lost_work_seconds`` (detection minus checkpoint time) understates
-   the work lost.
+5. restarts the program driver, which replays the checkpoint's forks at
+   no cost and runs for real from the first fork past them (see
+   :func:`~repro.core.checkpoint.restore_checkpoint`), so only the work
+   since the checkpoint is lost.  Before the first checkpoint the driver
+   re-runs from the start: a cold restart.
 
 A :class:`RecoveryRecord` with the detection latency, restore time and
 lost work lands in ``RunResult.recoveries``.
@@ -33,7 +31,7 @@ from typing import Generator, List, Optional
 
 from ..errors import RecoveryError
 from ..obs.core import TRACK_ADAPT
-from .checkpoint import restore_checkpoint_live
+from .checkpoint import restore_checkpoint
 
 
 @dataclass
@@ -139,11 +137,10 @@ def run_recovery(
 
     runtime._rebuild_after_crash(new_nodes)
     if ckpt is not None:
-        restore_checkpoint_live(runtime, ckpt)
+        restore_checkpoint(runtime, ckpt)
     runtime.ckpt_mgr.last_time = sim.now
 
-    # 5. restart the computation; a resumable kernel resumes from
-    # shared-memory state, a stock one re-runs from iteration 0
+    # 5. restart the computation; the driver replays to the checkpoint
     for pid in runtime.team.slave_pids:
         runtime._start_slave(runtime.procs[pid])
     runtime._driver_proc = sim.process(

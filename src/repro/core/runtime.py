@@ -28,7 +28,8 @@ from typing import Any, Dict, Generator, List, Optional
 
 from ..dsm.process import DsmProcess
 from ..dsm.runtime import DetectorCounters, RegionCtx, RunResult, TmkRuntime
-from ..errors import AdaptationError, RecoveryError, SimulationError
+from ..dsm.statistics import DsmStats
+from ..errors import AdaptationError, CheckpointError, SimulationError
 from ..faults.detector import FailureDetector
 from ..network import message as mk
 from ..obs.core import TRACK_ADAPT
@@ -41,7 +42,6 @@ from .adaptation import (
     RequestState,
 )
 from .checkpoint import CheckpointManager
-from .grace import GracePolicy
 from .join import connection_setup, ship_page_maps
 from .leave import absorb_leaver_pages
 from .migration import MigrationOutcome, migrate_process
@@ -60,7 +60,6 @@ class AdaptiveRuntime(TmkRuntime):
         nodes,
         pool,
         materialized: bool = True,
-        grace_policy: Optional[GracePolicy] = None,
         strategy: Optional[ReassignStrategy] = None,
         checkpoint_interval: Optional[float] = None,
         failure_detection: bool = False,
@@ -68,11 +67,12 @@ class AdaptiveRuntime(TmkRuntime):
         super().__init__(sim, cfg, nodes, materialized=materialized)
         self.pool = pool
         self.queue = AdaptationQueue()
-        self.grace_policy = grace_policy or GracePolicy(cfg.grace_period)
         self.strategy = strategy or CompactShift()
         self.rng = RandomStreams(cfg.seed)
         self.ckpt_mgr = CheckpointManager(self, checkpoint_interval)
         self.migrations: List[MigrationOutcome] = []
+        #: Stats of the engines that left the team or died in a crash.
+        self.retired: List[DsmStats] = []
         self._frozen = None
         self.adaptations = 0
         self.failure_detection = failure_detection
@@ -110,9 +110,7 @@ class AdaptiveRuntime(TmkRuntime):
         if not self.team.has_node(node_id):
             node.withdraw()  # idle node: nothing to adapt
             return None
-        period = grace if grace is not None else self.grace_policy.period_for(
-            node_id, self.sim.now
-        )
+        period = self.cfg.grace_period if grace is None else grace
         pid = self.team.pid_of_node(node_id)
         req = LeaveRequest(
             node_id=node_id,
@@ -161,12 +159,13 @@ class AdaptiveRuntime(TmkRuntime):
             return super().run(program, until=until)
         except SimulationError as err:
             # A RecoveryError inside the simulated recovery process (spare
-            # pool exhausted mid-recovery) is a structured outcome of the
-            # failure model, not a simulator defect: surface it as itself,
+            # pool exhausted mid-recovery), or a driver that cannot replay
+            # to its checkpoint, is a structured outcome of the failure
+            # model, not a simulator defect: surface it as itself,
             # attributed, instead of a wrapped engine traceback.
             cause = err.__cause__
-            if isinstance(cause, RecoveryError):
-                raise RecoveryError(
+            if isinstance(cause, CheckpointError):
+                raise type(cause)(
                     f"unrecoverable: {cause} (after "
                     f"{len(self.recoveries)} completed recover(ies))"
                 ) from cause
@@ -240,6 +239,7 @@ class AdaptiveRuntime(TmkRuntime):
 
     def _halt_computation(self) -> None:
         """Kill the driver, the slave wait loops and every DSM engine."""
+        self.finished = False  # a crash during the final STOP reopens the run
         if self._driver_proc is not None and self._driver_proc.alive:
             self._driver_proc.kill()
         for handle in list(self._slave_procs.values()):
@@ -268,6 +268,7 @@ class AdaptiveRuntime(TmkRuntime):
         """Fresh team, fresh DSM engines — shared address space retained."""
         from ..dsm.locks import LockManager
 
+        self.retired.extend(proc.stats for proc in self.procs.values())
         self.team.set_mapping(dict(enumerate(new_node_ids)))
         self.nodes = [self._find_node(nid) for nid in new_node_ids]
         self.procs = {}
@@ -500,6 +501,7 @@ class AdaptiveRuntime(TmkRuntime):
             next_pid += 1
         self.team.set_mapping(new_mapping)
 
+        self.retired.extend(self.procs[pid].stats for pid in leaving_pids)
         # re-identify surviving processes under the new team
         new_procs: Dict[int, DsmProcess] = {}
         for old_pid, new_pid in remap.items():
@@ -535,6 +537,7 @@ class AdaptiveRuntime(TmkRuntime):
         res.adaptations = self.adaptations
         res.adapt_log = list(self.queue.history)
         res.recoveries = list(self.recoveries)
+        res.retired = [stats.copy() for stats in self.retired]
         if self.detector is not None:
             res.detector = DetectorCounters(
                 heartbeats_sent=self.detector.heartbeats_sent,

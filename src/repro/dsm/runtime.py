@@ -21,7 +21,7 @@ from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 import numpy as np
 
 from ..config import SystemConfig
-from ..errors import DsmError
+from ..errors import CheckpointError, DsmError
 from ..network import message as mk
 from ..obs.breakdown import CostBreakdown
 from ..obs.core import TRACK_MASTER
@@ -55,7 +55,13 @@ class TmkProgram:
 
 
 class RegionCtx:
-    """The API surface a region body (or sequential master code) uses."""
+    """The API surface a region body (or sequential master code) uses.
+
+    While the driver replays to a checkpoint (:attr:`TmkRuntime.replay`)
+    every operation returns at once and :meth:`array` hands out a copy, so
+    the replayed master code neither spends simulated time nor touches
+    the restored memory.
+    """
 
     def __init__(self, runtime: "TmkRuntime", proc: DsmProcess):
         self.runtime = runtime
@@ -79,30 +85,41 @@ class RegionCtx:
 
     def access(self, seg: SharedSegment, reads=(), writes=()) -> Generator:
         """Declare shared reads/writes (may fault; see DsmProcess.access)."""
+        if self.runtime.replay is not None:
+            return
         yield from self.runtime.stall_check()
         yield from self.proc.access(seg, reads, writes)
 
     def access_batch(self, specs) -> Generator:
         """Declare accesses over several segments as one atomic step."""
+        if self.runtime.replay is not None:
+            return
         yield from self.runtime.stall_check()
         yield from self.proc.access_batch(specs)
 
     def compute(self, seconds: float) -> Generator:
         """Charge application CPU time."""
+        if self.runtime.replay is not None:
+            return
         yield from self.runtime.stall_check()
         yield from self.proc.compute(seconds)
 
     def barrier(self) -> Generator:
-        yield from self.proc.barrier()
+        if self.runtime.replay is None:
+            yield from self.proc.barrier()
 
     def lock(self, lock_id: int) -> Generator:
-        yield from self.proc.lock_acquire(lock_id)
+        if self.runtime.replay is None:
+            yield from self.proc.lock_acquire(lock_id)
 
     def unlock(self, lock_id: int) -> None:
-        self.proc.lock_release(lock_id)
+        if self.runtime.replay is None:
+            self.proc.lock_release(lock_id)
 
     def array(self, seg: SharedSegment) -> np.ndarray:
         """Materialized numpy view of the local copy of ``seg``."""
+        if self.runtime.replay is not None:
+            return self.proc.array(seg).copy()
         return self.proc.array(seg)
 
 
@@ -168,11 +185,13 @@ class RunResult:
     #: Per-phase adaptation-cost decomposition (observability-enabled
     #: runs only; ``None`` otherwise).
     cost_breakdown: Optional[CostBreakdown] = None
+    #: Stats of the engines that left the team or died in a crash.
+    retired: List[DsmStats] = field(default_factory=list)
 
     @property
     def total(self) -> DsmStats:
         acc = DsmStats()
-        for s in self.per_process.values():
+        for s in [*self.per_process.values(), *self.retired]:
             acc = acc.add(s)
         return acc
 
@@ -218,6 +237,13 @@ class TmkRuntime:
             proc.start_server()
         self.master_ctx = RegionCtx(self, self.master)
         self.fork_seq = 0
+        #: Phase names the running driver has forked, replayed ones
+        #: included; a checkpoint records them.
+        self.phases: List[str] = []
+        #: The phases of a restored checkpoint while the driver replays
+        #: them (``restore_checkpoint`` sets it); ``None`` once it runs for
+        #: real.
+        self.replay: Optional[Tuple[str, ...]] = None
         self.program: Optional[TmkProgram] = None
         #: Set when the master driver completes; long-running daemons
         #: (availability models) watch this to stop generating events.
@@ -299,8 +325,17 @@ class TmkRuntime:
         )
 
     def _master_main(self, program: TmkProgram) -> Generator:
+        self.phases = []
         api = MasterApi(self)
         yield from program.driver(api)
+        if self.replay is not None:
+            # The checkpoint was taken after the driver returned.
+            if len(self.phases) != len(self.replay):
+                raise CheckpointError(
+                    f"driver returned after {len(self.phases)} of the "
+                    f"{len(self.replay)} forks the checkpoint recorded"
+                )
+            self.replay = None
         self.master.close_interval()
         yield from self.at_adaptation_point()
         self.master.send_fanout(
@@ -337,12 +372,15 @@ class TmkRuntime:
 
     def _fork_join(self, phase_name: str, args: Any) -> Generator:
         """One parallel construct: adaptation point, fork, region, join."""
+        if self._replayed(phase_name):
+            return
         master = self.master
         # Seal the master's sequential-code writes first: the fork boundary
         # is a release, and an adaptation-point GC must not find an open
         # write set.
         master.close_interval()
         yield from self.at_adaptation_point()
+        self.phases.append(phase_name)
         self.fork_seq += 1
         obs = self.sim.obs
         fork_t0 = self.sim.now
@@ -371,6 +409,29 @@ class TmkRuntime:
             )
         if want_gc:
             yield from self.gc_at_fork_point()
+
+    def _replayed(self, phase_name: str) -> bool:
+        """Consume the next recorded fork while replaying to a checkpoint.
+
+        A replayed fork costs nothing: no adaptation point, no message, no
+        simulated time, no ``fork_seq`` tick.  The first fork past the
+        record ends the replay and runs for real.
+        """
+        replay = self.replay
+        if replay is None:
+            return False
+        done = len(self.phases)
+        if done == len(replay):
+            self.replay = None
+            return False
+        if replay[done] != phase_name:
+            raise CheckpointError(
+                f"replayed fork #{done + 1} is {phase_name!r}, the checkpoint "
+                f"recorded {replay[done]!r}: the driver's control flow depends "
+                f"on something a replay does not reproduce"
+            )
+        self.phases.append(phase_name)
+        return True
 
     def gc_at_fork_point(self) -> Generator:
         """Master-coordinated GC while all slaves are in Tmk_wait.

@@ -39,7 +39,6 @@ KERNEL_PARAMS: Dict[str, Tuple[str, ...]] = {
     "gauss": ("n", "iterations"),
     "fft3d": ("nx", "ny", "nz", "iterations"),
     "nbf": ("natoms", "npartners", "iterations"),
-    "jacobi-resumable": ("n", "iterations"),
 }
 
 #: Keys :attr:`ScenarioSpec.perf` accepts (the model options).
@@ -268,10 +267,6 @@ class ScenarioSpec:
             return factories[self.kernel](**self.params)
         from ..apps import FFT3D, Gauss, Jacobi, NBF
 
-        if self.kernel == "jacobi-resumable":
-            from ..bench.recovery import ResumableJacobi
-
-            return ResumableJacobi(**self.params)
         classes = {"jacobi": Jacobi, "gauss": Gauss, "fft3d": FFT3D, "nbf": NBF}
         return classes[self.kernel](**self.params)
 

@@ -7,8 +7,9 @@ comments) describing who comes, who goes and what goes wrong, and when:
 action     arguments             effect
 =========  ====================  ==========================================
 join       NODE                  submit a join of the node
-leave      NODE [GRACE]          submit a leave (GRACE overrides the grace
-                                 policy; 0 forces an urgent leave)
+leave      NODE [GRACE]          submit a leave (GRACE overrides
+                                 ``SystemConfig.grace_period``; 0 forces an
+                                 urgent leave)
 crash      NODE                  fail-stop the node (kills its processes)
 cut        A B                   partition nodes A and B at the switch
 heal       A B                   undo the partition

@@ -10,6 +10,7 @@ from repro.dsm import SharedArray, TmkProgram
 from repro.errors import AdaptationError
 from repro.obs import Registry
 
+from ..golden import golden_row
 from ..helpers import build_adaptive, build_system
 
 
@@ -298,3 +299,30 @@ class TestAdaptationRecords:
         res = rt.run(prog)
         # the run must not be stretched to the grace deadline
         assert res.runtime_seconds < 100.0
+
+
+class TestRetiredStats:
+    """``RunResult.total`` keeps the counts of engines that left the team or
+    died in a crash, so it adds up to what the wire carried.  Checkpointed
+    rows are left out of the page count: a ``CKPT_PAGE_REPLY`` is not
+    counted in ``pages``."""
+
+    @pytest.mark.parametrize("scenario", [
+        "fft3d", "gauss", "jacobi", "nbf", "fft3d-mat", "gauss-mat",
+        "jacobi-mat", "nbf-mat", "adapt", "adapt-mat"])
+    def test_total_fetches_equal_the_wire(self, scenario):
+        exp = golden_row(f"{scenario}/flat/obs-off").experiment
+        total = exp.run_result.total
+        assert total.page_fetches == exp.traffic.pages
+        assert total.diffs_fetched == exp.traffic.diffs
+
+    def test_the_leaver_is_retired(self):
+        res = golden_row("adapt/flat/obs-off").experiment.run_result
+        assert len(res.retired) == 1
+        assert res.retired[0].page_fetches > 0
+
+    @pytest.mark.parametrize("scenario", ["crash", "crash-mat"])
+    def test_every_pre_crash_engine_is_retired(self, scenario):
+        exp = golden_row(f"{scenario}/flat/obs-off").experiment
+        assert len(exp.run_result.retired) == 4
+        assert exp.run_result.total.diffs_fetched == exp.traffic.diffs

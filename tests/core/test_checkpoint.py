@@ -6,6 +6,7 @@ import pytest
 from repro.core import restore_checkpoint
 from repro.dsm import SharedArray, TmkProgram
 from repro.dsm.process import PIPELINE_DEPTH
+from repro.dsm.statistics import DsmStats
 from repro.errors import CheckpointError
 from repro.network import message as mk
 
@@ -13,10 +14,11 @@ from ..helpers import build_adaptive
 
 
 def counter_program(rt, n_iter, shape=(32, 16), final=None):
-    """Iterative kernel that keeps its iteration counter in shared memory,
-    so a restarted driver resumes where the checkpoint left off.  If
-    ``final`` is a dict, the master faults in the whole grid at the end and
-    stores a copy under ``final['grid']``."""
+    """Iterative kernel that also counts its iterations in shared memory,
+    so a checkpoint shows where it was taken.  The driver always starts at
+    ``init``; a restore replays it to the checkpointed fork.  If ``final``
+    is a dict, the master faults in the whole grid at the end and stores a
+    copy under ``final['grid']``."""
     seg = rt.malloc("grid", shape=shape, dtype="float64")
     meta = rt.malloc("meta", shape=(4,), dtype="int64")
     arr, ctr = SharedArray(seg), SharedArray(meta)
@@ -42,11 +44,8 @@ def counter_program(rt, n_iter, shape=(32, 16), final=None):
 
     def driver(api):
         ctx = api.ctx
-        yield from ctx.access(ctr.seg, reads=ctr.full())
-        start = int(ctr.view(ctx)[0]) if ctx.materialized else 0
-        if start == 0:
-            yield from api.fork_join("init")
-        for it in range(start, n_iter):
+        yield from api.fork_join("init")
+        for it in range(n_iter):
             yield from api.fork_join("step", it)
         if final is not None:
             yield from ctx.access(arr.seg, reads=arr.full())
@@ -138,6 +137,7 @@ class TestRecovery:
         ck = rt.ckpt_mgr.checkpoints[1]
         it_at_ck = int(ck.segment_data["meta"].view("int64")[0])
         assert 0 < it_at_ck < n_iter
+        assert ck.phases == ("init",) + ("step",) * it_at_ck
 
         # "crash": build a brand-new system (different node count even) and
         # restore the checkpoint into it
@@ -145,11 +145,89 @@ class TestRecovery:
         final = {}
         prog2, arr2, ctr2 = counter_program(rt2, n_iter=n_iter, final=final)
         restore_checkpoint(rt2, ck)
-        rt2.run(prog2)
+        res = rt2.run(prog2)
 
         np.testing.assert_array_equal(
             final["grid"], np.full((32, 16), float(n_iter))
         )
+        # the replayed forks cost nothing: only the rest ran
+        assert res.forks == n_iter - it_at_ck
+        assert rt2.phases == ["init"] + ["step"] * n_iter
+
+    def test_restore_the_checkpoint_taken_after_the_driver_returned(self):
+        """The last adaptation point follows the driver's final collect:
+        restoring it replays every fork and the collect reads the
+        restored memory."""
+        n_iter = 3
+        sim, rt, pool = build_adaptive(nprocs=3, checkpoint_interval=0.0)
+        prog, *_ = counter_program(rt, n_iter=n_iter, final={})
+        res = rt.run(prog)
+        ck = rt.ckpt_mgr.checkpoints[-1]
+        assert len(ck.phases) == res.forks == n_iter + 1
+
+        sim2, rt2, pool2 = build_adaptive(nprocs=2)
+        final = {}
+        prog2, *_ = counter_program(rt2, n_iter=n_iter, final=final)
+        restore_checkpoint(rt2, ck)
+        res2 = rt2.run(prog2)
+        assert res2.forks == 0
+        assert res2.runtime_seconds == 0.0
+        np.testing.assert_array_equal(
+            final["grid"], np.full((32, 16), float(n_iter))
+        )
+
+    def test_region_operations_return_at_once_while_replaying(self):
+        sim, rt, pool = build_adaptive(nprocs=2, checkpoint_interval=0.1)
+        prog, *_ = counter_program(rt, n_iter=5)
+        rt.run(prog)
+        sim2, rt2, pool2 = build_adaptive(nprocs=2)
+        prog2, arr, ctr = counter_program(rt2, n_iter=5)
+        restore_checkpoint(rt2, rt.ckpt_mgr.checkpoints[-1])
+        ctx = rt2.master_ctx
+        for op in (ctx.access(arr.seg, reads=arr.full(), writes=arr.full()),
+                   ctx.access_batch([(ctr.seg, ctr.full(), ctr.full())]),
+                   ctx.compute(1.0), ctx.barrier(), ctx.lock(0)):
+            assert list(op) == []  # nothing to wait for: no simulated time
+        ctx.unlock(0)
+        ctx.array(arr.seg)[:] = -1.0  # a copy: the restored memory stays
+        assert (ctx.array(arr.seg) >= 0).all()
+        assert rt2.master.stats == DsmStats()
+        assert not rt2.master._writes
+
+    def test_driver_that_reads_shared_data_cannot_replay(self):
+        """The old resumable-kernel convention — the driver picks its first
+        fork from a counter in shared memory — diverges from the recorded
+        phases, and the replay says so."""
+        n_iter = 20
+        sim, rt, pool = build_adaptive(nprocs=3, checkpoint_interval=0.1)
+        prog, arr, ctr = counter_program(rt, n_iter=n_iter)
+        rt.run(prog)
+        ck = rt.ckpt_mgr.checkpoints[1]
+
+        sim2, rt2, pool2 = build_adaptive(nprocs=2)
+        prog2, arr2, ctr2 = counter_program(rt2, n_iter=n_iter)
+
+        def resuming_driver(api):
+            ctx = api.ctx
+            start = int(ctr2.view(ctx)[0])
+            if start == 0:
+                yield from api.fork_join("init")
+            for it in range(start, n_iter):
+                yield from api.fork_join("step", it)
+
+        restore_checkpoint(rt2, ck)
+        with pytest.raises(CheckpointError, match="replayed fork #1 is 'step'"):
+            rt2.run(TmkProgram(prog2.phases, resuming_driver, "resuming"))
+
+    def test_driver_that_stops_short_of_the_record_raises(self):
+        sim, rt, pool = build_adaptive(nprocs=2, checkpoint_interval=0.1)
+        prog, *_ = counter_program(rt, n_iter=20)
+        rt.run(prog)
+        sim2, rt2, pool2 = build_adaptive(nprocs=2)
+        prog2, *_ = counter_program(rt2, n_iter=2)
+        restore_checkpoint(rt2, rt.ckpt_mgr.checkpoints[1])
+        with pytest.raises(CheckpointError, match="driver returned after 3 of"):
+            rt2.run(prog2)
 
     def test_restore_after_run_rejected(self):
         sim, rt, pool = build_adaptive(nprocs=2, checkpoint_interval=0.1)
@@ -194,8 +272,6 @@ class TestRecovery:
             restore_checkpoint(rt2, ck)
 
     def test_live_restore_page_count_mismatch_rejected(self):
-        from repro.core.checkpoint import restore_checkpoint_live
-
         sim, rt, pool = build_adaptive(nprocs=2, checkpoint_interval=0.1)
         prog, *_ = counter_program(rt, n_iter=5)
         rt.run(prog)
@@ -203,7 +279,7 @@ class TestRecovery:
         sim2, rt2, pool2 = build_adaptive(nprocs=2)
         rt2.malloc("grid", shape=(32, 16), dtype="float64")  # meta missing
         with pytest.raises(CheckpointError, match="pages"):
-            restore_checkpoint_live(rt2, ck)
+            restore_checkpoint(rt2, ck)
 
     def test_master_owns_everything_after_restore(self):
         sim, rt, pool = build_adaptive(nprocs=2, checkpoint_interval=0.1)

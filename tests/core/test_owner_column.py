@@ -7,7 +7,7 @@ restore."""
 import pytest
 
 from repro.core import runtime as core_runtime
-from repro.core.checkpoint import restore_checkpoint_live
+from repro.core.checkpoint import restore_checkpoint
 from repro.core.leave import absorb_leaver_pages
 from repro.dsm import DsmProcess, TeamView
 
@@ -91,7 +91,7 @@ def test_every_column_is_the_master_after_a_live_restore():
     for pid, proc in rt2.procs.items():  # stale owners, mapped and not
         proc.readable(0)
         proc.table.owner[:] = [pid + 1] * npages
-    restore_checkpoint_live(rt2, ck)
+    restore_checkpoint(rt2, ck)
     for proc in rt2.procs.values():
         assert proc.table.owner == [MASTER] * npages
     assert all(rt2.master.readable(page) for page in range(npages))

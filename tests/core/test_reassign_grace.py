@@ -1,12 +1,16 @@
-"""Tests for reassignment strategies, Figure 3's analytic model, grace policy."""
+"""Tests for reassignment strategies, Figure 3's analytic model, grace periods."""
 
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core import CompactShift, GracePolicy, SwapLast, moved_fraction
-from repro.errors import AdaptationError
+from repro.config import SystemConfig
+from repro.core import CompactShift, SwapLast, moved_fraction
+from repro.errors import AdaptationError, ConfigurationError
+from repro.faults import FaultInjector, parse_plan
+
+from ..helpers import build_adaptive
 
 
 class TestCompactShift:
@@ -107,30 +111,26 @@ class TestFigure3:
 
 
 class TestGracePolicy:
+    """A leave's grace comes from its event, else ``SystemConfig.grace_period``."""
+
+    def _leaves(self, plan, cfg=None):
+        sim, rt, pool = build_adaptive(nprocs=4, extra_nodes=0, cfg=cfg)
+        FaultInjector(rt, parse_plan(plan)).install()
+        sim.run(until=0.1)
+        return {req.node_id: req for req in rt.queue.leaves}
+
     def test_default(self):
-        assert GracePolicy(3.0).period_for(5, 0.0) == 3.0
+        leaves = self._leaves("0.01 leave 2", SystemConfig(grace_period=5.0))
+        assert leaves[2].grace == 5.0
+        assert leaves[2].deadline == pytest.approx(0.01 + 5.0)
 
     def test_per_node_override(self):
-        policy = GracePolicy(3.0, per_node={2: 10.0})
-        assert policy.period_for(2, 0.0) == 10.0
-        assert policy.period_for(1, 0.0) == 3.0
-
-    def test_time_of_day_wins(self):
-        policy = GracePolicy(
-            3.0,
-            per_node={2: 10.0},
-            time_of_day=lambda node, now: 1.0 if now > 100 else None,
-        )
-        assert policy.period_for(2, 50.0) == 10.0
-        assert policy.period_for(2, 150.0) == 1.0
-
-    def test_set_node_period(self):
-        policy = GracePolicy(3.0)
-        policy.set_node_period(7, 0.5)
-        assert policy.period_for(7, 0.0) == 0.5
+        """A plan grace overrides the default for that leave only."""
+        leaves = self._leaves("0.01 leave 2 1.0\n0.02 leave 3")
+        assert leaves[2].grace == 1.0
+        assert leaves[2].deadline == pytest.approx(0.01 + 1.0)
+        assert leaves[3].grace == SystemConfig().grace_period
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            GracePolicy(-1.0)
-        with pytest.raises(ValueError):
-            GracePolicy(1.0).set_node_period(0, -2.0)
+        with pytest.raises(ConfigurationError):
+            SystemConfig(grace_period=-1.0).validate()

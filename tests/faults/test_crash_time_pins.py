@@ -5,7 +5,7 @@ join @ 1.6 s, a checkpoint every 0.5 s, failure detection on, node 5
 crashing.  Recovery is right at most crash times but not at all of them;
 the two known-wrong outcomes are ``xfail(strict=True)`` so the fix turns
 them green loudly, and the passing time is a plain test so a change to
-what ``restore_checkpoint_live`` restores cannot silently regress it.
+what ``restore_checkpoint`` restores cannot silently regress it.
 
 The golden ``chaos`` plan, materialized, is the small case of the same
 fault: a 0.5 s degraded port keeps pre-crash traffic in flight past the

@@ -2,7 +2,11 @@
 
 import dataclasses
 
+import pytest
+
 from repro.config import FaultParams, SystemConfig
+from repro.exec import ScenarioSpec
+from repro.exec.pool import execute_spec
 from repro.faults import FaultInjector, parse_plan
 
 from ..helpers import build_adaptive
@@ -91,3 +95,19 @@ class TestSuspicion:
         rec = res.recoveries[0]
         assert rec.reason == "heartbeat"
         assert 0.0 < rec.detection_latency <= 3 * (0.05 + 0.02) + 0.05
+
+
+@pytest.mark.parametrize("materialized", [False, True], ids=["traced", "mat"])
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 15: a handler CPU busy with back-to-back DIFF_REQs acks "
+    "the 0.10 s probe at 0.1425 s, past its 20 ms deadline, and the healthy "
+    "node is declared crashed"))
+def test_fault_free_gauss_keeps_every_node(materialized):
+    """Fault-free Gauss with the failure detector on must not recover."""
+    spec = ScenarioSpec(
+        kernel="gauss", params={"n": 96, "iterations": 95}, nprocs=4,
+        extra_nodes=1, calibrated=False, adaptive=True,
+        materialized=materialized, failure_detection=True)
+    exp, _ = execute_spec(spec)
+    assert exp.recoveries == []
+    assert exp.runtime.team.nprocs == 4

@@ -2,7 +2,7 @@
 
 The access-plan cache memoizes page/range resolution on the hot path.
 Crash recovery rebuilds the team and restores shared state through
-:func:`~repro.core.checkpoint.restore_checkpoint_live`, which replaces
+:func:`~repro.core.checkpoint.restore_checkpoint`, which replaces
 page contents and ownership under the cache's feet.  The golden matrix
 (``tests/golden.py``) pins the crash runs bit for bit; the acceptance bar
 here is that the recovered memory equals the fault-free run's while the
@@ -51,7 +51,7 @@ class TestPlanCacheRecoveryIdentity:
         assert len(row.experiment.recoveries) == 1
 
     def test_crash_run_recovers_from_live_restore(self):
-        """The crash run actually exercised restore_checkpoint_live: a
+        """The crash run actually exercised restore_checkpoint: a
         checkpoint predates the crash, so it was a warm restore."""
         grid, res, rt = _run(crash=True)
         rec = res.recoveries[0]

@@ -148,34 +148,60 @@ class TestPlanDrivenRecovery:
         np.testing.assert_array_equal(final["grid"], fault_free_grid())
 
 
-class TestStockKernelsReplayFromZero:
-    """Only ``jacobi-resumable`` keeps its iteration counter in shared
-    memory.  A stock kernel's driver rewrites the initial data, so after a
-    warm restore it re-runs every iteration, like a cold restart."""
+class TestStockKernelsResume:
+    """After a warm restore every stock kernel's driver replays to the
+    checkpointed fork and runs only the rest, and the memory verifies."""
 
-    ITERATIONS = 60
+    CASES = {
+        "jacobi": ({"n": 96, "iterations": 60}, 0.85),
+        "gauss": ({"n": 96, "iterations": 95}, 0.85),
+        "fft3d": ({"nx": 16, "ny": 16, "nz": 16, "iterations": 12}, 0.71),
+        "nbf": ({"natoms": 1024, "npartners": 8, "iterations": 30}, 0.71),
+    }
 
-    def _forks_after_recovery(self, kernel):
+    @pytest.mark.parametrize("kernel", sorted(CASES))
+    def test_resume_at_checkpoint(self, kernel):
+        params, crash_at = self.CASES[kernel]
         spec = ScenarioSpec(
-            kernel=kernel, params={"n": 96, "iterations": self.ITERATIONS},
+            kernel=kernel, params=params,
             nprocs=4, calibrated=False, materialized=True, extra_nodes=1,
-            events=(AdaptEvent("crash", 0.85),))
+            events=(AdaptEvent("crash", crash_at),))
         exp = run_experiment(
             spec.build_app, nprocs=spec.nprocs, adaptive=True,
             extra_nodes=spec.extra_nodes, materialized=True,
             events=spec.install_events, obs=Registry(),
             runtime_kwargs={"checkpoint_interval": 0.2, "failure_detection": True})
         (rec,) = exp.recoveries
-        assert rec.checkpoint_time is not None  # a warm restore
-        assert exp.app.verify(rtol=1e-7, atol=1e-9)
+        (ckpt,) = [c for c in exp.runtime.ckpt_mgr.checkpoints
+                   if c.time == rec.checkpoint_time]  # a warm restore
+        total = len(exp.runtime.phases)  # the whole driver, replay included
+        assert 0 < len(ckpt.phases) < total
         forks = exp.runtime.sim.obs.select_instants("tmk", "fork")
-        return sum(1 for i in forks if i.time >= rec.time)
+        after = sum(1 for i in forks if i.time >= rec.time)
+        assert after == total - len(ckpt.phases)
+        assert exp.app.verify(rtol=1e-7, atol=1e-9)
 
-    def test_stock_jacobi_reruns_every_iteration(self):
-        assert self._forks_after_recovery("jacobi") == 2 * self.ITERATIONS
-
-    def test_resumable_jacobi_skips_the_checkpointed_prefix(self):
-        assert 0 < self._forks_after_recovery("jacobi-resumable") < 2 * self.ITERATIONS
+    def test_crash_during_the_final_stop_restores_the_last_checkpoint(self):
+        """Node 3 dies while the checkpoint after the driver returned is
+        being written; the STOP to it escalates.  Recovery restores that
+        checkpoint, replays every fork and runs none."""
+        spec = ScenarioSpec(
+            kernel="fft3d", params={"nx": 8, "ny": 8, "nz": 8, "iterations": 3},
+            nprocs=4, calibrated=False, materialized=True, extra_nodes=1,
+            events=(AdaptEvent("crash", 0.45),))
+        exp = run_experiment(
+            spec.build_app, nprocs=spec.nprocs, adaptive=True,
+            extra_nodes=spec.extra_nodes, materialized=True,
+            events=spec.install_events, obs=Registry(),
+            runtime_kwargs={"checkpoint_interval": 0.02, "failure_detection": True})
+        (rec,) = exp.recoveries
+        (ckpt,) = exp.runtime.ckpt_mgr.checkpoints
+        assert rec.checkpoint_time == ckpt.time
+        assert len(ckpt.phases) == len(exp.runtime.phases) == 6
+        forks = exp.runtime.sim.obs.select_instants("tmk", "fork")
+        assert not [i for i in forks if i.time >= rec.time]
+        assert exp.runtime.finished
+        assert exp.app.verify(rtol=1e-7, atol=1e-9)
 
 
 class TestPoolExhaustion:
