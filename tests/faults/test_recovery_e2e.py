@@ -152,16 +152,18 @@ class TestStockKernelsResume:
     """After a warm restore every stock kernel's driver replays to the
     checkpointed fork and runs only the rest, and the memory verifies."""
 
+    #: kernel -> (params, crash time, forks in a whole run)
     CASES = {
-        "jacobi": ({"n": 96, "iterations": 60}, 0.85),
-        "gauss": ({"n": 96, "iterations": 95}, 0.85),
-        "fft3d": ({"nx": 16, "ny": 16, "nz": 16, "iterations": 12}, 0.71),
-        "nbf": ({"natoms": 1024, "npartners": 8, "iterations": 30}, 0.71),
+        "jacobi": ({"n": 96, "iterations": 60}, 0.85, 120),
+        "gauss": ({"n": 96, "iterations": 95}, 0.85, 95),
+        "fft3d": ({"nx": 16, "ny": 16, "nz": 16, "iterations": 12}, 0.71, 24),
+        "nbf": ({"natoms": 1024, "npartners": 8, "iterations": 30}, 0.71, 60),
     }
 
-    @pytest.mark.parametrize("kernel", sorted(CASES))
-    def test_resume_at_checkpoint(self, kernel):
-        params, crash_at = self.CASES[kernel]
+    @staticmethod
+    def _crash_run(kernel, params, crash_at, checkpoint_interval):
+        """The materialized run, its one recovery, the checkpoint it
+        restored and the number of forks run after it."""
         spec = ScenarioSpec(
             kernel=kernel, params=params,
             nprocs=4, calibrated=False, materialized=True, extra_nodes=1,
@@ -170,14 +172,19 @@ class TestStockKernelsResume:
             spec.build_app, nprocs=spec.nprocs, adaptive=True,
             extra_nodes=spec.extra_nodes, materialized=True,
             events=spec.install_events, obs=Registry(),
-            runtime_kwargs={"checkpoint_interval": 0.2, "failure_detection": True})
+            runtime_kwargs={"checkpoint_interval": checkpoint_interval,
+                            "failure_detection": True})
         (rec,) = exp.recoveries
         (ckpt,) = [c for c in exp.runtime.ckpt_mgr.checkpoints
                    if c.time == rec.checkpoint_time]  # a warm restore
-        total = len(exp.runtime.phases)  # the whole driver, replay included
-        assert 0 < len(ckpt.phases) < total
         forks = exp.runtime.sim.obs.select_instants("tmk", "fork")
-        after = sum(1 for i in forks if i.time >= rec.time)
+        return exp, ckpt, sum(1 for i in forks if i.time >= rec.time)
+
+    @pytest.mark.parametrize("kernel", sorted(CASES))
+    def test_resume_at_checkpoint(self, kernel):
+        params, crash_at, total = self.CASES[kernel]
+        exp, ckpt, after = self._crash_run(kernel, params, crash_at, 0.2)
+        assert 0 < len(ckpt.phases) < total
         assert after == total - len(ckpt.phases)
         assert exp.app.verify(rtol=1e-7, atol=1e-9)
 
@@ -185,21 +192,10 @@ class TestStockKernelsResume:
         """Node 3 dies while the checkpoint after the driver returned is
         being written; the STOP to it escalates.  Recovery restores that
         checkpoint, replays every fork and runs none."""
-        spec = ScenarioSpec(
-            kernel="fft3d", params={"nx": 8, "ny": 8, "nz": 8, "iterations": 3},
-            nprocs=4, calibrated=False, materialized=True, extra_nodes=1,
-            events=(AdaptEvent("crash", 0.45),))
-        exp = run_experiment(
-            spec.build_app, nprocs=spec.nprocs, adaptive=True,
-            extra_nodes=spec.extra_nodes, materialized=True,
-            events=spec.install_events, obs=Registry(),
-            runtime_kwargs={"checkpoint_interval": 0.02, "failure_detection": True})
-        (rec,) = exp.recoveries
-        (ckpt,) = exp.runtime.ckpt_mgr.checkpoints
-        assert rec.checkpoint_time == ckpt.time
-        assert len(ckpt.phases) == len(exp.runtime.phases) == 6
-        forks = exp.runtime.sim.obs.select_instants("tmk", "fork")
-        assert not [i for i in forks if i.time >= rec.time]
+        exp, ckpt, after = self._crash_run(
+            "fft3d", {"nx": 8, "ny": 8, "nz": 8, "iterations": 3}, 0.45, 0.02)
+        assert len(ckpt.phases) == 6  # every fork of the run
+        assert after == 0
         assert exp.runtime.finished
         assert exp.app.verify(rtol=1e-7, atol=1e-9)
 
