@@ -8,39 +8,31 @@ precisely because this state is cheap to describe to a joining process and
 cheap to hand off at a leave.
 
 The *new-owner rule* is a pure function of the epoch's write notices, so
-every process computes the same owner map locally — no extra messages are
-needed to agree on it.
+every process computes the same owners locally — no extra messages are
+needed to agree on them.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable
+from typing import Iterable, List, Tuple
 
 from .intervals import IntervalNotice
 
 
-def gc_new_owners(intervals: Iterable[IntervalNotice]) -> Dict[int, int]:
-    """Owner map changes implied by this epoch's write notices.
+def gc_new_owners(intervals: Iterable[IntervalNotice]) -> List[Tuple[range, int]]:
+    """Owner changes implied by this epoch's write notices, as page runs.
 
     For every written page the new owner is the writer of the *latest*
     interval in happens-before order (vector-clock sort key, computed
     once per interval; concurrent multi-writer intervals tie-break
-    deterministically toward the lower pid).  Unwritten pages keep their
-    current owner and do not appear in the result, whose pages are in
-    the order ``intervals`` first names them.
-
-    Work is per run: the intervals are visited in ascending key and each
-    run overwrites its pages' winner, so the latest interval's writer is
-    left on every page.
+    deterministically toward the lower pid).  The result is every
+    interval's written runs with their writer, ``(pages, pid)``, in
+    ascending key: storing them in that order onto an owner column
+    leaves the latest writer on every written page and unwritten pages
+    as they were.
     """
-    intervals = list(intervals)
-    order: Dict[int, int] = {}
-    for iv in intervals:
-        for pages in iv.runs:
-            order.update(dict.fromkeys(pages))
-    winner: Dict[int, int] = {}
+    out: List[Tuple[range, int]] = []
     for iv in sorted(intervals, key=lambda iv: (*iv.vc.sort_key(), -iv.proc)):
-        for pages in iv.runs:
-            winner.update(dict.fromkeys(pages, iv.proc))
-    order.update(winner)
-    return order
+        proc = iv.proc
+        out.extend([(pages, proc) for pages in iv.runs])
+    return out

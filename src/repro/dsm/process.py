@@ -20,6 +20,7 @@ The main computation drives the engine through:
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from itertools import compress
 from operator import itemgetter
 from typing import Any, Dict, Generator, Iterable, Iterator, List, Optional, Tuple
 
@@ -164,8 +165,9 @@ class DsmProcess:
         #: open interval's multiple-writer pages, one per run of pages
         #: first written together; materialized mode only.
         self._twins: List[Tuple[int, int, np.ndarray]] = []
-        #: Owner changes computed by gc_flush, installed by gc_reset.
-        self._gc_pending_owners: Dict[int, int] = {}
+        #: Owner runs computed by gc_flush (``gc_new_owners``' order),
+        #: installed by gc_reset.
+        self._gc_pending_owners: List[Tuple[range, int]] = []
         self.stats = DsmStats()
         #: Highest own interval seq already reported to the master.
         self._sent_to_master_seq = 0
@@ -721,17 +723,26 @@ class DsmProcess:
             return True
         else:
             return False
-        # The writer's pending cells must be one older seq (0: none) over
-        # the whole run; ``count`` compares small ints by identity.
+        # The writer's pending cells must all be older seqs (0: none):
+        # one seq over the whole run, or, on multiple-writer pages, any
+        # mix.  ``count`` compares small ints by identity.
         n = stop - start
         was = pend[start:stop]
         latest = was[0]
-        if latest >= seq or was.count(latest) != n:
+        mixed = was.count(latest) != n
+        if mixed:
+            if take_ownership or max(was) >= seq:
+                return False
+        elif latest >= seq:
             return False
         if take_ownership:
             self._set_owner(start, stop, iv.proc)
-        if not latest:
-            npending = table.npending
+        npending = table.npending
+        if mixed:
+            # npending rises where the writer had nothing pending
+            npending[start:stop] = [
+                c + (not w) for c, w in zip(npending[start:stop], was)]
+        elif not latest:
             counts = npending[start:stop]
             first = counts[0]
             if counts.count(first) == n:
@@ -1222,20 +1233,34 @@ class DsmProcess:
     # garbage collection participation
     # ------------------------------------------------------------------
     def gc_flush(self) -> Generator:
-        """Make our copies of pages we will own complete (flush phase)."""
+        """Make our copies of pages we will own complete (flush phase).
+
+        The new-owner runs are painted in order onto a scratch column of
+        "ours" flags, one slice store per run, so its set spans are the
+        pages of our own written runs that we win.  Only those spans are
+        visited, ascending, so pending diffs are fetched in page order."""
         new_owners = gc_new_owners(self._known_intervals())
         table = self.table
-        for page, owner in sorted(new_owners.items()):
-            if owner != self.pid:
-                continue
-            if not table.mapped[page]:
-                self._map(page)
-            if not table.valid[page]:
+        valid, npending = table.valid, table.npending
+        pid = self.pid
+        ours = bytearray(len(valid))
+        for pages, owner in new_owners:
+            flag = b"\1" if owner == pid else b"\0"
+            ours[pages.start:pages.stop] = flag * len(pages)
+        start = ours.find(1)
+        while start >= 0:
+            end = ours.find(0, start)
+            if end < 0:
+                end = len(ours)
+            # Writing a page this epoch mapped it valid.
+            page = valid.find(0, start, end)
+            if page >= 0:
                 raise ProtocolError(
                     f"{self.name}: GC made us owner of page {page} we never wrote"
                 )
-            if table.npending[page]:
+            for page in compress(range(start, end), npending[start:end]):
                 yield from self._fetch_pending(page)
+            start = ours.find(1, end)
         self._gc_pending_owners = new_owners
 
     def gc_reset(self) -> None:
@@ -1244,9 +1269,9 @@ class DsmProcess:
             raise ProtocolError(f"{self.name}: GC with an open write set")
         table = self.table
         owner = table.owner
-        for page, new_owner in self._gc_pending_owners.items():
-            owner[page] = new_owner
-        self._gc_pending_owners = {}
+        for pages, new_owner in self._gc_pending_owners:
+            owner[pages.start:pages.stop] = [new_owner] * len(pages)
+        self._gc_pending_owners = []
         table.reset_epoch()
         self.log.clear()
         self._known.clear()

@@ -1,13 +1,20 @@
 """Property tests for the GC new-owner rule (every process must compute
 the same owners from the same notices, and owners must be writers).
 
-The rule consumes interval-granular notices; the properties are stated
-over their per-page ``(interval, page)`` pairs."""
+The rule returns page runs with their writers, to be stored in order onto
+an owner column; the properties are stated over the painted column,
+against the per-page rule over each interval's ``(interval, page)``
+pairs, which this module keeps as the oracle."""
 
 from hypothesis import given, strategies as st
 
 from repro.dsm import IntervalNotice, VectorClock, gc_new_owners
 from repro.dsm.runs import page_spans
+
+#: Pages the notices may name; the painted column is this wide.
+PAGES = 7
+#: Owner of a page nobody wrote, before and after painting.
+UNWRITTEN = -1
 
 
 def make_interval(proc, seq, pages, vc_entries):
@@ -24,7 +31,7 @@ def notice_sets(draw):
         proc = draw(st.integers(0, width - 1))
         per_proc_seq[proc] += 1
         seq = per_proc_seq[proc]
-        pages = draw(st.sets(st.integers(0, 6), min_size=1, max_size=4))
+        pages = draw(st.sets(st.integers(0, PAGES - 1), min_size=1, max_size=4))
         vc = [0] * width
         vc[proc] = seq
         # the writer may have seen some other intervals
@@ -40,47 +47,58 @@ def views(intervals):
     return [(iv, page) for iv in intervals for pages in iv.runs for page in pages]
 
 
-@given(notice_sets())
-def test_owner_is_always_a_writer_of_the_page(intervals):
-    owners = gc_new_owners(intervals)
-    notices = views(intervals)
-    for page, owner in owners.items():
-        writers = {iv.proc for iv, p in notices if p == page}
-        assert owner in writers
-
-
-@given(notice_sets())
-def test_every_written_page_gets_an_owner(intervals):
-    owners = gc_new_owners(intervals)
-    assert set(owners) == {page for _, page in views(intervals)}
-
-
-@given(notice_sets())
-def test_matches_the_per_page_rule_in_value_and_order(intervals):
-    """The run-level rule returns what a per-page scan does, page order
-    (first naming, which sets ``owners``' insertion order) included."""
+def per_page_rule(intervals):
+    """The oracle: ``{page: owner}``, the writer of each written page's
+    happens-before-latest interval, found one (interval, page) at a time."""
     best = {}
     for iv, page in views(intervals):
         key = (*iv.vc.sort_key(), -iv.proc)
         prev = best.get(page)
         if prev is None or key > prev:
             best[page] = key
-    expected = [(page, -key[-1]) for page, key in best.items()]
-    assert list(gc_new_owners(intervals).items()) == expected
+    return {page: -key[-1] for page, key in best.items()}
+
+
+def painted(intervals):
+    """An owner column after storing ``gc_new_owners``' runs in order."""
+    column = [UNWRITTEN] * PAGES
+    for pages, owner in gc_new_owners(intervals):
+        column[pages.start:pages.stop] = [owner] * len(pages)
+    return column
+
+
+@given(notice_sets())
+def test_matches_the_per_page_rule(intervals):
+    expected = per_page_rule(intervals)
+    assert painted(intervals) == [expected.get(p, UNWRITTEN) for p in range(PAGES)]
+
+
+@given(notice_sets())
+def test_owner_is_always_a_writer_of_the_page(intervals):
+    notices = views(intervals)
+    for page, owner in enumerate(painted(intervals)):
+        if owner != UNWRITTEN:
+            assert owner in {iv.proc for iv, p in notices if p == page}
+
+
+@given(notice_sets())
+def test_every_written_page_gets_an_owner(intervals):
+    covered = {p for pages, _ in gc_new_owners(intervals) for p in pages}
+    assert covered == {page for _, page in views(intervals)}
+    owners = painted(intervals)
+    assert UNWRITTEN not in [owners[p] for p in covered]
 
 
 @given(notice_sets())
 def test_deterministic_regardless_of_notice_order(notices):
-    a = gc_new_owners(notices)
-    b = gc_new_owners(list(reversed(notices)))
-    assert a == b  # as maps: the page order follows the notice order
+    assert painted(notices) == painted(list(reversed(notices)))
 
 
 @given(notice_sets())
 def test_happens_before_winner(intervals):
     """If one writer's interval strictly dominates every other notice for
     the page, that writer owns it."""
-    owners = gc_new_owners(intervals)
+    owners = painted(intervals)
     by_page = {}
     for iv, page in views(intervals):
         by_page.setdefault(page, []).append(iv)

@@ -2,9 +2,12 @@
 ``DsmProcess`` level: batches are built by hand and fed to one process's
 entry points, no simulated time passes."""
 
+import pytest
+
 from repro.dsm import IntervalNotice, NoticeBatch, Protocol, VectorClock
 from repro.dsm.page import MODE_NONE, MW, SW
 from repro.dsm.runs import page_spans
+from repro.errors import ProtocolError
 
 from ..helpers import build_system
 
@@ -142,9 +145,10 @@ class TestResets:
         me.table.map(1, valid=True)
         me.apply_notices(NoticeBatch([_interval(2, 1, [0, 5])]), VectorClock([0, 0, 1]))
         me.table.advance(1, 0, 4)
-        me._gc_pending_owners = {0: 2, 5: 2, 3: 2}  # as gc_flush leaves it
+        # as gc_flush leaves it: runs stored in order, the last one wins
+        me._gc_pending_owners = [(range(3, 6), 2), (range(4, 5), 0), (range(0, 1), 2)]
         me.gc_reset()
-        assert me.epoch == 1 and me._known == {} and me._gc_pending_owners == {}
+        assert me.epoch == 1 and me._known == {} and me._gc_pending_owners == []
         assert [(p, me.table.valid[p], me.table.owner[p]) for p in _mapped(me.table)] \
             == [(0, False, 2), (1, True, 0), (5, False, 2)]
         assert me.table.owner == [2, 0, 0, 2, 0, 2]  # unmapped page 3 too
@@ -160,6 +164,40 @@ class TestResets:
         me.apply_notices(NoticeBatch([_interval(0, 1, [1], width=2)]),
                          VectorClock([1, 0]))
         assert me.table.pending_of(1) == {0: 1}
+
+    def test_gc_flush_fetches_what_we_will_own_in_page_order(self, monkeypatch):
+        """Pid 1 wins two separate spans of pages, each with a diff
+        pending from pid 2, whose later interval wins page 9 back: the
+        flush fetches pages 3 and 8, in that order, and not page 9."""
+        rt, seg = _system(npages=12)
+        me = rt.procs[1]
+        for page in (2, 3, 8, 9):
+            me.table.map(page, valid=True)
+        theirs = [IntervalNotice(2, 1, VectorClock([0, 0, 1]), page_spans([3, 8, 9])),
+                  IntervalNotice(2, 2, VectorClock([0, 1, 2]), page_spans([9]))]
+        mine = IntervalNotice(1, 1, VectorClock([0, 1, 1]), page_spans([2, 3, 8, 9]))
+        me.apply_notices(NoticeBatch(theirs + [mine]), VectorClock([0, 1, 2]))
+        fetched = []
+
+        def fetch(page):
+            fetched.append(page)
+            yield from ()
+
+        monkeypatch.setattr(me, "_fetch_pending", fetch)
+        for _ in me.gc_flush():
+            raise AssertionError("the stub fetch never blocks")
+        assert fetched == [3, 8]
+        me.gc_reset()
+        assert me.table.owner[:10] == [0, 0, 1, 1, 0, 0, 0, 0, 1, 2]
+
+    def test_gc_flush_refuses_a_page_we_never_wrote(self):
+        rt, seg = _system()
+        me = rt.procs[1]
+        # our own notice for page 5, which we never touched (not valid here)
+        me.apply_notices(NoticeBatch([_interval(1, 1, [5])]), VectorClock([0, 1, 0]))
+        with pytest.raises(ProtocolError, match="owner of page 5 we never wrote"):
+            for _ in me.gc_flush():
+                pass
 
     def test_mapped_page_count_drives_the_migration_image(self):
         rt, seg = _system()

@@ -178,6 +178,88 @@ def test_a_long_fresh_run_is_ingested_by_slices(monkeypatch):
     assert me.table.pending_of(10) == {1: 1} and me.table.npending[run.stop - 1] == 1
 
 
+#: The writer whose run :func:`mixed_cells` ingests.
+WRITER = 1
+
+
+@st.composite
+def mixed_cells(draw, lo, hi):
+    """A run of at least ``SLICE_PAGES`` pages inside ``[lo, hi)``, the
+    writer's interval seq, and per page whether it is mapped (and valid),
+    the writer's pending cell, another writer's pending cell and the
+    writer's applied cell.  The writer's pending cells are all older than
+    the interval and mix 0 with non-zero seqs."""
+    n = draw(st.integers(SLICE_PAGES, 60))
+    start = draw(st.integers(lo, hi - n))
+    seq = draw(st.integers(2, 6))
+    older = st.integers(0, seq - 1)
+    cells = draw(st.lists(st.tuples(st.booleans(), st.booleans(), older,
+                                     st.integers(0, 3), older),
+                          min_size=n, max_size=n))
+    zero = draw(st.integers(0, n - 1))
+    busy = (zero + draw(st.integers(1, n - 1))) % n
+    cells[zero] = cells[zero][:2] + (0,) + cells[zero][3:]
+    cells[busy] = cells[busy][:2] + (draw(st.integers(1, seq - 1)),) + cells[busy][3:]
+    return range(start, start + n), seq, cells
+
+
+def _lay_cells(me, run, cells):
+    table = me.table
+    for page, (mapped, valid, pend, other, applied) in zip(run, cells):
+        if mapped:
+            table.map(page, valid)
+        if pend:
+            table.add_pending(page, WRITER, pend)
+        if other:
+            table.add_pending(page, 0, other)
+        table.advance(page, WRITER, applied)
+
+
+def _ingest(me, run, seq):
+    """``_ingest_run`` of the writer's interval ``seq`` naming ``run``."""
+    vc = [0] * 3
+    vc[WRITER] = seq
+    iv = IntervalNotice(WRITER, seq, VectorClock(vc), (run,))
+    table = me.table
+    return me._ingest_run(iv, run, table.applied.get(WRITER),
+                          table.column(table.pending, WRITER))
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_cells(0, SEG_PAGES))
+def test_mixed_pending_cells_on_multiple_writer_pages_take_the_slices(drawn):
+    """A multiple-writer run whose writer's pending cells mix 0 and older
+    seqs is ingested by slices, leaving what ``PageTable.add_pending``
+    leaves page by page (npending rises only where the cell was 0)."""
+    run, seq, cells = drawn
+    runs, pages = _receiver(), _receiver()
+    _lay_cells(runs, run, cells)
+    _lay_cells(pages, run, cells)
+    assert _ingest(runs, run, seq) is True
+    for page in run:
+        if not pages.table.mapped[page]:
+            pages._map(page)
+        assert pages.table.add_pending(page, WRITER, seq)
+    assert state(runs) == state(pages)
+
+
+@settings(max_examples=30, deadline=None)
+@given(mixed_cells(SEG_PAGES, TOTAL))
+def test_mixed_pending_cells_on_single_writer_pages_fall_back(drawn):
+    """A single-writer run the writer takes ownership of still needs one
+    older seq over the whole run: with mixed cells it falls back, having
+    stored nothing but its first-touch mappings."""
+    run, seq, cells = drawn
+    runs, pages = _receiver(), _receiver()
+    _lay_cells(runs, run, cells)
+    _lay_cells(pages, run, cells)
+    assert _ingest(runs, run, seq) is False
+    for page in run:
+        if not pages.table.mapped[page]:
+            pages._map(page)
+    assert state(runs) == state(pages)
+
+
 def _bytes(first, extra, partial, lo_off, hi_off):
     """Whole pages ``first .. first + extra``, or (``partial``) the span
     from ``lo_off`` into the first to ``hi_off`` into the last, clipped to
