@@ -177,7 +177,7 @@ def test_every_subtree_chunk_is_writer_grouped(team):
 # flat is the one-level tree
 # ---------------------------------------------------------------------------
 #: A radix at least every golden team size, adaptive joins included.
-ONE_LEVEL = {"barrier_tree": True, "barrier_radix": 64}
+ONE_LEVEL = {"barrier_tree": True, "barrier_radix": 128}
 
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))

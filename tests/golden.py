@@ -163,6 +163,13 @@ _CRASH = _tiny("jacobi", adaptive=True, extra_nodes=1,
 #: The crash lands after the first checkpoint completes (≈0.496 s), so
 #: recovery restores it: a warm restart, where ``_CRASH`` is a cold one.
 _CRASH_WARM = _CRASH.replaced(events=(AdaptEvent("crash", 0.5),))
+#: Wide teams, where most legs of a fan-out wave carry the same notices:
+#: Gauss's 768-byte rows are not page aligned, so every page has several
+#: writers; a 34x34 Jacobi gives each of 128 processes at most one row.
+_GAUSS_WIDE = ScenarioSpec(kernel="gauss", params={"n": 96, "iterations": 8},
+                           nprocs=32, calibrated=False)
+_JACOBI_WIDE = ScenarioSpec(kernel="jacobi", params={"n": 34, "iterations": 2},
+                            nprocs=128, calibrated=False)
 
 SCENARIOS: Dict[str, Scenario] = {
     **{app: Scenario(_tiny(app)) for app in ("fft3d", "gauss", "jacobi", "nbf")},
@@ -182,6 +189,8 @@ SCENARIOS: Dict[str, Scenario] = {
     "barrier-gc": Scenario(program=BarrierProgram, gc_limit=4),
     "locks": Scenario(program=LockProgram),
     "locks-gc": Scenario(program=LockProgram, gc_limit=100),
+    "gauss-wide": Scenario(_GAUSS_WIDE),
+    "jacobi-wide": Scenario(_JACOBI_WIDE),
 }
 
 ROWS = tuple(
