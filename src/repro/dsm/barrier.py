@@ -22,10 +22,13 @@ Up-sweep
 Down-sweep
     The root decides the release and whether a GC round follows; every
     parent sends each child the notices unknown to that child's
-    *reported* clock, and children relay downward after applying.  A GC
-    round relays the flush-done / go handshake through the same tree, so
-    no phase puts more than ``radix`` payload messages on one process's
-    links.
+    *reported* clock, and children relay downward after applying.  The
+    legs of one wave come from one scan: the notices unknown to the clock
+    the parent's previous wave carried, shared by every child still at
+    that clock and cut at each entry for a child whose clock covers it
+    (``DsmProcess.notices_unknown_to_each``).  A GC round relays the
+    flush-done / go handshake through the same tree, so no phase puts
+    more than ``radix`` payload messages on one process's links.
 
 Three rules make the one-level tree the paper's flat protocol, bit for
 bit (``tests/dsm/test_tree_barrier.py`` checks every golden scenario):
@@ -132,6 +135,9 @@ class TreeBarrier:
         #: top up.  Cleared on every epoch reset and team rebuild; a
         #: missing entry reads as the zero clock.
         self.child_join_vcs: Dict[int, VectorClock] = {}
+        #: The clock our last fork, release or GC_REQ wave carried: the
+        #: base the next wave's notices are computed from.
+        self.wave_vc: Optional[VectorClock] = None
         self.reset()
 
     def reset(self) -> None:
@@ -140,6 +146,7 @@ class TreeBarrier:
         only where this is called — ``gc_reset`` and ``adapt_reset`` —
         or with a fresh engine."""
         self.child_join_vcs.clear()
+        self.wave_vc = None
         proc = self.proc
         self.nprocs = proc.team.nprocs
         self.radix = self._radix or self.nprocs
@@ -152,6 +159,19 @@ class TreeBarrier:
         if vc is None:
             return VectorClock.zeros(self.nprocs)
         return vc
+
+    def _wave(self, kind: str, children, vcs: List[VectorClock],
+              fields: Optional[dict] = None, extra_bytes: int = 8) -> None:
+        """Send ``kind`` to each of ``children``, carrying the notices
+        unknown to its clock in ``vcs``, as one fan-out wave."""
+        proc = self.proc
+        batches = proc.notices_unknown_to_each(vcs, self.wave_vc)
+        legs = [
+            proc.notice_leg(kind, c, batch, fields, extra_bytes=extra_bytes)
+            for c, batch in zip(children, batches)
+        ]
+        self.wave_vc = legs[0][2]["vc"]
+        proc.send_fanout(legs)
 
     def _count_fold(self, notices: int) -> None:
         obs = self.proc.sim.obs
@@ -218,14 +238,9 @@ class TreeBarrier:
         # -- down-sweep: release our children with what each is missing,
         # one wave issued back-to-back (PROTOCOL.md §13).
         if arrivals:
-            proc.send_fanout([
-                proc.notice_leg(
-                    mk.BARRIER_RELEASE, c,
-                    proc.notices_unknown_to(arrivals[c]["vc"]),
-                    {"round": this_round, "gc": do_gc},
-                )
-                for c in order
-            ])
+            self._wave(mk.BARRIER_RELEASE, order,
+                       [arrivals[c]["vc"] for c in order],
+                       {"round": this_round, "gc": do_gc})
         if do_gc:
             yield from self.gc_round()
 
@@ -238,16 +253,9 @@ class TreeBarrier:
         children = self.children
         if not children:
             return
-        proc = self.proc
         fields = {k: fork[k] for k in FORK_FIELDS}
-        extra = 8 * fields["nprocs"] + 16
-        proc.send_fanout([
-            proc.notice_leg(
-                mk.FORK, c, proc.notices_unknown_to(self.child_vc(c)), fields,
-                extra_bytes=extra,
-            )
-            for c in children
-        ])
+        self._wave(mk.FORK, children, [self.child_vc(c) for c in children],
+                   fields, extra_bytes=8 * fields["nprocs"] + 16)
 
     def join(self) -> Generator:
         """Close the region: collect one JOIN_DONE per child, ingesting
@@ -305,12 +313,7 @@ class TreeBarrier:
             proc.apply_notices(request["notices"], request["vc"])
         children = self.children
         if children:
-            proc.send_fanout([
-                proc.notice_leg(
-                    mk.GC_REQ, c, proc.notices_unknown_to(self.child_vc(c))
-                )
-                for c in children
-            ])
+            self._wave(mk.GC_REQ, children, [self.child_vc(c) for c in children])
         yield from self.gc_round(ack=True)
 
     def gc_round(self, ack: bool = False) -> Generator:

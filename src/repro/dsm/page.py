@@ -33,7 +33,10 @@ the whole ``(applied, latest]`` range from each writer, and the
 single-writer refresh needs the most recent writer's clock, which that
 interval's notice carries.  One cell per (writer, page) is therefore the
 complete invalidation state; ``npending[page]`` counts the page's
-non-zero pending cells so "anything outstanding?" is one load.
+non-zero pending cells so "anything outstanding?" is one load, and
+since the ``pending`` columns are kept in ascending writer order, a
+page's pending writers are found in that order with a walk that stops
+at the ``npending[page]``-th one.
 
 Pages are *mapped* lazily, on first touch (:meth:`PageTable.map`): the
 mapped-page count sizes the migration image (§5.3), and whether the
@@ -44,7 +47,7 @@ from __future__ import annotations
 
 import enum
 from operator import gt
-from typing import Dict, List
+from typing import Dict, Iterable, List
 
 
 class Protocol(enum.Enum):
@@ -86,7 +89,8 @@ class PageTable:
         self.npending: List[int] = []
         #: writer pid -> per-page seq of that writer reflected in our copy.
         self.applied: Dict[int, List[int]] = {}
-        #: writer pid -> per-page seq of its latest un-applied notice (0: none).
+        #: writer pid -> per-page seq of its latest un-applied notice (0:
+        #: none), in ascending writer order.
         self.pending: Dict[int, List[int]] = {}
         space.tables.add(self)
         self.grow()
@@ -118,10 +122,19 @@ class PageTable:
 
     # -- per-writer cells --------------------------------------------------
     def column(self, cols: Dict[int, List[int]], writer: int) -> List[int]:
-        """``cols[writer]`` (``applied`` or ``pending``), allocated on first use."""
+        """``cols[writer]`` (``applied`` or ``pending``), allocated on first
+        use.  ``pending`` is re-sorted in place when the new writer is
+        not its highest, so its writers stay ascending (a bound name of
+        the dict stays current)."""
         col = cols.get(writer)
         if col is None:
-            col = cols[writer] = [0] * len(self.mapped)
+            col = [0] * len(self.mapped)
+            if cols is self.pending and cols and writer < next(reversed(cols)):
+                ordered = sorted([*cols.items(), (writer, col)])
+                cols.clear()
+                cols.update(ordered)
+            else:
+                cols[writer] = col
         return col
 
     def add_pending(self, page: int, writer: int, seq: int) -> bool:
@@ -144,10 +157,17 @@ class PageTable:
 
     def pending_of(self, page: int) -> Dict[int, int]:
         """``writer -> pending seq`` of ``page``, ascending writer."""
-        if not self.npending[page]:
-            return {}
-        pending = self.pending
-        return {w: pending[w][page] for w in sorted(pending) if pending[w][page]}
+        left = self.npending[page]
+        out: Dict[int, int] = {}
+        if left:
+            for writer, pend in self.pending.items():
+                seq = pend[page]
+                if seq:
+                    out[writer] = seq
+                    left -= 1
+                    if not left:
+                        break
+        return out
 
     def applied_of(self, page: int) -> Dict[int, int]:
         """``writer -> applied seq`` of ``page`` (its non-zero cells)."""
@@ -172,12 +192,25 @@ class PageTable:
                     pend[page] = 0
                     self.npending[page] -= 1
 
-    def clear_pending(self, page: int) -> None:
-        """Drop all of the page's pending cells (after fetching them)."""
-        if self.npending[page]:
-            for pend in self.pending.values():
+    def clear_pending(self, page: int, writers: Iterable[int] = ()) -> None:
+        """Drop all of the page's pending cells (after fetching them).
+
+        ``writers`` are the ones :meth:`pending_of` found: their cells are
+        cleared first, and the other columns are scanned only if cells
+        remain (a notice that arrived since, or a partial list)."""
+        left = self.npending[page]
+        if not left:
+            return
+        pending = self.pending
+        for writer in writers:
+            pend = pending.get(writer)
+            if pend is not None and pend[page]:
                 pend[page] = 0
-            self.npending[page] = 0
+                left -= 1
+        if left:
+            for pend in pending.values():
+                pend[page] = 0
+        self.npending[page] = 0
 
     # -- whole-table resets ------------------------------------------------
     def reset_epoch(self) -> None:

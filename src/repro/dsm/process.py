@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from itertools import compress
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Any, Dict, Generator, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -42,6 +42,8 @@ from .runs import Run, WriteSet, page_count, run_at
 from .statistics import DsmStats
 from .team import TeamView
 from .vectorclock import VectorClock
+
+_seq = attrgetter("seq")
 
 #: Page pulls the master keeps in flight while it drains a leaver (§4.2)
 #: or collects a checkpoint (§4.3).
@@ -153,12 +155,12 @@ class DsmProcess:
         self.vc = VectorClock.zeros(team.nprocs)
         self.log = IntervalLog(pid)
         self.epoch = 0
-        #: Per-writer index of every interval known this epoch, as
-        #: parallel lists ``(seqs, intervals)`` ascending by seq.  This
-        #: is both the dedupe structure (membership is one int compare
-        #: against the tail, or a bisect on out-of-order arrival) and the
-        #: "everything newer than vc[w]" index (a bisect + slice).
-        self._known: Dict[int, Tuple[List[int], List[IntervalNotice]]] = {}
+        #: Per-writer list of every interval known this epoch, ascending
+        #: by seq.  This is both the dedupe structure (membership is one
+        #: int compare against the tail, or a bisect on out-of-order
+        #: arrival) and the "everything newer than vc[w]" index (a bisect
+        #: + slice).
+        self._known: Dict[int, List[IntervalNotice]] = {}
         #: The *open* interval's write set (runs with their dirty ranges).
         self._writes = WriteSet()
         #: ``(start, stop, copy)`` twins (pristine pre-write copies) of the
@@ -606,7 +608,11 @@ class DsmProcess:
         a few slice loads and stores (:meth:`_ingest_run`), or for a run
         shorter than :data:`SLICE_PAGES` or one whose pages need
         different treatment, a few column loads and stores per page
-        (``PageTable.add_pending``, inlined).
+        (``PageTable.add_pending``, inlined).  Most of those pages are
+        multiple-writer pages already pending from the same writer: a
+        non-zero pending cell is mapped and above its applied cell, so
+        such a page takes the newer seq and the mode store and nothing
+        else.
         """
         known = self._known
         my_pid = self.pid
@@ -624,18 +630,15 @@ class DsmProcess:
         for iv in notices.intervals:
             proc = iv.proc
             seq = iv.seq
-            pair = known.get(proc)
-            if pair is None:
-                pair = known[proc] = ([], [])
-            seqs, bucket = pair
-            if not seqs or seq > seqs[-1]:
-                seqs.append(seq)
+            bucket = known.get(proc)
+            if bucket is None:
+                bucket = known[proc] = [iv]
+            elif seq > bucket[-1].seq:
                 bucket.append(iv)
             else:
-                k = bisect_left(seqs, seq)
-                if k < len(seqs) and seqs[k] == seq:
+                k = bisect_left(bucket, seq, key=_seq)
+                if bucket[k].seq == seq:
                     continue
-                seqs.insert(k, seq)
                 bucket.insert(k, iv)
             if proc == my_pid:
                 continue
@@ -648,6 +651,11 @@ class DsmProcess:
                         iv, pages, applied, pend):
                     continue
                 for page in pages:
+                    prev = pend[page]
+                    if 0 < prev < seq and protocol[page] == MW:
+                        pend[page] = seq
+                        mode[page] = MODE_NONE
+                        continue
                     if not mapped[page]:
                         self._map(page)
                     if protocol[page] == MW:
@@ -675,7 +683,6 @@ class DsmProcess:
                     else:
                         owner[page] = proc
                         continue
-                    prev = pend[page]
                     if prev < seq:
                         if not prev:
                             npending[page] += 1
@@ -759,7 +766,7 @@ class DsmProcess:
 
     def _known_intervals(self) -> Iterator[IntervalNotice]:
         """Every interval known this epoch (any writer, bucket order)."""
-        for _, bucket in self._known.values():
+        for bucket in self._known.values():
             yield from bucket
 
     def notices_unknown_to(self, other_vc: VectorClock) -> NoticeBatch:
@@ -769,11 +776,41 @@ class DsmProcess:
         entries = other_vc.entries
         width = other_vc.width
         for proc in sorted(known):
-            seqs, bucket = known[proc]
+            bucket = known[proc]
             floor = entries[proc] if proc < width else 0
-            if seqs[-1] > floor:
-                out.extend(bucket[bisect_right(seqs, floor):])
+            if bucket[-1].seq > floor:
+                out.extend(bucket[bisect_right(bucket, floor, key=_seq):])
         return NoticeBatch(out)
+
+    def notices_unknown_to_each(
+        self, vcs: List[VectorClock], since: Optional[VectorClock]
+    ) -> List[NoticeBatch]:
+        """:meth:`notices_unknown_to` of every clock in ``vcs`` (one fan-out
+        wave's legs), from one scan of the known intervals.
+
+        ``since`` is a clock of ours from an earlier wave, or None.  The
+        batch unknown to it is built once; a clock with ``since``'s stamp
+        gets that batch object, and a clock covering ``since`` gets it cut
+        at the clock's entries, which keeps each writer's intervals newer
+        than the clock, in the same order.  Any other clock gets its own
+        scan.  Legs may share a batch: no batch is mutated once built.
+        """
+        if since is None:
+            return [self.notices_unknown_to(vc) for vc in vcs]
+        batch = self.notices_unknown_to(since)
+        intervals = batch.intervals
+        stamp, width = since.stamp, since.width
+        out: List[NoticeBatch] = []
+        for vc in vcs:
+            if vc.stamp == stamp:
+                out.append(batch)
+            elif vc.width == width and vc.covers(since):
+                entries = vc.entries
+                kept = [iv for iv in intervals if iv.seq > entries[iv.proc]]
+                out.append(batch if len(kept) == len(intervals) else NoticeBatch(kept))
+            else:
+                out.append(self.notices_unknown_to(vc))
+        return out
 
     # ------------------------------------------------------------------
     # fault handling
@@ -974,8 +1011,8 @@ class DsmProcess:
                         f"{self.name}<-P{from_pid} pg{page}")
 
     def _known_interval(self, writer: int, seq: int) -> IntervalNotice:
-        seqs, bucket = self._known[writer]
-        return bucket[bisect_left(seqs, seq)]
+        bucket = self._known[writer]
+        return bucket[bisect_left(bucket, seq, key=_seq)]
 
     def _fetch_pending(self, page: int) -> Generator:
         """Bring a stale copy up to date (diffs, or full page re-fetch)."""
@@ -1047,7 +1084,7 @@ class DsmProcess:
                     page=page,
                     n_diffs=len(collected),
                 )
-        table.clear_pending(page)
+        table.clear_pending(page, by_writer)
 
     def _fetch_page_refresh(self, page: int, from_pid: int) -> Generator:
         """Re-fetch a full page (single-writer protocol update path)."""
@@ -1173,11 +1210,7 @@ class DsmProcess:
         # Index our own interval directly: ``seq`` is a fresh maximum for
         # our bucket, so a plain append keeps it ascending.
         notice = IntervalNotice(pid, seq, rec_vc, rec.spans)
-        pair = self._known.get(pid)
-        if pair is None:
-            pair = self._known[pid] = ([], [])
-        pair[0].append(seq)
-        pair[1].append(notice)
+        self._known.setdefault(pid, []).append(notice)
         return NoticeBatch((notice,))
 
     def _multiple_writer_runs(self, runs: Tuple[Run, ...]) -> Tuple[Run, ...]:
@@ -1205,8 +1238,8 @@ class DsmProcess:
         has not yet been told about (lock releases create intervals the
         master never sees otherwise)."""
         self.close_interval()
-        seqs, bucket = self._known.get(self.pid, ((), ()))
-        out = NoticeBatch(bucket[bisect_right(seqs, self._sent_to_master_seq):])
+        bucket = self._known.get(self.pid, ())
+        out = NoticeBatch(bucket[bisect_right(bucket, self._sent_to_master_seq, key=_seq):])
         self._sent_to_master_seq = self.vc.entries[self.pid]
         return out
 

@@ -15,13 +15,16 @@ a single snapshot instead of the one-copy-per-object scheme this replaces
 (~34k list copies per quick Gauss run).  The derived sort key is cached
 per clock and invalidated by mutation, so happens-before ordering of large
 diff sets stops re-reducing the entry list.  A version stamp lets a merge
-with a clock we already cover, or one that covers us, skip the scan.
+with a clock we already cover, or one that covers us, skip the scan, and
+a clock that remembers the foreign stamp it last left (and the slots it
+wrote since) merges with a clock derived from the same value in
+O(slots written): the fork/join round trip never scans.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Sequence
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 #: Fresh lineages and versions: process-wide, so no stamp is issued twice.
 #: Only their equality and order within a lineage matter, never a value.
@@ -37,9 +40,18 @@ class VectorClock:
     lineage a newer version never holds a smaller entry.  Snapshots and
     :meth:`merge`'s adoptions copy a stamp together with the entry list it
     names, which is what lets ``merge`` skip or adopt without a scan.
+
+    ``_from`` is the stamp of the foreign value the clock last left by a
+    write (a tick, an advance or a merge's slot write), and ``_dirty``
+    the slots written since: the value is ``_from``'s, raised at those
+    slots only.  A clock that never held a foreign value has no ``_from``
+    and tracks no slots.  Snapshots and adoptions copy both with the
+    stamp, so a clock derived from a value we cover differs from it only
+    where it says.
     """
 
-    __slots__ = ("entries", "_shared", "_key", "_own", "_lineage", "_version")
+    __slots__ = ("entries", "_shared", "_key", "_own", "_lineage", "_version",
+                 "_from", "_dirty")
 
     def __init__(self, entries: Iterable[int]):
         self.entries = list(entries)
@@ -47,6 +59,8 @@ class VectorClock:
         self._key = None
         self._own = self._lineage = next(_stamps)
         self._version = 0
+        self._from: Optional[Tuple[int, int]] = None
+        self._dirty: Tuple[int, ...] = ()
 
     @classmethod
     def zeros(cls, width: int) -> "VectorClock":
@@ -56,6 +70,11 @@ class VectorClock:
     @property
     def width(self) -> int:
         return len(self.entries)
+
+    @property
+    def stamp(self) -> Tuple[int, int]:
+        """``(lineage, version)``: equal stamps name equal values."""
+        return self._lineage, self._version
 
     def copy(self) -> "VectorClock":
         """An independent (never-shared) copy."""
@@ -77,50 +96,119 @@ class VectorClock:
         snap._own = next(_stamps)
         snap._lineage = self._lineage
         snap._version = self._version
+        snap._from = self._from
+        snap._dirty = self._dirty
         return snap
 
-    def tick(self, slot: int) -> None:
-        """Increment our own entry (interval close)."""
+    def _wrote(self, slots: Tuple[int, ...]) -> None:
+        """Stamp a write of ``slots``: a fresh version on our own lineage,
+        leaving the foreign value we held (``_from``) if we held one."""
+        if self._lineage != self._own:
+            self._from = (self._lineage, self._version)
+            self._dirty = slots
+        elif self._from is not None:
+            dirty = self._dirty
+            for slot in slots:
+                if slot not in dirty:
+                    dirty += (slot,)
+            self._dirty = dirty
+        self._key = None
+        self._lineage = self._own
+        self._version = next(_stamps)
+
+    def _writable(self) -> List[int]:
+        """Our entry list, detached from any snapshot sharing it."""
         entries = self.entries
         if self._shared:
             entries = self.entries = list(entries)
             self._shared = False
-        entries[slot] += 1
-        self._key = None
-        self._lineage = self._own
-        self._version = next(_stamps)
+        return entries
+
+    def tick(self, slot: int) -> None:
+        """Increment our own entry (interval close)."""
+        self._writable()[slot] += 1
+        self._wrote((slot,))
+
+    def _holds(self, stamp: Optional[Tuple[int, int]]) -> bool:
+        """True if our value is known, by stamps alone, to cover the value
+        ``stamp`` names: it is on our lineage or on the one we left, no
+        newer than we hold there."""
+        if stamp is None:
+            return False
+        lineage, version = stamp
+        if lineage == self._lineage:
+            return version <= self._version
+        held = self._from
+        return held is not None and held[0] == lineage and version <= held[1]
 
     def merge(self, other: "VectorClock") -> None:
         """Elementwise max with ``other`` (seen-knowledge union).
 
-        A stamp on our lineage decides without a scan: an older version is
-        covered (no-op), a newer one covers us (adopt its list).  Otherwise
-        the max is computed; if it is ours nothing changes, and if it is
-        ``other``'s we adopt ``other``'s list and stamp.  Adopting shares
-        the list, so both sides are marked for copy-on-write.
+        Stamps decide without a scan when one side's value is known to
+        cover the other's (no-op, or adopt its list).  If we cover the
+        value ``other`` left, only its written slots can raise ours (the
+        master folding a JOIN_DONE); if ``other`` covers the value we
+        left, the union is ``other`` raised at our written slots (a slave
+        taking the fork clock).  Otherwise :meth:`_merge_scan`.  Adopting
+        shares the list, so both sides are marked for copy-on-write.
         """
         theirs = other.entries
         if len(theirs) != len(self.entries):
             raise ValueError(f"clock width mismatch: {self.width} vs {other.width}")
-        if other._lineage == self._lineage:
+        lineage, held = self._lineage, self._from
+        their_lineage, their_held = other._lineage, other._from
+        # Inline stamp tests first: this runs once per received sync
+        # message.
+        if their_lineage == lineage:
             if other._version > self._version:
                 self._adopt(other)
             return
-        ours = self.entries
-        # Conditional expression instead of max(): this runs once per
-        # received sync message and the call dispatch dominates.
-        merged = [a if a >= b else b for a, b in zip(ours, theirs)]
-        if merged == ours:
+        if held is not None and held[0] == their_lineage \
+                and other._version <= held[1]:
             return
-        if merged == theirs:
+        if their_held is not None and their_held[0] == lineage \
+                and self._version <= their_held[1]:
             self._adopt(other)
             return
-        # Rebinds the list, so outstanding snapshots keep the old value.
-        self.entries = merged
-        self._shared = False
-        self._key = None
-        self._lineage = self._own
-        self._version = next(_stamps)
+        # Loops, not comprehensions: the slot lists are a slot or two.
+        ours = self.entries
+        if self._holds(their_held):
+            raised = ()
+            for slot in other._dirty:
+                if theirs[slot] > ours[slot]:
+                    raised += (slot,)
+            if raised:
+                self._raise(raised, theirs)
+        elif other._holds(held):
+            kept = ()
+            for slot in self._dirty:
+                if ours[slot] > theirs[slot]:
+                    kept += (slot,)
+            self._adopt(other)
+            if kept:
+                self._raise(kept, ours)
+        else:
+            self._merge_scan(other)
+
+    def _merge_scan(self, other: "VectorClock") -> None:
+        """:meth:`merge` by an elementwise scan: nothing changes if the max
+        is ours, we adopt ``other`` if it is ``other``'s, and otherwise
+        the slots ``other`` raised are written."""
+        ours, theirs = self.entries, other.entries
+        raised = tuple([s for s, (a, b) in enumerate(zip(ours, theirs)) if b > a])
+        if not raised:
+            return
+        if all(a <= b for a, b in zip(ours, theirs)):
+            self._adopt(other)
+        else:
+            self._raise(raised, theirs)
+
+    def _raise(self, slots: Tuple[int, ...], source: List[int]) -> None:
+        """Write ``source``'s entries (each a raise) at ``slots``."""
+        entries = self._writable()
+        for slot in slots:
+            entries[slot] = source[slot]
+        self._wrote(slots)
 
     def _adopt(self, other: "VectorClock") -> None:
         """Take ``other``'s (dominating) value by sharing its list and stamp."""
@@ -129,24 +217,22 @@ class VectorClock:
         self._key = other._key
         self._lineage = other._lineage
         self._version = other._version
+        self._from = other._from
+        self._dirty = other._dirty
 
     def advance(self, slot: int, seq: int) -> None:
         """Raise one entry to at least ``seq`` (diff/notice application)."""
-        entries = self.entries
-        if entries[slot] >= seq:
+        if self.entries[slot] >= seq:
             return
-        if self._shared:
-            entries = self.entries = list(entries)
-            self._shared = False
-        entries[slot] = seq
-        self._key = None
-        self._lineage = self._own
-        self._version = next(_stamps)
+        self._writable()[slot] = seq
+        self._wrote((slot,))
 
     def covers(self, other: "VectorClock") -> bool:
         """True if every entry >= the other's (other happened-before-or-equal)."""
         if other.width != self.width:
             raise ValueError(f"clock width mismatch: {self.width} vs {other.width}")
+        if self._holds((other._lineage, other._version)):
+            return True
         return all(a >= b for a, b in zip(self.entries, other.entries))
 
     def covers_interval(self, proc: int, seq: int) -> bool:

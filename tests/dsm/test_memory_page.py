@@ -185,6 +185,39 @@ class TestPageTable:
         table.clear_pending(0)
         assert self._readable(table, page) and table.pending_of(0) == {}
 
+    def test_writer_columns_created_out_of_order_stay_ascending(self):
+        table = self._table()
+        pending = table.pending
+        for page in (0, 1):
+            self._mapped(table, page)
+        for writer in (5, 1, 3):
+            table.add_pending(0, writer, writer + 10)
+        table.add_pending(1, 3, 2)
+        assert pending is table.pending and list(pending) == [1, 3, 5]
+        assert list(table.pending_of(0).items()) == [(1, 11), (3, 13), (5, 15)]
+        assert table.pending_of(1) == {3: 2}
+        table.add_pending(1, 0, 4)  # a new lowest writer, after the walk
+        assert list(pending) == [0, 1, 3, 5]
+        assert list(table.pending_of(1).items()) == [(0, 4), (3, 2)]
+
+    @pytest.mark.parametrize("writers", [
+        (), (3,), (1, 3, 5), (5, 7), (9,),
+    ], ids=["none", "partial", "all", "stale", "unknown"])
+    def test_clear_pending_zeroes_every_cell_whatever_writers_it_is_told(
+            self, writers):
+        """``writers`` is what ``pending_of`` found; a notice that arrived
+        since (or a partial list) must be dropped all the same."""
+        table = self._table()
+        for page in (2, 3):
+            self._mapped(table, page)
+        for writer in (5, 1, 3):
+            table.add_pending(2, writer, 4)
+        table.add_pending(3, 1, 6)
+        table.clear_pending(2, writers)
+        assert table.npending[2] == 0 and table.pending_of(2) == {}
+        assert all(col[2] == 0 for col in table.pending.values())
+        assert table.pending_of(3) == {1: 6} and table.npending[3] == 1
+
     def test_entries_snapshot_sorted(self):
         table = self._table(protocol=Protocol.SINGLE_WRITER)
         for page in (5, 1, 3):

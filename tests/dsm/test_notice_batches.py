@@ -5,7 +5,7 @@ entry points, no simulated time passes."""
 import pytest
 
 from repro.dsm import IntervalNotice, NoticeBatch, Protocol, VectorClock
-from repro.dsm.page import MODE_NONE, MW, SW
+from repro.dsm.page import MODE_NONE, MODE_READ, MW, SW
 from repro.dsm.runs import page_spans
 from repro.errors import ProtocolError
 
@@ -84,8 +84,7 @@ class TestIngestion:
         assert me.table.pending_of(2) == {1: 3}
         me.apply_notices(NoticeBatch([iv1, iv2, iv3]), sender)  # broadcast
         me.apply_notices(NoticeBatch([iv2, iv1]), sender)  # stale grant
-        seqs, bucket = me._known[1]
-        assert seqs == [1, 2, 3] and bucket == [iv1, iv2, iv3]
+        assert me._known[1] == [iv1, iv2, iv3]
         assert [me.table.pending_of(p) for p in range(4)] \
             == [{1: 1}, {1: 2}, {1: 3}, {}]  # iv2 did not lower page 2
         assert me.table.npending[:4] == [1, 1, 1, 0]
@@ -96,6 +95,19 @@ class TestIngestion:
         assert me.table.npending[1] == 2
         assert all(me.table.mode[p] == MODE_NONE and not me.readable(p)
                    for p in _mapped(me.table))
+
+    def test_a_newer_notice_on_a_page_pending_from_its_writer(self):
+        """The fast exit: one seq store and the mode store.  A page written
+        in an interval that a lock grant invalidated is left READ by the
+        interval's close, pending all the same."""
+        rt, seg = _system()
+        me = rt.procs[2]
+        me.apply_notices(NoticeBatch([_interval(1, 1, [0, 1])]), VectorClock([0, 1, 0]))
+        me.table.mode[0] = MODE_READ
+        me.apply_notices(NoticeBatch([_interval(1, 2, [0])]), VectorClock([0, 2, 0]))
+        assert me.table.pending_of(0) == {1: 2} and me.table.pending_of(1) == {1: 1}
+        assert me.table.npending[:2] == [1, 1]
+        assert me.table.mode[0] == MODE_NONE
 
     def test_own_and_covered_intervals_do_not_invalidate(self):
         rt, seg = _system()

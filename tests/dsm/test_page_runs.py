@@ -39,13 +39,11 @@ def per_page_apply(me, notices, sender_vc):
     written = set(expand(me._writes.runs))
     for iv in notices.intervals:
         proc, seq = iv.proc, iv.seq
-        if proc not in known:
-            known[proc] = ([], [])
-        seqs, bucket = known[proc]
+        bucket = known.setdefault(proc, [])
+        seqs = [known_iv.seq for known_iv in bucket]
         k = bisect_left(seqs, seq)
         if k < len(seqs) and seqs[k] == seq:
             continue
-        seqs.insert(k, seq)
         bucket.insert(k, iv)
         if proc == me.pid:
             continue
@@ -83,10 +81,19 @@ def state(me):
         t.n_mapped, list(t.owner), list(t.npending),
         [(w, list(col)) for w, col in t.applied.items()],
         [(w, list(col)) for w, col in t.pending.items()],
-        [(w, list(seqs), [id(iv) for iv in bucket])
-         for w, (seqs, bucket) in me._known.items()],
+        [(w, [(iv.seq, id(iv)) for iv in bucket]) for w, bucket in me._known.items()],
         list(me.vc.entries),
     )
+
+
+def assert_pending_above_applied(me):
+    """The invariant ``apply_notices``' fast exit relies on: every
+    non-zero ``pending[w][p]`` is mapped and greater than ``applied[w][p]``."""
+    t = me.table
+    for w, pend in t.pending.items():
+        applied = t.applied.get(w, [0] * len(pend))
+        for page, seq in enumerate(pend):
+            assert not seq or (t.mapped[page] and seq > applied[page]), (w, page)
 
 
 def _spans_in(lo, hi):
@@ -157,6 +164,7 @@ def test_ingestion_matches_the_per_page_loop(setup, batches):
         runs.apply_notices(NoticeBatch(ivs), sender)
         per_page_apply(pages, NoticeBatch(ivs), sender)
         assert state(runs) == state(pages)
+        assert_pending_above_applied(runs)
 
 
 def test_a_long_fresh_run_is_ingested_by_slices(monkeypatch):

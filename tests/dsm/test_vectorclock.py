@@ -231,7 +231,8 @@ class TestVersionedMerge:
                 st.lists(
                     st.tuples(
                         st.sampled_from(
-                            ["tick", "tick", "advance", "merge", "merge", "snapshot"]),
+                            ["tick", "tick", "advance", "merge", "merge", "snapshot",
+                             "fork", "fork", "join", "join"]),
                         st.integers(0, 4 * n),
                         st.integers(0, 4 * n),
                         st.integers(0, 9),
@@ -244,10 +245,15 @@ class TestVersionedMerge:
     def test_histories_match_a_plain_list_reference(self, history):
         """Random tick/advance/merge/snapshot histories over 3-5 clocks
         (their snapshots are clocks too), checked entry by entry against
-        plain lists merged by elementwise max."""
+        plain lists merged by elementwise max.  ``fork`` and ``join`` are
+        the synchronization shapes: a clock adopts another's snapshot, or
+        ticks its slot and is folded into another by a snapshot.  Frozen
+        snapshots nobody touches must keep their value, and ``covers``
+        must agree with the lists for every pair."""
         n, width, ops = history
         clocks = [VectorClock.zeros(width) for _ in range(n)]
         ref = [[0] * width for _ in range(n)]
+        frozen = []
         for op, i, j, k in ops:
             i %= len(clocks)
             j %= len(clocks)
@@ -261,12 +267,27 @@ class TestVersionedMerge:
             elif op == "merge":
                 clocks[i].merge(clocks[j])
                 ref[i] = [max(a, b) for a, b in zip(ref[i], ref[j])]
+            elif op == "fork":
+                clocks[j].merge(clocks[i].snapshot())
+                ref[j] = [max(a, b) for a, b in zip(ref[i], ref[j])]
+            elif op == "join":
+                clocks[j].tick(slot)
+                ref[j][slot] += 1
+                clocks[i].merge(clocks[j].snapshot())
+                ref[i] = [max(a, b) for a, b in zip(ref[i], ref[j])]
             else:
                 clocks.append(clocks[i].snapshot())
                 ref.append(list(ref[i]))
+                frozen.append((clocks[i].snapshot(), list(ref[i])))
             for clock, want in zip(clocks, ref):
                 assert clock.entries == want
                 assert clock.sort_key() == (sum(want), tuple(want))
+            for snap, want in frozen:
+                assert snap.entries == want
+            for clock, want in zip(clocks, ref):
+                for other, theirs in zip(clocks, ref):
+                    assert clock.covers(other) == all(
+                        a >= b for a, b in zip(want, theirs))
             # Probe the touched clock's stamp against every other clock's
             # through throwaway snapshots, which share the stamps.
             for other, want in zip(clocks, ref):
@@ -277,3 +298,86 @@ class TestVersionedMerge:
                 probe = clocks[i].snapshot()
                 probe.merge(other)
                 assert probe.entries == union
+
+
+class TestStampedMerges:
+    """The fork/join round trip merges by the slots written, never by a
+    scan (``_merge_scan``)."""
+
+    @staticmethod
+    def _count_scans(monkeypatch):
+        scans = []
+        scan = VectorClock._merge_scan
+
+        def counting(self, other):
+            scans.append(other)
+            scan(self, other)
+
+        monkeypatch.setattr(VectorClock, "_merge_scan", counting)
+        return scans
+
+    def test_flat_fork_join_round_trip_never_scans(self, monkeypatch):
+        width = 6
+        master = VectorClock.zeros(width)
+        slaves = [VectorClock.zeros(width) for _ in range(1, width)]
+        # Epoch start: every clock is fresh, so the first fork scans.
+        master.tick(0)
+        for slave in slaves:
+            slave.merge(master.snapshot())
+        scans = self._count_scans(monkeypatch)
+        for _ in range(3):
+            master.tick(0)
+            fork = master.snapshot()
+            for pid, slave in enumerate(slaves, 1):
+                slave.merge(fork)  # adopt
+                assert slave.entries is fork.entries
+                slave.tick(pid)
+            for slave in slaves:
+                master.merge(slave.snapshot())  # fold: one slot each
+            release = master.snapshot()
+            for slave in slaves:
+                slave.merge(release)  # covered our tick: adopt
+                assert slave.entries is release.entries
+        assert scans == []
+        assert master.entries == [4] + [3] * (width - 1)
+
+    def test_barrier_release_keeps_a_slot_the_master_has_not_seen(self, monkeypatch):
+        scans = self._count_scans(monkeypatch)
+        master = VectorClock([1, 0, 0])
+        slave = VectorClock.zeros(3)
+        slave.merge(master)
+        fork = master.snapshot()
+        slave.merge(fork)
+        slave.tick(2)
+        slave.tick(2)
+        master.tick(0)
+        master.merge(VectorClock([0, 0, 1]).snapshot())
+        scans.clear()
+        slave.merge(master.snapshot())
+        assert scans == [] and slave.entries == [2, 0, 2]
+        assert slave.covers(master) and not master.covers(slave)
+        assert master.entries == [2, 0, 1]
+
+    def test_stamp_names_the_value(self):
+        vc = VectorClock([1, 2])
+        snap = vc.snapshot()
+        assert snap.stamp == vc.stamp
+        vc.tick(0)
+        assert snap.stamp != vc.stamp
+
+    def test_traced_gauss_scans_at_most_one_merge_in_a_hundred(self, monkeypatch):
+        from repro.api import ScenarioSpec
+        from repro.exec.pool import execute_spec
+
+        scans = self._count_scans(monkeypatch)
+        merges = []
+        merge = VectorClock.merge
+
+        def counting(self, other):
+            merges.append(other)
+            merge(self, other)
+
+        monkeypatch.setattr(VectorClock, "merge", counting)
+        execute_spec(ScenarioSpec(kernel="gauss", params={"n": 96, "iterations": 95},
+                                  nprocs=16, calibrated=False))
+        assert merges and len(scans) <= len(merges) / 100
