@@ -141,7 +141,7 @@ class PageTable:
         """Record that ``writer``'s interval ``seq`` invalidated ``page``.
 
         Idempotent; False when our copy already reflects the interval.
-        ``DsmProcess.apply_notices`` inlines this per page.
+        ``DsmProcess._settle`` inlines this per page.
         """
         applied = self.applied.get(writer)
         if applied is not None and applied[page] >= seq:

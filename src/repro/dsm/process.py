@@ -20,7 +20,8 @@ The main computation drives the engine through:
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from itertools import compress
+from functools import cached_property
+from itertools import chain, compress
 from operator import attrgetter, itemgetter
 from typing import Any, Dict, Generator, Iterable, Iterator, List, Optional, Tuple
 
@@ -151,7 +152,9 @@ class DsmProcess:
         self.materialized = materialized
         self.store: Optional[LocalStore] = LocalStore(space) if materialized else None
 
-        self.table = PageTable(space)
+        #: The page table as of the last :meth:`_settle`; read it through
+        #: :attr:`table`.
+        self._table = PageTable(space)
         self.vc = VectorClock.zeros(team.nprocs)
         self.log = IntervalLog(pid)
         self.epoch = 0
@@ -159,8 +162,12 @@ class DsmProcess:
         #: by seq.  This is both the dedupe structure (membership is one
         #: int compare against the tail, or a bisect on out-of-order
         #: arrival) and the "everything newer than vc[w]" index (a bisect
-        #: + slice).
-        self._known: Dict[int, List[IntervalNotice]] = {}
+        #: + slice).  As of the last :meth:`_settle`; read it through
+        #: :attr:`_known`.
+        self._buckets: Dict[int, List[IntervalNotice]] = {}
+        #: The interval lists of the notice batches received since the
+        #: last :meth:`_settle`, in arrival order (the batches' own lists).
+        self._deferred: List[List[IntervalNotice]] = []
         #: The *open* interval's write set (runs with their dirty ranges).
         self._writes = WriteSet()
         #: ``(start, stop, copy)`` twins (pristine pre-write copies) of the
@@ -593,9 +600,52 @@ class DsmProcess:
             self._map(page)
         return bool(table.valid[page]) and not table.npending[page]
 
+    @cached_property
+    def table(self) -> PageTable:
+        """The page table, every notice received so far ingested.
+
+        Kept in the instance once settled, so reading it is a plain
+        attribute load until :meth:`apply_notices` defers the next batch
+        and drops it; the access path reads it several times per page."""
+        if self._deferred:
+            self._settle()
+        return self._table
+
+    @property
+    def _known(self) -> Dict[int, List[IntervalNotice]]:
+        """Every interval known this epoch, per writer, ascending by seq,
+        every notice received so far ingested."""
+        if self._deferred:
+            self._settle()
+        return self._buckets
+
     def apply_notices(self, notices: NoticeBatch, sender_vc: VectorClock) -> None:
-        """Record a batch of remote write notices (invalidating their
-        pages) and merge the sender's clock.
+        """Receive a batch of remote write notices and merge the sender's
+        clock.
+
+        Only the clock merge happens now.  The batch's interval list is
+        put on the deferred list and ingested — dedupe into the known
+        buckets, pages invalidated — by :meth:`_settle`, which every read
+        of :attr:`table` or :attr:`_known` runs first.  So whoever looks
+        sees the state the batches would have left on arrival, and a
+        process that reads neither — a slave with an empty block, until
+        the next garbage collection reads its known intervals — does no
+        ingestion work (docs/PROTOCOL.md §6, "Deferred ingestion").  With
+        per-process observation on, the batch is ingested at once, so
+        each ``dsm/demote`` instant keeps its simulated time and its place
+        in the stream.
+        """
+        intervals = notices.intervals
+        if intervals:
+            self._deferred.append(intervals)
+            self.__dict__.pop("table", None)  # the next read settles
+            obs = self.sim.obs
+            if obs.enabled and obs.per_process:
+                self._settle()
+        self.vc.merge(sender_vc)
+
+    def _settle(self) -> None:
+        """Ingest the deferred batches, in arrival order.
 
         Synchronization batches carry hundreds of notices (the master
         re-broadcasts every slave's notices at each barrier), making this
@@ -613,10 +663,15 @@ class DsmProcess:
         non-zero pending cell is mapped and above its applied cell, so
         such a page takes the newer seq and the mode store and nothing
         else.
+
+        The replay reads only the page table, the open write set, our own
+        ``applied`` cells and the intervals' immutable clocks, and all
+        code that changes the first three reads :attr:`table` first.
         """
-        known = self._known
+        deferred, self._deferred = self._deferred, []
+        known = self._buckets
         my_pid = self.pid
-        table = self.table
+        table = self._table
         mapped = table.mapped
         protocol = table.protocol
         mode = table.mode
@@ -627,7 +682,7 @@ class DsmProcess:
         applied_cols = table.applied
         pending_cols = table.pending
         slice_pages = SLICE_PAGES
-        for iv in notices.intervals:
+        for iv in chain.from_iterable(deferred):
             proc = iv.proc
             seq = iv.seq
             bucket = known.get(proc)
@@ -688,17 +743,16 @@ class DsmProcess:
                             npending[page] += 1
                         pend[page] = seq
                     mode[page] = MODE_NONE
-        self.vc.merge(sender_vc)
 
     def _ingest_run(self, iv: IntervalNotice, pages: range,
                     applied: Optional[List[int]], pend: List[int]) -> bool:
-        """:meth:`apply_notices`' per-page body over ``pages`` of ``iv``, as
+        """:meth:`_settle`'s per-page body over ``pages`` of ``iv``, as
         slice loads and stores: taken when every page of the run gets the
         same treatment (one protocol, in-order seqs, no demotion).
         Otherwise False, with nothing stored but the run's first-touch
         mappings, which the per-page body skips."""
         start, stop = pages.start, pages.stop
-        table = self.table
+        table = self._table
         mapped = table.mapped
         if mapped.find(0, start, stop) >= 0:
             for page in range(start, stop):
@@ -762,7 +816,7 @@ class DsmProcess:
 
     def _set_owner(self, start: int, stop: int, pid: int) -> None:
         """``pid`` owns the pages ``[start, stop)``."""
-        self.table.owner[start:stop] = [pid] * (stop - start)
+        self._table.owner[start:stop] = [pid] * (stop - start)
 
     def _known_intervals(self) -> Iterator[IntervalNotice]:
         """Every interval known this epoch (any writer, bucket order)."""
@@ -1147,6 +1201,9 @@ class DsmProcess:
         """Close the open interval (at a release); returns its notices."""
         if not self._writes.runs:
             return NoticeBatch()
+        # Settle while the write set is still open: a deferred notice for
+        # a page in it demotes that page.
+        table = self.table
         self.vc.tick(self.pid)
         pid = self.pid
         seq = self.vc.entries[pid]
@@ -1156,7 +1213,6 @@ class DsmProcess:
         rec = IntervalRecord(proc=pid, seq=seq, vc=rec_vc, runs=self._writes.take())
         self.log.add(rec)
         runs = rec.runs
-        table = self.table
         protocol = table.protocol
         # Multiple-writer pages encode their diff now: from the twin, or
         # (traced mode) as the declared, already-normalized ranges, which
@@ -1210,7 +1266,7 @@ class DsmProcess:
         # Index our own interval directly: ``seq`` is a fresh maximum for
         # our bucket, so a plain append keeps it ascending.
         notice = IntervalNotice(pid, seq, rec_vc, rec.spans)
-        self._known.setdefault(pid, []).append(notice)
+        self._buckets.setdefault(pid, []).append(notice)
         return NoticeBatch((notice,))
 
     def _multiple_writer_runs(self, runs: Tuple[Run, ...]) -> Tuple[Run, ...]:
@@ -1236,9 +1292,13 @@ class DsmProcess:
     def sync_notices(self) -> NoticeBatch:
         """Close the open interval and return all own notices the master
         has not yet been told about (lock releases create intervals the
-        master never sees otherwise)."""
+        master never sees otherwise).
+
+        Reads our own bucket without settling: a deferred batch can only
+        repeat own intervals, and :meth:`close_interval` put each of them
+        in the bucket when it closed it."""
         self.close_interval()
-        bucket = self._known.get(self.pid, ())
+        bucket = self._buckets.get(self.pid, ())
         out = NoticeBatch(bucket[bisect_right(bucket, self._sent_to_master_seq, key=_seq):])
         self._sent_to_master_seq = self.vc.entries[self.pid]
         return out

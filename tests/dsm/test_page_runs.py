@@ -182,8 +182,10 @@ def test_a_long_fresh_run_is_ingested_by_slices(monkeypatch):
     run = range(10, 10 + 2 * SLICE_PAGES)
     me.apply_notices(NoticeBatch([IntervalNotice(1, 1, VectorClock([0, 1, 0]), (run,))]),
                      VectorClock([0, 1, 0]))
+    assert taken == []  # deferred until the page table is read
+    table = me.table
     assert taken == [(run, True)]
-    assert me.table.pending_of(10) == {1: 1} and me.table.npending[run.stop - 1] == 1
+    assert table.pending_of(10) == {1: 1} and table.npending[run.stop - 1] == 1
 
 
 #: The writer whose run :func:`mixed_cells` ingests.

@@ -27,6 +27,11 @@ class TestPinnedData:
 
     @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
     def test_observability_never_changes_the_outputs(self, scenario):
+        """Obs-on rows pin the obs-off rows' digests.  Obs-on rows also
+        ingest write notices on arrival (per-process observation records
+        each demotion when it happens) while obs-off rows defer them to
+        the next page-table read, so this is also the eager-vs-deferred
+        ingestion oracle on every scenario and model."""
         for model in MODELS:
             plain = pinned()[f"{scenario}/{model}/obs-off"]
             observed = pinned()[f"{scenario}/{model}/obs-on"]
