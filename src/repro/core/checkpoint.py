@@ -66,10 +66,11 @@ class CheckpointManager:
         npages = runtime.space.total_pages
 
         # 1. collect every page the master has no valid copy of
+        lrc = master.lrc
         missing = [
-            (page, master.owner_of(page))
+            (page, lrc.owner_of(page))
             for page in range(npages)
-            if not master.readable(page)
+            if not lrc.readable(page)
         ]
         yield from master.pull_pages(missing, mk.CKPT_PAGE_REQ)
 
@@ -89,7 +90,7 @@ class CheckpointManager:
 
         ckpt = Checkpoint(
             time=sim.now,
-            epoch=master.epoch,
+            epoch=lrc.epoch,
             nprocs=runtime.team.nprocs,
             total_pages=npages,
             image_bytes=image,
@@ -124,7 +125,7 @@ def restore_checkpoint(runtime, ckpt: Checkpoint) -> None:
         )
     master = runtime.master
     for proc in runtime.procs.values():
-        proc.table.owner[:] = [master.pid] * runtime.space.total_pages
+        proc.lrc.table.owner[:] = [master.pid] * runtime.space.total_pages
     for seg in runtime.space.segments.values():
         if master.materialized:
             data = ckpt.segment_data.get(seg.name)
@@ -134,7 +135,7 @@ def restore_checkpoint(runtime, ckpt: Checkpoint) -> None:
                 raise CheckpointError(f"checkpoint size mismatch for {seg.name!r}")
             master.store.buffer(seg)[: seg.nbytes] = data
         for page in seg.pages:
-            if page not in master.table:
-                master._map(page)  # restored pages count in the image
-            master.table.valid[page] = 1
+            if page not in master.lrc.table:
+                master.lrc.map_page(page)  # restored pages count in the image
+            master.lrc.table.valid[page] = 1
     runtime.replay = ckpt.phases

@@ -60,7 +60,7 @@ def ship_page_maps(runtime, joiners) -> None:
     cheapest route, the paper's one message (§4.1).  Several are reached
     through the synchronization tree (PROTOCOL.md §11): the master sends
     one map per child subtree holding joiners and each relay hop forwards
-    it toward the remaining ``targets`` (``DsmProcess.relay_page_map``),
+    it toward the remaining ``targets`` (``TreeBarrier.relay_page_map``),
     so the master's link carries at most ``radix`` map payloads however
     many processes join.  With one level that is one map per joiner.
     """
@@ -68,6 +68,6 @@ def ship_page_maps(runtime, joiners) -> None:
         return
     master = runtime.master
     # A copy: the master keeps writing its column while the map is in flight.
-    owners = list(master.table.owner)
+    owners = list(master.lrc.table.owner)
     targets = sorted(j.pid for j in joiners)
-    master.relay_page_map(owners, targets, direct=len(targets) == 1)
+    master.tree_barrier.relay_page_map(owners, targets, direct=len(targets) == 1)

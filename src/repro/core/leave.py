@@ -20,10 +20,11 @@ def absorb_leaver_pages(runtime, leaver) -> Generator:
     master = runtime.master
     sim = runtime.sim
     npages = runtime.space.total_pages
-    owner = master.table.owner
+    lrc = master.lrc
+    owner = lrc.table.owner
     owned = [p for p in range(npages) if owner[p] == leaver.pid]
 
-    to_fetch: List[int] = [p for p in owned if not master.readable(p)]
+    to_fetch: List[int] = [p for p in owned if not lrc.readable(p)]
 
     yield from master.pull_pages([(p, leaver.pid) for p in to_fetch], mk.PAGE_REQ)
     sim.obs.instant(
@@ -40,6 +41,7 @@ def absorb_leaver_pages(runtime, leaver) -> Generator:
     if owned and targets:
         # The master's hop of the drain broadcast; every target relays it
         # on through the synchronization tree (one level: none does).
-        master.relay_owner_update({"pages": list(owned), "targets": targets,
-                                   "radix": master.tree_barrier.radix})
+        tree = master.tree_barrier
+        tree.relay_owner_update({"pages": list(owned), "targets": targets,
+                                 "radix": tree.radix})
     return len(to_fetch), len(owned)

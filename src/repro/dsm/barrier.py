@@ -26,7 +26,7 @@ Down-sweep
     legs of one wave come from one scan: the notices unknown to the clock
     the parent's previous wave carried, shared by every child still at
     that clock and cut at each entry for a child whose clock covers it
-    (``DsmProcess.notices_unknown_to_each``).  A GC round relays the
+    (``TreeBarrier.notices_unknown_to_each``).  A GC round relays the
     flush-done / go handshake through the same tree, so no phase puts
     more than ``radix`` payload messages on one process's links.
 
@@ -47,11 +47,12 @@ per-writer run sequence whatever the radix.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Generator, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional
 
 from ..errors import ProtocolError
 from ..network import message as mk
 from .intervals import IntervalNotice, NoticeBatch
+from .team import TeamView
 from .vectorclock import VectorClock
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -160,12 +161,43 @@ class TreeBarrier:
             return VectorClock.zeros(self.nprocs)
         return vc
 
+    def notices_unknown_to_each(
+        self, vcs: List[VectorClock], since: Optional[VectorClock]
+    ) -> List[NoticeBatch]:
+        """``proc.notices_unknown_to`` of every clock in ``vcs`` (one
+        fan-out wave's legs), from one scan of the known intervals.
+
+        ``since`` is a clock of ours from an earlier wave, or None.  The
+        batch unknown to it is built once; a clock with ``since``'s stamp
+        gets that batch object, and a clock covering ``since`` gets it cut
+        at the clock's entries, which keeps each writer's intervals newer
+        than the clock, in the same order.  Any other clock gets its own
+        scan.  Legs may share a batch: no batch is mutated once built.
+        """
+        unknown_to = self.proc.notices_unknown_to
+        if since is None:
+            return [unknown_to(vc) for vc in vcs]
+        batch = unknown_to(since)
+        intervals = batch.intervals
+        stamp, width = since.stamp, since.width
+        out: List[NoticeBatch] = []
+        for vc in vcs:
+            if vc.stamp == stamp:
+                out.append(batch)
+            elif vc.width == width and vc.covers(since):
+                entries = vc.entries
+                kept = [iv for iv in intervals if iv.seq > entries[iv.proc]]
+                out.append(batch if len(kept) == len(intervals) else NoticeBatch(kept))
+            else:
+                out.append(unknown_to(vc))
+        return out
+
     def _wave(self, kind: str, children, vcs: List[VectorClock],
               fields: Optional[dict] = None, extra_bytes: int = 8) -> None:
         """Send ``kind`` to each of ``children``, carrying the notices
         unknown to its clock in ``vcs``, as one fan-out wave."""
         proc = self.proc
-        batches = proc.notices_unknown_to_each(vcs, self.wave_vc)
+        batches = self.notices_unknown_to_each(vcs, self.wave_vc)
         legs = [
             proc.notice_leg(kind, c, batch, fields, extra_bytes=extra_bytes)
             for c, batch in zip(children, batches)
@@ -210,11 +242,11 @@ class TreeBarrier:
             if batched:
                 # One batched ingestion per round; the clock merges below
                 # are elementwise max, hence order-free.
-                proc.apply_notices(batched, proc.vc.snapshot())
+                proc.apply_notices(batched, proc.lrc.vc.snapshot())
             for c in order:
-                proc.vc.merge(arrivals[c]["vc"])
+                proc.lrc.vc.merge(arrivals[c]["vc"])
             self._count_fold(len(batched))
-        want_gc = proc.wants_gc or any(p["want_gc"] for p in arrivals.values())
+        want_gc = proc.lrc.wants_gc or any(p["want_gc"] for p in arrivals.values())
 
         if pid == 0:
             do_gc = want_gc or self.force_gc
@@ -269,11 +301,11 @@ class TreeBarrier:
             # A leaf: its floor is its own clock, already on the wire.
             proc.send(*proc.notice_leg(
                 mk.JOIN_DONE, self.parent, own,
-                {"pid": pid, "want_gc": proc.wants_gc},
+                {"pid": pid, "want_gc": proc.lrc.wants_gc},
             ))
             return False
-        floor = proc.vc.snapshot()
-        want_gc = proc.wants_gc
+        floor = proc.lrc.vc.snapshot()
+        want_gc = proc.lrc.wants_gc
         arrivals: Dict[int, dict] = {}
         folded = 0
         for _ in children:
@@ -342,3 +374,57 @@ class TreeBarrier:
                 proc.send(
                     mk.GC_DONE, parent, {"pid": pid, "phase": "reset"}, size=8
                 )
+
+    # -- adaptation relays ----------------------------------------------------
+    def relay_page_map(self, owners: List[int], targets: List[int],
+                       direct: bool = False) -> None:
+        """One hop of the page-map relay (PROTOCOL.md §11), the master's
+        included: one copy to each tree child whose subtree holds some of
+        ``targets`` — or, ``direct``, one copy straight to each target."""
+        proc = self.proc
+        size = len(owners) * proc.cfg.dsm.page_descriptor_bytes
+        if direct:
+            routes = [(t, [t]) for t in targets]
+        else:
+            routes = [
+                (cpid, [t for t in targets if in_subtree(t, cpid, self.radix)])
+                for cpid in self.children
+            ]
+        legs = [
+            (mk.PAGE_MAP, cpid, {"owners": owners, "targets": hit}, size)
+            for cpid, hit in routes if hit
+        ]
+        if not legs:
+            return
+        proc.send_fanout(legs)
+        obs = proc.sim.obs
+        if obs.enabled:
+            for _ in legs:
+                obs.count("adapt.page_map_messages")
+                obs.count("adapt.page_map_bytes", size)
+
+    def relay_owner_update(self, payload: Dict[str, Any]) -> None:
+        """One hop of the drain broadcast (PROTOCOL.md §13), the master's
+        included: one copy to each of our children in the heap layout over
+        ``[master] + targets`` with the master's ``radix`` at the drain.
+        The layout comes from the payload, so it never includes (or routes
+        through) the leaver and a team rebuilt meanwhile does not reshape
+        it; every relay node is itself a target and has installed the
+        update."""
+        proc = self.proc
+        relay = [TeamView.MASTER_PID] + payload["targets"]
+        children = tree_children(relay, relay.index(proc.pid), payload["radix"])
+        if not children:
+            return
+        size = len(payload["pages"]) * proc.cfg.dsm.page_descriptor_bytes
+        # The drain's rebuild may renumber the team while a hop is in
+        # flight; pids that no longer exist are dropped here — the same
+        # best-effort contract the NIC's dst_pid check gives the master's
+        # own hop.  (A reused pid still receives the update, which is
+        # harmless: "the master owns these pages" is globally true
+        # post-drain.)
+        nprocs = proc.team.nprocs
+        proc.send_fanout([
+            (mk.OWNER_UPDATE, cpid, payload, max(size, 8))
+            for cpid in children if cpid < nprocs
+        ])

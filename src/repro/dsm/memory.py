@@ -18,7 +18,7 @@ import bisect
 import mmap
 import weakref
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -141,12 +141,6 @@ class AddressSpace:
         for table in self.tables:
             table.grow()
         return seg
-
-    def by_name(self, name: str) -> SharedSegment:
-        try:
-            return self.segments[self._by_name[name]]
-        except KeyError:
-            raise AllocationError(f"no segment named {name!r}") from None
 
     def segment_of_page(self, page: int) -> SharedSegment:
         """The segment containing global page id ``page``."""

@@ -1,29 +1,30 @@
 """The per-node DSM protocol engine.
 
-A :class:`DsmProcess` is one TreadMarks process: it owns a page table, a
-vector clock, an interval log, and a server that services protocol
-requests (page fetches, diff fetches, lock traffic) concurrently with the
-main computation — the analogue of TreadMarks' SIGIO handlers: a callback
-on the delivering event, then a :class:`~repro.simcore.Hold` on the node's
-handler CPU (``docs/PROTOCOL.md`` §1, "The server side").
+A :class:`DsmProcess` is one TreadMarks process on the simulated cluster.
+Its LRC state — page table, vector clock, interval log, known intervals
+and open write set — is a :class:`~repro.dsm.consistency.ConsistencyCore`
+(``lrc``), which knows nothing of the simulator.  The process does the
+rest: it moves notices, pages and diffs over the network, charges CPU
+time, keeps the statistics and telemetry, and runs a server that services
+protocol requests (page fetches, diff fetches, lock traffic) concurrently
+with the main computation — the analogue of TreadMarks' SIGIO handlers: a
+callback on the delivering event, then a :class:`~repro.simcore.Hold` on
+the node's handler CPU (``docs/PROTOCOL.md`` §1, "The server side").
 
 The main computation drives the engine through:
 
 * :meth:`access` — declare the byte ranges a code section reads/writes;
   faults (page fetches, diff fetches, twin creation) happen here;
 * :meth:`compute` — charge CPU time on the current node;
-* :meth:`barrier`, :meth:`lock_acquire`, :meth:`lock_release` — lazy
+* :meth:`barrier` and the locks of :mod:`repro.dsm.locks` — lazy
   release consistency synchronization;
 * the fork/join driver in :mod:`repro.dsm.runtime`.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from functools import cached_property
-from itertools import chain, compress
-from operator import attrgetter, itemgetter
-from typing import Any, Dict, Generator, Iterable, Iterator, List, Optional, Tuple
+from itertools import compress
+from typing import Any, Dict, Generator, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -32,31 +33,22 @@ from ..errors import DsmError, NetworkError, ProtocolError
 from ..network import message as mk
 from ..network.message import Message
 from ..simcore import Channel, Hold, Signal, Simulator
-from .barrier import TreeBarrier, in_subtree, tree_children
+from . import locks
+from .barrier import TreeBarrier
+from .consistency import SLICE_PAGES, ConsistencyCore
 from .diffs import apply_diffs_in_order, make_diff
-from .gc import gc_new_owners
-from .intervals import Diff, IntervalLog, IntervalNotice, IntervalRecord, NoticeBatch
+from .intervals import Diff, IntervalRecord, NoticeBatch
 from .memory import AddressSpace, LocalStore, SharedSegment
-from .page import MODE_NONE, MODE_READ, MODE_WRITE, MW, SW, PageTable
+from .page import MODE_NONE, MODE_READ, MODE_WRITE, MW
 from .ranges import Range
-from .runs import Run, WriteSet, page_count, run_at
+from .runs import run_at
 from .statistics import DsmStats
 from .team import TeamView
 from .vectorclock import VectorClock
 
-_seq = attrgetter("seq")
-
 #: Page pulls the master keeps in flight while it drains a leaver (§4.2)
 #: or collects a checkpoint (§4.3).
 PIPELINE_DEPTH = 32
-
-#: Shortest page run that notice ingestion and the access fast path
-#: handle with slice loads and stores; shorter runs take the per-page
-#: body of the same loop.  A slice run costs ≈ 1.5 µs of set-up against
-#: ≈ 0.1 µs per page in the loop; this is the measured break-even of
-#: multiple-writer ingestion and of reads (docs/PROTOCOL.md §6, "Page
-#: runs" table).
-SLICE_PAGES = 12
 
 #: Message kinds routed to the main coroutine rather than a handler.
 MAIN_KINDS = frozenset(
@@ -152,36 +144,13 @@ class DsmProcess:
         self.materialized = materialized
         self.store: Optional[LocalStore] = LocalStore(space) if materialized else None
 
-        #: The page table as of the last :meth:`_settle`; read it through
-        #: :attr:`table`.
-        self._table = PageTable(space)
-        self.vc = VectorClock.zeros(team.nprocs)
-        self.log = IntervalLog(pid)
-        self.epoch = 0
-        #: Per-writer list of every interval known this epoch, ascending
-        #: by seq.  This is both the dedupe structure (membership is one
-        #: int compare against the tail, or a bisect on out-of-order
-        #: arrival) and the "everything newer than vc[w]" index (a bisect
-        #: + slice).  As of the last :meth:`_settle`; read it through
-        #: :attr:`_known`.
-        self._buckets: Dict[int, List[IntervalNotice]] = {}
-        #: The interval lists of the notice batches received since the
-        #: last :meth:`_settle`, in arrival order (the batches' own lists).
-        self._deferred: List[List[IntervalNotice]] = []
-        #: The *open* interval's write set (runs with their dirty ranges).
-        self._writes = WriteSet()
-        #: ``(start, stop, copy)`` twins (pristine pre-write copies) of the
-        #: open interval's multiple-writer pages, one per run of pages
-        #: first written together; materialized mode only.
-        self._twins: List[Tuple[int, int, np.ndarray]] = []
-        #: Owner runs computed by gc_flush (``gc_new_owners``' order),
-        #: installed by gc_reset.
-        self._gc_pending_owners: List[Tuple[range, int]] = []
+        #: The LRC state: clock, interval log, known intervals, page table
+        #: and open write set (docs/PROTOCOL.md §1).
+        self.lrc = ConsistencyCore(space, pid, team.nprocs,
+                                   cfg.dsm.gc_interval_limit, self.store)
         self.stats = DsmStats()
-        #: Highest own interval seq already reported to the master.
-        self._sent_to_master_seq = 0
         self._notice_bytes = cfg.dsm.write_notice_bytes
-        self._vc_bytes: Tuple[int, int] = (-1, 0)  # (vc width, cached bytes)
+        self._clock_entry_bytes = cfg.dsm.clock_entry_bytes
 
         #: Control messages for the main coroutine (fork, release, grants...).
         self.main_inbox = Channel(sim, name=f"{self.name}.main")
@@ -192,8 +161,9 @@ class DsmProcess:
         self.lock_mgr = None  # set for the master by the runtime
         #: The synchronization engine: barrier, fork, join, GC rounds (§11).
         self.tree_barrier = TreeBarrier(self)
-        #: Per-process distributed lock state: lock id -> dict.
-        self._lock_state: Dict[int, Dict[str, Any]] = {}
+        #: Our side of the distributed locks: lock id -> state
+        #: (:mod:`repro.dsm.locks`).
+        self.lock_states: Dict[int, Dict[str, Any]] = {}
         #: Set by the runtime: a generator-returning callable that blocks
         #: while the system is frozen (urgent-leave migration, §4.2).  It
         #: is consulted between individual page faults so a long fault
@@ -224,15 +194,7 @@ class DsmProcess:
 
     @property
     def vc_wire_bytes(self) -> int:
-        # Cached per clock width; adaptations change the team size (and
-        # with it the clock width), so the cache key is the width itself.
-        width = self.vc.width
-        cached = self._vc_bytes
-        if cached[0] == width:
-            return cached[1]
-        val = width * self.cfg.dsm.clock_entry_bytes
-        self._vc_bytes = (width, val)
-        return val
+        return self.lrc.vc.width * self._clock_entry_bytes
 
     def notice_wire_bytes(self, n_notices: int) -> int:
         return n_notices * self._notice_bytes
@@ -245,33 +207,20 @@ class DsmProcess:
         argument tuple of :meth:`send`, an element of :meth:`send_fanout` —
         carrying ``notices``, our clock and ``fields``; the wire is charged
         per notice plus the clock plus ``extra_bytes``."""
-        payload = {"notices": notices, "vc": self.vc.snapshot()}
+        payload = {"notices": notices, "vc": self.lrc.vc.snapshot()}
         if fields:
             payload.update(fields)
         size = self.notice_wire_bytes(len(notices)) + self.vc_wire_bytes + extra_bytes
         return kind, dst_pid, payload, size
 
-    def send(
-        self,
-        kind: str,
-        dst_pid: int,
-        payload: Any = None,
-        size: int = 8,
-        req_id: Optional[int] = None,
-        is_reply: bool = False,
-    ) -> Message:
+    def _message(self, kind: str, dst_pid: int, payload: Any, size: int) -> Message:
+        """A protocol message to process ``dst_pid``."""
+        return Message(kind=kind, src=self.node.node_id, dst=self.team.node_of(dst_pid),
+                       size_bytes=size, payload=payload, src_pid=self.pid, dst_pid=dst_pid)
+
+    def send(self, kind: str, dst_pid: int, payload: Any = None, size: int = 8) -> Message:
         """Build and transmit a protocol message to another process."""
-        msg = Message(
-            kind=kind,
-            src=self.node.node_id,
-            dst=self.team.node_of(dst_pid),
-            size_bytes=size,
-            payload=payload,
-            req_id=req_id,
-            is_reply=is_reply,
-            src_pid=self.pid,
-            dst_pid=dst_pid,
-        )
+        msg = self._message(kind, dst_pid, payload, size)
         try:
             self.node.nic.send(msg)
         except NetworkError as err:
@@ -294,21 +243,7 @@ class DsmProcess:
         crash hook included (docs/PROTOCOL.md §13); it exists so a wave
         is one call the switch can count.
         """
-        node_of = self.team.node_of
-        src = self.node.node_id
-        pid = self.pid
-        msgs = [
-            Message(
-                kind=kind,
-                src=src,
-                dst=node_of(dst_pid),
-                size_bytes=size,
-                payload=payload,
-                src_pid=pid,
-                dst_pid=dst_pid,
-            )
-            for kind, dst_pid, payload, size in legs
-        ]
+        msgs = [self._message(*leg) for leg in legs]
         crash_hook = self.crash_hook
         on_error = (
             None
@@ -320,16 +255,7 @@ class DsmProcess:
 
     def request(self, kind: str, dst_pid: int, payload: Any, size: int):
         """Waitable request/reply to another process's server."""
-        msg = Message(
-            kind=kind,
-            src=self.node.node_id,
-            dst=self.team.node_of(dst_pid),
-            size_bytes=size,
-            payload=payload,
-            src_pid=self.pid,
-            dst_pid=dst_pid,
-        )
-        return self.node.nic.request(msg)
+        return self.node.nic.request(self._message(kind, dst_pid, payload, size))
 
     def request_reply(
         self, kind: str, dst_pid: int, payload: Any, size: int
@@ -408,7 +334,7 @@ class DsmProcess:
             )
         elif kind == mk.DIFF_REQ:
             payload = msg.payload
-            diffs = self.log.diffs_for(
+            diffs = self.lrc.log.diffs_for(
                 payload["page"], payload["from_seq"], payload["to_seq"],
                 self._encode_lazy_diff,
             )
@@ -457,14 +383,14 @@ class DsmProcess:
         reply_kind, size, payload = hold.state
         try:
             if reply_kind is None:
-                self._on_lock_forward(msg)
+                locks.on_forward(self, msg)
                 return
             if reply_kind == mk.PAGE_REPLY or reply_kind == mk.CKPT_PAGE_REPLY:
                 page = msg.payload["page"]
                 data = self.store.page_view(page).copy() if self.materialized else None
                 # "applied" is a fresh dict: retransmissions of this reply
                 # carry the applied cells as of send time.
-                payload = {"page": page, "applied": self.table.applied_of(page),
+                payload = {"page": page, "applied": self.lrc.table.applied_of(page),
                            "data": data}
                 size = self.cfg.dsm.page_size + self.vc_wire_bytes
             self.node.nic.send(msg.reply(reply_kind, size_bytes=size, payload=payload))
@@ -479,77 +405,26 @@ class DsmProcess:
         targets = payload["targets"]
         owners = payload["owners"]
         if self.pid in targets:
-            self.table.owner[:] = owners
+            self.lrc.table.owner[:] = owners
             self.sim.obs.instant(self.sim.now, "adapt", "page_map",
                                  f"{self.name} {len(owners)} pages")
-        self.relay_page_map(owners, targets)
-
-    def relay_page_map(self, owners: List[int], targets: List[int],
-                       direct: bool = False) -> None:
-        """One hop of the page-map relay (PROTOCOL.md §11), the master's
-        included: one copy to each tree child whose subtree holds some of
-        ``targets`` — or, ``direct``, one copy straight to each target."""
-        tree = self.tree_barrier
-        size = len(owners) * self.cfg.dsm.page_descriptor_bytes
-        if direct:
-            routes = [(t, [t]) for t in targets]
-        else:
-            routes = [
-                (cpid, [t for t in targets if in_subtree(t, cpid, tree.radix)])
-                for cpid in tree.children
-            ]
-        legs = [
-            (mk.PAGE_MAP, cpid, {"owners": owners, "targets": hit}, size)
-            for cpid, hit in routes if hit
-        ]
-        if not legs:
-            return
-        self.send_fanout(legs)
-        obs = self.sim.obs
-        if obs.enabled:
-            for _ in legs:
-                obs.count("adapt.page_map_messages")
-                obs.count("adapt.page_map_bytes", size)
+        self.tree_barrier.relay_page_map(owners, targets)
 
     def _on_owner_update(self, msg: Message) -> None:
         """The master took over a leaver's pages (§4.2)."""
         payload = msg.payload
-        owner = self.table.owner
+        owner = self.lrc.table.owner
         for page in payload["pages"]:
             owner[page] = TeamView.MASTER_PID
-        self.relay_owner_update(payload)
-
-    def relay_owner_update(self, payload: Dict[str, Any]) -> None:
-        """One hop of the drain broadcast (PROTOCOL.md §13), the master's
-        included: one copy to each of our children in the heap layout over
-        ``[master] + targets`` with the master's ``radix`` at the drain.
-        The layout comes from the payload, so it never includes (or routes
-        through) the leaver and a team rebuilt meanwhile does not reshape
-        it; every relay node is itself a target and has installed the
-        update."""
-        relay = [TeamView.MASTER_PID] + payload["targets"]
-        children = tree_children(relay, relay.index(self.pid), payload["radix"])
-        if not children:
-            return
-        size = len(payload["pages"]) * self.cfg.dsm.page_descriptor_bytes
-        # The drain's rebuild may renumber the team while a hop is in
-        # flight; pids that no longer exist are dropped here — the same
-        # best-effort contract the NIC's dst_pid check gives the master's
-        # own hop.  (A reused pid still receives the update, which is
-        # harmless: "the master owns these pages" is globally true
-        # post-drain.)
-        nprocs = self.team.nprocs
-        self.send_fanout([
-            (mk.OWNER_UPDATE, cpid, payload, max(size, 8))
-            for cpid in children if cpid < nprocs
-        ])
+        self.tree_barrier.relay_owner_update(payload)
 
     def _check_servable(self, page: int) -> None:
         # Lazily map: the owner of a page holds a valid (zero-filled)
         # copy even before ever touching it.
-        if not self.table.mapped[page]:
-            self._map(page)
-        if not self.table.valid[page]:
+        table = self.lrc.table
+        if not table.mapped[page]:
+            self.lrc.map_page(page)
+        if not table.valid[page]:
             raise ProtocolError(
                 f"{self.name}: asked for page {page} but holds no valid copy"
             )
@@ -581,290 +456,23 @@ class DsmProcess:
         return diff
 
     # ------------------------------------------------------------------
-    # page ownership and notices
+    # notices (the state is the core's; these are the traced entry points)
     # ------------------------------------------------------------------
-    def owner_of(self, page: int) -> int:
-        """Current owner pid of ``page`` as known to this process."""
-        return self.table.owner[page]
-
-    def _map(self, page: int) -> None:
-        """First touch of ``page``: its copy is valid iff we own it now."""
-        self.table.map(page, self.table.owner[page] == self.pid)
-
-    def readable(self, page: int) -> bool:
-        """A fault-free read of ``page`` is possible: a valid copy with
-        nothing pending.  Maps the page first, so it counts in the
-        migration image from now on."""
-        table = self.table
-        if not table.mapped[page]:
-            self._map(page)
-        return bool(table.valid[page]) and not table.npending[page]
-
-    @cached_property
-    def table(self) -> PageTable:
-        """The page table, every notice received so far ingested.
-
-        Kept in the instance once settled, so reading it is a plain
-        attribute load until :meth:`apply_notices` defers the next batch
-        and drops it; the access path reads it several times per page."""
-        if self._deferred:
-            self._settle()
-        return self._table
-
-    @property
-    def _known(self) -> Dict[int, List[IntervalNotice]]:
-        """Every interval known this epoch, per writer, ascending by seq,
-        every notice received so far ingested."""
-        if self._deferred:
-            self._settle()
-        return self._buckets
-
     def apply_notices(self, notices: NoticeBatch, sender_vc: VectorClock) -> None:
-        """Receive a batch of remote write notices and merge the sender's
-        clock.
-
-        Only the clock merge happens now.  The batch's interval list is
-        put on the deferred list and ingested — dedupe into the known
-        buckets, pages invalidated — by :meth:`_settle`, which every read
-        of :attr:`table` or :attr:`_known` runs first.  So whoever looks
-        sees the state the batches would have left on arrival, and a
-        process that reads neither — a slave with an empty block, until
-        the next garbage collection reads its known intervals — does no
-        ingestion work (docs/PROTOCOL.md §6, "Deferred ingestion").  With
-        per-process observation on, the batch is ingested at once, so
-        each ``dsm/demote`` instant keeps its simulated time and its place
-        in the stream.
-        """
-        intervals = notices.intervals
-        if intervals:
-            self._deferred.append(intervals)
-            self.__dict__.pop("table", None)  # the next read settles
-            obs = self.sim.obs
-            if obs.enabled and obs.per_process:
-                self._settle()
-        self.vc.merge(sender_vc)
-
-    def _settle(self) -> None:
-        """Ingest the deferred batches, in arrival order.
-
-        Synchronization batches carry hundreds of notices (the master
-        re-broadcasts every slave's notices at each barrier), making this
-        the engine's hottest loop.  Dedupe and indexing happen once per
-        *interval*: each writer's bucket is ascending by seq and batches
-        arrive per-writer in that order, so freshness is one int compare
-        against the bucket tail (bisect on the rare out-of-order or
-        duplicate delivery — a lock grant overlapping a barrier
-        broadcast).  A fresh interval then costs, per page run it names,
-        a few slice loads and stores (:meth:`_ingest_run`), or for a run
-        shorter than :data:`SLICE_PAGES` or one whose pages need
-        different treatment, a few column loads and stores per page
-        (``PageTable.add_pending``, inlined).  Most of those pages are
-        multiple-writer pages already pending from the same writer: a
-        non-zero pending cell is mapped and above its applied cell, so
-        such a page takes the newer seq and the mode store and nothing
-        else.
-
-        The replay reads only the page table, the open write set, our own
-        ``applied`` cells and the intervals' immutable clocks, and all
-        code that changes the first three reads :attr:`table` first.
-        """
-        deferred, self._deferred = self._deferred, []
-        known = self._buckets
-        my_pid = self.pid
-        table = self._table
-        mapped = table.mapped
-        protocol = table.protocol
-        mode = table.mode
-        npending = table.npending
-        owner = table.owner
-        own_applied = table.applied.get(my_pid)
-        writes = self._writes
-        applied_cols = table.applied
-        pending_cols = table.pending
-        slice_pages = SLICE_PAGES
-        for iv in chain.from_iterable(deferred):
-            proc = iv.proc
-            seq = iv.seq
-            bucket = known.get(proc)
-            if bucket is None:
-                bucket = known[proc] = [iv]
-            elif seq > bucket[-1].seq:
-                bucket.append(iv)
-            else:
-                k = bisect_left(bucket, seq, key=_seq)
-                if bucket[k].seq == seq:
-                    continue
-                bucket.insert(k, iv)
-            if proc == my_pid:
-                continue
-            applied = applied_cols.get(proc)
-            pend = pending_cols.get(proc)
-            if pend is None:
-                pend = table.column(pending_cols, proc)
-            for pages in iv.runs:
-                if len(pages) >= slice_pages and self._ingest_run(
-                        iv, pages, applied, pend):
-                    continue
-                for page in pages:
-                    prev = pend[page]
-                    if 0 < prev < seq and protocol[page] == MW:
-                        pend[page] = seq
-                        mode[page] = MODE_NONE
-                        continue
-                    if not mapped[page]:
-                        self._map(page)
-                    if protocol[page] == MW:
-                        if applied is not None and applied[page] >= seq:
-                            continue
-                    elif applied is None or applied[page] < seq:
-                        # Another process wrote a single-writer page:
-                        # possibly demote to the multiple-writer (diff)
-                        # protocol, as TreadMarks does when it detects
-                        # write sharing.  Page-aligned kernels
-                        # (Gauss/FFT/NBF) funnel every notice of every
-                        # barrier broadcast through this arm.
-                        own_seq = own_applied[page] if own_applied is not None else 0
-                        if (
-                            own_seq > 0 and iv.vc.entries[my_pid] < own_seq
-                        ) or (page < writes.end and writes.contains(page)):
-                            protocol[page] = MW
-                            obs = self.sim.obs
-                            if obs.enabled and obs.per_process:
-                                obs.instant(self.sim.now, "dsm", "demote",
-                                            f"{self.name} pg{page} -> multiple-writer")
-                        else:
-                            # The latest writer holds the complete page.
-                            owner[page] = proc
-                    else:
-                        owner[page] = proc
-                        continue
-                    if prev < seq:
-                        if not prev:
-                            npending[page] += 1
-                        pend[page] = seq
-                    mode[page] = MODE_NONE
-
-    def _ingest_run(self, iv: IntervalNotice, pages: range,
-                    applied: Optional[List[int]], pend: List[int]) -> bool:
-        """:meth:`_settle`'s per-page body over ``pages`` of ``iv``, as
-        slice loads and stores: taken when every page of the run gets the
-        same treatment (one protocol, in-order seqs, no demotion).
-        Otherwise False, with nothing stored but the run's first-touch
-        mappings, which the per-page body skips."""
-        start, stop = pages.start, pages.stop
-        table = self._table
-        mapped = table.mapped
-        if mapped.find(0, start, stop) >= 0:
-            for page in range(start, stop):
-                if not mapped[page]:
-                    self._map(page)
-        seq = iv.seq
-        protocol = table.protocol
-        fresh = applied is None or max(applied[start:stop]) < seq
-        if protocol.find(SW, start, stop) < 0:
-            if not fresh:
-                return False
-            take_ownership = False
-        elif protocol.find(MW, start, stop) >= 0:
-            return False
-        elif fresh:
-            # Single-writer pages the sender's interval wrote after ours:
-            # the latest writer owns them, unless one of them is written
-            # concurrently with us (demotion, per page).
-            own_applied = table.applied.get(self.pid)
-            if own_applied is not None:
-                own_seq = max(own_applied[start:stop])
-                if own_seq and iv.vc.entries[self.pid] < own_seq:
-                    return False
-            if self._writes.overlaps(start, stop):
-                return False
-            take_ownership = True
-        elif min(applied[start:stop]) >= seq:
-            self._set_owner(start, stop, iv.proc)  # our copy is that write
-            return True
-        else:
-            return False
-        # The writer's pending cells must all be older seqs (0: none):
-        # one seq over the whole run, or, on multiple-writer pages, any
-        # mix.  ``count`` compares small ints by identity.
-        n = stop - start
-        was = pend[start:stop]
-        latest = was[0]
-        mixed = was.count(latest) != n
-        if mixed:
-            if take_ownership or max(was) >= seq:
-                return False
-        elif latest >= seq:
-            return False
-        if take_ownership:
-            self._set_owner(start, stop, iv.proc)
-        npending = table.npending
-        if mixed:
-            # npending rises where the writer had nothing pending
-            npending[start:stop] = [
-                c + (not w) for c, w in zip(npending[start:stop], was)]
-        elif not latest:
-            counts = npending[start:stop]
-            first = counts[0]
-            if counts.count(first) == n:
-                npending[start:stop] = [first + 1] * n
-            else:
-                npending[start:stop] = [c + 1 for c in counts]
-        pend[start:stop] = [seq] * n
-        table.mode[start:stop] = bytes(n)  # MODE_NONE: next access faults
-        return True
-
-    def _set_owner(self, start: int, stop: int, pid: int) -> None:
-        """``pid`` owns the pages ``[start, stop)``."""
-        self._table.owner[start:stop] = [pid] * (stop - start)
-
-    def _known_intervals(self) -> Iterator[IntervalNotice]:
-        """Every interval known this epoch (any writer, bucket order)."""
-        for bucket in self._known.values():
-            yield from bucket
+        """:meth:`ConsistencyCore.apply_notices`, which defers ingestion.
+        With per-process observation on, the batch is ingested at once, so
+        each ``dsm/demote`` instant keeps its simulated time and place."""
+        lrc = self.lrc
+        lrc.apply_notices(notices, sender_vc)
+        obs = self.sim.obs
+        if obs.enabled and obs.per_process:
+            for page in lrc.settle():
+                obs.instant(self.sim.now, "dsm", "demote",
+                            f"{self.name} pg{page} -> multiple-writer")
 
     def notices_unknown_to(self, other_vc: VectorClock) -> NoticeBatch:
         """All epoch notices this process knows that ``other_vc`` does not cover."""
-        out: List[IntervalNotice] = []
-        known = self._known
-        entries = other_vc.entries
-        width = other_vc.width
-        for proc in sorted(known):
-            bucket = known[proc]
-            floor = entries[proc] if proc < width else 0
-            if bucket[-1].seq > floor:
-                out.extend(bucket[bisect_right(bucket, floor, key=_seq):])
-        return NoticeBatch(out)
-
-    def notices_unknown_to_each(
-        self, vcs: List[VectorClock], since: Optional[VectorClock]
-    ) -> List[NoticeBatch]:
-        """:meth:`notices_unknown_to` of every clock in ``vcs`` (one fan-out
-        wave's legs), from one scan of the known intervals.
-
-        ``since`` is a clock of ours from an earlier wave, or None.  The
-        batch unknown to it is built once; a clock with ``since``'s stamp
-        gets that batch object, and a clock covering ``since`` gets it cut
-        at the clock's entries, which keeps each writer's intervals newer
-        than the clock, in the same order.  Any other clock gets its own
-        scan.  Legs may share a batch: no batch is mutated once built.
-        """
-        if since is None:
-            return [self.notices_unknown_to(vc) for vc in vcs]
-        batch = self.notices_unknown_to(since)
-        intervals = batch.intervals
-        stamp, width = since.stamp, since.width
-        out: List[NoticeBatch] = []
-        for vc in vcs:
-            if vc.stamp == stamp:
-                out.append(batch)
-            elif vc.width == width and vc.covers(since):
-                entries = vc.entries
-                kept = [iv for iv in intervals if iv.seq > entries[iv.proc]]
-                out.append(batch if len(kept) == len(intervals) else NoticeBatch(kept))
-            else:
-                out.append(self.notices_unknown_to(vc))
-        return out
+        return self.lrc.notices_unknown_to(other_vc)
 
     # ------------------------------------------------------------------
     # fault handling
@@ -896,11 +504,12 @@ class DsmProcess:
         # segment geometry and the requested ranges, so iterative programs
         # (same ranges every sweep) hit the memo instead of recomputing.
         plan = self.space.plan_cache.lookup(seg, reads, writes, page_size)
-        table = self.table
+        lrc = self.lrc
+        table = lrc.table
         valid = table.valid
         npending = table.npending
         mode = table.mode
-        wset = self._writes
+        wset = lrc.writes
         stall = self.stall_hook
         stalled = stall is None
         for start, stop, wr in plan.runs:
@@ -949,7 +558,7 @@ class DsmProcess:
 
     def _fault_free_end(self, start: int, stop: int) -> int:
         """The first page of ``[start, stop)`` that would fault, or ``stop``."""
-        table = self.table
+        table = self.lrc.table
         valid = table.valid
         npending = table.npending
         end = valid.find(0, start, stop)
@@ -964,15 +573,24 @@ class DsmProcess:
     def _touch(self, start: int, stop: int, wr: Optional[List[Range]]) -> None:
         """The fault-free accesses to the valid, up-to-date pages ``[start,
         stop)``: read (``wr`` None) or write them at the page ranges ``wr``."""
-        table = self.table
-        mode = table.mode
+        lrc = self.lrc
+        mode = lrc.table.mode
         if wr is None:
             if mode.find(MODE_NONE, start, stop) >= 0:
                 mode[start:stop] = mode[start:stop].replace(b"\0", b"\1")
             return
-        wset = self._writes
+        wset = lrc.writes
         if not wset.overlaps(start, stop):
-            self._prepare_run(start, stop)
+            # The first writes to the run: one twin each.
+            lrc.prepare_run(start, stop)
+            n = stop - start
+            self.stats.twins_created += n
+            node = self.node
+            twin_time = self.cfg.dsm.twin_time
+            busy = node.busy_time
+            for _ in range(n):  # per page: float sums are order-sensitive
+                busy += twin_time
+            node.busy_time = busy
             wset.add(start, stop, wr)
             return
         for page in range(start, stop):
@@ -993,15 +611,16 @@ class DsmProcess:
 
     def _ensure_access(self, page: int, write: bool) -> Generator:
         """Fault in one page for read or write access."""
-        table = self.table
+        lrc = self.lrc
+        table = lrc.table
         if not table.mapped[page]:
-            self._map(page)
+            lrc.map_page(page)
         if not table.valid[page] or table.npending[page]:
             t0 = self.sim.now
             self.stats.read_faults += 0 if write else 1
             self.stats.write_faults += 1 if write else 0
             if not table.valid[page]:
-                yield from self._fetch_page(page, self.owner_of(page))
+                yield from self._fetch_page(page, table.owner[page])
             if table.npending[page]:
                 yield from self._fetch_pending(page)
             self.stats.fault_wait_time += self.sim.now - t0
@@ -1017,19 +636,13 @@ class DsmProcess:
                     write=write,
                 )
         if write:
-            self._prepare_write(page, not self._writes.contains(page))
+            self._prepare_write(page, not lrc.writes.contains(page))
         elif table.mode[page] == MODE_NONE:
             table.mode[page] = MODE_READ
 
     def install_page(self, page: int, data, applied: Dict[int, int]) -> None:
         """Install a fetched full copy of ``page`` (a PAGE_REPLY's content)."""
-        if self.materialized:
-            self.store.page_view(page)[:] = data
-        table = self.table
-        table.valid[page] = 1
-        for writer, seq in applied.items():
-            table.advance(page, writer, seq)
-        table.prune_pending(page)
+        self.lrc.install_page(page, data, applied)
         self.stats.page_fetches += 1
 
     def _pull_page(
@@ -1056,7 +669,7 @@ class DsmProcess:
         """Fetch a full page copy from ``from_pid``."""
         if from_pid == self.pid:
             # First touch at the home/owner: the zero-filled copy is valid.
-            self.table.valid[page] = 1
+            self.lrc.table.valid[page] = 1
             return
         yield from self._pull_page(page, from_pid)
         obs = self.sim.obs
@@ -1064,13 +677,10 @@ class DsmProcess:
             obs.instant(self.sim.now, "dsm", "page_fetch",
                         f"{self.name}<-P{from_pid} pg{page}")
 
-    def _known_interval(self, writer: int, seq: int) -> IntervalNotice:
-        bucket = self._known[writer]
-        return bucket[bisect_left(bucket, seq, key=_seq)]
-
     def _fetch_pending(self, page: int) -> Generator:
         """Bring a stale copy up to date (diffs, or full page re-fetch)."""
-        table = self.table
+        lrc = self.lrc
+        table = lrc.table
         by_writer = table.pending_of(page)
         if table.protocol[page] != MW:
             # One interval per writer suffices here: a writer's later
@@ -1079,7 +689,7 @@ class DsmProcess:
             latest = max(
                 by_writer,
                 key=lambda w: (
-                    *self._known_interval(w, by_writer[w]).vc.sort_key(), -w
+                    *lrc.known_interval(w, by_writer[w]).vc.sort_key(), -w
                 ),
             )
             yield from self._fetch_page_refresh(page, latest)
@@ -1143,171 +753,38 @@ class DsmProcess:
     def _fetch_page_refresh(self, page: int, from_pid: int) -> Generator:
         """Re-fetch a full page (single-writer protocol update path)."""
         yield from self._pull_page(page, from_pid)
-        self.table.owner[page] = from_pid
+        self.lrc.table.owner[page] = from_pid
 
     def _prepare_write(self, page: int, first: bool) -> None:
-        """Write access to the valid ``page`` in the open interval.
-        ``first``: the interval's first write to it, which twins it (a
-        copy of a multiple-writer page in materialized mode, ``twin_time``
-        in both modes).  Then we own it if it is single-writer, and it is
-        valid in mode WRITE."""
-        table = self.table
-        multiple_writer = table.protocol[page] == MW
+        """Write access to the valid ``page`` in the open interval
+        (:meth:`ConsistencyCore.prepare_write`); ``first``, the interval's
+        first write to it, costs ``twin_time``."""
+        self.lrc.prepare_write(page, first)
         if first:
-            if self.materialized and multiple_writer:
-                self._twins.append((page, page + 1, self.store.page_view(page).copy()))
             self.stats.twins_created += 1
             self.node.busy_time += self.cfg.dsm.twin_time
-        if not multiple_writer:
-            table.owner[page] = self.pid
-        table.valid[page] = 1
-        table.mode[page] = MODE_WRITE
-
-    def _prepare_run(self, start: int, stop: int) -> None:
-        """:meth:`_prepare_write` of the first writes to the pages
-        ``[start, stop)`` of a fault-free run, as slice loads and stores:
-        one twin copy per stretch of multiple-writer pages."""
-        table = self.table
-        protocol, owner = table.protocol, table.owner
-        n = stop - start
-        if self.materialized:
-            page = protocol.find(MW, start, stop)
-            while page >= 0:
-                end = protocol.find(SW, page, stop)
-                if end < 0:
-                    end = stop
-                self._twins.append(
-                    (page, end, self.store.pages_view(page, end).copy()))
-                page = protocol.find(MW, end, stop)
-        self.stats.twins_created += n
-        node = self.node
-        twin_time = self.cfg.dsm.twin_time
-        busy = node.busy_time
-        for _ in range(n):  # per page: float sums are order-sensitive
-            busy += twin_time
-        node.busy_time = busy
-        pid = self.pid
-        if protocol.find(SW, start, stop) >= 0 and owner[start:stop].count(pid) != n:
-            for page in range(start, stop):
-                if protocol[page] != MW:
-                    owner[page] = pid
-        table.valid[start:stop] = b"\1" * n
-        table.mode[start:stop] = bytes([MODE_WRITE]) * n
 
     # ------------------------------------------------------------------
     # intervals & releases
     # ------------------------------------------------------------------
     def close_interval(self) -> NoticeBatch:
         """Close the open interval (at a release); returns its notices."""
-        if not self._writes.runs:
-            return NoticeBatch()
-        # Settle while the write set is still open: a deferred notice for
-        # a page in it demotes that page.
-        table = self.table
-        self.vc.tick(self.pid)
-        pid = self.pid
-        seq = self.vc.entries[pid]
-        # One frozen snapshot per interval: its notice AND its diffs all
-        # share this clock object (make_diff with vc_is_snapshot=True).
-        rec_vc = self.vc.snapshot()
-        rec = IntervalRecord(proc=pid, seq=seq, vc=rec_vc, runs=self._writes.take())
-        self.log.add(rec)
-        runs = rec.runs
-        protocol = table.protocol
-        # Multiple-writer pages encode their diff now: from the twin, or
-        # (traced mode) as the declared, already-normalized ranges, which
-        # ARE the diff.  Single-writer pages serve full-page refreshes
-        # instead; should one be demoted later (write sharing after an
-        # adaptation), its diff is encoded lazily at the first DIFF_REQ
-        # from the recorded ranges (see _encode_lazy_diff).
-        diffs = rec.diffs
-        if self.materialized:
-            twins = sorted(self._twins, key=itemgetter(0))
-            page_size = self.cfg.dsm.page_size
-            for start, stop, ranges in runs:
-                for page in range(start, stop):
-                    if protocol[page] != MW:
-                        continue
-                    twin = run_at(twins, page)
-                    if twin is not None:
-                        at = (page - twin[0]) * page_size
-                        twin = twin[2][at:at + page_size]
-                    diff = make_diff(
-                        proc=pid,
-                        seq=seq,
-                        page=page,
-                        vc=rec_vc,
-                        declared_ranges=ranges,
-                        twin=twin,
-                        current=self.store.page_view(page),
-                        declared_normalized=True,
-                        vc_is_snapshot=True,
-                    )
-                    if diff is not None:
-                        diffs[page] = diff
-            self._twins = []
-            created = len(diffs)
-        else:
-            rec.diff_runs = self._multiple_writer_runs(runs)
-            created = page_count(rec.diff_runs)
-        mode = table.mode
-        # seq is a fresh tick, so the applied stores below are pure advances.
-        own_applied = table.column(table.applied, pid)
-        for pages in rec.spans:
-            start, stop = pages.start, pages.stop
-            mode[start:stop] = bytes([MODE_READ]) * (stop - start)
-            own_applied[start:stop] = [seq] * (stop - start)
-        if created:
-            self.stats.diffs_created += created
-            obs = self.sim.obs
-            if obs.enabled:
-                obs.count("dsm.diff.created", created)
-        self.stats.intervals_closed += 1
-        # Index our own interval directly: ``seq`` is a fresh maximum for
-        # our bucket, so a plain append keeps it ascending.
-        notice = IntervalNotice(pid, seq, rec_vc, rec.spans)
-        self._buckets.setdefault(pid, []).append(notice)
-        return NoticeBatch((notice,))
-
-    def _multiple_writer_runs(self, runs: Tuple[Run, ...]) -> Tuple[Run, ...]:
-        """The parts of ``runs`` whose pages are multiple-writer now —
-        ``runs`` itself when that is all of them."""
-        protocol = self.table.protocol
-        lo, hi = runs[0][0], runs[-1][1]
-        if protocol.find(SW, lo, hi) < 0:
-            return runs
-        if protocol.find(MW, lo, hi) < 0:
-            return ()
-        out: List[Run] = []
-        for start, stop, ranges in runs:
-            page = protocol.find(MW, start, stop)
-            while page >= 0:
-                end = protocol.find(SW, page, stop)
-                if end < 0:
-                    end = stop
-                out.append((page, end, ranges))
-                page = protocol.find(MW, end, stop)
-        return tuple(out)
+        batch, created = self.lrc.close_interval()
+        if batch.intervals:
+            if created:
+                self.stats.diffs_created += created
+                obs = self.sim.obs
+                if obs.enabled:
+                    obs.count("dsm.diff.created", created)
+            self.stats.intervals_closed += 1
+        return batch
 
     def sync_notices(self) -> NoticeBatch:
         """Close the open interval and return all own notices the master
         has not yet been told about (lock releases create intervals the
-        master never sees otherwise).
-
-        Reads our own bucket without settling: a deferred batch can only
-        repeat own intervals, and :meth:`close_interval` put each of them
-        in the bucket when it closed it."""
+        master never sees otherwise)."""
         self.close_interval()
-        bucket = self._buckets.get(self.pid, ())
-        out = NoticeBatch(bucket[bisect_right(bucket, self._sent_to_master_seq, key=_seq):])
-        self._sent_to_master_seq = self.vc.entries[self.pid]
-        return out
-
-    @property
-    def wants_gc(self) -> bool:
-        """True when enough intervals closed this epoch (§4.1): the log
-        holds exactly the intervals closed since the last GC."""
-        return len(self.log) >= self.cfg.dsm.gc_interval_limit
+        return self.lrc.unsent_own_notices()
 
     # ------------------------------------------------------------------
     # barrier (the fold itself is the synchronization engine's)
@@ -1326,143 +803,26 @@ class DsmProcess:
     # garbage collection participation
     # ------------------------------------------------------------------
     def gc_flush(self) -> Generator:
-        """Make our copies of pages we will own complete (flush phase).
-
-        The new-owner runs are painted in order onto a scratch column of
-        "ours" flags, one slice store per run, so its set spans are the
-        pages of our own written runs that we win.  Only those spans are
-        visited, ascending, so pending diffs are fetched in page order."""
-        new_owners = gc_new_owners(self._known_intervals())
-        table = self.table
-        valid, npending = table.valid, table.npending
-        pid = self.pid
-        ours = bytearray(len(valid))
-        for pages, owner in new_owners:
-            flag = b"\1" if owner == pid else b"\0"
-            ours[pages.start:pages.stop] = flag * len(pages)
-        start = ours.find(1)
-        while start >= 0:
-            end = ours.find(0, start)
-            if end < 0:
-                end = len(ours)
-            # Writing a page this epoch mapped it valid.
-            page = valid.find(0, start, end)
-            if page >= 0:
-                raise ProtocolError(
-                    f"{self.name}: GC made us owner of page {page} we never wrote"
-                )
+        """Make our copies of pages we will own complete (flush phase):
+        fetch the pending diffs of the pages we win, in page order."""
+        lrc = self.lrc
+        npending = lrc.table.npending
+        for start, end in lrc.gc_owned_spans():
             for page in compress(range(start, end), npending[start:end]):
                 yield from self._fetch_pending(page)
-            start = ours.find(1, end)
-        self._gc_pending_owners = new_owners
 
     def gc_reset(self) -> None:
         """Drop all consistency bookkeeping and start a new epoch."""
-        if self._writes:
-            raise ProtocolError(f"{self.name}: GC with an open write set")
-        table = self.table
-        owner = table.owner
-        for pages, new_owner in self._gc_pending_owners:
-            owner[pages.start:pages.stop] = [new_owner] * len(pages)
-        self._gc_pending_owners = []
-        table.reset_epoch()
-        self.log.clear()
-        self._known.clear()
-        self.vc = VectorClock.zeros(self.team.nprocs)
-        self.epoch += 1
-        self._sent_to_master_seq = 0
-        self._lock_state.clear()
+        lrc = self.lrc
+        lrc.gc_reset(self.team.nprocs)
+        self.lock_states.clear()
         if self.lock_mgr is not None:
             self.lock_mgr.reset()
         # Subtree knowledge floors are per-epoch (clocks reset).
         self.tree_barrier.reset()
         self.stats.gcs += 1
         self.sim.obs.instant(self.sim.now, "dsm", "gc",
-                             f"{self.name} epoch={self.epoch}")
-
-    # ------------------------------------------------------------------
-    # locks (distributed queue, master as manager)
-    # ------------------------------------------------------------------
-    def _lock(self, lock_id: int) -> Dict[str, Any]:
-        state = self._lock_state.get(lock_id)
-        if state is None:
-            # The master conceptually holds (and has released) every lock at
-            # epoch start — it carries one release "token".  Tokens count
-            # completed tenures whose successor forward has not arrived yet:
-            # a forward can race past our release *and* our re-request, so
-            # matching forwards to releases needs explicit accounting.
-            master = self.is_master
-            state = {
-                "status": "released" if master else "idle",
-                "pending": None,
-                "tokens": 1 if master else 0,
-            }
-            self._lock_state[lock_id] = state
-        return state
-
-    def lock_acquire(self, lock_id: int) -> Generator:
-        """Acquire a TreadMarks lock (an LRC acquire)."""
-        t0 = self.sim.now
-        state = self._lock(lock_id)
-        if state["status"] in ("waiting", "held"):
-            raise DsmError(f"{self.name}: lock {lock_id} already requested/held")
-        state["status"] = "waiting"
-        self.send(
-            mk.LOCK_REQ,
-            TeamView.MASTER_PID,
-            {"lock": lock_id, "pid": self.pid, "vc": self.vc.snapshot()},
-            size=8 + self.vc_wire_bytes,
-        )
-        msg = yield self.main_inbox.recv(
-            match=lambda m: m.kind == mk.LOCK_GRANT and m.payload["lock"] == lock_id
-        )
-        self.apply_notices(msg.payload["notices"], msg.payload["vc"])
-        state["status"] = "held"
-        self.stats.locks_acquired += 1
-        self.stats.lock_wait_time += self.sim.now - t0
-
-    def lock_release(self, lock_id: int) -> None:
-        """Release a lock (an LRC release: closes the interval)."""
-        state = self._lock(lock_id)
-        if state["status"] != "held":
-            raise DsmError(f"{self.name}: releasing lock {lock_id} it does not hold")
-        self.close_interval()
-        state["status"] = "released"
-        pending, state["pending"] = state["pending"], None
-        if pending is not None:
-            self._grant_lock(lock_id, pending["requester"], pending["vc"])
-        else:
-            # no successor known yet: bank the release for the forward that
-            # is still on its way (or may never come this epoch)
-            state["tokens"] += 1
-
-    def _grant_lock(self, lock_id: int, requester: int, requester_vc: VectorClock) -> None:
-        self.send(*self.notice_leg(
-            mk.LOCK_GRANT, requester, self.notices_unknown_to(requester_vc),
-            {"lock": lock_id},
-        ))
-
-    def _on_lock_forward(self, msg: Message) -> None:
-        """The manager forwarded a lock request to us (last in the chain);
-        called when its ``lock_service`` time on the handler CPU is over."""
-        lock_id = msg.payload["lock"]
-        requester = msg.payload["requester"]
-        requester_vc = msg.payload["vc"]
-        state = self._lock(lock_id)
-        if state["tokens"] > 0:
-            # a completed tenure is waiting for exactly this forward (this
-            # also covers our own request chaining back to us, and the
-            # master's epoch-start conceptual release)
-            state["tokens"] -= 1
-            self._grant_lock(lock_id, requester, requester_vc)
-        elif state["status"] in ("waiting", "held"):
-            if state["pending"] is not None:
-                raise ProtocolError(f"{self.name}: two pending forwards for lock {lock_id}")
-            state["pending"] = {"requester": requester, "vc": requester_vc}
-        else:
-            raise ProtocolError(
-                f"{self.name}: forwarded lock {lock_id} with no tenure to match"
-            )
+                             f"{self.name} epoch={lrc.epoch}")
 
     # ------------------------------------------------------------------
     # compute & data access helpers
@@ -1495,7 +855,7 @@ class DsmProcess:
         roughly the whole shared segment at 8.1 MB/s.
         """
         return (
-            len(self.table) * self.cfg.dsm.page_size
+            len(self.lrc.table) * self.cfg.dsm.page_size
             + self.cfg.migration.image_overhead_bytes
         )
 
@@ -1506,17 +866,11 @@ class DsmProcess:
         is the reassigned process id; ``owner_remap`` maps old owner pids to
         new ones for every page-owner reference we hold.
         """
-        if self._known or self._writes or len(self.log):
-            raise ProtocolError(f"{self.name}: adapt_reset without a preceding GC")
+        self.lrc.adapt_reset(new_pid, self.team.nprocs, owner_remap)
         # Team membership changed: conceptually a repartition, so drop all
         # memoized access plans (they are rebuilt lazily on first use).
         self.space.plan_cache.invalidate()
         self.pid = new_pid
-        width = self.team.nprocs
-        self.vc = VectorClock.zeros(width)
-        self._sent_to_master_seq = 0
-        self.table.remap_owners(owner_remap, TeamView.MASTER_PID)
-        self.table.applied.clear()  # keyed by the old pids
         # Pids were renumbered; the tree is rebuilt from the new team.
         self.tree_barrier.reset()
 

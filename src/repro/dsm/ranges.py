@@ -76,28 +76,3 @@ def clip(ranges: Iterable[Range], lo: int, hi: int) -> List[Range]:
         if s < e:
             out.append((s, e))
     return out
-
-
-def intersects(a: Iterable[Range], b: Iterable[Range]) -> bool:
-    """True if any byte is in both range lists (assumed normalized)."""
-    a = list(a)
-    b = list(b)
-    i = j = 0
-    while i < len(a) and j < len(b):
-        if a[i][1] <= b[j][0]:
-            i += 1
-        elif b[j][1] <= a[i][0]:
-            j += 1
-        else:
-            return True
-    return False
-
-
-def diff_wire_size(ranges: Iterable[Range], run_header_bytes: int = RUN_HEADER_BYTES) -> int:
-    """Wire size of a diff covering ``ranges``.
-
-    TreadMarks encodes a diff as a sequence of (offset, length, data) runs;
-    we charge ``run_header_bytes`` per run plus the raw bytes.
-    """
-    ranges = list(ranges)
-    return total_bytes(ranges) + run_header_bytes * len(ranges)

@@ -26,6 +26,7 @@ from ..network import message as mk
 from ..obs.breakdown import CostBreakdown
 from ..obs.core import TRACK_MASTER
 from ..simcore import Simulator
+from . import locks
 from .locks import LockManager
 from .memory import AddressSpace, SharedSegment
 from .page import Protocol
@@ -110,11 +111,11 @@ class RegionCtx:
 
     def lock(self, lock_id: int) -> Generator:
         if self.runtime.replay is None:
-            yield from self.proc.lock_acquire(lock_id)
+            yield from locks.acquire(self.proc, lock_id)
 
     def unlock(self, lock_id: int) -> None:
         if self.runtime.replay is None:
-            self.proc.lock_release(lock_id)
+            locks.release(self.proc, lock_id)
 
     def array(self, seg: SharedSegment) -> np.ndarray:
         """Materialized numpy view of the local copy of ``seg``."""

@@ -40,7 +40,6 @@ from functools import partial
 from typing import Any, Callable, Deque, Dict, Generator, List, Optional, Set
 
 from ..errors import ProtocolError
-from ..network import message as mk
 from ..network.message import Message
 from ..simcore.process import Callback
 from .intervals import NoticeBatch
@@ -128,7 +127,7 @@ class ScProcess(DsmProcess):
                         combined[page] = False
         stall = self.stall_hook
         exclusive = self._sc_exclusive
-        valid = self.table.valid
+        valid = self.lrc.table.valid
         write_pages = sorted(p for p, w in combined.items() if w)
         for page in sorted(combined):
             write = combined[page]
@@ -158,9 +157,9 @@ class ScProcess(DsmProcess):
             )
 
     def _sc_ensure(self, page: int, write: bool) -> Generator:
-        table = self.table
+        table = self.lrc.table
         if not table.mapped[page]:
-            self._map(page)
+            self.lrc.map_page(page)
         if page in self._sc_exclusive if write else table.valid[page]:
             return
         t0 = self.sim.now
@@ -308,9 +307,9 @@ class ScProcess(DsmProcess):
         """Owner side: copy the page out, giving up or demoting our hold,
         ``page_service_server`` of handler CPU after our copy is valid;
         ``then(data)``."""
-        table = self.table
+        table = self.lrc.table
         if not table.mapped[page]:
-            self._map(page)
+            self.lrc.map_page(page)
         if not table.valid[page]:
             # our own grant may still be inbound (owner-designate window)
             retry = partial(self._sc_ship, msg, page, exclusive, then)
@@ -329,10 +328,10 @@ class ScProcess(DsmProcess):
     def _sc_drop(self, page: int, mode: int) -> None:
         """Give up our exclusive hold on ``page``: down to a shared copy
         (``MODE_READ``) or to none at all."""
-        table = self.table
+        table = self.lrc.table
         if mode == MODE_NONE:
             if not table.mapped[page]:
-                self._map(page)
+                self.lrc.map_page(page)
             table.valid[page] = 0
         table.mode[page] = mode
         self._sc_exclusive.discard(page)

@@ -235,10 +235,6 @@ class VectorClock:
             return True
         return all(a >= b for a, b in zip(self.entries, other.entries))
 
-    def covers_interval(self, proc: int, seq: int) -> bool:
-        """True if interval ``seq`` of process ``proc`` is reflected here."""
-        return self.entries[proc] >= seq
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, VectorClock) and self.entries == other.entries
 

@@ -147,9 +147,13 @@ def test_src_has_every_name_the_traced_benchmark_reads():
                                             reports=[report])])
     # Fan-out waves are counted whatever carries them, and the tracer
     # wraps the method that counts them.
+    spans = tracer.table()
     assert values["network.flight_legs"] > 0
-    assert (tracer.table()["network.flight"]["calls"]
-            == values["network.flight_calls"])
+    assert spans["network.flight"]["calls"] == values["network.flight_calls"]
+    # The dsm entry points the tracer wraps by name are the ones that run.
+    for name in ("dsm.notice.apply", "dsm.notice.unknown",
+                 "dsm.interval.close", "dsm.access"):
+        assert spans.get(name, {}).get("calls", 0) > 0, name
     # The macro-event engine's names survive only as what the tracer
     # patches: one queue class runs, nothing fast-forwards, and no other
     # module mentions them.

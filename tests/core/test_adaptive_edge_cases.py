@@ -93,7 +93,7 @@ class TestAdaptationChains:
         sim.schedule(0.80, lambda: rt.submit_join(4))
         rt.run(prog)
         for page in range(rt.space.total_pages):
-            owners = {p.owner_of(page) for p in rt.procs.values()}
+            owners = {p.lrc.owner_of(page) for p in rt.procs.values()}
             assert len(owners) == 1, f"page {page} owner disagreement: {owners}"
             assert owners.pop() in rt.team.pids
 

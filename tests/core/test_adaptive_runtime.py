@@ -151,7 +151,7 @@ class TestNormalLeave:
         res = rt.run(prog)
         # after the leave every page the leaver owned belongs to someone alive
         for page in range(rt.space.total_pages):
-            owner = rt.master.owner_of(page)
+            owner = rt.master.lrc.owner_of(page)
             assert owner in rt.team.pids
 
 

@@ -192,7 +192,7 @@ class TestRecovery:
         ctx.array(arr.seg)[:] = -1.0  # a copy: the restored memory stays
         assert (ctx.array(arr.seg) >= 0).all()
         assert rt2.master.stats == DsmStats()
-        assert not rt2.master._writes
+        assert not rt2.master.lrc.writes
 
     def test_driver_that_reads_shared_data_cannot_replay(self):
         """The old resumable-kernel convention — the driver picks its first
@@ -290,5 +290,5 @@ class TestRecovery:
         counter_program(rt2, n_iter=5)
         restore_checkpoint(rt2, ck)
         for page in range(rt2.space.total_pages):
-            assert rt2.master.owner_of(page) == 0
-            assert rt2.master.readable(page)
+            assert rt2.master.lrc.owner_of(page) == 0
+            assert rt2.master.lrc.readable(page)

@@ -31,14 +31,14 @@ def test_joiner_column_equals_the_masters_after_ship_page_maps(monkeypatch, join
 
     def ship_and_record(runtime, procs):
         ship(runtime, procs)
-        shipped.append((list(runtime.master.table.owner), [p.pid for p in procs]))
+        shipped.append((list(runtime.master.lrc.table.owner), [p.pid for p in procs]))
 
     def install_and_record(self, msg):
         # the map in flight is a copy, never the master's live column
-        assert msg.payload["owners"] is not rt.master.table.owner
+        assert msg.payload["owners"] is not rt.master.lrc.table.owner
         on_page_map(self, msg)
         if self.pid in msg.payload["targets"]:
-            installed[self.pid] = list(self.table.owner)
+            installed[self.pid] = list(self.lrc.table.owner)
 
     monkeypatch.setattr(core_runtime, "ship_page_maps", ship_and_record)
     monkeypatch.setattr(DsmProcess, "_on_page_map", install_and_record)
@@ -61,9 +61,9 @@ def test_leave_drain_points_every_survivor_at_the_master():
     leaver = rt.procs[3]
     owned = range(2, 6)
     for proc in rt.procs.values():  # as the adaptation-point GC leaves it
-        proc.table.owner[owned.start:owned.stop] = [leaver.pid] * len(owned)
-    rt.procs[1].readable(2)  # P1 maps one of them (invalid); P2 none
-    assert not any(page in rt.procs[2].table for page in owned)
+        proc.lrc.table.owner[owned.start:owned.stop] = [leaver.pid] * len(owned)
+    rt.procs[1].lrc.readable(2)  # P1 maps one of them (invalid); P2 none
+    assert not any(page in rt.procs[2].lrc.table for page in owned)
     result = {}
 
     def drain():
@@ -73,11 +73,11 @@ def test_leave_drain_points_every_survivor_at_the_master():
     sim.run()
     assert result["counts"] == (len(owned), len(owned))
     for pid in (0, 1, 2):
-        column = rt.procs[pid].table.owner
+        column = rt.procs[pid].lrc.table.owner
         assert column[owned.start:owned.stop] == [MASTER] * len(owned), pid
         assert set(column) == {MASTER}
-    assert all(rt.master.readable(page) for page in owned)
-    assert not any(page in rt.procs[2].table for page in owned)
+    assert all(rt.master.lrc.readable(page) for page in owned)
+    assert not any(page in rt.procs[2].lrc.table for page in owned)
 
 
 def test_every_column_is_the_master_after_a_live_restore():
@@ -89,12 +89,12 @@ def test_every_column_is_the_master_after_a_live_restore():
     counter_program(rt2, n_iter=5)
     npages = rt2.space.total_pages
     for pid, proc in rt2.procs.items():  # stale owners, mapped and not
-        proc.readable(0)
-        proc.table.owner[:] = [pid + 1] * npages
+        proc.lrc.readable(0)
+        proc.lrc.table.owner[:] = [pid + 1] * npages
     restore_checkpoint(rt2, ck)
     for proc in rt2.procs.values():
-        assert proc.table.owner == [MASTER] * npages
-    assert all(rt2.master.readable(page) for page in range(npages))
+        assert proc.lrc.table.owner == [MASTER] * npages
+    assert all(rt2.master.lrc.readable(page) for page in range(npages))
 
 
 def test_readable_maps_the_page_into_the_migration_image():
@@ -102,9 +102,9 @@ def test_readable_maps_the_page_into_the_migration_image():
     rt.malloc("grid", nbytes=PAGE * 4)
     proc = rt.procs[1]
     before = proc.resident_image_bytes()
-    assert 2 not in proc.table
-    assert not proc.readable(2)  # the master owns it: invalid here
-    assert 2 in proc.table
+    assert 2 not in proc.lrc.table
+    assert not proc.lrc.readable(2)  # the master owns it: invalid here
+    assert 2 in proc.lrc.table
     assert proc.resident_image_bytes() == before + rt.cfg.dsm.page_size
-    assert not proc.readable(2)
+    assert not proc.lrc.readable(2)
     assert proc.resident_image_bytes() == before + rt.cfg.dsm.page_size

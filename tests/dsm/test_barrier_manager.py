@@ -113,7 +113,7 @@ class TestBarrierSemantics:
                 yield from ctx.barrier()
             else:
                 # before our barrier: no notice applied yet -> no pending
-                pte_pending_before = any(ctx.proc.table.npending)
+                pte_pending_before = any(ctx.proc.lrc.table.npending)
                 yield from ctx.barrier()
                 yield from ctx.access(arr.seg, reads=arr.full())
                 observed["before"] = pte_pending_before

@@ -51,7 +51,7 @@ def assert_dense_invariants(rt, after_gc=False):
     """The column layout's own invariants, for every process and page."""
     npages = rt.space.total_pages
     for proc in rt.procs.values():
-        t = proc.table
+        t = proc.lrc.table
         columns = [t.mapped, t.valid, t.mode, t.protocol, t.owner,
                    t.npending, *t.applied.values(), *t.pending.values()]
         assert {len(col) for col in columns} == {npages}
@@ -75,13 +75,13 @@ def assert_dense_invariants(rt, after_gc=False):
     if after_gc:
         # every page valid somewhere, with an owner everyone agrees on,
         # mapped or not: the owner column is the whole page-location map
-        columns = [proc.table.owner for proc in rt.procs.values()]
+        columns = [proc.lrc.table.owner for proc in rt.procs.values()]
         for page in range(npages):
             owners = {col[page] for col in columns}
             assert len(owners) == 1, f"owner disagreement on page {page}"
             owner = owners.pop()
             assert owner in rt.procs, f"page {page} owned by gone pid {owner}"
-            assert rt.procs[owner].readable(page), \
+            assert rt.procs[owner].lrc.readable(page), \
                 f"owner of page {page} holds no valid copy"
 
 
@@ -222,7 +222,7 @@ class TestGcInvariant:
             assert_dense_invariants(rt, after_gc=True)
             for page in range(rt.space.total_pages):
                 for p in rt.procs.values():
-                    assert not p.table.pending_of(page)
+                    assert not p.lrc.table.pending_of(page)
             yield from api.fork_join("w")
 
         rt.run(TmkProgram({"w": region}, driver, "gc-invariant"))

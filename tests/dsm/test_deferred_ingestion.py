@@ -1,10 +1,11 @@
 """Deferred notice ingestion (docs/PROTOCOL.md §6): ``apply_notices``
 merges the sender's clock and queues the batch; the page table and the
-known buckets take it in only when someone reads them.  Checked here
-against a reference that ingests every batch on arrival, over random
-notice streams interleaved with own writes, closes and reads; then that
-idle processes really never pay; then, from the source, that nothing
-reads the raw state past the settle."""
+known buckets take it in only when someone reads them.  Checked here on
+the bare consistency core against a reference that ingests every batch
+on arrival, over random notice streams interleaved with own writes,
+closes and reads, and across a GC; then that idle processes really never
+pay; then, from the source, that only the core touches the raw state and
+that the core imports neither the simulator nor the network."""
 
 import ast
 from pathlib import Path
@@ -31,28 +32,37 @@ def _eager_apply(me, notices, sender_vc):
     me.table  # noqa: B018 - the read settles
 
 
-def _segment_of(me, page):
-    return next(seg for seg in me.space.segments.values() if page in seg.pages)
-
-
 def _own_write(me, a, b):
-    """Write, through ``access``, every page of ``[a, b)`` that is
-    readable here (so the write faults nothing), one access per stretch
-    of such pages inside one segment.  The pages written, ascending."""
+    """Write every page of ``[a, b)`` that is readable here (so the write
+    faults nothing), as the access path's fault-free arm does: a stretch
+    of such pages new to the write set is prepared as one run, any other
+    page by itself.  The pages written, ascending."""
     written = [page for page in range(a, b) if me.readable(page)]
     stretches = []
     for page in written:
-        if stretches and stretches[-1][1] == page \
-                and _segment_of(me, page) is _segment_of(me, stretches[-1][0]):
+        if stretches and stretches[-1][1] == page:
             stretches[-1][1] = page + 1
         else:
             stretches.append([page, page + 1])
+    wset = me.writes
     for start, stop in stretches:
-        seg = _segment_of(me, start)
-        lo = (start - seg.pages.start) * PAGE
-        for _ in me.access(seg, writes=((lo, lo + (stop - start) * PAGE),)):
-            raise AssertionError("a write to readable pages must not fault")
+        if not wset.overlaps(start, stop):
+            me.prepare_run(start, stop)
+            wset.add(start, stop, [(0, PAGE)])
+            continue
+        for page in range(start, stop):
+            me.prepare_write(page, not wset.contains(page))
+        wset.write(start, stop, [(0, PAGE)])
     return written
+
+
+def _close(me):
+    return me.close_interval()[0]
+
+
+def _sync(me):
+    _close(me)
+    return me.unsent_own_notices()
 
 
 def _closed(me, batch):
@@ -100,7 +110,7 @@ def snapshot(me):
     two receivers close equal intervals, not the same objects)."""
     cols = list(state(me))
     cols[9] = [(w, [(iv.seq, iv.runs) if w == ME else (iv.seq, id(iv)) for iv in bucket])
-               for w, bucket in me._known.items()]
+               for w, bucket in me.known.items()]
     return cols
 
 
@@ -112,6 +122,34 @@ def _read(me, kind, page):
     return me.owner_of(page)
 
 
+def _deliver(lazy, eager, ivs, echoed=0):
+    """Deliver ``ivs`` to both receivers, deferred on ``lazy`` and
+    ingested on arrival on ``eager``; the master echoes back our own
+    ``echoed`` latest intervals."""
+    sender = VectorClock([max([iv.vc.entries[w] for iv in ivs], default=0)
+                          if w != ME else 0 for w in range(3)])
+    for me, apply in ((lazy, type(lazy).apply_notices), (eager, _eager_apply)):
+        own = me._buckets.get(ME, [])
+        apply(me, NoticeBatch(ivs + own[len(own) - echoed:] if echoed else ivs), sender)
+    assert list(lazy.vc.entries) == list(eager.vc.entries)
+
+
+def _step(lazy, eager, pool, op):
+    """One of the :data:`_op` steps on both receivers."""
+    if op[0] == "deliver":
+        _deliver(lazy, eager, [pool[i % len(pool)] for i in op[1]] if pool else [], op[2])
+    elif op[0] == "write":
+        assert _own_write(lazy, *op[1]) == _own_write(eager, *op[1])
+    elif op[0] == "close":
+        assert _closed(lazy, _close(lazy)) == _closed(eager, _close(eager))
+    elif op[0] == "sync":
+        assert _closed(lazy, _sync(lazy)) == _closed(eager, _sync(eager))
+    else:
+        assert _read(lazy, *op[1:]) == _read(eager, *op[1:])
+        assert not lazy._deferred
+        assert snapshot(lazy) == snapshot(eager)
+
+
 @settings(max_examples=80, deadline=None)
 @given(receiver_state(), foreign_pool(), st.lists(_op, min_size=1, max_size=14))
 def test_deferred_ingestion_matches_ingestion_on_arrival(setup, pool, ops):
@@ -119,28 +157,34 @@ def test_deferred_ingestion_matches_ingestion_on_arrival(setup, pool, ops):
     _lay_down(lazy, setup)
     _lay_down(eager, setup)
     for op in ops:
-        if op[0] == "deliver":
-            ivs = [pool[i % len(pool)] for i in op[1]] if pool else []
-            sender = VectorClock([max([iv.vc.entries[w] for iv in ivs], default=0)
-                                  if w != ME else 0 for w in range(3)])
-            for me, apply in ((lazy, type(lazy).apply_notices), (eager, _eager_apply)):
-                # the master echoes back our own latest intervals
-                own = me._buckets.get(ME, [])
-                apply(me, NoticeBatch(ivs + own[len(own) - op[2]:] if op[2] else ivs),
-                      sender)
-            assert list(lazy.vc.entries) == list(eager.vc.entries)
-            continue
-        if op[0] == "write":
-            assert _own_write(lazy, *op[1]) == _own_write(eager, *op[1])
-        elif op[0] == "close":
-            assert _closed(lazy, lazy.close_interval()) \
-                == _closed(eager, eager.close_interval())
-        elif op[0] == "sync":
-            assert _closed(lazy, lazy.sync_notices()) == _closed(eager, eager.sync_notices())
-        else:
-            assert _read(lazy, *op[1:]) == _read(eager, *op[1:])
-            assert not lazy._deferred
-            assert snapshot(lazy) == snapshot(eager)
+        _step(lazy, eager, pool, op)
+    assert snapshot(lazy) == snapshot(eager)
+
+
+@settings(max_examples=60, deadline=None)
+@given(receiver_state(), foreign_pool(),
+       st.lists(_op.filter(lambda op: op[0] != "read"), max_size=14))
+def test_a_gc_leaves_what_it_leaves_after_ingestion_on_arrival(setup, pool, ops):
+    """A GC round on the bare core: the barrier's close, its release's
+    notices (deferred on one receiver), then the new-owner decision —
+    ``gc_new_owners`` painted as ``DsmProcess.gc_flush`` paints it — and
+    the reset.  The GC's read of the known intervals is the lazy
+    receiver's first since the release, so it settles there."""
+    lazy, eager = _receiver(), _receiver()
+    setup = setup[:2] + ([],)  # no laid-down write set: we win only pages we wrote
+    _lay_down(lazy, setup)
+    _lay_down(eager, setup)
+    for op in ops:
+        _step(lazy, eager, pool, op)
+    _step(lazy, eager, pool, ("close",))
+    _deliver(lazy, eager, list(pool), echoed=1)
+    assert bool(lazy._deferred) == bool(pool or lazy._buckets.get(ME))
+    assert lazy.gc_owned_spans() == eager.gc_owned_spans()
+    assert lazy._gc_pending_owners == eager._gc_pending_owners
+    assert snapshot(lazy) == snapshot(eager)
+    for me in (lazy, eager):
+        me.gc_reset(3)
+        assert not me.known and me.epoch == 1
     assert snapshot(lazy) == snapshot(eager)
 
 
@@ -175,8 +219,7 @@ def test_a_close_settles_before_it_takes_the_write_set():
     the page in the open write set, so the page is multiple-writer when
     the interval records its diff runs."""
     lazy, eager, page = _demotion_pair()
-    batch = lazy.close_interval()
-    assert _closed(lazy, batch) == _closed(eager, eager.close_interval())
+    assert _closed(lazy, _close(lazy)) == _closed(eager, _close(eager))
     assert [run[:2] for run in lazy.log.records_for(page, 0, 1)[0].diff_runs] \
         == [(page, page + 1)]
     assert snapshot(lazy) == snapshot(eager)
@@ -193,58 +236,83 @@ def test_idle_processes_never_settle():
     slaves = rt.team.nprocs - 1
     forks = rt.switch.stats.snapshot().by_kind_messages[mk.FORK] // slaves
     assert forks == 4
-    idle = [proc for proc in rt.procs.values() if proc._deferred]
+    idle = [proc.lrc for proc in rt.procs.values() if proc.lrc._deferred]
     assert len(idle) == 15
-    for proc in idle:
-        assert set(proc._buckets) <= {proc.pid}
-        assert len(proc._deferred) == forks
-        assert proc.table is proc._table
-        assert not proc._deferred and set(proc._buckets) - {proc.pid}
+    for lrc in idle:
+        assert set(lrc._buckets) <= {lrc.pid}
+        assert len(lrc._deferred) == forks
+        assert lrc.table is lrc._table
+        assert not lrc._deferred and set(lrc._buckets) - {lrc.pid}
 
 
-#: The raw state behind the settling properties -> the only functions
-#: that may touch it: the constructor, the property, the settle and its
-#: helpers, and the two own-bucket sites.  ``apply_notices`` alone adds
-#: to the deferred list, so it alone has to drop the cached ``table``.
-RAW = {
-    "_table": {"__init__", "table", "_settle", "_ingest_run", "_set_owner"},
-    "_buckets": {"__init__", "_known", "_settle", "close_interval", "sync_notices"},
-    "_deferred": {"__init__", "table", "_known", "apply_notices", "_settle"},
-}
+#: The raw state behind the core's settling reads (``table``, ``known``).
+RAW = ("_table", "_buckets", "_deferred")
+
+#: The one module that may touch it.
+CORE = "dsm/consistency.py"
 
 
 def _raw_touches(tree):
-    """``(attribute, function, line)`` of every touch of the raw state
-    outside the functions allowed it (``function`` is None at module
-    level)."""
-    found = []
-
-    def visit(node, func):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            func = node.name
-        if isinstance(node, ast.Attribute) and node.attr in RAW \
-                and func not in RAW[node.attr]:
-            found.append((node.attr, func, node.lineno))
-        for child in ast.iter_child_nodes(node):
-            visit(child, func)
-
-    visit(tree, None)
-    return found
+    """``(attribute, line)`` of every touch of the raw state in ``tree``."""
+    return sorted((node.attr, node.lineno) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr in RAW)
 
 
-def test_only_the_settle_reads_the_raw_state():
+def test_only_the_core_touches_the_raw_state():
     root = Path(repro.__file__).parent
-    offenders = []
-    for path in sorted(root.rglob("*.py")):
-        offenders += [(str(path.relative_to(root)), *hit)
-                      for hit in _raw_touches(ast.parse(path.read_text()))]
-    assert offenders == []
+    touching = [str(path.relative_to(root)) for path in sorted(root.rglob("*.py"))
+                if _raw_touches(ast.parse(path.read_text()))]
+    assert touching == [CORE]
 
 
 def test_the_raw_state_scan_sees_what_it_forbids():
-    tree = ast.parse("def access(self):\n    return self._table.valid\n"
-                     "def _settle(self):\n    t = self._table\n"
-                     "x = proc._buckets\n"
-                     "def close_interval(self):\n    self._buckets[0] = self._deferred\n")
-    assert _raw_touches(tree) == [("_table", "access", 2), ("_buckets", None, 5),
-                                  ("_deferred", "close_interval", 7)]
+    """A process that reads the core's page table past the settle."""
+    source = (Path(repro.__file__).parent / "dsm/process.py").read_text()
+    mutant = source.replace("table = lrc.table", "table = lrc._table", 1)
+    assert mutant != source and not _raw_touches(ast.parse(source))
+    assert [attr for attr, _ in _raw_touches(ast.parse(mutant))] == ["_table"]
+
+
+def _imports(path):
+    """The modules ``path`` imports, relative ones with their dots
+    (``from . import diffs`` is ``.diffs``)."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            found |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            dots = "." * node.level
+            found |= ({dots + node.module} if node.module
+                      else {dots + alias.name for alias in node.names})
+    return found
+
+
+def _resolve(path, module):
+    """The file of the relative ``module`` imported by ``path``."""
+    level = len(module) - len(module.lstrip("."))
+    base = path.parent
+    for _ in range(level - 1):
+        base = base.parent
+    target = base.joinpath(*module.lstrip(".").split("."))
+    return target.with_suffix(".py") if target.with_suffix(".py").exists() \
+        else target / "__init__.py"
+
+
+def test_the_core_imports_no_simulator_and_no_network():
+    core = Path(repro.__file__).parent / CORE
+    assert sorted(_imports(core)) == [
+        "..errors", ".diffs", ".gc", ".intervals", ".memory", ".page", ".runs",
+        ".team", ".vectorclock", "__future__", "bisect", "functools",
+        "itertools", "numpy", "operator", "typing"]
+    # ... and nothing it imports from the package does either.
+    src = Path(repro.__file__).parent
+    seen, todo = set(), [core]
+    while todo:
+        path = todo.pop()
+        if path not in seen:
+            seen.add(path)
+            todo += [_resolve(path, m) for m in _imports(path) if m.startswith(".")]
+    reached = sorted(str(path.relative_to(src)) for path in seen)
+    assert not [name for name in reached if name.startswith(("simcore", "network"))]
+    assert "dsm/process.py" not in reached
+    assert "Message" not in core.read_text()

@@ -27,13 +27,6 @@ class TestIntervalRecord:
         assert [page for _, _, page in notices] == [2, 5, 7]
         assert all(proc == 1 and seq == 3 for proc, seq, _ in notices)
 
-    def test_notice_covered_by(self):
-        rec = record(0, 2, [1])
-        covers = VectorClock([2, 0])
-        misses = VectorClock([1, 5])
-        assert covers.covers_interval(rec.proc, rec.seq)
-        assert not misses.covers_interval(rec.proc, rec.seq)
-
 
 class TestIntervalLog:
     def test_add_get(self):
@@ -155,7 +148,7 @@ class TestLogOnGoldenRuns:
         closed is still in its log."""
         for proc in golden_row("locks/flat/obs-off").experiment.runtime.procs.values():
             assert proc.stats.gcs == 0
-            assert len(proc.log) == proc.stats.intervals_closed > 0
+            assert len(proc.lrc.log) == proc.stats.intervals_closed > 0
 
     def test_gc_interval_limit_triggers_one_gc(self):
         """``locks-gc`` closes 150 intervals per process against a limit
@@ -168,6 +161,6 @@ class TestLogOnGoldenRuns:
         the log then holds nothing and no longer asks for a GC."""
         for proc in golden_row("locks-gc/flat/obs-off").experiment.runtime.procs.values():
             assert proc.stats.intervals_closed >= proc.cfg.dsm.gc_interval_limit
-            assert proc.epoch == 1
-            assert len(proc.log) == 0
-            assert not proc.wants_gc
+            assert proc.lrc.epoch == 1
+            assert len(proc.lrc.log) == 0
+            assert not proc.lrc.wants_gc

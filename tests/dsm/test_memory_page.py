@@ -42,13 +42,6 @@ class TestAddressSpace:
         with pytest.raises(AllocationError):
             space.alloc("a", 10)
 
-    def test_by_name(self):
-        space = AddressSpace(4096)
-        seg = space.alloc("grid", 100)
-        assert space.by_name("grid") is seg
-        with pytest.raises(AllocationError):
-            space.by_name("nope")
-
     def test_segment_of_page(self):
         space = AddressSpace(4096)
         a = space.alloc("a", 8192)

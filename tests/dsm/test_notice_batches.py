@@ -81,20 +81,20 @@ class TestIngestion:
                          _interval(1, 3, [2]))
         sender = VectorClock([0, 3, 0])
         me.apply_notices(NoticeBatch([iv3]), sender)  # lock grant, ahead
-        assert me.table.pending_of(2) == {1: 3}
+        assert me.lrc.table.pending_of(2) == {1: 3}
         me.apply_notices(NoticeBatch([iv1, iv2, iv3]), sender)  # broadcast
         me.apply_notices(NoticeBatch([iv2, iv1]), sender)  # stale grant
-        assert me._known[1] == [iv1, iv2, iv3]
-        assert [me.table.pending_of(p) for p in range(4)] \
+        assert me.lrc.known[1] == [iv1, iv2, iv3]
+        assert [me.lrc.table.pending_of(p) for p in range(4)] \
             == [{1: 1}, {1: 2}, {1: 3}, {}]  # iv2 did not lower page 2
-        assert me.table.npending[:4] == [1, 1, 1, 0]
-        assert list(me.vc.entries) == [0, 3, 0]
+        assert me.lrc.table.npending[:4] == [1, 1, 1, 0]
+        assert list(me.lrc.vc.entries) == [0, 3, 0]
         # a second writer on the same page is a second pending cell
         me.apply_notices(NoticeBatch([_interval(0, 1, [1])]), VectorClock([1, 3, 0]))
-        assert me.table.pending_of(1) == {0: 1, 1: 2}
-        assert me.table.npending[1] == 2
-        assert all(me.table.mode[p] == MODE_NONE and not me.readable(p)
-                   for p in _mapped(me.table))
+        assert me.lrc.table.pending_of(1) == {0: 1, 1: 2}
+        assert me.lrc.table.npending[1] == 2
+        assert all(me.lrc.table.mode[p] == MODE_NONE and not me.lrc.readable(p)
+                   for p in _mapped(me.lrc.table))
 
     def test_a_newer_notice_on_a_page_pending_from_its_writer(self):
         """The fast exit: one seq store and the mode store.  A page written
@@ -103,37 +103,37 @@ class TestIngestion:
         rt, seg = _system()
         me = rt.procs[2]
         me.apply_notices(NoticeBatch([_interval(1, 1, [0, 1])]), VectorClock([0, 1, 0]))
-        me.table.mode[0] = MODE_READ
+        me.lrc.table.mode[0] = MODE_READ
         me.apply_notices(NoticeBatch([_interval(1, 2, [0])]), VectorClock([0, 2, 0]))
-        assert me.table.pending_of(0) == {1: 2} and me.table.pending_of(1) == {1: 1}
-        assert me.table.npending[:2] == [1, 1]
-        assert me.table.mode[0] == MODE_NONE
+        assert me.lrc.table.pending_of(0) == {1: 2} and me.lrc.table.pending_of(1) == {1: 1}
+        assert me.lrc.table.npending[:2] == [1, 1]
+        assert me.lrc.table.mode[0] == MODE_NONE
 
     def test_own_and_covered_intervals_do_not_invalidate(self):
         rt, seg = _system()
         me = rt.procs[2]
-        me.table.map(0, valid=True)
-        me.table.advance(0, 1, 2)  # our copy already has P1's seq 2
+        me.lrc.table.map(0, valid=True)
+        me.lrc.table.advance(0, 1, 2)  # our copy already has P1's seq 2
         me.apply_notices(
             NoticeBatch([_interval(1, 2, [0]), _interval(2, 1, [0])]),
             VectorClock([0, 2, 1]),
         )
-        assert me.readable(0)
-        assert set(me._known) == {1, 2}  # both still indexed for forwarding
+        assert me.lrc.readable(0)
+        assert set(me.lrc.known) == {1, 2}  # both still indexed for forwarding
 
     def test_single_writer_notice_moves_ownership_or_demotes(self):
         rt, seg = _system(protocol=Protocol.SINGLE_WRITER)
         me = rt.procs[2]
         me.apply_notices(NoticeBatch([_interval(1, 1, [3])]), VectorClock([0, 1, 0]))
-        assert me.owner_of(3) == 1 and me.table.owner[3] == 1
-        assert me.table.protocol[3] == SW
+        assert me.lrc.owner_of(3) == 1 and me.lrc.table.owner[3] == 1
+        assert me.lrc.table.protocol[3] == SW
         # we wrote page 4 in an interval the other writer had not seen
-        me.table.map(4, valid=True)
-        me.table.owner[4] = 2
-        me.table.advance(4, 2, 1)
+        me.lrc.table.map(4, valid=True)
+        me.lrc.table.owner[4] = 2
+        me.lrc.table.advance(4, 2, 1)
         me.apply_notices(NoticeBatch([_interval(1, 2, [4])]), VectorClock([0, 2, 0]))
-        assert me.table.protocol[4] == MW
-        assert me.table.owner[4] == 2
+        assert me.lrc.table.protocol[4] == MW
+        assert me.lrc.table.owner[4] == 2
 
     def test_notices_unknown_to_cuts_each_writer_at_its_floor(self):
         rt, seg = _system()
@@ -153,29 +153,29 @@ class TestResets:
     def test_gc_then_adapt_reset_across_a_team_width_change(self):
         rt, seg = _system()
         me = rt.procs[1]
-        me.table.map(0, valid=True)
-        me.table.map(1, valid=True)
+        me.lrc.table.map(0, valid=True)
+        me.lrc.table.map(1, valid=True)
         me.apply_notices(NoticeBatch([_interval(2, 1, [0, 5])]), VectorClock([0, 0, 1]))
-        me.table.advance(1, 0, 4)
+        me.lrc.table.advance(1, 0, 4)
         # as gc_flush leaves it: runs stored in order, the last one wins
-        me._gc_pending_owners = [(range(3, 6), 2), (range(4, 5), 0), (range(0, 1), 2)]
+        me.lrc._gc_pending_owners = [(range(3, 6), 2), (range(4, 5), 0), (range(0, 1), 2)]
         me.gc_reset()
-        assert me.epoch == 1 and me._known == {} and me._gc_pending_owners == []
-        assert [(p, me.table.valid[p], me.table.owner[p]) for p in _mapped(me.table)] \
+        assert me.lrc.epoch == 1 and me.lrc.known == {} and me.lrc._gc_pending_owners == []
+        assert [(p, me.lrc.table.valid[p], me.lrc.table.owner[p]) for p in _mapped(me.lrc.table)] \
             == [(0, False, 2), (1, True, 0), (5, False, 2)]
-        assert me.table.owner == [2, 0, 0, 2, 0, 2]  # unmapped page 3 too
-        assert me.table.applied == {} and me.table.pending == {}
-        assert me.table.npending == [0] * 6
+        assert me.lrc.table.owner == [2, 0, 0, 2, 0, 2]  # unmapped page 3 too
+        assert me.lrc.table.applied == {} and me.lrc.table.pending == {}
+        assert me.lrc.table.npending == [0] * 6
         # pid 1 leaves: the team shrinks to two, old pid 2 becomes pid 1
         rt.team.set_mapping({0: 0, 1: 2})
         me.adapt_reset(1, {0: 0, 2: 1})
-        assert me.pid == 1 and me.vc.width == 2
-        assert me.table.owner == [1, 0, 0, 1, 0, 1]
-        assert [me.table.owner[p] for p in _mapped(me.table)] == [1, 0, 1]
+        assert me.pid == 1 and me.lrc.vc.width == 2
+        assert me.lrc.table.owner == [1, 0, 0, 1, 0, 1]
+        assert [me.lrc.table.owner[p] for p in _mapped(me.lrc.table)] == [1, 0, 1]
         # the next epoch's notices carry the narrower clocks
         me.apply_notices(NoticeBatch([_interval(0, 1, [1], width=2)]),
                          VectorClock([1, 0]))
-        assert me.table.pending_of(1) == {0: 1}
+        assert me.lrc.table.pending_of(1) == {0: 1}
 
     def test_gc_flush_fetches_what_we_will_own_in_page_order(self, monkeypatch):
         """Pid 1 wins two separate spans of pages, each with a diff
@@ -184,7 +184,7 @@ class TestResets:
         rt, seg = _system(npages=12)
         me = rt.procs[1]
         for page in (2, 3, 8, 9):
-            me.table.map(page, valid=True)
+            me.lrc.table.map(page, valid=True)
         theirs = [IntervalNotice(2, 1, VectorClock([0, 0, 1]), page_spans([3, 8, 9])),
                   IntervalNotice(2, 2, VectorClock([0, 1, 2]), page_spans([9]))]
         mine = IntervalNotice(1, 1, VectorClock([0, 1, 1]), page_spans([2, 3, 8, 9]))
@@ -200,7 +200,7 @@ class TestResets:
             raise AssertionError("the stub fetch never blocks")
         assert fetched == [3, 8]
         me.gc_reset()
-        assert me.table.owner[:10] == [0, 0, 1, 1, 0, 0, 0, 0, 1, 2]
+        assert me.lrc.table.owner[:10] == [0, 0, 1, 1, 0, 0, 0, 0, 1, 2]
 
     def test_gc_flush_refuses_a_page_we_never_wrote(self):
         rt, seg = _system()
@@ -218,7 +218,7 @@ class TestResets:
         assert me.resident_image_bytes() == overhead
         me.apply_notices(NoticeBatch([_interval(0, 1, [0, 1, 2])]),
                          VectorClock([1, 0, 0]))
-        assert len(me.table) == 3
+        assert len(me.lrc.table) == 3
         assert me.resident_image_bytes() == 3 * PAGE + overhead
         me.gc_reset()  # mappings survive a GC
         assert me.resident_image_bytes() == 3 * PAGE + overhead

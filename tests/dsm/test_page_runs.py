@@ -7,10 +7,10 @@ from bisect import bisect_left
 
 from hypothesis import given, settings, strategies as st
 
-from repro.dsm import (DsmProcess, IntervalLog, IntervalNotice, IntervalRecord, NoticeBatch,
+from repro.dsm import (AddressSpace, IntervalLog, IntervalNotice, IntervalRecord, NoticeBatch,
                        Protocol, VectorClock)
+from repro.dsm.consistency import SLICE_PAGES, ConsistencyCore
 from repro.dsm.page import MODE_NONE, MW
-from repro.dsm.process import SLICE_PAGES
 from repro.dsm.ranges import merge, normalize
 from repro.dsm.runs import expand, page_count, page_spans
 
@@ -25,18 +25,20 @@ ME = 2
 
 
 def _receiver():
-    sim, rt, pool = build_system(nprocs=3, materialized=False)
-    rt.malloc("mw", nbytes=PAGE * SEG_PAGES, protocol=Protocol.MULTIPLE_WRITER)
-    rt.malloc("sw", nbytes=PAGE * SEG_PAGES, protocol=Protocol.SINGLE_WRITER)
-    return rt.procs[ME]
+    """The bare consistency core of process ``ME`` in a team of three, in
+    traced mode: no simulator, no network."""
+    space = AddressSpace(PAGE)
+    space.alloc("mw", nbytes=PAGE * SEG_PAGES, protocol=Protocol.MULTIPLE_WRITER)
+    space.alloc("sw", nbytes=PAGE * SEG_PAGES, protocol=Protocol.SINGLE_WRITER)
+    return ConsistencyCore(space, ME, 3, gc_interval_limit=4096)
 
 
 def per_page_apply(me, notices, sender_vc):
     """The per-page ingestion loop that ``apply_notices`` replaced: one
     pass over every (interval, page) notice, kept here as the oracle."""
-    known, table = me._known, me.table
+    known, table = me.known, me.table
     own_applied = table.applied.get(me.pid)
-    written = set(expand(me._writes.runs))
+    written = set(expand(me.writes.runs))
     for iv in notices.intervals:
         proc, seq = iv.proc, iv.seq
         bucket = known.setdefault(proc, [])
@@ -51,7 +53,7 @@ def per_page_apply(me, notices, sender_vc):
         pend = table.column(table.pending, proc)
         for page in (p for pages in iv.runs for p in pages):
             if not table.mapped[page]:
-                me._map(page)
+                me.map_page(page)
             if table.protocol[page] == MW:
                 if applied is not None and applied[page] >= seq:
                     continue
@@ -81,7 +83,7 @@ def state(me):
         t.n_mapped, list(t.owner), list(t.npending),
         [(w, list(col)) for w, col in t.applied.items()],
         [(w, list(col)) for w, col in t.pending.items()],
-        [(w, [(iv.seq, id(iv)) for iv in bucket]) for w, bucket in me._known.items()],
+        [(w, [(iv.seq, id(iv)) for iv in bucket]) for w, bucket in me.known.items()],
         list(me.vc.entries),
     )
 
@@ -148,7 +150,7 @@ def _lay_down(me, setup):
         for page in range(a, b):
             me.table.advance(page, writer, seq)
     for a, b in writes:
-        me._writes.write(a, b, [(0, PAGE)])
+        me.writes.write(a, b, [(0, PAGE)])
 
 
 @settings(max_examples=60, deadline=None)
@@ -171,13 +173,13 @@ def test_a_long_fresh_run_is_ingested_by_slices(monkeypatch):
     """The differential test covers both arms; this one shows the slice
     arm is the one a long run of like pages takes."""
     taken = []
-    slices = DsmProcess._ingest_run
+    slices = ConsistencyCore._ingest_run
 
     def spy(self, iv, pages, applied, pend):
         taken.append((pages, slices(self, iv, pages, applied, pend)))
         return taken[-1][1]
 
-    monkeypatch.setattr(DsmProcess, "_ingest_run", spy)
+    monkeypatch.setattr(ConsistencyCore, "_ingest_run", spy)
     me = _receiver()
     run = range(10, 10 + 2 * SLICE_PAGES)
     me.apply_notices(NoticeBatch([IntervalNotice(1, 1, VectorClock([0, 1, 0]), (run,))]),
@@ -248,7 +250,7 @@ def test_mixed_pending_cells_on_multiple_writer_pages_take_the_slices(drawn):
     assert _ingest(runs, run, seq) is True
     for page in run:
         if not pages.table.mapped[page]:
-            pages._map(page)
+            pages.map_page(page)
         assert pages.table.add_pending(page, WRITER, seq)
     assert state(runs) == state(pages)
 
@@ -266,7 +268,7 @@ def test_mixed_pending_cells_on_single_writer_pages_fall_back(drawn):
     assert _ingest(runs, run, seq) is False
     for page in run:
         if not pages.table.mapped[page]:
-            pages._map(page)
+            pages.map_page(page)
     assert state(runs) == state(pages)
 
 
@@ -317,10 +319,10 @@ def test_closed_write_set_expands_to_the_per_page_map(accesses):
                 raise AssertionError("an access at the home must not block")
         batch = me.close_interval()
         if not expected:
-            assert len(batch) == 0 and len(me.log) == 0
+            assert len(batch) == 0 and len(me.lrc.log) == 0
             continue
         [notice] = batch.intervals
-        [rec] = me.log.records_for(notice.runs[0].start, notice.seq - 1, notice.seq)
+        [rec] = me.lrc.log.records_for(notice.runs[0].start, notice.seq - 1, notice.seq)
         assert expand(rec.runs) == {seg.page0 + p: r for p, r in expected.items()}
         assert list(expand(rec.runs)) == sorted(seg.page0 + p for p in expected)
         assert len(batch) == page_count(rec.runs) == len(expected)
@@ -376,5 +378,5 @@ def test_interval_memory_grows_with_runs_not_pages():
     finally:
         tracemalloc.stop()
     assert [len(batch) for batch in kept] == [1000] * 10
-    assert len(me.log) == 11
+    assert len(me.lrc.log) == 11
     assert grown / len(kept) < 4096, grown

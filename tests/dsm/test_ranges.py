@@ -7,8 +7,6 @@ from repro.dsm import AddressSpace, SharedArray
 from repro.dsm.ranges import (
     clip,
     coalesce,
-    diff_wire_size,
-    intersects,
     merge,
     normalize,
     total_bytes,
@@ -80,28 +78,9 @@ class TestMergeClip:
         assert covered_set(clip(ranges, lo, hi)) == covered_set(ranges) & set(range(lo, hi))
 
 
-class TestIntersects:
-    def test_disjoint(self):
-        assert not intersects([(0, 5)], [(5, 10)])
-
-    def test_overlap(self):
-        assert intersects([(0, 6)], [(5, 10)])
-
-    @given(ranges_strategy, ranges_strategy)
-    def test_matches_set_semantics(self, a, b):
-        na, nb = normalize(a), normalize(b)
-        assert intersects(na, nb) == bool(covered_set(na) & covered_set(nb))
-
-
 class TestSizes:
     def test_total_bytes(self):
         assert total_bytes([(0, 10), (20, 25)]) == 15
-
-    def test_diff_wire_size(self):
-        assert diff_wire_size([(0, 10), (20, 25)]) == 15 + 16
-
-    def test_diff_wire_size_empty(self):
-        assert diff_wire_size([]) == 0
 
 
 class TestRunLengthEncoding:

@@ -297,7 +297,7 @@ class TestGarbageCollection:
         rt.run(TmkProgram(phases, driver, "gc-test"))
         assert sorted(seen) == [0, 1, 2, 3]
         assert all(p.stats.gcs == 1 for p in rt.procs.values())
-        assert all(p.epoch == 1 for p in rt.procs.values())
+        assert all(p.lrc.epoch == 1 for p in rt.procs.values())
 
     def test_gc_transfers_ownership_to_last_writer(self):
         sim, rt, pool = build_system(nprocs=4)
@@ -320,7 +320,7 @@ class TestGarbageCollection:
             lo, hi = arr.block(pid, 4)
             page = arr.seg.page0 + (lo * arr.row_bytes) // 4096
             for proc in rt.procs.values():
-                assert proc.owner_of(page) == pid
+                assert proc.lrc.owner_of(page) == pid
 
     def test_gc_interval_limit_triggers_automatically(self):
         from repro.config import DsmParams, SystemConfig
@@ -473,7 +473,7 @@ class TestRequestServer:
         rt.master.send(mk.PAGE_MAP, 2, {"owners": [2] + rest, "targets": [2]})
         rt.master.send(mk.PAGE_MAP, 1, {"owners": [1] + rest, "targets": [1]})
         sim.run()
-        assert (p1.table.owner, p2.table.owner) == ([1] + rest, [2] + rest)
+        assert (p1.lrc.table.owner, p2.lrc.table.owner) == ([1] + rest, [2] + rest)
         # unaddressed ones go to the front of the waiter order, which the
         # taker then leaves for the back: P1 was served last above
         served_by = []

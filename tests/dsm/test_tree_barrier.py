@@ -322,7 +322,7 @@ class TestOwnerUpdateTreeRelay:
             for page in range(runtime.space.total_pages):
                 # Ownership agrees with the master everywhere: a page the
                 # relay failed to announce would still name the leaver.
-                assert proc.owner_of(page) == master.owner_of(page)
+                assert proc.lrc.owner_of(page) == master.lrc.owner_of(page)
 
     def test_message_conservation_flat_vs_tree(self):
         # The relay retargets hops, it does not add copies: at most one

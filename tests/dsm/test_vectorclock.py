@@ -39,13 +39,6 @@ def test_covers():
     assert not a.covers(VectorClock([3, 0, 0]))
 
 
-def test_covers_interval():
-    a = VectorClock([2, 3, 0])
-    assert a.covers_interval(1, 3)
-    assert not a.covers_interval(1, 4)
-    assert a.covers_interval(2, 0)
-
-
 def test_copy_is_independent():
     a = VectorClock([1, 2])
     b = a.copy()

@@ -1,4 +1,4 @@
-"""One notice scan per fan-out wave: ``DsmProcess.notices_unknown_to_each``
+"""One notice scan per fan-out wave: ``TreeBarrier.notices_unknown_to_each``
 against the per-clock ``notices_unknown_to`` it stands for, over every
 kind of child clock a wave meets."""
 
@@ -90,7 +90,7 @@ def test_each_leg_equals_its_own_scan(batches, wave):
     for ivs in batches:
         me.apply_notices(NoticeBatch(ivs), VectorClock.zeros(WIDTH))
     since, vcs = wave
-    legs = me.notices_unknown_to_each(vcs, since)
+    legs = me.tree_barrier.notices_unknown_to_each(vcs, since)
     assert len(legs) == len(vcs)
     for vc, leg in zip(vcs, legs):
         want = me.notices_unknown_to(vc)
@@ -109,7 +109,7 @@ def test_children_at_the_wave_clock_share_one_batch():
     since = VectorClock.zeros(WIDTH)
     idle, writer = since.snapshot(), since.snapshot()
     writer.tick(2)
-    legs = me.notices_unknown_to_each([idle, since.snapshot(), writer], since)
+    legs = me.tree_barrier.notices_unknown_to_each([idle, since.snapshot(), writer], since)
     assert legs[0] is legs[1] and len(legs[0]) == WIDTH
     assert [iv.proc for iv in legs[2].intervals] == [0, 1, 3]
 
