@@ -24,13 +24,17 @@ TOTAL = 2 * SEG_PAGES
 ME = 2
 
 
-def _receiver():
-    """The bare consistency core of process ``ME`` in a team of three, in
-    traced mode: no simulator, no network."""
+def _space():
     space = AddressSpace(PAGE)
     space.alloc("mw", nbytes=PAGE * SEG_PAGES, protocol=Protocol.MULTIPLE_WRITER)
     space.alloc("sw", nbytes=PAGE * SEG_PAGES, protocol=Protocol.SINGLE_WRITER)
-    return ConsistencyCore(space, ME, 3, gc_interval_limit=4096)
+    return space
+
+
+def _receiver(gc_interval_limit=4096):
+    """The bare consistency core of process ``ME`` in a team of three, in
+    traced mode: no simulator, no network."""
+    return ConsistencyCore(_space(), ME, 3, gc_interval_limit=gc_interval_limit)
 
 
 def per_page_apply(me, notices, sender_vc):
