@@ -101,11 +101,6 @@ class NetworkParams:
         if self.switch_hop_latency < 0:
             raise ConfigurationError("switch_hop_latency must be >= 0")
 
-    @property
-    def page_service(self) -> float:
-        """Total per-fetch software overhead (server + requester side)."""
-        return self.page_service_server + self.page_service_client
-
     def message_time(self, payload_bytes: int) -> float:
         """One-way delivery time of a message with ``payload_bytes`` payload."""
         return self.one_way_latency + payload_bytes * self.per_byte

@@ -106,12 +106,3 @@ class AdaptationQueue:
             l for l in self.leaves
             if l.state in (RequestState.PENDING, RequestState.URGENT)
         ]
-
-    def find_leave(self, node_id: int) -> Optional[LeaveRequest]:
-        for l in self.leaves:
-            if l.node_id == node_id and l.state in (
-                RequestState.PENDING,
-                RequestState.URGENT,
-            ):
-                return l
-        return None

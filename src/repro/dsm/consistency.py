@@ -229,11 +229,7 @@ class ConsistencyCore:
         mappings, which the per-page body skips."""
         start, stop = pages.start, pages.stop
         table = self._table
-        mapped = table.mapped
-        if mapped.find(0, start, stop) >= 0:
-            for page in range(start, stop):
-                if not mapped[page]:
-                    self.map_page(page)
+        table.map_run(start, stop, self.pid)
         seq = iv.seq
         protocol = table.protocol
         fresh = applied is None or max(applied[start:stop]) < seq
@@ -353,9 +349,15 @@ class ConsistencyCore:
             self.store.page_view(page)[:] = data
         table = self.table
         table.valid[page] = 1
+        cols = table.applied
         for writer, seq in applied.items():
-            table.advance(page, writer, seq)
-        table.prune_pending(page)
+            col = cols.get(writer)
+            if col is None:
+                col = table.column(cols, writer)
+            if col[page] < seq:
+                col[page] = seq
+        if table.npending[page]:
+            table.prune_pending(page)
 
     # -- intervals ------------------------------------------------------
     def known_intervals(self) -> Iterator[IntervalNotice]:

@@ -120,6 +120,21 @@ class PageTable:
         self.n_mapped += 1
         self.valid[page] = valid
 
+    def map_run(self, start: int, stop: int, pid: int) -> None:
+        """First touch, by process ``pid``, of the unmapped pages of
+        ``[start, stop)``: :meth:`map` of each, valid iff ``pid`` owns it,
+        one slice store per stretch of unmapped pages."""
+        mapped, valid, owner = self.mapped, self.valid, self.owner
+        page = mapped.find(0, start, stop)
+        while page >= 0:
+            end = mapped.find(1, page, stop)
+            if end < 0:
+                end = stop
+            mapped[page:end] = b"\1" * (end - page)
+            valid[page:end] = bytes(map(pid.__eq__, owner[page:end]))
+            self.n_mapped += end - page
+            page = mapped.find(0, end, stop)
+
     # -- per-writer cells --------------------------------------------------
     def column(self, cols: Dict[int, List[int]], writer: int) -> List[int]:
         """``cols[writer]`` (``applied`` or ``pending``), allocated on first

@@ -65,10 +65,11 @@ MAIN_KINDS = frozenset(
 
 class _Pull:
     """One :meth:`DsmProcess.pull_pages` window: up to ``PIPELINE_DEPTH``
-    page requests in flight, each a callback chain — the reply schedules
-    the install ``page_service_client`` later, the install launches the
-    next request.  The reply table refers to the window and nothing refers
-    back, so a finished pull is freed by reference count (§10)."""
+    page requests in flight, each a callback chain — the reply's wait
+    calls back ``page_service_client`` after the reply arrives, and the
+    install launches the next request.  The reply table refers to the
+    window and nothing refers back, so a finished pull is freed by
+    reference count (§10)."""
 
     __slots__ = ("proc", "pairs", "kind", "idx", "active", "done")
 
@@ -79,6 +80,7 @@ class _Pull:
 
     def launch(self) -> None:
         proc, pairs, kind = self.proc, self.pairs, self.kind
+        service = proc.cfg.network.page_service_client
         while self.active < PIPELINE_DEPTH and self.idx < len(pairs):
             page, from_pid = pairs[self.idx]
             self.idx += 1
@@ -89,15 +91,15 @@ class _Pull:
                 if err is not None:
                     self.fail(page, node, err)
                 else:
-                    proc.sim.schedule(proc.cfg.network.page_service_client,
-                                      (self.install, reply))
+                    self.install(reply)
 
             try:
-                proc.request(kind, from_pid, {"page": page}, 8).subscribe(on_reply)
+                proc.request(kind, from_pid, {"page": page}, 8,
+                             service).subscribe(on_reply)
             except BaseException as err:  # noqa: BLE001 - a dark NIC, reported
                 self.fail(page, node, err)
 
-    def install(self, reply: Message, _exc=None) -> None:
+    def install(self, reply: Message) -> None:
         payload = reply.payload
         try:
             self.proc.install_page(payload["page"], payload["data"], payload["applied"])
@@ -253,12 +255,17 @@ class DsmProcess:
         self.node.nic.send_flight(msgs, on_error)
         return msgs
 
-    def request(self, kind: str, dst_pid: int, payload: Any, size: int):
-        """Waitable request/reply to another process's server."""
-        return self.node.nic.request(self._message(kind, dst_pid, payload, size))
+    def request(self, kind: str, dst_pid: int, payload: Any, size: int,
+                service: Optional[float] = None):
+        """Waitable request/reply to another process's server, resuming
+        ``service`` seconds after the reply arrives if given
+        (:meth:`Nic.request <repro.network.nic.Nic.request>`)."""
+        return self.node.nic.request(self._message(kind, dst_pid, payload, size),
+                                     service)
 
     def request_reply(
-        self, kind: str, dst_pid: int, payload: Any, size: int
+        self, kind: str, dst_pid: int, payload: Any, size: int,
+        service: Optional[float] = None,
     ) -> Generator:
         """Request/reply with crash escalation (``reply = yield from ...``).
 
@@ -268,13 +275,13 @@ class DsmProcess:
         restarts the computation from the last checkpoint.  Without a hook
         the error propagates unchanged (base-system behaviour).
         """
-        dst_node = self.team.node_of(dst_pid)
+        msg = self._message(kind, dst_pid, payload, size)
         try:
-            reply = yield self.request(kind, dst_pid, payload, size)
+            reply = yield self.node.nic.request(msg, service)
         except NetworkError as err:
             if self.crash_hook is None:
                 raise
-            self.crash_hook(dst_node, err)
+            self.crash_hook(msg.dst, err)
             # Park until recovery kills this coroutine: there is no answer
             # coming, and the caller cannot make progress without one.
             yield Signal(self.sim, name=f"{self.name}.parked")
@@ -519,8 +526,8 @@ class DsmProcess:
                     if not stalled:
                         yield from stall()
                         stalled = True
-                    end = self._fault_free_end(page, stop)
-                    if end > page:
+                    if valid[page] and not npending[page]:
+                        end = self._fault_free_end(page, stop)
                         self._touch(page, end, wr)
                         page = end  # faults, or ends the run
                         continue
@@ -620,7 +627,17 @@ class DsmProcess:
             self.stats.read_faults += 0 if write else 1
             self.stats.write_faults += 1 if write else 0
             if not table.valid[page]:
-                yield from self._fetch_page(page, table.owner[page])
+                from_pid = table.owner[page]
+                if from_pid == self.pid:
+                    # First touch at the home/owner: the zero-filled copy
+                    # is valid.
+                    table.valid[page] = 1
+                else:
+                    yield from self._pull_page(page, from_pid)
+                    obs = self.sim.obs
+                    if obs.enabled and obs.per_process:
+                        obs.instant(self.sim.now, "dsm", "page_fetch",
+                                    f"{self.name}<-P{from_pid} pg{page}")
             if table.npending[page]:
                 yield from self._fetch_pending(page)
             self.stats.fault_wait_time += self.sim.now - t0
@@ -645,13 +662,13 @@ class DsmProcess:
         self.lrc.install_page(page, data, applied)
         self.stats.page_fetches += 1
 
-    def _pull_page(
-        self, page: int, from_pid: int, kind: str = mk.PAGE_REQ
-    ) -> Generator:
-        """A fault's page fetch: request, client-side service, install (the
-        callback form of the same three steps is :class:`_Pull`)."""
-        reply = yield from self.request_reply(kind, from_pid, {"page": page}, size=8)
-        yield self.sim.timeout(self.cfg.network.page_service_client)
+    def _pull_page(self, page: int, from_pid: int) -> Generator:
+        """A fault's page fetch: request, then install once the reply is in
+        and the client-side service time has passed — one resume (the
+        callback form of the same steps is :class:`_Pull`)."""
+        reply = yield from self.request_reply(
+            mk.PAGE_REQ, from_pid, {"page": page}, 8,
+            self.cfg.network.page_service_client)
         self.install_page(page, reply.payload["data"], reply.payload["applied"])
 
     def pull_pages(self, pairs: List[Tuple[int, int]], kind: str) -> Generator:
@@ -664,18 +681,6 @@ class DsmProcess:
             pull = _Pull(self, pairs, kind)
             pull.launch()
             yield pull.done
-
-    def _fetch_page(self, page: int, from_pid: int) -> Generator:
-        """Fetch a full page copy from ``from_pid``."""
-        if from_pid == self.pid:
-            # First touch at the home/owner: the zero-filled copy is valid.
-            self.lrc.table.valid[page] = 1
-            return
-        yield from self._pull_page(page, from_pid)
-        obs = self.sim.obs
-        if obs.enabled and obs.per_process:
-            obs.instant(self.sim.now, "dsm", "page_fetch",
-                        f"{self.name}<-P{from_pid} pg{page}")
 
     def _fetch_pending(self, page: int) -> Generator:
         """Bring a stale copy up to date (diffs, or full page re-fetch)."""

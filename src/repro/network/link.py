@@ -34,19 +34,6 @@ class Link:
         """Pure transmission time of ``nbytes`` on this link."""
         return nbytes * self.per_byte
 
-    def reserve(self, earliest: float, nbytes: int) -> tuple[float, float]:
-        """Occupy the link for ``nbytes`` starting no earlier than ``earliest``.
-
-        Returns ``(start, end)`` of the transmission slot.
-        """
-        start = max(earliest, self.busy_until)
-        end = start + self.wire_time(nbytes)
-        self.busy_until = end
-        self.busy_time += end - start
-        self.bytes_carried += nbytes
-        self.messages_carried += 1
-        return start, end
-
     def occupy(self, start: float, nbytes: int,
                seconds: float | None = None) -> float:
         """Occupy the link from a precomputed ``start`` (joint reservation).

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, Optional
 
 from ..errors import NetworkError
-from ..simcore import Channel, Simulator, Waitable
+from ..simcore import Channel, Simulator, Waitable, cancel
 from ..simcore.process import Callback
 from .message import Message
 
@@ -33,35 +33,44 @@ MAX_RETRIES = 25
 class ReplyWait(Waitable):
     """The reply to request ``msg``, as an entry of its NIC's reply table.
 
-    Without ``rto`` the entry is the waiter's own callback.  With ``rto``
-    the request is re-sent (a fresh transmission with the same ``req_id``,
-    so a late reply to an earlier copy still matches) each time ``rto``
-    passes without a reply, and ``rto`` doubles per re-send up to
-    :data:`MAX_RTO` (a longer first ``rto`` is kept as given).  After
+    Without ``rto`` and ``service`` the entry is the waiter's own callback,
+    run in the event that delivers the reply.  With ``service`` — the
+    requester's client-side service time, a page pull's install (§10) —
+    the delivering event instead pushes the waiter's wake-up ``service``
+    seconds later, so the waiter resumes once, with the reply, after both.
+    With ``rto`` the request is re-sent (a fresh transmission with the
+    same ``req_id``, so a late reply to an earlier copy still matches) each
+    time ``rto`` passes without a reply, and ``rto`` doubles per re-send
+    up to :data:`MAX_RTO` (a longer first ``rto`` is kept as given).  After
     ``retries`` re-sends the wait gives up its entry — a late reply then
-    finds none and is dropped — and fails with :class:`NetworkError`.
+    finds none and is dropped — and fails with :class:`NetworkError` at
+    once.  Unsubscribing cancels whichever event is pending: the
+    retransmission timer, or the wake-up.
     """
 
-    __slots__ = ("_nic", "_msg", "_rto", "_retries", "_resends", "_timer",
-                 "_callback")
+    __slots__ = ("_nic", "_msg", "_rto", "_retries", "_resends", "_service",
+                 "_event", "_callback")
 
     def __init__(self, nic: "Nic", msg: Message, rto: Optional[float] = None,
-                 retries: int = MAX_RETRIES):
+                 retries: int = MAX_RETRIES, service: Optional[float] = None):
         self._nic = nic
         self._msg = msg
         self._rto = rto
         self._retries = retries
         self._resends = 0
-        self._timer = None
+        self._service = service
+        #: The retransmission timer, then (with ``service``) the wake-up.
+        self._event: Optional[list] = None
         self._callback: Optional[Callback] = None
 
     def subscribe(self, callback: Callback) -> None:
-        if self._rto is None:
+        if self._rto is None and self._service is None:
             self._nic._reply_waiters[self._msg.req_id] = callback
             return
         self._callback = callback
         self._nic._reply_waiters[self._msg.req_id] = self._on_reply
-        self._timer = self._nic.sim.schedule(self._rto, self._on_timeout)
+        if self._rto is not None:
+            self._event = self._nic.sim.schedule(self._rto, self._on_timeout)
 
     def unsubscribe(self, callback: Callback) -> None:
         self._nic._reply_waiters.pop(self._msg.req_id, None)
@@ -69,19 +78,23 @@ class ReplyWait(Waitable):
         self._callback = None
 
     def _disarm(self) -> None:
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
+        if self._event is not None:
+            cancel(self._event)
+            self._event = None
 
     def _on_reply(self, msg: Message, exc) -> None:
         self._disarm()
         cb, self._callback = self._callback, None
-        cb(msg, exc)
+        if self._service is None:
+            cb(msg, exc)
+        else:
+            sim = self._nic.sim
+            self._event = sim._queue.push(sim.now + self._service, (cb, msg))
 
     def _on_timeout(self) -> None:
         # Forget the fired timer: it refers back to this wait, so keeping it
         # would leave a reference cycle behind a wait that gave up.
-        self._timer = None
+        self._event = None
         nic, msg = self._nic, self._msg
         if self._resends == self._retries:
             nic._reply_waiters.pop(msg.req_id, None)
@@ -98,7 +111,7 @@ class ReplyWait(Waitable):
             nic.send(msg)
         except NetworkError:
             pass  # detached peer: keep waiting for the final timeout
-        self._timer = nic.sim.schedule(self._rto, self._on_timeout)
+        self._event = nic.sim.schedule(self._rto, self._on_timeout)
 
 
 class Nic:
@@ -136,8 +149,9 @@ class Nic:
             )
         return self.switch.transmit(msg)
 
-    def request(self, msg: Message) -> Waitable:
-        """Send a request and return a waitable for its reply.
+    def request(self, msg: Message, service: Optional[float] = None) -> Waitable:
+        """Send a request and return a waitable for its reply, resuming
+        its waiter ``service`` seconds after the reply arrives if given.
 
         On an unreliable wire (``LinkFaults.unreliable``) the wait
         retransmits.  Usage inside a simulated process::
@@ -149,7 +163,7 @@ class Nic:
         faults = self.switch.faults
         rto = RTO if faults is not None and faults.unreliable else None
         self.send(msg)
-        return ReplyWait(self, msg, rto)
+        return ReplyWait(self, msg, rto, service=service)
 
     def serve(self, server) -> None:
         """Register ``server`` and hand it, in arrival order, the queued

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import Any, Callable, Dict, Iterable, List
 
 from .link import Link
 from .message import DIFF_REPLY, PAGE_REPLY
@@ -87,12 +87,6 @@ class TrafficSnapshot:
     def max_link_bytes(self) -> int:
         """Bytes on the busiest directional link — the §5.4 bottleneck metric."""
         return max(self.per_link_bytes.values(), default=0)
-
-    def busiest_link(self) -> Optional[str]:
-        """Name of the busiest directional link."""
-        if not self.per_link_bytes:
-            return None
-        return max(self.per_link_bytes.items(), key=lambda kv: (kv[1], kv[0]))[0]
 
 
 class TrafficStats:

@@ -7,7 +7,7 @@ streams.  Telemetry (spans, counters, instants) lives in :mod:`repro.obs`;
 """
 
 from .channel import Channel
-from .events import Event, EventQueue, LATE, NORMAL, URGENT
+from .events import EventQueue, LATE, NORMAL, URGENT, cancel
 from .process import Signal, SimProcess, Timeout, Waitable
 from .rand import RandomStreams, substream_seed
 from .resources import Hold, Resource
@@ -15,7 +15,6 @@ from .simulator import Simulator
 
 __all__ = [
     "Channel",
-    "Event",
     "EventQueue",
     "Hold",
     "LATE",
@@ -28,5 +27,6 @@ __all__ = [
     "Simulator",
     "Timeout",
     "Waitable",
+    "cancel",
     "substream_seed",
 ]

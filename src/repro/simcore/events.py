@@ -4,13 +4,13 @@ The queue is a binary heap ordered by ``(time, priority, seq)``.  ``seq`` is
 a monotonically increasing counter so that events scheduled earlier run
 earlier among equals — this makes every simulation fully deterministic.
 
-The heap stores ``(time, priority, seq, event)`` tuples rather than the
-:class:`Event` objects themselves: the heap performs millions of
-comparisons per run and tuple comparison runs entirely in C, whereas
-comparing events directly dispatches a Python-level ``__lt__`` per sift
-step.  ``seq`` is unique, so comparisons never reach the event field.
-:class:`Event` keeps its hand-written ``__lt__`` for callers that sort
-events, with identical ordering semantics.
+An event *is* its heap entry: a ``[time, priority, seq, action]`` list.
+The heap performs millions of comparisons per run and list comparison
+runs entirely in C; ``seq`` is unique, so comparisons never reach the
+action.  A push allocates the entry and nothing else, and :func:`cancel`
+clears the action slot in place, so a cancellable event costs no object
+of its own.  ``action`` is a no-argument callable or a ``(f, value)``
+pair run as ``f(value, None)``.
 """
 
 from __future__ import annotations
@@ -29,79 +29,44 @@ URGENT = 0
 LATE = 20
 
 
-class Event:
-    """A scheduled callback, ordered by ``(time, priority, seq)``."""
-
-    __slots__ = ("time", "priority", "seq", "action", "cancelled")
-
-    def __init__(self, time: float, priority: int, seq: int, action: Callable[[], None]):
-        self.time = time
-        self.priority = priority
-        self.seq = seq
-        self.action = action
-        self.cancelled = False
-
-    def __lt__(self, other: "Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        if self.priority != other.priority:
-            return self.priority < other.priority
-        return self.seq < other.seq
-
-    def __eq__(self, other: object) -> bool:
-        return self is other
-
-    def __hash__(self) -> int:  # pragma: no cover - identity semantics
-        return id(self)
-
-    def cancel(self) -> None:
-        """Mark the event so it is skipped when popped."""
-        self.cancelled = True
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        flag = " cancelled" if self.cancelled else ""
-        return f"<Event t={self.time} prio={self.priority} seq={self.seq}{flag}>"
+def cancel(event: list) -> None:
+    """Cancel ``event`` (an entry :meth:`EventQueue.push` returned) in
+    place: it is skipped when it surfaces, uncounted and without moving
+    the clock.  A no-op once it ran."""
+    event[3] = None
 
 
 class EventQueue:
-    """Deterministic min-heap of ``(time, priority, seq, event)`` tuples."""
+    """Deterministic min-heap of ``[time, priority, seq, action]`` entries."""
 
     def __init__(self) -> None:
-        self._heap: list[tuple] = []
+        self._heap: list[list] = []
         self._seq = itertools.count()
 
     def __len__(self) -> int:
         return len(self._heap)
 
-    def push(self, time: float, action: Callable[[], None], priority: int = NORMAL) -> Event:
-        """Schedule ``action`` at absolute ``time`` and return the event."""
+    def push(self, time: float, action: Callable[[], None], priority: int = NORMAL) -> list:
+        """Schedule ``action`` at absolute ``time`` and return its entry."""
         if time != time:  # NaN guard
             raise SimulationError("event time is NaN")
-        seq = next(self._seq)
-        # Inline Event construction (bypassing __init__) — push runs once
-        # per scheduled event and the extra call frame is measurable.
-        ev = Event.__new__(Event)
-        ev.time = time
-        ev.priority = priority
-        ev.seq = seq
-        ev.action = action
-        ev.cancelled = False
-        heapq.heappush(self._heap, (time, priority, seq, ev))
-        return ev
+        entry = [time, priority, next(self._seq), action]
+        heapq.heappush(self._heap, entry)
+        return entry
 
-    def pop(self) -> Optional[Event]:
-        """Remove and return the next non-cancelled event, or ``None``."""
+    def pop(self) -> Optional[list]:
+        """Remove and return the next live (uncancelled) entry, or ``None``."""
         heap = self._heap
         while heap:
-            ev = heapq.heappop(heap)[3]
-            if not ev.cancelled:
-                return ev
+            entry = heapq.heappop(heap)
+            if entry[3] is not None:
+                return entry
         return None
 
     def peek_time(self) -> Optional[float]:
-        """Time of the next non-cancelled event without removing it."""
+        """Time of the next live entry without removing it."""
         heap = self._heap
-        while heap and heap[0][3].cancelled:
+        while heap and heap[0][3] is None:
             heapq.heappop(heap)
         return heap[0][0] if heap else None
 

@@ -45,7 +45,7 @@ class Timeout(Waitable):
         self._sim = sim
         self.delay = delay
         self.value = value
-        self._event: Optional[_ev.Event] = None
+        self._event: Optional[list] = None
 
     def subscribe(self, callback: Callback) -> None:
         self._event = self._sim._queue.push(
@@ -54,7 +54,7 @@ class Timeout(Waitable):
 
     def unsubscribe(self, callback: Callback) -> None:
         if self._event is not None:
-            self._event.cancel()
+            _ev.cancel(self._event)
             self._event = None
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Optional
 
-from .events import Event
+from .events import cancel
 from .simulator import Simulator
 
 
@@ -28,7 +28,7 @@ class Hold:
         self.msg = msg
         self.state = state
         #: The completion event while the unit is ours.
-        self._event: Optional[Event] = None
+        self._event: Optional[list] = None
 
     def cancel(self) -> None:
         """Leave the queue, or give the unit back; ``done`` is not called.
@@ -37,7 +37,7 @@ class Hold:
         if event is None:
             self._resource._dequeue(self)
         else:
-            event.cancel()
+            cancel(event)
             self._resource.release()
 
     def _grant(self) -> None:

@@ -9,6 +9,7 @@ fixed seed the entire simulation is deterministic.
 from __future__ import annotations
 
 import gc
+from heapq import heappop
 from typing import Any, Callable, Generator, Optional
 
 from ..errors import DeadlockError, SimulationError
@@ -44,7 +45,8 @@ class Simulator:
     def schedule(
         self, delay: float, action: Callable[[], None], priority: int = NORMAL
     ):
-        """Run ``action`` after ``delay`` simulated seconds."""
+        """Run ``action`` after ``delay`` simulated seconds; returns the
+        event, which :func:`~repro.simcore.events.cancel` cancels."""
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
         return self._queue.push(self.now + delay, action, priority)
@@ -109,22 +111,20 @@ class Simulator:
         try:
             if until is None:
                 # Run-to-drain fast path: no horizon check means the next
-                # event can be popped directly, skipping the per-event
-                # peek (this loop is the engine's innermost).
-                pop = queue.pop
-                while True:
+                # entry can be popped off the heap directly, skipping the
+                # per-event peek (this loop is the engine's innermost).
+                heap = queue._heap
+                while heap:
                     if self._failure is not None:
                         raise self._failure
-                    ev = pop()
-                    if ev is None:
-                        break
-                    t = ev.time
+                    t, _, _, a = heappop(heap)
+                    if a is None:
+                        continue  # cancelled
                     if t < self.now - 1e-12:
                         raise SimulationError("event queue went backwards in time")
                     if t > self.now:
                         self.now = t
                     executed += 1
-                    a = ev.action
                     if a.__class__ is tuple:
                         a[0](a[1], None)
                     else:
@@ -139,14 +139,12 @@ class Simulator:
                     if nxt > until:
                         self.now = until
                         return self.now
-                    ev = queue.pop()
-                    assert ev is not None
-                    if ev.time < self.now - 1e-12:
+                    t, _, _, a = queue.pop()
+                    if t < self.now - 1e-12:
                         raise SimulationError("event queue went backwards in time")
-                    if ev.time > self.now:
-                        self.now = ev.time
+                    if t > self.now:
+                        self.now = t
                     executed += 1
-                    a = ev.action
                     if a.__class__ is tuple:
                         a[0](a[1], None)
                     else:
@@ -170,12 +168,12 @@ class Simulator:
 
     def step(self) -> bool:
         """Execute a single event.  Returns False if the queue is empty."""
-        ev = self._queue.pop()
-        if ev is None:
+        entry = self._queue.pop()
+        if entry is None:
             return False
-        self.now = max(self.now, ev.time)
+        t, _, _, a = entry
+        self.now = max(self.now, t)
         self.events_executed += 1
-        a = ev.action
         if a.__class__ is tuple:
             a[0](a[1], None)
         else:

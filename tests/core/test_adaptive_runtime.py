@@ -225,8 +225,8 @@ class TestMasterLeave:
         # the run completed, the master never moved, the leave is still open
         assert rt.team.node_of(0) == 0
         assert rt.migrations == []
-        req = rt.queue.find_leave(0)
-        assert req is not None and req.state is RequestState.PENDING
+        [req] = [l for l in rt.queue.pending_leaves() if l.node_id == 0]
+        assert req.state is RequestState.PENDING
         assert sorted(p for p, n in checks) == [0, 1]
         # no adaptation was recorded for the deferred leave
         assert all(0 not in r.leaves + r.urgent_leaves for r in res.adapt_log)

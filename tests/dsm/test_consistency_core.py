@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.dsm import IntervalNotice, NoticeBatch, VectorClock
-from repro.dsm.consistency import ConsistencyCore
+from repro.dsm.consistency import SLICE_PAGES, ConsistencyCore
 from repro.dsm.diffs import apply_diffs_in_order
 from repro.dsm.memory import LocalStore
 from repro.dsm.page import MODE_READ
@@ -130,6 +130,39 @@ def test_an_installed_page_is_readable_once_it_covers_every_pending_writer():
     me.install_page(3, None, {0: 1, 1: 2})
     assert me.table.pending_of(3) == {} and me.readable(3)
     assert me.table.applied_of(3) == {0: 1, 1: 2}
+
+
+def test_a_long_notice_run_maps_its_first_touched_pages_as_map_page_does():
+    """Notice runs of ``SLICE_PAGES`` pages or more map their unmapped
+    pages by slices: one run over unmapped pages, some of them ours (a
+    first-touch copy is valid iff we own the page), and one that starts
+    on mapped pages and runs into unmapped ones.  Both leave the mapping
+    exactly as one ``map_page`` per page does."""
+    mw_run = range(40, 40 + SLICE_PAGES + 4)
+    sw_run = range(SEG_PAGES + 10, SEG_PAGES + 10 + SLICE_PAGES + 6)
+    ours = [*range(44, 50), SEG_PAGES + 12, SEG_PAGES + 20]
+    premapped = range(SEG_PAGES + 10, SEG_PAGES + 16)
+    cores = []
+    for _ in range(2):
+        me = _receiver()
+        for page in ours:
+            me.table.owner[page] = ME
+        for page in premapped:
+            me.map_page(page)
+        cores.append(me)
+    by_run, by_page = cores
+    vc = VectorClock([0, 1, 0])
+    by_run.apply_notices(NoticeBatch([IntervalNotice(1, 1, vc, (mw_run, sw_run))]), vc)
+    for page in [*mw_run, *sw_run]:
+        if not by_page.table.mapped[page]:
+            by_page.map_page(page)
+    got, want = by_run.table, by_page.table
+    assert got.pending[1][mw_run.start:mw_run.stop] == [1] * len(mw_run)
+    assert got.pending[1][sw_run.start:sw_run.stop] == [1] * len(sw_run)
+    assert got.n_mapped == want.n_mapped == len(mw_run) + len(sw_run)
+    assert got.mapped == want.mapped
+    assert got.valid == want.valid
+    assert sum(got.valid) == len(ours)
 
 
 def test_a_materialized_close_encodes_the_changed_bytes_of_its_twinned_pages():

@@ -450,6 +450,64 @@ class TestRequestServer:
         assert [rep.kind for rep in replies] == [reply_kind]
         assert not rt.procs[0]._holds and not rt.procs[0]._inflight_reqs
 
+    def _fault_until_reply(self, sim, rt, page=0):
+        """P1 faults ``page`` in for reading, up to the event that delivers
+        the reply: its coroutine starts and sends the request, which is
+        delivered, served and answered.  Returns the process and the
+        ``(time, valid)`` of each resume of the fault after its request."""
+        p1 = rt.procs[1]
+        assert not p1.lrc.table.mapped[page] and p1.lrc.owner_of(page) == 0
+        resumes = []
+
+        def counted(gen):
+            value = None
+            try:
+                while True:
+                    value = yield gen.send(value)
+                    resumes.append((sim.now, p1.lrc.table.valid[page]))
+            except StopIteration:
+                pass
+
+        proc = sim.process(counted(p1._ensure_access(page, write=False)), name="fault")
+        sim.step()
+        before = sim.events_executed
+        for _ in range(3):
+            assert sim.step()
+        assert sim.events_executed - before == 3
+        assert self._sent(rt, mk.PAGE_REQ) == self._sent(rt, mk.PAGE_REPLY) == 1
+        assert not resumes
+        return proc, resumes
+
+    def test_fault_page_pull_is_four_events_and_one_resume(self):
+        """Request delivered, service time over, reply delivered (pushing
+        the wake-up ``page_service_client`` later), wake-up: the fault
+        resumes once, still invalid, and installs the page then."""
+        sim, rt = self._system()
+        proc, resumes = self._fault_until_reply(sim, rt)
+        replied_at, before = sim.now, sim.events_executed
+        sim.run()
+        assert sim.events_executed - before == 1
+        assert resumes == [(replied_at + rt.cfg.network.page_service_client, 0)]
+        p1 = rt.procs[1]
+        assert p1.lrc.table.valid[0] == 1 and p1.stats.page_fetches == 1
+        assert not proc.alive
+
+    def test_fault_halted_in_client_service_installs_nothing(self):
+        """Halted after the reply arrived, before its wake-up: the page is
+        not installed, and the cancelled wake-up is never executed or
+        counted."""
+        sim, rt = self._system()
+        proc, resumes = self._fault_until_reply(sim, rt)
+        assert len(sim._queue) == 1  # the wake-up
+        proc.kill()
+        rt.procs[1].halt()
+        before = sim.events_executed
+        sim.run(check_deadlock=False)
+        assert sim.events_executed == before and len(sim._queue) == 0
+        assert not resumes
+        p1 = rt.procs[1]
+        assert p1.lrc.table.valid[0] == 0 and p1.stats.page_fetches == 0
+
     def test_duplicate_in_service_suppressed_retransmission_served_again(self):
         sim, rt = self._system()
         nic = rt.procs[1].node.nic

@@ -178,7 +178,6 @@ class TestAccounting:
         assert snap.per_link_bytes["down2"] == 2 * (1000 + 42)
         assert snap.per_link_bytes["up0"] == 1042
         assert snap.max_link_bytes() == 2084
-        assert snap.busiest_link() == "down2"
         sim.run()
 
     def test_snapshot_delta(self):
@@ -204,8 +203,8 @@ class TestLinkModel:
         from repro.network.link import Link
 
         link = Link(name="l", per_byte=1e-6)
-        link.reserve(0.0, 500)
-        link.reserve(0.0, 500)
+        link.occupy(0.0, 500)
+        link.occupy(link.busy_until, 500)
         assert link.busy_until == pytest.approx(1e-3)
         assert link.utilization(2e-3) == pytest.approx(0.5)
 

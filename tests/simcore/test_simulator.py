@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import DeadlockError, SimulationError
-from repro.simcore import LATE, NORMAL, URGENT, Simulator
+from repro.simcore import LATE, NORMAL, URGENT, Simulator, cancel
 
 from ..helpers import collected_so_far
 
@@ -82,7 +82,7 @@ def test_event_cancellation():
     sim = Simulator()
     seen = []
     ev = sim.schedule(1.0, lambda: seen.append("x"))
-    ev.cancel()
+    cancel(ev)
     sim.run()
     assert seen == []
 
@@ -145,7 +145,7 @@ def test_event_order_contract_on_generated_programs(ops, until):
                     push(f"{label}.{j}", sim.now + delay_slot * 0.25, prio, [])
                 elif pushed:
                     victim, ev = pushed.pop()
-                    ev.cancel()
+                    cancel(ev)
                     pending.pop(victim, None)
 
         pending[label] = (time, priority, next(pushes))

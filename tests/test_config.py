@@ -36,9 +36,6 @@ class TestNetworkParams:
             + p.page_service_client
         )
         assert total == pytest.approx(1308e-6, rel=0.01)
-        assert p.page_service == pytest.approx(
-            p.page_service_server + p.page_service_client
-        )
 
     def test_message_time(self):
         p = NetworkParams()
