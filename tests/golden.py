@@ -170,6 +170,10 @@ _GAUSS_WIDE = ScenarioSpec(kernel="gauss", params={"n": 96, "iterations": 8},
                            nprocs=32, calibrated=False)
 _JACOBI_WIDE = ScenarioSpec(kernel="jacobi", params={"n": 34, "iterations": 2},
                             nprocs=128, calibrated=False)
+#: An urgent leave: a zero grace period expires at once, so node 2's
+#: process migrates mid-region while the whole team is frozen (§4.2).
+_URGENT = _tiny("jacobi", adaptive=True, extra_nodes=2,
+                events=(AdaptEvent("leave", 0.02, 2, grace=0.0),))
 
 SCENARIOS: Dict[str, Scenario] = {
     **{app: Scenario(_tiny(app)) for app in ("fft3d", "gauss", "jacobi", "nbf")},
@@ -191,6 +195,8 @@ SCENARIOS: Dict[str, Scenario] = {
     "locks-gc": Scenario(program=LockProgram, gc_limit=100),
     "gauss-wide": Scenario(_GAUSS_WIDE),
     "jacobi-wide": Scenario(_JACOBI_WIDE),
+    "urgent": Scenario(_URGENT),
+    "urgent-mat": Scenario(_URGENT.replaced(materialized=True)),
 }
 
 ROWS = tuple(
