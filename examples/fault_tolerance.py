@@ -118,8 +118,8 @@ def main():
           f"restored from {src} in {rec.restore_seconds:.3f}s "
           f"({rec.lost_work_seconds:.3f}s of work lost)")
     print(f"    finished at t={res3.runtime_seconds:.3f}s with "
-          f"{res3.detector.heartbeats_sent} heartbeats "
-          f"({res3.detector.false_suspicions} false suspicions)")
+          f"{rt3.detector.heartbeats_sent} heartbeats "
+          f"({rt3.detector.false_suspicions} false suspicions)")
 
 
 if __name__ == "__main__":

@@ -107,6 +107,8 @@ def run_experiment(
     if events is not None:
         events(runtime)
     result = runtime.run(program)
+    # Adaptive runs with failure detection only; the counters live there.
+    detector = getattr(runtime, "detector", None)
     return ExperimentResult(
         app_name=app.name,
         nprocs=nprocs,
@@ -120,11 +122,11 @@ def run_experiment(
         app=app,
         runtime=runtime,
         recoveries=list(result.recoveries),
-        dropped=result.network.dropped,
-        retransmissions=result.network.retransmissions,
-        heartbeats_sent=result.detector.heartbeats_sent,
-        heartbeat_misses=result.detector.heartbeat_misses,
-        false_suspicions=result.detector.false_suspicions,
+        dropped=result.traffic.dropped,
+        retransmissions=result.traffic.retransmissions,
+        heartbeats_sent=detector.heartbeats_sent if detector else 0,
+        heartbeat_misses=detector.heartbeat_misses if detector else 0,
+        false_suspicions=detector.false_suspicions if detector else 0,
         run_result=result,
         cost_breakdown=result.cost_breakdown,
     )

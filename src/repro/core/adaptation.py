@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Any, List, Optional
 
 from ..errors import AdaptationError
 
@@ -53,6 +53,9 @@ class LeaveRequest:
     migrated_at: Optional[float] = None
     completed_at: Optional[float] = None
     was_urgent: bool = False
+    #: The grace-period watchdog process (slave leaves only), killed
+    #: once the leave is done or cancelled.
+    watchdog: Any = field(default=None, repr=False, compare=False)
 
 
 @dataclass

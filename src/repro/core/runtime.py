@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import Any, Dict, Generator, List, Optional
 
 from ..dsm.process import DsmProcess
-from ..dsm.runtime import DetectorCounters, RegionCtx, RunResult, TmkRuntime
+from ..dsm.runtime import RegionCtx, RunResult, TmkRuntime
 from ..dsm.statistics import DsmStats
 from ..errors import AdaptationError, CheckpointError, SimulationError
 from ..faults.detector import FailureDetector
@@ -73,7 +73,6 @@ class AdaptiveRuntime(TmkRuntime):
         self.migrations: List[MigrationOutcome] = []
         #: Stats of the engines that left the team or died in a crash.
         self.retired: List[DsmStats] = []
-        self._frozen = None
         self.adaptations = 0
         self.failure_detection = failure_detection
         self.detector = FailureDetector(self, cfg.faults) if failure_detection else None
@@ -81,8 +80,6 @@ class AdaptiveRuntime(TmkRuntime):
         self._recovering = False
         #: Nodes whose crash is being handled by the pending recovery.
         self._crash_handled: set = set()
-        for proc in self.procs.values():
-            self._wire_process(proc)
 
     # ------------------------------------------------------------------
     # event submission (called by availability daemons or tests)
@@ -121,7 +118,7 @@ class AdaptiveRuntime(TmkRuntime):
         )
         self.queue.add_leave(req)
         if pid != self.team.MASTER_PID:
-            req._watchdog = self.sim.process(
+            req.watchdog = self.sim.process(
                 grace_watchdog(self, req, pid), name=f"grace.{node_id}", daemon=True
             )
         self.sim.obs.instant(self.sim.now, "adapt", "leave_request",
@@ -132,19 +129,18 @@ class AdaptiveRuntime(TmkRuntime):
     # freeze/unfreeze (urgent-leave migration barrier)
     # ------------------------------------------------------------------
     def freeze(self, reason: str = "") -> None:
-        if self._frozen is None:
-            self._frozen = self.sim.signal(f"freeze:{reason}")
+        """Pause the whole team (``TeamView.frozen``) until :meth:`unfreeze`."""
+        team = self.team
+        if team.frozen is None:
+            team.frozen = self.sim.signal(f"freeze:{reason}")
             self.sim.obs.instant(self.sim.now, "adapt", "freeze", reason)
 
     def unfreeze(self) -> None:
-        if self._frozen is not None:
-            frozen, self._frozen = self._frozen, None
+        team = self.team
+        if team.frozen is not None:
+            frozen, team.frozen = team.frozen, None
             frozen.fire()
             self.sim.obs.instant(self.sim.now, "adapt", "unfreeze", "")
-
-    def stall_check(self) -> Generator:
-        while self._frozen is not None:
-            yield self._frozen
 
     def record_migration(self, outcome: MigrationOutcome) -> None:
         self.migrations.append(outcome)
@@ -170,12 +166,6 @@ class AdaptiveRuntime(TmkRuntime):
                     f"{len(self.recoveries)} completed recover(ies))"
                 ) from cause
             raise
-
-    def _wire_process(self, proc: DsmProcess) -> None:
-        """Install the runtime's hooks on a (new) DSM engine."""
-        proc.stall_hook = self.stall_check
-        if self.failure_detection:
-            proc.crash_hook = self._report_suspected_crash
 
     def _find_node(self, node_id: int):
         for node in self.nodes:
@@ -206,8 +196,11 @@ class AdaptiveRuntime(TmkRuntime):
                 self._driver_proc.kill()
             proc.fail_stop()
 
-    def _report_suspected_crash(self, node_id: int, err: Exception) -> None:
-        """Escalation target for request timeouts (``DsmProcess.crash_hook``)."""
+    def _on_peer_lost(self, node_id: int, err: Exception) -> None:
+        """Escalation target for request timeouts (``DsmProcess.crash_hook``):
+        a suspected crash with failure detection on, else the base error."""
+        if not self.failure_detection:
+            raise err
         self.sim.obs.instant(self.sim.now, "fault", "suspected",
                              f"node{node_id}: {err}")
         self._declare_crashed(node_id, reason="timeout")
@@ -260,35 +253,20 @@ class AdaptiveRuntime(TmkRuntime):
             if req.state in (RequestState.PENDING, RequestState.URGENT):
                 req.state = RequestState.CANCELLED
                 req.completed_at = now
-                watchdog = getattr(req, "_watchdog", None)
-                if watchdog is not None:
-                    watchdog.kill()
+                if req.watchdog is not None:
+                    req.watchdog.kill()
 
     def _rebuild_after_crash(self, new_node_ids: List[int]) -> None:
         """Fresh team, fresh DSM engines — shared address space retained."""
-        from ..dsm.locks import LockManager
-
         self.retired.extend(proc.stats for proc in self.procs.values())
         self.team.set_mapping(dict(enumerate(new_node_ids)))
+        self.team.frozen = None
         self.nodes = [self._find_node(nid) for nid in new_node_ids]
-        self.procs = {}
-        for pid, node in enumerate(self.nodes):
-            proc = self.PROCESS_CLS(
-                self.sim,
-                self.cfg,
-                node,
-                pid,
-                self.team,
-                self.space,
-                materialized=self.materialized,
-            )
-            self._wire_process(proc)
-            proc.start_server()
-            self.procs[pid] = proc
+        self.procs = {
+            pid: self._new_engine(pid, node) for pid, node in enumerate(self.nodes)
+        }
         self.master = self.procs[self.team.MASTER_PID]
-        self.master.lock_mgr = LockManager(self.master)
         self.master_ctx = RegionCtx(self, self.master)
-        self._frozen = None
 
     def _finish_recovery(self) -> None:
         self._recovering = False
@@ -302,9 +280,10 @@ class AdaptiveRuntime(TmkRuntime):
     def at_adaptation_point(self) -> Generator:
         # "All processes wait for the completion of the migration" (§4.2):
         # an in-flight urgent-leave migration blocks the fork boundary too.
-        yield from self.stall_check()
-        adaptable = getattr(self.program, "adaptable", True)
-        if adaptable:
+        team = self.team
+        while team.frozen is not None:
+            yield team.frozen
+        if self.program.adaptable:
             yield from self._process_adaptations()
         if self.ckpt_mgr.due(self.sim.now):
             yield from self.gc_at_fork_point()
@@ -382,9 +361,8 @@ class AdaptiveRuntime(TmkRuntime):
         for req in leaves:
             req.state = RequestState.DONE
             req.completed_at = sim.now
-            watchdog = getattr(req, "_watchdog", None)
-            if watchdog is not None:
-                watchdog.kill()
+            if req.watchdog is not None:
+                req.watchdog.kill()
         self.adaptations += events
         record.nprocs_after = self.team.nprocs
         record.duration = sim.now - t0
@@ -510,19 +488,8 @@ class AdaptiveRuntime(TmkRuntime):
             new_procs[new_pid] = proc
         # create joiner processes and ship them the page-location map
         for new_pid in joiner_pids:
-            node = self.pool.node(new_mapping[new_pid])
-            proc = DsmProcess(
-                self.sim,
-                self.cfg,
-                node,
-                new_pid,
-                self.team,
-                self.space,
-                materialized=self.materialized,
-            )
-            self._wire_process(proc)
-            proc.start_server()
-            new_procs[new_pid] = proc
+            new_procs[new_pid] = self._new_engine(
+                new_pid, self.pool.node(new_mapping[new_pid]))
         self.procs = new_procs
         self.master = self.procs[self.team.MASTER_PID]
         ship_page_maps(self, [self.procs[p] for p in joiner_pids])
@@ -538,10 +505,4 @@ class AdaptiveRuntime(TmkRuntime):
         res.adapt_log = list(self.queue.history)
         res.recoveries = list(self.recoveries)
         res.retired = [stats.copy() for stats in self.retired]
-        if self.detector is not None:
-            res.detector = DetectorCounters(
-                heartbeats_sent=self.detector.heartbeats_sent,
-                heartbeat_misses=self.detector.heartbeat_misses,
-                false_suspicions=self.detector.false_suspicions,
-            )
         return res

@@ -115,11 +115,10 @@ class _Pull:
         """A lost peer goes to the crash hook and the window never
         completes (recovery kills whoever waits on it); anything else is
         the simulation's failure, under the pull's name."""
-        hook = self.proc.crash_hook
         try:
-            if hook is None or not isinstance(err, NetworkError):
+            if not isinstance(err, NetworkError):
                 raise err
-            hook(node, err)
+            self.proc.crash_hook(node, err)
         except BaseException as failure:  # noqa: BLE001 - report through simulator
             self.proc.sim._report_failure(f"{self.kind}.{page}", failure)
 
@@ -166,20 +165,16 @@ class DsmProcess:
         #: Our side of the distributed locks: lock id -> state
         #: (:mod:`repro.dsm.locks`).
         self.lock_states: Dict[int, Dict[str, Any]] = {}
-        #: Set by the runtime: a generator-returning callable that blocks
-        #: while the system is frozen (urgent-leave migration, §4.2).  It
-        #: is consulted between individual page faults so a long fault
-        #: sequence cannot run through a freeze.
-        self.stall_hook = None
         #: req_ids currently being served (duplicate retransmissions of a
         #: request we are still working on are suppressed).
         self._inflight_reqs: set = set()
         #: Requests on (or queued for) the handler CPU, in issue order.
         self._holds: Dict[Hold, None] = {}
-        #: Set by the runtime when failure detection is on: called as
+        #: Set by the runtime's engine factory: called as
         #: ``crash_hook(dst_node_id, err)`` when a request to a peer times
-        #: out or the peer's NIC is dark — escalates the NetworkError into a
-        #: suspected-crash report instead of failing the simulation.
+        #: out or the peer's NIC is dark.  The base runtime's hook re-raises
+        #: the error; with failure detection on, the adaptive runtime's
+        #: turns it into a suspected-crash report.
         self.crash_hook = None
         node.add_process()
 
@@ -227,11 +222,8 @@ class DsmProcess:
             self.node.nic.send(msg)
         except NetworkError as err:
             # Fail-stop world: a dark peer means the message is simply
-            # lost.  With a crash hook installed the failure is escalated
-            # to the runtime (suspected crash); without one it propagates,
-            # as the base system has no notion of node failure.
-            if self.crash_hook is None:
-                raise
+            # lost; the crash hook decides whether that is a suspected
+            # crash or (the base system) an error.
             self.crash_hook(msg.dst, err)
         return msg
 
@@ -247,12 +239,7 @@ class DsmProcess:
         """
         msgs = [self._message(*leg) for leg in legs]
         crash_hook = self.crash_hook
-        on_error = (
-            None
-            if crash_hook is None
-            else lambda m, e: crash_hook(m.dst, e)
-        )
-        self.node.nic.send_flight(msgs, on_error)
+        self.node.nic.send_flight(msgs, lambda m, e: crash_hook(m.dst, e))
         return msgs
 
     def request(self, kind: str, dst_pid: int, payload: Any, size: int,
@@ -270,17 +257,15 @@ class DsmProcess:
         """Request/reply with crash escalation (``reply = yield from ...``).
 
         A :class:`~repro.errors.NetworkError` (retransmissions exhausted, or
-        the peer's NIC already dark) is reported through ``crash_hook`` and
-        the calling coroutine parks forever — recovery tears it down and
-        restarts the computation from the last checkpoint.  Without a hook
-        the error propagates unchanged (base-system behaviour).
+        the peer's NIC already dark) is reported through ``crash_hook``.  If
+        the hook returns (a suspected crash) the calling coroutine parks
+        forever — recovery tears it down and restarts the computation from
+        the last checkpoint; the base system's hook re-raises instead.
         """
         msg = self._message(kind, dst_pid, payload, size)
         try:
             reply = yield self.node.nic.request(msg, service)
         except NetworkError as err:
-            if self.crash_hook is None:
-                raise
             self.crash_hook(msg.dst, err)
             # Park until recovery kills this coroutine: there is no answer
             # coming, and the caller cannot make progress without one.
@@ -500,9 +485,10 @@ class DsmProcess:
         A run of at least :data:`SLICE_PAGES` pages is split only around
         the pages that fault: each stretch of valid pages with nothing
         pending between them is handled at once (:meth:`_touch`).  Shorter
-        runs are walked page by page.  The freeze ``stall_hook`` runs
-        before the first page and again after every fault: nothing else
-        here lets simulated time pass, so a freeze cannot begin between.
+        runs are walked page by page.  Before each page the engine waits
+        out the team's freeze (an urgent leave's migration, §4.2); only a
+        fault lets simulated time pass, so a freeze can begin only there
+        and is honoured before the page after it.
         """
         reads = tuple(reads)
         writes = tuple(writes)
@@ -517,15 +503,13 @@ class DsmProcess:
         npending = table.npending
         mode = table.mode
         wset = lrc.writes
-        stall = self.stall_hook
-        stalled = stall is None
+        team = self.team
         for start, stop, wr in plan.runs:
             if stop - start >= SLICE_PAGES:
                 page = start
                 while page < stop:
-                    if not stalled:
-                        yield from stall()
-                        stalled = True
+                    while team.frozen is not None:
+                        yield team.frozen
                     if valid[page] and not npending[page]:
                         end = self._fault_free_end(page, stop)
                         self._touch(page, end, wr)
@@ -534,13 +518,11 @@ class DsmProcess:
                     yield from self._ensure_access(page, write=wr is not None)
                     if wr is not None:
                         wset.write(page, page + 1, wr)
-                    stalled = stall is None
                     page += 1
                 continue
             for page in range(start, stop):
-                if not stalled:
-                    yield from stall()
-                    stalled = True
+                while team.frozen is not None:
+                    yield team.frozen
                 # Fast path: a valid, up-to-date copy needs no fault — skip
                 # the _ensure_access generator machinery entirely.  (An
                 # unmapped page reads as not valid.)
@@ -561,7 +543,6 @@ class DsmProcess:
                 yield from self._ensure_access(page, write=wr is not None)
                 if wr is not None:
                     wset.write(page, page + 1, wr)
-                stalled = stall is None
 
     def _fault_free_end(self, start: int, stop: int) -> int:
         """The first page of ``[start, stop)`` that would fault, or ``stop``."""
@@ -833,7 +814,11 @@ class DsmProcess:
     # compute & data access helpers
     # ------------------------------------------------------------------
     def compute(self, seconds: float) -> Generator:
-        """Charge ``seconds`` of application CPU work on the current node."""
+        """Charge ``seconds`` of application CPU work on the current node,
+        once the team's freeze (if any) is over."""
+        team = self.team
+        while team.frozen is not None:
+            yield team.frozen
         self.stats.compute_time += seconds
         t0 = self.sim.now
         yield from self.node.compute(seconds)
@@ -910,7 +895,7 @@ class DsmProcess:
         slot is handed back so recovery can place a fresh engine on it.
         """
         self.fail_stop()
-        if not getattr(self.node, "crashed", False):
+        if not self.node.crashed:
             self.node.remove_process()
 
     def move_to_node(self, new_node) -> None:

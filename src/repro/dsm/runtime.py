@@ -8,9 +8,9 @@ both directions, so the master's sequential writes invalidate slave copies
 and vice versa.
 
 :class:`AdaptiveRuntime` (in :mod:`repro.core.runtime`) subclasses this
-and overrides :meth:`at_adaptation_point` / :meth:`stall_check`; the base
-class implements them as no-ops, which *is* the standard TreadMarks 1.1.0
-behaviour Table 1 compares against.
+and overrides :meth:`at_adaptation_point`, which the base class implements
+as a no-op, and :meth:`_on_peer_lost`, which the base class lets raise —
+together the standard TreadMarks 1.1.0 behaviour Table 1 compares against.
 """
 
 from __future__ import annotations
@@ -47,6 +47,9 @@ class TmkProgram:
         self.phases = dict(phases)
         self.driver = driver
         self.name = name
+        #: The OpenMP switch that inhibits adaptivity (§4.4): when False
+        #: the adaptive runtime never changes the team during this program.
+        self.adaptable = True
 
     def phase(self, name: str) -> RegionFn:
         try:
@@ -86,24 +89,18 @@ class RegionCtx:
 
     def access(self, seg: SharedSegment, reads=(), writes=()) -> Generator:
         """Declare shared reads/writes (may fault; see DsmProcess.access)."""
-        if self.runtime.replay is not None:
-            return
-        yield from self.runtime.stall_check()
-        yield from self.proc.access(seg, reads, writes)
+        if self.runtime.replay is None:
+            yield from self.proc.access(seg, reads, writes)
 
     def access_batch(self, specs) -> Generator:
         """Declare accesses over several segments as one atomic step."""
-        if self.runtime.replay is not None:
-            return
-        yield from self.runtime.stall_check()
-        yield from self.proc.access_batch(specs)
+        if self.runtime.replay is None:
+            yield from self.proc.access_batch(specs)
 
     def compute(self, seconds: float) -> Generator:
         """Charge application CPU time."""
-        if self.runtime.replay is not None:
-            return
-        yield from self.runtime.stall_check()
-        yield from self.proc.compute(seconds)
+        if self.runtime.replay is None:
+            yield from self.proc.compute(seconds)
 
     def barrier(self) -> Generator:
         if self.runtime.replay is None:
@@ -144,28 +141,6 @@ class MasterApi:
         yield from fn(self.ctx)
 
 
-@dataclass(frozen=True)
-class NetworkCounters:
-    """Data-plane reliability counters (added piecemeal in PR 1)."""
-
-    #: Data-plane messages the lossy wire dropped.
-    dropped: int = 0
-    #: Request re-sends performed by retransmit timers across all NICs.
-    retransmissions: int = 0
-
-
-@dataclass(frozen=True)
-class DetectorCounters:
-    """Failure-detector counters (adaptive runs only; added in PR 2)."""
-
-    #: Probes sent by the master.
-    heartbeats_sent: int = 0
-    #: Probes that missed their ack deadline.
-    heartbeat_misses: int = 0
-    #: Nodes suspected (>=1 miss) that later acked before being declared.
-    false_suspicions: int = 0
-
-
 @dataclass
 class RunResult:
     """Outcome of one program run."""
@@ -177,10 +152,6 @@ class RunResult:
     adaptations: int = 0
     #: (time, kind, detail) adaptation event log (adaptive runs only).
     adapt_log: List[Tuple[float, str, str]] = field(default_factory=list)
-    #: Data-plane reliability counters.
-    network: NetworkCounters = field(default_factory=NetworkCounters)
-    #: Failure-detector counters (zeros on non-adaptive runs).
-    detector: DetectorCounters = field(default_factory=DetectorCounters)
     #: One :class:`~repro.core.recovery.RecoveryRecord` per crash recovery.
     recoveries: List[Any] = field(default_factory=list)
     #: Per-phase adaptation-cost decomposition (observability-enabled
@@ -219,23 +190,10 @@ class TmkRuntime:
         self.materialized = materialized
         self.team = TeamView([n.node_id for n in nodes])
         self.space = AddressSpace(cfg.dsm.page_size)
-        self.procs: Dict[int, DsmProcess] = {}
-        for pid, node in enumerate(nodes):
-            proc = self.PROCESS_CLS(
-                sim, cfg, node, pid, self.team, self.space, materialized=materialized
-            )
-            self.procs[pid] = proc
+        self.procs: Dict[int, DsmProcess] = {
+            pid: self._new_engine(pid, node) for pid, node in enumerate(nodes)
+        }
         self.master = self.procs[TeamView.MASTER_PID]
-        self.master.lock_mgr = LockManager(self.master)
-        # The base runtime's stall_check is a no-op; installing it as a
-        # per-page-fault hook would only create and discard an empty
-        # generator per fault.  Subclasses that override it (the adaptive
-        # runtime's freeze protocol) get the hook installed.
-        install_stall = type(self).stall_check is not TmkRuntime.stall_check
-        for proc in self.procs.values():
-            if install_stall:
-                proc.stall_hook = self.stall_check
-            proc.start_server()
         self.master_ctx = RegionCtx(self, self.master)
         self.fork_seq = 0
         #: Phase names the running driver has forked, replayed ones
@@ -261,6 +219,17 @@ class TmkRuntime:
         """The interconnect all team nodes share."""
         return self._switch
 
+    def _new_engine(self, pid: int, node) -> DsmProcess:
+        """Build the DSM engine of ``pid`` on ``node``, wire it (crash
+        escalation; the master's lock manager) and start its server."""
+        proc = self.PROCESS_CLS(self.sim, self.cfg, node, pid, self.team,
+                                self.space, materialized=self.materialized)
+        proc.crash_hook = self._on_peer_lost
+        if pid == TeamView.MASTER_PID:
+            proc.lock_mgr = LockManager(proc)
+        proc.start_server()
+        return proc
+
     # -- allocation ---------------------------------------------------------
     def malloc(
         self,
@@ -285,10 +254,10 @@ class TmkRuntime:
         return
         yield  # pragma: no cover
 
-    def stall_check(self) -> Generator:
-        """Called before compute/access chunks; base system does nothing."""
-        return
-        yield  # pragma: no cover
+    def _on_peer_lost(self, node_id: int, err: Exception) -> None:
+        """Every engine's ``crash_hook``: a request to ``node_id`` failed.
+        The base system has no notion of node failure, so it is an error."""
+        raise err
 
     # -- program execution ---------------------------------------------------
     def run(self, program: TmkProgram, until: Optional[float] = None) -> RunResult:
@@ -310,10 +279,6 @@ class TmkRuntime:
             traffic=traffic,
             per_process={pid: p.stats.copy() for pid, p in self.procs.items()},
             forks=self.fork_seq,
-            network=NetworkCounters(
-                dropped=traffic.dropped,
-                retransmissions=traffic.retransmissions,
-            ),
             cost_breakdown=CostBreakdown.from_registry(obs) if obs.enabled else None,
         )
 

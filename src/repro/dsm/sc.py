@@ -125,14 +125,14 @@ class ScProcess(DsmProcess):
                         combined[page] = True
                     elif page not in combined:
                         combined[page] = False
-        stall = self.stall_hook
+        team = self.team
         exclusive = self._sc_exclusive
         valid = self.lrc.table.valid
         write_pages = sorted(p for p, w in combined.items() if w)
         for page in sorted(combined):
             write = combined[page]
-            if stall is not None:
-                yield from stall()
+            while team.frozen is not None:
+                yield team.frozen
             # Fast path: already exclusive (write) or valid (read) — the
             # fault generator would return without yielding.  (Both imply
             # the page is mapped.)

@@ -5,6 +5,11 @@ node ids.  Every DSM process holds a reference to the *same* view object;
 it is mutated only by the master at adaptation points, when every other
 process is blocked — mirroring the fact that in the real system the new
 membership travels in the ``Tmk_fork`` message before anyone resumes.
+
+The view also carries the team-wide freeze of an urgent leave (§4.2):
+while :attr:`TeamView.frozen` holds a signal, every engine waits on it
+before its next page, its next compute step and the next adaptation
+point (``docs/PROTOCOL.md`` §6).
 """
 
 from __future__ import annotations
@@ -24,6 +29,9 @@ class TeamView:
             raise AdaptationError("a team needs at least one node")
         self._node_of: Dict[int, int] = dict(enumerate(node_ids))
         self.generation = 0
+        #: While an urgent leave migrates a process, the freeze's
+        #: :class:`~repro.simcore.Signal` (fired at the unfreeze); else None.
+        self.frozen = None
 
     @property
     def nprocs(self) -> int:

@@ -42,6 +42,5 @@ def compile_openmp(program: OmpProgram) -> TmkProgram:
         yield from program.driver(omp)
 
     tmk = TmkProgram(phases, driver, name=program.name)
-    # Carry the §4.4 adaptivity-inhibit switch through to the runtime.
     tmk.adaptable = program.adaptable
     return tmk

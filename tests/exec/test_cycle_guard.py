@@ -3,9 +3,10 @@
 ``Simulator.run`` pauses the cyclic collector while it runs
 (``docs/PROTOCOL.md`` §10).  That is only free if nothing the loop throws
 away needs the collector, so this guard runs every golden scenario kind on
-the flat and the tree+fattree model, obs off and on, plus a lossy wire
-(``ReplyWait`` retransmit timers), a leaver let go of mid-run and
-the SC baseline, with
+the flat and the tree+fattree model, obs off and on (the ``urgent`` rows
+hold the team frozen and unfreeze it), plus a lossy wire (``ReplyWait``
+retransmit timers), a leaver let go of mid-run, a crash rebuild while
+the team is frozen and the SC baseline, with
 ``Simulator.run`` wrapped: one ``gc.collect()`` just before the loop and
 one just after it, while the run is still referenced.  Every collection
 in between must find nothing.
@@ -80,7 +81,7 @@ def _tiny(kernel, cfg=None, **kwargs):
 def test_lossy_wire_loop_leaves_no_cyclic_garbage(kernel, monkeypatch):
     lossy = SystemConfig(network=NetworkParams(loss_rate=0.05))
     result, found = loop_garbage(monkeypatch, _tiny(kernel, lossy))
-    assert result.network.retransmissions > 0
+    assert result.traffic.retransmissions > 0
     assert found == [0]
 
 
@@ -97,6 +98,28 @@ def test_retired_leaver_leaves_no_cyclic_garbage(monkeypatch):
     def scenario():
         exp, _ = execute_spec(spec)
         assert [r.joins for r in exp.adapt_records] == [[], [8]]
+        return exp
+
+    _, found = loop_garbage(monkeypatch, scenario)
+    assert found == [0]
+
+
+def test_crash_rebuild_while_frozen_leaves_no_cyclic_garbage(monkeypatch):
+    """The freeze signal lives on the team, which outlives the engines.  A
+    crash declared while an urgent leave's migration holds the team
+    frozen: the rebuild drops the signal the killed coroutines waited
+    on, and nothing they leave behind needs the collector."""
+    urgent = SCENARIOS["urgent-mat"].spec
+    spec = urgent.replaced(events=(*urgent.events, AdaptEvent("crash", 0.5, 1)),
+                           failure_detection=True)
+
+    def scenario():
+        exp, _ = execute_spec(spec)
+        assert [r.crashed_nodes for r in exp.recoveries] == [[1]]
+        # The migration, and so the freeze, never finished.
+        assert exp.runtime.queue.leaves[0].migrated_at is None
+        assert exp.runtime.team.frozen is None
+        assert exp.app.verify()
         return exp
 
     _, found = loop_garbage(monkeypatch, scenario)

@@ -40,13 +40,13 @@ class TestPinnedData:
     @pytest.mark.parametrize("family", [
         ("fft3d-mat",), ("gauss-mat",), ("nbf-mat",),
         ("jacobi-mat", "jacobi-mat+loss", "adapt-mat", "crash-mat",
-         "crash-warm-mat"),
+         "crash-warm-mat", "urgent-mat"),
         ("barrier", "barrier-gc"), ("locks", "locks-gc"),
     ], ids=lambda family: family[0])
     def test_memory_never_depends_on_model_faults_or_gc(self, family):
         """One program, one final memory image — whatever the topology,
-        fold, fetch batching, adaptation, crash recovery, lossy wire or GC
-        schedule."""
+        fold, fetch batching, adaptation, urgent leave, crash recovery,
+        lossy wire or GC schedule."""
         images = {
             pinned()[f"{scenario}/{model}/{obs}"]["memory"]
             for scenario in family for model in MODELS

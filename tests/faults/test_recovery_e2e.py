@@ -83,8 +83,8 @@ class TestSlaveCrashRecovery:
 
     def test_result_counters_surface(self):
         rt, res, final, victim = self._crash_run(crash_at=0.9)
-        assert res.detector.heartbeats_sent > 0
-        assert res.detector.heartbeat_misses >= rt.cfg.faults.suspicion_threshold
+        assert rt.detector.heartbeats_sent > 0
+        assert rt.detector.heartbeat_misses >= rt.cfg.faults.suspicion_threshold
 
 
 class TestMasterCrashRecovery:
@@ -116,7 +116,7 @@ class TestEscalationPath:
         victim = rt.team.node_of(1)
         sim.schedule(0.9, lambda: rt.inject_crash(victim))
         res = rt.run(prog)
-        assert res.detector.heartbeats_sent == 0
+        assert rt.detector.heartbeats_sent == 0
         assert len(res.recoveries) == 1
         assert res.recoveries[0].reason == "timeout"
         np.testing.assert_array_equal(final["grid"], fault_free_grid())

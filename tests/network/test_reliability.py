@@ -234,4 +234,4 @@ class TestLossyDsmRuns:
         res = rt.run(prog)
         assert res.adaptations == 1
         assert app.verify(rtol=1e-7, atol=1e-9)
-        assert res.network.dropped == res.traffic.dropped > 0
+        assert res.traffic.dropped > 0

@@ -1,4 +1,4 @@
-"""The repro.api facade and the RunResult counter groups."""
+"""The repro.api facade, and where a run's reliability counters are read."""
 
 import pytest
 
@@ -10,7 +10,7 @@ from repro.api import (
     spec_from_preset,
     sweep,
 )
-from repro.dsm.runtime import DetectorCounters, NetworkCounters, RunResult
+from repro.dsm.runtime import RunResult
 
 
 def tiny_spec(**kw):
@@ -107,21 +107,18 @@ class TestSweepFacade:
 
 
 class TestRunResultCompatShim:
-    """The counter groups (the flat pre-2.0 names are gone; the class
-    keeps its name because the test ids are pinned)."""
+    """``RunResult`` holds no copies of the reliability counters: the
+    wire's are in ``traffic``, the failure detector's on the runtime.
+    (The class and its tests keep their names because the test ids are
+    pinned.)"""
 
     def _result(self):
-        return RunResult(
-            runtime_seconds=1.0, traffic=None, per_process={}, forks=0,
-            network=NetworkCounters(dropped=3, retransmissions=2),
-            detector=DetectorCounters(heartbeats_sent=7, heartbeat_misses=1,
-                                      false_suspicions=4),
-        )
+        return RunResult(runtime_seconds=1.0, traffic=None, per_process={}, forks=0)
 
     def test_nested_access(self):
         res = self._result()
-        assert res.network.dropped == 3
-        assert res.detector.heartbeats_sent == 7
+        for copy in ("network", "detector"):
+            assert not hasattr(res, copy)
 
     def test_unknown_attribute_still_raises(self):
         with pytest.raises(AttributeError):
@@ -133,8 +130,12 @@ class TestRunResultCompatShim:
         spec = tiny_spec(label="api-shim-e2e", adaptive=True, extra_nodes=1,
                          events=(AdaptEvent("crash", 0.03),),
                          checkpoint_interval=0.02, failure_detection=True)
-        res = run(spec).experiment.run_result
-        assert res.detector.heartbeats_sent > 0
+        exp = run(spec).experiment
+        detector = exp.runtime.detector
+        assert detector.heartbeats_sent > 0
+        assert exp.heartbeats_sent == detector.heartbeats_sent
+        assert exp.heartbeat_misses == detector.heartbeat_misses
+        assert exp.retransmissions == exp.run_result.traffic.retransmissions
 
 
 class TestDeprecatedEntrypoints:
