@@ -10,7 +10,7 @@ parallel construct each time.
 
 The day is a plan in the one event-script grammar (``time action
 args...``, see ``repro.faults.plan``) — the same text ``repro run
---adaptive --faults FILE`` replays.
+--faults FILE`` replays.
 
 Run:  python examples/now_workday.py
 """

@@ -1,8 +1,10 @@
 """Experiment harness: build a system, run a kernel, collect everything.
 
 One entry point (:func:`run_experiment`) covers every configuration the
-paper's evaluation needs: standard vs adaptive runtime, any team size,
-scripted or generated adapt events, traced or materialized kernels.
+paper's evaluation needs: any team size, scripted or generated adapt
+events, traced or materialized kernels.  Every run is on the adaptive
+runtime: with no adapt event it is the standard system to the bit (the
+paper's zero-overhead result, §5), so there is nothing to choose.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from ..apps import AppKernel
 from ..cluster import NodePool
 from ..config import SystemConfig
 from ..core import AdaptiveRuntime
-from ..dsm import TmkRuntime
 from ..network import TrafficSnapshot, build_topology
 from ..simcore import Simulator
 
@@ -36,11 +37,6 @@ class ExperimentResult:
     runtime: Any = field(repr=False, default=None)
     #: :class:`~repro.core.recovery.RecoveryRecord` per crash recovery.
     recoveries: List[Any] = field(default_factory=list)
-    dropped: int = 0
-    retransmissions: int = 0
-    heartbeats_sent: int = 0
-    heartbeat_misses: int = 0
-    false_suspicions: int = 0
     #: The underlying :class:`~repro.dsm.runtime.RunResult`.
     run_result: Any = field(repr=False, default=None)
     #: :class:`~repro.obs.CostBreakdown` when the run was observed.
@@ -76,6 +72,10 @@ def run_experiment(
 ) -> ExperimentResult:
     """Run one kernel to completion under a fresh simulated NOW.
 
+    ``adaptive`` is the label the result reports; it selects no code.
+    ``runtime_kwargs`` go to :class:`~repro.core.AdaptiveRuntime`
+    (checkpoint interval, failure detection, reassignment strategy).
+
     ``events`` is called with the runtime before the run starts; use it to
     install a plan through :class:`~repro.faults.FaultInjector`, an
     alternator, or to schedule ``submit_join``/``submit_leave`` calls
@@ -93,13 +93,10 @@ def run_experiment(
     pool = NodePool(sim, switch)
     team_nodes = pool.add_nodes(nprocs)
     pool.add_nodes(extra_nodes)
-    if adaptive:
-        runtime = AdaptiveRuntime(
-            sim, cfg, team_nodes, pool, materialized=materialized,
-            **(runtime_kwargs or {}),
-        )
-    else:
-        runtime = TmkRuntime(sim, cfg, team_nodes, materialized=materialized)
+    runtime = AdaptiveRuntime(
+        sim, cfg, team_nodes, pool, materialized=materialized,
+        **(runtime_kwargs or {}),
+    )
     app = app_factory()
     # Traced runs measure the computation, not the verification gather.
     app.do_collect = materialized
@@ -107,8 +104,6 @@ def run_experiment(
     if events is not None:
         events(runtime)
     result = runtime.run(program)
-    # Adaptive runs with failure detection only; the counters live there.
-    detector = getattr(runtime, "detector", None)
     return ExperimentResult(
         app_name=app.name,
         nprocs=nprocs,
@@ -117,16 +112,11 @@ def run_experiment(
         traffic=result.traffic,
         adaptations=result.adaptations,
         adapt_records=result.adapt_log,
-        migrations=list(getattr(runtime, "migrations", [])),
+        migrations=list(runtime.migrations),
         forks=result.forks,
         app=app,
         runtime=runtime,
         recoveries=list(result.recoveries),
-        dropped=result.traffic.dropped,
-        retransmissions=result.traffic.retransmissions,
-        heartbeats_sent=detector.heartbeats_sent if detector else 0,
-        heartbeat_misses=detector.heartbeat_misses if detector else 0,
-        false_suspicions=detector.false_suspicions if detector else 0,
         run_result=result,
         cost_breakdown=result.cost_breakdown,
     )
@@ -142,7 +132,7 @@ def nonadaptive_times(
     the paper interpolates when computing adaptation delay)."""
     return {
         n: run_experiment(
-            app_factory, n, adaptive=False, cfg=cfg, materialized=materialized
+            app_factory, n, cfg=cfg, materialized=materialized
         ).runtime_seconds
         for n in proc_counts
     }

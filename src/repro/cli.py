@@ -4,7 +4,7 @@
 
     python -m repro list                      # workloads & presets
     python -m repro calibrate                 # show Table-1-derived rates
-    python -m repro run jacobi --nprocs 8 --adaptive \
+    python -m repro run jacobi --nprocs 8 \
         --event leave:0.5:3 --event join:1.5:3
     python -m repro table1                    # regenerate Table 1
     python -m repro sweep --jobs 4            # app x nodes grid, parallel + cached
@@ -108,7 +108,6 @@ def _spec_from_args(args):
     return spec_from_preset(
         args.preset, args.app, args.nprocs,
         calibrated=False,  # the run command uses the preset's stock rates
-        adaptive=args.adaptive,
         materialized=args.materialized,
         extra_nodes=args.extra_nodes,
         events=events,
@@ -127,7 +126,7 @@ def cmd_run(args) -> int:
         return 2
     report = api_run(spec)
     res = report.experiment
-    detection = spec.failure_detection or spec.has_crashes
+    traffic, detector = res.traffic, res.runtime.detector
     rows = [
         ["simulated runtime (s)", f"{res.runtime_seconds:.3f}"],
         ["page fetches", res.pages],
@@ -137,13 +136,13 @@ def cmd_run(args) -> int:
         ["fork/join constructs", res.forks],
         ["adapt events", res.adaptations],
     ]
-    if res.dropped or res.retransmissions:
-        rows.append(["messages dropped", res.dropped])
-        rows.append(["retransmissions", res.retransmissions])
-    if detection:
-        rows.append(["heartbeats sent", res.heartbeats_sent])
-        rows.append(["heartbeat misses", res.heartbeat_misses])
-        rows.append(["false suspicions", res.false_suspicions])
+    if traffic.dropped or traffic.retransmissions:
+        rows.append(["messages dropped", traffic.dropped])
+        rows.append(["retransmissions", traffic.retransmissions])
+    if detector is not None:
+        rows.append(["heartbeats sent", detector.heartbeats_sent])
+        rows.append(["heartbeat misses", detector.heartbeat_misses])
+        rows.append(["false suspicions", detector.false_suspicions])
         rows.append(["crash recoveries", len(res.recoveries)])
     print(format_table(["metric", "value"], rows,
                        title=f"{args.app} ({args.preset} preset) on {args.nprocs} nodes"))
@@ -926,8 +925,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help=f"kernel: {', '.join(APP_NAMES)}")
         p.add_argument("--nprocs", type=int, default=4)
         p.add_argument("--preset", choices=sorted(PRESETS), default="bench")
-        p.add_argument("--adaptive", action="store_true",
-                       help="use the adaptive runtime even without events")
         p.add_argument("--materialized", action="store_true",
                        help="run real data through the DSM and verify")
         p.add_argument("--extra-nodes", type=int, default=2,

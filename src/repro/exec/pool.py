@@ -82,25 +82,19 @@ def execute_spec(spec: ScenarioSpec, obs=None):
     """
     from ..bench.harness import run_experiment
 
-    cfg = spec.build_config()
-    runtime_kwargs = {}
-    if spec.checkpoint_interval is not None:
-        runtime_kwargs["checkpoint_interval"] = spec.checkpoint_interval
-    if spec.failure_detection or spec.has_crashes:
-        runtime_kwargs["failure_detection"] = True
-    install = (
-        spec.install_events if (spec.events or spec.fault_plan) else None
-    )
     t0 = time.perf_counter()
     res = run_experiment(
         spec.build_app,
         nprocs=spec.nprocs,
         adaptive=spec.effective_adaptive,
         extra_nodes=spec.extra_nodes,
-        cfg=cfg,
+        cfg=spec.build_config(),
         materialized=spec.materialized,
-        events=install,
-        runtime_kwargs=runtime_kwargs if spec.effective_adaptive else None,
+        events=spec.install_events,
+        runtime_kwargs={
+            "checkpoint_interval": spec.checkpoint_interval,
+            "failure_detection": spec.failure_detection or spec.has_crashes,
+        },
         obs=obs,
     )
     return res, time.perf_counter() - t0

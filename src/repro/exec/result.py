@@ -107,7 +107,8 @@ class ScenarioResult:
                 verified = res.app.verify(rtol=VERIFY_RTOL, atol=VERIFY_ATOL)
             except ReproError:
                 verified = None
-        ckpt_mgr = getattr(res.runtime, "ckpt_mgr", None)
+        runtime, traffic = res.runtime, res.traffic
+        detector = runtime.detector
         return cls(
             app_name=res.app_name,
             nprocs=res.nprocs,
@@ -116,18 +117,16 @@ class ScenarioResult:
             events=events,
             forks=res.forks,
             adaptations=res.adaptations,
-            messages=res.traffic.messages,
-            bytes=res.traffic.bytes,
-            pages=res.traffic.pages,
-            diffs=res.traffic.diffs,
-            dropped=res.dropped,
-            retransmissions=res.retransmissions,
-            heartbeats_sent=res.heartbeats_sent,
-            heartbeat_misses=res.heartbeat_misses,
-            false_suspicions=res.false_suspicions,
-            checkpoints_taken=(
-                len(ckpt_mgr.checkpoints) if ckpt_mgr is not None else 0
-            ),
+            messages=traffic.messages,
+            bytes=traffic.bytes,
+            pages=traffic.pages,
+            diffs=traffic.diffs,
+            dropped=traffic.dropped,
+            retransmissions=traffic.retransmissions,
+            heartbeats_sent=detector.heartbeats_sent if detector else 0,
+            heartbeat_misses=detector.heartbeat_misses if detector else 0,
+            false_suspicions=detector.false_suspicions if detector else 0,
+            checkpoints_taken=len(runtime.ckpt_mgr.checkpoints),
             recoveries=[_record_dict(r) for r in res.recoveries],
             adapt_records=[_record_dict(r) for r in res.adapt_records],
             verified=verified,

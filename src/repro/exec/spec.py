@@ -93,6 +93,8 @@ class ScenarioSpec:
     #: Charge compute through the Table-1-calibrated rates
     #: (:mod:`repro.bench.calibrate`) instead of the kernels' defaults.
     calibrated: bool = True
+    #: Report the run as adaptive even without events.  Every spec runs on
+    #: the adaptive runtime; this only sets the result's label.
     adaptive: bool = False
     materialized: bool = False
     extra_nodes: int = 0
@@ -229,7 +231,8 @@ class ScenarioSpec:
 
     @property
     def effective_adaptive(self) -> bool:
-        """Adaptive runtime needed (explicitly or implied, as in the CLI)."""
+        """The ``adaptive`` label the result reports: asked for, or implied
+        by events, a plan or checkpoints.  It selects no code."""
         return bool(
             self.adaptive or self.events or self.fault_plan
             or self.checkpoint_interval is not None

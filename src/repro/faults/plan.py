@@ -24,7 +24,7 @@ actions — a parsed plan, or a :class:`~repro.exec.spec.ScenarioSpec`'s
 adapt events lowered to actions ahead of its plan — onto a runtime's
 simulator in the order given.  Everything is seeded and deterministic, so
 a scenario is exactly repeatable and shareable as a file (``repro run
---adaptive --faults plan.txt``).
+--faults plan.txt``).
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ import gc
 from repro.cluster import NodePool
 from repro.config import SystemConfig
 from repro.dsm import TmkProgram, TmkRuntime
-from repro.network import Switch
+from repro.network import Switch, build_topology
 from repro.simcore import Simulator
 
 
@@ -31,7 +31,7 @@ def build_system(nprocs=4, extra_nodes=0, cfg=None, materialized=True,
     """
     sim = Simulator(obs=obs)
     cfg = cfg or SystemConfig()
-    switch = Switch(sim, cfg.network)
+    switch = build_topology(sim, cfg.network, cfg.perf)
     pool = NodePool(sim, switch)
     team_nodes = pool.add_nodes(nprocs)
     pool.add_nodes(extra_nodes)

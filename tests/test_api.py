@@ -107,8 +107,9 @@ class TestSweepFacade:
 
 
 class TestRunResultCompatShim:
-    """``RunResult`` holds no copies of the reliability counters: the
-    wire's are in ``traffic``, the failure detector's on the runtime.
+    """``RunResult`` and ``ExperimentResult`` hold no copies of the
+    reliability counters: the wire's are in ``traffic``, the failure
+    detector's on the runtime.
     (The class and its tests keep their names because the test ids are
     pinned.)"""
 
@@ -130,12 +131,16 @@ class TestRunResultCompatShim:
         spec = tiny_spec(label="api-shim-e2e", adaptive=True, extra_nodes=1,
                          events=(AdaptEvent("crash", 0.03),),
                          checkpoint_interval=0.02, failure_detection=True)
-        exp = run(spec).experiment
+        report = run(spec)
+        exp, result = report.experiment, report.result
         detector = exp.runtime.detector
         assert detector.heartbeats_sent > 0
-        assert exp.heartbeats_sent == detector.heartbeats_sent
-        assert exp.heartbeat_misses == detector.heartbeat_misses
-        assert exp.retransmissions == exp.run_result.traffic.retransmissions
+        for copy in ("dropped", "retransmissions", "heartbeats_sent",
+                     "heartbeat_misses", "false_suspicions"):
+            assert not hasattr(exp, copy)
+        assert result.heartbeats_sent == detector.heartbeats_sent
+        assert result.heartbeat_misses == detector.heartbeat_misses
+        assert result.retransmissions == exp.run_result.traffic.retransmissions
 
 
 class TestDeprecatedEntrypoints:

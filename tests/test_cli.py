@@ -308,7 +308,7 @@ def test_run_replays_a_join_leave_plan(tmp_path, capsys):
     """An availability trace is a plan file: ``--faults`` replays it."""
     plan = tmp_path / "day.txt"
     plan.write_text("# owner arrives, then leaves again\n0.5 leave 2 60\n1.0 join 2\n")
-    rc = main(["run", "jacobi", "--preset", "bench", "--nprocs", "3", "--adaptive",
+    rc = main(["run", "jacobi", "--preset", "bench", "--nprocs", "3",
                "--faults", str(plan)])
     out = capsys.readouterr().out
     assert rc == 0
