@@ -12,14 +12,19 @@ import pytest
 
 from repro.bench import format_table, make_gauss
 from repro.bench.harness import run_experiment
-from repro.config import NetworkParams, SystemConfig
+from repro.faults import FaultInjector, parse_plan
 
 RATES = (0.0, 0.02, 0.05, 0.10)
 
 
 def lossy_run(rate):
-    cfg = SystemConfig(network=NetworkParams(loss_rate=rate))
-    return run_experiment(lambda: make_gauss(256), nprocs=4, cfg=cfg)
+    """Gauss 256 on 4 processes; a positive rate is the plan line
+    ``0 loss RATE``, the 0 % point runs with no plan at all."""
+    def lossy_wire(rt):
+        FaultInjector(rt, parse_plan(f"0 loss {rate}")).install()
+
+    return run_experiment(lambda: make_gauss(256), nprocs=4,
+                          events=lossy_wire if rate else None)
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +66,7 @@ def test_drop_counters_track_rate(sweep):
 
 
 def test_reliability_layer_pay_for_use(sweep):
-    """rate=0 must be identical to a config with no loss model at all."""
+    """The 0 % point must be identical to a run with no loss model at all."""
     plain = run_experiment(lambda: make_gauss(256), nprocs=4)
     zero = sweep[0.0]
     assert zero.runtime_seconds == pytest.approx(plain.runtime_seconds, rel=1e-12)

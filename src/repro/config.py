@@ -81,13 +81,6 @@ class NetworkParams:
     #: (1 544 − 126 − 187 − 327.7) µs / 4096 B ≈ 0.22 µs/B.
     diff_per_byte: float = 0.22e-6
 
-    #: Fraction of data-plane messages dropped by the (UDP) wire; requests
-    #: retransmit on a 4 ms timeout.  0 models the paper's quiescent LAN.
-    loss_rate: float = 0.0
-
-    #: Seed for the loss model's drop decisions.
-    loss_seed: int = 0xD20
-
     #: Cut-through forwarding latency added per *extra* switch a message
     #: crosses in a hierarchical topology (header parse + port arbitration
     #: of a late-90s store-nothing switch).  The paper's single-switch star

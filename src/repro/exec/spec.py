@@ -232,10 +232,13 @@ class ScenarioSpec:
     @property
     def effective_adaptive(self) -> bool:
         """The ``adaptive`` label the result reports: asked for, or implied
-        by events, a plan or checkpoints.  It selects no code."""
+        by events, checkpoints or a plan that changes the team (wire faults
+        alone do not).  It selects no code."""
+        from ..faults import parse_plan
+
         return bool(
-            self.adaptive or self.events or self.fault_plan
-            or self.checkpoint_interval is not None
+            self.adaptive or self.events or self.checkpoint_interval is not None
+            or (self.fault_plan and parse_plan(self.fault_plan).adapts)
         )
 
     def build_config(self):

@@ -15,6 +15,8 @@ cut        A B                   partition nodes A and B at the switch
 heal       A B                   undo the partition
 degrade    NODE SECONDS          add one-way latency to the node's port
 restore    NODE                  remove the degradation
+loss       RATE                  drop this fraction of data messages (a
+                                 lossy UDP wire; requests retransmit)
 duplicate  RATE                  duplicate this fraction of data messages
 delay      RATE SECONDS          delay this fraction by SECONDS
 =========  ====================  ==========================================
@@ -45,6 +47,7 @@ _ARITY = {
     "heal": (2, 2),
     "degrade": (2, 2),
     "restore": (1, 1),
+    "loss": (1, 1),
     "duplicate": (1, 1),
     "delay": (2, 2),
 }
@@ -54,7 +57,7 @@ _ARITY = {
 #: flight when the action fires are filtered consistently.  Nothing else
 #: touches ``switch.faults``: a fault object on the switch alone sends
 #: every message down the fault branch of ``Switch.transmit``.
-_UNRELIABLE_ACTIONS = frozenset({"cut", "duplicate", "delay"})
+_UNRELIABLE_ACTIONS = frozenset({"cut", "loss", "duplicate", "delay"})
 
 
 @dataclass(frozen=True)
@@ -83,6 +86,12 @@ class FaultPlan:
 
     def __iter__(self) -> Iterator[FaultAction]:
         return iter(self.actions)
+
+    @property
+    def adapts(self) -> bool:
+        """Does the plan change the team (join, leave or crash a node)?
+        A plan of wire faults alone does not."""
+        return any(a.action in ("join", "leave", "crash") for a in self.actions)
 
     @property
     def crash_times(self) -> List[Tuple[float, int]]:
@@ -144,7 +153,7 @@ class FaultInjector:
         self._installed = False
 
     def _link_faults(self) -> LinkFaults:
-        """The wire's fault state: a lossy wire's own, or a new one."""
+        """The wire's fault state, made on first use."""
         switch = self.runtime.switch
         if switch.faults is None:
             switch.faults = LinkFaults()
@@ -180,6 +189,8 @@ class FaultInjector:
             self._link_faults().degrade(int(args[0]), args[1])
         elif action.action == "restore":
             self._link_faults().restore(int(args[0]))
+        elif action.action == "loss":
+            self._link_faults().set_loss(args[0])
         elif action.action == "duplicate":
             self._link_faults().set_duplicate(args[0])
         elif action.action == "delay":

@@ -7,8 +7,7 @@ times out and is re-sent (:class:`~repro.network.nic.ReplyWait`).
 
 * a *cut* silently discards everything between a node pair (a partition
   seen from those two endpoints);
-* *loss* drops a seeded fraction of messages (``NetworkParams.loss_rate``:
-  the switch builds the object itself when the rate is positive);
+* *loss* drops a seeded fraction of messages (a plan's ``loss RATE``);
 * *delay* holds a seeded fraction back by a fixed time;
 * *duplicate* delivers a seeded fraction twice.
 
@@ -52,9 +51,8 @@ class LinkFaults:
     consumes a draw meant for delay or duplication, nor the other way round.
     """
 
-    def __init__(self, loss_rate: float = 0.0, loss_seed: int = 0xD20,
-                 seed: int = 0xFA17):
-        self.loss_rate = _rate("loss", loss_rate)
+    def __init__(self, loss_seed: int = 0xD20, seed: int = 0xFA17):
+        self.loss_rate = 0.0
         #: Partitioned node pairs (frozenset of the two endpoints).
         self._cut: Set[FrozenSet[int]] = set()
         #: node id -> extra one-way latency in seconds.
@@ -69,7 +67,7 @@ class LinkFaults:
         #: with a retransmit timer and their replies are deduplicated.
         #: Clearing it mid-run would strand in-flight requests on the
         #: wrong regime, so a wire that was ever unreliable stays so.
-        self.unreliable = loss_rate > 0.0
+        self.unreliable = False
 
     # -- operator actions ----------------------------------------------
     def cut(self, a: int, b: int) -> None:
@@ -92,6 +90,12 @@ class LinkFaults:
     def restore(self, node_id: int) -> None:
         """Remove the degradation of ``node_id``'s port."""
         self._degraded.pop(node_id, None)
+
+    def set_loss(self, rate: float) -> None:
+        """Drop this fraction of data-plane messages."""
+        self.loss_rate = _rate("loss", rate)
+        if rate > 0:
+            self.unreliable = True
 
     def set_duplicate(self, rate: float) -> None:
         """Duplicate this fraction of data-plane messages."""

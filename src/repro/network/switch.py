@@ -43,12 +43,9 @@ class Switch:
         self.uplinks: Dict[int, Link] = {}
         self.downlinks: Dict[int, Link] = {}
         self.stats = TrafficStats(self.iter_links)
-        #: What the wire does to a message (None = a healthy wire).  A
-        #: lossy wire gets it here; a :class:`~repro.faults.FaultInjector`
-        #: installs one, or adds its faults to this one.
+        #: What the wire does to a message (None = a healthy wire); a
+        #: :class:`~repro.faults.FaultInjector` installs it.
         self.faults: Optional[LinkFaults] = None
-        if self.params.loss_rate > 0:
-            self.faults = LinkFaults(self.params.loss_rate, self.params.loss_seed)
         #: Calls of :meth:`transmit_flight` (fan-out waves, a tree leaf's
         #: empty one included) / legs they carried — host-side counters
         #: only (never part of simulated state); the benchmark reads them

@@ -18,13 +18,12 @@ import pytest
 
 from repro.api import AdaptEvent, ScenarioSpec
 from repro.apps import TINY
-from repro.config import NetworkParams, SystemConfig
 from repro.dsm import ScRuntime
 from repro.exec.pool import execute_spec
 from repro.simcore import Simulator
 
 from ..golden import SCENARIOS, run_row
-from ..helpers import build_system, collected_so_far
+from ..helpers import build_system, collected_so_far, lossy_wire
 
 GUARDED_ROWS = [
     f"{scenario}/{model}/{obs}"
@@ -66,9 +65,11 @@ def test_golden_row_loop_leaves_no_cyclic_garbage(row_id, monkeypatch):
     assert found and set(found) == {0}
 
 
-def _tiny(kernel, cfg=None, **kwargs):
+def _tiny(kernel, loss=0.0, **kwargs):
     def scenario():
-        sim, rt, _ = build_system(nprocs=4, cfg=cfg, **kwargs)
+        sim, rt, _ = build_system(nprocs=4, **kwargs)
+        if loss:
+            lossy_wire(rt, loss)
         app = TINY[kernel].make()
         result = rt.run(app.program(rt))
         assert app.verify(rtol=1e-7, atol=1e-9)
@@ -79,8 +80,7 @@ def _tiny(kernel, cfg=None, **kwargs):
 
 @pytest.mark.parametrize("kernel", sorted(TINY))
 def test_lossy_wire_loop_leaves_no_cyclic_garbage(kernel, monkeypatch):
-    lossy = SystemConfig(network=NetworkParams(loss_rate=0.05))
-    result, found = loop_garbage(monkeypatch, _tiny(kernel, lossy))
+    result, found = loop_garbage(monkeypatch, _tiny(kernel, loss=0.05))
     assert result.traffic.retransmissions > 0
     assert found == [0]
 

@@ -11,14 +11,13 @@ checkpoints on a lossy wire, and the SC baseline, and checks each against
 that allowlist.
 """
 
-import dataclasses
 import re
 
 import pytest
 
 from repro.api import AdaptEvent
 from repro.apps import TINY
-from repro.bench.harness import run_experiment
+from repro.exec.pool import execute_spec
 from repro.dsm import ScRuntime
 from repro.network import message as mk
 from repro.simcore import SimProcess
@@ -65,17 +64,11 @@ def test_lossy_adaptive_run_spawns_drivers_only(monkeypatch):
     """Leave-drain and checkpoint pulls, with retransmissions: a grid big
     enough that the leaver owns pages the master has no copy of."""
     spec = _ADAPT.replaced(params={"n": 96, "iterations": 4},
-                           events=(AdaptEvent("leave", 0.03, 3),))
-    cfg = spec.build_config()
-    lossy = dataclasses.replace(cfg, network=dataclasses.replace(
-        cfg.network, loss_rate=0.05))
+                           events=(AdaptEvent("leave", 0.03, 3),),
+                           fault_plan="0 loss 0.05", checkpoint_interval=0.02)
 
     def scenario():
-        exp = run_experiment(
-            spec.build_app, nprocs=spec.nprocs, adaptive=True,
-            extra_nodes=spec.extra_nodes, cfg=lossy,
-            events=spec.install_events,
-            runtime_kwargs={"checkpoint_interval": 0.02})
+        exp, _ = execute_spec(spec)
         assert exp.traffic.retransmissions > 0
         assert sum(r.drained_pages for r in exp.adapt_records) > 0
         assert exp.traffic.by_kind_messages[mk.CKPT_PAGE_REQ] > 0

@@ -114,6 +114,12 @@ class TestDerivedProperties:
         assert base_spec(checkpoint_interval=0.1).effective_adaptive
         assert base_spec(fault_plan="0.9 crash 1").effective_adaptive
 
+    def test_a_plan_of_wire_faults_is_not_adaptive(self):
+        wire = "0 loss 0.05\n0.1 duplicate 0.2\n0.2 cut 0 1"
+        assert not base_spec(fault_plan=wire).effective_adaptive
+        assert base_spec(fault_plan=wire, adaptive=True).effective_adaptive
+        assert base_spec(fault_plan=wire + "\n0.3 leave 2").effective_adaptive
+
     def test_has_crashes_from_events_and_plans(self):
         assert not base_spec(events=(AdaptEvent("leave", 1.0),)).has_crashes
         assert base_spec(events=(AdaptEvent("crash", 1.0),)).has_crashes

@@ -57,6 +57,18 @@ class TestParsing:
         with pytest.raises(FaultError, match="line 1"):
             parse_plan("0.5 crash abc")
 
+    def test_loss_takes_one_rate(self):
+        assert parse_plan("0 loss 0.05").actions == [
+            FaultAction(0.0, "loss", (0.05,))]
+        with pytest.raises(FaultError, match="takes 1"):
+            parse_plan("0 loss 0.05 1")
+
+    def test_only_joins_leaves_and_crashes_adapt(self):
+        assert not parse_plan(PLAN_TEXT.replace("0.9 crash 1", "")
+                              + "0 loss 0.05").adapts
+        for line in ("0.9 crash 1", "0.5 leave 2 60", "1.0 join 2"):
+            assert parse_plan(f"0 loss 0.05\n{line}").adapts
+
     def test_negative_time_rejected(self):
         with pytest.raises(FaultError, match="negative"):
             parse_plan("-1 crash 0")
@@ -69,6 +81,7 @@ class TestParsing:
 
         assert latches("0.5 cut 0 1")
         assert latches("0.5 duplicate 0.1")
+        assert latches("0.5 loss 0.05")
         assert latches("0.5 delay 0.1 0.001")
         assert not latches("0.5 crash 1\n1.0 degrade 2 0.001\n1.5 leave 1 0\n2.0 join 1")
 
@@ -104,6 +117,15 @@ class TestInjector:
         FaultInjector(rt, parse_plan("5.0 duplicate 0.2")).install()
         # gate latched immediately, long before the action fires
         assert rt.switch.faults.unreliable
+
+    def test_loss_line_drops_from_its_time_on(self):
+        sim, rt, pool = build_adaptive(nprocs=2)
+        inj = FaultInjector(rt, parse_plan("0.1 loss 0.3"))
+        inj.install()
+        assert rt.switch.faults.loss_rate == 0.0
+        sim.run(until=0.5)
+        assert [a.action for a in inj.fired] == ["loss"]
+        assert rt.switch.faults.loss_rate == 0.3
 
     def test_crash_only_plan_does_not_gate_the_wire(self):
         sim, rt, pool = build_adaptive(nprocs=2)

@@ -32,7 +32,7 @@ import functools
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
@@ -65,6 +65,8 @@ CHAOS_PLAN = "\n".join([
     "0.03 crash 3",
     "0.04 restore 1",
 ])
+#: A lossy UDP wire from the start (§5.1): requests time out and re-send.
+LOSS = "0 loss 0.05\n"
 
 
 class BarrierProgram(AppKernel):
@@ -147,8 +149,6 @@ class Scenario:
     program: Optional[type] = None
     #: ``DsmParams.gc_interval_limit`` override (programs only).
     gc_limit: Optional[int] = None
-    #: ``NetworkParams.loss_rate`` of the wire (specs only).
-    loss: float = 0.0
 
 
 def _tiny(app: str, nprocs: int = 4, **kwargs) -> ScenarioSpec:
@@ -186,9 +186,10 @@ SCENARIOS: Dict[str, Scenario] = {
     "crash-warm": Scenario(_CRASH_WARM),
     "crash-warm-mat": Scenario(_CRASH_WARM.replaced(materialized=True)),
     "chaos": Scenario(_CRASH.replaced(events=(), fault_plan=CHAOS_PLAN)),
-    "jacobi-mat+loss": Scenario(_tiny("jacobi", materialized=True), loss=0.05),
-    "chaos+loss": Scenario(_CRASH.replaced(events=(), fault_plan=CHAOS_PLAN),
-                           loss=0.05),
+    "jacobi-mat+loss": Scenario(_tiny("jacobi", materialized=True,
+                                      fault_plan=LOSS)),
+    "chaos+loss": Scenario(_CRASH.replaced(events=(),
+                                           fault_plan=LOSS + CHAOS_PLAN)),
     "barrier": Scenario(program=BarrierProgram),
     "barrier-gc": Scenario(program=BarrierProgram, gc_limit=4),
     "locks": Scenario(program=LockProgram),
@@ -252,21 +253,6 @@ def run_scenario(name: str, perf: Dict[str, object], obs: bool = False) -> Row:
         exp = run_experiment(
             program, nprocs=program.NPROCS, materialized=True, obs=registry,
             cfg=SystemConfig(perf=PerfParams(**perf), dsm=dsm))
-    elif scenario.loss:
-        # What ``execute_spec`` runs, under a config no spec can express:
-        # a lossy wire.
-        cfg = spec.replaced(perf=perf).build_config()
-        cfg = cfg.with_(network=replace(cfg.network, loss_rate=scenario.loss))
-        adaptive = spec.effective_adaptive
-        runtime_kwargs = dict(
-            checkpoint_interval=spec.checkpoint_interval,
-            failure_detection=spec.failure_detection or spec.has_crashes,
-        ) if adaptive else None
-        exp = run_experiment(
-            spec.build_app, nprocs=spec.nprocs, adaptive=adaptive,
-            extra_nodes=spec.extra_nodes, cfg=cfg,
-            materialized=spec.materialized, events=spec.install_events,
-            runtime_kwargs=runtime_kwargs, obs=registry)
     else:
         exp, _ = execute_spec(spec.replaced(perf=perf), obs=registry)
     sim = exp.runtime.sim

@@ -56,6 +56,14 @@ def build_adaptive(nprocs=4, extra_nodes=2, cfg=None, materialized=True,
     return sim, runtime, pool
 
 
+def lossy_wire(runtime, rate):
+    """Install the plan line ``0 loss RATE`` on a fresh runtime: its wire
+    drops that fraction of data-plane messages from the start."""
+    from repro.faults import FaultInjector, parse_plan
+
+    FaultInjector(runtime, parse_plan(f"0 loss {rate}")).install()
+
+
 def run_phases(runtime, phases, order, name="test"):
     """Run a program that fork/joins ``order``'s phases in sequence."""
 

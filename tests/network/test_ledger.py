@@ -10,14 +10,14 @@ from collections import Counter
 
 import numpy as np
 
-from repro.config import NetworkParams, SystemConfig
+from repro.config import SystemConfig
 from repro.core import urgent
 from repro.dsm import SharedArray, TmkProgram
 from repro.network import Switch
 from repro.network import message as mk
 from repro.network.stats import PAGE_KINDS
 
-from ..helpers import build_adaptive
+from ..helpers import build_adaptive, lossy_wire
 
 
 def _program(rt, n_iter=6, shape=(64, 17)):
@@ -49,9 +49,9 @@ def _program(rt, n_iter=6, shape=(64, 17)):
 
 
 def test_one_ledger_under_loss_and_migration(monkeypatch):
-    cfg = SystemConfig(network=NetworkParams(loss_rate=0.05))
-    header = cfg.network.header_bytes
-    sim, rt, pool = build_adaptive(nprocs=3, cfg=cfg)
+    header = SystemConfig().network.header_bytes
+    sim, rt, pool = build_adaptive(nprocs=3)
+    lossy_wire(rt, 0.05)
 
     wire = []  # (kind, src, dst, wire bytes, payload) of every transmit
     transmit = Switch.transmit

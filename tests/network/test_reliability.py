@@ -3,22 +3,28 @@
 import pytest
 
 from repro.apps import TINY
-from repro.config import NetworkParams, SystemConfig
 from repro.errors import FaultError, NetworkError
+from repro.faults import FaultInjector, parse_plan
 from repro.network import LinkFaults, Message, ReplyWait, Switch
 from repro.network.message import PAGE_REQ
 from repro.network.nic import MAX_RETRIES
 from repro.simcore import Simulator
 
-from ..helpers import build_adaptive, build_system
+from ..helpers import build_adaptive, build_system, lossy_wire
 
 
 class TestLoss:
+    @staticmethod
+    def _lossy(rate, loss_seed=0xD20):
+        faults = LinkFaults(loss_seed=loss_seed)
+        faults.set_loss(rate)
+        return faults
+
     def test_rate_bounds(self):
         with pytest.raises(FaultError):
-            LinkFaults(loss_rate=1.0)
+            LinkFaults().set_loss(1.0)
         with pytest.raises(FaultError):
-            LinkFaults(loss_rate=-0.1)
+            LinkFaults().set_loss(-0.1)
 
     def test_zero_rate_never_drops(self):
         faults = LinkFaults()
@@ -26,19 +32,19 @@ class TestLoss:
         assert not any(faults.dropped(msg) for _ in range(100))
 
     def test_control_plane_never_dropped(self):
-        faults = LinkFaults(loss_rate=0.99)
+        faults = self._lossy(0.99)
         msg = Message("fork", src=0, dst=1)
         assert not any(faults.dropped(msg) for _ in range(100))
 
     def test_data_plane_dropped_at_rate(self):
-        faults = LinkFaults(loss_rate=0.3, loss_seed=1)
+        faults = self._lossy(0.3, loss_seed=1)
         msg = Message(PAGE_REQ, src=0, dst=1)
         drops = sum(faults.dropped(msg) for _ in range(2000))
         assert 450 <= drops <= 750
 
     def test_deterministic_given_seed(self):
         def sequence(seed):
-            faults = LinkFaults(loss_rate=0.5, loss_seed=seed)
+            faults = self._lossy(0.5, loss_seed=seed)
             msg = Message(PAGE_REQ, src=0, dst=1)
             return [faults.dropped(msg) for _ in range(50)]
 
@@ -48,8 +54,8 @@ class TestLoss:
     def test_loss_has_its_own_stream(self):
         """Duplicate and delay draws never move a drop decision."""
         msg = Message(PAGE_REQ, src=0, dst=1)
-        quiet = LinkFaults(loss_rate=0.5, loss_seed=3)
-        noisy = LinkFaults(loss_rate=0.5, loss_seed=3)
+        quiet = self._lossy(0.5, loss_seed=3)
+        noisy = self._lossy(0.5, loss_seed=3)
         noisy.set_duplicate(0.5)
         noisy.set_delay(0.5, 1e-3)
         drops = [quiet.dropped(msg) for _ in range(64)]
@@ -61,17 +67,25 @@ class TestLoss:
         assert noisy_drops == drops
 
     def test_a_lossy_wire_is_unreliable_from_the_start(self):
-        sim = Simulator()
-        assert Switch(sim, NetworkParams()).faults is None
-        lossy = Switch(sim, NetworkParams(loss_rate=0.1)).faults
-        assert lossy.loss_rate == 0.1 and lossy.unreliable
+        """A ``loss`` plan line latches the wire unreliable at install,
+        before it fires; the rate applies from its time on."""
+        assert Switch(Simulator()).faults is None
         assert not LinkFaults().unreliable
+        sim, rt, _ = build_system(nprocs=2)
+        FaultInjector(rt, parse_plan("0.5 loss 0.1")).install()
+        lossy = rt.switch.faults
+        assert lossy.unreliable and lossy.loss_rate == 0.0
+        sim.run()
+        assert lossy.loss_rate == 0.1
 
 
 class TestRetransmission:
     def _net(self, loss_rate):
         sim = Simulator()
-        switch = Switch(sim, NetworkParams(loss_rate=loss_rate))
+        switch = Switch(sim)
+        if loss_rate:
+            switch.faults = LinkFaults()
+            switch.faults.set_loss(loss_rate)
         nics = [switch.attach(i) for i in range(2)]
         return sim, switch, nics
 
@@ -208,16 +222,17 @@ class TestRetransmission:
 class TestLossyDsmRuns:
     @pytest.mark.parametrize("name", sorted(TINY))
     def test_kernels_verify_under_loss(self, name):
-        cfg = SystemConfig(network=NetworkParams(loss_rate=0.10))
-        sim, rt, pool = build_system(nprocs=4, cfg=cfg)
+        sim, rt, pool = build_system(nprocs=4)
+        lossy_wire(rt, 0.10)
         app = TINY[name].make()
         rt.run(app.program(rt))
         assert app.verify(rtol=1e-7, atol=1e-9), f"{name} diverged under loss"
 
     def test_loss_costs_time_not_correctness(self):
         def runtime(rate):
-            cfg = SystemConfig(network=NetworkParams(loss_rate=rate))
-            sim, rt, pool = build_system(nprocs=4, cfg=cfg)
+            sim, rt, pool = build_system(nprocs=4)
+            if rate:
+                lossy_wire(rt, rate)
             app = TINY["gauss"].make()
             res = rt.run(app.program(rt))
             assert app.verify(rtol=1e-7, atol=1e-9)
@@ -226,8 +241,8 @@ class TestLossyDsmRuns:
         assert runtime(0.25) > runtime(0.0)
 
     def test_adaptation_under_loss(self):
-        cfg = SystemConfig(network=NetworkParams(loss_rate=0.10))
-        sim, rt, pool = build_adaptive(nprocs=4, cfg=cfg)
+        sim, rt, pool = build_adaptive(nprocs=4)
+        lossy_wire(rt, 0.10)
         app = TINY["jacobi"].make()
         prog = app.program(rt)
         sim.schedule(0.01, lambda: rt.submit_leave(2, grace=60.0))

@@ -13,7 +13,7 @@ import re
 
 import pytest
 
-from repro.config import FaultParams, NetworkParams, SystemConfig
+from repro.config import FaultParams, SystemConfig
 from repro.dsm import Protocol, SharedArray
 from repro.faults import FaultInjector, parse_plan
 from repro.obs import Registry
@@ -100,9 +100,8 @@ SCENARIOS = {
             suspicion_threshold=6))),
     "partition": _planned("0.30 cut 0 1", program=counter_program,
                           nprocs=3, extra_nodes=2, failure_detection=True),
-    "lossy": _planned("0.0 duplicate 0.3\n0.0 delay 0.2 0.001",
-                      nprocs=3, extra_nodes=1,
-                      cfg=SystemConfig(network=NetworkParams(loss_rate=0.05))),
+    "lossy": _planned("0.0 loss 0.05\n0.0 duplicate 0.3\n0.0 delay 0.2 0.001",
+                      nprocs=3, extra_nodes=1),
 }
 
 #: (category, subject, scenario, detail pattern, dense).  ``subject`` is
