@@ -8,7 +8,8 @@ orchestrator therefore:
 1. aborts the current epoch — kills the driver, the slave wait loops and
    every DSM engine where they stand (their in-flight protocol state is
    garbage now);
-2. cancels queued adapt events (availability daemons must resubmit);
+2. cancels queued joins (availability daemons must resubmit) and
+   completes pending leaves: their nodes go back to their owners;
 3. forms a new team from the surviving team nodes (the master's node
    first, when it survived) plus idle pool nodes, up to the old size;
 4. charges the restore cost — re-reading the checkpoint image at the
@@ -63,7 +64,8 @@ def plan_new_team(runtime, nprocs_target: int) -> List[int]:
 
     The master's node keeps the master role when it survived; otherwise
     the lowest surviving (or spare) node hosts the new master.  Nodes with
-    a join in flight are free game — their requests were cancelled.
+    a join in flight are free game — their requests were cancelled — and
+    nodes whose leave was pending are out: they were handed back.
     """
     old_mapping = runtime.team.snapshot()
 
@@ -105,7 +107,7 @@ def run_recovery(
 
     # 1-2. abort the epoch and clear the adaptation queue
     runtime._halt_computation()
-    runtime._cancel_adaptations()
+    runtime._close_adaptations()
 
     # 3. form the new team (may shrink if the pool ran dry)
     new_nodes = plan_new_team(runtime, nprocs_before)

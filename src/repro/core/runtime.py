@@ -242,19 +242,23 @@ class AdaptiveRuntime(TmkRuntime):
         for proc in self.procs.values():
             proc.halt()
 
-    def _cancel_adaptations(self) -> None:
-        """Void all queued adapt events (their world no longer exists)."""
+    def _close_adaptations(self) -> None:
+        """Void queued joins (their world no longer exists) and honour
+        pending leaves: the owner still reclaims the node, so it goes back
+        now and :func:`~repro.core.recovery.plan_new_team` leaves it out."""
         now = self.sim.now
         for req in self.queue.joins:
             if req.state in (RequestState.PENDING, RequestState.READY):
                 req.state = RequestState.CANCELLED
                 req.completed_at = now
-        for req in self.queue.leaves:
-            if req.state in (RequestState.PENDING, RequestState.URGENT):
-                req.state = RequestState.CANCELLED
-                req.completed_at = now
-                if req.watchdog is not None:
-                    req.watchdog.kill()
+        for req in self.queue.pending_leaves():
+            req.state = RequestState.DONE
+            req.completed_at = now
+            if req.watchdog is not None:
+                req.watchdog.kill()
+            node = self.pool.node(req.node_id)
+            if node.in_pool:
+                node.withdraw()
 
     def _rebuild_after_crash(self, new_node_ids: List[int]) -> None:
         """Fresh team, fresh DSM engines — shared address space retained."""

@@ -15,6 +15,7 @@ here do.
 
 import pytest
 
+from repro.api import run
 from repro.bench.harness import run_experiment
 from repro.errors import SimulationError
 from repro.exec import AdaptEvent, ScenarioSpec, spec_from_preset
@@ -121,3 +122,37 @@ def test_chaos_plan_without_degrade_or_crash_verifies(plan):
     exp = _run_chaos_materialized(plan, "flat")
     assert len(exp.recoveries) == 1
     assert exp.app.verify(rtol=1e-7, atol=1e-9)
+
+
+#: Materialized 3-D FFT 16³ × 12 (calibrated rates) on 4 processes + 1
+#: spare node, a checkpoint every 0.2 s; node 3 crashes near the end of
+#: the run (a healthy run ends at 0.785 s).
+_FFT = ScenarioSpec(
+    kernel="fft3d", params={"nx": 16, "ny": 16, "nz": 16, "iterations": 12},
+    nprocs=4, materialized=True, extra_nodes=1, checkpoint_interval=0.2)
+
+
+def _run_fft_crash_at(t: float):
+    return run(_FFT.replaced(events=(AdaptEvent("crash", t, 3),))).result
+
+
+@pytest.mark.xfail(strict=True, raises=SimulationError,
+                   reason="ROADMAP item 1 (ii): a reply to a page request from "
+                          "a node declared dead is an uncaught handler failure")
+def test_fft_crash_at_0_71_recovers_and_verifies():
+    try:
+        result = _run_fft_crash_at(0.71)
+    except SimulationError as err:
+        assert "'P0.h.page_req' failed at t=0.710403" in str(err)
+        assert "message to detached node 3" in str(err)
+        raise
+    assert result.verified
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 1: the restored run ends with memory "
+                          "unequal to the sequential reference")
+def test_fft_crash_at_0_70_recovers_and_verifies():
+    result = _run_fft_crash_at(0.70)
+    assert len(result.recoveries) == 1
+    assert result.verified

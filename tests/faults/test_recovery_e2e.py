@@ -13,13 +13,16 @@ import pytest
 
 from repro.bench.harness import run_experiment
 from repro.config import FaultParams, SystemConfig
+from repro.core import RequestState
 from repro.errors import RecoveryError
 from repro.exec import AdaptEvent, ScenarioSpec
+from repro.exec.pool import execute_spec
 from repro.faults import FaultInjector, parse_plan
 from repro.obs import Registry
 
-from ..helpers import build_adaptive
 from ..core.test_checkpoint import counter_program
+from ..golden import SCENARIOS
+from ..helpers import build_adaptive
 
 N_ITER = 20
 
@@ -236,3 +239,25 @@ class TestIdlePoolCrash:
         res = rt.run(prog)
         assert res.recoveries == []
         np.testing.assert_array_equal(final["grid"], fault_free_grid())
+
+
+class TestLeavePendingAtCrash:
+    """A leave still pending when a crash is recovered is honoured: the
+    owner gets the node back and the rebuilt team does without it."""
+
+    def test_urgent_leave_mid_migration(self):
+        # Node 2's zero-grace leave is migrating (0.02 s to ~1.25 s) when
+        # node 1 crashes; the heartbeat detector declares it at 0.6 s.
+        urgent = SCENARIOS["urgent-mat"].spec
+        spec = urgent.replaced(events=urgent.events + (AdaptEvent("crash", 0.5, 1),),
+                               failure_detection=True)
+        exp, _ = execute_spec(spec)
+        rt = exp.runtime
+        (leave,) = rt.queue.leaves
+        assert leave.state is RequestState.DONE
+        assert leave.completed_at == exp.recoveries[0].detected_at == 0.6
+        assert leave.migrated_at is None and exp.migrations == []
+        node = rt.pool.node(2)
+        assert not rt.team.has_node(2) and not node.in_pool
+        assert rt.team.snapshot() == {0: 0, 1: 3, 2: 4, 3: 5}
+        assert exp.app.verify(rtol=1e-7, atol=1e-9)
