@@ -17,8 +17,8 @@ import pytest
 
 from repro.api import AdaptEvent
 from repro.apps import TINY
-from repro.exec.pool import execute_spec
 from repro.dsm import ScRuntime
+from repro.exec.pool import execute_spec
 from repro.network import message as mk
 from repro.simcore import SimProcess
 
