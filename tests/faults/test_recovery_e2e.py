@@ -159,7 +159,7 @@ class TestStockKernelsResume:
     CASES = {
         "jacobi": ({"n": 96, "iterations": 60}, 0.85, 120),
         "gauss": ({"n": 96, "iterations": 95}, 0.85, 95),
-        "fft3d": ({"nx": 16, "ny": 16, "nz": 16, "iterations": 12}, 0.71, 24),
+        "fft3d": ({"nx": 16, "ny": 16, "nz": 16, "iterations": 12}, 0.76, 24),
         "nbf": ({"natoms": 1024, "npartners": 8, "iterations": 30}, 0.71, 60),
     }
 
@@ -169,7 +169,7 @@ class TestStockKernelsResume:
         restored and the number of forks run after it."""
         spec = ScenarioSpec(
             kernel=kernel, params=params,
-            nprocs=4, calibrated=False, materialized=True, extra_nodes=1,
+            nprocs=4, materialized=True, extra_nodes=1,
             events=(AdaptEvent("crash", crash_at),))
         exp = run_experiment(
             spec.build_app, nprocs=spec.nprocs, adaptive=True,

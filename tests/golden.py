@@ -152,7 +152,7 @@ class Scenario:
 
 
 def _tiny(app: str, nprocs: int = 4, **kwargs) -> ScenarioSpec:
-    return spec_from_preset("tiny", app, nprocs, calibrated=False, **kwargs)
+    return spec_from_preset("tiny", app, nprocs, **kwargs)
 
 
 _ADAPT = _tiny("jacobi", 8, adaptive=True, extra_nodes=2,
@@ -167,9 +167,9 @@ _CRASH_WARM = _CRASH.replaced(events=(AdaptEvent("crash", 0.5),))
 #: Gauss's 768-byte rows are not page aligned, so every page has several
 #: writers; a 34x34 Jacobi gives each of 128 processes at most one row.
 _GAUSS_WIDE = ScenarioSpec(kernel="gauss", params={"n": 96, "iterations": 8},
-                           nprocs=32, calibrated=False)
+                           nprocs=32)
 _JACOBI_WIDE = ScenarioSpec(kernel="jacobi", params={"n": 34, "iterations": 2},
-                            nprocs=128, calibrated=False)
+                            nprocs=128)
 #: An urgent leave: a zero grace period expires at once, so node 2's
 #: process migrates mid-region while the whole team is frozen (§4.2).
 _URGENT = _tiny("jacobi", adaptive=True, extra_nodes=2,
