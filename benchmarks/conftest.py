@@ -58,8 +58,7 @@ def table1_grid():
         for adaptive in (False, True)
     ]
     specs = [
-        spec_from_preset("bench", app_name, nprocs, calibrated=True,
-                         adaptive=adaptive,
+        spec_from_preset("bench", app_name, nprocs, adaptive=adaptive,
                          label=f"{app_name}-{nprocs}{'-adpt' if adaptive else ''}")
         for app_name, nprocs, adaptive in cells
     ]

@@ -11,11 +11,12 @@ runtime.
 
 import pytest
 
-from repro.bench import format_table, make_jacobi
+from repro.apps import Jacobi
+from repro.bench import format_table
 from repro.bench.harness import run_experiment
 from repro.cluster import PeriodicAlternator
 
-FACTORY = lambda: make_jacobi(500, 220)  # ~4.7 s at 8 procs, plenty of points
+FACTORY = lambda: Jacobi(500, 220)  # ~4.7 s at 8 procs, plenty of points
 
 
 def rate_run(gap):

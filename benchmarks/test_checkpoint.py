@@ -9,13 +9,14 @@ on the master's downlink, and slaves never write anything.
 
 import pytest
 
-from repro.bench import format_table, make_jacobi
+from repro.apps import Jacobi
+from repro.bench import format_table
 from repro.bench.harness import run_experiment
 
 
 def ckpt_run(n, interval=0.15):
     return run_experiment(
-        lambda: make_jacobi(n, 24),
+        lambda: Jacobi(n, 24),
         nprocs=4,
         adaptive=True,
         runtime_kwargs={"checkpoint_interval": interval},

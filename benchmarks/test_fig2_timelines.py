@@ -13,7 +13,7 @@ rendered as a timeline; assertions pin the event ordering the figure depicts.
 
 import pytest
 
-from repro.bench import make_jacobi
+from repro.apps import Jacobi
 from repro.bench.harness import run_experiment
 from repro.obs import Registry
 
@@ -32,7 +32,7 @@ def scenarios():
     out = {}
     # (a) join: submit early; absorbed at an adaptation point after setup
     out["join"] = run_experiment(
-        lambda: make_jacobi(350, 40),
+        lambda: Jacobi(350, 40),
         nprocs=3,
         extra_nodes=1,
         adaptive=True,
@@ -41,7 +41,7 @@ def scenarios():
     )
     # (b) normal leave: long grace, next adaptation point well inside it
     out["normal_leave"] = run_experiment(
-        lambda: make_jacobi(350, 40),
+        lambda: Jacobi(350, 40),
         nprocs=3,
         adaptive=True,
         obs=Registry(),
@@ -51,7 +51,7 @@ def scenarios():
     )
     # (c) urgent leave: adaptation points ~0.9 s apart, grace only 0.15 s
     out["urgent_leave"] = run_experiment(
-        lambda: make_jacobi(1400, 8),
+        lambda: Jacobi(1400, 8),
         nprocs=3,
         adaptive=True,
         obs=Registry(),

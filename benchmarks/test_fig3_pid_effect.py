@@ -14,7 +14,8 @@ from fractions import Fraction
 
 import pytest
 
-from repro.bench import FIGURE3_MOVED, format_table, make_jacobi
+from repro.apps import Jacobi
+from repro.bench import FIGURE3_MOVED, format_table
 from repro.bench.harness import run_experiment
 from repro.core import CompactShift, SwapLast, moved_fraction
 
@@ -48,7 +49,7 @@ def _leave_run(leaver_pid, strategy):
         rt.sim.schedule(0.05, lambda: rt.submit_leave(node, grace=60.0))
 
     return run_experiment(
-        lambda: make_jacobi(704, 24),  # 8 rows/page: aligned blocks at 8 procs
+        lambda: Jacobi(704, 24),  # 8 rows/page: aligned blocks at 8 procs
         nprocs=8,
         adaptive=True,
         events=install,

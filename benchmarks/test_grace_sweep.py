@@ -14,10 +14,11 @@ the grace period tunes.
 
 import pytest
 
-from repro.bench import format_table, make_jacobi
+from repro.apps import Jacobi
+from repro.bench import format_table
 from repro.bench.harness import run_experiment
 
-FACTORY = lambda: make_jacobi(1000, 14)  # ~1.3 s between adaptation points
+FACTORY = lambda: Jacobi(1000, 14)  # ~1.3 s between adaptation points
 #: spawn (0.6-0.8 s) + ~1.5 s image copy: what an urgent leave costs
 MIGRATION_SECONDS = 2.2
 GRACES = (0.05, 0.2, 0.6, 1.5, 3.0)

@@ -10,7 +10,8 @@ wavers — and the lossless run is byte-identical to the no-loss-model run
 
 import pytest
 
-from repro.bench import format_table, make_gauss
+from repro.apps import Gauss
+from repro.bench import format_table
 from repro.bench.harness import run_experiment
 from repro.faults import FaultInjector, parse_plan
 
@@ -23,7 +24,7 @@ def lossy_run(rate):
     def lossy_wire(rt):
         FaultInjector(rt, parse_plan(f"0 loss {rate}")).install()
 
-    return run_experiment(lambda: make_gauss(256), nprocs=4,
+    return run_experiment(lambda: Gauss(256), nprocs=4,
                           events=lossy_wire if rate else None)
 
 
@@ -67,7 +68,7 @@ def test_drop_counters_track_rate(sweep):
 
 def test_reliability_layer_pay_for_use(sweep):
     """The 0 % point must be identical to a run with no loss model at all."""
-    plain = run_experiment(lambda: make_gauss(256), nprocs=4)
+    plain = run_experiment(lambda: Gauss(256), nprocs=4)
     zero = sweep[0.0]
     assert zero.runtime_seconds == pytest.approx(plain.runtime_seconds, rel=1e-12)
     assert zero.messages == plain.messages

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench import format_table, make_gauss, make_jacobi
+from repro.apps import Gauss, Jacobi
+from repro.bench import format_table
 from repro.bench.harness import run_experiment
 
 
@@ -38,7 +39,7 @@ def leave_run(factory, nprocs, leave_pid=None, at=0.2, grace=1e9, **kw):
 def c1_points():
     points = []
     for n in (352, 704, 1056, 1408):
-        res = leave_run(lambda n=n: make_jacobi(n, 16), nprocs=8)
+        res = leave_run(lambda n=n: Jacobi(n, 16), nprocs=8)
         rec = res.adapt_records[0]
         points.append((rec.max_link_bytes, rec.duration))
     return points
@@ -87,7 +88,7 @@ def test_c3_cost_decreases_with_more_processes(report):
     rows = []
     costs = {}
     for nprocs in (4, 6, 8):
-        res = leave_run(lambda: make_jacobi(704, 16), nprocs=nprocs)
+        res = leave_run(lambda: Jacobi(704, 16), nprocs=nprocs)
         rec = res.adapt_records[0]
         costs[nprocs] = rec.duration
         rows.append([nprocs, rec.duration, rec.drained_pages, rec.max_link_bytes])
@@ -106,7 +107,7 @@ def test_c3_cost_decreases_with_more_processes(report):
 # c4: batched adapt events are cheaper than successive ones
 # ---------------------------------------------------------------------------
 def test_c4_batched_adaptations_cheaper(report):
-    factory = lambda: make_jacobi(704, 40)
+    factory = lambda: Jacobi(704, 40)
 
     def batched(rt):
         # both leaves pending before the same adaptation point

@@ -13,8 +13,8 @@ and that migration dwarfs a normal leave.
 
 import pytest
 
-from repro.apps import PAPER
-from repro.bench import MICRO, MIGRATION_COST, format_table, make_jacobi
+from repro.apps import Jacobi, PAPER
+from repro.bench import MICRO, MIGRATION_COST, format_table
 from repro.bench.harness import run_experiment
 from repro.config import SystemConfig
 
@@ -73,7 +73,7 @@ def test_paper_scale_migration_in_range(app):
 def test_simulated_urgent_leave_components():
     """An actual urgent leave decomposes exactly as §5.3 describes."""
     res = run_experiment(
-        lambda: make_jacobi(1400, 8),
+        lambda: Jacobi(1400, 8),
         nprocs=3,
         adaptive=True,
         events=lambda rt: rt.sim.schedule(0.5, lambda: rt.submit_leave(2, grace=0.15)),
@@ -90,13 +90,13 @@ def test_migration_much_costlier_than_normal_leave():
     """The paper's conclusion: normal leaves (a few tens of ms of protocol
     work at this scale) beat migration (≥ 0.6 s spawn alone)."""
     normal = run_experiment(
-        lambda: make_jacobi(700, 30),
+        lambda: Jacobi(700, 30),
         nprocs=4,
         adaptive=True,
         events=lambda rt: rt.sim.schedule(0.2, lambda: rt.submit_leave(3, grace=60.0)),
     )
     urgent = run_experiment(
-        lambda: make_jacobi(1400, 8),
+        lambda: Jacobi(1400, 8),
         nprocs=3,
         adaptive=True,
         events=lambda rt: rt.sim.schedule(0.5, lambda: rt.submit_leave(2, grace=0.15)),

@@ -13,8 +13,8 @@ evaluation kernels under both protocols and measures the difference:
 
 import pytest
 
-from repro.apps import APP_NAMES
-from repro.bench import BENCH_CALIBRATED, format_table, make_jacobi
+from repro.apps import APP_NAMES, BENCH
+from repro.bench import format_table
 from repro.bench.harness import run_experiment
 from repro.dsm import ScRuntime, TmkRuntime
 
@@ -36,17 +36,11 @@ def sc_experiment(factory, nprocs):
     return result
 
 
-SMALL = {
-    "jacobi": lambda: make_jacobi(350, 20),
-    "gauss": None,  # taken from BENCH_CALIBRATED below
-}
-
-
 @pytest.fixture(scope="module")
 def protocol_grid():
     grid = {}
     for app_name in APP_NAMES:
-        factory = BENCH_CALIBRATED[app_name]
+        factory = BENCH[app_name].make
         lrc = run_experiment(factory, nprocs=8)
         sc = sc_experiment(factory, nprocs=8)
         grid[app_name] = (lrc, sc)

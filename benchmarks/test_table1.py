@@ -29,7 +29,7 @@ def _standard_system(app, nprocs):
     from repro.network import build_topology
     from repro.simcore import Simulator
 
-    spec = spec_from_preset("bench", app, nprocs, calibrated=True)
+    spec = spec_from_preset("bench", app, nprocs)
     cfg = spec.build_config()
     sim = Simulator()
     pool = NodePool(sim, build_topology(sim, cfg.network, cfg.perf))

@@ -17,15 +17,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.apps import APP_NAMES
+from repro.apps import APP_NAMES, FFT3D, Gauss, Jacobi, NBF
 from repro.bench import (
     TABLE2,
     adaptation_delay,
     format_table,
-    make_fft3d,
-    make_gauss,
-    make_jacobi,
-    make_nbf,
     nonadaptive_times,
 )
 from repro.bench.harness import run_experiment
@@ -33,10 +29,10 @@ from repro.cluster import PeriodicAlternator
 
 #: Longer-running variants so several adaptations land inside one run.
 FACTORIES = {
-    "jacobi": lambda: make_jacobi(500, 150),
-    "gauss": lambda: make_gauss(512, 500),
-    "fft3d": lambda: make_fft3d(32, 16, 16, 60),
-    "nbf": lambda: make_nbf(8192, 16, 100),
+    "jacobi": lambda: Jacobi(500, 150),
+    "gauss": lambda: Gauss(512, 500),
+    "fft3d": lambda: FFT3D(32, 16, 16, 60),
+    "nbf": lambda: NBF(8192, 16, 100),
 }
 
 CONFIGS = [(n, leaver) for n in (8, 6) for leaver in ("end", "middle")]

@@ -15,7 +15,7 @@ args...``, see ``repro.faults.plan``) — the same text ``repro run
 Run:  python examples/now_workday.py
 """
 
-from repro.bench import make_jacobi
+from repro.apps import Jacobi
 from repro.cluster import NodePool
 from repro.config import SystemConfig
 from repro.core import AdaptiveRuntime
@@ -46,7 +46,7 @@ def main():
     team = pool.add_nodes(8)
     rt = AdaptiveRuntime(sim, cfg, team, pool, materialized=False)
 
-    app = make_jacobi(700, 700)  # long-running: ~10 s of simulated work
+    app = Jacobi(700, 700)  # long-running: ~10 s of simulated work
     program = app.program(rt)
     app.do_collect = False
 

@@ -11,7 +11,8 @@ the exact pathology LRC's multiple-writer protocol removes.
 Run:  python examples/protocol_comparison.py
 """
 
-from repro.bench import breakdown_table, link_table, make_jacobi
+from repro.apps import Jacobi
+from repro.bench import breakdown_table, link_table
 from repro.bench.harness import run_experiment
 from repro.cluster import NodePool
 from repro.config import SystemConfig
@@ -20,7 +21,7 @@ from repro.network import Switch
 from repro.simcore import Simulator
 
 NPROCS = 8
-FACTORY = lambda: make_jacobi(700, 40)
+FACTORY = lambda: Jacobi(700, 40)
 
 
 def run_sc():

@@ -28,11 +28,12 @@ class Gauss(AppKernel):
         self,
         n: int = 3072,
         iterations: int | None = None,
-        update_rate: float = 145.0e-9,
+        update_rate: float = 1.453070330945156e-07,
         seed: int = 4321,
     ):
-        """``update_rate`` is seconds per updated matrix element,
-        calibrated so the 1-node run lands on Table 1's 1 404.20 s."""
+        """``update_rate`` is seconds per updated matrix element: the rate
+        ``repro.bench.calibrate.calibrated_rates`` derives from Table 1's
+        1-node time (1 404.20 s)."""
         super().__init__()
         if n < 2:
             raise ValueError("Gauss needs n >= 2")

@@ -31,13 +31,14 @@ class Jacobi(AppKernel):
         self,
         n: int = 2500,
         iterations: int = 1000,
-        update_rate: float = 164.0e-9,
-        copy_rate: float = 41.0e-9,
+        update_rate: float = 1.6430464e-07,
+        copy_rate: float = 4.107616e-08,
         seed: int = 1234,
     ):
         """``update_rate``/``copy_rate`` are seconds per grid point per
-        pass, calibrated so the 1-node run lands on Table 1's 1 283.63 s
-        (see ``repro.bench.calibrate``)."""
+        pass: the rates ``repro.bench.calibrate.calibrated_rates`` derives
+        from Table 1's 1-node time (1 283.63 s), the copy pass charged at
+        ``JACOBI_COPY_FRACTION`` of an update."""
         super().__init__()
         if n < 3:
             raise ValueError("Jacobi needs n >= 3")

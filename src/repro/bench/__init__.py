@@ -18,16 +18,7 @@ from .adaptation_cost import (
     interpolated_reference,
 )
 from .model import LeaveCostModel, MigrationCostModel, predicted_max_link_bytes
-from .calibrate import (
-    BENCH_CALIBRATED,
-    PAPER_CALIBRATED,
-    calibrated_rates,
-    expected_1node_seconds,
-    make_fft3d,
-    make_gauss,
-    make_jacobi,
-    make_nbf,
-)
+from .calibrate import calibrated_rates, expected_1node_seconds
 from .harness import ExperimentResult, nonadaptive_times
 from .perf import calibrate_spin
 from .recovery import (
@@ -49,12 +40,10 @@ from .reporting import format_table, ratio_note
 
 __all__ = [
     "ADAPTATION_POINT_SPACING",
-    "BENCH_CALIBRATED",
     "ExperimentResult",
     "FIGURE3_MOVED",
     "MICRO",
     "MIGRATION_COST",
-    "PAPER_CALIBRATED",
     "TABLE1",
     "TABLE2",
     "LeaveCostModel",
@@ -75,10 +64,6 @@ __all__ = [
     "expected_1node_seconds",
     "format_table",
     "interpolated_reference",
-    "make_fft3d",
-    "make_gauss",
-    "make_jacobi",
-    "make_nbf",
     "nonadaptive_times",
     "calibrate_spin",
     "ratio_note",

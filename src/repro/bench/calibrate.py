@@ -1,17 +1,19 @@
 """Compute-rate calibration against Table 1's 1-node column.
 
 The simulator charges application CPU time through per-operation rates.
-Rather than hard-coding them, this module *derives* each kernel's rates
-from the paper's own 1-node runtimes and the kernel's analytic operation
-count — then the multi-node runtimes, traffic, and adaptation costs are
-predictions of the protocol + network simulation, which is exactly what
-the reproduction needs to test.
+This module *derives* each kernel's rates from the paper's own 1-node
+runtimes and the kernel's analytic operation count — then the multi-node
+runtimes, traffic, and adaptation costs are predictions of the protocol +
+network simulation, which is exactly what the reproduction needs to test.
+The kernels' default rates are these values written out as literals
+(``repro.apps`` cannot import this module: it imports ``repro.apps``), and
+``tests/bench/test_bench.py`` holds the two equal to the bit.
 """
 
 from __future__ import annotations
 
 from math import log2
-from typing import Callable, Dict
+from typing import Dict
 
 from ..apps import FFT3D, Gauss, Jacobi, NBF, AppKernel
 from .paper_data import TABLE1
@@ -55,64 +57,6 @@ def calibrated_rates() -> Dict[str, float]:
         "nbf": TABLE1[("nbf", 1)].time_standard / nbf_ops(131072, 80, 100),
     }
 
-
-def make_jacobi(n: int, iterations: int, **kw) -> Jacobi:
-    rate = calibrated_rates()["jacobi"]
-    return Jacobi(
-        n=n,
-        iterations=iterations,
-        update_rate=rate,
-        copy_rate=rate * JACOBI_COPY_FRACTION,
-        **kw,
-    )
-
-
-def make_gauss(n: int, iterations: int | None = None, **kw) -> Gauss:
-    rate = calibrated_rates()["gauss"]
-    return Gauss(n=n, iterations=iterations, update_rate=rate, **kw)
-
-
-def make_fft3d(nx: int, ny: int, nz: int, iterations: int, **kw) -> FFT3D:
-    rate = calibrated_rates()["fft3d"]
-    return FFT3D(
-        nx=nx,
-        ny=ny,
-        nz=nz,
-        iterations=iterations,
-        butterfly_rate=rate,
-        transpose_rate=rate * FFT_TRANSPOSE_FRACTION,
-        **kw,
-    )
-
-
-def make_nbf(natoms: int, npartners: int, iterations: int, **kw) -> NBF:
-    rate = calibrated_rates()["nbf"]
-    return NBF(
-        natoms=natoms,
-        npartners=npartners,
-        iterations=iterations,
-        interaction_rate=rate,
-        integrate_rate=rate * NBF_INTEGRATE_FRACTION,
-        **kw,
-    )
-
-
-#: Calibrated factories at the *paper* problem sizes.
-PAPER_CALIBRATED: Dict[str, Callable[[], AppKernel]] = {
-    "jacobi": lambda: make_jacobi(2500, 1000),
-    "gauss": lambda: make_gauss(3072),
-    "fft3d": lambda: make_fft3d(128, 64, 64, 100),
-    "nbf": lambda: make_nbf(131072, 80, 100),
-}
-
-#: Calibrated factories at harness scale: same access-pattern shape
-#: (alignment properties preserved), runs in seconds under the simulator.
-BENCH_CALIBRATED: Dict[str, Callable[[], AppKernel]] = {
-    "jacobi": lambda: make_jacobi(700, 60),
-    "gauss": lambda: make_gauss(512),
-    "fft3d": lambda: make_fft3d(64, 64, 32, 8),
-    "nbf": lambda: make_nbf(8192, 16, 25),
-}
 
 #: Expected 1-node simulated runtime of a calibrated kernel (seconds).
 def expected_1node_seconds(app: AppKernel) -> float:

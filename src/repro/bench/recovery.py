@@ -66,7 +66,7 @@ def recovery_sweep(
 
     base_spec = ScenarioSpec(
         kernel="jacobi", params={"n": n, "iterations": iterations},
-        nprocs=nprocs, calibrated=False, adaptive=True, materialized=True,
+        nprocs=nprocs, adaptive=True, materialized=True,
         extra_nodes=1, label="recovery-baseline",
     )
     baseline = sweep([base_spec]).results[0]

@@ -107,7 +107,6 @@ def _spec_from_args(args):
     )
     return spec_from_preset(
         args.preset, args.app, args.nprocs,
-        calibrated=False,  # the run command uses the preset's stock rates
         materialized=args.materialized,
         extra_nodes=args.extra_nodes,
         events=events,
@@ -409,8 +408,7 @@ def cmd_table1(args) -> int:
 
     grid = [(app, nprocs) for app in APP_NAMES for nprocs in (8, 4, 1)]
     specs = [
-        spec_from_preset("bench", app, nprocs, calibrated=True,
-                         label=f"{app}-{nprocs}")
+        spec_from_preset("bench", app, nprocs, label=f"{app}-{nprocs}")
         for app, nprocs in grid
     ]
     outcome = _sweep_from_args(args, specs, jobs_default=1,
@@ -451,9 +449,7 @@ def _grid_specs(args):
         return None
     grid = [(app, nprocs) for app in apps for nprocs in nodes]
     specs = [
-        spec_from_preset(args.preset, app, nprocs,
-                         calibrated=not args.uncalibrated,
-                         label=f"{app}-{nprocs}")
+        spec_from_preset(args.preset, app, nprocs, label=f"{app}-{nprocs}")
         for app, nprocs in grid
     ]
     return grid, specs
@@ -476,8 +472,7 @@ def cmd_sweep(args) -> int:
     print(format_table(
         ["app", "nodes", "t(s)", "pages", "MB", "messages", "diffs", "via"],
         rows,
-        title=f"Scenario sweep ({args.preset} preset, "
-              f"{'stock' if args.uncalibrated else 'calibrated'} rates)",
+        title=f"Scenario sweep ({args.preset} preset)",
     ))
     print(f"  {_sweep_summary(outcome)}", file=sys.stderr)
     if args.timeline:
@@ -630,8 +625,8 @@ def cmd_chaos(args) -> int:
         print(f"bad --nodes {args.nodes!r}; expected e.g. 1,4,8", file=sys.stderr)
         return 2
     specs = [
-        spec_from_preset(args.preset, app, nprocs, calibrated=True,
-                         seed=9000 + k, label=f"{app}-{nprocs}-chaos{k}")
+        spec_from_preset(args.preset, app, nprocs, seed=9000 + k,
+                         label=f"{app}-{nprocs}-chaos{k}")
         for app in apps for nprocs in nodes
         for k in range(max(1, args.scenarios))
     ]
@@ -905,9 +900,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "(default: %(default)s)")
         grid.add_argument("--preset", choices=sorted(PRESETS),
                           default="bench")
-        grid.add_argument("--uncalibrated", action="store_true",
-                          help="use the kernels' stock compute rates instead "
-                               "of the Table-1-calibrated ones")
         grid.add_argument("--json", default=None, metavar="FILE",
                           help="also write the full sweep (specs, digests, "
                                "results) as JSON")

@@ -155,6 +155,18 @@ def worker_fault(digest: str, attempt: int) -> None:
 # ---------------------------------------------------------------------------
 # host-side cache corruption
 # ---------------------------------------------------------------------------
+def _payload_span(raw: bytes) -> Tuple[int, int]:
+    """Byte range of the stored result payload inside a cache entry, the
+    part its checksum covers (the whole file when it cannot be found)."""
+    try:
+        payload = json.dumps(json.loads(raw)["result"], sort_keys=True,
+                             separators=(",", ":")).encode()
+    except (ValueError, KeyError, TypeError):
+        return 0, len(raw)
+    start = raw.find(payload)
+    return (start, start + len(payload)) if start >= 0 else (0, len(raw))
+
+
 def corrupt_cache_entries(root: Union[str, Path], seed: int = 0,
                           count: int = 1,
                           modes: Sequence[str] = ("truncate", "bitflip"),
@@ -180,9 +192,11 @@ def corrupt_cache_entries(root: Union[str, Path], seed: int = 0,
             keep = max(1, int(len(raw) * 0.5))
             path.write_bytes(raw[:keep])
         elif mode == "bitflip":
-            if not raw:
+            lo, hi = _payload_span(raw)
+            span = hi - lo
+            if span <= 0:
                 continue
-            pos = int(seeded_unit(seed, "pos", path.name) * len(raw)) % len(raw)
+            pos = lo + int(seeded_unit(seed, "pos", path.name) * span) % span
             flipped = bytes([raw[pos] ^ 0x01])
             path.write_bytes(raw[:pos] + flipped + raw[pos + 1:])
         else:

@@ -31,7 +31,7 @@ from ..errors import ConfigurationError
 
 #: Canonical-serialization schema; bump when the digest-relevant layout
 #: of ScenarioSpec changes (old cache entries then miss on digest).
-SPEC_SCHEMA = "repro-scenario/1"
+SPEC_SCHEMA = "repro-scenario/2"
 
 #: Problem-size parameters each kernel accepts (and their digest order).
 KERNEL_PARAMS: Dict[str, Tuple[str, ...]] = {
@@ -90,9 +90,6 @@ class ScenarioSpec:
     #: Problem-size keyword arguments for the kernel.
     params: Mapping[str, int] = field(default_factory=dict)
     nprocs: int = 4
-    #: Charge compute through the Table-1-calibrated rates
-    #: (:mod:`repro.bench.calibrate`) instead of the kernels' defaults.
-    calibrated: bool = True
     #: Report the run as adaptive even without events.  Every spec runs on
     #: the adaptive runtime; this only sets the result's label.
     adaptive: bool = False
@@ -144,7 +141,6 @@ class ScenarioSpec:
             "kernel": self.kernel,
             "params": {k: self.params[k] for k in sorted(self.params)},
             "nprocs": self.nprocs,
-            "calibrated": self.calibrated,
             "adaptive": self.adaptive,
             "materialized": self.materialized,
             "extra_nodes": self.extra_nodes,
@@ -201,7 +197,6 @@ class ScenarioSpec:
             kernel=d["kernel"],
             params=dict(d.get("params", {})),
             nprocs=d.get("nprocs", 4),
-            calibrated=d.get("calibrated", True),
             adaptive=d.get("adaptive", False),
             materialized=d.get("materialized", False),
             extra_nodes=d.get("extra_nodes", 0),
@@ -251,26 +246,7 @@ class ScenarioSpec:
         return cfg
 
     def build_app(self):
-        """Instantiate the kernel (calibrated rates when asked)."""
-        if self.calibrated:
-            from ..bench.calibrate import (
-                make_fft3d,
-                make_gauss,
-                make_jacobi,
-                make_nbf,
-            )
-
-            factories = {
-                "jacobi": make_jacobi,
-                "gauss": make_gauss,
-                "fft3d": make_fft3d,
-                "nbf": make_nbf,
-            }
-            if self.kernel not in factories:
-                raise ConfigurationError(
-                    f"no calibrated rates for kernel {self.kernel!r}"
-                )
-            return factories[self.kernel](**self.params)
+        """Instantiate the kernel (at its Table-1-calibrated rates)."""
         from ..apps import FFT3D, Gauss, Jacobi, NBF
 
         classes = {"jacobi": Jacobi, "gauss": Gauss, "fft3d": FFT3D, "nbf": NBF}
@@ -310,7 +286,7 @@ class ScenarioSpec:
 
 
 def spec_from_preset(preset: str, kernel: str, nprocs: int,
-                     calibrated: bool = True, **kwargs: Any) -> ScenarioSpec:
+                     **kwargs: Any) -> ScenarioSpec:
     """A spec at a named preset's problem size (``paper``/``bench``/``tiny``).
 
     The preset is resolved to explicit problem-size params at construction
@@ -326,5 +302,4 @@ def spec_from_preset(preset: str, kernel: str, nprocs: int,
         raise ConfigurationError(f"unknown kernel {kernel!r}")
     app = presets[preset][kernel].make()
     params = {name: getattr(app, name) for name in KERNEL_PARAMS[kernel]}
-    return ScenarioSpec(kernel=kernel, params=params, nprocs=nprocs,
-                        calibrated=calibrated, **kwargs)
+    return ScenarioSpec(kernel=kernel, params=params, nprocs=nprocs, **kwargs)

@@ -2,13 +2,13 @@
 
 import pytest
 
+from repro.apps import Jacobi
 from repro.bench import (
     adaptation_timeline,
     breakdown_table,
     busiest_links,
     link_reports,
     link_table,
-    make_jacobi,
     speedup_table,
     time_breakdown,
 )
@@ -18,13 +18,13 @@ from repro.config import PerfParams, SystemConfig
 
 @pytest.fixture(scope="module")
 def run():
-    return run_experiment(lambda: make_jacobi(200, 40), nprocs=4)
+    return run_experiment(lambda: Jacobi(200, 40), nprocs=4)
 
 
 @pytest.fixture(scope="module")
 def adaptive_run():
     return run_experiment(
-        lambda: make_jacobi(200, 30),
+        lambda: Jacobi(200, 30),
         nprocs=4,
         adaptive=True,
         events=lambda rt: rt.sim.schedule(0.05, lambda: rt.submit_leave(3, grace=60.0)),
@@ -87,7 +87,7 @@ class TestLinkReports:
         """§5.4's max-per-link view covers the trunks, where a fat-tree's
         traffic concentrates: each carries a whole leaf's."""
         cfg = SystemConfig(perf=PerfParams(topology="fattree", topology_radix=2))
-        fat = run_experiment(lambda: make_jacobi(200, 10), nprocs=8, cfg=cfg)
+        fat = run_experiment(lambda: Jacobi(200, 10), nprocs=8, cfg=cfg)
         names = {r.name for r in link_reports(fat)}
         assert {f"trunk.{d}{leaf}" for d in ("up", "down") for leaf in range(4)} <= names
         assert len(names) == 16 + 8

@@ -1,9 +1,12 @@
 """Tests for the benchmark harness: paper data, calibration math,
 adaptation-cost methodology, reporting."""
 
+import inspect
+
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.apps import FFT3D, Gauss, Jacobi, NBF
 from repro.bench import (
     MICRO,
     MIGRATION_COST,
@@ -15,15 +18,19 @@ from repro.bench import (
     expected_1node_seconds,
     format_table,
     interpolated_reference,
-    make_fft3d,
-    make_gauss,
-    make_jacobi,
-    make_nbf,
     ratio_note,
     speedup,
 )
 from repro.bench.harness import run_experiment
-from repro.bench.calibrate import fft_ops, gauss_ops, jacobi_ops, nbf_ops
+from repro.bench.calibrate import (
+    FFT_TRANSPOSE_FRACTION,
+    JACOBI_COPY_FRACTION,
+    NBF_INTEGRATE_FRACTION,
+    fft_ops,
+    gauss_ops,
+    jacobi_ops,
+    nbf_ops,
+)
 from repro.bench.perf import calibrate_spin
 
 
@@ -78,18 +85,36 @@ class TestCalibration:
     def test_paper_size_one_node_times_match_table1(self):
         """The calibration must invert exactly."""
         checks = [
-            (make_jacobi(2500, 1000), TABLE1[("jacobi", 1)].time_standard),
-            (make_gauss(3072), TABLE1[("gauss", 1)].time_standard),
-            (make_fft3d(128, 64, 64, 100), TABLE1[("fft3d", 1)].time_standard),
-            (make_nbf(131072, 80, 100), TABLE1[("nbf", 1)].time_standard),
+            (Jacobi(2500, 1000), TABLE1[("jacobi", 1)].time_standard),
+            (Gauss(3072), TABLE1[("gauss", 1)].time_standard),
+            (FFT3D(128, 64, 64, 100), TABLE1[("fft3d", 1)].time_standard),
+            (NBF(131072, 80, 100), TABLE1[("nbf", 1)].time_standard),
         ]
         for app, published in checks:
             assert expected_1node_seconds(app) == pytest.approx(published, rel=1e-9)
 
+    def test_kernel_default_rates_are_the_calibration(self):
+        """The constructors' default rates are ``calibrated_rates()`` and
+        the fixed fractions, to the bit: there is one set of rates."""
+        rates = calibrated_rates()
+        defaults = {
+            (Jacobi, "update_rate"): rates["jacobi"],
+            (Jacobi, "copy_rate"): rates["jacobi"] * JACOBI_COPY_FRACTION,
+            (Gauss, "update_rate"): rates["gauss"],
+            (FFT3D, "butterfly_rate"): rates["fft3d"],
+            (FFT3D, "transpose_rate"): rates["fft3d"] * FFT_TRANSPOSE_FRACTION,
+            (NBF, "interaction_rate"): rates["nbf"],
+            (NBF, "integrate_rate"): rates["nbf"] * NBF_INTEGRATE_FRACTION,
+        }
+        for (kernel, name), rate in defaults.items():
+            default = inspect.signature(kernel).parameters[name].default
+            assert default == rate, f"{kernel.__name__}.{name}"
+            assert getattr(kernel(), name) == rate
+
     def test_simulated_1node_run_matches_calibration(self):
-        res = run_experiment(lambda: make_jacobi(128, 4), nprocs=1)
+        res = run_experiment(lambda: Jacobi(128, 4), nprocs=1)
         assert res.runtime_seconds == pytest.approx(
-            expected_1node_seconds(make_jacobi(128, 4)), rel=0.02
+            expected_1node_seconds(Jacobi(128, 4)), rel=0.02
         )
 
     @given(st.integers(2, 64), st.integers(1, 20))
@@ -133,11 +158,11 @@ class TestAdaptationCostMethod:
         assert lo * (1 - 1e-9) <= ref <= hi * (1 + 1e-9)
 
     def test_average_nprocs_no_adaptations(self):
-        res = run_experiment(lambda: make_jacobi(64, 2), nprocs=2)
+        res = run_experiment(lambda: Jacobi(64, 2), nprocs=2)
         assert average_nprocs(res, 2) == 2.0
 
     def test_adaptation_delay_zero_without_events(self):
-        res = run_experiment(lambda: make_jacobi(64, 2), nprocs=2, adaptive=True)
+        res = run_experiment(lambda: Jacobi(64, 2), nprocs=2, adaptive=True)
         per, total = adaptation_delay(res, {2: res.runtime_seconds}, 2)
         assert per == total == 0.0
 
@@ -164,25 +189,25 @@ class TestReporting:
 class TestHarness:
     def test_run_experiment_deterministic(self):
         def once():
-            res = run_experiment(lambda: make_gauss(64, 20), nprocs=3)
+            res = run_experiment(lambda: Gauss(64, 20), nprocs=3)
             return res.runtime_seconds, res.traffic.bytes, res.traffic.messages
 
         assert once() == once()
 
     def test_traced_run_has_no_app_payloads(self):
-        res = run_experiment(lambda: make_jacobi(64, 2), nprocs=2, materialized=False)
+        res = run_experiment(lambda: Jacobi(64, 2), nprocs=2, materialized=False)
         assert res.app.final == {}  # collect skipped in traced mode
 
     def test_materialized_run_verifies(self):
         res = run_experiment(
-            lambda: make_jacobi(48, 3), nprocs=2, materialized=True
+            lambda: Jacobi(48, 3), nprocs=2, materialized=True
         )
         assert res.app.verify(rtol=1e-7, atol=1e-9)
 
     def test_events_hook_called(self):
         seen = []
         run_experiment(
-            lambda: make_jacobi(64, 2),
+            lambda: Jacobi(64, 2),
             nprocs=2,
             adaptive=True,
             events=lambda rt: seen.append(rt),

@@ -2,10 +2,10 @@
 
 import pytest
 
+from repro.apps import Jacobi
 from repro.bench import (
     LeaveCostModel,
     MigrationCostModel,
-    make_jacobi,
     predicted_max_link_bytes,
 )
 from repro.bench.harness import run_experiment
@@ -14,7 +14,7 @@ from repro.config import SystemConfig
 
 def leave_record(n, nprocs=8):
     res = run_experiment(
-        lambda: make_jacobi(n, 16),
+        lambda: Jacobi(n, 16),
         nprocs=nprocs,
         adaptive=True,
         events=lambda rt: rt.sim.schedule(
@@ -54,7 +54,7 @@ class TestLeaveCostModel:
 class TestMigrationCostModel:
     def test_matches_simulated_migration(self):
         res = run_experiment(
-            lambda: make_jacobi(700, 8),
+            lambda: Jacobi(700, 8),
             nprocs=3,
             adaptive=True,
             events=lambda rt: rt.sim.schedule(

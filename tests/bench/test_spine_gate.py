@@ -139,7 +139,7 @@ def test_src_has_every_name_the_traced_benchmark_reads():
     try:
         tracer.install()
         report = api.run(
-            api.spec_from_preset("tiny", "jacobi", 4, calibrated=False))
+            api.spec_from_preset("tiny", "jacobi", 4))
     finally:
         tracer.uninstall()
     values = {}

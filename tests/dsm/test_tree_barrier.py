@@ -304,7 +304,7 @@ def _gauss_leave_join(label, **perf):
     # Gauss keeps pages under single-writer ownership, so the leaver owns
     # pages and the leave drain actually broadcasts OWNER_UPDATE.
     return spec_from_preset(
-        "tiny", "gauss", 8, calibrated=False, adaptive=True, extra_nodes=2,
+        "tiny", "gauss", 8, adaptive=True, extra_nodes=2,
         events=(AdaptEvent("leave", 0.03, 3), AdaptEvent("join", 0.06)),
         label=label, perf=perf,
     )

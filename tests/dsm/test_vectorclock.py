@@ -372,5 +372,5 @@ class TestStampedMerges:
 
         monkeypatch.setattr(VectorClock, "merge", counting)
         execute_spec(ScenarioSpec(kernel="gauss", params={"n": 96, "iterations": 95},
-                                  nprocs=16, calibrated=False))
+                                  nprocs=16))
         assert merges and len(scans) <= len(merges) / 100

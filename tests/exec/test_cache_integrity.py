@@ -23,7 +23,7 @@ from repro.exec.result import canonical_checksum
 def executed():
     """One real (spec, result) pair, computed once for the module."""
     spec = ScenarioSpec(kernel="jacobi", params={"n": 32, "iterations": 2},
-                        nprocs=2, calibrated=True, seed=5000, label="integrity")
+                        nprocs=2, seed=5000, label="integrity")
     result, wall = run_spec(spec)
     return spec, result, wall
 
@@ -92,6 +92,15 @@ class TestDamageDetection:
         assert reader.get(spec) is None
         assert reader.stats.corrupt == 1
         assert reader.stats.quarantined == 1
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_bitflip_lands_in_the_checksummed_payload(self, tmp_path,
+                                                      executed, seed):
+        """The flip damages the result, never the unchecked spec echo or
+        the ``meta`` block, so every seed's damage is detected."""
+        cache, spec, _ = fresh_cache(tmp_path, executed)
+        corrupt_cache_entries(tmp_path, seed=seed, count=1, modes=("bitflip",))
+        assert ResultCache(root=tmp_path).get(spec) is None
 
     def test_digest_mismatch_quarantines(self, tmp_path, executed):
         cache, spec, _ = fresh_cache(tmp_path, executed)

@@ -29,7 +29,7 @@ from repro.obs import Registry
 def tiny_specs(count=2, n=32, iterations=2):
     return [
         ScenarioSpec(kernel="jacobi", params={"n": n, "iterations": iterations},
-                     nprocs=2, calibrated=True, seed=4000 + k,
+                     nprocs=2, seed=4000 + k,
                      label=f"chaos{k}")
         for k in range(count)
     ]

@@ -26,7 +26,7 @@ def small_specs(count=3, n=48, iterations=3):
     """Fast, distinct-digest calibrated Jacobi scenarios."""
     return [
         ScenarioSpec(kernel="jacobi", params={"n": n, "iterations": iterations},
-                     nprocs=4, calibrated=True, seed=1000 + k, label=f"s{k}")
+                     nprocs=4, seed=1000 + k, label=f"s{k}")
         for k in range(count)
     ]
 
@@ -157,7 +157,7 @@ class TestCrashRetry:
 
     def test_worker_exception_propagates_with_traceback(self):
         bad = ScenarioSpec(kernel="jacobi", params={"n": 2, "iterations": 1},
-                           nprocs=4, calibrated=True)
+                           nprocs=4)
         # Two misses make a pool, and the first lease (``bad``) goes to
         # the only worker registered at t = 0: the calling thread.  Its
         # failure is reported like any worker's, not raised raw.

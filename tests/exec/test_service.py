@@ -42,7 +42,7 @@ from repro.obs import Registry
 
 
 def tiny_spec(nprocs=1):
-    return spec_from_preset("tiny", "jacobi", nprocs, calibrated=False)
+    return spec_from_preset("tiny", "jacobi", nprocs)
 
 
 def wait_until(predicate, timeout=30.0, interval=0.02):
@@ -291,7 +291,7 @@ class TestConcurrency:
         answered, and the counters add up."""
         import sys
 
-        specs = [spec_from_preset("tiny", "jacobi", n, calibrated=False,
+        specs = [spec_from_preset("tiny", "jacobi", n,
                                   seed=s) for n in (1, 2, 4) for s in range(4)]
         local = [r.to_json() for r in run_specs(specs, jobs=1).results]
         outcomes, errors = [None] * 3, []
@@ -365,7 +365,7 @@ class TestLifecycle:
                 submit_outcome([NotASpec()], co.address)
 
     def test_code_salt_mismatch_rejected(self):
-        """A worker running different model sources may not feed the
+        """A worker running different sources may not feed the
         shared cache: refused exactly like a wire-schema mismatch."""
         with Coordinator(cache=None) as co:
             sock = connect(co.address)
@@ -393,8 +393,7 @@ class TestServiceCLI:
 
         from repro.cli import main
 
-        grid = ["--apps", "jacobi", "--nodes", "1,2", "--preset", "tiny",
-                "--uncalibrated"]
+        grid = ["--apps", "jacobi", "--nodes", "1,2", "--preset", "tiny"]
         cold, warm = tmp_path / "cold.json", tmp_path / "warm.json"
         with Coordinator(cache=ResultCache(root=tmp_path / "c")) as co, \
                 Worker(co.address):

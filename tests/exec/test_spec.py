@@ -41,7 +41,6 @@ class TestCanonicalForm:
         ("params", {"n": 49, "iterations": 3}),
         ("params", {"n": 48, "iterations": 4}),
         ("nprocs", 8),
-        ("calibrated", False),
         ("adaptive", True),
         ("materialized", True),
         ("extra_nodes", 2),
@@ -190,7 +189,7 @@ class TestOneInstaller:
         from ..golden import MODELS
 
         nprocs, extra, fields, events, plan = self.SCRIPTS[script]
-        base = spec_from_preset("tiny", "jacobi", nprocs, calibrated=False,
+        base = spec_from_preset("tiny", "jacobi", nprocs,
                                 extra_nodes=extra, perf=MODELS[model], **fields)
         by_events, _ = run_spec(base.replaced(events=events))
         by_plan, _ = run_spec(base.replaced(fault_plan=plan))

@@ -28,7 +28,7 @@ from repro.exec.supervisor import (
 
 def spec_of(n=48, nprocs=4, **kw):
     return ScenarioSpec(kernel="jacobi", params={"n": n, "iterations": 3},
-                        nprocs=nprocs, calibrated=True, **kw)
+                        nprocs=nprocs, **kw)
 
 
 class TestSeededUnit:

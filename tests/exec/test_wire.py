@@ -131,10 +131,10 @@ class TestRoundtripProperties:
     @given(st.integers(min_value=1, max_value=64),
            st.integers(min_value=0, max_value=10**9),
            st.booleans())
-    def test_spec_wire_form_roundtrips_digest(self, nprocs, seed, calibrated):
+    def test_spec_wire_form_roundtrips_digest(self, nprocs, seed, materialized):
         spec = ScenarioSpec(
             kernel="jacobi", params={"n": 32, "iterations": 2},
-            nprocs=nprocs, calibrated=calibrated, seed=seed, label="prop")
+            nprocs=nprocs, materialized=materialized, seed=seed, label="prop")
         again = ScenarioSpec.from_wire(spec.to_wire())
         assert again == spec
         assert again.config_digest() == spec.config_digest()

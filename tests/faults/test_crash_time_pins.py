@@ -86,7 +86,7 @@ def test_crash_at_2_5_recovers_and_completes():
 
 def _run_chaos_materialized(plan: str, model: str):
     spec = spec_from_preset(
-        "tiny", "jacobi", 4, calibrated=False, materialized=True,
+        "tiny", "jacobi", 4, materialized=True,
         extra_nodes=1, checkpoint_interval=0.02, failure_detection=True,
         fault_plan=plan, perf=MODELS[model])
     return execute_spec(spec)[0]
@@ -124,9 +124,9 @@ def test_chaos_plan_without_degrade_or_crash_verifies(plan):
     assert exp.app.verify(rtol=1e-7, atol=1e-9)
 
 
-#: Materialized 3-D FFT 16³ × 12 (calibrated rates) on 4 processes + 1
-#: spare node, a checkpoint every 0.2 s; node 3 crashes near the end of
-#: the run (a healthy run ends at 0.785 s).
+#: Materialized 3-D FFT 16³ × 12 on 4 processes + 1 spare node, a
+#: checkpoint every 0.2 s; node 3 crashes near the end of the run (a
+#: healthy run ends at 0.785 s).
 _FFT = ScenarioSpec(
     kernel="fft3d", params={"nx": 16, "ny": 16, "nz": 16, "iterations": 12},
     nprocs=4, materialized=True, extra_nodes=1, checkpoint_interval=0.2)

@@ -107,7 +107,7 @@ def test_fault_free_gauss_keeps_every_node(materialized):
     """Fault-free Gauss with the failure detector on must not recover."""
     spec = ScenarioSpec(
         kernel="gauss", params={"n": 96, "iterations": 95}, nprocs=4,
-        extra_nodes=1, calibrated=False, adaptive=True,
+        extra_nodes=1, adaptive=True,
         materialized=materialized, failure_detection=True)
     exp, _ = execute_spec(spec)
     assert exp.recoveries == []

@@ -9,7 +9,7 @@ from repro.obs import ADAPT_PHASES, RECOVERY_PHASES, CostBreakdown
 @pytest.fixture(scope="module")
 def leave_report():
     spec = spec_from_preset(
-        "tiny", "jacobi", 8, calibrated=False, adaptive=True,
+        "tiny", "jacobi", 8, adaptive=True,
         extra_nodes=2, events=(AdaptEvent("leave", 0.03, 3),),
         label="bd-leave",
     )
@@ -19,7 +19,7 @@ def leave_report():
 @pytest.fixture(scope="module")
 def crash_report():
     spec = spec_from_preset(
-        "tiny", "jacobi", 4, calibrated=False, adaptive=True,
+        "tiny", "jacobi", 4, adaptive=True,
         extra_nodes=1, events=(AdaptEvent("crash", 0.03),),
         checkpoint_interval=0.02, failure_detection=True,
         label="bd-crash",
@@ -116,6 +116,5 @@ class TestRecoveryBreakdown:
 
 class TestUnobservedRuns:
     def test_breakdown_absent_without_obs(self):
-        spec = spec_from_preset("tiny", "jacobi", 2, calibrated=False,
-                                label="bd-off")
+        spec = spec_from_preset("tiny", "jacobi", 2, label="bd-off")
         assert run(spec).cost_breakdown is None

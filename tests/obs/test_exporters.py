@@ -26,7 +26,7 @@ from repro.obs.schema import (
 @pytest.fixture(scope="module")
 def observed():
     spec = spec_from_preset(
-        "tiny", "jacobi", 8, calibrated=False, adaptive=True,
+        "tiny", "jacobi", 8, adaptive=True,
         extra_nodes=2, events=(AdaptEvent("leave", 0.03, 3),),
         label="exporters",
     )
@@ -81,7 +81,7 @@ class TestInstantExport:
     @pytest.fixture(scope="class")
     def crashed(self):
         spec = spec_from_preset(
-            "tiny", "jacobi", 4, calibrated=False, adaptive=True,
+            "tiny", "jacobi", 4, adaptive=True,
             extra_nodes=1, events=(AdaptEvent("crash", 0.03),),
             checkpoint_interval=0.02, failure_detection=True)
         return run(spec, obs=ObsConfig())
@@ -143,8 +143,7 @@ class TestPoolTrace:
         from repro.exec import ResultCache
 
         specs = [
-            spec_from_preset("tiny", "jacobi", n, calibrated=False,
-                             label=f"pool-{n}")
+            spec_from_preset("tiny", "jacobi", n, label=f"pool-{n}")
             for n in (2, 4)
         ]
         cache = ResultCache(root=tmp_path / "cache")

@@ -23,15 +23,14 @@ def _observed_and_plain(spec):
 class TestBitwiseIdentity:
     @pytest.mark.parametrize("app", sorted(APP_NAMES))
     def test_every_kernel_traced(self, app):
-        spec = spec_from_preset("tiny", app, 4, calibrated=False,
-                                label=f"obs-id-{app}")
+        spec = spec_from_preset("tiny", app, 4, label=f"obs-id-{app}")
         plain, observed = _observed_and_plain(spec)
         assert plain.result.to_json() == observed.result.to_json()
         assert observed.registry is not None and plain.registry is None
 
     def test_adaptive_with_leave(self):
         spec = spec_from_preset(
-            "tiny", "jacobi", 8, calibrated=False, adaptive=True,
+            "tiny", "jacobi", 8, adaptive=True,
             extra_nodes=2, events=(AdaptEvent("leave", 0.03, 3),),
             label="obs-id-leave",
         )
@@ -40,7 +39,7 @@ class TestBitwiseIdentity:
         assert observed.result.adaptations >= 1
 
     def test_materialized_verified(self):
-        spec = spec_from_preset("tiny", "jacobi", 4, calibrated=False,
+        spec = spec_from_preset("tiny", "jacobi", 4,
                                 materialized=True, label="obs-id-mat")
         plain, observed = _observed_and_plain(spec)
         assert plain.result.to_json() == observed.result.to_json()
@@ -48,7 +47,7 @@ class TestBitwiseIdentity:
 
     def test_crash_recovery_path(self):
         spec = spec_from_preset(
-            "tiny", "jacobi", 4, calibrated=False, adaptive=True,
+            "tiny", "jacobi", 4, adaptive=True,
             extra_nodes=1, events=(AdaptEvent("crash", 0.03),),
             checkpoint_interval=0.02, failure_detection=True,
             label="obs-id-crash",
@@ -57,8 +56,7 @@ class TestBitwiseIdentity:
         assert plain.result.to_json() == observed.result.to_json()
 
     def test_disabled_obsconfig_records_nothing(self):
-        spec = spec_from_preset("tiny", "nbf", 2, calibrated=False,
-                                label="obs-id-off")
+        spec = spec_from_preset("tiny", "nbf", 2, label="obs-id-off")
         report = run(spec, obs=ObsConfig(enabled=False))
         assert report.registry is None
         assert report.cost_breakdown is None

@@ -120,11 +120,11 @@ def _is_dense(instant):
 #: (``tmk``) and fetch pages over the wire (``net``, ``dsm/page_fetch``).
 _SPECS = {
     "crash": spec_from_preset(
-        "tiny", "jacobi", 4, calibrated=False, adaptive=True, extra_nodes=1,
+        "tiny", "jacobi", 4, adaptive=True, extra_nodes=1,
         events=(AdaptEvent("crash", 0.03),), checkpoint_interval=0.02,
         failure_detection=True),
     "urgent-leave": spec_from_preset(
-        "tiny", "nbf", 4, calibrated=False, adaptive=True, extra_nodes=1,
+        "tiny", "nbf", 4, adaptive=True, extra_nodes=1,
         events=(AdaptEvent("leave", 0.03, 3),)),
 }
 

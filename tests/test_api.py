@@ -15,7 +15,7 @@ from repro.dsm.runtime import RunResult
 
 def tiny_spec(**kw):
     kw.setdefault("label", "api-test")
-    return spec_from_preset("tiny", "jacobi", 4, calibrated=False, **kw)
+    return spec_from_preset("tiny", "jacobi", 4, **kw)
 
 
 class TestRun:

@@ -121,6 +121,19 @@ class TestSweep:
             assert len(scenario["digest"]) == 64
             assert scenario["result"]["runtime_seconds"] > 0
 
+    def test_run_and_sweep_describe_one_cell_by_one_spec(self):
+        """``repro run`` and a ``repro sweep`` cell of the same kernel,
+        preset and team size are one simulation: one config digest."""
+        from repro.cli import _grid_specs, _spec_from_args
+
+        parser = build_parser()
+        ran = _spec_from_args(parser.parse_args(
+            ["run", "jacobi", "--preset", "tiny", "--nprocs", "4",
+             "--extra-nodes", "0"]))
+        grid, specs = _grid_specs(parser.parse_args(["sweep", "--preset", "tiny"]))
+        swept = specs[grid.index(("jacobi", 4))]
+        assert ran.config_digest() == swept.config_digest()
+
     def test_sweep_rejects_unknown_app(self, tmp_path):
         assert main(["sweep", "--apps", "linpack",
                      "--cache-dir", str(tmp_path)]) == 2
@@ -291,8 +304,7 @@ class TestSharedEngineFlags:
 
     def test_sweep_jobs_1_runs_serially_in_process(self, tmp_path, capsys):
         rc = main(["sweep", "--apps", "jacobi", "--nodes", "1",
-                   "--preset", "tiny", "--uncalibrated",
-                   "--jobs", "1", "--cache-dir", str(tmp_path)])
+                   "--preset", "tiny", "--jobs", "1", "--cache-dir", str(tmp_path)])
         out = capsys.readouterr()
         assert rc == 0
         assert "jacobi" in out.out
