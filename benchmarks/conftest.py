@@ -34,13 +34,16 @@ def report():
 
 @pytest.fixture(scope="session")
 def table1_grid():
-    """Standard & adaptive runs of every kernel at 1/4/8 procs (traced).
+    """One run of every kernel at 1/4/8 procs (traced), keyed
+    ``(app, nprocs)``.
 
-    Session-scoped: Table 1, the §5.4 benches, and the speedup checks all
-    read from this grid, so the expensive sweep runs once.
+    Every scenario runs on the adaptive runtime, which with no adapt event
+    is the standard system bit for bit, so one cell is both of Table 1's
+    columns.  Session-scoped: Table 1 and the speedup checks all read
+    from this grid, so the expensive sweep runs once.
 
     The grid runs through :func:`repro.api.sweep`: set
-    ``REPRO_BENCH_JOBS`` to shard the 24 cells across worker processes
+    ``REPRO_BENCH_JOBS`` to shard the 12 cells across worker processes
     (the merged results are bitwise-identical to serial execution), and
     ``REPRO_BENCH_NO_CACHE=1`` to bypass the content-addressed result
     cache under ``benchmarks/results/cache/``.
@@ -51,16 +54,10 @@ def table1_grid():
     from repro.apps import APP_NAMES
     from repro.exec import ResultCache
 
-    cells = [
-        (app_name, nprocs, adaptive)
-        for app_name in APP_NAMES
-        for nprocs in (1, 4, 8)
-        for adaptive in (False, True)
-    ]
+    cells = [(app_name, nprocs) for app_name in APP_NAMES for nprocs in (1, 4, 8)]
     specs = [
-        spec_from_preset("bench", app_name, nprocs, adaptive=adaptive,
-                         label=f"{app_name}-{nprocs}{'-adpt' if adaptive else ''}")
-        for app_name, nprocs, adaptive in cells
+        spec_from_preset("bench", app_name, nprocs, label=f"{app_name}-{nprocs}")
+        for app_name, nprocs in cells
     ]
     jobs = int(os.environ.get("REPRO_BENCH_JOBS", "1"))
     cache = (

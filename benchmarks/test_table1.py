@@ -7,9 +7,9 @@ Published claims reproduced here (at shape-preserving scaled workloads):
    overhead for supporting adaptivity);
 2. network traffic (pages / MB / messages / diffs) is *identical*;
 
-Every scenario runs on the adaptive runtime, so the grid's two columns
-agree by construction; claims 1 and 2 are checked against the bare
-TreadMarks runtime (:class:`~repro.dsm.TmkRuntime`), run beside the grid.
+Every scenario runs on the adaptive runtime, so one grid cell fills both
+columns; claims 1 and 2 are checked against the bare TreadMarks runtime
+(:class:`~repro.dsm.TmkRuntime`), run beside the grid.
 3. both systems speed up from 1 to 4 to 8 nodes;
 4. diffs are non-zero only for Jacobi (unaligned rows), zero for
    Gauss / 3D-FFT / NBF (page-aligned single-writer data).
@@ -43,18 +43,17 @@ def _rows(table1_grid):
     rows = []
     for app in APP_NAMES:
         for nprocs in (8, 4, 1):
-            std = table1_grid[(app, nprocs, False)]
-            adp = table1_grid[(app, nprocs, True)]
+            res = table1_grid[(app, nprocs)]
             rows.append(
                 [
                     app,
                     nprocs,
-                    std.runtime_seconds,
-                    adp.runtime_seconds,
-                    std.pages,
-                    std.megabytes,
-                    std.messages,
-                    std.diffs,
+                    res.runtime_seconds,
+                    res.runtime_seconds,
+                    res.pages,
+                    res.megabytes,
+                    res.messages,
+                    res.diffs,
                 ]
             )
     return rows
@@ -79,7 +78,7 @@ def test_table1_report(table1_grid, report):
 def test_adaptive_overhead_is_nil(table1_grid, app, nprocs):
     """Headline Table 1 claim: identical traffic, same runtime."""
     std = _standard_system(app, nprocs)
-    adp = table1_grid[(app, nprocs, True)]
+    adp = table1_grid[(app, nprocs)]
     assert adp.traffic.messages == std.traffic.messages
     assert adp.traffic.bytes == std.traffic.bytes
     assert adp.traffic.pages == std.traffic.pages
@@ -92,11 +91,11 @@ def test_adaptive_overhead_is_nil(table1_grid, app, nprocs):
 def test_speedup_shape(table1_grid, app):
     """More nodes => faster, and 1-node runs produce zero network traffic,
     exactly as Table 1's 1-node rows report."""
-    t1 = table1_grid[(app, 1, False)].runtime_seconds
-    t4 = table1_grid[(app, 4, False)].runtime_seconds
-    t8 = table1_grid[(app, 8, False)].runtime_seconds
+    t1 = table1_grid[(app, 1)].runtime_seconds
+    t4 = table1_grid[(app, 4)].runtime_seconds
+    t8 = table1_grid[(app, 8)].runtime_seconds
     assert t1 > t4 > t8
-    one = table1_grid[(app, 1, False)]
+    one = table1_grid[(app, 1)]
     assert one.traffic.messages == 0
     assert one.traffic.pages == 0
     # every kernel keeps gaining from 4 to 8 nodes, as in Table 1; the
@@ -113,7 +112,7 @@ def test_speedup_shape(table1_grid, app):
 @pytest.mark.parametrize("app", APP_NAMES)
 def test_diff_signature_matches_paper(table1_grid, app):
     """Diffs only where the paper reports them (Jacobi)."""
-    res = table1_grid[(app, 8, False)]
+    res = table1_grid[(app, 8)]
     paper_diffs = TABLE1[(app, 8)].diffs
     if paper_diffs == 0:
         assert res.diffs == 0
@@ -126,8 +125,8 @@ def test_traffic_ordering_matches_paper(table1_grid):
     the most communication-heavy kernel per unit of computation, as in
     Table 1 (779 MB for its shortest runtime)."""
     intensity = {
-        app: table1_grid[(app, 8, False)].megabytes
-        / table1_grid[(app, 8, False)].runtime_seconds
+        app: table1_grid[(app, 8)].megabytes
+        / table1_grid[(app, 8)].runtime_seconds
         for app in APP_NAMES
     }
     assert intensity["fft3d"] == max(intensity.values())
@@ -136,6 +135,6 @@ def test_traffic_ordering_matches_paper(table1_grid):
 @pytest.mark.parametrize("app", APP_NAMES)
 def test_more_nodes_more_traffic(table1_grid, app):
     """Table 1: traffic grows with the node count for every kernel."""
-    mb4 = table1_grid[(app, 4, False)].megabytes
-    mb8 = table1_grid[(app, 8, False)].megabytes
+    mb4 = table1_grid[(app, 4)].megabytes
+    mb8 = table1_grid[(app, 8)].megabytes
     assert mb8 > mb4 > 0

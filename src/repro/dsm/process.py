@@ -605,8 +605,6 @@ class DsmProcess:
             lrc.map_page(page)
         if not table.valid[page] or table.npending[page]:
             t0 = self.sim.now
-            self.stats.read_faults += 0 if write else 1
-            self.stats.write_faults += 1 if write else 0
             if not table.valid[page]:
                 from_pid = table.owner[page]
                 if from_pid == self.pid:
@@ -707,7 +705,6 @@ class DsmProcess:
                 size=16,
             )
             collected.extend(reply.payload["diffs"])
-            self.stats.diff_requests += 1
         buffer = self.store.page_view(page) if self.materialized else None
         ordered = apply_diffs_in_order(collected, buffer)
         dirty = sum([diff.dirty_bytes for diff in ordered])

@@ -163,10 +163,6 @@ class ScProcess(DsmProcess):
         if page in self._sc_exclusive if write else table.valid[page]:
             return
         t0 = self.sim.now
-        if write:
-            self.stats.write_faults += 1
-        else:
-            self.stats.read_faults += 1
         # the requester-side fault overhead is charged up front so that
         # grant receipt, state change, and return to the program are one
         # atomic instant — otherwise contending writers steal the page

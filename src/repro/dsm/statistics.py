@@ -14,10 +14,7 @@ from dataclasses import dataclass, fields
 class DsmStats:
     """Counters of one DSM process (simulated quantities)."""
 
-    read_faults: int = 0
-    write_faults: int = 0
     page_fetches: int = 0
-    diff_requests: int = 0
     diffs_fetched: int = 0
     diffs_created: int = 0
     twins_created: int = 0

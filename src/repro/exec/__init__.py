@@ -13,7 +13,7 @@ into a schedulable task, and has exactly one scheduler for them: the
   per-scenario output (canonical JSON, bitwise-stable);
 * :mod:`~repro.exec.cache` — :class:`ResultCache`, one file per digest
   under ``benchmarks/results/cache/`` salted with a content hash of the
-  model sources;
+  package sources;
 * :mod:`~repro.exec.pool` — :func:`run_specs`: cache pre-pass, the
   ``jobs=1`` in-process path, spec-order merge, and for ``jobs>=2`` an
   ephemeral coordinator whose N workers are the calling thread and the

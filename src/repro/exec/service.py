@@ -397,7 +397,7 @@ class Coordinator:
             refusal = (f"wire schema mismatch: {hello.get('schema')!r} "
                        f"!= {WIRE_SCHEMA!r}")
         elif hello.get("salt", salt) != salt:
-            # Different model sources compute different results for the
+            # Different sources may compute different results for the
             # same digest: such a worker must never feed the shared cache.
             refusal = (f"code salt mismatch: worker runs {hello['salt']!r}, "
                        f"coordinator {salt!r}")

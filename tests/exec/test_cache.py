@@ -64,25 +64,18 @@ class TestInvalidation:
         assert new.stats.invalidations == 1
         assert new.stats.misses == 1
 
-    def test_default_salt_is_a_content_hash_of_the_model_sources(
+    def test_default_salt_is_a_content_hash_of_the_package_sources(
             self, tmp_path):
         import shutil
         from pathlib import Path
 
         import repro
-        from repro.exec.cache import (
-            MODEL_SOURCES,
-            code_version_salt,
-            source_salt,
-        )
+        from repro.exec.cache import code_version_salt, source_salt
 
         package = Path(repro.__file__).parent
         copy = tmp_path / "repro"
-        copy.mkdir()
-        for name in MODEL_SOURCES:
-            src = package / name
-            (shutil.copytree if src.is_dir() else shutil.copy)(
-                src, copy / name)
+        shutil.copytree(package, copy,
+                        ignore=shutil.ignore_patterns("__pycache__"))
         assert ResultCache(root=tmp_path / "c").salt == code_version_salt()
         assert code_version_salt() == source_salt(package) == source_salt(copy)
         assert code_version_salt().startswith(repro.__version__ + "+")
@@ -90,11 +83,15 @@ class TestInvalidation:
         with open(copy / "dsm" / "diffs.py", "a") as fh:
             fh.write("#\n")
         assert source_salt(copy) != source_salt(package)
-        # ... an edit to the execution tier (not a model source) is not,
-        (copy / "exec").mkdir()
-        (copy / "exec" / "pool.py").write_text("# scheduling only\n")
+        # ... so is an edit to the execution tier, which decides the
+        # runtime, options and events a spec runs with,
         edited = source_salt(copy)
-        (copy / "exec" / "pool.py").write_text("# still scheduling only\n")
+        with open(copy / "exec" / "pool.py", "a") as fh:
+            fh.write("#\n")
+        assert source_salt(copy) != edited
+        # ... a compiled file is not,
+        edited = source_salt(copy)
+        (copy / "exec" / "stale.pyc").write_bytes(b"\0")
         assert source_salt(copy) == edited
         # ... and an explicit salt still overrides the computed one.
         assert ResultCache(root=tmp_path / "c", salt="pinned").salt == "pinned"
