@@ -64,8 +64,11 @@ class RunReport:
     spec: ScenarioSpec
     #: Deterministic simulated outputs (cache/serialization form).
     result: ScenarioResult
-    #: The live experiment: ``.runtime``, ``.app``, adapt/migration
-    #: records, the underlying :class:`~repro.dsm.runtime.RunResult`.
+    #: The finished experiment: ``.runtime``, ``.app``, adapt/migration
+    #: records, the underlying :class:`~repro.dsm.runtime.RunResult`.  The
+    #: run let go of its page stores and diff payloads when it ended
+    #: (:meth:`~repro.dsm.runtime.TmkRuntime.release`); the final memory
+    #: is ``experiment.app.final``.
     experiment: Any = field(repr=False, default=None)
     #: Span/counter registry (None when the run was unobserved).
     registry: Optional[Registry] = field(repr=False, default=None)

@@ -34,6 +34,11 @@ class ExperimentResult:
     migrations: List[Any]
     forks: int
     app: AppKernel
+    #: The finished runtime.  Its engines let go of their page stores
+    #: and diff payloads when the run ended
+    #: (:meth:`~repro.dsm.runtime.TmkRuntime.release`); stats, page
+    #: tables, the interval logs' records, the plan cache and the
+    #: checkpoints stay.  The final memory is ``app.final``.
     runtime: Any = field(repr=False, default=None)
     #: :class:`~repro.core.recovery.RecoveryRecord` per crash recovery.
     recoveries: List[Any] = field(default_factory=list)
@@ -84,6 +89,9 @@ def run_experiment(
     ``obs`` is a :class:`~repro.obs.Registry` to record spans, counters
     and instants into (None runs uninstrumented — the pre-observability
     behaviour).
+
+    The run's page stores and diff payloads end with it: the runtime is
+    released before this returns (docs/PROTOCOL.md §8).
     """
     cfg = cfg or SystemConfig()
     sim = Simulator(obs=obs)
@@ -104,6 +112,7 @@ def run_experiment(
     if events is not None:
         events(runtime)
     result = runtime.run(program)
+    runtime.release()
     return ExperimentResult(
         app_name=app.name,
         nprocs=nprocs,

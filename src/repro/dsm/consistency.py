@@ -554,3 +554,9 @@ class ConsistencyCore:
         table = self.table
         table.remap_owners(owner_remap, TeamView.MASTER_PID)
         table.applied.clear()  # keyed by the old pids
+
+    def release(self) -> None:
+        """The run is over: drop the page store and every diff payload.
+        The page table, the clock and the log's records stay readable."""
+        self.store = None
+        self.log.drop_diffs()

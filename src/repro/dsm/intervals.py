@@ -299,3 +299,10 @@ class IntervalLog:
         """Drop everything (garbage collection)."""
         self._count = self._last_seq = 0
         self._sets.clear()
+
+    def drop_diffs(self) -> None:
+        """Drop every record's diff payloads (the run is over); the
+        records, their seqs, ``runs`` and ``diff_runs`` stay."""
+        for _, _, records in self._sets.values():
+            for rec in records:
+                rec.diffs.clear()

@@ -152,6 +152,10 @@ class DsmProcess:
         self.stats = DsmStats()
         self._notice_bytes = cfg.dsm.write_notice_bytes
         self._clock_entry_bytes = cfg.dsm.clock_entry_bytes
+        #: Wire size of our vector clock.  Its width is the team size and
+        #: changes only at a GC or an adaptation (:meth:`gc_reset`,
+        #: :meth:`adapt_reset`), so it is kept, not recomputed per message.
+        self.vc_wire_bytes = team.nprocs * self._clock_entry_bytes
 
         #: Control messages for the main coroutine (fork, release, grants...).
         self.main_inbox = Channel(sim, name=f"{self.name}.main")
@@ -188,10 +192,6 @@ class DsmProcess:
     @property
     def is_master(self) -> bool:
         return self.pid == TeamView.MASTER_PID
-
-    @property
-    def vc_wire_bytes(self) -> int:
-        return self.lrc.vc.width * self._clock_entry_bytes
 
     def notice_wire_bytes(self, n_notices: int) -> int:
         return n_notices * self._notice_bytes
@@ -797,7 +797,9 @@ class DsmProcess:
     def gc_reset(self) -> None:
         """Drop all consistency bookkeeping and start a new epoch."""
         lrc = self.lrc
-        lrc.gc_reset(self.team.nprocs)
+        nprocs = self.team.nprocs
+        lrc.gc_reset(nprocs)
+        self.vc_wire_bytes = nprocs * self._clock_entry_bytes
         self.lock_states.clear()
         if self.lock_mgr is not None:
             self.lock_mgr.reset()
@@ -825,9 +827,12 @@ class DsmProcess:
 
     def array(self, seg: SharedSegment) -> np.ndarray:
         """Materialized view of a segment's local copy (shape/dtype applied)."""
-        if not self.materialized:
-            raise DsmError("array views are only available in materialized mode")
-        return self.store.array_view(seg)
+        store = self.store
+        if store is None:
+            raise DsmError("array views are only available in materialized mode, "
+                           "while the run lasts (a finished run's memory is "
+                           "its app's final arrays)")
+        return store.array_view(seg)
 
     # ------------------------------------------------------------------
     # migration support (urgent leaves)
@@ -853,13 +858,22 @@ class DsmProcess:
         is the reassigned process id; ``owner_remap`` maps old owner pids to
         new ones for every page-owner reference we hold.
         """
-        self.lrc.adapt_reset(new_pid, self.team.nprocs, owner_remap)
+        nprocs = self.team.nprocs
+        self.lrc.adapt_reset(new_pid, nprocs, owner_remap)
+        self.vc_wire_bytes = nprocs * self._clock_entry_bytes
         # Team membership changed: conceptually a repartition, so drop all
         # memoized access plans (they are rebuilt lazily on first use).
         self.space.plan_cache.invalidate()
         self.pid = new_pid
         # Pids were renumbered; the tree is rebuilt from the new team.
         self.tree_barrier.reset()
+
+    def release(self) -> None:
+        """The run is over: let go of the page store (both references) and
+        of the interval log's diff payloads (:meth:`ConsistencyCore.release`).
+        Stats, the page table and the log's records stay."""
+        self.store = None
+        self.lrc.release()
 
     def terminate(self) -> None:
         """Tear down after leaving the computation.  The engines that point

@@ -282,10 +282,17 @@ class TmkRuntime:
             cost_breakdown=CostBreakdown.from_registry(obs) if obs.enabled else None,
         )
 
+    def release(self) -> None:
+        """End the run's data with the run: every engine lets go of its
+        page store and diff payloads (:meth:`DsmProcess.release`).  What a
+        caller reads afterwards — the app's ``final`` arrays, stats,
+        traffic, page tables, the interval log's records, the plan cache
+        and any checkpoints — stays.  An engine that left the team is no
+        longer referenced by then (:meth:`_slave_main` drops its handle)."""
+        for proc in self.procs.values():
+            proc.release()
+
     def _start_slave(self, proc: DsmProcess) -> None:
-        self._slave_procs = {
-            p: h for p, h in self._slave_procs.items() if h.alive
-        }
         self._slave_procs[proc] = self.sim.process(
             self._slave_main(proc), name=f"{proc.name}.main"
         )
@@ -323,6 +330,9 @@ class TmkRuntime:
                     proc.terminate()
                     if msg.payload.get("withdraw") and node.in_pool:
                         node.withdraw()
+                # A stopped loop is done with its engine: the handle goes,
+                # so a leaver's engine is freed when it retires.
+                del self._slave_procs[proc]
                 break
             if msg.kind == mk.GC_REQ:
                 yield from proc.tree_barrier.fork_point_gc(msg.payload)

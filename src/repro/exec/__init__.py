@@ -39,85 +39,37 @@ and ``repro recovery`` take the same flags, and ``repro serve`` /
 ``repro workers`` run the service.
 """
 
-from .cache import (
-    CACHE_SCHEMA,
-    CachedEntry,
-    CacheStats,
-    ResultCache,
-    code_version_salt,
-)
-from .chaos import CHAOS_ENV, ChaosPlan, corrupt_cache_entries, run_chaos
-from .pool import (
-    SweepOutcome,
-    TaskOutcome,
-    default_jobs,
-)
-from .service import (
-    Coordinator,
-    ServiceCounters,
-    Submission,
-    service_status,
-    stop_service,
-    submit_outcome,
-)
-from .wire import WIRE_SCHEMA, ConnectionClosed, WireError
-from .worker import Worker, worker_main
-from .supervisor import (
-    AttemptRecord,
-    CacheCorrupt,
-    DeadlinePolicy,
-    ResourceExhausted,
-    RetryPolicy,
-    SupervisorPolicy,
-    TaskFailure,
-    TaskTimeout,
-    WorkerCrash,
-)
-from .result import RESULT_SCHEMA, ScenarioResult
-from .spec import (
-    SPEC_SCHEMA,
-    AdaptEvent,
-    ScenarioSpec,
-    spec_from_preset,
-)
+import importlib
 
-__all__ = [
-    "AdaptEvent",
-    "AttemptRecord",
-    "CACHE_SCHEMA",
-    "CHAOS_ENV",
-    "CacheCorrupt",
-    "CachedEntry",
-    "CacheStats",
-    "ChaosPlan",
-    "ConnectionClosed",
-    "Coordinator",
-    "DeadlinePolicy",
-    "RESULT_SCHEMA",
-    "ResourceExhausted",
-    "ResultCache",
-    "RetryPolicy",
-    "SPEC_SCHEMA",
-    "ScenarioResult",
-    "ScenarioSpec",
-    "ServiceCounters",
-    "Submission",
-    "SupervisorPolicy",
-    "SweepOutcome",
-    "TaskFailure",
-    "TaskOutcome",
-    "TaskTimeout",
-    "WIRE_SCHEMA",
-    "WireError",
-    "Worker",
-    "WorkerCrash",
-    "code_version_salt",
-    "corrupt_cache_entries",
-    "default_jobs",
-    "run_chaos",
-    "service_status",
-    "spec_from_preset",
-    "stop_service",
-    "submit_outcome",
-    "worker_main",
-]
+#: The public names by the submodule that defines them.  Each is imported
+#: on first use (PEP 562), so ``import repro.api`` loads the spec, result,
+#: cache and pool modules only: the service, wire, worker and chaos
+#: modules (and ``socket``) load when a ``--jobs N`` sweep, ``serve`` or
+#: ``submit`` first needs them.
+_EXPORTS = {
+    "cache": ("CACHE_SCHEMA", "CachedEntry", "CacheStats", "ResultCache",
+              "code_version_salt"),
+    "chaos": ("CHAOS_ENV", "ChaosPlan", "corrupt_cache_entries", "run_chaos"),
+    "pool": ("SweepOutcome", "TaskOutcome", "default_jobs"),
+    "service": ("Coordinator", "ServiceCounters", "Submission",
+                "service_status", "stop_service", "submit_outcome"),
+    "wire": ("WIRE_SCHEMA", "ConnectionClosed", "WireError"),
+    "worker": ("Worker", "worker_main"),
+    "supervisor": ("AttemptRecord", "CacheCorrupt", "DeadlinePolicy",
+                   "ResourceExhausted", "RetryPolicy", "SupervisorPolicy",
+                   "TaskFailure", "TaskTimeout", "WorkerCrash"),
+    "result": ("RESULT_SCHEMA", "ScenarioResult"),
+    "spec": ("SPEC_SCHEMA", "AdaptEvent", "ScenarioSpec", "spec_from_preset"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

@@ -52,7 +52,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ExecError
 from .cache import CacheStats, ResultCache
-from .chaos import active_plan
 from .result import ScenarioResult
 from .spec import ScenarioSpec
 from .supervisor import AttemptRecord, SupervisorPolicy
@@ -261,6 +260,8 @@ def run_specs(
     # The caller is the first executor — unless a chaos plan is active:
     # its kills and hangs target worker *processes*, so then all are
     # spawned and the caller only supervises.
+    from .chaos import active_plan
+
     caller_runs = jobs == 1 or active_plan() is None
     if pending and executors == 1 and caller_runs:
         for i, spec in pending:

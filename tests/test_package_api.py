@@ -4,6 +4,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import repro
 
 
@@ -23,6 +25,40 @@ def test_lazy_api_loads_in_a_fresh_interpreter():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "run"
+
+
+def test_api_import_leaves_the_sweep_service_unloaded():
+    """``import repro.api`` loads the spec, result, cache and pool half of
+    ``repro.exec`` only; the service, wire, worker and chaos modules and
+    ``socket`` load on first use of a name they define."""
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "\n".join([
+        "import sys",
+        "import repro.api",
+        "print(sorted(m for m in sys.modules if m.startswith('repro.exec')))",
+        "print('socket' in sys.modules)",
+        "from repro.exec import Coordinator",
+        "print(Coordinator.__module__, 'socket' in sys.modules)",
+    ])
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "['repro.exec', 'repro.exec.cache', 'repro.exec.pool', "
+        "'repro.exec.result', 'repro.exec.spec', 'repro.exec.supervisor']",
+        "False",
+        "repro.exec.service True",
+    ]
+
+
+def test_exec_exports_resolve():
+    import repro.exec
+
+    for name in repro.exec.__all__:
+        assert getattr(repro.exec, name) is not None, name
+    with pytest.raises(AttributeError):
+        repro.exec.no_such_name
 
 
 def test_all_exports_resolve():
