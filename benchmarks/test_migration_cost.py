@@ -13,7 +13,7 @@ and that migration dwarfs a normal leave.
 
 import pytest
 
-from repro.apps import Jacobi, PAPER
+from repro.apps import KERNELS, PAPER, Jacobi
 from repro.bench import MICRO, MIGRATION_COST, format_table
 from repro.bench.harness import run_experiment
 from repro.config import SystemConfig
@@ -22,7 +22,7 @@ from repro.config import SystemConfig
 def paper_scale_migration_seconds(app_name: str) -> tuple:
     """(min, max) direct migration cost for the paper-size kernel."""
     cfg = SystemConfig()
-    wl = PAPER[app_name].make()
+    wl = KERNELS[app_name](**PAPER[app_name])
     # a long-running process has mapped essentially the whole shared space
     import repro.dsm as dsm
     from repro.simcore import Simulator

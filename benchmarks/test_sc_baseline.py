@@ -11,9 +11,11 @@ evaluation kernels under both protocols and measures the difference:
   ownership change; LRC defers all coherence to synchronization points.
 """
 
+import functools
+
 import pytest
 
-from repro.apps import APP_NAMES, BENCH
+from repro.apps import APP_NAMES, BENCH, KERNELS
 from repro.bench import format_table
 from repro.bench.harness import run_experiment
 from repro.dsm import ScRuntime, TmkRuntime
@@ -40,7 +42,7 @@ def sc_experiment(factory, nprocs):
 def protocol_grid():
     grid = {}
     for app_name in APP_NAMES:
-        factory = BENCH[app_name].make
+        factory = functools.partial(KERNELS[app_name], **BENCH[app_name])
         lrc = run_experiment(factory, nprocs=8)
         sc = sc_experiment(factory, nprocs=8)
         grid[app_name] = (lrc, sc)

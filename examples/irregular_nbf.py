@@ -27,8 +27,8 @@ def main():
     pool = NodePool(sim, Switch(sim, cfg.network))
     rt = AdaptiveRuntime(sim, cfg, pool.add_nodes(4), pool, materialized=True)
 
-    app = NBF(natoms=1024, npartners=12, iterations=6,
-              interaction_rate=40e-6)  # slow interactions => long regions
+    # 256 partners per atom at Table 1's interaction rate => long regions
+    app = NBF(natoms=1024, npartners=256, iterations=6)
     program = app.program(rt)
 
     # grace far shorter than the ~0.5 s between adaptation points

@@ -5,7 +5,7 @@ from .fft3d import FFT3D
 from .gauss import Gauss
 from .jacobi import Jacobi
 from .nbf import NBF
-from .workloads import APP_NAMES, BENCH, PAPER, TINY, Workload
+from .presets import APP_NAMES, BENCH, KERNELS, PAPER, PRESETS, TINY
 
 __all__ = [
     "APP_NAMES",
@@ -14,9 +14,10 @@ __all__ = [
     "FFT3D",
     "Gauss",
     "Jacobi",
+    "KERNELS",
     "NBF",
     "PAPER",
+    "PRESETS",
     "TINY",
-    "Workload",
     "auto_protocol",
 ]

@@ -9,16 +9,22 @@ Kernels run in two modes sharing one code path:
   the final shared memory against a sequential numpy reference;
 * traced — identical access declarations and protocol traffic, no bytes.
 
-Compute time is charged through per-operation *rates* calibrated against
-Table 1's 1-node column (see ``repro.bench.calibrate``).
+Each kernel class is the one definition of its kernel: its problem-size
+parameter names (``PARAMS``, whose constructor defaults are the paper's
+Table 1 configuration), its operation count (``ops``) and its compute
+rates.  The primary rate is :func:`table1_rate`: Table 1's 1-node time
+over the op count at the paper size, so a 1-process run at the paper size
+takes the published time and everything else — the 4- and 8-node rows,
+traffic, adaptation costs — comes out of the simulation.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional
+from typing import Dict, Generator, List, Optional, Tuple
 
 import numpy as np
 
+from ..bench.paper_data import TABLE1
 from ..dsm import SharedArray, TmkProgram
 from ..errors import ConfigurationError
 from ..openmp import OmpProgram, ParallelFor, compile_openmp
@@ -29,6 +35,9 @@ class AppKernel:
 
     #: Subclasses set a stable name used in reports.
     name = "app"
+    #: Problem-size parameter names: the constructor keywords a
+    #: :class:`~repro.exec.spec.ScenarioSpec` may set.
+    PARAMS: Tuple[str, ...] = ()
 
     def __init__(self) -> None:
         self.arrays: Dict[str, SharedArray] = {}
@@ -51,6 +60,15 @@ class AppKernel:
     def reference(self) -> Dict[str, np.ndarray]:
         """Sequential numpy results to verify against (materialized mode)."""
         raise NotImplementedError
+
+    def ops(self) -> float:
+        """Operations charged at the primary rate over the whole run."""
+        raise NotImplementedError
+
+    @property
+    def params(self) -> Dict[str, int]:
+        """This instance's problem size, by :attr:`PARAMS` name."""
+        return {name: getattr(self, name) for name in self.PARAMS}
 
     #: Approximate shared-memory footprint in bytes (for reports).
     def shared_bytes(self) -> int:
@@ -101,6 +119,12 @@ class AppKernel:
             if not np.allclose(got, expected, rtol=rtol, atol=atol):
                 return False
         return True
+
+
+def table1_rate(kernel: type) -> float:
+    """Seconds per op of ``kernel``: Table 1's 1-node time over the op
+    count of the paper size, which is the constructor's defaults."""
+    return TABLE1[(kernel.name, 1)].time_standard / kernel().ops()
 
 
 def auto_protocol(row_bytes: int, page_size: int = 4096):

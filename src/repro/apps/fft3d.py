@@ -26,35 +26,36 @@ from typing import Generator, List
 import numpy as np
 
 from ..openmp import ParallelFor
-from .base import AppKernel, auto_protocol
+from .base import AppKernel, auto_protocol, table1_rate
 
 
 class FFT3D(AppKernel):
     name = "fft3d"
+    PARAMS = ("nx", "ny", "nz", "iterations")
+    #: A transpose move costs this fraction of one butterfly level.
+    TRANSPOSE_FRACTION = 0.10
+    #: Seconds per point per log2-level (:func:`table1_rate`, set below).
+    RATE: float
+    #: Seconds per point moved by a transpose.
+    TRANSPOSE_RATE: float
 
-    def __init__(
-        self,
-        nx: int = 128,
-        ny: int = 64,
-        nz: int = 64,
-        iterations: int = 100,
-        butterfly_rate: float = 2.894975752106511e-07,
-        transpose_rate: float = 2.8949757521065112e-08,
-        seed: int = 777,
-    ):
-        """``butterfly_rate`` is seconds per point per log2-level: the rate
-        ``repro.bench.calibrate.calibrated_rates`` derives from Table 1's
-        1-node time (289.90 s); a transpose move costs
-        ``FFT_TRANSPOSE_FRACTION`` of it."""
+    def __init__(self, nx: int = 128, ny: int = 64, nz: int = 64,
+                 iterations: int = 100, seed: int = 777):
         super().__init__()
         for d in (nx, ny, nz):
             if d < 2 or d & (d - 1):
                 raise ValueError("FFT dims must be powers of two >= 2")
         self.nx, self.ny, self.nz = nx, ny, nz
         self.iterations = iterations
-        self.butterfly_rate = butterfly_rate
-        self.transpose_rate = transpose_rate
         self.seed = seed
+
+    def ops(self) -> float:
+        """Butterfly levels over all points, transposes weighted at their
+        fraction."""
+        points = self.nx * self.ny * self.nz
+        levels = log2(self.nx) + log2(self.ny) + log2(self.nz)
+        per_iter = points * levels + points * self.TRANSPOSE_FRACTION
+        return per_iter * self.iterations
 
     def allocate(self, rt) -> None:
         page = rt.cfg.dsm.page_size
@@ -106,8 +107,8 @@ class FFT3D(AppKernel):
         points = (hi - lo) * self.ny * self.nz
         levels = log2(self.ny) + log2(self.nz)
         yield from ctx.compute(
-            points * levels * self.butterfly_rate
-            + points * self.transpose_rate
+            points * levels * self.RATE
+            + points * self.TRANSPOSE_RATE
         )
 
     def _fft3_body(self, ctx, lo: int, hi: int, args) -> Generator:
@@ -130,8 +131,8 @@ class FFT3D(AppKernel):
             dst[lo:hi] = np.fft.fft(dst[lo:hi], axis=2, norm="ortho")
         points = (hi - lo) * self.ny * self.nx
         yield from ctx.compute(
-            points * log2(self.nx) * self.butterfly_rate
-            + points * self.transpose_rate
+            points * log2(self.nx) * self.RATE
+            + points * self.TRANSPOSE_RATE
         )
 
     def driver(self, omp) -> Generator:
@@ -153,3 +154,7 @@ class FFT3D(AppKernel):
             a = np.fft.fft(np.fft.fft(a, axis=1, norm="ortho"), axis=2, norm="ortho")
             b = np.fft.fft(np.transpose(a, (2, 1, 0)), axis=2, norm="ortho")
         return {"b": b}
+
+
+FFT3D.RATE = table1_rate(FFT3D)
+FFT3D.TRANSPOSE_RATE = FFT3D.RATE * FFT3D.TRANSPOSE_FRACTION

@@ -18,22 +18,17 @@ from typing import Generator, List
 import numpy as np
 
 from ..openmp import ParallelFor
-from .base import AppKernel, auto_protocol
+from .base import AppKernel, auto_protocol, table1_rate
 
 
 class Gauss(AppKernel):
     name = "gauss"
+    PARAMS = ("n", "iterations")
+    #: Seconds per updated matrix element (:func:`table1_rate`, set below).
+    RATE: float
 
-    def __init__(
-        self,
-        n: int = 3072,
-        iterations: int | None = None,
-        update_rate: float = 1.453070330945156e-07,
-        seed: int = 4321,
-    ):
-        """``update_rate`` is seconds per updated matrix element: the rate
-        ``repro.bench.calibrate.calibrated_rates`` derives from Table 1's
-        1-node time (1 404.20 s)."""
+    def __init__(self, n: int = 3072, iterations: int | None = None,
+                 seed: int = 4321):
         super().__init__()
         if n < 2:
             raise ValueError("Gauss needs n >= 2")
@@ -41,8 +36,12 @@ class Gauss(AppKernel):
         self.iterations = iterations if iterations is not None else n - 1
         if not 0 <= self.iterations <= n - 1:
             raise ValueError("iterations must be in [0, n-1]")
-        self.update_rate = update_rate
         self.seed = seed
+
+    def ops(self) -> float:
+        """Matrix elements updated across all elimination steps."""
+        n = self.n
+        return float(sum((n - 1 - k) * (n - k) for k in range(self.iterations)))
 
     def allocate(self, rt) -> None:
         protocol = auto_protocol(self.n * 8, rt.cfg.dsm.page_size)
@@ -73,7 +72,7 @@ class Gauss(AppKernel):
             factors = a[rlo:hi, k] / a[k, k]
             a[rlo:hi, k:] -= factors[:, None] * a[k, k:]
             a[rlo:hi, k] = factors  # keep the multipliers (LU style)
-        yield from ctx.compute((hi - rlo) * (self.n - k) * self.update_rate)
+        yield from ctx.compute((hi - rlo) * (self.n - k) * self.RATE)
 
     def driver(self, omp) -> Generator:
         ctx = omp.ctx
@@ -92,3 +91,6 @@ class Gauss(AppKernel):
             m[k + 1 :, k:] -= factors[:, None] * m[k, k:]
             m[k + 1 :, k] = factors
         return {"m": m}
+
+
+Gauss.RATE = table1_rate(Gauss)

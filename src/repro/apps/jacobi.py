@@ -21,32 +21,30 @@ import numpy as np
 
 from ..dsm import Protocol
 from ..openmp import ParallelFor
-from .base import AppKernel
+from .base import AppKernel, table1_rate
 
 
 class Jacobi(AppKernel):
     name = "jacobi"
+    PARAMS = ("n", "iterations")
+    #: A copy pass costs this fraction of an update pass.
+    COPY_FRACTION = 0.25
+    #: Seconds per grid-point update (:func:`table1_rate`, set below).
+    RATE: float
+    #: Seconds per grid-point copy.
+    COPY_RATE: float
 
-    def __init__(
-        self,
-        n: int = 2500,
-        iterations: int = 1000,
-        update_rate: float = 1.6430464e-07,
-        copy_rate: float = 4.107616e-08,
-        seed: int = 1234,
-    ):
-        """``update_rate``/``copy_rate`` are seconds per grid point per
-        pass: the rates ``repro.bench.calibrate.calibrated_rates`` derives
-        from Table 1's 1-node time (1 283.63 s), the copy pass charged at
-        ``JACOBI_COPY_FRACTION`` of an update."""
+    def __init__(self, n: int = 2500, iterations: int = 1000, seed: int = 1234):
         super().__init__()
         if n < 3:
             raise ValueError("Jacobi needs n >= 3")
         self.n = n
         self.iterations = iterations
-        self.update_rate = update_rate
-        self.copy_rate = copy_rate
         self.seed = seed
+
+    def ops(self) -> float:
+        """Grid-point updates, the copy pass weighted at its fraction."""
+        return self.n * self.n * self.iterations * (1.0 + self.COPY_FRACTION)
 
     # -- setup ---------------------------------------------------------------
     def allocate(self, rt) -> None:
@@ -91,7 +89,7 @@ class Jacobi(AppKernel):
                 + g[wlo:whi, :-2]
                 + g[wlo:whi, 2:]
             )
-        yield from ctx.compute((whi - wlo) * n * self.update_rate)
+        yield from ctx.compute((whi - wlo) * n * self.RATE)
 
     def _copy_body(self, ctx, lo: int, hi: int, args) -> Generator:
         grid, scratch = self.arrays["grid"], self.arrays["scratch"]
@@ -105,7 +103,7 @@ class Jacobi(AppKernel):
             g = grid.view(ctx)
             s = scratch.view(ctx)
             g[wlo:whi, 1:-1] = s[wlo:whi, 1:-1]
-        yield from ctx.compute((whi - wlo) * n * self.copy_rate)
+        yield from ctx.compute((whi - wlo) * n * self.COPY_RATE)
 
     # -- driver ---------------------------------------------------------------
     def driver(self, omp) -> Generator:
@@ -128,3 +126,7 @@ class Jacobi(AppKernel):
             )
             grid[1:-1, 1:-1] = interior
         return {"grid": grid}
+
+
+Jacobi.RATE = table1_rate(Jacobi)
+Jacobi.COPY_RATE = Jacobi.RATE * Jacobi.COPY_FRACTION

@@ -21,28 +21,28 @@ import numpy as np
 
 from ..dsm import Protocol
 from ..openmp import ParallelFor
-from .base import AppKernel
+from .base import AppKernel, table1_rate
 
 
 class NBF(AppKernel):
     name = "nbf"
+    PARAMS = ("natoms", "npartners", "iterations")
+    #: Integrating one atom costs this fraction of one pair interaction.
+    INTEGRATE_FRACTION = 0.01
+    #: Seconds per pair interaction (:func:`table1_rate`, set below).
+    RATE: float
+    #: Seconds per atom integrated.
+    INTEGRATE_RATE: float
 
     def __init__(
         self,
         natoms: int = 131072,
         npartners: int = 80,
         iterations: int = 100,
-        interaction_rate: float = 2.2873784911407556e-06,
-        integrate_rate: float = 2.2873784911407558e-08,
         cutoff_locality: float = 0.05,
         seed: int = 99,
     ):
-        """``interaction_rate`` is seconds per pair interaction: the rate
-        ``repro.bench.calibrate.calibrated_rates`` derives from Table 1's
-        1-node time (2 398.79 s); integrating one atom costs
-        ``NBF_INTEGRATE_FRACTION`` of it.
-
-        ``cutoff_locality`` controls how far partner indices stray from
+        """``cutoff_locality`` controls how far partner indices stray from
         their atom (fraction of the whole array): molecular neighbour lists
         are spatially local, which bounds how many remote pages a block's
         gather touches."""
@@ -52,8 +52,6 @@ class NBF(AppKernel):
         self.natoms = natoms
         self.npartners = npartners
         self.iterations = iterations
-        self.interaction_rate = interaction_rate
-        self.integrate_rate = integrate_rate
         self.cutoff_locality = cutoff_locality
         self.seed = seed
         self._partners: np.ndarray | None = None
@@ -62,6 +60,11 @@ class NBF(AppKernel):
         #: an adaptation re-partitions and simply adds keys.  Tuples, so
         #: no access can alter what the next iteration reuses.
         self._gather_reads: dict[tuple[int, int], tuple] = {}
+
+    def ops(self) -> float:
+        """Pair interactions, integration weighted at its fraction."""
+        return self.natoms * self.iterations * (
+            self.npartners + self.INTEGRATE_FRACTION)
 
     # -- data ---------------------------------------------------------------
     def partner_table(self) -> np.ndarray:
@@ -126,7 +129,7 @@ class NBF(AppKernel):
             block = table[lo:hi]
             f[lo:hi] = self.pair_force(x[lo:hi, None], x[block]).sum(axis=1)
         yield from ctx.compute(
-            (hi - lo) * self.npartners * self.interaction_rate
+            (hi - lo) * self.npartners * self.RATE
         )
 
     def _integrate_body(self, ctx, lo: int, hi: int, args) -> Generator:
@@ -139,7 +142,7 @@ class NBF(AppKernel):
             x = pos.view(ctx)
             f = force.view(ctx)
             x[lo:hi] += self.DT * f[lo:hi]
-        yield from ctx.compute((hi - lo) * self.integrate_rate)
+        yield from ctx.compute((hi - lo) * self.INTEGRATE_RATE)
 
     # -- driver ---------------------------------------------------------------
     def driver(self, omp) -> Generator:
@@ -167,3 +170,7 @@ class NBF(AppKernel):
             f = self.pair_force(x[:, None], x[table]).sum(axis=1)
             x = x + self.DT * f
         return {"pos": x, "force": f}
+
+
+NBF.RATE = table1_rate(NBF)
+NBF.INTEGRATE_RATE = NBF.RATE * NBF.INTEGRATE_FRACTION

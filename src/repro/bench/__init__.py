@@ -1,74 +1,34 @@
-"""Benchmark harness: paper data, calibration, experiment runner,
-adaptation-cost methodology, and report formatting."""
+"""Benchmark harness: paper data, experiment runner, adaptation-cost
+methodology, micro-benchmarks, and report formatting."""
 
-from .analysis import (
-    LinkReport,
-    TimeBreakdown,
-    adaptation_timeline,
-    breakdown_table,
-    busiest_links,
-    link_reports,
-    link_table,
-    speedup_table,
-    time_breakdown,
-)
-from .adaptation_cost import (
-    adaptation_delay,
-    average_nprocs,
-    interpolated_reference,
-)
-from .model import LeaveCostModel, MigrationCostModel, predicted_max_link_bytes
-from .calibrate import calibrated_rates, expected_1node_seconds
-from .harness import ExperimentResult, nonadaptive_times
-from .perf import calibrate_spin
-from .recovery import (
-    RecoveryPoint,
-    recovery_sweep,
-    sweep_rows,
-)
-from .paper_data import (
-    ADAPTATION_POINT_SPACING,
-    FIGURE3_MOVED,
-    MICRO,
-    MIGRATION_COST,
-    TABLE1,
-    TABLE2,
-    speedup,
-)
-from .reporting import format_table, ratio_note
+import importlib
+
+#: The public names by the submodule that defines them.  Each is imported
+#: on first use (PEP 562), so ``import repro.apps`` (which reads Table 1
+#: from :mod:`.paper_data`) loads no harness module, and ``import
+#: repro.api`` loads no ``bench`` module at all.
+_EXPORTS = {
+    "adaptation_cost": ("adaptation_delay", "average_nprocs",
+                        "interpolated_reference"),
+    "harness": ("ExperimentResult", "nonadaptive_times"),
+    "model": ("LeaveCostModel", "MigrationCostModel",
+              "predicted_max_link_bytes"),
+    "paper_data": ("ADAPTATION_POINT_SPACING", "FIGURE3_MOVED", "MICRO",
+                   "MIGRATION_COST", "SHARED_MB", "TABLE1", "TABLE2",
+                   "speedup"),
+    "perf": ("calibrate_spin",),
+    "recovery": ("RecoveryPoint", "recovery_sweep", "sweep_rows"),
+    "reporting": ("format_table", "ratio_note"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
 
 
-__all__ = [
-    "ADAPTATION_POINT_SPACING",
-    "ExperimentResult",
-    "FIGURE3_MOVED",
-    "MICRO",
-    "MIGRATION_COST",
-    "TABLE1",
-    "TABLE2",
-    "LeaveCostModel",
-    "LinkReport",
-    "MigrationCostModel",
-    "predicted_max_link_bytes",
-    "TimeBreakdown",
-    "adaptation_delay",
-    "adaptation_timeline",
-    "breakdown_table",
-    "busiest_links",
-    "link_reports",
-    "link_table",
-    "speedup_table",
-    "time_breakdown",
-    "average_nprocs",
-    "calibrated_rates",
-    "expected_1node_seconds",
-    "format_table",
-    "interpolated_reference",
-    "nonadaptive_times",
-    "calibrate_spin",
-    "ratio_note",
-    "speedup",
-    "RecoveryPoint",
-    "recovery_sweep",
-    "sweep_rows",
-]
+def __getattr__(name):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

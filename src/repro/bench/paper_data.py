@@ -1,14 +1,14 @@
 """The paper's published numbers, machine-readable.
 
-Sources: Table 1 (runtimes & traffic, no adapt events), Table 2 (average
-adaptation cost), §5.1 (micro-benchmarks), §5.3 (migration costs),
-Figure 3 (data-movement fractions).
+Sources: Table 1 (runtimes & traffic, no adapt events, shared-memory
+footprints), Table 2 (average adaptation cost), §5.1 (micro-benchmarks),
+§5.3 (migration costs), Figure 3 (data-movement fractions).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 
 @dataclass(frozen=True)
@@ -41,6 +41,15 @@ TABLE1: Dict[Tuple[str, int], Table1Row] = {
         Table1Row("nbf", 4, 714.78, 715.36, 183_600, 721.85, 618_443, 0),
         Table1Row("nbf", 1, 2_398.79, 2_299.20, 0, 0.0, 0, 0),
     ]
+}
+
+
+#: Table 1's shared-memory footprint per application (MB).
+SHARED_MB: Dict[str, float] = {
+    "gauss": 48.0,
+    "jacobi": 47.8,
+    "fft3d": 42.0,
+    "nbf": 52.0,
 }
 
 

@@ -25,14 +25,11 @@ import argparse
 import sys
 from typing import List, Optional
 
-from .apps import APP_NAMES, BENCH, PAPER, TINY
-from .bench.calibrate import calibrated_rates
+from .apps import APP_NAMES, KERNELS, PAPER, PRESETS
 from .bench.paper_data import FIGURE3_MOVED, MICRO, MIGRATION_COST, TABLE1
 from .bench.reporting import format_table
 from .core import CompactShift, SwapLast, moved_fraction
 from .errors import ExecError, ReproError
-
-PRESETS = {"paper": PAPER, "bench": BENCH, "tiny": TINY}
 
 
 def _parse_event(spec: str):
@@ -50,17 +47,12 @@ def _parse_event(spec: str):
 
 
 def cmd_list(args) -> int:
-    rows = []
-    for preset_name, preset in PRESETS.items():
-        for app_name, wl in preset.items():
-            app = wl.make()
-            if app_name == "fft3d":
-                desc = f"{app.nx}x{app.ny}x{app.nz}, {app.iterations} iters"
-            elif app_name == "nbf":
-                desc = f"{app.natoms} atoms x {app.npartners}, {app.iterations} iters"
-            else:
-                desc = f"n={app.n}, {app.iterations} iters"
-            rows.append([preset_name, app_name, desc])
+    rows = [
+        [preset_name, app_name,
+         ", ".join(f"{key}={value}" for key, value in params.items())]
+        for preset_name, preset in PRESETS.items()
+        for app_name, params in preset.items()
+    ]
     print(format_table(["preset", "kernel", "configuration"], rows,
                        title="Available workloads"))
     return 0
@@ -68,8 +60,8 @@ def cmd_list(args) -> int:
 
 def cmd_calibrate(args) -> int:
     rows = [
-        [name, f"{rate * 1e9:.2f}", TABLE1[(name, 1)].time_standard]
-        for name, rate in sorted(calibrated_rates().items())
+        [name, f"{kernel.RATE * 1e9:.2f}", TABLE1[(name, 1)].time_standard]
+        for name, kernel in sorted(KERNELS.items())
     ]
     print(format_table(
         ["kernel", "rate (ns/op)", "anchors to 1-node time (s)"],
@@ -169,9 +161,15 @@ def cmd_run(args) -> int:
 
 
 def _report_from_digest(args) -> int:
-    """Render the adaptation-cost table for a cached sweep digest."""
+    """Render the adaptation-cost table for a cached sweep digest.
+
+    The entry is read through :meth:`ResultCache.get`, so a result that
+    other code computed, or a damaged one, is refused, never shown."""
     import json
     from pathlib import Path
+
+    from .exec.cache import ResultCache
+    from .exec.spec import ScenarioSpec
 
     root = Path(args.cache_dir)
     matches = sorted(root.glob(f"{args.digest}*.json"))
@@ -183,15 +181,23 @@ def _report_from_digest(args) -> int:
         print(f"digest prefix {args.digest!r} is ambiguous "
               f"({len(matches)} entries); give more characters", file=sys.stderr)
         return 2
-    with open(matches[0]) as fh:
-        entry = json.load(fh)
-    result = entry.get("result", {})
-    label = entry.get("spec", {}).get("kernel", "?")
-    nprocs = entry.get("spec", {}).get("nprocs", "?")
-    records = result.get("adapt_records", [])
+    try:
+        with open(matches[0]) as fh:
+            spec = ScenarioSpec.from_wire(json.load(fh)["spec"])
+    except (OSError, ValueError, TypeError, KeyError, AttributeError,
+            ReproError) as err:
+        print(f"cannot read cache entry {matches[0]}: {err}", file=sys.stderr)
+        return 2
+    cached = ResultCache(root).get(spec)
+    if cached is None:
+        print(f"cache entry {matches[0].name} is stale or damaged (written by "
+              f"other code, or its checksum fails); rerun the sweep",
+              file=sys.stderr)
+        return 2
+    result = cached.result
     rows = []
     total = 0.0
-    for rec in records:
+    for rec in result.adapt_records:
         duration = rec.get("duration", 0.0)
         total += duration
         rows.append([
@@ -206,12 +212,12 @@ def _report_from_digest(args) -> int:
     print(format_table(
         ["t (s)", "joins", "leaves", "team", "drained pages", "cost (ms)"],
         rows,
-        title=f"Cached adaptation costs: {label}-{nprocs} "
-              f"(digest {entry.get('digest', '?')[:12]})",
+        title=f"Cached adaptation costs: {spec.kernel}-{spec.nprocs} "
+              f"(digest {spec.config_digest()[:12]})",
     ))
-    print(f"  simulated runtime {result.get('runtime_seconds', 0.0):.3f}s, "
-          f"{result.get('adaptations', 0)} adapt event(s), "
-          f"{len(result.get('recoveries', []))} recover(ies)")
+    print(f"  simulated runtime {result.runtime_seconds:.3f}s, "
+          f"{result.adaptations} adapt event(s), "
+          f"{len(result.recoveries)} recover(ies)")
     return 0
 
 
@@ -516,14 +522,21 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_micro(args) -> int:
+    from .bench import micro
+
+    got = micro.measure_page_and_diffs()
     rows = [
-        ["1-byte round trip (us)", 126.2, MICRO.rtt_1byte * 1e6],
-        ["lock acquisition (us)", 180.6, f"{MICRO.lock_min*1e6:.0f}-{MICRO.lock_max*1e6:.0f}"],
-        ["page transfer (us)", 1309.3, MICRO.page_transfer * 1e6],
-        ["diff fetch (us)", "315.8-1547.4", f"{MICRO.diff_min*1e6:.0f}-{MICRO.diff_max*1e6:.0f}"],
+        ["1-byte round trip (us)", micro.measure_rtt() * 1e6,
+         MICRO.rtt_1byte * 1e6],
+        ["lock acquisition (us)", micro.measure_lock() * 1e6,
+         f"{MICRO.lock_min*1e6:.0f}-{MICRO.lock_max*1e6:.0f}"],
+        ["page transfer (us)", got["page"] * 1e6, MICRO.page_transfer * 1e6],
+        ["diff fetch (us)",
+         f"{got['diff_small']*1e6:.1f}-{got['diff_full']*1e6:.1f}",
+         f"{MICRO.diff_min*1e6:.0f}-{MICRO.diff_max*1e6:.0f}"],
     ]
     print(format_table(["operation", "simulated", "paper"], rows,
-                       title="§5.1 micro-benchmarks (see benchmarks/test_micro_network.py)"))
+                       title="§5.1 micro-benchmarks, measured on the simulated testbed"))
     return 0
 
 
@@ -556,7 +569,7 @@ def cmd_migration(args) -> int:
         sim = Simulator()
         pool = NodePool(sim, Switch(sim, cfg.network))
         rt = TmkRuntime(sim, cfg, pool.add_nodes(1), materialized=False)
-        PAPER[app_name].make().allocate(rt)
+        KERNELS[app_name](**PAPER[app_name]).allocate(rt)
         image = rt.space.total_pages * cfg.dsm.page_size + cfg.migration.image_overhead_bytes
         copy = cfg.migration.copy_time(image)
         rows.append([
@@ -789,11 +802,6 @@ def cmd_workers(args) -> int:
         return 0
     from .exec.worker import worker_main
 
-    if args.jobs is not None:
-        print("repro workers runs one simulation per worker process; "
-              "use --count N for N of them (--jobs has no meaning here)",
-              file=sys.stderr)
-        return 2
     count = max(1, args.count)
     print(f"starting {count} worker(s) against {address}", file=sys.stderr)
     if count == 1:
@@ -825,43 +833,53 @@ def cmd_workers(args) -> int:
     return 0
 
 
-def _engine_parent(coordinator: Optional[str] = None) -> argparse.ArgumentParser:
-    """An argparse parent carrying the execution-engine flags.
+#: The execution-engine flags, in the order a command's help lists them.
+ENGINE_FLAGS = ("jobs", "no_cache", "refresh", "cache_dir", "coordinator")
 
-    Every engine-driven command (``sweep``/``table1``/``recovery``/
-    ``serve``/``submit``/``workers``) accepts the same
-    ``--jobs``/``--no-cache``/``--refresh``/``--cache-dir``/
-    ``--coordinator`` set; ``coordinator`` is the default address of the
-    commands that always talk to a service.  ``workers`` reads only
-    ``--coordinator`` of them: a worker keeps no cache (every task it is
-    handed is a coordinator-side miss or a forced re-run) and refuses
-    ``--jobs``.  ``--jobs`` always parses as
-    None; commands that are serial by default (``table1``/``recovery``)
-    resolve None -> 1 in their command functions, because a
-    per-subparser ``set_defaults(jobs=...)`` would mutate the shared
-    parent action and leak into every other command.
+
+def _engine_parent(coordinator: Optional[str] = None,
+                   flags=ENGINE_FLAGS) -> argparse.ArgumentParser:
+    """An argparse parent carrying the execution-engine flags a command
+    reads.
+
+    The engine-driven commands (``sweep``/``table1``/``recovery``/
+    ``submit``) take all of ``--jobs``/``--no-cache``/``--refresh``/
+    ``--cache-dir``/``--coordinator``; ``serve`` takes the cache pair and
+    ``--coordinator`` (for ``--stop``), ``workers`` ``--coordinator``
+    alone (a worker runs one simulation at a time and keeps no cache).
+    ``coordinator`` is the default address of the commands that always
+    talk to a service.  ``--jobs`` always parses as None; commands that
+    are serial by default (``table1``/``recovery``) resolve None -> 1 in
+    their command functions, because a per-subparser
+    ``set_defaults(jobs=...)`` would mutate the shared parent action and
+    leak into every other command.
     """
     from .config import EXEC_CACHE_DIR
 
     parent = argparse.ArgumentParser(add_help=False)
     g = parent.add_argument_group("execution engine")
-    g.add_argument("--jobs", type=int, default=None,
-                   help="executors of the scenario engine: this process "
-                        "and N-1 spawned workers (default: command-"
-                        "specific; unset means one per core; 1, or a "
-                        "single cache miss, runs serially in this "
-                        "process, unsupervised)")
-    g.add_argument("--no-cache", action="store_true",
-                   help="bypass the content-addressed result cache")
-    g.add_argument("--refresh", action="store_true",
-                   help="re-execute and re-store even on a warm cache")
-    g.add_argument("--cache-dir", default=EXEC_CACHE_DIR,
-                   help="result-cache directory (default: %(default)s)")
-    g.add_argument("--coordinator", default=coordinator, metavar="HOST:PORT",
-                   help="sweep-service coordinator: sweep/table1/recovery "
-                        "run on its workers instead of this host, the "
-                        "service commands talk to it"
-                        + (f" (default: {coordinator})" if coordinator else ""))
+    if "jobs" in flags:
+        g.add_argument("--jobs", type=int, default=None,
+                       help="executors of the scenario engine: this process "
+                            "and N-1 spawned workers (default: command-"
+                            "specific; unset means one per core; 1, or a "
+                            "single cache miss, runs serially in this "
+                            "process, unsupervised)")
+    if "no_cache" in flags:
+        g.add_argument("--no-cache", action="store_true",
+                       help="bypass the content-addressed result cache")
+    if "refresh" in flags:
+        g.add_argument("--refresh", action="store_true",
+                       help="re-execute and re-store even on a warm cache")
+    if "cache_dir" in flags:
+        g.add_argument("--cache-dir", default=EXEC_CACHE_DIR,
+                       help="result-cache directory (default: %(default)s)")
+    if "coordinator" in flags:
+        g.add_argument("--coordinator", default=coordinator, metavar="HOST:PORT",
+                       help="sweep-service coordinator: sweep/table1/recovery "
+                            "run on its workers instead of this host, the "
+                            "service commands talk to it"
+                            + (f" (default: {coordinator})" if coordinator else ""))
     return parent
 
 
@@ -875,7 +893,8 @@ def build_parser() -> argparse.ArgumentParser:
     from .exec.service import DEFAULT_PORT
 
     engine = _engine_parent()
-    service = _engine_parent(coordinator=f"127.0.0.1:{DEFAULT_PORT}")
+    service_address = f"127.0.0.1:{DEFAULT_PORT}"
+    service = _engine_parent(coordinator=service_address)
 
     sub.add_parser("list", help="list workload presets").set_defaults(fn=cmd_list)
     sub.add_parser("calibrate", help="show calibrated compute rates").set_defaults(fn=cmd_calibrate)
@@ -1035,7 +1054,7 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="run a sweep-service coordinator (workers register, clients "
              "submit; results land in the shared cache)",
-        parents=[engine],
+        parents=[_engine_parent(flags=("no_cache", "cache_dir", "coordinator"))],
     )
     serve_p.add_argument("--host", default="127.0.0.1",
                          help="interface to listen on (default: %(default)s)")
@@ -1055,7 +1074,8 @@ def build_parser() -> argparse.ArgumentParser:
         "workers",
         help="run service workers against a coordinator (--status shows "
              "the registered-worker table)",
-        parents=[service],
+        parents=[_engine_parent(coordinator=service_address,
+                                flags=("coordinator",))],
     )
     workers_p.add_argument("--count", type=int, default=1,
                            help="worker processes to start "

@@ -12,10 +12,10 @@ which is what keys the content-addressed result cache.
 Everything a spec references is declarative on purpose: adapt events are
 ``(action, time, node, grace)`` records, fault scenarios are the plan
 *text* (``repro.faults.dump_plan`` round-trips), and kernels are named in
-a registry — no closures, no live objects.  Both are one script at run
-time: :meth:`ScenarioSpec.install_events` lowers each event to the plan
-grammar's ``join``/``leave``/``crash`` (default nodes resolved against
-the fresh team) and installs events then plan through one
+``repro.apps.KERNELS`` — no closures, no live objects.  Both are one
+script at run time: :meth:`ScenarioSpec.install_events` lowers each event
+to the plan grammar's ``join``/``leave``/``crash`` (default nodes
+resolved against the fresh team) and installs events then plan through one
 :class:`~repro.faults.FaultInjector`.
 """
 
@@ -32,14 +32,6 @@ from ..errors import ConfigurationError
 #: Canonical-serialization schema; bump when the digest-relevant layout
 #: of ScenarioSpec changes (old cache entries then miss on digest).
 SPEC_SCHEMA = "repro-scenario/2"
-
-#: Problem-size parameters each kernel accepts (and their digest order).
-KERNEL_PARAMS: Dict[str, Tuple[str, ...]] = {
-    "jacobi": ("n", "iterations"),
-    "gauss": ("n", "iterations"),
-    "fft3d": ("nx", "ny", "nz", "iterations"),
-    "nbf": ("natoms", "npartners", "iterations"),
-}
 
 #: Keys :attr:`ScenarioSpec.perf` accepts (the model options).
 PERF_OPTIONS = frozenset(f.name for f in fields(PerfParams))
@@ -85,9 +77,9 @@ class AdaptEvent:
 class ScenarioSpec:
     """A complete, hashable description of one simulated run."""
 
-    #: Kernel name (see :data:`KERNEL_PARAMS`).
+    #: Kernel name (a key of :data:`repro.apps.KERNELS`).
     kernel: str
-    #: Problem-size keyword arguments for the kernel.
+    #: Problem-size keyword arguments for the kernel (its ``PARAMS``).
     params: Mapping[str, int] = field(default_factory=dict)
     nprocs: int = 4
     #: Report the run as adaptive even without events.  Every spec runs on
@@ -110,13 +102,15 @@ class ScenarioSpec:
     label: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.kernel not in KERNEL_PARAMS:
+        from ..apps import KERNELS
+
+        if self.kernel not in KERNELS:
             raise ConfigurationError(
-                f"unknown kernel {self.kernel!r}; one of {sorted(KERNEL_PARAMS)}"
+                f"unknown kernel {self.kernel!r}; one of {sorted(KERNELS)}"
             )
         if self.nprocs < 1:
             raise ConfigurationError("nprocs must be >= 1")
-        allowed = set(KERNEL_PARAMS[self.kernel])
+        allowed = set(KERNELS[self.kernel].PARAMS)
         unknown = set(self.params) - allowed
         if unknown:
             raise ConfigurationError(
@@ -246,11 +240,10 @@ class ScenarioSpec:
         return cfg
 
     def build_app(self):
-        """Instantiate the kernel (at its Table-1-calibrated rates)."""
-        from ..apps import FFT3D, Gauss, Jacobi, NBF
+        """Instantiate the kernel at this spec's problem size."""
+        from ..apps import KERNELS
 
-        classes = {"jacobi": Jacobi, "gauss": Gauss, "fft3d": FFT3D, "nbf": NBF}
-        return classes[self.kernel](**self.params)
+        return KERNELS[self.kernel](**self.params)
 
     def install_events(self, rt) -> None:
         """Install the events, in spec order, then the fault plan, through
@@ -289,17 +282,15 @@ def spec_from_preset(preset: str, kernel: str, nprocs: int,
                      **kwargs: Any) -> ScenarioSpec:
     """A spec at a named preset's problem size (``paper``/``bench``/``tiny``).
 
-    The preset is resolved to explicit problem-size params at construction
-    time, so the digest captures the actual configuration rather than the
-    preset name (presets may be re-tuned between versions).
+    The spec takes a copy of the preset's params, so the digest captures
+    the actual configuration rather than the preset name (presets may be
+    re-tuned between versions).
     """
-    from ..apps import BENCH, PAPER, TINY
+    from ..apps import PRESETS
 
-    presets = {"paper": PAPER, "bench": BENCH, "tiny": TINY}
-    if preset not in presets:
+    if preset not in PRESETS:
         raise ConfigurationError(f"unknown preset {preset!r}")
-    if kernel not in presets[preset]:
+    if kernel not in PRESETS[preset]:
         raise ConfigurationError(f"unknown kernel {kernel!r}")
-    app = presets[preset][kernel].make()
-    params = {name: getattr(app, name) for name in KERNEL_PARAMS[kernel]}
-    return ScenarioSpec(kernel=kernel, params=params, nprocs=nprocs, **kwargs)
+    return ScenarioSpec(kernel=kernel, params=PRESETS[preset][kernel],
+                        nprocs=nprocs, **kwargs)

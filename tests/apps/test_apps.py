@@ -5,7 +5,10 @@ signatures Table 1 documents (diffs only for Jacobi at aligned sizes)."""
 import numpy as np
 import pytest
 
-from repro.apps import FFT3D, Gauss, Jacobi, NBF, PAPER, TINY, auto_protocol
+from repro.apps import (
+    BENCH, FFT3D, KERNELS, NBF, PAPER, TINY, Gauss, Jacobi, auto_protocol,
+)
+from repro.bench.paper_data import SHARED_MB
 from repro.dsm import Protocol
 
 from ..helpers import build_adaptive, build_system
@@ -18,7 +21,7 @@ class TestCorrectness:
     @pytest.mark.parametrize("nprocs", [1, 2, 4])
     def test_kernels_match_sequential_reference(self, name, nprocs):
         sim, rt, pool = build_system(nprocs=nprocs)
-        app = TINY[name].make()
+        app = KERNELS[name](**TINY[name])
         res = rt.run(app.program(rt))
         assert app.verify(rtol=1e-7, atol=1e-9), f"{name} diverged on {nprocs} procs"
         assert res.forks > 0
@@ -26,7 +29,7 @@ class TestCorrectness:
     @pytest.mark.parametrize("name", ALL_TINY)
     def test_kernels_survive_leave_and_join(self, name):
         sim, rt, pool = build_adaptive(nprocs=4, extra_nodes=0)
-        app = TINY[name].make()
+        app = KERNELS[name](**TINY[name])
         prog = app.program(rt)
         # drop a node early, re-admit it mid-run
         sim.schedule(0.001, lambda: rt.submit_leave(2, grace=30.0))
@@ -39,7 +42,7 @@ class TestCorrectness:
         finals = []
         for nprocs in (1, 3):
             sim, rt, pool = build_system(nprocs=nprocs)
-            app = TINY["jacobi"].make()
+            app = Jacobi(**TINY["jacobi"])
             rt.run(app.program(rt))
             finals.append(app.final["grid"])
         np.testing.assert_array_equal(finals[0], finals[1])
@@ -191,14 +194,18 @@ class TestNBF:
 
 class TestWorkloads:
     def test_paper_presets_match_published_sizes(self):
-        gauss = PAPER["gauss"].make()
-        assert (gauss.n, gauss.iterations) == (3072, 3071)
-        jacobi = PAPER["jacobi"].make()
-        assert (jacobi.n, jacobi.iterations) == (2500, 1000)
-        fft = PAPER["fft3d"].make()
-        assert (fft.nx, fft.ny, fft.nz, fft.iterations) == (128, 64, 64, 100)
-        nbf = PAPER["nbf"].make()
-        assert (nbf.natoms, nbf.npartners, nbf.iterations) == (131072, 80, 100)
+        assert PAPER == {
+            "gauss": {"n": 3072, "iterations": 3071},
+            "jacobi": {"n": 2500, "iterations": 1000},
+            "fft3d": {"nx": 128, "ny": 64, "nz": 64, "iterations": 100},
+            "nbf": {"natoms": 131072, "npartners": 80, "iterations": 100},
+        }
+
+    def test_every_preset_names_each_kernel_param(self):
+        for preset in (PAPER, BENCH, TINY):
+            for name, params in preset.items():
+                assert tuple(params) == KERNELS[name].PARAMS
+                assert KERNELS[name](**params).params == params
 
     def test_paper_shared_memory_same_order_as_published(self):
         """Allocated shared bytes against Table 1's MB column.
@@ -207,11 +214,11 @@ class TestWorkloads:
         say which arrays were shared or their precision); the deltas are
         documented in EXPERIMENTS.md.  This guards the order of magnitude.
         """
-        for name, wl in PAPER.items():
+        for name, params in PAPER.items():
             sim, rt, pool = build_system(nprocs=1, materialized=False)
-            app = wl.make()
+            app = KERNELS[name](**params)
             app.allocate(rt)
             got_mb = app.shared_bytes() / 1e6
-            ratio = got_mb / wl.paper_shared_mb
-            assert 0.3 <= ratio <= 2.5, f"{name}: {got_mb:.1f} MB vs {wl.paper_shared_mb}"
+            ratio = got_mb / SHARED_MB[name]
+            assert 0.3 <= ratio <= 2.5, f"{name}: {got_mb:.1f} MB vs {SHARED_MB[name]}"
 

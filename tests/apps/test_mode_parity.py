@@ -8,14 +8,14 @@ produces no run), never larger.
 
 import pytest
 
-from repro.apps import TINY
+from repro.apps import KERNELS, TINY
 
 from ..helpers import build_system
 
 
 def traffic(name, materialized, nprocs=4):
     sim, rt, pool = build_system(nprocs=nprocs, materialized=materialized)
-    app = TINY[name].make()
+    app = KERNELS[name](**TINY[name])
     app.do_collect = False  # identical drivers in both modes
     res = rt.run(app.program(rt))
     return res

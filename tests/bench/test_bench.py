@@ -1,12 +1,10 @@
-"""Tests for the benchmark harness: paper data, calibration math,
-adaptation-cost methodology, reporting."""
-
-import inspect
+"""Tests for the benchmark harness: paper data, the kernels' Table 1
+rates, adaptation-cost methodology, reporting."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.apps import FFT3D, Gauss, Jacobi, NBF
+from repro.apps import FFT3D, KERNELS, Gauss, Jacobi, NBF
 from repro.bench import (
     MICRO,
     MIGRATION_COST,
@@ -14,23 +12,12 @@ from repro.bench import (
     TABLE2,
     adaptation_delay,
     average_nprocs,
-    calibrated_rates,
-    expected_1node_seconds,
     format_table,
     interpolated_reference,
     ratio_note,
     speedup,
 )
 from repro.bench.harness import run_experiment
-from repro.bench.calibrate import (
-    FFT_TRANSPOSE_FRACTION,
-    JACOBI_COPY_FRACTION,
-    NBF_INTEGRATE_FRACTION,
-    fft_ops,
-    gauss_ops,
-    jacobi_ops,
-    nbf_ops,
-)
 from repro.bench.perf import calibrate_spin
 
 
@@ -76,53 +63,35 @@ class TestCalibration:
         assert calibrate_spin(2_000) > 0
 
     def test_rates_positive_and_plausible(self):
-        rates = calibrated_rates()
-        assert set(rates) == {"gauss", "jacobi", "fft3d", "nbf"}
-        for rate in rates.values():
+        assert set(KERNELS) == {"gauss", "jacobi", "fft3d", "nbf"}
+        for kernel in KERNELS.values():
             # 1999-era per-op costs: between 10 ns and 10 us
-            assert 1e-8 < rate < 1e-5
+            assert 1e-8 < kernel.RATE < 1e-5
 
     def test_paper_size_one_node_times_match_table1(self):
-        """The calibration must invert exactly."""
-        checks = [
-            (Jacobi(2500, 1000), TABLE1[("jacobi", 1)].time_standard),
-            (Gauss(3072), TABLE1[("gauss", 1)].time_standard),
-            (FFT3D(128, 64, 64, 100), TABLE1[("fft3d", 1)].time_standard),
-            (NBF(131072, 80, 100), TABLE1[("nbf", 1)].time_standard),
-        ]
-        for app, published in checks:
-            assert expected_1node_seconds(app) == pytest.approx(published, rel=1e-9)
+        """The rate inverts Table 1's 1-node time at the paper size, which
+        is each constructor's defaults."""
+        for name, kernel in KERNELS.items():
+            published = TABLE1[(name, 1)].time_standard
+            assert kernel().ops() * kernel.RATE == pytest.approx(published, rel=1e-9)
 
-    def test_kernel_default_rates_are_the_calibration(self):
-        """The constructors' default rates are ``calibrated_rates()`` and
-        the fixed fractions, to the bit: there is one set of rates."""
-        rates = calibrated_rates()
-        defaults = {
-            (Jacobi, "update_rate"): rates["jacobi"],
-            (Jacobi, "copy_rate"): rates["jacobi"] * JACOBI_COPY_FRACTION,
-            (Gauss, "update_rate"): rates["gauss"],
-            (FFT3D, "butterfly_rate"): rates["fft3d"],
-            (FFT3D, "transpose_rate"): rates["fft3d"] * FFT_TRANSPOSE_FRACTION,
-            (NBF, "interaction_rate"): rates["nbf"],
-            (NBF, "integrate_rate"): rates["nbf"] * NBF_INTEGRATE_FRACTION,
-        }
-        for (kernel, name), rate in defaults.items():
-            default = inspect.signature(kernel).parameters[name].default
-            assert default == rate, f"{kernel.__name__}.{name}"
-            assert getattr(kernel(), name) == rate
+    def test_secondary_rates_are_fixed_fractions_of_the_primary(self):
+        assert Jacobi.COPY_RATE == Jacobi.RATE * Jacobi.COPY_FRACTION
+        assert FFT3D.TRANSPOSE_RATE == FFT3D.RATE * FFT3D.TRANSPOSE_FRACTION
+        assert NBF.INTEGRATE_RATE == NBF.RATE * NBF.INTEGRATE_FRACTION
 
     def test_simulated_1node_run_matches_calibration(self):
         res = run_experiment(lambda: Jacobi(128, 4), nprocs=1)
         assert res.runtime_seconds == pytest.approx(
-            expected_1node_seconds(Jacobi(128, 4)), rel=0.02
+            Jacobi(128, 4).ops() * Jacobi.RATE, rel=0.02
         )
 
-    @given(st.integers(2, 64), st.integers(1, 20))
+    @given(st.integers(3, 64), st.integers(1, 20))
     def test_op_counts_positive_monotonic(self, n, iters):
-        assert jacobi_ops(n, iters) > 0
-        assert gauss_ops(n, min(iters, n - 1)) >= 0
-        assert nbf_ops(n, 4, iters) > 0
-        assert jacobi_ops(n, iters + 1) > jacobi_ops(n, iters)
+        assert Jacobi(n, iters).ops() > 0
+        assert Gauss(n, min(iters, n - 1)).ops() >= 0
+        assert NBF(n, 4, iters).ops() > 0
+        assert Jacobi(n, iters + 1).ops() > Jacobi(n, iters).ops()
 
 
 class TestAdaptationCostMethod:

@@ -5,7 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.apps import TINY, Jacobi
+from repro.apps import KERNELS, TINY, Jacobi
 from repro.dsm import Protocol, ScRuntime, SharedArray, TmkRuntime
 from repro.exec.spec import spec_from_preset
 
@@ -41,7 +41,7 @@ class TestCorrectness:
     @pytest.mark.parametrize("nprocs", [1, 2, 4])
     def test_kernels_match_sequential_reference(self, name, nprocs):
         sim, rt, pool = build_system(nprocs=nprocs, runtime_cls=ScRuntime)
-        app = TINY[name].make()
+        app = KERNELS[name](**TINY[name])
         rt.run(app.program(rt))
         assert app.verify(rtol=1e-7, atol=1e-9), f"{name} diverged under SC"
 
@@ -182,7 +182,7 @@ class TestProtocolShape:
     def test_no_diffs_ever(self):
         """SC has no twin/diff machinery at all."""
         sim, rt, pool = build_system(nprocs=4, runtime_cls=ScRuntime)
-        app = TINY["jacobi"].make()
+        app = Jacobi(**TINY["jacobi"])
         res = rt.run(app.program(rt))
         assert res.traffic.diffs == 0
         for proc in rt.procs.values():

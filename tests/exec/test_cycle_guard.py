@@ -17,7 +17,7 @@ import gc
 import pytest
 
 from repro.api import AdaptEvent, ScenarioSpec
-from repro.apps import TINY
+from repro.apps import KERNELS, TINY
 from repro.dsm import ScRuntime
 from repro.exec.pool import execute_spec
 from repro.simcore import Simulator
@@ -70,7 +70,7 @@ def _tiny(kernel, loss=0.0, **kwargs):
         sim, rt, _ = build_system(nprocs=4, **kwargs)
         if loss:
             lossy_wire(rt, loss)
-        app = TINY[kernel].make()
+        app = KERNELS[kernel](**TINY[kernel])
         result = rt.run(app.program(rt))
         assert app.verify(rtol=1e-7, atol=1e-9)
         return result

@@ -16,7 +16,7 @@ import re
 import pytest
 
 from repro.api import AdaptEvent
-from repro.apps import TINY
+from repro.apps import KERNELS, TINY
 from repro.dsm import ScRuntime
 from repro.exec.pool import execute_spec
 from repro.network import message as mk
@@ -80,7 +80,7 @@ def test_lossy_adaptive_run_spawns_drivers_only(monkeypatch):
 def test_sc_baseline_spawns_drivers_only(kernel, monkeypatch):
     def scenario():
         _, rt, _ = build_system(nprocs=4, runtime_cls=ScRuntime)
-        app = TINY[kernel].make()
+        app = KERNELS[kernel](**TINY[kernel])
         rt.run(app.program(rt))
         assert app.verify(rtol=1e-7, atol=1e-9)
 

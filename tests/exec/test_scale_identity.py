@@ -7,7 +7,8 @@ event count is engine bookkeeping, pinned by value in the golden matrix)
 of the baseline's modelled outputs: any drift is a protocol change,
 not noise.  The baseline was the seed revision's; it was re-based once
 more when the kernels' compute rates became the Table 1 calibration
-(every scenario is charged at ``repro.bench.calibrate``'s rates), which
+(every scenario is charged at the rates each kernel class derives from
+Table 1's 1-node time), which
 moved simulated time and nothing else.  Tree and fat-tree
 runs are *not* expected to match the seed (different message patterns
 and modelled times are the point) — they are pinned by their own rows of

@@ -143,6 +143,31 @@ class TestPresets:
         spec = spec_from_preset("bench", "gauss", 8)
         assert spec.params["iterations"] is not None
 
+    def test_preset_builds_no_kernel(self, monkeypatch):
+        """A preset is params: the spec copies them, and neither it nor
+        its validation constructs a kernel."""
+        from repro.apps import KERNELS, PRESETS
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a kernel was built")
+
+        for kernel in KERNELS.values():
+            monkeypatch.setattr(kernel, "__init__", refuse)
+        for preset, table in PRESETS.items():
+            for name, params in table.items():
+                spec = spec_from_preset(preset, name, 4)
+                assert spec.params == params and spec.params is not params
+
+    def test_params_are_each_kernels_params(self):
+        from repro.apps import KERNELS
+
+        for name, kernel in KERNELS.items():
+            app = spec_from_preset("tiny", name, 2).build_app()
+            assert type(app) is kernel
+            assert app.params == spec_from_preset("tiny", name, 2).params
+        with pytest.raises(ConfigurationError):
+            base_spec(params={"n": 48, "update_rate": 1e-7})
+
 
 class TestDefaultNodes:
     def test_two_default_joins_take_distinct_free_nodes(self):

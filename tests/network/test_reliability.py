@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.apps import TINY
+from repro.apps import KERNELS, TINY, Gauss, Jacobi
 from repro.errors import FaultError, NetworkError
 from repro.faults import FaultInjector, parse_plan
 from repro.network import LinkFaults, Message, ReplyWait, Switch
@@ -224,7 +224,7 @@ class TestLossyDsmRuns:
     def test_kernels_verify_under_loss(self, name):
         sim, rt, pool = build_system(nprocs=4)
         lossy_wire(rt, 0.10)
-        app = TINY[name].make()
+        app = KERNELS[name](**TINY[name])
         rt.run(app.program(rt))
         assert app.verify(rtol=1e-7, atol=1e-9), f"{name} diverged under loss"
 
@@ -233,7 +233,7 @@ class TestLossyDsmRuns:
             sim, rt, pool = build_system(nprocs=4)
             if rate:
                 lossy_wire(rt, rate)
-            app = TINY["gauss"].make()
+            app = Gauss(**TINY["gauss"])
             res = rt.run(app.program(rt))
             assert app.verify(rtol=1e-7, atol=1e-9)
             return res.runtime_seconds
@@ -243,7 +243,7 @@ class TestLossyDsmRuns:
     def test_adaptation_under_loss(self):
         sim, rt, pool = build_adaptive(nprocs=4)
         lossy_wire(rt, 0.10)
-        app = TINY["jacobi"].make()
+        app = Jacobi(**TINY["jacobi"])
         prog = app.program(rt)
         sim.schedule(0.01, lambda: rt.submit_leave(2, grace=60.0))
         res = rt.run(prog)

@@ -56,6 +56,13 @@ class TestCommands:
         assert main(["micro"]) == 0
         assert "round trip" in capsys.readouterr().out
 
+    def test_micro_prints_what_it_measured(self, monkeypatch, capsys):
+        from repro.bench import micro
+
+        monkeypatch.setattr(micro, "measure_rtt", lambda: 4321e-6)
+        assert main(["micro"]) == 0
+        assert "4,321.00" in capsys.readouterr().out
+
     def test_run_materialized_with_events(self, capsys):
         rc = main([
             "run", "jacobi", "--preset", "tiny", "--nprocs", "3",
@@ -216,6 +223,38 @@ class TestReport:
         out = capsys.readouterr().out
         assert "runtime" in out and "cost (ms)" in out
 
+    def test_digest_mode_refuses_an_entry_other_code_wrote(self, tmp_path,
+                                                           capsys):
+        """``--digest`` reads through the cache's schema, salt and
+        checksum checks: an entry written under another code version is
+        refused, not rendered."""
+        from repro.api import run, spec_from_preset
+        from repro.exec.cache import ResultCache
+
+        spec = spec_from_preset("tiny", "jacobi", 2)
+        ResultCache(tmp_path, salt="other").put(spec, run(spec).result)
+        rc = main(["report", "--digest", spec.config_digest()[:12],
+                   "--cache-dir", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "stale or damaged" in captured.err
+        assert "Cached adaptation costs" not in captured.out
+
+    def test_digest_mode_refuses_a_damaged_entry(self, tmp_path, capsys):
+        import json
+
+        from repro.api import run, spec_from_preset
+        from repro.exec.cache import ResultCache
+
+        spec = spec_from_preset("tiny", "jacobi", 2)
+        path = ResultCache(tmp_path).put(spec, run(spec).result)
+        entry = json.loads(path.read_text())
+        entry["result"]["runtime_seconds"] += 1.0
+        path.write_text(json.dumps(entry))
+        assert main(["report", "--digest", spec.config_digest()[:12],
+                     "--cache-dir", str(tmp_path)]) == 2
+        assert "stale or damaged" in capsys.readouterr().err
+
     def test_digest_mode_unknown_digest(self, tmp_path, capsys):
         assert main(["report", "--digest", "feedfacefeed",
                      "--cache-dir", str(tmp_path)]) == 2
@@ -252,9 +291,10 @@ class TestScale:
 class TestSharedEngineFlags:
     """Every engine-driven command accepts the same five execution flags
     (the shared argparse parent behind --jobs/--cache-dir/--no-cache/
-    --refresh/--coordinator, docs/PROTOCOL.md §12)."""
+    --refresh/--coordinator, docs/PROTOCOL.md §12); the service commands
+    take only the ones they read."""
 
-    COMMANDS = ["sweep", "table1", "recovery", "serve", "submit", "workers"]
+    COMMANDS = ["sweep", "table1", "recovery", "submit"]
 
     def test_engine_flags_parse_everywhere(self):
         parser = build_parser()
@@ -288,12 +328,23 @@ class TestSharedEngineFlags:
         for command in ("sweep", "table1", "recovery"):
             assert parser.parse_args([command]).jobs is None
 
-    def test_workers_jobs_points_at_count(self, capsys):
-        # A worker runs one simulation at a time; the flag parses (shared
-        # parent) but starting workers with it is refused, not ignored.
-        assert main(["workers", "--jobs", "2",
-                     "--coordinator", "127.0.0.1:1"]) == 2
-        assert "--count" in capsys.readouterr().err
+    def test_serve_takes_only_the_flags_it_reads(self):
+        parser = build_parser()
+        args = parser.parse_args(["serve", "--no-cache", "--cache-dir", "/tmp/c",
+                                  "--coordinator", "host:7070"])
+        assert args.no_cache and args.cache_dir == "/tmp/c"
+        for flag in (["--jobs", "2"], ["--refresh"]):
+            with pytest.raises(SystemExit):
+                parser.parse_args(["serve", *flag])
+
+    def test_workers_take_only_the_coordinator(self):
+        # A worker runs one simulation at a time (--count starts more) and
+        # keeps no cache.
+        parser = build_parser()
+        for flag in (["--jobs", "2"], ["--no-cache"], ["--refresh"],
+                     ["--cache-dir", "/tmp/c"]):
+            with pytest.raises(SystemExit):
+                parser.parse_args(["workers", *flag])
 
     def test_remote_without_coordinator_fails_cleanly(self, capsys):
         # --coordinator with nothing listening there

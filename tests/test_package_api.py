@@ -52,6 +52,38 @@ def test_api_import_leaves_the_sweep_service_unloaded():
     ]
 
 
+def test_import_graph_keeps_the_bench_harness_unloaded():
+    """The kernels read Table 1 from ``repro.bench.paper_data`` and load
+    no other ``repro.bench`` module; ``repro.api`` loads none at all
+    (``repro.bench`` resolves its names lazily)."""
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def bench_modules(statement):
+        code = "\n".join([
+            "import sys",
+            statement,
+            "print(sorted(m for m in sys.modules if m.startswith('repro.bench')))",
+        ])
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        return done.stdout.strip()
+
+    assert bench_modules("import repro.apps") == (
+        "['repro.bench', 'repro.bench.paper_data']")
+    assert bench_modules("import repro.api") == "[]"
+
+
+def test_bench_exports_resolve():
+    import repro.bench
+
+    for name in repro.bench.__all__:
+        assert getattr(repro.bench, name) is not None, name
+    with pytest.raises(AttributeError):
+        repro.bench.no_such_name
+
+
 def test_exec_exports_resolve():
     import repro.exec
 
