@@ -188,10 +188,13 @@ def _report_from_digest(args) -> int:
             ReproError) as err:
         print(f"cannot read cache entry {matches[0]}: {err}", file=sys.stderr)
         return 2
-    cached = ResultCache(root).get(spec)
+    cache = ResultCache(root)
+    cached = cache.get(spec)
     if cached is None:
+        moved = (f"; it was moved to {cache.quarantine_root}"
+                 if cache.stats.quarantined else "")
         print(f"cache entry {matches[0].name} is stale or damaged (written by "
-              f"other code, or its checksum fails); rerun the sweep",
+              f"other code, or its checksum fails){moved}; rerun the sweep",
               file=sys.stderr)
         return 2
     result = cached.result

@@ -86,12 +86,13 @@ class TestCalibration:
             Jacobi(128, 4).ops() * Jacobi.RATE, rel=0.02
         )
 
-    @given(st.integers(3, 64), st.integers(1, 20))
+    @given(st.integers(2, 64), st.integers(1, 20))
     def test_op_counts_positive_monotonic(self, n, iters):
-        assert Jacobi(n, iters).ops() > 0
+        jn = max(n, 3)  # a Jacobi grid needs an interior row
+        assert Jacobi(jn, iters).ops() > 0
         assert Gauss(n, min(iters, n - 1)).ops() >= 0
         assert NBF(n, 4, iters).ops() > 0
-        assert Jacobi(n, iters + 1).ops() > Jacobi(n, iters).ops()
+        assert Jacobi(jn, iters + 1).ops() > Jacobi(jn, iters).ops()
 
 
 class TestAdaptationCostMethod:

@@ -238,6 +238,7 @@ class TestReport:
         captured = capsys.readouterr()
         assert rc == 2
         assert "stale or damaged" in captured.err
+        assert "moved to" not in captured.err  # stale, not damaged: kept
         assert "Cached adaptation costs" not in captured.out
 
     def test_digest_mode_refuses_a_damaged_entry(self, tmp_path, capsys):
@@ -253,7 +254,12 @@ class TestReport:
         path.write_text(json.dumps(entry))
         assert main(["report", "--digest", spec.config_digest()[:12],
                      "--cache-dir", str(tmp_path)]) == 2
-        assert "stale or damaged" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "stale or damaged" in err
+        # The damaged bytes are moved aside, and the message says so.
+        assert "moved to" in err
+        assert not path.exists()
+        assert len(list((tmp_path / "quarantine").iterdir())) == 1
 
     def test_digest_mode_unknown_digest(self, tmp_path, capsys):
         assert main(["report", "--digest", "feedfacefeed",
